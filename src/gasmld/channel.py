@@ -213,12 +213,12 @@ def received_slot(inst: ChannelInstance, cfg: SystemConfig, t: int, b_true) -> R
     return ReceivedSlot(t=t, r=r, b_true=b_true)
 
 
-def delay_phases(inst: ChannelInstance, cfg: SystemConfig, t: int) -> np.ndarray:
+def delay_phases(inst: ChannelInstance, t: int, taud: int) -> np.ndarray:
     """Estimated per-user phase factors e^{j 2 pi f_hat (t - k)}, shape (M, taud).
 
     Column k is the factor multiplying the k-th delay indicator bit.
     """
-    k = np.arange(cfg.taud)
+    k = np.arange(taud)
     return np.exp(1j * 2.0 * np.pi * inst.f_est[:, None] * (t - k[None, :]))
 
 
@@ -235,9 +235,7 @@ def objective_direct(inst: ChannelInstance, r: np.ndarray, t: int, b, d, c=None)
     taud = d_len // M
     if M * taud != d_len:
         raise ValueError("delay bit vector length is not a multiple of M")
-    k = np.arange(taud)
-    phases = np.exp(1j * 2.0 * np.pi * inst.f_est[:, None] * (t - k[None, :]))
-    D = np.sum(phases * d.reshape(M, taud), axis=1)
+    D = np.sum(delay_phases(inst, t, taud) * d.reshape(M, taud), axis=1)
     modulation = PSK2 if b.size == M else QPSK
     s = map_symbols(modulation, t, b, c_bits=c)
     resid = r - inst.H_est @ (D * s)

@@ -24,6 +24,9 @@ LMIN_PROPOSED_CPRIME = "proposed-cprime"
 BACKEND_AMPLITUDE = "amplitude"
 BACKEND_CIRCUIT = "circuit"
 
+# measurement distributions a CircuitBackend keeps, oldest evicted first
+CIRCUIT_CACHE_SIZE = 8
+
 
 def success_probability(Ns: int, Nt: int, L: int) -> float:
     if not 0 <= Ns <= Nt:
@@ -53,9 +56,8 @@ def restart_iterations(L_min: int, Nt: int, Ns: int = 1) -> int:
 @dataclass
 class GasParams:
     lam: float = 8.0 / 7.0
-    threshold_policy: str = "random"   # random | mvd | mmse | sdr (label only)
     y0: float | None = None            # resolved threshold; None -> sample x0
-    x0: np.ndarray | None = None       # optional seeded incumbent (mmse/sdr)
+    x0: np.ndarray | None = None       # optional seeded incumbent (mmse)
     lmin: int = 0
     restart_enabled: bool = False
     restart_after: int | None = None   # iterations without update before restart
@@ -148,8 +150,7 @@ class CircuitBackend:
     the same circuit sample the cached marginal instead of re-simulating.
     """
 
-    def __init__(self, poly: HuboPolynomial, reg: VarRegistry, prep: str, q_v: int,
-                 cache_size: int = 8):
+    def __init__(self, poly: HuboPolynomial, reg: VarRegistry, prep: str, q_v: int):
         self.circuit = statevector.GroverCircuit(poly, reg, prep, q_v)
         self.reg = reg
         self.q_v = q_v
@@ -158,7 +159,6 @@ class CircuitBackend:
         self.n_states = int(self._support_keys.size)
         self.always_valid = prep == W_STATE_REDUCED
         self._cache: dict[tuple[float, int], np.ndarray] = {}
-        self._cache_size = cache_size
 
     def distribution(self, y: float, L: int) -> np.ndarray:
         """Exact key-register measurement distribution after G^L A_y |0>."""
@@ -168,7 +168,7 @@ class CircuitBackend:
             sv = self.circuit.run(y, L)
             p = sv.key_marginal()
             p = p / p.sum()
-            if len(self._cache) >= self._cache_size:
+            if len(self._cache) >= CIRCUIT_CACHE_SIZE:
                 self._cache.pop(next(iter(self._cache)))
             self._cache[key] = p
         return p
@@ -187,25 +187,6 @@ class CircuitBackend:
         return np.array([(key >> (q - 1 - i)) & 1 for i in range(q)], dtype=np.uint8)
 
 
-def backend_amplitude(poly: HuboPolynomial, reg: VarRegistry, prep: str, y: float,
-                      L: int, rng: np.random.Generator,
-                      space: spaces.EnumeratedSpace | None = None) -> np.ndarray:
-    """One measurement from the amplitude-level backend."""
-    if space is None:
-        space = spaces.from_polynomial(poly, reg, prep)
-    backend = AmplitudeBackend(space)
-    ordinal, _ = backend.measure(y, L, rng)
-    return backend.assignment(ordinal)
-
-
-def backend_circuit(poly: HuboPolynomial, reg: VarRegistry, prep: str, y: float,
-                    L: int, q_v: int, rng: np.random.Generator) -> np.ndarray:
-    """One measurement from the circuit-level backend."""
-    backend = CircuitBackend(poly, reg, prep, q_v)
-    key, _ = backend.measure(y, L, rng)
-    return backend.assignment(key)
-
-
 def is_valid_assignment(reg: VarRegistry, bits: np.ndarray) -> bool:
     """True when every delay block is exactly one-hot."""
     _, _, d = reg.split_assignment(bits)
@@ -219,10 +200,11 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator,
 
     Each iteration samples L uniformly from {L_min, ..., L_min + ceil(k-1)},
     measures, accepts strictly improving values (resetting k), and otherwise
-    grows k by the factor lambda up to sqrt(Nt).  With restart enabled, a run
-    of restart_after consecutive iterations without any update since the last
-    (re)start resamples the incumbent, resets the threshold to its value and
-    drops L_min to zero.
+    grows k by the factor lambda up to sqrt(2^q_k), the square root of the
+    full key space even when the preparation reaches only Nt < 2^q_k states.
+    With restart enabled, a run of restart_after consecutive iterations
+    without any update since the last (re)start resamples the incumbent,
+    resets the threshold to its value and drops L_min to zero.
 
     oracle_min is instrumentation: the first measurement attaining it is
     recorded as (cd, qd); with stop_at_optimum the run also halts there.  The

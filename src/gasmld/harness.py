@@ -19,9 +19,10 @@ from . import streams
 from .channel import PSK2, SystemConfig, generate_instance, objective_direct, random_payload_bits, received_slot
 from .errors import ConfigError
 from .gas import (AmplitudeBackend, BACKEND_AMPLITUDE, BACKEND_CIRCUIT, CircuitBackend,
-                  GasParams, GasTrace, restart_iterations, run_gas)
+                  GasParams, GasTrace, LMIN_CONVENTIONAL_C, LMIN_PROPOSED_CPRIME, LMIN_ZERO,
+                  restart_iterations, run_gas)
 from .gates import build_report
-from .hubo import W_STATE_REDUCED, build_hubo, build_registry
+from .hubo import HADAMARD_FULL, W_STATE_REDUCED, build_hubo, build_registry
 from .indicators import (CalibrationTable, calibrate, config_hash, indicator_c,
                          indicator_c_prime, select_lmin, select_lmin_conventional)
 from .spaces import from_channel
@@ -32,6 +33,13 @@ CALIBRATION_ID_OFFSET = 1_000_000
 
 _CFG_FIELDS = {"N": int, "M": int, "tau_max": int, "modulation": str, "T_P": int,
                "T_D": int, "P_X": (int, float), "snr_db": (int, float), "seed": int}
+_TOP_LEVEL_FIELDS = {"name", "cfg", "trials", "output_dir", "gas", "calibration",
+                     "variants", "snr_sweep", "detectors", "grid"}
+_VARIANT_CHOICES = {"prep": (W_STATE_REDUCED, HADAMARD_FULL),
+                    "threshold": ("random", "mvd"),
+                    "lmin": (LMIN_ZERO, LMIN_CONVENTIONAL_C, LMIN_PROPOSED_CPRIME)}
+GAS_DETECTORS = {"gas-mvd", "gas-mmse", "gas-rand"}
+DETECTORS = {"exhaustive", "mmse"} | GAS_DETECTORS
 
 
 @dataclass
@@ -51,7 +59,6 @@ class ExperimentSpec:
     detectors: list[str] = field(default_factory=list)
     grid: list[dict] = field(default_factory=list)
     q_v: int | None = None
-    extra: dict = field(default_factory=dict)
 
 
 def load_spec(source) -> ExperimentSpec:
@@ -65,6 +72,9 @@ def load_spec(source) -> ExperimentSpec:
         data = dict(source)
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
+    unknown = set(data) - _TOP_LEVEL_FIELDS
+    if unknown:
+        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     if "cfg" not in data or not isinstance(data["cfg"], dict):
         raise ConfigError("config requires a 'cfg' object with the system parameters")
     cfg_in = data["cfg"]
@@ -84,10 +94,24 @@ def load_spec(source) -> ExperimentSpec:
     gas = data.get("gas", {})
     if not isinstance(gas, dict):
         raise ConfigError("'gas' must be an object")
+    trials = data.get("trials", 100)
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+        raise ConfigError(f"trials must be an integer >= 1, got {trials!r}")
+    variants = data.get("variants", [])
+    if not isinstance(variants, list):
+        raise ConfigError("'variants' must be a list")
+    for variant in variants:
+        _check_variant(variant)
+    detectors = data.get("detectors", [])
+    if not isinstance(detectors, list):
+        raise ConfigError("'detectors' must be a list")
+    bad = [d for d in detectors if not isinstance(d, str) or d not in DETECTORS]
+    if bad:
+        raise ConfigError(f"unknown detectors {bad}; choose from {sorted(DETECTORS)}")
     spec = ExperimentSpec(
         name=data.get("name", "experiment"),
         cfg=cfg,
-        trials=int(data.get("trials", 100)),
+        trials=trials,
         output_dir=data.get("output_dir", "out"),
         backend=gas.get("backend", BACKEND_AMPLITUDE),
         mvd_p=float(gas.get("mvd_p", 1e-3)),
@@ -95,20 +119,38 @@ def load_spec(source) -> ExperimentSpec:
         budget_iterations=gas.get("budget_iterations"),
         budget_rotations=gas.get("budget_rotations"),
         calibration_samples=int(data.get("calibration", {}).get("samples", 2000)),
-        variants=data.get("variants", []),
+        variants=variants,
         snr_sweep=list(data.get("snr_sweep", [])),
-        detectors=list(data.get("detectors", [])),
+        detectors=detectors,
         grid=list(data.get("grid", [])),
         q_v=gas.get("q_v"),
-        extra={k: v for k, v in data.items() if k not in {
-            "name", "cfg", "trials", "output_dir", "gas", "calibration",
-            "variants", "snr_sweep", "detectors", "grid"}},
     )
-    if spec.trials < 1:
-        raise ConfigError("trials must be >= 1")
     if spec.backend not in (BACKEND_AMPLITUDE, BACKEND_CIRCUIT):
         raise ConfigError(f"unknown backend {spec.backend!r}")
     return spec
+
+
+def _check_variant(variant) -> None:
+    """A query-cdf arm: a string name plus choices from _VARIANT_CHOICES and
+    a bool restart; absent keys take run_query_cdf's defaults."""
+    if not isinstance(variant, dict) or not isinstance(variant.get("name"), str):
+        raise ConfigError(f"each variant needs a string 'name', got {variant!r}")
+    name = variant["name"]
+    unknown = set(variant) - {"name", "restart", *_VARIANT_CHOICES}
+    if unknown:
+        raise ConfigError(f"variant {name!r} has unknown fields {sorted(unknown)}")
+    for key, choices in _VARIANT_CHOICES.items():
+        if key in variant and variant[key] not in choices:
+            raise ConfigError(f"variant {name!r}: {key} must be one of {list(choices)}, "
+                              f"got {variant[key]!r}")
+    if not isinstance(variant.get("restart", False), bool):
+        raise ConfigError(f"variant {name!r}: restart must be true or false")
+
+
+def _require_backend(spec: ExperimentSpec, command: str, supported: tuple[str, ...]) -> None:
+    if spec.backend not in supported:
+        raise ConfigError(f"{command} runs on backend {' or '.join(supported)}, "
+                          f"not {spec.backend!r}")
 
 
 def fmt(value) -> str:
@@ -137,11 +179,11 @@ def _calibration_table(cfg: SystemConfig, spec: ExperimentSpec) -> CalibrationTa
 
 
 def _resolve_lmin(policy: str, inst, table: CalibrationTable | None) -> int:
-    if policy in ("zero", None):
+    if policy == LMIN_ZERO:
         return 0
-    if policy == "conventional-c":
+    if policy == LMIN_CONVENTIONAL_C:
         return select_lmin_conventional(indicator_c(inst.H_est))
-    if policy == "proposed-cprime":
+    if policy == LMIN_PROPOSED_CPRIME:
         if table is None:
             raise ConfigError("proposed-cprime lower bound requires a calibration table")
         return select_lmin(table, indicator_c_prime(inst.H_est))
@@ -162,10 +204,11 @@ def run_query_cdf(spec: ExperimentSpec):
     Row schema: variant, trial, cd_queries, qd_rotations, converged.
     """
     cfg = spec.cfg
+    _require_backend(spec, "query-cdf", (BACKEND_AMPLITUDE, BACKEND_CIRCUIT))
     if not spec.variants:
         raise ConfigError("query-cdf requires a 'variants' list")
     reg = build_registry(cfg)
-    needs_table = any(v.get("lmin") == "proposed-cprime" for v in spec.variants)
+    needs_table = any(v.get("lmin") == LMIN_PROPOSED_CPRIME for v in spec.variants)
     table = _calibration_table(cfg, spec) if needs_table else None
     rows = []
     for trial in range(spec.trials):
@@ -179,14 +222,13 @@ def run_query_cdf(spec: ExperimentSpec):
             space = w_space if prep == W_STATE_REDUCED else \
                 from_channel(inst, slot.r, 0, cfg, prep, reg)
             backend = _gas_backend(spec, inst, slot.r, 0, cfg, prep, space)
-            lmin = _resolve_lmin(variant.get("lmin", "zero"), inst, table)
+            lmin = _resolve_lmin(variant.get("lmin", LMIN_ZERO), inst, table)
             y0 = None
             if variant.get("threshold", "random") == "mvd":
                 y0 = y_mvd(MvdParams.from_config(cfg, spec.mvd_p))
-            restart = bool(variant.get("restart", False))
+            restart = variant.get("restart", False)
             params = GasParams(
-                lam=spec.lam, threshold_policy=variant.get("threshold", "random"),
-                y0=y0, lmin=lmin, restart_enabled=restart,
+                lam=spec.lam, y0=y0, lmin=lmin, restart_enabled=restart,
                 restart_after=restart_iterations(lmin, backend.n_states, 1) if restart else None,
                 budget_iterations=spec.budget_iterations,
                 budget_rotations=spec.budget_rotations,
@@ -210,9 +252,6 @@ def run_query_cdf(spec: ExperimentSpec):
     return rows
 
 
-GAS_DETECTORS = {"gas-mvd", "gas-mmse", "gas-rand"}
-
-
 def run_ber(spec: ExperimentSpec):
     """Bit error rates per detector and SNR point.
 
@@ -220,6 +259,7 @@ def run_ber(spec: ExperimentSpec):
     plus auxiliary per-(detector, snr) first-hit rotation counts.
     """
     cfg0 = spec.cfg
+    _require_backend(spec, "ber", (BACKEND_AMPLITUDE,))
     detectors = spec.detectors or ["exhaustive", "gas-mvd"]
     snrs = spec.snr_sweep or [cfg0.snr_db]
     reg = build_registry(cfg0)
@@ -268,19 +308,17 @@ def _detect(det, spec, cfg, inst, slot, space, backend, ymvd,
         # threshold comparison runs the plain adaptive schedule (no rotation
         # lower bound: its calibration is specific to one SNR point)
         params = GasParams(
-            lam=spec.lam, threshold_policy="mvd", y0=ymvd, lmin=0,
-            restart_enabled=True,
+            lam=spec.lam, y0=ymvd, lmin=0, restart_enabled=True,
             restart_after=restart_iterations(0, backend.n_states, 1),
             budget_iterations=spec.budget_iterations,
             budget_rotations=spec.budget_rotations)
     elif det == "gas-mmse":
         x0, y0 = mmse_detect(inst, slot.r, t, cfg)
-        params = GasParams(lam=spec.lam, threshold_policy="mmse", y0=y0, x0=x0,
+        params = GasParams(lam=spec.lam, y0=y0, x0=x0,
                            budget_iterations=spec.budget_iterations,
                            budget_rotations=spec.budget_rotations)
     elif det == "gas-rand":
-        params = GasParams(lam=spec.lam, threshold_policy="random",
-                           budget_iterations=spec.budget_iterations,
+        params = GasParams(lam=spec.lam, budget_iterations=spec.budget_iterations,
                            budget_rotations=spec.budget_rotations)
     else:
         raise ConfigError(f"unknown detector {det!r}")
@@ -292,6 +330,7 @@ def _detect(det, spec, cfg, inst, slot, space, backend, ymvd,
 def run_calibration(spec: ExperimentSpec, out_dir: Path | None = None):
     """Scatter of (indicator value, L_opt) for all four indicators."""
     cfg = spec.cfg
+    _require_backend(spec, "calibrate", (BACKEND_AMPLITUDE,))
     table, scatter = calibrate(cfg, spec.calibration_samples, P=spec.mvd_p,
                                collect_all=True)
     rows = []
@@ -332,21 +371,19 @@ def solve_single(spec: ExperimentSpec, dump_state: Path | None = None) -> GasTra
 
     poly, _ = build_hubo(inst, slot.r, 0, cfg)
     q_v = spec.q_v or choose_qv(poly, 0.0, W_STATE_REDUCED)
+    ymvd = y_mvd(MvdParams.from_config(cfg, spec.mvd_p))
     backend_kind = spec.backend
     if backend_kind == "auto":
         backend_kind = BACKEND_CIRCUIT if reg.q_k + q_v <= 22 else BACKEND_AMPLITUDE
     if backend_kind == BACKEND_CIRCUIT:
         backend = CircuitBackend(poly, reg, W_STATE_REDUCED, q_v)
         if dump_state is not None:
-            ymvd = y_mvd(MvdParams.from_config(cfg, spec.mvd_p))
             backend.circuit.prepare(ymvd).dump(dump_state)
     else:
         backend = AmplitudeBackend(space)
-    ymvd = y_mvd(MvdParams.from_config(cfg, spec.mvd_p))
     lmin = select_lmin_conventional(indicator_c(inst.H_est))
     params = GasParams(
-        lam=spec.lam, threshold_policy="mvd", y0=ymvd, lmin=lmin,
-        restart_enabled=True,
+        lam=spec.lam, y0=ymvd, lmin=lmin, restart_enabled=True,
         restart_after=restart_iterations(lmin, backend.n_states, 1),
         budget_iterations=spec.budget_iterations,
         budget_rotations=spec.budget_rotations)

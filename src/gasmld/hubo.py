@@ -9,14 +9,13 @@ synthesis.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .channel import PSK2, ChannelInstance, SystemConfig, psk2_base
+from .channel import PSK2, ChannelInstance, SystemConfig, delay_phases, psk2_base
 
 HADAMARD_FULL = "hadamard-full"
 W_STATE_REDUCED = "w-state-reduced"
@@ -169,13 +168,10 @@ def build_hubo(inst: ChannelInstance, r: np.ndarray, t: int, cfg: SystemConfig,
     reg = build_registry(cfg, include_c_as_variable)
     M, taud, N = cfg.M, cfg.taud, cfg.N
 
+    phases = delay_phases(inst, t, taud)
     user_polys = []
     for m in range(M):
-        d_poly = {
-            frozenset([reg.d_position(m, k)]):
-                np.exp(1j * 2.0 * np.pi * inst.f_est[m] * (t - k))
-            for k in range(taud)
-        }
+        d_poly = {frozenset([reg.d_position(m, k)]): phases[m, k] for k in range(taud)}
         user_polys.append(_pmul(d_poly, _symbol_poly(reg, m, t, include_c_as_variable)))
 
     total: dict[frozenset, complex] = {}
@@ -215,36 +211,3 @@ def term_counts_by_order(poly: HuboPolynomial) -> dict[int, int]:
     for vars_ in poly.terms:
         counts[len(vars_)] = counts.get(len(vars_), 0) + 1
     return counts
-
-
-def enumerate_search_space(reg: VarRegistry, prep: str) -> Iterator[np.ndarray]:
-    """Yield the key assignments reachable from the given state preparation.
-
-    HADAMARD_FULL walks all 2^q_k bitstrings; W_STATE_REDUCED walks only
-    assignments whose delay blocks are exactly one-hot.
-    """
-    q = reg.q_k
-    if prep == HADAMARD_FULL:
-        for bits in itertools.product((0, 1), repeat=q):
-            yield np.array(bits, dtype=np.uint8)
-        return
-    if prep != W_STATE_REDUCED:
-        raise ValueError(f"unknown preparation {prep!r}")
-    nb = reg.n_b + reg.n_c
-    b_space = itertools.product((0, 1), repeat=nb)
-    for bbits in b_space:
-        for hots in itertools.product(range(reg.taud), repeat=reg.M):
-            x = np.zeros(q, dtype=np.uint8)
-            x[:nb] = bbits
-            for m, k in enumerate(hots):
-                x[reg.d_position(m, k)] = 1
-            yield x
-
-
-def search_space_size(reg: VarRegistry, prep: str) -> int:
-    if prep == HADAMARD_FULL:
-        return 1 << reg.q_k
-    symbols = 2 if reg.modulation == PSK2 else 4
-    if reg.n_c:
-        symbols *= 2
-    return (symbols * reg.taud) ** reg.M

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PSK2, ChannelInstance, SystemConfig, map_symbols
+from .channel import PSK2, ChannelInstance, SystemConfig, delay_phases, map_symbols
 from .errors import CapacityError
 from .hubo import HADAMARD_FULL, W_STATE_REDUCED, HuboPolynomial, VarRegistry
 
@@ -92,7 +92,7 @@ def from_channel(inst: ChannelInstance, r: np.ndarray, t: int, cfg: SystemConfig
         raise ValueError("spaces are built for the solver path (parity fixed)")
     M, taud, N = cfg.M, cfg.taud, cfg.N
     weights = _key_weights(reg)
-    phases = np.exp(1j * 2.0 * np.pi * inst.f_est[:, None] * (t - np.arange(taud)[None, :]))
+    phases = delay_phases(inst, t, taud)
 
     n_bbits = 1 if cfg.modulation == PSK2 else 2
     bit_combos = np.array(np.meshgrid(*([[0, 1]] * n_bbits), indexing="ij"),

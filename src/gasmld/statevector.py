@@ -46,9 +46,6 @@ class StateVector:
     def key_marginal(self) -> np.ndarray:
         return np.sum(np.abs(self.matrix()) ** 2, axis=1)
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.amps.copy(), self.q_k, self.q_v)
-
     def dump(self, path) -> None:
         """Little-endian float64 interleaved re/im."""
         inter = np.empty(2 * self.amps.size)
@@ -57,19 +54,14 @@ class StateVector:
         inter.astype("<f8").tofile(path)
 
 
-def w_state_angles(n: int) -> list[float]:
-    """Rotation-angle schedule of the weight-1 superposition cascade,
-    theta_i = 2 arctan(sqrt((n - i) / (n + 1 - i))) for i = 1 .. n-1."""
-    if n < 2:
-        raise ValueError("cascade needs at least two qubits")
-    return [2.0 * math.atan(math.sqrt((n - i) / (n + 1 - i))) for i in range(1, n)]
-
-
 def w_cascade_angles(n: int) -> list[float]:
-    """Angles that make the cascade exactly uniform: the arcsin counterpart of
-    w_state_angles (identical fraction; tan and sin of the half-angle differ,
-    and only the arcsin form yields amplitude 1/sqrt(n) on every weight-1
-    state, which the preparation below requires)."""
+    """Angles that make the cascade exactly uniform,
+    theta_i = 2 arcsin(sqrt((n - i) / (n + 1 - i))) for i = 1 .. n-1.
+
+    The printed schedule takes 2 arctan of the same fraction; tan and sin of
+    the half-angle differ, and only the arcsin form yields amplitude
+    1/sqrt(n) on every weight-1 state, which the preparation below requires.
+    """
     if n < 2:
         raise ValueError("cascade needs at least two qubits")
     return [2.0 * math.asin(math.sqrt((n - i) / (n + 1 - i))) for i in range(1, n)]
@@ -117,12 +109,6 @@ def w_block_unitary(n: int) -> np.ndarray:
         U = _embed(cx, [i + 1, i], n) @ U
     assert U.shape == (dim, dim)
     return U
-
-
-def w_state_vector(n: int) -> np.ndarray:
-    e0 = np.zeros(1 << n, dtype=complex)
-    e0[0] = 1.0
-    return w_block_unitary(n) @ e0
 
 
 def _hadamard_on_key_bit(mat: np.ndarray, bit: int) -> None:
@@ -223,23 +209,6 @@ def check_value_range(e_vec: np.ndarray, y: float, q_v: int, support=None) -> No
             f"[-2^{q_v - 1}, 2^{q_v - 1}) window")
 
 
-def apply_objective_encoding(sv: StateVector, poly: HuboPolynomial, y: float,
-                             q_v: int) -> StateVector:
-    """Phase-encode E(x) - y onto the value register and run the inverse QFT.
-
-    For integer E - y within range the value register lands exactly on the
-    two's-complement basis state; fractional values spread over neighbouring
-    states with a Dirichlet-kernel profile.
-    """
-    if q_v != sv.q_v:
-        raise ValueError("value-register width mismatch")
-    e_vec = poly_values_over_keys(poly, sv.q_k)
-    support = sv.key_marginal() > 1e-24
-    check_value_range(e_vec, y, q_v, support=support)
-    mat = _apply_encoding(sv.matrix().copy(), e_vec, y, q_v)
-    return StateVector(mat.reshape(-1), sv.q_k, sv.q_v)
-
-
 def oracle_flip(mat: np.ndarray, q_v: int) -> None:
     """Pauli-Z on the sign qubit: negate amplitudes whose value MSB is 1."""
     half = 1 << (q_v - 1)
@@ -258,19 +227,17 @@ class GroverCircuit:
 
     The value register resolves sign at a granularity of one coefficient
     unit, independent of its width, so thresholds closer than a unit to a
-    spectrum level would be invisible to the oracle.  With auto_scale the
-    objective and threshold are multiplied by the largest integer factor
-    that still fits the two's-complement window, sharpening the fractional
-    encoding without spoiling exact integer arithmetic; the marked set
-    (sign of E - y) is unchanged.
+    spectrum level would be invisible to the oracle.  So the objective and
+    threshold are multiplied by the largest integer factor that still fits
+    the two's-complement window, sharpening the fractional encoding without
+    spoiling exact integer arithmetic; the marked set (sign of E - y) is
+    unchanged.
     """
 
-    def __init__(self, poly: HuboPolynomial, reg: VarRegistry, prep: str, q_v: int,
-                 auto_scale: bool = True):
+    def __init__(self, poly: HuboPolynomial, reg: VarRegistry, prep: str, q_v: int):
         _check_capacity(reg.q_k, q_v)
         self.reg = reg
         self.q_v = q_v
-        self.auto_scale = auto_scale
         self.prep = Preparation(prep, reg)
         self.e_vec = poly_values_over_keys(poly, reg.q_k)
         key_probs = prepare_initial(prep, reg, 0).key_marginal()
@@ -280,8 +247,6 @@ class GroverCircuit:
         self._lo = float(sup_vals.min())
 
     def scale_for(self, y: float) -> int:
-        if not self.auto_scale:
-            return 1
         spread = max(self._hi - y, y - self._lo, 1e-12)
         # guard band: fractional values near the window edge would leak
         # across the two's-complement wrap and flip their sign bit
@@ -315,15 +280,6 @@ class GroverCircuit:
         for _ in range(L):
             sv = self.grover_iterate(sv, y)
         return sv
-
-
-def measure_key(sv: StateVector, rng: np.random.Generator) -> np.ndarray:
-    """Sample a key assignment from the marginal over the key register."""
-    p = sv.key_marginal()
-    p = p / p.sum()
-    idx = int(rng.choice(p.size, p=p))
-    q = sv.q_k
-    return np.array([(idx >> (q - 1 - i)) & 1 for i in range(q)], dtype=np.uint8)
 
 
 def choose_qv(poly: HuboPolynomial, y: float, prep: str) -> int:

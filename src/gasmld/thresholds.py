@@ -1,4 +1,7 @@
-"""Initial thresholds for the adaptive search: random, MVD, MMSE.
+"""Initial thresholds for the adaptive search: MVD and MMSE.
+
+The random threshold is the value of a uniform draw from the search space,
+taken inside run_gas.
 
 Under correct detection only noise and estimation error remain in the
 residual, so the objective minimum is gamma distributed with integer shape N.
@@ -14,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PSK2, ChannelInstance, SystemConfig, objective_direct, psk2_base
-from .hubo import HuboPolynomial, VarRegistry, evaluate
-from .spaces import EnumeratedSpace
+from .channel import (PSK2, ChannelInstance, SystemConfig, delay_phases, objective_direct,
+                      psk2_base)
 
 
 def mvd_rate(sigma_v2: float, tp_px: float) -> float:
@@ -95,8 +97,7 @@ def mmse_detect(inst: ChannelInstance, r: np.ndarray, t: int, cfg: SystemConfig)
     """
     M, taud = cfg.M, cfg.taud
     sigma2 = inst.sigma_v ** 2
-    k = np.arange(taud)
-    phases = np.exp(1j * 2.0 * np.pi * inst.f_est[:, None] * (t - k[None, :]))
+    phases = delay_phases(inst, t, taud)
     best_bits = None
     best_val = math.inf
     eye = np.eye(cfg.N)
@@ -131,15 +132,3 @@ def _quantize_bits(cfg: SystemConfig, t: int, s_hat: np.ndarray) -> np.ndarray:
     bits[0::2] = (np.real(s_hat) < 0).astype(np.uint8)
     bits[1::2] = (np.imag(s_hat) < 0).astype(np.uint8)
     return bits
-
-
-def y_mmse(inst: ChannelInstance, r: np.ndarray, t: int, cfg: SystemConfig) -> float:
-    return mmse_detect(inst, r, t, cfg)[1]
-
-
-def y_rand(poly: HuboPolynomial, reg: VarRegistry, rng: np.random.Generator,
-           space: EnumeratedSpace) -> tuple[np.ndarray, float]:
-    """Uniform sample over the preparation-consistent space and its value."""
-    ordinal = space.sample_uniform(rng)
-    bits = space.assignment(ordinal)
-    return bits, evaluate(poly, bits)

@@ -190,6 +190,6 @@ def test_instance_json_roundtrip():
 def test_delay_phases_table():
     cfg = cfg_small(seed=51, tau_max=2)
     inst = generate_instance(cfg)
-    tab = delay_phases(inst, cfg, 4)
+    tab = delay_phases(inst, 4, cfg.taud)
     assert tab.shape == (cfg.M, 3)
     assert tab[1, 2] == pytest.approx(np.exp(1j * 2 * np.pi * inst.f_est[1] * (4 - 2)))

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from gasmld.channel import SystemConfig, generate_instance, random_payload_bits, received_slot
-from gasmld.gas import (AmplitudeBackend, CircuitBackend, GasParams, backend_amplitude,
-                        backend_circuit, is_valid_assignment, l_opt, restart_iterations,
-                        run_gas, success_probability)
+from gasmld.gas import (AmplitudeBackend, CircuitBackend, GasParams, is_valid_assignment,
+                        l_opt, restart_iterations, run_gas, success_probability)
 from gasmld.hubo import (HADAMARD_FULL, W_STATE_REDUCED, HuboPolynomial, build_hubo,
-                         build_registry)
+                         build_registry, evaluate)
 from gasmld.spaces import from_channel, from_polynomial
 
 FIG2_TERMS = {(0,): 1.0, (1, 2): -3.0, (0, 1, 2): 1.0}
@@ -157,12 +156,18 @@ class TestCircuitBackend:
                 tv = abs(np.mean(u < p_circ) - np.mean(u < p_amp))
                 assert tv <= 0.05
 
-    def test_functional_wrappers(self):
-        poly, reg, _ = toy_backend()
+    def test_measure_decodes_to_assignment(self):
+        # both backends: a measured state decodes to an assignment whose
+        # objective is the value the measurement reported
+        poly, reg, amp = toy_backend()
+        circ = CircuitBackend(poly, reg, HADAMARD_FULL, q_v=4)
         rng = np.random.default_rng(9)
-        xa = backend_amplitude(poly, reg, HADAMARD_FULL, 2.0, 1, rng)
-        xc = backend_circuit(poly, reg, HADAMARD_FULL, 2.0, 1, 4, rng)
-        assert xa.shape == (3,) and xc.shape == (3,)
+        for backend in (amp, circ):
+            for _ in range(10):
+                state, ex = backend.measure(2.0, 1, rng)
+                x = backend.assignment(state)
+                assert x.shape == (3,)
+                assert evaluate(poly, x) == pytest.approx(ex, abs=1e-12)
 
 
 class TestRunGas:
@@ -191,7 +196,7 @@ class TestRunGas:
         poly = HuboPolynomial(n_vars=2, constant=1.0, terms={})  # constant everywhere
         backend = AmplitudeBackend(from_polynomial(poly, reg, HADAMARD_FULL))
         rng = np.random.default_rng(12)
-        params = GasParams(y0=1.0, threshold_policy="mvd", budget_iterations=30)
+        params = GasParams(y0=1.0, budget_iterations=30)
         trace = run_gas(backend, params, rng)
         assert not any(it.accepted for it in trace.iterations)
 
@@ -200,8 +205,7 @@ class TestRunGas:
         rng = np.random.default_rng(13)
         # threshold below the minimum: every iteration rejects
         params = GasParams(y0=float(backend.space.e_sorted[0]) - 1.0,
-                           threshold_policy="mvd", budget_iterations=40,
-                           budget_rotations=10_000)
+                           budget_iterations=40, budget_rotations=10_000)
         trace = run_gas(backend, params, rng)
         lam = 8 / 7
         cap = math.sqrt(8)
@@ -212,8 +216,7 @@ class TestRunGas:
         poly, reg, backend = toy_backend()
         best = float(backend.space.e_sorted[0])
         rng = np.random.default_rng(14)
-        params = GasParams(y0=best - 0.5, threshold_policy="mvd",
-                           lmin=2, restart_enabled=True, restart_after=5,
+        params = GasParams(y0=best - 0.5, lmin=2, restart_enabled=True, restart_after=5,
                            budget_iterations=300, budget_rotations=5000)
         trace = run_gas(backend, params, rng, oracle_min=best, stop_at_optimum=True)
         assert any(it.restarted for it in trace.iterations)
@@ -249,7 +252,7 @@ class TestRunGas:
         poly, reg, backend = toy_backend()
         rng = np.random.default_rng(17)
         params = GasParams(y0=float(backend.space.e_sorted[0]) - 1.0,
-                           threshold_policy="mvd", budget_iterations=10)
+                           budget_iterations=10)
         trace = run_gas(backend, params, rng, oracle_min=-10.0)
         assert trace.reached_optimum_at is None
         assert trace.cd_queries <= 11
@@ -257,8 +260,7 @@ class TestRunGas:
     def test_rotation_budget_respected(self):
         poly, reg, backend = toy_backend()
         rng = np.random.default_rng(18)
-        params = GasParams(y0=float(backend.space.e_sorted[0]) - 1.0,
-                           threshold_policy="mvd", lmin=3,
+        params = GasParams(y0=float(backend.space.e_sorted[0]) - 1.0, lmin=3,
                            budget_iterations=1000, budget_rotations=50)
         trace = run_gas(backend, params, rng)
         assert trace.qd_rotations <= 50

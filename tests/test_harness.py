@@ -26,6 +26,10 @@ def small_cdf_spec(trials=12, seed=5):
     })
 
 
+CFG = {"N": 2, "M": 2, "tau_max": 1}
+W_PREP = {"name": "w", "prep": "w-state-reduced", "threshold": "random", "lmin": "zero"}
+
+
 class TestLoader:
     def test_missing_cfg(self):
         with pytest.raises(ConfigError):
@@ -34,14 +38,35 @@ class TestLoader:
     def test_unknown_cfg_field(self):
         with pytest.raises(ConfigError):
             load_spec({"cfg": {"N": 2, "M": 2, "tau_max": 1, "bogus": 3}})
+        # unknown top-level, variant and detector names are rejected by name
+        for bad, word in (({"cfg": CFG, "trails": 5}, "trails"),
+                          ({"cfg": CFG, "variants": [{**W_PREP, "lmn": "zero"}]}, "lmn"),
+                          ({"cfg": CFG, "detectors": ["exhaustive", "gas-sdr"]}, "gas-sdr")):
+            with pytest.raises(ConfigError, match=word):
+                load_spec(bad)
 
     def test_wrong_type(self):
         with pytest.raises(ConfigError):
             load_spec({"cfg": {"N": "two", "M": 2, "tau_max": 1}})
+        for bad in ({"trials": 2.7}, {"trials": True}, {"trials": "5"},
+                    {"variants": W_PREP}, {"variants": [{**W_PREP, "name": 3}]},
+                    {"variants": [{**W_PREP, "restart": "yes"}]},
+                    {"variants": [{**W_PREP, "restart": 1}]},
+                    {"detectors": "mmse"}, {"detectors": [["mmse"]]}):
+            with pytest.raises(ConfigError):
+                load_spec({"cfg": CFG, **bad})
 
     def test_invalid_system_values(self):
         with pytest.raises(ConfigError):
             load_spec({"cfg": {"N": 0, "M": 2, "tau_max": 1}})
+        for bad in ({"trials": 0}, {"trials": -3},
+                    {"variants": [{**W_PREP, "threshold": "MVD"}]},
+                    {"variants": [{**W_PREP, "prep": "w-state"}]},
+                    {"variants": [{**W_PREP, "lmin": "proposed-c"}]},
+                    {"variants": [{k: v for k, v in W_PREP.items() if k != "name"}]},
+                    {"detectors": ["gas-MVD"]}):
+            with pytest.raises(ConfigError):
+                load_spec({"cfg": CFG, **bad})
 
     def test_sample_configs_load(self):
         for path in CONFIG_DIR.glob("*.json"):
@@ -218,6 +243,20 @@ class TestCli:
         path.write_text(json.dumps(cfg))
         res = self.run_cli("query-cdf", "--config", str(path))
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("command,config,backend", [
+        ("ber", "ber_thresholds.json", "circuit"),
+        ("ber", "ber_thresholds.json", "auto"),
+        ("calibrate", "calibration_fig5.json", "circuit"),
+        ("calibrate", "calibration_fig5.json", "auto"),
+        ("query-cdf", "query_cdf_fig3.json", "auto"),
+    ])
+    def test_unsupported_backend_exit_code(self, tmp_path, command, config, backend):
+        res = self.run_cli(command, "--config", str(CONFIG_DIR / config),
+                           "--backend", backend, "--out", str(tmp_path))
+        assert res.returncode == 1
+        assert f"not {backend!r}" in res.stderr
+        assert not any(tmp_path.iterdir())
 
     def test_config_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"

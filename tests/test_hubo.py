@@ -6,8 +6,8 @@ import pytest
 from gasmld.channel import (PSK2, QPSK, SystemConfig, generate_instance,
                             objective_direct, random_payload_bits, received_slot)
 from gasmld.hubo import (HADAMARD_FULL, W_STATE_REDUCED, HuboPolynomial, build_hubo,
-                         build_registry, enumerate_search_space, evaluate,
-                         search_space_size, term_counts_by_order)
+                         build_registry, evaluate, term_counts_by_order)
+from gasmld.spaces import from_channel, from_polynomial
 
 
 def make_problem(N=2, M=2, tau_max=1, modulation=PSK2, seed=3, t=0, snr_db=20.0,
@@ -197,32 +197,41 @@ class TestTermCounts:
 
 
 class TestEnumeration:
+    """State counts of the enumerated spaces: (symbols * taud)^M one-hot
+    states against 2^q_k for the full preparation."""
+
+    @staticmethod
+    def space(cfg, prep):
+        inst = generate_instance(cfg)
+        slot = received_slot(inst, cfg, 0, random_payload_bits(cfg, 0))
+        return from_channel(inst, slot.r, 0, cfg, prep, build_registry(cfg))
+
     def test_reduced_count_small(self):
         cfg = SystemConfig(N=1, M=1, tau_max=2, seed=0)
+        assert self.space(cfg, W_STATE_REDUCED).n_states == 6
+        assert self.space(cfg, HADAMARD_FULL).n_states == 16
         reg = build_registry(cfg)
-        reduced = list(enumerate_search_space(reg, W_STATE_REDUCED))
-        full = list(enumerate_search_space(reg, HADAMARD_FULL))
-        assert len(reduced) == 6
-        assert len(full) == 16
-        assert search_space_size(reg, W_STATE_REDUCED) == 6
+        poly = HuboPolynomial(n_vars=reg.q_k, constant=0.0, terms={})
+        assert from_polynomial(poly, reg, W_STATE_REDUCED).n_states == 6
+        assert from_polynomial(poly, reg, HADAMARD_FULL).n_states == 16
 
     def test_reduced_count_paper_case(self):
         cfg = SystemConfig(N=2, M=4, tau_max=1, seed=0)
-        reg = build_registry(cfg)
-        assert search_space_size(reg, W_STATE_REDUCED) == 256
-        assert sum(1 for _ in enumerate_search_space(reg, W_STATE_REDUCED)) == 256
+        space = self.space(cfg, W_STATE_REDUCED)
+        assert space.n_states == 256
+        assert np.unique(space.key_indices).size == 256
 
     def test_reduced_assignments_one_hot(self):
         cfg = SystemConfig(N=1, M=2, tau_max=2, seed=0)
-        reg = build_registry(cfg)
-        for x in enumerate_search_space(reg, W_STATE_REDUCED):
-            _, _, d = reg.split_assignment(x)
+        space = self.space(cfg, W_STATE_REDUCED)
+        reg = space.reg
+        for ordinal in range(space.n_states):
+            _, _, d = reg.split_assignment(space.assignment(ordinal))
             assert np.all(d.reshape(2, 3).sum(axis=1) == 1)
 
     def test_qpsk_reduced_count(self):
         cfg = SystemConfig(N=1, M=2, tau_max=1, modulation=QPSK, seed=0)
-        reg = build_registry(cfg)
-        assert search_space_size(reg, W_STATE_REDUCED) == (4 * 2) ** 2
+        assert self.space(cfg, W_STATE_REDUCED).n_states == (4 * 2) ** 2
 
 
 def test_json_roundtrip():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,18 +7,39 @@ from gasmld.channel import (PSK2, QPSK, SystemConfig, generate_instance,
                             objective_direct, random_payload_bits, received_slot)
 from gasmld.errors import CapacityError
 from gasmld.hubo import (HADAMARD_FULL, W_STATE_REDUCED, build_hubo, build_registry,
-                         enumerate_search_space, evaluate)
+                         evaluate)
 from gasmld.spaces import from_channel, from_polynomial, poly_values_over_keys
 
 
-def make(N=2, M=2, tau_max=1, modulation=PSK2, seed=3, t=0):
-    cfg = SystemConfig(N=N, M=M, tau_max=tau_max, modulation=modulation,
-                       T_P=64, T_D=4, snr_db=15.0, seed=seed)
+def make(N=2, M=2, tau_max=1, modulation=PSK2, seed=3, t=0, **over):
+    base = dict(T_P=64, T_D=4, snr_db=15.0)
+    base.update(over)
+    cfg = SystemConfig(N=N, M=M, tau_max=tau_max, modulation=modulation, seed=seed, **base)
     inst = generate_instance(cfg)
     bits = random_payload_bits(cfg, t)
     slot = received_slot(inst, cfg, t, bits)
     reg = build_registry(cfg)
     return cfg, inst, slot, reg
+
+
+def enumerate_search_space(reg, prep):
+    """Independent oracle: the key assignments a preparation reaches, built
+    with itertools instead of the vectorized enumeration under test.
+
+    HADAMARD_FULL walks all 2^q_k bitstrings; W_STATE_REDUCED walks only
+    assignments whose delay blocks are exactly one-hot.
+    """
+    if prep == HADAMARD_FULL:
+        for bits in itertools.product((0, 1), repeat=reg.q_k):
+            yield np.array(bits, dtype=np.uint8)
+        return
+    for bbits in itertools.product((0, 1), repeat=reg.n_b):
+        for hots in itertools.product(range(reg.taud), repeat=reg.M):
+            x = np.zeros(reg.q_k, dtype=np.uint8)
+            x[:reg.n_b] = bbits
+            for m, k in enumerate(hots):
+                x[reg.d_position(m, k)] = 1
+            yield x
 
 
 @pytest.mark.parametrize("modulation", [PSK2, QPSK])
@@ -38,16 +61,24 @@ def test_space_matches_objective_direct(modulation, prep):
     assert seen == expect_keys
 
 
-def test_space_matches_polynomial_values():
-    cfg, inst, slot, reg = make(seed=9)
+@pytest.mark.parametrize("modulation", [PSK2, QPSK])
+@pytest.mark.parametrize("prep", [W_STATE_REDUCED, HADAMARD_FULL])
+def test_space_matches_polynomial_values(modulation, prep):
+    # three evaluators agree: the matrix model, the HUBO expansion and the
+    # direct residual at each decoded assignment
+    cfg, inst, slot, reg = make(modulation=modulation, seed=9)
     poly, _ = build_hubo(inst, slot.r, 0, cfg)
-    ch = from_channel(inst, slot.r, 0, cfg, W_STATE_REDUCED, reg)
-    po = from_polynomial(poly, reg, W_STATE_REDUCED)
+    ch = from_channel(inst, slot.r, 0, cfg, prep, reg)
+    po = from_polynomial(poly, reg, prep)
     ch_map = {int(k): v for k, v in zip(ch.key_indices, ch.e_values)}
     po_map = {int(k): v for k, v in zip(po.key_indices, po.e_values)}
     assert set(ch_map) == set(po_map)
     for k, v in ch_map.items():
         assert v == pytest.approx(po_map[k], rel=1e-9, abs=1e-9)
+    for ordinal in range(ch.n_states):
+        b, _, d = reg.split_assignment(ch.assignment(ordinal))
+        direct = objective_direct(inst, slot.r, 0, b, d)
+        assert ch.value_of(ordinal) == pytest.approx(direct, rel=1e-9)
 
 
 def test_poly_values_over_keys_matches_evaluate():
@@ -81,3 +112,32 @@ def test_capacity_guard():
     reg = build_registry(cfg)
     with pytest.raises(CapacityError):
         from_channel(inst, slot.r, 0, cfg, W_STATE_REDUCED, reg)
+
+
+class TestExhaustive:
+    """The exhaustive reference detector is the argmin of the one-hot space."""
+
+    def test_noiseless_truth(self):
+        cfg, inst, slot, reg = make(T_P=0, snr_db=300.0, seed=5)
+        space = from_channel(inst, slot.r, 0, cfg, W_STATE_REDUCED, reg)
+        b, _, d = reg.split_assignment(space.assignment(space.argmin_ordinal()))
+        assert np.array_equal(b, slot.b_true)
+        assert space.min_value() == pytest.approx(0.0, abs=1e-15)
+        for m in range(cfg.M):
+            k = int(np.flatnonzero(d.reshape(cfg.M, cfg.taud)[m])[0])
+            assert k == inst.delays[m]
+
+    def test_min_below_all(self):
+        cfg, inst, slot, reg = make(snr_db=20.0, seed=6)
+        space = from_channel(inst, slot.r, 0, cfg, W_STATE_REDUCED, reg)
+        values = space.e_sorted
+        assert np.all(values[0] <= space.e_values + 1e-15)
+        assert np.all(np.diff(values) >= 0)
+        assert space.value_of(space.argmin_ordinal()) == values[0]
+
+    def test_counts_from_sorted_values(self):
+        cfg, inst, slot, reg = make(snr_db=20.0, seed=7)
+        space = from_channel(inst, slot.r, 0, cfg, W_STATE_REDUCED, reg)
+        y = float(np.median(space.e_sorted))
+        assert int(np.searchsorted(space.e_sorted, y, side="left")) == \
+            int(np.sum(space.e_values < y))

@@ -5,12 +5,12 @@ import pytest
 
 from gasmld.channel import SystemConfig, generate_instance, random_payload_bits, received_slot
 from gasmld.errors import CapacityError
+from gasmld.gas import CircuitBackend
 from gasmld.hubo import (HADAMARD_FULL, W_STATE_REDUCED, HuboPolynomial, build_hubo,
-                         build_registry, enumerate_search_space)
-from gasmld.spaces import poly_values_over_keys
-from gasmld.statevector import (GroverCircuit, apply_objective_encoding, choose_qv,
-                                measure_key, prepare_initial, w_block_unitary,
-                                w_cascade_angles, w_state_angles, w_state_vector)
+                         build_registry)
+from gasmld.spaces import from_polynomial, poly_values_over_keys
+from gasmld.statevector import (GroverCircuit, _apply_encoding, check_value_range, choose_qv,
+                                prepare_initial, w_block_unitary, w_cascade_angles)
 
 FIG2_POLY = HuboPolynomial(n_vars=3, constant=2.0,
                            terms={(0,): 1.0, (1, 2): -3.0, (0, 1, 2): 1.0})
@@ -18,22 +18,24 @@ FIG2_POLY = HuboPolynomial(n_vars=3, constant=2.0,
 
 class TestWState:
     def test_angle_formula_values(self):
-        angles = w_state_angles(2)
+        # the printed schedule theta_i = 2 arctan(sqrt((n - i) / (n + 1 - i)))
+        angles = [2.0 * math.atan(math.sqrt((2 - i) / (3 - i))) for i in range(1, 2)]
         assert angles == [pytest.approx(2 * math.atan(math.sqrt(0.5)), abs=1e-12)]
         assert angles[0] == pytest.approx(1.2310, abs=1e-4)
-        assert len(w_state_angles(5)) == 4
+        assert len(w_cascade_angles(5)) == 4
 
     def test_cascade_angle_relation(self):
         # same fraction under arcsin; identical only at the trivial endpoints
         for n in (2, 3, 4):
-            printed = w_state_angles(n)
+            printed = [2.0 * math.atan(math.sqrt((n - i) / (n + 1 - i))) for i in range(1, n)]
             used = w_cascade_angles(n)
+            assert len(printed) == len(used)
             for a, b in zip(printed, used):
                 assert math.tan(a / 2) == pytest.approx(math.sin(b / 2), abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_uniform_weight_one_support(self, n):
-        vec = w_state_vector(n)
+        vec = w_block_unitary(n)[:, 0]
         for idx in range(1 << n):
             amp = vec[idx]
             if idx and (idx & (idx - 1)) == 0:  # exactly one bit set
@@ -42,7 +44,7 @@ class TestWState:
                 assert abs(amp) < 1e-12
 
     def test_w2_is_bell_like(self):
-        vec = w_state_vector(2)
+        vec = w_block_unitary(2)[:, 0]
         assert vec[0b01] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
         assert vec[0b10] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
@@ -62,11 +64,8 @@ class TestPreparation:
         cfg = SystemConfig(N=1, M=1, tau_max=1, seed=0)
         reg = build_registry(cfg)
         sv = prepare_initial(W_STATE_REDUCED, reg, 0)
-        probs = sv.key_marginal()
-        valid = set()
-        for x in enumerate_search_space(reg, W_STATE_REDUCED):
-            idx = int("".join(map(str, x)), 2)
-            valid.add(idx)
+        poly = HuboPolynomial(n_vars=reg.q_k, constant=0.0, terms={})
+        valid = {int(k) for k in from_polynomial(poly, reg, W_STATE_REDUCED).key_indices}
         assert len(valid) == 4
         for idx in range(8):
             if idx in valid:
@@ -104,6 +103,13 @@ def toy_circuit(q_v=3, y=0.0, prep=HADAMARD_FULL):
     return reg, e
 
 
+def encode(sv, poly, y, q_v):
+    """Phase-encode E(x) - y of the polynomial onto the value register."""
+    e_vec = poly_values_over_keys(poly, sv.q_k)
+    check_value_range(e_vec, y, q_v, support=sv.key_marginal() > 1e-24)
+    return _apply_encoding(sv.matrix().copy(), e_vec, y, q_v)
+
+
 class TestEncoding:
     def test_constant_polynomial_exact_register(self):
         # E = 1, empty key register influence: value register reads 001
@@ -111,8 +117,7 @@ class TestEncoding:
         cfg = SystemConfig(N=1, M=1, tau_max=0, seed=0)
         reg = build_registry(cfg)
         sv = prepare_initial(HADAMARD_FULL, reg, 3)
-        out = apply_objective_encoding(sv, poly, 0.0, 3)
-        mat = out.matrix()
+        mat = encode(sv, poly, 0.0, 3)
         probs = np.sum(np.abs(mat) ** 2, axis=0)
         assert probs[0b001] == pytest.approx(1.0, abs=1e-12)
 
@@ -120,8 +125,7 @@ class TestEncoding:
         cfg = SystemConfig(N=1, M=1, tau_max=1, seed=0)
         reg = build_registry(cfg)
         sv = prepare_initial(HADAMARD_FULL, reg, 4)
-        out = apply_objective_encoding(sv, FIG2_POLY, 0.0, 4)
-        mat = out.matrix()
+        mat = encode(sv, FIG2_POLY, 0.0, 4)
         e = poly_values_over_keys(FIG2_POLY, 3)
         # at x = (0,1,1): E = 2 - 3 = -1 -> two's complement 1111
         x = 0b011
@@ -142,7 +146,7 @@ class TestEncoding:
         reg = build_registry(cfg)
         sv = prepare_initial(HADAMARD_FULL, reg, 3)
         with pytest.raises(ValueError):
-            apply_objective_encoding(sv, poly, 0.0, 3)  # 5 >= 2^2
+            encode(sv, poly, 0.0, 3)  # 5 >= 2^2
 
     def test_fractional_coefficient_dirichlet_mass(self):
         # constant objective a = 0.5 at q_v = 4: mass concentrates around 0.5
@@ -151,8 +155,7 @@ class TestEncoding:
         reg = build_registry(cfg)
         q_v = 4
         sv = prepare_initial(HADAMARD_FULL, reg, q_v)
-        out = apply_objective_encoding(sv, poly, 0.0, q_v)
-        probs = np.sum(np.abs(out.matrix()) ** 2, axis=0)
+        probs = np.sum(np.abs(encode(sv, poly, 0.0, q_v)) ** 2, axis=0)
         n = 1 << q_v
         # closed-form Dirichlet-kernel mass
         expect = np.empty(n)
@@ -243,32 +246,42 @@ class TestGrover:
 
 
 class TestMeasurement:
+    """Sampling the key register through CircuitBackend.measure/assignment."""
+
     def test_point_mass(self):
-        from gasmld.statevector import StateVector
-        amps = np.zeros(8, dtype=complex)
-        amps[5] = 1.0
-        sv = StateVector(amps, 3, 0)
+        # one marked key of four at L = 1: sin^2(3 arcsin(1/2)) = 1
+        cfg = SystemConfig(N=1, M=1, tau_max=0, seed=0)
+        reg = build_registry(cfg)  # q_k = 2
+        poly = HuboPolynomial(n_vars=2, constant=0.0, terms={(0,): -2.0, (1,): 1.0})
+        backend = CircuitBackend(poly, reg, HADAMARD_FULL, q_v=3)
+        assert backend.distribution(-1.0, 1)[0b10] == pytest.approx(1.0, abs=1e-12)
         rng = np.random.default_rng(0)
-        assert np.array_equal(measure_key(sv, rng), [1, 0, 1])
+        key, ex = backend.measure(-1.0, 1, rng)
+        assert np.array_equal(backend.assignment(key), [1, 0])
+        assert ex == -2.0
 
     def test_deterministic_given_seed(self):
         cfg = SystemConfig(N=1, M=1, tau_max=0, seed=0)
         reg = build_registry(cfg)
-        sv = prepare_initial(HADAMARD_FULL, reg, 0)
-        a = measure_key(sv, np.random.default_rng(42))
-        b = measure_key(sv, np.random.default_rng(42))
-        assert np.array_equal(a, b)
+        poly = HuboPolynomial(n_vars=reg.q_k, constant=1.0, terms={})
+        backend = CircuitBackend(poly, reg, HADAMARD_FULL, q_v=2)
+        a = backend.measure(0.0, 0, np.random.default_rng(42))
+        b = backend.measure(0.0, 0, np.random.default_rng(42))
+        assert a == b
 
     def test_empirical_frequencies_match_marginals(self):
+        # W-state support of four keys, two of them marked: p = 1/2 at L = 1
         cfg = SystemConfig(N=1, M=1, tau_max=1, seed=0)
         reg = build_registry(cfg)
-        sv = prepare_initial(W_STATE_REDUCED, reg, 2)
-        p = sv.key_marginal()
+        backend = CircuitBackend(FIG2_POLY_PAD(3), reg, W_STATE_REDUCED, q_v=3)
+        p = backend.distribution(3.0, 1)
+        assert p[backend.e_vec < 3.0].sum() == pytest.approx(0.5, abs=1e-9)
         rng = np.random.default_rng(7)
         n = 100_000
         counts = np.zeros(p.size)
         for _ in range(n):
-            x = measure_key(sv, rng)
+            key, _ = backend.measure(3.0, 1, rng)
+            x = backend.assignment(key)
             counts[int("".join(map(str, x)), 2)] += 1
         freq = counts / n
         # 3-sigma multinomial bound per cell

@@ -6,10 +6,9 @@ import pytest
 from gasmld.channel import (PSK2, SystemConfig, generate_instance, map_symbols,
                             noise_realization, objective_direct, random_payload_bits,
                             received_slot)
-from gasmld.hubo import W_STATE_REDUCED, build_hubo, build_registry
+from gasmld.hubo import W_STATE_REDUCED, build_hubo, build_registry, evaluate
 from gasmld.spaces import from_channel
-from gasmld.thresholds import (MvdParams, mmse_detect, mvd_rate, regularized_gamma_q,
-                               y_mmse, y_mvd, y_rand)
+from gasmld.thresholds import MvdParams, mmse_detect, mvd_rate, regularized_gamma_q, y_mvd
 
 
 class TestGammaQ:
@@ -131,7 +130,7 @@ class TestMmse:
             bits = random_payload_bits(cfg, 0, instance_id=inst_id)
             slot = received_slot(inst, cfg, 0, bits)
             space = from_channel(inst, slot.r, 0, cfg, W_STATE_REDUCED, reg)
-            assert y_mmse(inst, slot.r, 0, cfg) >= space.min_value() - 1e-12
+            assert mmse_detect(inst, slot.r, 0, cfg)[1] >= space.min_value() - 1e-12
 
     def test_matches_bruteforce_recomputation(self):
         import itertools
@@ -139,7 +138,7 @@ class TestMmse:
         inst = generate_instance(cfg)
         bits = random_payload_bits(cfg, 0)
         slot = received_slot(inst, cfg, 0, bits)
-        got = y_mmse(inst, slot.r, 0, cfg)
+        got = mmse_detect(inst, slot.r, 0, cfg)[1]
         best = math.inf
         for combo in itertools.product(range(cfg.taud), repeat=cfg.M):
             d_phase = np.array([np.exp(1j * 2 * np.pi * inst.f_est[m] * (0 - combo[m]))
@@ -157,6 +156,9 @@ class TestMmse:
 
 
 class TestYRand:
+    """The random threshold: the value of a uniform draw from the space, as
+    run_gas takes it when no initial threshold is given."""
+
     def _setup(self):
         cfg = SystemConfig(N=2, M=2, tau_max=1, snr_db=20.0, seed=12)
         inst = generate_instance(cfg)
@@ -164,24 +166,28 @@ class TestYRand:
         slot = received_slot(inst, cfg, 0, bits)
         poly, reg = build_hubo(inst, slot.r, 0, cfg)
         space = from_channel(inst, slot.r, 0, cfg, W_STATE_REDUCED, reg)
-        return poly, reg, space
+        return poly, space
+
+    @staticmethod
+    def draw(space, rng):
+        ordinal = space.sample_uniform(rng)
+        return space.assignment(ordinal), space.value_of(ordinal)
 
     def test_reproducible(self):
-        poly, reg, space = self._setup()
-        x1, v1 = y_rand(poly, reg, np.random.default_rng(3), space)
-        x2, v2 = y_rand(poly, reg, np.random.default_rng(3), space)
+        _, space = self._setup()
+        x1, v1 = self.draw(space, np.random.default_rng(3))
+        x2, v2 = self.draw(space, np.random.default_rng(3))
         assert np.array_equal(x1, x2) and v1 == v2
 
     def test_value_matches_eval(self):
-        from gasmld.hubo import evaluate
-        poly, reg, space = self._setup()
-        x, v = y_rand(poly, reg, np.random.default_rng(4), space)
+        poly, space = self._setup()
+        x, v = self.draw(space, np.random.default_rng(4))
         assert v == pytest.approx(evaluate(poly, x), rel=1e-12)
 
     def test_mean_matches_space_average(self):
-        poly, reg, space = self._setup()
+        _, space = self._setup()
         rng = np.random.default_rng(5)
-        vals = [y_rand(poly, reg, rng, space)[1] for _ in range(10_000)]
+        vals = [self.draw(space, rng)[1] for _ in range(10_000)]
         expect = float(space.e_values.mean())
         spread = float(space.e_values.std()) / math.sqrt(len(vals))
         assert np.mean(vals) == pytest.approx(expect, abs=4 * spread)
