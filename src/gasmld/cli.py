@@ -40,7 +40,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# common flags a subcommand takes but has no use for
+_UNUSED_FLAGS = {"gate-count": ("seed", "trials", "backend"),
+                 "calibrate": ("trials",)}
+
+
 def _spec_from_args(args) -> ExperimentSpec:
+    for flag in _UNUSED_FLAGS.get(args.command, ()):
+        if getattr(args, flag) is not None:
+            raise ConfigError(f"{args.command} does not take --{flag}")
     spec = load_spec(args.config)
     if args.seed is not None:
         spec.cfg = type(spec.cfg)(**{**_cfg_dict(spec.cfg), "seed": args.seed})

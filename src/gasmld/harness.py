@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import streams
-from .channel import PSK2, SystemConfig, generate_instance, objective_direct, random_payload_bits, received_slot
+from .channel import PSK2, QPSK, SystemConfig, generate_instance, objective_direct, random_payload_bits, received_slot
 from .errors import ConfigError
 from .gas import (AmplitudeBackend, BACKEND_AMPLITUDE, BACKEND_CIRCUIT, CircuitBackend,
                   GasParams, GasTrace, LMIN_CONVENTIONAL_C, LMIN_PROPOSED_CPRIME, LMIN_ZERO,
@@ -35,6 +35,8 @@ _CFG_FIELDS = {"N": int, "M": int, "tau_max": int, "modulation": str, "T_P": int
                "T_D": int, "P_X": (int, float), "snr_db": (int, float), "seed": int}
 _TOP_LEVEL_FIELDS = {"name", "cfg", "trials", "output_dir", "gas", "calibration",
                      "variants", "snr_sweep", "detectors", "grid"}
+_GAS_FIELDS = {"backend", "mvd_p", "lambda", "budget_iterations", "budget_rotations", "q_v"}
+_GRID_FIELDS = {"M", "tau_max", "q_v", "modulation"}
 _VARIANT_CHOICES = {"prep": (W_STATE_REDUCED, HADAMARD_FULL),
                     "threshold": ("random", "mvd"),
                     "lmin": (LMIN_ZERO, LMIN_CONVENTIONAL_C, LMIN_PROPOSED_CPRIME)}
@@ -70,17 +72,10 @@ def load_spec(source) -> ExperimentSpec:
             raise ConfigError(f"cannot read config {source}: {exc}") from exc
     else:
         data = dict(source)
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
-    unknown = set(data) - _TOP_LEVEL_FIELDS
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    if "cfg" not in data or not isinstance(data["cfg"], dict):
+    _check_keys(data, _TOP_LEVEL_FIELDS, "config")
+    if "cfg" not in data:
         raise ConfigError("config requires a 'cfg' object with the system parameters")
-    cfg_in = data["cfg"]
-    unknown = set(cfg_in) - set(_CFG_FIELDS)
-    if unknown:
-        raise ConfigError(f"unknown cfg fields: {sorted(unknown)}")
+    cfg_in = _check_keys(data["cfg"], _CFG_FIELDS, "cfg")
     for key, typ in _CFG_FIELDS.items():
         if key in cfg_in and not isinstance(cfg_in[key], typ):
             raise ConfigError(f"cfg.{key} has wrong type {type(cfg_in[key]).__name__}")
@@ -91,9 +86,24 @@ def load_spec(source) -> ExperimentSpec:
         cfg = SystemConfig(**cfg_in)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    gas = data.get("gas", {})
-    if not isinstance(gas, dict):
-        raise ConfigError("'gas' must be an object")
+    gas = _check_keys(data.get("gas", {}), _GAS_FIELDS, "gas")
+    for key in ("mvd_p", "lambda"):
+        if key in gas and not _is_number(gas[key]):
+            raise ConfigError(f"gas.{key} must be a number, got {gas[key]!r}")
+    for key in ("budget_iterations", "budget_rotations", "q_v"):
+        if gas.get(key) is not None:
+            _check_count(f"gas.{key}", gas[key])
+    calibration = _check_keys(data.get("calibration", {}), {"samples"}, "calibration")
+    if "samples" in calibration:
+        _check_count("calibration.samples", calibration["samples"])
+    snr_sweep = data.get("snr_sweep", [])
+    if not isinstance(snr_sweep, list) or not all(map(_is_number, snr_sweep)):
+        raise ConfigError(f"'snr_sweep' must be a list of numbers, got {snr_sweep!r}")
+    grid = data.get("grid", [])
+    if not isinstance(grid, list):
+        raise ConfigError("'grid' must be a list")
+    for cell in grid:
+        _check_grid_cell(cell)
     trials = data.get("trials", 100)
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise ConfigError(f"trials must be an integer >= 1, got {trials!r}")
@@ -118,16 +128,47 @@ def load_spec(source) -> ExperimentSpec:
         lam=float(gas.get("lambda", 8.0 / 7.0)),
         budget_iterations=gas.get("budget_iterations"),
         budget_rotations=gas.get("budget_rotations"),
-        calibration_samples=int(data.get("calibration", {}).get("samples", 2000)),
+        calibration_samples=calibration.get("samples", 2000),
         variants=variants,
-        snr_sweep=list(data.get("snr_sweep", [])),
+        snr_sweep=snr_sweep,
         detectors=detectors,
-        grid=list(data.get("grid", [])),
+        grid=grid,
         q_v=gas.get("q_v"),
     )
     if spec.backend not in (BACKEND_AMPLITUDE, BACKEND_CIRCUIT):
         raise ConfigError(f"unknown backend {spec.backend!r}")
     return spec
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _check_keys(obj, fields, what: str) -> dict:
+    """obj must be a JSON object whose keys all come from fields."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be an object, got {obj!r}")
+    unknown = set(obj) - set(fields)
+    if unknown:
+        raise ConfigError(f"unknown {what} fields: {sorted(unknown)}")
+    return obj
+
+
+def _check_grid_cell(cell) -> None:
+    """A gate-count cell: integer M and tau_max, optional q_v and modulation."""
+    _check_keys(cell, _GRID_FIELDS, "grid cell")
+    for key in ("M", "tau_max"):
+        if key not in cell or isinstance(cell[key], bool) or not isinstance(cell[key], int):
+            raise ConfigError(f"grid cell {cell!r} needs an integer {key!r}")
+    if "q_v" in cell:
+        _check_count("grid q_v", cell["q_v"])
+    if cell.get("modulation", PSK2) not in (PSK2, QPSK):
+        raise ConfigError(f"grid cell {cell!r}: modulation must be {PSK2!r} or {QPSK!r}")
 
 
 def _check_variant(variant) -> None:
@@ -136,9 +177,7 @@ def _check_variant(variant) -> None:
     if not isinstance(variant, dict) or not isinstance(variant.get("name"), str):
         raise ConfigError(f"each variant needs a string 'name', got {variant!r}")
     name = variant["name"]
-    unknown = set(variant) - {"name", "restart", *_VARIANT_CHOICES}
-    if unknown:
-        raise ConfigError(f"variant {name!r} has unknown fields {sorted(unknown)}")
+    _check_keys(variant, {"name", "restart", *_VARIANT_CHOICES}, f"variant {name!r}")
     for key, choices in _VARIANT_CHOICES.items():
         if key in variant and variant[key] not in choices:
             raise ConfigError(f"variant {name!r}: {key} must be one of {list(choices)}, "
@@ -350,12 +389,8 @@ def run_gate_count(spec: ExperimentSpec) -> list[dict]:
         raise ConfigError("gate-count requires a 'grid' list")
     reports = []
     for cell in spec.grid:
-        try:
-            rep = build_report(int(cell["M"]), int(cell["tau_max"]),
-                               int(cell.get("q_v", 1)),
-                               cell.get("modulation", PSK2))
-        except KeyError as exc:
-            raise ConfigError(f"gate-count grid cell missing {exc}") from exc
+        rep = build_report(cell["M"], cell["tau_max"], cell.get("q_v", 1),
+                           cell.get("modulation", PSK2))
         reports.append(json.loads(rep.to_json()))
     return reports
 

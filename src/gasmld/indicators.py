@@ -181,11 +181,10 @@ def calibrate(cfg: SystemConfig, n_samples: int, P: float = 1e-3,
         ns = space.count_below(y)
         if ns == 0:
             continue
-        lo = l_opt(ns, n_t)
-        c_vals.append(indicator_c_prime(inst.H_est, a))
-        l_vals.append(lo)
+        vals = all_indicators(inst.H_est, a)
+        c_vals.append(vals["c_prime"])
+        l_vals.append(l_opt(ns, n_t))
         if collect_all:
-            vals = all_indicators(inst.H_est, a)
             for key in scatter:
                 scatter[key].append(vals[key])
     table = CalibrationTable.from_samples(c_vals, l_vals)

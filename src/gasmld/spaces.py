@@ -13,6 +13,7 @@ statevector simulator uses the same convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,14 +26,41 @@ MAX_ENUMERABLE = 1 << 24
 
 @dataclass
 class EnumeratedSpace:
-    """Objective values over an enumerable search space, sorted for counting."""
+    """Objective values over an enumerable search space.
+
+    The sorted order is built on first use, by sampling: counting and the
+    minimum read the value table directly, so spaces that are only counted
+    (calibration) or minimized (the exhaustive detector) are never sorted.
+    """
 
     reg: VarRegistry
     prep: str
     e_values: np.ndarray      # objective per state ordinal
     key_indices: np.ndarray   # big-endian key index per state ordinal, uint64
-    order: np.ndarray         # ordinals sorted by objective value
-    e_sorted: np.ndarray
+
+    @cached_property
+    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ordinals sorted by objective value, ties in ordinal order, and the
+        sorted values.
+
+        Without ties the sorting permutation is unique, so the unstable
+        default sort gives the stable one; only tied tables pay for the
+        stable sort (hadamard-full spaces always tie). The sorted values are
+        the same under either sort.
+        """
+        order = np.argsort(self.e_values)
+        e_sorted = self.e_values[order]
+        if not np.all(e_sorted[1:] > e_sorted[:-1]):
+            order = np.argsort(self.e_values, kind="stable")
+        return order, e_sorted
+
+    @property
+    def order(self) -> np.ndarray:
+        return self._sorted[0]
+
+    @property
+    def e_sorted(self) -> np.ndarray:
+        return self._sorted[1]
 
     @property
     def n_states(self) -> int:
@@ -40,13 +68,17 @@ class EnumeratedSpace:
 
     def count_below(self, y: float) -> int:
         """Number of states with E(x) - y < 0 (strict)."""
-        return int(np.searchsorted(self.e_sorted, y, side="left"))
+        if "_sorted" in self.__dict__:
+            # the ndarray method skips np.searchsorted's Python-level dispatch
+            return int(self.e_sorted.searchsorted(y, side="left"))
+        return int(np.count_nonzero(self.e_values < y))
 
     def min_value(self) -> float:
-        return float(self.e_sorted[0])
+        return float(self.e_values.min())
 
     def argmin_ordinal(self) -> int:
-        return int(self.order[0])
+        """First ordinal attaining the minimum, the stable order's head."""
+        return int(np.argmin(self.e_values))
 
     def sample_uniform(self, rng: np.random.Generator) -> int:
         return int(rng.integers(self.n_states))
@@ -126,12 +158,14 @@ def from_channel(inst: ChannelInstance, r: np.ndarray, t: int, cfg: SystemConfig
     if n_total > MAX_ENUMERABLE:
         raise CapacityError(f"search space of {n_total} states exceeds {MAX_ENUMERABLE}")
 
-    signal = _broadcast_sum(contribs)
-    e = np.sum(np.abs(np.asarray(r)[None, :] - signal) ** 2, axis=1)
+    residual = np.asarray(r)[None, :] - _broadcast_sum(contribs)
+    # summed column by column in antenna order: the same bits as a sum over
+    # axis 1 for N < 8, where numpy's pairwise reduction is still sequential
+    e = np.abs(residual[:, 0]) ** 2
+    for n in range(1, N):
+        e += np.abs(residual[:, n]) ** 2
     key_idx = _broadcast_sum([p[:, None] for p in idx_parts]).ravel()
-    order = np.argsort(e, kind="stable")
-    return EnumeratedSpace(reg=reg, prep=prep, e_values=e,
-                           key_indices=key_idx, order=order, e_sorted=e[order])
+    return EnumeratedSpace(reg=reg, prep=prep, e_values=e, key_indices=key_idx)
 
 
 def poly_values_over_keys(poly: HuboPolynomial, q_k: int) -> np.ndarray:
@@ -169,6 +203,4 @@ def from_polynomial(poly: HuboPolynomial, reg: VarRegistry, prep: str) -> Enumer
         e = e_full[key_idx]
     else:
         raise ValueError(f"unknown preparation {prep!r}")
-    order = np.argsort(e, kind="stable")
-    return EnumeratedSpace(reg=reg, prep=prep, e_values=e, key_indices=key_idx,
-                           order=order, e_sorted=e[order])
+    return EnumeratedSpace(reg=reg, prep=prep, e_values=e, key_indices=key_idx)

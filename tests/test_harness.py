@@ -41,7 +41,11 @@ class TestLoader:
         # unknown top-level, variant and detector names are rejected by name
         for bad, word in (({"cfg": CFG, "trails": 5}, "trails"),
                           ({"cfg": CFG, "variants": [{**W_PREP, "lmn": "zero"}]}, "lmn"),
-                          ({"cfg": CFG, "detectors": ["exhaustive", "gas-sdr"]}, "gas-sdr")):
+                          ({"cfg": CFG, "detectors": ["exhaustive", "gas-sdr"]}, "gas-sdr"),
+                          ({"cfg": CFG, "gas": {"lamda": 1.2}}, "lamda"),
+                          ({"cfg": CFG, "gas": {"budget_rotation": 5}}, "budget_rotation"),
+                          ({"cfg": CFG, "calibration": {"sample": 10}}, "sample"),
+                          ({"cfg": CFG, "grid": [{"M": 2, "tau_max": 1, "qv": 8}]}, "qv")):
             with pytest.raises(ConfigError, match=word):
                 load_spec(bad)
 
@@ -52,7 +56,15 @@ class TestLoader:
                     {"variants": W_PREP}, {"variants": [{**W_PREP, "name": 3}]},
                     {"variants": [{**W_PREP, "restart": "yes"}]},
                     {"variants": [{**W_PREP, "restart": 1}]},
-                    {"detectors": "mmse"}, {"detectors": [["mmse"]]}):
+                    {"detectors": "mmse"}, {"detectors": [["mmse"]]},
+                    {"gas": []}, {"gas": {"lambda": "1.2"}}, {"gas": {"mvd_p": True}},
+                    {"gas": {"budget_rotations": 2.5}}, {"gas": {"budget_iterations": True}},
+                    {"gas": {"q_v": "8"}}, {"calibration": 10},
+                    {"calibration": {"samples": 10.0}},
+                    {"snr_sweep": "10"}, {"snr_sweep": 10.0}, {"snr_sweep": [10.0, "15"]},
+                    {"snr_sweep": [True]}, {"grid": {"M": 2, "tau_max": 1}},
+                    {"grid": [[2, 1]]}, {"grid": [{"M": 2.0, "tau_max": 1}]},
+                    {"grid": [{"M": 2}]}, {"grid": [{"M": 2, "tau_max": 1, "q_v": 1.0}]}):
             with pytest.raises(ConfigError):
                 load_spec({"cfg": CFG, **bad})
 
@@ -64,7 +76,11 @@ class TestLoader:
                     {"variants": [{**W_PREP, "prep": "w-state"}]},
                     {"variants": [{**W_PREP, "lmin": "proposed-c"}]},
                     {"variants": [{k: v for k, v in W_PREP.items() if k != "name"}]},
-                    {"detectors": ["gas-MVD"]}):
+                    {"detectors": ["gas-MVD"]},
+                    {"gas": {"budget_rotations": 0}}, {"gas": {"q_v": -1}},
+                    {"calibration": {"samples": 0}},
+                    {"grid": [{"M": 2, "tau_max": 1, "q_v": 0}]},
+                    {"grid": [{"M": 2, "tau_max": 1, "modulation": "bpsk"}]}):
             with pytest.raises(ConfigError):
                 load_spec({"cfg": CFG, **bad})
 
@@ -72,6 +88,10 @@ class TestLoader:
         for path in CONFIG_DIR.glob("*.json"):
             spec = load_spec(path)
             assert isinstance(spec, ExperimentSpec)
+        # null engine settings keep their defaults
+        spec = load_spec({"cfg": CFG, "gas": {"q_v": None, "budget_iterations": None,
+                                              "budget_rotations": None}})
+        assert spec.q_v is None and spec.budget_iterations is None
 
 
 class TestFormatting:
@@ -256,6 +276,19 @@ class TestCli:
                            "--backend", backend, "--out", str(tmp_path))
         assert res.returncode == 1
         assert f"not {backend!r}" in res.stderr
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command,config,extra,flag", [
+        ("gate-count", "gate_count.json", ("--seed", "3"), "--seed"),
+        ("gate-count", "gate_count.json", ("--trials", "9"), "--trials"),
+        ("gate-count", "gate_count.json", ("--backend", "circuit"), "--backend"),
+        ("calibrate", "calibration_fig5.json", ("--trials", "9"), "--trials"),
+    ])
+    def test_unused_flag_exit_code(self, tmp_path, command, config, extra, flag):
+        res = self.run_cli(command, "--config", str(CONFIG_DIR / config),
+                           *extra, "--out", str(tmp_path))
+        assert res.returncode == 1
+        assert f"does not take {flag}" in res.stderr
         assert not any(tmp_path.iterdir())
 
     def test_config_error_exit_code(self, tmp_path):

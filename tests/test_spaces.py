@@ -8,7 +8,8 @@ from gasmld.channel import (PSK2, QPSK, SystemConfig, generate_instance,
 from gasmld.errors import CapacityError
 from gasmld.hubo import (HADAMARD_FULL, W_STATE_REDUCED, build_hubo, build_registry,
                          evaluate)
-from gasmld.spaces import from_channel, from_polynomial, poly_values_over_keys
+from gasmld import spaces
+from gasmld.spaces import EnumeratedSpace, from_channel, from_polynomial, poly_values_over_keys
 
 
 def make(N=2, M=2, tau_max=1, modulation=PSK2, seed=3, t=0, **over):
@@ -141,3 +142,59 @@ class TestExhaustive:
         y = float(np.median(space.e_sorted))
         assert int(np.searchsorted(space.e_sorted, y, side="left")) == \
             int(np.sum(space.e_values < y))
+
+
+class TestLazyOrder:
+    """The sorted order is built on first sampling, never by counting or the
+    minimum, and equals the stable argsort whichever sort built it."""
+
+    @pytest.mark.parametrize("modulation", [PSK2, QPSK])
+    @pytest.mark.parametrize("prep", [W_STATE_REDUCED, HADAMARD_FULL])
+    def test_order_is_stable_argsort(self, modulation, prep):
+        cfg, inst, slot, reg = make(modulation=modulation, seed=12)
+        space = from_channel(inst, slot.r, 0, cfg, prep, reg)
+        expect = np.argsort(space.e_values, kind="stable")
+        assert np.array_equal(space.order, expect)
+        assert np.array_equal(space.e_sorted, space.e_values[expect])
+
+    def test_order_with_ties(self):
+        # long enough that numpy's default sort is not an insertion sort
+        _, _, _, reg = make()
+        e = np.repeat([3.0, 1.0, 2.0, 0.5, 2.5], 40)[np.random.default_rng(4).permutation(200)]
+        space = EnumeratedSpace(reg=reg, prep=W_STATE_REDUCED, e_values=e,
+                                key_indices=np.arange(e.size, dtype=np.uint64))
+        assert space.argmin_ordinal() == int(np.flatnonzero(e == 0.5)[0])
+        assert np.array_equal(space.order, np.argsort(e, kind="stable"))
+
+    @pytest.mark.parametrize("prep", [W_STATE_REDUCED, HADAMARD_FULL])
+    def test_count_and_minimum_without_sorting(self, prep):
+        cfg, inst, slot, reg = make(seed=13)
+        space = from_channel(inst, slot.r, 0, cfg, prep, reg)
+        distinct = np.unique(space.e_values)
+        probes = np.concatenate([distinct, 0.5 * (distinct[1:] + distinct[:-1]),
+                                 [distinct[0] - 1.0, distinct[-1] + 1.0]])
+        counts = [space.count_below(float(y)) for y in probes]
+        head = (space.min_value(), space.argmin_ordinal())
+        assert "_sorted" not in space.__dict__
+        space.order  # noqa: B018  (build the order)
+        assert counts == [space.count_below(float(y)) for y in probes]
+        assert counts == [int(np.sum(space.e_values < y)) for y in probes]
+        assert head == (float(space.e_sorted[0]), int(space.order[0]))
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("prep", [W_STATE_REDUCED, HADAMARD_FULL])
+    def test_values_match_axis_sum(self, N, prep, monkeypatch):
+        # the per-column sum equals numpy's axis-1 reduction bit for bit on
+        # the same signal table (the first broadcast sum)
+        tables = []
+
+        def recording(parts):
+            tables.append(broadcast_sum(parts))
+            return tables[-1]
+
+        broadcast_sum = spaces._broadcast_sum
+        monkeypatch.setattr(spaces, "_broadcast_sum", recording)
+        cfg, inst, slot, reg = make(N=N, M=3, seed=14)
+        space = from_channel(inst, slot.r, 0, cfg, prep, reg)
+        expect = np.sum(np.abs(slot.r[None, :] - tables[0]) ** 2, axis=1)
+        assert np.array_equal(space.e_values, expect)
