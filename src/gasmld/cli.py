@@ -21,7 +21,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--seed", type=int, default=None, help="override cfg.seed")
     p.add_argument("--trials", type=int, default=None, help="override trial count")
-    p.add_argument("--backend", choices=["amplitude", "circuit", "auto"], default=None)
+    # checked by each subcommand, which names the backends it runs on
+    p.add_argument("--backend", default=None, metavar="{amplitude,circuit}")
     p.add_argument("--out", default=None, help="override output directory")
 
 
@@ -75,7 +76,8 @@ def _run(args) -> int:
         trace = solve_single(spec, dump_state=dump)
         print(trace.to_jsonl())
         summary = {"final_y": trace.final_y, "cd_queries": trace.cd_queries,
-                   "qd_rotations": trace.qd_rotations, "converged": trace.converged}
+                   "qd_rotations": trace.qd_rotations, "converged": trace.converged,
+                   "stop_reason": trace.stop_reason}
         print(json.dumps(summary), file=sys.stderr)
         return 0
     if args.command == "query-cdf":

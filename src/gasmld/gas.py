@@ -1,9 +1,12 @@
 """Grover adaptive search with two interchangeable execution backends.
 
-The amplitude backend draws measurement outcomes from the closed-form success
-probability sin^2((2L+1) arcsin sqrt(Ns/Nt)) over an enumerated space; the
-circuit backend simulates A_y and G^L on a dense statevector and samples the
-key register.  Both expose measure(y, L, rng) -> (state id, objective value).
+Both backends sample state ordinals of one enumerated search space, so the
+values GAS measures and the optimum it is checked against come from one
+table.  The amplitude backend marks E(x) < y exactly and draws from the
+success probability sin^2((2L+1) arcsin sqrt(Ns/Nt)); the circuit backend
+marks through the QFT value encoding of the real circuit and draws from that
+circuit's exact two-dimensional Grover law, without a statevector.  Both
+expose measure(y, L, rng) -> (ordinal, objective value).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spaces, statevector
-from .hubo import W_STATE_REDUCED, HuboPolynomial, VarRegistry
+from .hubo import W_STATE_REDUCED, VarRegistry
 
 LMIN_ZERO = "zero"
 LMIN_CONVENTIONAL_C = "conventional-c"
@@ -24,8 +27,10 @@ LMIN_PROPOSED_CPRIME = "proposed-cprime"
 BACKEND_AMPLITUDE = "amplitude"
 BACKEND_CIRCUIT = "circuit"
 
-# measurement distributions a CircuitBackend keeps, oldest evicted first
-CIRCUIT_CACHE_SIZE = 8
+# why run_gas left its loop
+STOP_OPTIMUM = "optimum"
+STOP_BUDGET_ITERATIONS = "budget_iterations"
+STOP_BUDGET_ROTATIONS = "budget_rotations"
 
 
 def success_probability(Ns: int, Nt: int, L: int) -> float:
@@ -98,6 +103,7 @@ class GasTrace:
     reached_optimum_at: tuple[int, int] | None = None  # (cd queries, qd rotations)
     cd_queries: int = 0
     qd_rotations: int = 0
+    stop_reason: str = ""   # one of the STOP_* constants
 
     @property
     def converged(self) -> bool:
@@ -144,47 +150,81 @@ class AmplitudeBackend:
 
 
 class CircuitBackend:
-    """Dense-statevector measurement via the Grover circuit.
+    """Exact measurement law of the GAS circuit over an enumerated space.
 
-    Exact measurement distributions are cached per (y, L): repeated shots at
-    the same circuit sample the cached marginal instead of re-simulating.
+    G = A_y D A_y^H O keeps the circuit in the plane span{|psi>, O|psi>}
+    (Boyer, Brassard, Hoyer, Tapp, Tight bounds on quantum searching, 1998).
+    Every preparation here is uniform on its support, so with q1_x the
+    probability that key x reads its sign qubit as 1 after the QFT value
+    encoding and p_good = mean(q1) = sin^2(theta), G^L A_y measures x with
+    probability
+
+        (1/Nt) [sin^2((2L+1) theta) / sin^2(theta) q1_x
+                + cos^2((2L+1) theta) / cos^2(theta) (1 - q1_x)].
+
+    With N = 2^q_v and the scaled offset d_x = s E_x - s y, the value
+    register holds the Fejer kernel F(phi) = sin^2(N phi / 2) / (N sin(phi /
+    2))^2 centred on 2 pi d_x / N (Gilliam, Woerner, Gonciulea, Quantum
+    2021), so q1_x sums it over the negative half u = N/2 .. N-1.  The
+    dense statevector.GroverCircuit computes the same law the long way.
     """
 
-    def __init__(self, poly: HuboPolynomial, reg: VarRegistry, prep: str, q_v: int):
-        self.circuit = statevector.GroverCircuit(poly, reg, prep, q_v)
-        self.reg = reg
+    def __init__(self, space: spaces.EnumeratedSpace, q_v: int):
+        self.space = space
+        self.reg = space.reg
         self.q_v = q_v
-        self.e_vec = self.circuit.e_vec
-        self._support_keys = np.flatnonzero(self.circuit.support)
-        self.n_states = int(self._support_keys.size)
-        self.always_valid = prep == W_STATE_REDUCED
-        self._cache: dict[tuple[float, int], np.ndarray] = {}
+        self.n_states = space.n_states
+        self.always_valid = space.prep == W_STATE_REDUCED
+        self._lo = space.min_value()
+        self._hi = float(space.e_values.max())
+        # one-entry memo (y, q1, p_good): GAS measures at one y until it accepts
+        self._memo: tuple[float, np.ndarray, float] | None = None
+
+    def scale_for(self, y: float) -> int:
+        return statevector.value_scale(self._lo, self._hi, y, self.q_v)
+
+    def _sign_probabilities(self, y: float) -> tuple[np.ndarray, float]:
+        """q1 per state ordinal, P(sign qubit = 1) after the value encoding,
+        and its mean p_good."""
+        if self._memo is None or self._memo[0] != y:
+            s = self.scale_for(y)
+            e = s * self.space.e_values
+            statevector.check_value_range(e, s * y, self.q_v)
+            n = 1 << self.q_v
+            # offset, in register units, from each negative-half basis state
+            # u = n - k, wrapped into [-n/2, n/2): F has period n, and the
+            # terms near its peak keep every digit of the offset
+            delta = (e - s * y)[:, None] + np.arange(1, n // 2 + 1)
+            delta[delta >= n // 2] -= n
+            den = (n * np.sin(np.pi / n * delta)) ** 2
+            f = np.divide(np.sin(np.pi * delta) ** 2, den, out=np.ones_like(den),
+                          where=den != 0.0)
+            q1 = np.minimum(f.sum(axis=1), 1.0)
+            self._memo = (y, q1, float(q1.mean()))
+        return self._memo[1], self._memo[2]
 
     def distribution(self, y: float, L: int) -> np.ndarray:
-        """Exact key-register measurement distribution after G^L A_y |0>."""
-        key = (float(y), int(L))
-        p = self._cache.get(key)
-        if p is None:
-            sv = self.circuit.run(y, L)
-            p = sv.key_marginal()
-            p = p / p.sum()
-            if len(self._cache) >= CIRCUIT_CACHE_SIZE:
-                self._cache.pop(next(iter(self._cache)))
-            self._cache[key] = p
-        return p
+        """Exact measurement distribution over ordinals after G^L A_y |0>."""
+        q1, p_good = self._sign_probabilities(y)
+        theta = math.asin(math.sqrt(p_good))
+        a = 2 * L + 1
+        # p_good > 0, every Fejer term being positive; with all states marked
+        # the unmarked ratio takes its limit a^2
+        good = math.sin(a * theta) ** 2 / p_good
+        bad = math.cos(a * theta) ** 2 / (1.0 - p_good) if p_good < 1.0 else a * a
+        return (good * q1 + bad * (1.0 - q1)) / self.n_states
 
     def measure(self, y: float, L: int, rng: np.random.Generator):
         p = self.distribution(y, L)
-        key = int(rng.choice(p.size, p=p))
-        return key, float(self.e_vec[key])
+        ordinal = int(rng.choice(p.size, p=p))
+        return ordinal, self.space.value_of(ordinal)
 
     def sample_uniform(self, rng: np.random.Generator):
-        key = int(self._support_keys[rng.integers(self.n_states)])
-        return key, float(self.e_vec[key])
+        ordinal = self.space.sample_uniform(rng)
+        return ordinal, self.space.value_of(ordinal)
 
-    def assignment(self, key: int) -> np.ndarray:
-        q = self.reg.q_k
-        return np.array([(key >> (q - 1 - i)) & 1 for i in range(q)], dtype=np.uint8)
+    def assignment(self, ordinal: int) -> np.ndarray:
+        return self.space.assignment(ordinal)
 
 
 def is_valid_assignment(reg: VarRegistry, bits: np.ndarray) -> bool:
@@ -208,8 +248,9 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator,
 
     oracle_min is instrumentation: the first measurement attaining it is
     recorded as (cd, qd); with stop_at_optimum the run also halts there.  The
-    detection output is the incumbent when its delay blocks are one-hot, else
-    the best valid assignment seen.
+    trace's stop_reason says which of that halt, the iteration budget or the
+    rotation budget ended the run.  The detection output is the incumbent
+    when its delay blocks are one-hot, else the best valid assignment seen.
     """
     reg = backend.reg
     trace = GasTrace(q_k=reg.q_k)
@@ -264,6 +305,7 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator,
         span = math.ceil(k - 1.0)
         L = lmin + int(rng.integers(0, span + 1))
         if cum_rot + L > budget_rot:
+            trace.stop_reason = STOP_BUDGET_ROTATIONS
             break
         state, ex = backend.measure(y, L, rng)
         cd += 1
@@ -314,6 +356,8 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator,
                 i=i, y=y, L=L, k=k, x_key=int(state), Ex=float(ex),
                 accepted=accepted, cum_rot=cum_rot, restarted=restarted))
         i += 1
+    else:
+        trace.stop_reason = STOP_OPTIMUM if stop else STOP_BUDGET_ITERATIONS
 
     trace.cd_queries = cd
     trace.qd_rotations = cum_rot

@@ -26,7 +26,7 @@ from .hubo import HADAMARD_FULL, W_STATE_REDUCED, build_hubo, build_registry
 from .indicators import (CalibrationTable, calibrate, config_hash, indicator_c,
                          indicator_c_prime, select_lmin, select_lmin_conventional)
 from .spaces import from_channel
-from .statevector import choose_qv
+from .statevector import GroverCircuit, choose_qv
 from .thresholds import MvdParams, mmse_detect, y_mvd
 
 CALIBRATION_ID_OFFSET = 1_000_000
@@ -229,12 +229,16 @@ def _resolve_lmin(policy: str, inst, table: CalibrationTable | None) -> int:
     raise ConfigError(f"unknown lmin policy {policy!r}")
 
 
-def _gas_backend(spec: ExperimentSpec, inst, r, t, cfg, prep, space):
+def _gas_backend(spec: ExperimentSpec, inst, r, t, cfg, space):
     if spec.backend == BACKEND_AMPLITUDE:
         return AmplitudeBackend(space)
-    poly, reg = build_hubo(inst, r, t, cfg)
-    q_v = spec.q_v or choose_qv(poly, 0.0, prep)
-    return CircuitBackend(poly, reg, prep, q_v)
+    return CircuitBackend(space, spec.q_v or _fitted_qv(inst, r, t, cfg, space.prep))
+
+
+def _fitted_qv(inst, r, t, cfg, prep) -> int:
+    """Value-register width from the HUBO's objective bound."""
+    poly, _ = build_hubo(inst, r, t, cfg)
+    return choose_qv(poly, 0.0, prep)
 
 
 def run_query_cdf(spec: ExperimentSpec):
@@ -260,7 +264,7 @@ def run_query_cdf(spec: ExperimentSpec):
             prep = variant.get("prep", W_STATE_REDUCED)
             space = w_space if prep == W_STATE_REDUCED else \
                 from_channel(inst, slot.r, 0, cfg, prep, reg)
-            backend = _gas_backend(spec, inst, slot.r, 0, cfg, prep, space)
+            backend = _gas_backend(spec, inst, slot.r, 0, cfg, space)
             lmin = _resolve_lmin(variant.get("lmin", LMIN_ZERO), inst, table)
             y0 = None
             if variant.get("threshold", "random") == "mvd":
@@ -398,24 +402,17 @@ def run_gate_count(spec: ExperimentSpec) -> list[dict]:
 def solve_single(spec: ExperimentSpec, dump_state: Path | None = None) -> GasTrace:
     """One GAS run on a fresh instance, printing a full iteration trace."""
     cfg = spec.cfg
+    _require_backend(spec, "solve", (BACKEND_AMPLITUDE, BACKEND_CIRCUIT))
     reg = build_registry(cfg)
     inst = generate_instance(cfg, instance_id=0)
     bits = random_payload_bits(cfg, 0, instance_id=0)
     slot = received_slot(inst, cfg, 0, bits)
     space = from_channel(inst, slot.r, 0, cfg, W_STATE_REDUCED, reg)
-
-    poly, _ = build_hubo(inst, slot.r, 0, cfg)
-    q_v = spec.q_v or choose_qv(poly, 0.0, W_STATE_REDUCED)
     ymvd = y_mvd(MvdParams.from_config(cfg, spec.mvd_p))
-    backend_kind = spec.backend
-    if backend_kind == "auto":
-        backend_kind = BACKEND_CIRCUIT if reg.q_k + q_v <= 22 else BACKEND_AMPLITUDE
-    if backend_kind == BACKEND_CIRCUIT:
-        backend = CircuitBackend(poly, reg, W_STATE_REDUCED, q_v)
-        if dump_state is not None:
-            backend.circuit.prepare(ymvd).dump(dump_state)
-    else:
-        backend = AmplitudeBackend(space)
+    backend = _gas_backend(spec, inst, slot.r, 0, cfg, space)
+    if spec.backend == BACKEND_CIRCUIT and dump_state is not None:
+        poly, _ = build_hubo(inst, slot.r, 0, cfg)
+        GroverCircuit(poly, reg, W_STATE_REDUCED, backend.q_v).prepare(ymvd).dump(dump_state)
     lmin = select_lmin_conventional(indicator_c(inst.H_est))
     params = GasParams(
         lam=spec.lam, y0=ymvd, lmin=lmin, restart_enabled=True,

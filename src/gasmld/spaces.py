@@ -45,9 +45,12 @@ class EnumeratedSpace:
 
         Without ties the sorting permutation is unique, so the unstable
         default sort gives the stable one; only tied tables pay for the
-        stable sort (hadamard-full spaces always tie). The sorted values are
-        the same under either sort.
+        stable sort. hadamard-full spaces always tie and take it directly.
+        The sorted values are the same under either sort.
         """
+        if self.prep == HADAMARD_FULL:
+            order = np.argsort(self.e_values, kind="stable")
+            return order, self.e_values[order]
         order = np.argsort(self.e_values)
         e_sorted = self.e_values[order]
         if not np.all(e_sorted[1:] > e_sorted[:-1]):

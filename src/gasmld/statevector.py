@@ -1,5 +1,10 @@
 """Dense statevector simulation of the GAS circuit at unitary-block level.
 
+No experiment runs it: gas.CircuitBackend samples the same circuit from its
+exact two-dimensional Grover law, this simulator is that backend's test
+oracle, and solve --dump-state writes its prepared state.  The value-register
+rules both share (value_scale, check_value_range, choose_qv) live here.
+
 Qubit layout: key register first (one qubit per registry variable, variable 0
 is the most significant bit of the key index), then the value register whose
 most significant bit is the two's-complement sign qubit targeted by the
@@ -209,6 +214,17 @@ def check_value_range(e_vec: np.ndarray, y: float, q_v: int, support=None) -> No
             f"[-2^{q_v - 1}, 2^{q_v - 1}) window")
 
 
+def value_scale(lo: float, hi: float, y: float, q_v: int) -> int:
+    """Largest integer factor s that keeps s (E - y) inside the window for
+    objective values in [lo, hi]."""
+    spread = max(hi - y, y - lo, 1e-12)
+    # guard band: fractional values near the window edge would leak
+    # across the two's-complement wrap and flip their sign bit
+    guard = 8.0 if q_v >= 5 else 1.0
+    room = (1 << (q_v - 1)) - guard
+    return max(1, math.floor(room / spread))
+
+
 def oracle_flip(mat: np.ndarray, q_v: int) -> None:
     """Pauli-Z on the sign qubit: negate amplitudes whose value MSB is 1."""
     half = 1 << (q_v - 1)
@@ -247,12 +263,7 @@ class GroverCircuit:
         self._lo = float(sup_vals.min())
 
     def scale_for(self, y: float) -> int:
-        spread = max(self._hi - y, y - self._lo, 1e-12)
-        # guard band: fractional values near the window edge would leak
-        # across the two's-complement wrap and flip their sign bit
-        guard = 8.0 if self.q_v >= 5 else 1.0
-        room = (1 << (self.q_v - 1)) - guard
-        return max(1, math.floor(room / spread))
+        return value_scale(self._lo, self._hi, y, self.q_v)
 
     def prepare(self, y: float) -> StateVector:
         s = self.scale_for(y)

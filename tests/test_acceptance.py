@@ -114,12 +114,12 @@ def test_criterion_02_backend_cross_check():
             continue
         n_toys += 1
         amp = AmplitudeBackend(e)
-        circ = CircuitBackend(poly, reg, HADAMARD_FULL, q_v)
+        circ = CircuitBackend(e, q_v)
         for y in ys:
             ns = e.count_below(y)
             for L in (0, 1, 2, 5):
                 p_amp = success_probability(ns, e.n_states, L) if ns else 0.0
-                p_circ = float(circ.distribution(float(y), L)[circ.e_vec < y].sum())
+                p_circ = float(circ.distribution(float(y), L)[circ.space.e_values < y].sum())
                 u = rng_shots.random(shots)
                 tv = abs(float(np.mean(u < p_circ)) - float(np.mean(u < p_amp)))
                 worst_int = max(worst_int, tv)
@@ -136,14 +136,14 @@ def test_criterion_02_backend_cross_check():
         slot = received_slot(inst, cfg, 0, bits)
         poly, reg = build_hubo(inst, slot.r, 0, cfg)
         space = from_channel(inst, slot.r, 0, cfg, W_STATE_REDUCED, reg)
-        circ = CircuitBackend(poly, reg, W_STATE_REDUCED, q_v=8)
+        circ = CircuitBackend(space, q_v=8)
         es = space.e_sorted
         half = es.size // 2
         gaps = es[1:half + 1] - es[:half]
         ys = []
         for i in np.argsort(gaps)[::-1]:
             y = float(0.5 * (es[i] + es[i + 1]))
-            if gaps[i] * circ.circuit.scale_for(y) >= 20 and len(ys) < 2:
+            if gaps[i] * circ.scale_for(y) >= 20 and len(ys) < 2:
                 ys.append(y)
         if not ys:
             continue
@@ -153,7 +153,7 @@ def test_criterion_02_backend_cross_check():
             ns = space.count_below(y)
             for L in (0, 1, 2, 3):
                 p_amp = success_probability(ns, space.n_states, L) if ns else 0.0
-                p_circ = float(circ.distribution(y, L)[circ.e_vec < y].sum())
+                p_circ = float(circ.distribution(y, L)[circ.space.e_values < y].sum())
                 u = rng_shots.random(shots)
                 tv = abs(float(np.mean(u < p_circ)) - float(np.mean(u < p_amp)))
                 worst_real = max(worst_real, tv)

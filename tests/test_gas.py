@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from gasmld.channel import SystemConfig, generate_instance, random_payload_bits, received_slot
-from gasmld.gas import (AmplitudeBackend, CircuitBackend, GasParams, is_valid_assignment,
+from gasmld.channel import (PSK2, QPSK, SystemConfig, generate_instance, random_payload_bits,
+                            received_slot)
+from gasmld.gas import (STOP_BUDGET_ITERATIONS, STOP_BUDGET_ROTATIONS, STOP_OPTIMUM,
+                        AmplitudeBackend, CircuitBackend, GasParams, is_valid_assignment,
                         l_opt, restart_iterations, run_gas, success_probability)
 from gasmld.hubo import (HADAMARD_FULL, W_STATE_REDUCED, HuboPolynomial, build_hubo,
                          build_registry, evaluate)
 from gasmld.spaces import from_channel, from_polynomial
+from gasmld.statevector import GroverCircuit, choose_qv
 
 FIG2_TERMS = {(0,): 1.0, (1, 2): -3.0, (0, 1, 2): 1.0}
 
@@ -97,12 +100,12 @@ class TestAmplitudeBackend:
 class TestCircuitBackend:
     def test_integer_distribution_matches_amplitude_exactly(self):
         poly, reg, amp = toy_backend()
-        circ = CircuitBackend(poly, reg, HADAMARD_FULL, q_v=4)
+        circ = CircuitBackend(from_polynomial(poly, reg, HADAMARD_FULL), q_v=4)
         for y in (-1.0, 1.0, 2.0, 4.0):
             ns = amp.space.count_below(y)
             for L in (0, 1, 2, 4):
                 p = circ.distribution(y, L)
-                marked = circ.e_vec < y
+                marked = circ.space.e_values < y
                 p_marked = float(p[marked].sum()) if ns else 0.0
                 assert p_marked == pytest.approx(success_probability(ns, 8, L), abs=1e-9)
                 # uniform within each class
@@ -114,14 +117,14 @@ class TestCircuitBackend:
     def test_sampled_tv_integer(self):
         # paired uniforms: the marked-hit TV estimate carries no two-sample noise
         poly, reg, amp = toy_backend()
-        circ = CircuitBackend(poly, reg, HADAMARD_FULL, q_v=4)
+        circ = CircuitBackend(from_polynomial(poly, reg, HADAMARD_FULL), q_v=4)
         rng = np.random.default_rng(3)
         shots = 10_000
         for (y, L) in ((2.0, 1), (1.0, 2)):
             u = rng.random(shots)
             ns = amp.space.count_below(y)
             p_amp = success_probability(ns, 8, L)
-            p_circ = float(circ.distribution(y, L)[circ.e_vec < y].sum())
+            p_circ = float(circ.distribution(y, L)[circ.space.e_values < y].sum())
             tv = abs(np.mean(u < p_circ) - np.mean(u < p_amp))
             assert tv <= 0.02
 
@@ -135,14 +138,14 @@ class TestCircuitBackend:
         poly, reg = build_hubo(inst, slot.r, 0, cfg)
         space = from_channel(inst, slot.r, 0, cfg, W_STATE_REDUCED, reg)
         amp = AmplitudeBackend(space)
-        circ = CircuitBackend(poly, reg, W_STATE_REDUCED, q_v=8)
+        circ = CircuitBackend(space, q_v=8)
         es = space.e_sorted
         half = es.size // 2
         gaps = es[1:half + 1] - es[:half]
         ys = []
         for i in np.argsort(gaps)[::-1]:
             y = 0.5 * (es[i] + es[i + 1])
-            if gaps[i] * circ.circuit.scale_for(y) >= 20 and len(ys) < 2:
+            if gaps[i] * circ.scale_for(y) >= 20 and len(ys) < 2:
                 ys.append(float(y))
         assert ys
         rng = np.random.default_rng(5)
@@ -152,7 +155,7 @@ class TestCircuitBackend:
             for L in (1, 3):
                 u = rng.random(shots)
                 p_amp = success_probability(ns, space.n_states, L)
-                p_circ = float(circ.distribution(y, L)[circ.e_vec < y].sum())
+                p_circ = float(circ.distribution(y, L)[circ.space.e_values < y].sum())
                 tv = abs(np.mean(u < p_circ) - np.mean(u < p_amp))
                 assert tv <= 0.05
 
@@ -160,7 +163,7 @@ class TestCircuitBackend:
         # both backends: a measured state decodes to an assignment whose
         # objective is the value the measurement reported
         poly, reg, amp = toy_backend()
-        circ = CircuitBackend(poly, reg, HADAMARD_FULL, q_v=4)
+        circ = CircuitBackend(from_polynomial(poly, reg, HADAMARD_FULL), q_v=4)
         rng = np.random.default_rng(9)
         for backend in (amp, circ):
             for _ in range(10):
@@ -168,6 +171,48 @@ class TestCircuitBackend:
                 x = backend.assignment(state)
                 assert x.shape == (3,)
                 assert evaluate(poly, x) == pytest.approx(ex, abs=1e-12)
+
+
+class TestDenseOracle:
+    """The closed-form circuit law against the dense statevector simulator,
+    mapped from key indices to the space's ordinals."""
+
+    def assert_matches(self, circ, dense, ys):
+        keys = circ.space.key_indices.astype(np.intp)
+        for y in ys:
+            for L in (0, 1, 3, 6):
+                p_dense = dense.run(y, L).key_marginal()
+                assert p_dense[keys].sum() == pytest.approx(1.0, abs=1e-12)
+                assert np.abs(circ.distribution(y, L) - p_dense[keys]).sum() <= 1e-12
+
+    @pytest.mark.parametrize("modulation", [PSK2, QPSK])
+    @pytest.mark.parametrize("prep", [W_STATE_REDUCED, HADAMARD_FULL])
+    def test_channel_space(self, modulation, prep):
+        cfg = SystemConfig(N=2, M=2, tau_max=1, modulation=modulation, seed=21)
+        inst = generate_instance(cfg)
+        slot = received_slot(inst, cfg, 0, random_payload_bits(cfg, 0))
+        poly, reg = build_hubo(inst, slot.r, 0, cfg)
+        space = from_channel(inst, slot.r, 0, cfg, prep, reg)
+        q_v = choose_qv(poly, 0.0, prep)
+        circ = CircuitBackend(space, q_v)
+        es = np.sort(space.e_values)
+        # none marked, mid-gap, on a spectrum level, an integer, all marked
+        ys = [es[0] - 0.25, 0.5 * (es[3] + es[4]), es[es.size // 2], 2.0, es[-1] + 0.5]
+        self.assert_matches(circ, GroverCircuit(poly, reg, prep, q_v), map(float, ys))
+        # every ordinal decodes to the assignment whose objective it carries
+        for ordinal in range(space.n_states):
+            assert evaluate(poly, circ.assignment(ordinal)) == pytest.approx(
+                space.value_of(ordinal), rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("prep", [W_STATE_REDUCED, HADAMARD_FULL])
+    def test_integer_toy(self, prep):
+        # integer offsets put the Fejer kernel's peak exactly on a basis state
+        cfg = SystemConfig(N=1, M=1, tau_max=1, seed=0)
+        reg = build_registry(cfg)
+        poly = toy_poly()
+        circ = CircuitBackend(from_polynomial(poly, reg, prep), q_v=4)
+        self.assert_matches(circ, GroverCircuit(poly, reg, prep, 4),
+                            (-1.5, -1.0, 1.0, 2.0, 2.5, 4.0))
 
 
 class TestRunGas:
@@ -256,6 +301,29 @@ class TestRunGas:
         trace = run_gas(backend, params, rng, oracle_min=-10.0)
         assert trace.reached_optimum_at is None
         assert trace.cd_queries <= 11
+
+    @pytest.mark.parametrize("reason", [STOP_OPTIMUM, STOP_BUDGET_ITERATIONS,
+                                        STOP_BUDGET_ROTATIONS])
+    def test_stop_reason(self, reason):
+        poly, reg, backend = toy_backend()
+        best = float(backend.space.e_sorted[0])
+        params = {
+            STOP_OPTIMUM: GasParams(budget_iterations=200, budget_rotations=2000),
+            # threshold below the minimum: no iteration accepts
+            STOP_BUDGET_ITERATIONS: GasParams(y0=best - 1.0, budget_iterations=10,
+                                              budget_rotations=10_000),
+            STOP_BUDGET_ROTATIONS: GasParams(y0=best - 1.0, lmin=3, budget_iterations=1000,
+                                             budget_rotations=50),
+        }[reason]
+        trace = run_gas(backend, params, np.random.default_rng(21), oracle_min=best,
+                        stop_at_optimum=reason == STOP_OPTIMUM)
+        assert trace.stop_reason == reason
+        if reason == STOP_OPTIMUM:
+            assert trace.converged
+        elif reason == STOP_BUDGET_ITERATIONS:
+            assert len(trace.iterations) == 10
+        else:
+            assert trace.qd_rotations <= 50 and len(trace.iterations) < 1000
 
     def test_rotation_budget_respected(self):
         poly, reg, backend = toy_backend()

@@ -6,7 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gasmld import harness
 from gasmld.errors import ConfigError
+from gasmld.gas import run_gas
+from gasmld.hubo import W_STATE_REDUCED
 from gasmld.harness import (ExperimentSpec, fmt, load_spec, run_ber, run_calibration,
                             run_gate_count, run_query_cdf, solve_single, write_csv)
 
@@ -131,6 +134,36 @@ class TestQueryCdf:
         assert any(conv for *_, conv in rows)
 
 
+class TestCircuitConvergence:
+    def test_converged_trials_reach_the_exhaustive_minimum(self, monkeypatch):
+        # converged exactly when the optimum was measured, on either backend
+        runs = []
+
+        def recording(backend, params, rng, **kwargs):
+            trace = run_gas(backend, params, rng, **kwargs)
+            runs.append((backend.space, kwargs["oracle_min"], trace))
+            return trace
+
+        monkeypatch.setattr(harness, "run_gas", recording)
+        for backend in ("amplitude", "circuit"):
+            spec = small_cdf_spec(trials=8, seed=31)
+            spec.backend, spec.q_v = backend, 8
+            runs.clear()
+            rows = run_query_cdf(spec)
+            assert len(runs) == len(rows) == 16
+            assert sum(t.converged for _, _, t in runs) == sum(conv for *_, conv in rows) >= 1
+            for space, oracle_min, trace in runs:
+                assert trace.converged == (trace.stop_reason == "optimum")
+                key = int("".join(map(str, trace.final_x)), 2)
+                value = space.value_of(int(np.flatnonzero(space.key_indices == key)[0]))
+                if trace.converged:
+                    assert value == pytest.approx(oracle_min, rel=1e-12, abs=1e-12)
+                elif space.prep == W_STATE_REDUCED:
+                    # an unconverged run never measured the argmin, not even
+                    # at a value one rounding away from the minimum
+                    assert value > oracle_min + 1e-9 * (1.0 + abs(oracle_min))
+
+
 class TestBer:
     def test_schema_and_bit_accounting(self):
         spec = load_spec({
@@ -210,6 +243,8 @@ class TestSolve:
         dump = tmp_path / "state.bin"
         trace = solve_single(spec, dump_state=dump)
         assert trace.final_x is not None
+        # the optimum is read from the table the circuit measures
+        assert trace.converged and trace.stop_reason == "optimum"
         raw = np.fromfile(dump, dtype="<f8")
         amps = raw[0::2] + 1j * raw[1::2]
         assert amps.size == 2 ** (6 + 8)
@@ -233,6 +268,8 @@ class TestCli:
         assert res.returncode == 0
         first = json.loads(res.stdout.splitlines()[0])
         assert {"i", "y", "L", "k", "x", "Ex", "accepted", "cum_rot", "restart"} == set(first)
+        summary = json.loads(res.stderr.splitlines()[-1])
+        assert summary["stop_reason"] in ("optimum", "budget_iterations", "budget_rotations")
 
     def test_query_cdf_command(self, tmp_path):
         cfg = {
@@ -270,6 +307,7 @@ class TestCli:
         ("calibrate", "calibration_fig5.json", "circuit"),
         ("calibrate", "calibration_fig5.json", "auto"),
         ("query-cdf", "query_cdf_fig3.json", "auto"),
+        ("solve", "solve_single.json", "auto"),
     ])
     def test_unsupported_backend_exit_code(self, tmp_path, command, config, backend):
         res = self.run_cli(command, "--config", str(CONFIG_DIR / config),

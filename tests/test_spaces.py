@@ -181,6 +181,24 @@ class TestLazyOrder:
         assert counts == [int(np.sum(space.e_values < y)) for y in probes]
         assert head == (float(space.e_sorted[0]), int(space.order[0]))
 
+    @pytest.mark.parametrize("prep", [W_STATE_REDUCED, HADAMARD_FULL])
+    def test_one_sort_per_space(self, prep, monkeypatch):
+        # hadamard-full spaces always tie and sort stably at once; an untied
+        # w-state space takes one default sort and keeps it
+        kinds = []
+        argsort = np.argsort
+
+        def recording(a, *args, **kwargs):
+            kinds.append(kwargs.get("kind"))
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", recording)
+        cfg, inst, slot, reg = make(seed=15)
+        space = from_channel(inst, slot.r, 0, cfg, prep, reg)
+        space.order  # noqa: B018  (build the order)
+        assert kinds == (["stable"] if prep == HADAMARD_FULL else [None])
+        assert np.array_equal(space.order, argsort(space.e_values, kind="stable"))
+
     @pytest.mark.parametrize("N", [1, 2, 3])
     @pytest.mark.parametrize("prep", [W_STATE_REDUCED, HADAMARD_FULL])
     def test_values_match_axis_sum(self, N, prep, monkeypatch):

@@ -253,7 +253,7 @@ class TestMeasurement:
         cfg = SystemConfig(N=1, M=1, tau_max=0, seed=0)
         reg = build_registry(cfg)  # q_k = 2
         poly = HuboPolynomial(n_vars=2, constant=0.0, terms={(0,): -2.0, (1,): 1.0})
-        backend = CircuitBackend(poly, reg, HADAMARD_FULL, q_v=3)
+        backend = CircuitBackend(from_polynomial(poly, reg, HADAMARD_FULL), q_v=3)
         assert backend.distribution(-1.0, 1)[0b10] == pytest.approx(1.0, abs=1e-12)
         rng = np.random.default_rng(0)
         key, ex = backend.measure(-1.0, 1, rng)
@@ -264,7 +264,7 @@ class TestMeasurement:
         cfg = SystemConfig(N=1, M=1, tau_max=0, seed=0)
         reg = build_registry(cfg)
         poly = HuboPolynomial(n_vars=reg.q_k, constant=1.0, terms={})
-        backend = CircuitBackend(poly, reg, HADAMARD_FULL, q_v=2)
+        backend = CircuitBackend(from_polynomial(poly, reg, HADAMARD_FULL), q_v=2)
         a = backend.measure(0.0, 0, np.random.default_rng(42))
         b = backend.measure(0.0, 0, np.random.default_rng(42))
         assert a == b
@@ -273,9 +273,12 @@ class TestMeasurement:
         # W-state support of four keys, two of them marked: p = 1/2 at L = 1
         cfg = SystemConfig(N=1, M=1, tau_max=1, seed=0)
         reg = build_registry(cfg)
-        backend = CircuitBackend(FIG2_POLY_PAD(3), reg, W_STATE_REDUCED, q_v=3)
+        backend = CircuitBackend(from_polynomial(FIG2_POLY_PAD(3), reg, W_STATE_REDUCED), q_v=3)
         p = backend.distribution(3.0, 1)
-        assert p[backend.e_vec < 3.0].sum() == pytest.approx(0.5, abs=1e-9)
+        assert p[backend.space.e_values < 3.0].sum() == pytest.approx(0.5, abs=1e-9)
+        # the same law over key indices, where decoded assignments are counted
+        p = np.bincount(backend.space.key_indices.astype(np.intp), weights=p,
+                        minlength=1 << reg.q_k)
         rng = np.random.default_rng(7)
         n = 100_000
         counts = np.zeros(p.size)
