@@ -9,7 +9,6 @@ noise with variance sigma_v^2 / (T_P * P_X).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -84,45 +83,6 @@ class ChannelInstance:
     delays: np.ndarray
     sigma_v: float
     est_err_var: float
-
-    def to_json(self) -> str:
-        def cplx(a):
-            return [[float(z.real), float(z.imag)] for z in np.asarray(a).ravel()]
-
-        d = {
-            "seed": self.seed,
-            "instance_id": self.instance_id,
-            "shape": list(self.H_true.shape),
-            "H_true": cplx(self.H_true),
-            "H_est": cplx(self.H_est),
-            "f_true": [float(x) for x in self.f_true],
-            "f_est": [float(x) for x in self.f_est],
-            "delays": [int(x) for x in self.delays],
-            "sigma_v": float(self.sigma_v),
-            "est_err_var": float(self.est_err_var),
-        }
-        return json.dumps(d)
-
-    @staticmethod
-    def from_json(text: str) -> "ChannelInstance":
-        d = json.loads(text)
-        n, m = d["shape"]
-
-        def mat(entries):
-            a = np.array([complex(re, im) for re, im in entries])
-            return a.reshape(n, m)
-
-        return ChannelInstance(
-            seed=d["seed"],
-            instance_id=d["instance_id"],
-            H_true=mat(d["H_true"]),
-            H_est=mat(d["H_est"]),
-            f_true=np.array(d["f_true"], dtype=float),
-            f_est=np.array(d["f_est"], dtype=float),
-            delays=np.array(d["delays"], dtype=int),
-            sigma_v=d["sigma_v"],
-            est_err_var=d["est_err_var"],
-        )
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ Subcommands: solve, query-cdf, ber, calibrate, gate-count.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -52,7 +53,7 @@ def _spec_from_args(args) -> ExperimentSpec:
             raise ConfigError(f"{args.command} does not take --{flag}")
     spec = load_spec(args.config)
     if args.seed is not None:
-        spec.cfg = type(spec.cfg)(**{**_cfg_dict(spec.cfg), "seed": args.seed})
+        spec.cfg = dataclasses.replace(spec.cfg, seed=args.seed)
     if args.trials is not None:
         spec.trials = args.trials
     if args.backend is not None:
@@ -60,12 +61,6 @@ def _spec_from_args(args) -> ExperimentSpec:
     if args.out is not None:
         spec.output_dir = args.out
     return spec
-
-
-def _cfg_dict(cfg) -> dict:
-    return {"N": cfg.N, "M": cfg.M, "tau_max": cfg.tau_max,
-            "modulation": cfg.modulation, "T_P": cfg.T_P, "T_D": cfg.T_D,
-            "P_X": cfg.P_X, "snr_db": cfg.snr_db, "seed": cfg.seed}
 
 
 def _run(args) -> int:

@@ -5,8 +5,10 @@ values GAS measures and the optimum it is checked against come from one
 table.  The amplitude backend marks E(x) < y exactly and draws from the
 success probability sin^2((2L+1) arcsin sqrt(Ns/Nt)); the circuit backend
 marks through the QFT value encoding of the real circuit and draws from that
-circuit's exact two-dimensional Grover law, without a statevector.  Both
-expose measure(y, L, rng) -> (ordinal, objective value).
+circuit's exact two-dimensional Grover law, without a statevector.  A
+backend holds only its law, measure(y, L, rng) -> (ordinal, objective value);
+run_gas reads everything else from backend.space and carries state ordinals
+until it decodes its output.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spaces, statevector
-from .hubo import W_STATE_REDUCED, VarRegistry
 
 LMIN_ZERO = "zero"
 LMIN_CONVENTIONAL_C = "conventional-c"
@@ -62,10 +63,9 @@ def restart_iterations(L_min: int, Nt: int, Ns: int = 1) -> int:
 class GasParams:
     lam: float = 8.0 / 7.0
     y0: float | None = None            # resolved threshold; None -> sample x0
-    x0: np.ndarray | None = None       # optional seeded incumbent (mmse)
+    x0: int | None = None              # optional seeded incumbent ordinal (mmse)
     lmin: int = 0
     restart_enabled: bool = False
-    restart_after: int | None = None   # iterations without update before restart
     budget_iterations: int | None = None
     budget_rotations: int | None = None
     # detection runs on the full space must emit a decodable (one-hot) delay;
@@ -75,8 +75,6 @@ class GasParams:
     def __post_init__(self):
         if not 1.0 < self.lam < 4.0 / 3.0:
             raise ValueError("growth factor must satisfy 1 < lambda < 4/3")
-        if self.restart_enabled and self.restart_after is None:
-            raise ValueError("restart enabled but no restart_after supplied")
 
 
 @dataclass
@@ -85,7 +83,7 @@ class GasIteration:
     y: float
     L: int
     k: float
-    x_key: int
+    x: np.ndarray      # measured assignment in registry order
     Ex: float
     accepted: bool
     cum_rot: int
@@ -94,7 +92,6 @@ class GasIteration:
 
 @dataclass
 class GasTrace:
-    q_k: int = 0
     iterations: list[GasIteration] = field(default_factory=list)
     final_x: np.ndarray | None = None
     final_y: float = math.inf
@@ -114,7 +111,7 @@ class GasTrace:
         for it in self.iterations:
             lines.append(json.dumps({
                 "i": it.i, "y": it.y, "L": it.L, "k": it.k,
-                "x": format(it.x_key, "b").zfill(self.q_k),
+                "x": "".join(map(str, it.x)),
                 "Ex": it.Ex, "accepted": it.accepted,
                 "cum_rot": it.cum_rot, "restart": it.restarted,
             }))
@@ -126,9 +123,6 @@ class AmplitudeBackend:
 
     def __init__(self, space: spaces.EnumeratedSpace):
         self.space = space
-        self.reg = space.reg
-        self.n_states = space.n_states
-        self.always_valid = space.prep == W_STATE_REDUCED
 
     def measure(self, y: float, L: int, rng: np.random.Generator):
         space = self.space
@@ -140,13 +134,6 @@ class AmplitudeBackend:
         else:
             ordinal = space.sample_unmarked(ns, rng)
         return ordinal, space.value_of(ordinal)
-
-    def sample_uniform(self, rng: np.random.Generator):
-        ordinal = self.space.sample_uniform(rng)
-        return ordinal, self.space.value_of(ordinal)
-
-    def assignment(self, ordinal: int) -> np.ndarray:
-        return self.space.assignment(ordinal)
 
 
 class CircuitBackend:
@@ -171,10 +158,7 @@ class CircuitBackend:
 
     def __init__(self, space: spaces.EnumeratedSpace, q_v: int):
         self.space = space
-        self.reg = space.reg
         self.q_v = q_v
-        self.n_states = space.n_states
-        self.always_valid = space.prep == W_STATE_REDUCED
         self._lo = space.min_value()
         self._hi = float(space.e_values.max())
         # one-entry memo (y, q1, p_good): GAS measures at one y until it accepts
@@ -212,25 +196,12 @@ class CircuitBackend:
         # the unmarked ratio takes its limit a^2
         good = math.sin(a * theta) ** 2 / p_good
         bad = math.cos(a * theta) ** 2 / (1.0 - p_good) if p_good < 1.0 else a * a
-        return (good * q1 + bad * (1.0 - q1)) / self.n_states
+        return (good * q1 + bad * (1.0 - q1)) / self.space.n_states
 
     def measure(self, y: float, L: int, rng: np.random.Generator):
         p = self.distribution(y, L)
         ordinal = int(rng.choice(p.size, p=p))
         return ordinal, self.space.value_of(ordinal)
-
-    def sample_uniform(self, rng: np.random.Generator):
-        ordinal = self.space.sample_uniform(rng)
-        return ordinal, self.space.value_of(ordinal)
-
-    def assignment(self, ordinal: int) -> np.ndarray:
-        return self.space.assignment(ordinal)
-
-
-def is_valid_assignment(reg: VarRegistry, bits: np.ndarray) -> bool:
-    """True when every delay block is exactly one-hot."""
-    _, _, d = reg.split_assignment(bits)
-    return bool(np.all(d.reshape(reg.M, reg.taud).sum(axis=1) == 1))
 
 
 def run_gas(backend, params: GasParams, rng: np.random.Generator,
@@ -242,57 +213,65 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator,
     measures, accepts strictly improving values (resetting k), and otherwise
     grows k by the factor lambda up to sqrt(2^q_k), the square root of the
     full key space even when the preparation reaches only Nt < 2^q_k states.
-    With restart enabled, a run of restart_after consecutive iterations
-    without any update since the last (re)start resamples the incumbent,
-    resets the threshold to its value and drops L_min to zero.
+    With restart enabled, a run of restart_iterations(L_min, Nt) consecutive
+    iterations without any update since the last (re)start resamples the
+    incumbent, resets the threshold to its value and drops L_min to zero.
 
-    oracle_min is instrumentation: the first measurement attaining it is
-    recorded as (cd, qd); with stop_at_optimum the run also halts there.  The
-    trace's stop_reason says which of that halt, the iteration budget or the
-    rotation budget ended the run.  The detection output is the incumbent
-    when its delay blocks are one-hot, else the best valid assignment seen.
+    The incumbent, the best one-hot state and params.x0 are ordinals of
+    backend.space, whose table supplies every value, so a re-measured
+    incumbent is never an improvement.  oracle_min is instrumentation: the
+    first measurement attaining it is recorded as (cd, qd); with
+    stop_at_optimum the run also halts there.  The trace's stop_reason says
+    which of that halt, the iteration budget or the rotation budget ended the
+    run.  The detection output, decoded once at the end, is the incumbent
+    when its delay blocks are one-hot, else the best one-hot state seen.
     """
-    reg = backend.reg
-    trace = GasTrace(q_k=reg.q_k)
-    n_t = backend.n_states
-    cap = math.sqrt(1 << reg.q_k)
+    space = backend.space
+    trace = GasTrace()
+    n_t = space.n_states
+    cap = math.sqrt(1 << space.reg.q_k)
     budget_iter = params.budget_iterations or int(math.ceil(10 * math.sqrt(n_t)))
     budget_rot = params.budget_rotations or int(math.ceil(50 * math.sqrt(n_t)))
-    check_valid = params.enforce_one_hot and not backend.always_valid
+    restart_window = restart_iterations(params.lmin, n_t) if params.restart_enabled else 0
+    one_hot = space.one_hot if params.enforce_one_hot else None
+    target = -math.inf if oracle_min is None else oracle_min
+
+    def is_valid(ordinal) -> bool:
+        return one_hot is None or bool(one_hot[ordinal])
 
     cd = 0
     cum_rot = 0
     lmin = params.lmin
-    inc_bits: np.ndarray | None = None
+    inc: int | None = None
     inc_E = math.inf
-    best_valid_bits: np.ndarray | None = None
+    best_valid: int | None = None
     best_valid_E = math.inf
     reached = None
 
-    def note_valid(bits, ex):
-        nonlocal best_valid_bits, best_valid_E
-        if ex < best_valid_E and (not check_valid or is_valid_assignment(reg, bits)):
-            best_valid_bits, best_valid_E = bits, ex
+    def note_valid(ordinal, ex):
+        nonlocal best_valid, best_valid_E
+        if ex < best_valid_E and is_valid(ordinal):
+            best_valid, best_valid_E = ordinal, ex
 
-    def is_optimum_hit(bits, ex) -> bool:
+    def is_optimum_hit(ordinal, ex) -> bool:
         # invalid assignments can undercut the one-hot minimum on the full space
-        if oracle_min is None or ex > oracle_min:
-            return False
-        return not check_valid or is_valid_assignment(reg, bits)
+        return ex <= target and is_valid(ordinal)
+
+    def draw_incumbent():
+        ordinal = space.sample_uniform(rng)
+        return ordinal, space.value_of(ordinal)
 
     if params.y0 is not None:
         y = params.y0
         if params.x0 is not None:
-            inc_bits = np.asarray(params.x0, dtype=np.uint8)
-            inc_E = params.y0
-            note_valid(inc_bits, inc_E)
+            inc, inc_E = params.x0, params.y0
+            note_valid(inc, inc_E)
     else:
-        state0, e0 = backend.sample_uniform(rng)
+        inc, inc_E = draw_incumbent()
         cd += 1
-        y = e0
-        inc_bits, inc_E = backend.assignment(state0), e0
-        note_valid(inc_bits, inc_E)
-        if is_optimum_hit(inc_bits, e0):
+        y = inc_E
+        note_valid(inc, inc_E)
+        if is_optimum_hit(inc, inc_E):
             reached = (cd, 0)
 
     updated_since_restart = False
@@ -311,49 +290,42 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator,
         cd += 1
         cum_rot += L
 
-        accepted = ex < y
-        need_bits = accepted or check_valid or record_trace or \
-            (oracle_min is not None and reached is None and ex <= oracle_min)
-        bits = backend.assignment(state) if need_bits else None
-
-        if reached is None and bits is not None and is_optimum_hit(bits, ex):
+        if reached is None and ex <= target and is_valid(state):
             reached = (cd, cum_rot)
             if stop_at_optimum:
                 stop = True
 
+        accepted = ex < y
         if accepted:
-            inc_bits, inc_E = bits, ex
+            inc, inc_E = state, ex
             y = ex
             k = 1.0
             updated_since_restart = True
         else:
             k = min(params.lam * k, cap)
-        if ex < best_valid_E:
-            if bits is None:
-                bits = backend.assignment(state)
-            note_valid(bits, ex)
+        if ex < best_valid_E and is_valid(state):
+            best_valid, best_valid_E = state, ex
 
         restarted = False
         since_restart += 1
         if (params.restart_enabled and not updated_since_restart
-                and not stop and since_restart >= params.restart_after):
-            state0, e0 = backend.sample_uniform(rng)
+                and not stop and since_restart >= restart_window):
+            inc, inc_E = draw_incumbent()
             cd += 1
-            y = e0
-            inc_bits, inc_E = backend.assignment(state0), e0
-            note_valid(inc_bits, e0)
+            y = inc_E
+            note_valid(inc, inc_E)
             lmin = 0
             k = 1.0
             since_restart = 0
             restarted = True
-            if reached is None and is_optimum_hit(inc_bits, e0):
+            if reached is None and is_optimum_hit(inc, inc_E):
                 reached = (cd, cum_rot)
                 if stop_at_optimum:
                     stop = True
 
         if record_trace:
             trace.iterations.append(GasIteration(
-                i=i, y=y, L=L, k=k, x_key=int(state), Ex=float(ex),
+                i=i, y=y, L=L, k=k, x=space.assignment(state), Ex=float(ex),
                 accepted=accepted, cum_rot=cum_rot, restarted=restarted))
         i += 1
     else:
@@ -365,15 +337,16 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator,
     trace.reached_optimum_at = reached
     trace.best_E = min(inc_E, best_valid_E)
 
-    # detection output: the lowest-objective decodable assignment seen
-    if best_valid_bits is not None and best_valid_E <= inc_E:
-        trace.final_x = best_valid_bits
-    elif inc_bits is not None and (not check_valid or is_valid_assignment(reg, inc_bits)):
-        trace.final_x = inc_bits
-    elif best_valid_bits is not None:
-        trace.final_x = best_valid_bits
+    # detection output: the lowest-objective decodable state seen
+    if best_valid is not None and best_valid_E <= inc_E:
+        final = best_valid
+    elif inc is not None and is_valid(inc):
+        final = inc
+    elif best_valid is not None:
+        final = best_valid
         trace.invalid_final = True
     else:
-        trace.final_x = inc_bits
-        trace.invalid_final = inc_bits is not None
+        final = inc
+        trace.invalid_final = inc is not None
+    trace.final_x = None if final is None else space.assignment(final)
     return trace

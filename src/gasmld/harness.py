@@ -20,7 +20,7 @@ from .channel import PSK2, QPSK, SystemConfig, generate_instance, objective_dire
 from .errors import ConfigError
 from .gas import (AmplitudeBackend, BACKEND_AMPLITUDE, BACKEND_CIRCUIT, CircuitBackend,
                   GasParams, GasTrace, LMIN_CONVENTIONAL_C, LMIN_PROPOSED_CPRIME, LMIN_ZERO,
-                  restart_iterations, run_gas)
+                  run_gas)
 from .gates import build_report
 from .hubo import HADAMARD_FULL, W_STATE_REDUCED, build_hubo, build_registry
 from .indicators import (CalibrationTable, calibrate, config_hash, indicator_c,
@@ -269,10 +269,8 @@ def run_query_cdf(spec: ExperimentSpec):
             y0 = None
             if variant.get("threshold", "random") == "mvd":
                 y0 = y_mvd(MvdParams.from_config(cfg, spec.mvd_p))
-            restart = variant.get("restart", False)
             params = GasParams(
-                lam=spec.lam, y0=y0, lmin=lmin, restart_enabled=restart,
-                restart_after=restart_iterations(lmin, backend.n_states, 1) if restart else None,
+                lam=spec.lam, y0=y0, lmin=lmin, restart_enabled=variant.get("restart", False),
                 budget_iterations=spec.budget_iterations,
                 budget_rotations=spec.budget_rotations,
                 enforce_one_hot=True)
@@ -344,20 +342,18 @@ def _detect(det, spec, cfg, inst, slot, space, backend, ymvd,
     if det == "exhaustive":
         return space.assignment(space.argmin_ordinal()), None
     if det == "mmse":
-        bits, _ = mmse_detect(inst, slot.r, t, cfg)
-        return bits, None
+        return space.assignment(mmse_detect(inst, slot.r, t, cfg, space)), None
     rng = streams.substream(cfg.seed, streams.GAS, trial, t, det_index)
     if det == "gas-mvd":
         # threshold comparison runs the plain adaptive schedule (no rotation
         # lower bound: its calibration is specific to one SNR point)
         params = GasParams(
             lam=spec.lam, y0=ymvd, lmin=0, restart_enabled=True,
-            restart_after=restart_iterations(0, backend.n_states, 1),
             budget_iterations=spec.budget_iterations,
             budget_rotations=spec.budget_rotations)
     elif det == "gas-mmse":
-        x0, y0 = mmse_detect(inst, slot.r, t, cfg)
-        params = GasParams(lam=spec.lam, y0=y0, x0=x0,
+        x0 = mmse_detect(inst, slot.r, t, cfg, space)
+        params = GasParams(lam=spec.lam, y0=space.value_of(x0), x0=x0,
                            budget_iterations=spec.budget_iterations,
                            budget_rotations=spec.budget_rotations)
     elif det == "gas-rand":
@@ -403,6 +399,9 @@ def solve_single(spec: ExperimentSpec, dump_state: Path | None = None) -> GasTra
     """One GAS run on a fresh instance, printing a full iteration trace."""
     cfg = spec.cfg
     _require_backend(spec, "solve", (BACKEND_AMPLITUDE, BACKEND_CIRCUIT))
+    if dump_state is not None and spec.backend != BACKEND_CIRCUIT:
+        # the prepared statevector exists only in the circuit model
+        raise ConfigError(f"solve does not take --dump-state on backend {spec.backend!r}")
     reg = build_registry(cfg)
     inst = generate_instance(cfg, instance_id=0)
     bits = random_payload_bits(cfg, 0, instance_id=0)
@@ -410,13 +409,12 @@ def solve_single(spec: ExperimentSpec, dump_state: Path | None = None) -> GasTra
     space = from_channel(inst, slot.r, 0, cfg, W_STATE_REDUCED, reg)
     ymvd = y_mvd(MvdParams.from_config(cfg, spec.mvd_p))
     backend = _gas_backend(spec, inst, slot.r, 0, cfg, space)
-    if spec.backend == BACKEND_CIRCUIT and dump_state is not None:
+    if dump_state is not None:
         poly, _ = build_hubo(inst, slot.r, 0, cfg)
         GroverCircuit(poly, reg, W_STATE_REDUCED, backend.q_v).prepare(ymvd).dump(dump_state)
     lmin = select_lmin_conventional(indicator_c(inst.H_est))
     params = GasParams(
         lam=spec.lam, y0=ymvd, lmin=lmin, restart_enabled=True,
-        restart_after=restart_iterations(lmin, backend.n_states, 1),
         budget_iterations=spec.budget_iterations,
         budget_rotations=spec.budget_rotations)
     rng = streams.substream(cfg.seed, streams.GAS, 0, 0, 0)

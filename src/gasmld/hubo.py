@@ -9,7 +9,6 @@ synthesis.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -100,18 +99,6 @@ class HuboPolynomial:
 
     def max_order(self) -> int:
         return max((len(k) for k in self.terms), default=0)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "constant": self.constant,
-            "terms": [{"vars": list(k), "coeff": v} for k, v in sorted(self.terms.items())],
-        })
-
-    @staticmethod
-    def from_json(text: str, n_vars: int) -> "HuboPolynomial":
-        d = json.loads(text)
-        terms = {tuple(t["vars"]): float(t["coeff"]) for t in d["terms"]}
-        return HuboPolynomial(n_vars=n_vars, constant=float(d["constant"]), terms=terms)
 
 
 def evaluate(poly: HuboPolynomial, x) -> float:

@@ -39,12 +39,6 @@ def _alpha(H_est: np.ndarray) -> float:
     return float(sv.min() / _ALPHA_NORM)
 
 
-def indicator_c1(H_est: np.ndarray, C: float | None = None) -> float:
-    if C is None:
-        C = indicator_c(H_est)
-    return _alpha(H_est) * C
-
-
 def _pair_betas(H_est: np.ndarray, a: float):
     """Minimum beta1 and beta2 over the C(M,2) user pairs.
 
@@ -77,14 +71,6 @@ def _pair_betas(H_est: np.ndarray, a: float):
             beta1_min = min(beta1_min, beta1)
             beta2_min = min(beta2_min, beta2)
     return beta1_min, beta2_min, skipped
-
-
-def indicator_c2(H_est: np.ndarray, C: float | None = None,
-                 a: float = DEFAULT_TIE_EXPONENT) -> float:
-    if C is None:
-        C = indicator_c(H_est)
-    b1, b2, _ = _pair_betas(H_est, a)
-    return b1 * b2 * C
 
 
 def indicator_c_prime(H_est: np.ndarray, a: float = DEFAULT_TIE_EXPONENT) -> float:

@@ -101,6 +101,22 @@ class EnumeratedSpace:
     def value_of(self, ordinal: int) -> float:
         return float(self.e_values[ordinal])
 
+    @cached_property
+    def one_hot(self) -> np.ndarray:
+        """Per ordinal, True when every delay block of its assignment is
+        one-hot: always under w-state-reduced, decoded from the key index
+        under hadamard-full."""
+        ok = np.ones(self.n_states, dtype=bool)
+        if self.prep == W_STATE_REDUCED:
+            return ok
+        reg, q = self.reg, self.reg.q_k
+        for m in range(reg.M):
+            hot = np.zeros(self.n_states, dtype=np.uint64)
+            for k in range(reg.taud):
+                hot += (self.key_indices >> np.uint64(q - 1 - reg.d_position(m, k))) & np.uint64(1)
+            ok &= hot == 1
+        return ok
+
 
 def _key_weights(reg: VarRegistry) -> np.ndarray:
     q = reg.q_k
@@ -169,6 +185,26 @@ def from_channel(inst: ChannelInstance, r: np.ndarray, t: int, cfg: SystemConfig
         e += np.abs(residual[:, n]) ** 2
     key_idx = _broadcast_sum([p[:, None] for p in idx_parts]).ravel()
     return EnumeratedSpace(reg=reg, prep=prep, e_values=e, key_indices=key_idx)
+
+
+def channel_ordinals(space: EnumeratedSpace, b_bits: np.ndarray,
+                     delays: np.ndarray) -> np.ndarray:
+    """Ordinals, in a w-state-reduced from_channel space, of payload bits
+    b_bits (n, n_b) in registry order with user m at delay delays[:, m].
+
+    from_channel lays a user's local choices out as b_index * taud + k,
+    b_index the user's bits read most significant first; user 0 is the most
+    significant digit.
+    """
+    reg = space.reg
+    if space.prep != W_STATE_REDUCED:
+        raise ValueError(f"ordinals by delay index need a {W_STATE_REDUCED} space, "
+                         f"not {space.prep!r}")
+    n_bbits = reg.n_b // reg.M
+    delays = np.asarray(delays, dtype=np.int64)
+    b = np.asarray(b_bits, dtype=np.int64).reshape(len(delays), reg.M, n_bbits)
+    digits = (b @ (1 << np.arange(n_bbits - 1, -1, -1))) * reg.taud + delays
+    return digits @ (reg.taud << n_bbits) ** np.arange(reg.M - 1, -1, -1)
 
 
 def poly_values_over_keys(poly: HuboPolynomial, q_k: int) -> np.ndarray:

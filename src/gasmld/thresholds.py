@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (PSK2, ChannelInstance, SystemConfig, delay_phases, objective_direct,
-                      psk2_base)
+from .channel import PSK2, ChannelInstance, SystemConfig, delay_phases, psk2_base
+from .spaces import EnumeratedSpace, channel_ordinals
 
 
 def mvd_rate(sigma_v2: float, tp_px: float) -> float:
@@ -89,35 +89,29 @@ def y_mvd(params: MvdParams) -> float:
     return 0.5 * (lo + hi) / params.lambda_v
 
 
-def mmse_detect(inst: ChannelInstance, r: np.ndarray, t: int, cfg: SystemConfig):
+def mmse_detect(inst: ChannelInstance, r: np.ndarray, t: int, cfg: SystemConfig,
+                space: EnumeratedSpace) -> int:
     """Per-delay-combination linear MMSE with constellation quantization.
 
-    Returns (assignment bits over the registry layout, objective value) of
-    the best combination.
+    Each delay combination gives one candidate; the candidates are ranked by
+    the space's values and the ordinal of the first lowest is returned.
     """
     M, taud = cfg.M, cfg.taud
     sigma2 = inst.sigma_v ** 2
     phases = delay_phases(inst, t, taud)
-    best_bits = None
-    best_val = math.inf
     eye = np.eye(cfg.N)
-    for combo in itertools.product(range(taud), repeat=M):
-        d_phase = phases[np.arange(M), combo]
-        A = inst.H_est * d_phase[None, :]
+    combos = np.array(list(itertools.product(range(taud), repeat=M)))
+    bits = np.empty((len(combos), cfg.bits_per_slot), dtype=np.uint8)
+    for i, combo in enumerate(combos):
+        A = inst.H_est * phases[np.arange(M), combo][None, :]
         G = A @ A.conj().T + sigma2 * eye
         try:
             s_hat = A.conj().T @ np.linalg.solve(G, r)
         except np.linalg.LinAlgError:
             s_hat = A.conj().T @ (np.linalg.pinv(G) @ r)
-        bits_b = _quantize_bits(cfg, t, s_hat)
-        d = np.zeros(M * taud, dtype=np.uint8)
-        for m, kk in enumerate(combo):
-            d[m * taud + kk] = 1
-        val = objective_direct(inst, r, t, bits_b, d)
-        if val < best_val:
-            best_val = val
-            best_bits = np.concatenate([bits_b, d])
-    return best_bits, float(best_val)
+        bits[i] = _quantize_bits(cfg, t, s_hat)
+    ordinals = channel_ordinals(space, bits, combos)
+    return int(ordinals[np.argmin(space.e_values[ordinals])])
 
 
 def _quantize_bits(cfg: SystemConfig, t: int, s_hat: np.ndarray) -> np.ndarray:

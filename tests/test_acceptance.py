@@ -64,9 +64,7 @@ def test_criterion_01_oracle_equivalence(fig5_table):
         space = from_channel(inst, slot.r, 0, cfg, W_STATE_REDUCED, reg)
         backend = AmplitudeBackend(space)
         lmin = select_lmin(fig5_table, indicator_c_prime(inst.H_est))
-        params = GasParams(
-            y0=ymvd, lmin=lmin, restart_enabled=True,
-            restart_after=restart_iterations(lmin, space.n_states, 1))
+        params = GasParams(y0=ymvd, lmin=lmin, restart_enabled=True)
         rng = streams.substream(cfg.seed, streams.TRIAL, trial, 0)
         trace = run_gas(backend, params, rng, oracle_min=space.min_value(),
                         stop_at_optimum=True, record_trace=False)
@@ -246,8 +244,7 @@ def test_criterion_04_rotation_bound_trend():
         slot = received_slot(inst, cfg8, 0, bits)
         space = from_channel(inst, slot.r, 0, cfg8, W_STATE_REDUCED, reg8)
         lmin = select_lmin_conventional(indicator_c(inst.H_est))
-        params = GasParams(y0=ymvd8, lmin=lmin, restart_enabled=True,
-                           restart_after=restart_iterations(lmin, space.n_states, 1))
+        params = GasParams(y0=ymvd8, lmin=lmin, restart_enabled=True)
         rng = streams.substream(cfg8.seed, streams.TRIAL, trial, 9)
         trace = run_gas(AmplitudeBackend(space), params, rng,
                         oracle_min=space.min_value(), stop_at_optimum=True,

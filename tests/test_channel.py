@@ -177,16 +177,6 @@ def test_e_min_equals_noise_power_at_truth():
     assert objective_direct(inst, slot.r, 5, bits, d) == pytest.approx(expect, rel=1e-10)
 
 
-def test_instance_json_roundtrip():
-    from gasmld.channel import ChannelInstance
-    cfg = cfg_small(seed=41)
-    inst = generate_instance(cfg, instance_id=2)
-    back = ChannelInstance.from_json(inst.to_json())
-    assert np.allclose(back.H_true, inst.H_true)
-    assert np.array_equal(back.delays, inst.delays)
-    assert back.est_err_var == inst.est_err_var
-
-
 def test_delay_phases_table():
     cfg = cfg_small(seed=51, tau_max=2)
     inst = generate_instance(cfg)

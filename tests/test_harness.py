@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 
 from gasmld import harness
+from gasmld.channel import generate_instance, objective_direct, random_payload_bits, received_slot
 from gasmld.errors import ConfigError
 from gasmld.gas import run_gas
-from gasmld.hubo import W_STATE_REDUCED
+from gasmld.hubo import W_STATE_REDUCED, build_registry
 from gasmld.harness import (ExperimentSpec, fmt, load_spec, run_ber, run_calibration,
                             run_gate_count, run_query_cdf, solve_single, write_csv)
 
@@ -198,6 +200,30 @@ class TestBer:
         zero_l = sum(1 for it in trace.iterations if it.L == 0)
         assert trace.cd_queries <= trace.qd_rotations + zero_l + 1  # +1 initial draw
 
+    def test_gas_mmse_never_accepts_its_incumbent(self, monkeypatch):
+        # the MMSE threshold is the table value of the MMSE ordinal, so a
+        # re-measurement of that state ties the threshold and is rejected
+        runs = []
+
+        def recording(backend, params, rng, **kwargs):
+            trace = run_gas(backend, params, rng, **{**kwargs, "record_trace": True})
+            runs.append((backend.space, params, trace))
+            return trace
+
+        monkeypatch.setattr(harness, "run_gas", recording)
+        spec = load_spec({
+            "cfg": {"N": 2, "M": 4, "tau_max": 1, "T_D": 16, "seed": 2026},
+            "trials": 1,
+            "snr_sweep": [10.0, 15.0, 20.0],
+            "detectors": ["gas-mmse"],
+        })
+        run_ber(spec)
+        assert len(runs) == 48
+        for space, params, trace in runs:
+            assert params.y0 == space.value_of(params.x0)
+            x0 = space.assignment(params.x0)
+            assert not any(it.accepted and np.array_equal(it.x, x0) for it in trace.iterations)
+
 
 class TestCalibrationRunner:
     def test_scatter_and_table(self, tmp_path):
@@ -249,6 +275,23 @@ class TestSolve:
         amps = raw[0::2] + 1j * raw[1::2]
         assert amps.size == 2 ** (6 + 8)
         assert np.sum(np.abs(amps) ** 2) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("backend", ["amplitude", "circuit"])
+    def test_trace_x_is_the_measured_assignment(self, backend):
+        # every trace line's "x" is a one-hot assignment whose objective is "Ex"
+        spec = load_spec(CONFIG_DIR / "solve_single.json")
+        spec.backend = backend
+        cfg = spec.cfg
+        reg = build_registry(cfg)
+        inst = generate_instance(cfg, instance_id=0)
+        slot = received_slot(inst, cfg, 0, random_payload_bits(cfg, 0, instance_id=0))
+        rows = [json.loads(line) for line in solve_single(spec).to_jsonl().splitlines()]
+        assert rows
+        for row in rows:
+            x = np.array([int(c) for c in row["x"]], dtype=np.uint8)
+            b, _, d = reg.split_assignment(x)
+            assert np.all(d.reshape(reg.M, reg.taud).sum(axis=1) == 1)
+            assert objective_direct(inst, slot.r, 0, b, d) == pytest.approx(row["Ex"], rel=1e-12)
 
 
 class TestCli:
@@ -321,6 +364,8 @@ class TestCli:
         ("gate-count", "gate_count.json", ("--trials", "9"), "--trials"),
         ("gate-count", "gate_count.json", ("--backend", "circuit"), "--backend"),
         ("calibrate", "calibration_fig5.json", ("--trials", "9"), "--trials"),
+        ("solve", "solve_single.json", ("--backend", "amplitude", "--dump-state", os.devnull),
+         "--dump-state"),
     ])
     def test_unused_flag_exit_code(self, tmp_path, command, config, extra, flag):
         res = self.run_cli(command, "--config", str(CONFIG_DIR / config),

@@ -234,13 +234,6 @@ class TestEnumeration:
         assert self.space(cfg, W_STATE_REDUCED).n_states == (4 * 2) ** 2
 
 
-def test_json_roundtrip():
-    _, _, _, poly, reg = make_problem(seed=17)
-    back = HuboPolynomial.from_json(poly.to_json(), n_vars=reg.q_k)
-    assert back.constant == poly.constant
-    assert back.terms == poly.terms
-
-
 def test_imaginary_residue_guard():
     cfg, inst, slot, poly, reg = make_problem(seed=19)
     # all collected coefficients were real; evaluate parity with direct obj

@@ -5,8 +5,7 @@ import pytest
 
 from gasmld.channel import SystemConfig
 from gasmld.indicators import (CalibrationTable, all_indicators, binned_spread,
-                               calibrate, indicator_c, indicator_c1, indicator_c2,
-                               indicator_c_prime, select_lmin, select_lmin_conventional)
+                               calibrate, indicator_c, indicator_c_prime, select_lmin, select_lmin_conventional)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -29,11 +28,11 @@ class TestIndicatorC1:
     def test_alpha_unity_when_sigma_min_matches(self):
         H = 3 * SQRT2 * np.eye(2, dtype=complex)
         C = indicator_c(H)
-        assert indicator_c1(H) == pytest.approx(C)
+        assert all_indicators(H)["c1"] == pytest.approx(C)
 
     def test_diagonal_embedding(self):
         H = np.eye(2, dtype=complex)
-        assert indicator_c1(H) == pytest.approx(0.5 / (3 * SQRT2))
+        assert all_indicators(H)["c1"] == pytest.approx(0.5 / (3 * SQRT2))
 
     def test_sigma_min_matches_characteristic_polynomial(self):
         rng = np.random.default_rng(1)
@@ -44,17 +43,17 @@ class TestIndicatorC1:
         det = float(np.real(G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]))
         lam_min = (tr - math.sqrt(tr ** 2 - 4 * det)) / 2
         expect = math.sqrt(lam_min) / (3 * SQRT2) * indicator_c(H)
-        assert indicator_c1(H) == pytest.approx(expect, rel=1e-9)
+        assert all_indicators(H)["c1"] == pytest.approx(expect, rel=1e-9)
 
 
 class TestIndicatorC2:
     def test_tie_at_norm_ratio_and_quarter_pi(self):
         H = np.array([[1.0, SQRT2 * np.exp(1j * math.pi / 4)]])
-        assert indicator_c2(H) == pytest.approx(0.0, abs=1e-12)
+        assert all_indicators(H)["c2"] == pytest.approx(0.0, abs=1e-12)
 
     def test_tie_at_equal_norms_zero_phase(self):
         H = np.array([[1.0 + 0j, 1.0 + 0j]])
-        assert indicator_c2(H) == pytest.approx(0.0, abs=1e-12)
+        assert all_indicators(H)["c2"] == pytest.approx(0.0, abs=1e-12)
 
     def test_scalar_pair_recomputation(self):
         H = np.array([[1.0, 2.0 * np.exp(1j * math.pi / 8)]])
@@ -63,7 +62,7 @@ class TestIndicatorC2:
         b1 = abs((1 / SQRT2 - ratio) * g) ** 0.2
         b2 = 1 - (ratio * g) ** 0.2
         assert 0 < b1 < 1 and 0 < b2 < 1
-        assert indicator_c2(H) == pytest.approx(b1 * b2 * indicator_c(H), rel=1e-12)
+        assert all_indicators(H)["c2"] == pytest.approx(b1 * b2 * indicator_c(H), rel=1e-12)
 
     def test_beta_bounds_random(self):
         rng = np.random.default_rng(2)

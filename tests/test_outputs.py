@@ -1,0 +1,51 @@
+"""Pinned bytes of the fast CLI outputs.
+
+Each case runs one subcommand in-process through cli.main on a shipped
+config and compares the sha256 of what it writes.  A change that alters an
+output on purpose updates the pin here and records the old and new digests
+in CHANGES.md.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from gasmld import cli
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("command,config,extra,output,digest", [
+    ("query-cdf", "query_cdf_fig3.json", ("--trials", "30"), "space-reduction_query_cdf.csv",
+     "700dcbb01445dc4e841da417f5a1f0c70021a70bfadd493bbcf9857870a0a95d"),
+    ("ber", "ber_thresholds.json", ("--trials", "2"), "threshold-comparison_ber.csv",
+     "1adf35a0f67cb4913b9a179a699dc74bbc29d39e440f7e37c8cd3a5fa7000c3c"),
+    ("gate-count", "gate_count.json", (), "gate-budget_gate_count.json",
+     "574ef14839c4cf4a31ae489da7e53fe8f053e3976d4ad140a1f11535d8cada5d"),
+], ids=["query-cdf", "ber", "gate-count"])
+def test_written_file(tmp_path, capsys, command, config, extra, output, digest):
+    code = cli.main([command, "--config", str(CONFIG_DIR / config), *extra,
+                     "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    assert sha256((tmp_path / output).read_bytes()) == digest
+
+
+@pytest.mark.parametrize("backend,stdout_digest,stderr_digest", [
+    ("circuit", "9d3fd5fbcb59c81de8bee111b99e6b98b6f83c0c1eaacce7113832b76dda70ba",
+     "a153fdb2e3f7734edd8bec42676d57cf107609a5fc24d15dbe43f2f198dddccb"),
+    ("amplitude", "5e01410ee80f278751873d97cd99b1cd3e0906fe2b81a2e427066c93710841f4",
+     "741e7d77d122baf9c134577883644b2125c47e6ee00af8470433e85e60644f84"),
+], ids=["circuit", "amplitude"])
+def test_solve_trace_and_summary(capsys, backend, stdout_digest, stderr_digest):
+    code = cli.main(["solve", "--config", str(CONFIG_DIR / "solve_single.json"),
+                     "--backend", backend])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert sha256(out.encode()) == stdout_digest
+    assert sha256(err.encode()) == stderr_digest

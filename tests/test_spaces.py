@@ -216,3 +216,33 @@ class TestLazyOrder:
         space = from_channel(inst, slot.r, 0, cfg, prep, reg)
         expect = np.sum(np.abs(slot.r[None, :] - tables[0]) ** 2, axis=1)
         assert np.array_equal(space.e_values, expect)
+
+
+class TestOrdinals:
+    """Per-ordinal one-hot validity and the mixed-radix ordinal of a
+    (payload bits, delays) pair, both checked against decoded assignments."""
+
+    @staticmethod
+    def decoded(space, reg):
+        for ordinal in range(space.n_states):
+            b, _, d = reg.split_assignment(space.assignment(ordinal))
+            yield ordinal, b, d.reshape(reg.M, reg.taud)
+
+    @pytest.mark.parametrize("prep", [W_STATE_REDUCED, HADAMARD_FULL])
+    def test_one_hot(self, prep):
+        cfg, inst, slot, reg = make(M=3, modulation=QPSK, seed=16)
+        space = from_channel(inst, slot.r, 0, cfg, prep, reg)
+        expect = [np.all(d.sum(axis=1) == 1) for _, _, d in self.decoded(space, reg)]
+        assert np.array_equal(space.one_hot, expect)
+
+    @pytest.mark.parametrize("modulation", [PSK2, QPSK])
+    def test_channel_ordinals(self, modulation):
+        cfg, inst, slot, reg = make(M=3, tau_max=2, modulation=modulation, seed=16)
+        space = from_channel(inst, slot.r, 0, cfg, W_STATE_REDUCED, reg)
+        rows = list(self.decoded(space, reg))
+        got = spaces.channel_ordinals(space, np.array([b for _, b, _ in rows]),
+                                      np.array([d.argmax(axis=1) for _, _, d in rows]))
+        assert np.array_equal(got, np.arange(space.n_states))
+        full = from_channel(inst, slot.r, 0, cfg, HADAMARD_FULL, reg)
+        with pytest.raises(ValueError):
+            spaces.channel_ordinals(full, rows[0][1][None, :], [[0, 0, 0]])

@@ -257,7 +257,7 @@ class TestMeasurement:
         assert backend.distribution(-1.0, 1)[0b10] == pytest.approx(1.0, abs=1e-12)
         rng = np.random.default_rng(0)
         key, ex = backend.measure(-1.0, 1, rng)
-        assert np.array_equal(backend.assignment(key), [1, 0])
+        assert np.array_equal(backend.space.assignment(key), [1, 0])
         assert ex == -2.0
 
     def test_deterministic_given_seed(self):
@@ -284,7 +284,7 @@ class TestMeasurement:
         counts = np.zeros(p.size)
         for _ in range(n):
             key, _ = backend.measure(3.0, 1, rng)
-            x = backend.assignment(key)
+            x = backend.space.assignment(key)
             counts[int("".join(map(str, x)), 2)] += 1
         freq = counts / n
         # 3-sigma multinomial bound per cell

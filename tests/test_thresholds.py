@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gasmld.channel import (PSK2, SystemConfig, generate_instance, map_symbols,
+from gasmld.channel import (PSK2, QPSK, SystemConfig, generate_instance, map_symbols,
                             noise_realization, objective_direct, random_payload_bits,
                             received_slot)
 from gasmld.hubo import W_STATE_REDUCED, build_hubo, build_registry, evaluate
@@ -118,9 +118,10 @@ class TestMmse:
         inst = generate_instance(cfg)
         bits = random_payload_bits(cfg, 0)
         slot = received_slot(inst, cfg, 0, bits)
-        est_bits, val = mmse_detect(inst, slot.r, 0, cfg)
-        assert val == pytest.approx(0.0, abs=1e-12)
-        assert np.array_equal(est_bits[:cfg.M], bits)
+        space = from_channel(inst, slot.r, 0, cfg, W_STATE_REDUCED, build_registry(cfg))
+        ordinal = mmse_detect(inst, slot.r, 0, cfg, space)
+        assert space.value_of(ordinal) == pytest.approx(0.0, abs=1e-12)
+        assert np.array_equal(space.assignment(ordinal)[:cfg.M], bits)
 
     def test_never_beats_exhaustive(self):
         cfg = SystemConfig(N=2, M=3, tau_max=1, snr_db=10.0, seed=8)
@@ -130,7 +131,8 @@ class TestMmse:
             bits = random_payload_bits(cfg, 0, instance_id=inst_id)
             slot = received_slot(inst, cfg, 0, bits)
             space = from_channel(inst, slot.r, 0, cfg, W_STATE_REDUCED, reg)
-            assert mmse_detect(inst, slot.r, 0, cfg)[1] >= space.min_value() - 1e-12
+            ordinal = mmse_detect(inst, slot.r, 0, cfg, space)
+            assert space.value_of(ordinal) >= space.min_value() - 1e-12
 
     def test_matches_bruteforce_recomputation(self):
         import itertools
@@ -138,7 +140,8 @@ class TestMmse:
         inst = generate_instance(cfg)
         bits = random_payload_bits(cfg, 0)
         slot = received_slot(inst, cfg, 0, bits)
-        got = mmse_detect(inst, slot.r, 0, cfg)[1]
+        space = from_channel(inst, slot.r, 0, cfg, W_STATE_REDUCED, build_registry(cfg))
+        got = space.value_of(mmse_detect(inst, slot.r, 0, cfg, space))
         best = math.inf
         for combo in itertools.product(range(cfg.taud), repeat=cfg.M):
             d_phase = np.array([np.exp(1j * 2 * np.pi * inst.f_est[m] * (0 - combo[m]))
@@ -153,6 +156,38 @@ class TestMmse:
                 d[m * cfg.taud + k] = 1
             best = min(best, objective_direct(inst, slot.r, 0, b, d))
         assert got == pytest.approx(best, rel=1e-12)
+
+    @pytest.mark.parametrize("modulation", [PSK2, QPSK])
+    def test_first_lowest_candidate_by_space_value(self, modulation):
+        # the returned ordinal decodes to the candidate whose table value is
+        # the lowest, found here by key lookup rather than mixed-radix ordinals
+        import itertools
+        cfg = SystemConfig(N=2, M=3, tau_max=2, modulation=modulation, snr_db=10.0, seed=10)
+        reg = build_registry(cfg)
+        for inst_id in range(4):
+            inst = generate_instance(cfg, instance_id=inst_id)
+            t = inst_id
+            slot = received_slot(inst, cfg, t, random_payload_bits(cfg, t, instance_id=inst_id))
+            space = from_channel(inst, slot.r, t, cfg, W_STATE_REDUCED, reg)
+            candidates = []
+            for combo in itertools.product(range(cfg.taud), repeat=cfg.M):
+                d_phase = np.exp(1j * 2 * np.pi * inst.f_est * (t - np.array(combo)))
+                A = inst.H_est * d_phase[None, :]
+                G = A @ A.conj().T + cfg.sigma_v2 * np.eye(cfg.N)
+                s_hat = A.conj().T @ np.linalg.solve(G, slot.r)
+                if modulation == PSK2:
+                    base = map_symbols(PSK2, t, np.zeros(cfg.M, dtype=int))[0]
+                    b = (np.real(np.conj(base) * s_hat) < 0).astype(int)
+                else:
+                    b = np.stack([np.real(s_hat) < 0, np.imag(s_hat) < 0], axis=1).ravel()
+                d = np.zeros((cfg.M, cfg.taud), dtype=int)
+                d[np.arange(cfg.M), combo] = 1
+                key = int("".join(map(str, np.concatenate([b, d.ravel()]).astype(int))), 2)
+                candidates.append(int(np.flatnonzero(space.key_indices == key)[0]))
+            values = space.e_values[candidates]
+            ordinal = mmse_detect(inst, slot.r, t, cfg, space)
+            assert space.value_of(ordinal) == values.min()
+            assert ordinal == candidates[int(np.argmin(values))]
 
 
 class TestYRand:
