@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .errors import CapacityError, ConfigError
-from .harness import (ExperimentSpec, fmt, load_spec, run_ber, run_calibration,
+from .harness import (ExperimentSpec, fmt, load_spec, rotation_rows, run_ber, run_calibration,
                       run_gate_count, run_query_cdf, solve_single, write_csv)
 
 
@@ -83,11 +83,14 @@ def _run(args) -> int:
         print(path)
         return 0
     if args.command == "ber":
-        rows, _ = run_ber(spec)
+        rows, aux = run_ber(spec)
         path = write_csv(out / f"{spec.name}_ber.csv",
                          ["detector", "snr_db", "t_p", "bits", "errors", "ber"],
                          rows)
         print(path)
+        print(write_csv(out / f"{spec.name}_ber_rotations.csv",
+                        ["detector", "snr_db", "runs", "censored", "median_qd"],
+                        rotation_rows(aux)))
         return 0
     if args.command == "calibrate":
         rows, _ = run_calibration(spec, out_dir=out)

@@ -125,15 +125,20 @@ class AmplitudeBackend:
         self.space = space
 
     def measure(self, y: float, L: int, rng: np.random.Generator):
+        # the sorted order puts the ns marked states first: a marked draw is
+        # uniform over order[:ns], an unmarked one over order[ns:]; the
+        # ndarray searchsorted skips np.searchsorted's Python-level dispatch
         space = self.space
-        ns = space.count_below(y)
+        e_values, order = space.e_values, space.order
+        nt = e_values.size
+        ns = int(space.e_sorted.searchsorted(y, side="left"))
         if ns == 0:
-            ordinal = space.sample_uniform(rng)
-        elif rng.random() < success_probability(ns, space.n_states, L):
-            ordinal = space.sample_marked(ns, rng)
+            ordinal = int(rng.integers(nt))
+        elif rng.random() < success_probability(ns, nt, L):
+            ordinal = int(order[rng.integers(ns)])
         else:
-            ordinal = space.sample_unmarked(ns, rng)
-        return ordinal, space.value_of(ordinal)
+            ordinal = int(order[rng.integers(ns, nt)])
+        return ordinal, float(e_values[ordinal])
 
 
 class CircuitBackend:
@@ -205,8 +210,7 @@ class CircuitBackend:
 
 
 def run_gas(backend, params: GasParams, rng: np.random.Generator,
-            oracle_min: float | None = None, stop_at_optimum: bool = False,
-            record_trace: bool = True) -> GasTrace:
+            oracle_min: float | None = None, record_trace: bool = True) -> GasTrace:
     """Adaptive-threshold Grover search (baseline and improved variants).
 
     Each iteration samples L uniformly from {L_min, ..., L_min + ceil(k-1)},
@@ -219,12 +223,14 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator,
 
     The incumbent, the best one-hot state and params.x0 are ordinals of
     backend.space, whose table supplies every value, so a re-measured
-    incumbent is never an improvement.  oracle_min is instrumentation: the
-    first measurement attaining it is recorded as (cd, qd); with
-    stop_at_optimum the run also halts there.  The trace's stop_reason says
-    which of that halt, the iteration budget or the rotation budget ended the
-    run.  The detection output, decoded once at the end, is the incumbent
-    when its delay blocks are one-hot, else the best one-hot state seen.
+    incumbent is never an improvement.  A run given oracle_min halts at the
+    first measurement attaining it and records it as (cd, qd); the trace's
+    stop_reason says which of that halt, the iteration budget or the
+    rotation budget ended the run.  The detection output, decoded once at
+    the end, is the incumbent when its delay blocks are one-hot, else the
+    best one-hot state seen.  Halting changes no output a later iteration
+    could have set: no later value undercuts the optimum, so the best
+    one-hot state and the first hit are final once the optimum is measured.
     """
     space = backend.space
     trace = GasTrace()
@@ -278,9 +284,8 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator,
     since_restart = 0
     k = 1.0
     i = 0
-    stop = stop_at_optimum and reached is not None
 
-    while not stop and i < budget_iter:
+    while reached is None and i < budget_iter:
         span = math.ceil(k - 1.0)
         L = lmin + int(rng.integers(0, span + 1))
         if cum_rot + L > budget_rot:
@@ -290,10 +295,8 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator,
         cd += 1
         cum_rot += L
 
-        if reached is None and ex <= target and is_valid(state):
+        if is_optimum_hit(state, ex):
             reached = (cd, cum_rot)
-            if stop_at_optimum:
-                stop = True
 
         accepted = ex < y
         if accepted:
@@ -309,7 +312,7 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator,
         restarted = False
         since_restart += 1
         if (params.restart_enabled and not updated_since_restart
-                and not stop and since_restart >= restart_window):
+                and reached is None and since_restart >= restart_window):
             inc, inc_E = draw_incumbent()
             cd += 1
             y = inc_E
@@ -318,10 +321,8 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator,
             k = 1.0
             since_restart = 0
             restarted = True
-            if reached is None and is_optimum_hit(inc, inc_E):
+            if is_optimum_hit(inc, inc_E):
                 reached = (cd, cum_rot)
-                if stop_at_optimum:
-                    stop = True
 
         if record_trace:
             trace.iterations.append(GasIteration(
@@ -329,7 +330,7 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator,
                 accepted=accepted, cum_rot=cum_rot, restarted=restarted))
         i += 1
     else:
-        trace.stop_reason = STOP_OPTIMUM if stop else STOP_BUDGET_ITERATIONS
+        trace.stop_reason = STOP_OPTIMUM if reached is not None else STOP_BUDGET_ITERATIONS
 
     trace.cd_queries = cd
     trace.qd_rotations = cum_rot

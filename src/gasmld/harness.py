@@ -275,8 +275,7 @@ def run_query_cdf(spec: ExperimentSpec):
                 budget_rotations=spec.budget_rotations,
                 enforce_one_hot=True)
             rng = streams.substream(cfg.seed, streams.TRIAL, trial, vi)
-            trace = run_gas(backend, params, rng, oracle_min=oracle_min,
-                            stop_at_optimum=True, record_trace=False)
+            trace = run_gas(backend, params, rng, oracle_min=oracle_min, record_trace=False)
             if trace.converged:
                 cd, qd = trace.reached_optimum_at
                 # re-verify against the exhaustive oracle; no mismatch tolerated
@@ -297,7 +296,15 @@ def run_ber(spec: ExperimentSpec):
     """Bit error rates per detector and SNR point.
 
     Row schema: detector, snr_db, t_p, bits, errors, ber.  Returns the rows
-    plus auxiliary per-(detector, snr) first-hit rotation counts.
+    plus auxiliary per-(detector, snr) first-hit rotation counts, +inf for a
+    censored run (see rotation_rows).
+
+    Each GAS detector halts at its first measurement of the slot's minimum.
+    Its output is fixed by then: GAS accepts only strictly lower values and
+    none lies below the minimum, so the best state seen keeps the minimum's
+    value and the first hit is recorded.  The traces' cd_queries,
+    qd_rotations and stop_reason describe the halted runs; nothing here
+    reads them.
     """
     cfg0 = spec.cfg
     _require_backend(spec, "ber", (BACKEND_AMPLITUDE,))
@@ -337,6 +344,16 @@ def run_ber(spec: ExperimentSpec):
     return rows, aux
 
 
+def rotation_rows(aux: dict[tuple[str, float], list]) -> list[tuple]:
+    """run_ber's first-hit rotations per (detector, snr): detector, snr_db,
+    runs, censored, median_qd, a censored run counting as +inf."""
+    rows = []
+    for (det, snr), qds in sorted(aux.items()):
+        censored = sum(1 for q in qds if q == math.inf)
+        rows.append((det, float(snr), len(qds), censored, float(np.median(qds))))
+    return rows
+
+
 def _detect(det, spec, cfg, inst, slot, space, backend, ymvd,
             trial, t, det_index, e_min):
     if det == "exhaustive":
@@ -361,8 +378,7 @@ def _detect(det, spec, cfg, inst, slot, space, backend, ymvd,
                            budget_rotations=spec.budget_rotations)
     else:
         raise ConfigError(f"unknown detector {det!r}")
-    trace = run_gas(backend, params, rng, oracle_min=e_min,
-                    stop_at_optimum=False, record_trace=False)
+    trace = run_gas(backend, params, rng, oracle_min=e_min, record_trace=False)
     return trace.final_x, trace
 
 
@@ -418,5 +434,4 @@ def solve_single(spec: ExperimentSpec, dump_state: Path | None = None) -> GasTra
         budget_iterations=spec.budget_iterations,
         budget_rotations=spec.budget_rotations)
     rng = streams.substream(cfg.seed, streams.GAS, 0, 0, 0)
-    return run_gas(backend, params, rng, oracle_min=space.min_value(),
-                   stop_at_optimum=True, record_trace=True)
+    return run_gas(backend, params, rng, oracle_min=space.min_value(), record_trace=True)

@@ -71,9 +71,6 @@ class EnumeratedSpace:
 
     def count_below(self, y: float) -> int:
         """Number of states with E(x) - y < 0 (strict)."""
-        if "_sorted" in self.__dict__:
-            # the ndarray method skips np.searchsorted's Python-level dispatch
-            return int(self.e_sorted.searchsorted(y, side="left"))
         return int(np.count_nonzero(self.e_values < y))
 
     def min_value(self) -> float:
@@ -85,12 +82,6 @@ class EnumeratedSpace:
 
     def sample_uniform(self, rng: np.random.Generator) -> int:
         return int(rng.integers(self.n_states))
-
-    def sample_marked(self, n_marked: int, rng: np.random.Generator) -> int:
-        return int(self.order[rng.integers(n_marked)])
-
-    def sample_unmarked(self, n_marked: int, rng: np.random.Generator) -> int:
-        return int(self.order[rng.integers(n_marked, self.n_states)])
 
     def assignment(self, ordinal: int) -> np.ndarray:
         """Decode a state ordinal to the 0/1 assignment in registry order."""
@@ -148,12 +139,12 @@ def from_channel(inst: ChannelInstance, r: np.ndarray, t: int, cfg: SystemConfig
     n_bbits = 1 if cfg.modulation == PSK2 else 2
     bit_combos = np.array(np.meshgrid(*([[0, 1]] * n_bbits), indexing="ij"),
                           dtype=np.uint8).reshape(n_bbits, -1).T  # (2^n_bbits, n_bbits)
+    sym = map_symbols(cfg.modulation, t, bit_combos.ravel())     # one symbol per combo
 
     contribs = []
     idx_parts = []
     for m in range(M):
         h = inst.H_est[:, m]
-        sym = np.array([map_symbols(cfg.modulation, t, bits)[0] for bits in bit_combos])
         if prep == W_STATE_REDUCED:
             d_factors = phases[m]                                  # (taud,)
             d_idx = weights[[reg.d_position(m, k) for k in range(taud)]]

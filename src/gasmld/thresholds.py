@@ -89,40 +89,39 @@ def y_mvd(params: MvdParams) -> float:
     return 0.5 * (lo + hi) / params.lambda_v
 
 
+def mmse_estimates(inst: ChannelInstance, r: np.ndarray, t: int,
+                   cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Linear MMSE symbol estimates under every delay combination.
+
+    Returns the combinations (C, M), in itertools.product order, and the
+    estimates s_hat (C, M), solved as one stack of N x N systems.
+    """
+    M, taud = cfg.M, cfg.taud
+    phases = delay_phases(inst, t, taud)
+    combos = np.array(list(itertools.product(range(taud), repeat=M)))
+    A = inst.H_est[None, :, :] * phases[np.arange(M), combos][:, None, :]   # (C, N, M)
+    A_h = A.conj().transpose(0, 2, 1)
+    G = A @ A_h + inst.sigma_v ** 2 * np.eye(cfg.N)
+    try:
+        s_hat = A_h @ np.linalg.solve(G, r[:, None])
+    except np.linalg.LinAlgError:
+        s_hat = A_h @ (np.linalg.pinv(G) @ r[:, None])
+    return combos, s_hat[..., 0]
+
+
 def mmse_detect(inst: ChannelInstance, r: np.ndarray, t: int, cfg: SystemConfig,
                 space: EnumeratedSpace) -> int:
     """Per-delay-combination linear MMSE with constellation quantization.
 
-    Each delay combination gives one candidate; the candidates are ranked by
-    the space's values and the ordinal of the first lowest is returned.
+    Each delay combination gives one candidate, its estimates quantized to
+    the nearest constellation point (boundary values go to bit 0, the +1
+    symbol); the candidates are ranked by the space's values and the ordinal
+    of the first lowest is returned.
     """
-    M, taud = cfg.M, cfg.taud
-    sigma2 = inst.sigma_v ** 2
-    phases = delay_phases(inst, t, taud)
-    eye = np.eye(cfg.N)
-    combos = np.array(list(itertools.product(range(taud), repeat=M)))
-    bits = np.empty((len(combos), cfg.bits_per_slot), dtype=np.uint8)
-    for i, combo in enumerate(combos):
-        A = inst.H_est * phases[np.arange(M), combo][None, :]
-        G = A @ A.conj().T + sigma2 * eye
-        try:
-            s_hat = A.conj().T @ np.linalg.solve(G, r)
-        except np.linalg.LinAlgError:
-            s_hat = A.conj().T @ (np.linalg.pinv(G) @ r)
-        bits[i] = _quantize_bits(cfg, t, s_hat)
+    combos, s_hat = mmse_estimates(inst, r, t, cfg)
+    if cfg.modulation == PSK2:
+        bits = np.real(np.conj(psk2_base(t)) * s_hat) < 0
+    else:
+        bits = np.stack([np.real(s_hat) < 0, np.imag(s_hat) < 0], axis=2).reshape(len(combos), -1)
     ordinals = channel_ordinals(space, bits, combos)
     return int(ordinals[np.argmin(space.e_values[ordinals])])
-
-
-def _quantize_bits(cfg: SystemConfig, t: int, s_hat: np.ndarray) -> np.ndarray:
-    """Map soft symbol estimates to the nearest constellation point's bits.
-
-    Boundary values quantize toward bit 0 (the +1 symbol)."""
-    if cfg.modulation == PSK2:
-        base = psk2_base(t)
-        proj = np.real(np.conj(base) * s_hat)
-        return (proj < 0).astype(np.uint8)
-    bits = np.empty(2 * cfg.M, dtype=np.uint8)
-    bits[0::2] = (np.real(s_hat) < 0).astype(np.uint8)
-    bits[1::2] = (np.imag(s_hat) < 0).astype(np.uint8)
-    return bits

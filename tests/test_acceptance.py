@@ -67,7 +67,7 @@ def test_criterion_01_oracle_equivalence(fig5_table):
         params = GasParams(y0=ymvd, lmin=lmin, restart_enabled=True)
         rng = streams.substream(cfg.seed, streams.TRIAL, trial, 0)
         trace = run_gas(backend, params, rng, oracle_min=space.min_value(),
-                        stop_at_optimum=True, record_trace=False)
+                        record_trace=False)
         budget_rot = int(math.ceil(50 * math.sqrt(space.n_states)))
         converged += bool(trace.converged)
         within_budget += trace.qd_rotations <= budget_rot
@@ -247,8 +247,7 @@ def test_criterion_04_rotation_bound_trend():
         params = GasParams(y0=ymvd8, lmin=lmin, restart_enabled=True)
         rng = streams.substream(cfg8.seed, streams.TRIAL, trial, 9)
         trace = run_gas(AmplitudeBackend(space), params, rng,
-                        oracle_min=space.min_value(), stop_at_optimum=True,
-                        record_trace=False)
+                        oracle_min=space.min_value(), record_trace=False)
         big_ok += bool(trace.converged)
 
     ordering = l_prop <= l_c <= l_conv

@@ -222,7 +222,7 @@ class TestRunGas:
         for seed in range(100):
             rng = np.random.default_rng(seed)
             params = GasParams(budget_iterations=200, budget_rotations=2000)
-            trace = run_gas(backend, params, rng, oracle_min=best, stop_at_optimum=True)
+            trace = run_gas(backend, params, rng, oracle_min=best)
             found += trace.converged and np.isclose(trace.best_E, best)
         assert found >= 99
 
@@ -263,7 +263,7 @@ class TestRunGas:
         # restart window restart_iterations(2, 8) = 3
         params = GasParams(y0=best - 0.5, lmin=2, restart_enabled=True,
                            budget_iterations=300, budget_rotations=5000)
-        trace = run_gas(backend, params, rng, oracle_min=best, stop_at_optimum=True)
+        trace = run_gas(backend, params, rng, oracle_min=best)
         assert any(it.restarted for it in trace.iterations)
         assert trace.converged
         assert np.isclose(trace.best_E, best)
@@ -276,7 +276,7 @@ class TestRunGas:
         for seed in range(20):
             rng = np.random.default_rng(100 + seed)
             trace = run_gas(backend, GasParams(budget_iterations=300, budget_rotations=3000),
-                            rng, oracle_min=float(space.e_sorted[0]), stop_at_optimum=True)
+                            rng, oracle_min=float(space.e_sorted[0]))
             if trace.converged:
                 assert np.array_equal(trace.final_x, best_bits)
 
@@ -316,8 +316,9 @@ class TestRunGas:
             STOP_BUDGET_ROTATIONS: GasParams(y0=best - 1.0, lmin=3, budget_iterations=1000,
                                              budget_rotations=50),
         }[reason]
-        trace = run_gas(backend, params, np.random.default_rng(21), oracle_min=best,
-                        stop_at_optimum=reason == STOP_OPTIMUM)
+        # a run given oracle_min halts at the optimum; the budget cases run without it
+        trace = run_gas(backend, params, np.random.default_rng(21),
+                        oracle_min=best if reason == STOP_OPTIMUM else None)
         assert trace.stop_reason == reason
         if reason == STOP_OPTIMUM:
             assert trace.converged

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -223,6 +224,31 @@ class TestBer:
             assert params.y0 == space.value_of(params.x0)
             x0 = space.assignment(params.x0)
             assert not any(it.accepted and np.array_equal(it.x, x0) for it in trace.iterations)
+
+    def test_halt_at_first_hit_keeps_the_detection(self, monkeypatch):
+        # each GAS detector run again from the same substream without
+        # oracle_min, to its full budget: the same output, never fewer queries
+        runs = []
+
+        def paired(backend, params, rng, **kwargs):
+            free = run_gas(backend, params, copy.deepcopy(rng), **{**kwargs, "oracle_min": None})
+            halted = run_gas(backend, params, rng, **kwargs)
+            runs.append((halted, free))
+            return halted
+
+        monkeypatch.setattr(harness, "run_gas", paired)
+        spec = load_spec({
+            "cfg": {"N": 2, "M": 4, "tau_max": 1, "T_D": 8, "seed": 2026},
+            "trials": 1,
+            "snr_sweep": [10.0, 20.0],
+            "detectors": ["gas-mvd", "gas-mmse", "gas-rand"],
+        })
+        run_ber(spec)
+        assert len(runs) == 48
+        for halted, free in runs:
+            assert np.array_equal(halted.final_x, free.final_x)
+            assert halted.cd_queries <= free.cd_queries
+        assert sum(h.cd_queries for h, _ in runs) < sum(f.cd_queries for _, f in runs)
 
 
 class TestCalibrationRunner:

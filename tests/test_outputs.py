@@ -20,20 +20,25 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("command,config,extra,output,digest", [
-    ("query-cdf", "query_cdf_fig3.json", ("--trials", "30"), "space-reduction_query_cdf.csv",
-     "700dcbb01445dc4e841da417f5a1f0c70021a70bfadd493bbcf9857870a0a95d"),
-    ("ber", "ber_thresholds.json", ("--trials", "2"), "threshold-comparison_ber.csv",
-     "1adf35a0f67cb4913b9a179a699dc74bbc29d39e440f7e37c8cd3a5fa7000c3c"),
-    ("gate-count", "gate_count.json", (), "gate-budget_gate_count.json",
-     "574ef14839c4cf4a31ae489da7e53fe8f053e3976d4ad140a1f11535d8cada5d"),
+@pytest.mark.parametrize("command,config,extra,digests", [
+    ("query-cdf", "query_cdf_fig3.json", ("--trials", "30"), {
+        "space-reduction_query_cdf.csv":
+            "700dcbb01445dc4e841da417f5a1f0c70021a70bfadd493bbcf9857870a0a95d"}),
+    ("ber", "ber_thresholds.json", ("--trials", "2"), {
+        "threshold-comparison_ber.csv":
+            "1adf35a0f67cb4913b9a179a699dc74bbc29d39e440f7e37c8cd3a5fa7000c3c",
+        "threshold-comparison_ber_rotations.csv":
+            "91f6327caea69d2a520ac9512fc976eb11f8a13aa1e7477c105529349c27db37"}),
+    ("gate-count", "gate_count.json", (), {
+        "gate-budget_gate_count.json":
+            "574ef14839c4cf4a31ae489da7e53fe8f053e3976d4ad140a1f11535d8cada5d"}),
 ], ids=["query-cdf", "ber", "gate-count"])
-def test_written_file(tmp_path, capsys, command, config, extra, output, digest):
+def test_written_file(tmp_path, capsys, command, config, extra, digests):
     code = cli.main([command, "--config", str(CONFIG_DIR / config), *extra,
                      "--out", str(tmp_path)])
     capsys.readouterr()
     assert code == 0
-    assert sha256((tmp_path / output).read_bytes()) == digest
+    assert {name: sha256((tmp_path / name).read_bytes()) for name in digests} == digests
 
 
 @pytest.mark.parametrize("backend,stdout_digest,stderr_digest", [

@@ -6,6 +6,7 @@ import pytest
 from gasmld.channel import (PSK2, QPSK, SystemConfig, generate_instance,
                             objective_direct, random_payload_bits, received_slot)
 from gasmld.errors import CapacityError
+from gasmld.gas import AmplitudeBackend
 from gasmld.hubo import (HADAMARD_FULL, W_STATE_REDUCED, build_hubo, build_registry,
                          evaluate)
 from gasmld import spaces
@@ -99,10 +100,18 @@ def test_count_below_and_sampling():
     y = float(np.median(space.e_values))
     ns = space.count_below(y)
     assert ns == int(np.sum(space.e_values < y))
+    # one rotation measures a marked state with certainty at Ns/Nt = 1/4
+    # (sin^2(3 pi/6) = 1) and an unmarked one at Ns/Nt = 3/4 (sin^2(3 pi/3) = 0)
+    backend = AmplitudeBackend(space)
+    e, n = np.sort(space.e_values), space.n_states
+    y_marked = float(0.5 * (e[n // 4 - 1] + e[n // 4]))
+    y_unmarked = float(0.5 * (e[3 * n // 4 - 1] + e[3 * n // 4]))
     rng = np.random.default_rng(2)
     for _ in range(50):
-        assert space.value_of(space.sample_marked(ns, rng)) < y
-        assert space.value_of(space.sample_unmarked(ns, rng)) >= y
+        ordinal, value = backend.measure(y_marked, 1, rng)
+        assert value == space.value_of(ordinal) < y_marked
+        ordinal, value = backend.measure(y_unmarked, 1, rng)
+        assert y_unmarked <= value == space.value_of(ordinal)
 
 
 def test_capacity_guard():

@@ -8,7 +8,8 @@ from gasmld.channel import (PSK2, QPSK, SystemConfig, generate_instance, map_sym
                             received_slot)
 from gasmld.hubo import W_STATE_REDUCED, build_hubo, build_registry, evaluate
 from gasmld.spaces import from_channel
-from gasmld.thresholds import MvdParams, mmse_detect, mvd_rate, regularized_gamma_q, y_mvd
+from gasmld.thresholds import (MvdParams, mmse_detect, mmse_estimates, mvd_rate,
+                               regularized_gamma_q, y_mvd)
 
 
 class TestGammaQ:
@@ -160,7 +161,8 @@ class TestMmse:
     @pytest.mark.parametrize("modulation", [PSK2, QPSK])
     def test_first_lowest_candidate_by_space_value(self, modulation):
         # the returned ordinal decodes to the candidate whose table value is
-        # the lowest, found here by key lookup rather than mixed-radix ordinals
+        # the lowest, found here by key lookup rather than mixed-radix ordinals;
+        # the stacked estimates match one solve per delay combination
         import itertools
         cfg = SystemConfig(N=2, M=3, tau_max=2, modulation=modulation, snr_db=10.0, seed=10)
         reg = build_registry(cfg)
@@ -169,12 +171,15 @@ class TestMmse:
             t = inst_id
             slot = received_slot(inst, cfg, t, random_payload_bits(cfg, t, instance_id=inst_id))
             space = from_channel(inst, slot.r, t, cfg, W_STATE_REDUCED, reg)
+            combos, stacked = mmse_estimates(inst, slot.r, t, cfg)
             candidates = []
-            for combo in itertools.product(range(cfg.taud), repeat=cfg.M):
+            for i, combo in enumerate(itertools.product(range(cfg.taud), repeat=cfg.M)):
                 d_phase = np.exp(1j * 2 * np.pi * inst.f_est * (t - np.array(combo)))
                 A = inst.H_est * d_phase[None, :]
                 G = A @ A.conj().T + cfg.sigma_v2 * np.eye(cfg.N)
                 s_hat = A.conj().T @ np.linalg.solve(G, slot.r)
+                assert tuple(combos[i]) == combo
+                np.testing.assert_allclose(stacked[i], s_hat, rtol=1e-12, atol=0)
                 if modulation == PSK2:
                     base = map_symbols(PSK2, t, np.zeros(cfg.M, dtype=int))[0]
                     b = (np.real(np.conj(base) * s_hat) < 0).astype(int)
@@ -184,6 +189,7 @@ class TestMmse:
                 d[np.arange(cfg.M), combo] = 1
                 key = int("".join(map(str, np.concatenate([b, d.ravel()]).astype(int))), 2)
                 candidates.append(int(np.flatnonzero(space.key_indices == key)[0]))
+            assert len(stacked) == len(candidates)
             values = space.e_values[candidates]
             ordinal = mmse_detect(inst, slot.r, t, cfg, space)
             assert space.value_of(ordinal) == values.min()
