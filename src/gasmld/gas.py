@@ -62,8 +62,8 @@ def restart_iterations(L_min: int, Nt: int, Ns: int = 1) -> int:
 @dataclass
 class GasParams:
     lam: float = 8.0 / 7.0
-    y0: float | None = None            # resolved threshold; None -> sample x0
-    x0: int | None = None              # optional seeded incumbent ordinal (mmse)
+    y0: float | None = None            # initial threshold; None -> incumbent's value
+    x0: int | None = None              # seeded incumbent ordinal; None -> uniform draw
     lmin: int = 0
     restart_enabled: bool = False
     budget_iterations: int | None = None
@@ -75,6 +75,8 @@ class GasParams:
     def __post_init__(self):
         if not 1.0 < self.lam < 4.0 / 3.0:
             raise ValueError("growth factor must satisfy 1 < lambda < 4/3")
+        if self.x0 is not None and self.y0 is not None:
+            raise ValueError("a seeded x0 carries its own threshold; give x0 or y0, not both")
 
 
 @dataclass
@@ -213,24 +215,29 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator,
             oracle_min: float | None = None, record_trace: bool = True) -> GasTrace:
     """Adaptive-threshold Grover search (baseline and improved variants).
 
-    Each iteration samples L uniformly from {L_min, ..., L_min + ceil(k-1)},
-    measures, accepts strictly improving values (resetting k), and otherwise
-    grows k by the factor lambda up to sqrt(2^q_k), the square root of the
-    full key space even when the preparation reaches only Nt < 2^q_k states.
-    With restart enabled, a run of restart_iterations(L_min, Nt) consecutive
+    The run starts from params.x0 at its table value, else at threshold
+    params.y0 with no incumbent, else from a uniform draw.  Each iteration
+    samples L uniformly from {L_min, ..., L_min + ceil(k-1)}, measures,
+    accepts strictly improving values (resetting k), and otherwise grows k by
+    the factor lambda up to sqrt(2^q_k), the square root of the full key
+    space even when the preparation reaches only Nt < 2^q_k states.  With
+    restart enabled, a run of restart_iterations(L_min, Nt) consecutive
     iterations without any update since the last (re)start resamples the
     incumbent, resets the threshold to its value and drops L_min to zero.
 
     The incumbent, the best one-hot state and params.x0 are ordinals of
     backend.space, whose table supplies every value, so a re-measured
     incumbent is never an improvement.  A run given oracle_min halts at the
-    first measurement attaining it and records it as (cd, qd); the trace's
+    first measurement attaining it and records it as (cd, qd).  The uniform
+    draws are measurements; a seeded x0 is not, so it is never a first hit,
+    even at the optimum.  The trace's
     stop_reason says which of that halt, the iteration budget or the
     rotation budget ended the run.  The detection output, decoded once at
-    the end, is the incumbent when its delay blocks are one-hot, else the
-    best one-hot state seen.  Halting changes no output a later iteration
-    could have set: no later value undercuts the optimum, so the best
-    one-hot state and the first hit are final once the optimum is measured.
+    the end, is the best one-hot state seen, else the incumbent;
+    invalid_final says that output is not one-hot.  Halting changes no
+    output a later iteration could have set: no later value undercuts the
+    optimum, so the best one-hot state and the first hit are final once the
+    optimum is measured.
     """
     space = backend.space
     trace = GasTrace()
@@ -248,37 +255,37 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator,
     cd = 0
     cum_rot = 0
     lmin = params.lmin
+    y = params.y0   # None: the next state seen becomes the incumbent, whatever its value
     inc: int | None = None
-    inc_E = math.inf
-    best_valid: int | None = None
-    best_valid_E = math.inf
+    best: int | None = None   # best one-hot state seen
+    best_E = math.inf
     reached = None
 
-    def note_valid(ordinal, ex):
-        nonlocal best_valid, best_valid_E
-        if ex < best_valid_E and is_valid(ordinal):
-            best_valid, best_valid_E = ordinal, ex
+    def see(ordinal, ex, measured: bool) -> bool:
+        """Every state the run sees: the seed, a uniform draw or a Grover
+        measurement.  Records the first hit and the best one-hot state, and
+        makes a state below the threshold the incumbent."""
+        nonlocal cd, y, inc, best, best_E, reached
+        if measured:
+            cd += 1
+            # invalid assignments can undercut the one-hot minimum on the full space
+            if ex <= target and is_valid(ordinal):
+                reached = (cd, cum_rot)
+        if ex < best_E and is_valid(ordinal):
+            best, best_E = ordinal, ex
+        if y is not None and ex >= y:
+            return False
+        inc, y = ordinal, ex
+        return True
 
-    def is_optimum_hit(ordinal, ex) -> bool:
-        # invalid assignments can undercut the one-hot minimum on the full space
-        return ex <= target and is_valid(ordinal)
-
-    def draw_incumbent():
+    def draw():
         ordinal = space.sample_uniform(rng)
-        return ordinal, space.value_of(ordinal)
+        see(ordinal, space.value_of(ordinal), measured=True)
 
-    if params.y0 is not None:
-        y = params.y0
-        if params.x0 is not None:
-            inc, inc_E = params.x0, params.y0
-            note_valid(inc, inc_E)
-    else:
-        inc, inc_E = draw_incumbent()
-        cd += 1
-        y = inc_E
-        note_valid(inc, inc_E)
-        if is_optimum_hit(inc, inc_E):
-            reached = (cd, 0)
+    if params.x0 is not None:
+        see(params.x0, space.value_of(params.x0), measured=False)
+    elif y is None:
+        draw()
 
     updated_since_restart = False
     since_restart = 0
@@ -292,37 +299,24 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator,
             trace.stop_reason = STOP_BUDGET_ROTATIONS
             break
         state, ex = backend.measure(y, L, rng)
-        cd += 1
         cum_rot += L
-
-        if is_optimum_hit(state, ex):
-            reached = (cd, cum_rot)
-
-        accepted = ex < y
+        accepted = see(state, ex, measured=True)
         if accepted:
-            inc, inc_E = state, ex
-            y = ex
             k = 1.0
             updated_since_restart = True
         else:
             k = min(params.lam * k, cap)
-        if ex < best_valid_E and is_valid(state):
-            best_valid, best_valid_E = state, ex
 
         restarted = False
         since_restart += 1
         if (params.restart_enabled and not updated_since_restart
                 and reached is None and since_restart >= restart_window):
-            inc, inc_E = draw_incumbent()
-            cd += 1
-            y = inc_E
-            note_valid(inc, inc_E)
+            y = None
+            draw()
             lmin = 0
             k = 1.0
             since_restart = 0
             restarted = True
-            if is_optimum_hit(inc, inc_E):
-                reached = (cd, cum_rot)
 
         if record_trace:
             trace.iterations.append(GasIteration(
@@ -336,18 +330,10 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator,
     trace.qd_rotations = cum_rot
     trace.final_y = y
     trace.reached_optimum_at = reached
-    trace.best_E = min(inc_E, best_valid_E)
+    trace.best_E = min(best_E, math.inf if inc is None else y)
 
-    # detection output: the lowest-objective decodable state seen
-    if best_valid is not None and best_valid_E <= inc_E:
-        final = best_valid
-    elif inc is not None and is_valid(inc):
-        final = inc
-    elif best_valid is not None:
-        final = best_valid
-        trace.invalid_final = True
-    else:
-        final = inc
-        trace.invalid_final = inc is not None
+    # detection output: the lowest-objective decodable state seen, else the incumbent
+    final = best if best is not None else inc
+    trace.invalid_final = final is not None and not is_valid(final)
     trace.final_x = None if final is None else space.assignment(final)
     return trace

@@ -8,6 +8,7 @@ rows are canonically ordered, so repeated runs write byte-identical CSVs.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -40,21 +41,27 @@ _GRID_FIELDS = {"M", "tau_max", "q_v", "modulation"}
 _VARIANT_CHOICES = {"prep": (W_STATE_REDUCED, HADAMARD_FULL),
                     "threshold": ("random", "mvd"),
                     "lmin": (LMIN_ZERO, LMIN_CONVENTIONAL_C, LMIN_PROPOSED_CPRIME)}
-GAS_DETECTORS = {"gas-mvd", "gas-mmse", "gas-rand"}
-DETECTORS = {"exhaustive", "mmse"} | GAS_DETECTORS
+# ber's GAS detectors in the query-cdf variant vocabulary, where only ber
+# seeds the "mmse" threshold; the threshold comparison runs the plain
+# adaptive schedule (no rotation lower bound: its calibration is specific to
+# one SNR point)
+GAS_DETECTORS = {"gas-mvd": {"threshold": "mvd", "restart": True},
+                 "gas-mmse": {"threshold": "mmse"},
+                 "gas-rand": {}}
+DETECTORS = {"exhaustive", "mmse", *GAS_DETECTORS}
+SOLVE_ARM = {"threshold": "mvd", "lmin": LMIN_CONVENTIONAL_C, "restart": True}
 
 
 @dataclass
 class ExperimentSpec:
-    name: str
+    """A loaded config; the one place its defaults are stated."""
     cfg: SystemConfig
+    name: str = "experiment"
     trials: int = 100
     output_dir: str = "out"
     backend: str = BACKEND_AMPLITUDE
     mvd_p: float = 1e-3
-    lam: float = 8.0 / 7.0
-    budget_iterations: int | None = None
-    budget_rotations: int | None = None
+    gas: GasParams = field(default_factory=GasParams)   # lambda and budgets of every run
     calibration_samples: int = 2000
     variants: list[dict] = field(default_factory=list)
     snr_sweep: list[float] = field(default_factory=list)
@@ -93,51 +100,47 @@ def load_spec(source) -> ExperimentSpec:
     for key in ("budget_iterations", "budget_rotations", "q_v"):
         if gas.get(key) is not None:
             _check_count(f"gas.{key}", gas[key])
+    if "backend" in gas and gas["backend"] not in (BACKEND_AMPLITUDE, BACKEND_CIRCUIT):
+        raise ConfigError(f"unknown backend {gas['backend']!r}")
     calibration = _check_keys(data.get("calibration", {}), {"samples"}, "calibration")
     if "samples" in calibration:
         _check_count("calibration.samples", calibration["samples"])
-    snr_sweep = data.get("snr_sweep", [])
-    if not isinstance(snr_sweep, list) or not all(map(_is_number, snr_sweep)):
-        raise ConfigError(f"'snr_sweep' must be a list of numbers, got {snr_sweep!r}")
-    grid = data.get("grid", [])
-    if not isinstance(grid, list):
-        raise ConfigError("'grid' must be a list")
-    for cell in grid:
+    if "trials" in data:
+        _check_count("trials", data["trials"])
+    for key in ("variants", "snr_sweep", "detectors", "grid"):
+        if not isinstance(data.get(key, []), list):
+            raise ConfigError(f"'{key}' must be a list, got {data[key]!r}")
+    if not all(map(_is_number, data.get("snr_sweep", []))):
+        raise ConfigError(f"'snr_sweep' must be a list of numbers, got {data['snr_sweep']!r}")
+    for cell in data.get("grid", []):
         _check_grid_cell(cell)
-    trials = data.get("trials", 100)
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
-        raise ConfigError(f"trials must be an integer >= 1, got {trials!r}")
-    variants = data.get("variants", [])
-    if not isinstance(variants, list):
-        raise ConfigError("'variants' must be a list")
-    for variant in variants:
+    for variant in data.get("variants", []):
         _check_variant(variant)
-    detectors = data.get("detectors", [])
-    if not isinstance(detectors, list):
-        raise ConfigError("'detectors' must be a list")
-    bad = [d for d in detectors if not isinstance(d, str) or d not in DETECTORS]
+    bad = [d for d in data.get("detectors", []) if not isinstance(d, str) or d not in DETECTORS]
     if bad:
         raise ConfigError(f"unknown detectors {bad}; choose from {sorted(DETECTORS)}")
-    spec = ExperimentSpec(
-        name=data.get("name", "experiment"),
-        cfg=cfg,
-        trials=trials,
-        output_dir=data.get("output_dir", "out"),
-        backend=gas.get("backend", BACKEND_AMPLITUDE),
-        mvd_p=float(gas.get("mvd_p", 1e-3)),
-        lam=float(gas.get("lambda", 8.0 / 7.0)),
-        budget_iterations=gas.get("budget_iterations"),
-        budget_rotations=gas.get("budget_rotations"),
-        calibration_samples=calibration.get("samples", 2000),
-        variants=variants,
-        snr_sweep=snr_sweep,
-        detectors=detectors,
-        grid=grid,
-        q_v=gas.get("q_v"),
-    )
-    if spec.backend not in (BACKEND_AMPLITUDE, BACKEND_CIRCUIT):
-        raise ConfigError(f"unknown backend {spec.backend!r}")
+    try:
+        spec = ExperimentSpec(
+            cfg=cfg,
+            gas=GasParams(**_given(gas, ("lambda", "budget_iterations", "budget_rotations"))),
+            **_given(data, ("name", "trials", "output_dir", "variants", "snr_sweep",
+                            "detectors", "grid")),
+            **_given(gas, ("backend", "mvd_p", "q_v")),
+            **_given(calibration, ("samples",)))
+        MvdParams.from_config(cfg, spec.mvd_p)
+    except ValueError as exc:
+        raise ConfigError(f"gas: {exc}") from exc
     return spec
+
+
+# config keys whose ExperimentSpec or GasParams field has another name
+_RENAMED = {"lambda": "lam", "samples": "calibration_samples"}
+
+
+def _given(obj: dict, keys: tuple[str, ...]) -> dict:
+    """The present, non-null keys of obj as field keyword arguments; an
+    absent or null key leaves the field's default."""
+    return {_RENAMED.get(key, key): obj[key] for key in keys if obj.get(key) is not None}
 
 
 def _is_number(value) -> bool:
@@ -173,7 +176,7 @@ def _check_grid_cell(cell) -> None:
 
 def _check_variant(variant) -> None:
     """A query-cdf arm: a string name plus choices from _VARIANT_CHOICES and
-    a bool restart; absent keys take run_query_cdf's defaults."""
+    a bool restart; absent keys take _gas_params's defaults."""
     if not isinstance(variant, dict) or not isinstance(variant.get("name"), str):
         raise ConfigError(f"each variant needs a string 'name', got {variant!r}")
     name = variant["name"]
@@ -229,6 +232,17 @@ def _resolve_lmin(policy: str, inst, table: CalibrationTable | None) -> int:
     raise ConfigError(f"unknown lmin policy {policy!r}")
 
 
+def _gas_params(spec: ExperimentSpec, arm: dict, inst, ymvd: float,
+                table: CalibrationTable | None, x0: int | None) -> GasParams:
+    """One GAS run of a query-cdf variant or GAS_DETECTORS arm: spec.gas with
+    the arm's initial threshold (random, mvd, or mmse from the seeded
+    incumbent x0), rotation lower bound and restart."""
+    return dataclasses.replace(
+        spec.gas, y0=ymvd if arm.get("threshold") == "mvd" else None, x0=x0,
+        lmin=_resolve_lmin(arm.get("lmin", LMIN_ZERO), inst, table),
+        restart_enabled=arm.get("restart", False), enforce_one_hot=True)
+
+
 def _gas_backend(spec: ExperimentSpec, inst, r, t, cfg, space):
     if spec.backend == BACKEND_AMPLITUDE:
         return AmplitudeBackend(space)
@@ -253,6 +267,7 @@ def run_query_cdf(spec: ExperimentSpec):
     reg = build_registry(cfg)
     needs_table = any(v.get("lmin") == LMIN_PROPOSED_CPRIME for v in spec.variants)
     table = _calibration_table(cfg, spec) if needs_table else None
+    ymvd = y_mvd(MvdParams.from_config(cfg, spec.mvd_p))
     rows = []
     for trial in range(spec.trials):
         inst = generate_instance(cfg, instance_id=trial)
@@ -265,15 +280,7 @@ def run_query_cdf(spec: ExperimentSpec):
             space = w_space if prep == W_STATE_REDUCED else \
                 from_channel(inst, slot.r, 0, cfg, prep, reg)
             backend = _gas_backend(spec, inst, slot.r, 0, cfg, space)
-            lmin = _resolve_lmin(variant.get("lmin", LMIN_ZERO), inst, table)
-            y0 = None
-            if variant.get("threshold", "random") == "mvd":
-                y0 = y_mvd(MvdParams.from_config(cfg, spec.mvd_p))
-            params = GasParams(
-                lam=spec.lam, y0=y0, lmin=lmin, restart_enabled=variant.get("restart", False),
-                budget_iterations=spec.budget_iterations,
-                budget_rotations=spec.budget_rotations,
-                enforce_one_hot=True)
+            params = _gas_params(spec, variant, inst, ymvd, table, None)
             rng = streams.substream(cfg.seed, streams.TRIAL, trial, vi)
             trace = run_gas(backend, params, rng, oracle_min=oracle_min, record_trace=False)
             if trace.converged:
@@ -360,24 +367,10 @@ def _detect(det, spec, cfg, inst, slot, space, backend, ymvd,
         return space.assignment(space.argmin_ordinal()), None
     if det == "mmse":
         return space.assignment(mmse_detect(inst, slot.r, t, cfg, space)), None
+    arm = GAS_DETECTORS[det]
+    x0 = mmse_detect(inst, slot.r, t, cfg, space) if arm.get("threshold") == "mmse" else None
+    params = _gas_params(spec, arm, inst, ymvd, None, x0)
     rng = streams.substream(cfg.seed, streams.GAS, trial, t, det_index)
-    if det == "gas-mvd":
-        # threshold comparison runs the plain adaptive schedule (no rotation
-        # lower bound: its calibration is specific to one SNR point)
-        params = GasParams(
-            lam=spec.lam, y0=ymvd, lmin=0, restart_enabled=True,
-            budget_iterations=spec.budget_iterations,
-            budget_rotations=spec.budget_rotations)
-    elif det == "gas-mmse":
-        x0 = mmse_detect(inst, slot.r, t, cfg, space)
-        params = GasParams(lam=spec.lam, y0=space.value_of(x0), x0=x0,
-                           budget_iterations=spec.budget_iterations,
-                           budget_rotations=spec.budget_rotations)
-    elif det == "gas-rand":
-        params = GasParams(lam=spec.lam, budget_iterations=spec.budget_iterations,
-                           budget_rotations=spec.budget_rotations)
-    else:
-        raise ConfigError(f"unknown detector {det!r}")
     trace = run_gas(backend, params, rng, oracle_min=e_min, record_trace=False)
     return trace.final_x, trace
 
@@ -428,10 +421,6 @@ def solve_single(spec: ExperimentSpec, dump_state: Path | None = None) -> GasTra
     if dump_state is not None:
         poly, _ = build_hubo(inst, slot.r, 0, cfg)
         GroverCircuit(poly, reg, W_STATE_REDUCED, backend.q_v).prepare(ymvd).dump(dump_state)
-    lmin = select_lmin_conventional(indicator_c(inst.H_est))
-    params = GasParams(
-        lam=spec.lam, y0=ymvd, lmin=lmin, restart_enabled=True,
-        budget_iterations=spec.budget_iterations,
-        budget_rotations=spec.budget_rotations)
+    params = _gas_params(spec, SOLVE_ARM, inst, ymvd, None, None)
     rng = streams.substream(cfg.seed, streams.GAS, 0, 0, 0)
     return run_gas(backend, params, rng, oracle_min=space.min_value(), record_trace=True)

@@ -56,6 +56,9 @@ class TestFormulas:
             GasParams(lam=1.0)
         with pytest.raises(ValueError):
             GasParams(lam=4 / 3)
+        # a seeded incumbent carries its own threshold
+        with pytest.raises(ValueError):
+            GasParams(y0=1.0, x0=0)
 
 
 class TestAmplitudeBackend:
@@ -279,6 +282,18 @@ class TestRunGas:
                             rng, oracle_min=float(space.e_sorted[0]))
             if trace.converged:
                 assert np.array_equal(trace.final_x, best_bits)
+
+    def test_invalid_incumbent_is_not_the_output(self):
+        # on the full space the FIG2 minimum (0,1,1), E = -1, is not one-hot:
+        # it becomes the incumbent, and the output is the best one-hot state
+        poly, reg, backend = toy_backend()
+        params = GasParams(budget_iterations=40, enforce_one_hot=True)
+        trace = run_gas(backend, params, np.random.default_rng(22))
+        assert trace.final_y == -1.0 and trace.best_E == -1.0
+        _, _, d = reg.split_assignment(trace.final_x)
+        assert d.sum() == 1
+        assert evaluate(poly, trace.final_x) == 2.0
+        assert not trace.invalid_final
 
     def test_w_prep_measurements_always_valid(self):
         cfg = SystemConfig(N=2, M=2, tau_max=2, seed=15)

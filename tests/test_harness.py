@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gasmld import harness
+from gasmld import cli, harness
 from gasmld.channel import generate_instance, objective_direct, random_payload_bits, received_slot
 from gasmld.errors import ConfigError
 from gasmld.gas import run_gas
@@ -84,6 +84,8 @@ class TestLoader:
                     {"variants": [{k: v for k, v in W_PREP.items() if k != "name"}]},
                     {"detectors": ["gas-MVD"]},
                     {"gas": {"budget_rotations": 0}}, {"gas": {"q_v": -1}},
+                    {"gas": {"lambda": 1.5}}, {"gas": {"lambda": 1.0}},
+                    {"gas": {"mvd_p": 2.0}}, {"gas": {"mvd_p": 0.0}},
                     {"calibration": {"samples": 0}},
                     {"grid": [{"M": 2, "tau_max": 1, "q_v": 0}]},
                     {"grid": [{"M": 2, "tau_max": 1, "modulation": "bpsk"}]}):
@@ -97,7 +99,7 @@ class TestLoader:
         # null engine settings keep their defaults
         spec = load_spec({"cfg": CFG, "gas": {"q_v": None, "budget_iterations": None,
                                               "budget_rotations": None}})
-        assert spec.q_v is None and spec.budget_iterations is None
+        assert spec.q_v is None and spec.gas.budget_iterations is None
 
 
 class TestFormatting:
@@ -221,7 +223,7 @@ class TestBer:
         run_ber(spec)
         assert len(runs) == 48
         for space, params, trace in runs:
-            assert params.y0 == space.value_of(params.x0)
+            assert trace.iterations[0].y == space.value_of(params.x0)
             x0 = space.assignment(params.x0)
             assert not any(it.accepted and np.array_equal(it.x, x0) for it in trace.iterations)
 
@@ -405,3 +407,14 @@ class TestCli:
         path.write_text("{\"cfg\": {\"N\": 0, \"M\": 1, \"tau_max\": 0}}")
         res = self.run_cli("ber", "--config", str(path))
         assert res.returncode == 1
+
+    def test_bad_gas_value_fails_before_calibration(self, tmp_path, monkeypatch, capsys):
+        config = json.loads((CONFIG_DIR / "query_cdf_lmin.json").read_text())
+        config["gas"]["lambda"] = 1.5
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        calls = []
+        monkeypatch.setattr(harness, "calibrate", lambda *a, **k: calls.append(a))
+        assert cli.main(["query-cdf", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert "lambda" in capsys.readouterr().err
+        assert calls == []

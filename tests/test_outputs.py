@@ -29,10 +29,21 @@ def sha256(data: bytes) -> str:
             "1adf35a0f67cb4913b9a179a699dc74bbc29d39e440f7e37c8cd3a5fa7000c3c",
         "threshold-comparison_ber_rotations.csv":
             "91f6327caea69d2a520ac9512fc976eb11f8a13aa1e7477c105529349c27db37"}),
+    # the mvd threshold, restart and all three lmin arms
+    ("query-cdf", "query_cdf_lmin.json", ("--trials", "10"), {
+        "rotation-lower-bound_query_cdf.csv":
+            "f95e348c7495d586052ad3d3ef3228f791c0624f0bf1e5ff9019149a4e0fcbb2"}),
+    ("calibrate", "calibration_fig5.json", (), {
+        "indicator-scatter_calibration.csv":
+            "8c6043dce0eeaa02d7eb4600e4b38afbc55d8f5a611647f43b62073dc0384be1",
+        "calibration_table.csv":
+            "d029ea6909ac7e447b1a51c591786be5631119584de43e4db12dcde184a0e5c3",
+        "calibration_table.csv.meta.json":
+            "b0af6cbf6f8204a76d370a4619c9d184589bde77e8e3701ac9313f3199daf1ad"}),
     ("gate-count", "gate_count.json", (), {
         "gate-budget_gate_count.json":
             "574ef14839c4cf4a31ae489da7e53fe8f053e3976d4ad140a1f11535d8cada5d"}),
-], ids=["query-cdf", "ber", "gate-count"])
+], ids=["query-cdf", "ber", "query-cdf-lmin", "calibrate", "gate-count"])
 def test_written_file(tmp_path, capsys, command, config, extra, digests):
     code = cli.main([command, "--config", str(CONFIG_DIR / config), *extra,
                      "--out", str(tmp_path)])
