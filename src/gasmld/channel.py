@@ -44,6 +44,8 @@ class SystemConfig:
             raise ValueError("T_P must be >= 0 and T_D >= 1")
         if self.P_X <= 0:
             raise ValueError("P_X must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def taud(self) -> int:

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .errors import CapacityError, ConfigError
-from .harness import (ExperimentSpec, fmt, load_spec, rotation_rows, run_ber, run_calibration,
+from .harness import (ExperimentSpec, fmt, load_spec, run_ber, run_calibration,
                       run_gate_count, run_query_cdf, solve_single, write_csv)
 
 
@@ -52,9 +52,15 @@ def _spec_from_args(args) -> ExperimentSpec:
         if getattr(args, flag) is not None:
             raise ConfigError(f"{args.command} does not take --{flag}")
     spec = load_spec(args.config)
+    # the overrides get the checks their config values get at load
     if args.seed is not None:
-        spec.cfg = dataclasses.replace(spec.cfg, seed=args.seed)
+        try:
+            spec.cfg = dataclasses.replace(spec.cfg, seed=args.seed)
+        except ValueError as exc:
+            raise ConfigError(f"--seed: {exc}") from exc
     if args.trials is not None:
+        if args.trials < 1:
+            raise ConfigError(f"--trials must be an integer >= 1, got {args.trials}")
         spec.trials = args.trials
     if args.backend is not None:
         spec.backend = args.backend
@@ -83,14 +89,14 @@ def _run(args) -> int:
         print(path)
         return 0
     if args.command == "ber":
-        rows, aux = run_ber(spec)
+        rows, rotations = run_ber(spec)
         path = write_csv(out / f"{spec.name}_ber.csv",
                          ["detector", "snr_db", "t_p", "bits", "errors", "ber"],
                          rows)
         print(path)
         print(write_csv(out / f"{spec.name}_ber_rotations.csv",
                         ["detector", "snr_db", "runs", "censored", "median_qd"],
-                        rotation_rows(aux)))
+                        rotations))
         return 0
     if args.command == "calibrate":
         rows, _ = run_calibration(spec, out_dir=out)

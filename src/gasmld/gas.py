@@ -337,3 +337,178 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator,
     trace.invalid_final = final is not None and not is_valid(final)
     trace.final_x = None if final is None else space.assignment(final)
     return trace
+
+
+# uniforms a lockstep step takes per run: the rotation count L, the marked
+# or unmarked class, the state within that class, and the restart draw
+UNIFORMS_PER_STEP = 4
+# steps per uniform block: a batch holds runs x 32 x 4 doubles of uniforms,
+# whatever the budgets
+STEPS_PER_BLOCK = 32
+_STOP_NAMES = np.array([STOP_OPTIMUM, STOP_BUDGET_ITERATIONS, STOP_BUDGET_ROTATIONS])
+
+
+@dataclass
+class GasBatch:
+    """Outputs of run_gas_batch, one entry per run, as run_gas's GasTrace
+    gives them for one run.  Ordinals index the runs' stack; -1 is none."""
+    final: np.ndarray           # output ordinal: best one-hot state seen, else the incumbent
+    final_y: np.ndarray
+    best_E: np.ndarray
+    invalid_final: np.ndarray
+    hit_cd: np.ndarray          # first hit (cd queries, qd rotations), -1 when never reached
+    hit_qd: np.ndarray
+    cd_queries: np.ndarray
+    qd_rotations: np.ndarray
+    stop_reason: np.ndarray     # STOP_* names
+    # with record=True, one dict per lockstep step of arrays over runs: the
+    # GasIteration fields (x an ordinal) and "ran", the runs that measured
+    steps: list[dict] | None = None
+
+    @property
+    def converged(self) -> np.ndarray:
+        return self.hit_cd >= 0
+
+
+def run_gas_batch(stack: spaces.SpaceStack, rows, params: list[GasParams], rngs,
+                  oracle_min=None, record: bool = False) -> GasBatch:
+    """run_gas's search for many runs in lockstep, on the amplitude law.
+
+    Run j searches row rows[j] of stack with params[j] and halts at its
+    first measurement at or below oracle_min[j], when given.  Its rules are
+    run_gas's: strict acceptance against table values, a seeded x0 that is
+    never a first hit, the restart window restart_iterations(lmin, Nt), k
+    capped at sqrt(2^q_k), and the best one-hot state seen as output.  Per-run
+    masks carry k-growth, restart, both budgets and the halt.
+
+    rngs is a list of (generator, n): the next n runs draw their uniforms
+    from that generator, first one each for the initial draw, then blocks of
+    (n, STEPS_PER_BLOCK, UNIFORMS_PER_STEP), run i of the n taking row i.
+    A run's draws depend only on its generator, its place among the n and
+    its step count, never on which other runs are still searching, so
+    reruns are byte-identical and a halted run saw the draws an unhalted
+    one would have.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    n = rows.size
+    nt = stack.n_states
+    cap = math.sqrt(1 << stack.reg.q_k)
+    # per row: ordinals by value, and rank[x] = #states strictly below E_x,
+    # the marked count once E_x is the threshold
+    order = np.argsort(stack.e_values, axis=1, kind="stable")
+    e_sorted = np.take_along_axis(stack.e_values, order, axis=1)
+    pos = np.broadcast_to(np.arange(nt), order.shape)
+    tie = np.zeros(order.shape, dtype=bool)
+    tie[:, 1:] = e_sorted[:, 1:] == e_sorted[:, :-1]
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.maximum.accumulate(np.where(tie, 0, pos), axis=1), axis=1)
+    base = rows * nt                     # flat offset of each run's row
+    e_flat, order_flat, rank_flat = stack.e_values.ravel(), order.ravel(), rank.ravel()
+
+    def per_run(get, dtype):
+        return np.array([get(p) for p in params], dtype=dtype)
+
+    lam = per_run(lambda p: p.lam, float)
+    restart = per_run(lambda p: p.restart_enabled, bool)
+    window = per_run(lambda p: restart_iterations(p.lmin, nt) if p.restart_enabled else 0,
+                     np.int64)
+    budget_iter = per_run(lambda p: p.budget_iterations or int(math.ceil(10 * math.sqrt(nt))),
+                          np.int64)
+    budget_rot = per_run(lambda p: p.budget_rotations or int(math.ceil(50 * math.sqrt(nt))),
+                         np.int64)
+    # a state is valid unless its run enforces one-hot and it is not
+    lax = ~per_run(lambda p: p.enforce_one_hot, bool)
+    one_hot = stack.one_hot
+    target = np.full(n, -math.inf) if oracle_min is None else np.asarray(oracle_min, float)
+
+    cd = np.zeros(n, np.int64)
+    cum_rot = np.zeros(n, np.int64)
+    lmin = per_run(lambda p: p.lmin, np.int64)
+    y = per_run(lambda p: math.nan if p.y0 is None else p.y0, float)   # nan: no threshold
+    inc = np.full(n, -1, np.intp)
+    ns = (stack.e_values[rows] < y[:, None]).sum(axis=1)
+    best = np.full(n, -1, np.intp)
+    best_E = np.full(n, math.inf)
+    hit_cd = np.full(n, -1, np.int64)
+    hit_qd = np.full(n, -1, np.int64)
+
+    def see(mask, ordinal, ex, measured: bool):
+        """run_gas's see() for the runs in mask: counts a measurement,
+        records the first hit and the best one-hot state, and makes a state
+        below the threshold (or any state, without one) the incumbent."""
+        valid = lax | one_hot[ordinal]
+        if measured:
+            cd[mask] += 1
+            hit = mask & (ex <= target) & valid & (hit_cd < 0)
+            np.copyto(hit_cd, cd, where=hit)
+            np.copyto(hit_qd, cum_rot, where=hit)
+        better = mask & valid & (ex < best_E)
+        np.copyto(best, ordinal, where=better)
+        np.copyto(best_E, ex, where=better)
+        accepted = mask & ~(ex >= y)
+        np.copyto(inc, ordinal, where=accepted)
+        np.copyto(y, ex, where=accepted)
+        np.copyto(ns, rank_flat[base + ordinal], where=accepted)
+        return accepted
+
+    def uniform_ordinals(u):
+        return (u * nt).astype(np.intp)
+
+    x0 = per_run(lambda p: -1 if p.x0 is None else p.x0, np.intp)
+    u0 = np.concatenate([g.random(count) for g, count in rngs])
+    seeded = x0 >= 0
+    start = np.where(seeded, x0, uniform_ordinals(u0))
+    see(seeded, start, e_flat[base + start], measured=False)
+    drawn = ~seeded & np.isnan(y)
+    see(drawn, start, e_flat[base + start], measured=True)
+
+    k = np.ones(n)
+    updated = np.zeros(n, bool)
+    since_restart = np.zeros(n, np.int64)
+    stop = np.full(n, 1, np.int8)          # index into _STOP_NAMES
+    active = (hit_cd < 0) & (budget_iter > 0)
+    steps = [] if record else None
+    i = 0
+    while active.any():
+        if i % STEPS_PER_BLOCK == 0:
+            block = np.concatenate([g.random((count, STEPS_PER_BLOCK, UNIFORMS_PER_STEP))
+                                    for g, count in rngs]).transpose(1, 2, 0).copy()
+        u_l, u_class, u_state, u_restart = block[i % STEPS_PER_BLOCK]
+        L = lmin + (u_l * (np.ceil(k - 1.0) + 1.0)).astype(np.int64)
+        over = active & (cum_rot + L > budget_rot)
+        stop[over] = 2
+        active &= ~over
+        # a marked draw is uniform over the ns lowest states, an unmarked one
+        # over the rest; all marked at ns = Nt
+        p = np.sin((2 * L + 1) * np.arcsin(np.sqrt(ns / nt))) ** 2
+        marked = (u_class < p) | (ns == nt)
+        idx = np.where(marked, u_state * ns, ns + u_state * (nt - ns)).astype(np.intp)
+        state = order_flat[base + idx]
+        ex = e_flat[base + state]
+        cum_rot += np.where(active, L, 0)
+        accepted = see(active, state, ex, measured=True)
+        np.copyto(k, np.where(accepted, 1.0, np.minimum(lam * k, cap)), where=active)
+        updated |= accepted
+        since_restart += active
+        restarted = active & restart & ~updated & (hit_cd < 0) & (since_restart >= window)
+        if restarted.any():
+            y[restarted] = math.nan
+            drawn = uniform_ordinals(u_restart)
+            see(restarted, drawn, e_flat[base + drawn], measured=True)
+            lmin[restarted] = 0
+            k[restarted] = 1.0
+            since_restart[restarted] = 0
+        if record:
+            steps.append({"i": i, "ran": active.copy(), "y": y.copy(), "L": L, "k": k.copy(),
+                          "x": state, "Ex": ex, "accepted": accepted, "cum_rot": cum_rot.copy(),
+                          "restarted": restarted})
+        i += 1
+        active &= (hit_cd < 0) & (i < budget_iter)
+
+    stop[hit_cd >= 0] = 0
+    final = np.where(best >= 0, best, inc)
+    invalid_final = (final >= 0) & ~(lax | one_hot[final])
+    return GasBatch(
+        final=final, final_y=y, best_E=np.minimum(best_E, np.where(inc >= 0, y, math.inf)),
+        invalid_final=invalid_final, hit_cd=hit_cd, hit_qd=hit_qd, cd_queries=cd,
+        qd_rotations=cum_rot, stop_reason=_STOP_NAMES[stop], steps=steps)

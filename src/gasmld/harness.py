@@ -21,12 +21,12 @@ from .channel import PSK2, QPSK, SystemConfig, generate_instance, objective_dire
 from .errors import ConfigError
 from .gas import (AmplitudeBackend, BACKEND_AMPLITUDE, BACKEND_CIRCUIT, CircuitBackend,
                   GasParams, GasTrace, LMIN_CONVENTIONAL_C, LMIN_PROPOSED_CPRIME, LMIN_ZERO,
-                  run_gas)
+                  run_gas, run_gas_batch)
 from .gates import build_report
 from .hubo import HADAMARD_FULL, W_STATE_REDUCED, build_hubo, build_registry
 from .indicators import (CalibrationTable, calibrate, config_hash, indicator_c,
                          indicator_c_prime, select_lmin, select_lmin_conventional)
-from .spaces import from_channel
+from .spaces import channel_spaces, from_channel
 from .statevector import GroverCircuit, choose_qv
 from .thresholds import MvdParams, mmse_detect, y_mvd
 
@@ -107,6 +107,9 @@ def load_spec(source) -> ExperimentSpec:
         _check_count("calibration.samples", calibration["samples"])
     if "trials" in data:
         _check_count("trials", data["trials"])
+    for key in ("name", "output_dir"):
+        if data.get(key) is not None and not isinstance(data[key], str):
+            raise ConfigError(f"'{key}' must be a string, got {data[key]!r}")
     for key in ("variants", "snr_sweep", "detectors", "grid"):
         if not isinstance(data.get(key, []), list):
             raise ConfigError(f"'{key}' must be a list, got {data[key]!r}")
@@ -300,79 +303,95 @@ def run_query_cdf(spec: ExperimentSpec):
 
 
 def run_ber(spec: ExperimentSpec):
-    """Bit error rates per detector and SNR point.
+    """Bit error rates per detector and SNR point, and the GAS detectors'
+    first-hit rotations.
 
-    Row schema: detector, snr_db, t_p, bits, errors, ber.  Returns the rows
-    plus auxiliary per-(detector, snr) first-hit rotation counts, +inf for a
-    censored run (see rotation_rows).
-
-    Each GAS detector halts at its first measurement of the slot's minimum.
-    Its output is fixed by then: GAS accepts only strictly lower values and
-    none lies below the minimum, so the best state seen keeps the minimum's
-    value and the first hit is recorded.  The traces' cd_queries,
-    qd_rotations and stop_reason describe the halted runs; nothing here
-    reads them.
+    Returns two row lists.  BER rows: detector, snr_db, t_p, bits, errors,
+    ber.  Rotation rows, one per GAS detector and SNR point: detector,
+    snr_db, runs, censored, median_qd, that is the GAS runs, how many ended
+    without measuring the optimum, and the median rotation count to the
+    first hit, a censored run counting as +inf.  Each (snr, trial) is one
+    batch of the trial's T_D slots (_ber_trial).
     """
     cfg0 = spec.cfg
     _require_backend(spec, "ber", (BACKEND_AMPLITUDE,))
     detectors = spec.detectors or ["exhaustive", "gas-mvd"]
     snrs = spec.snr_sweep or [cfg0.snr_db]
     reg = build_registry(cfg0)
-    n_b = reg.n_b
-    rows = []
-    aux: dict[tuple[str, float], list[int]] = {}
+    rows, rotations = [], []
     for snr in snrs:
         cfg = cfg0.with_snr(snr)
         ymvd = y_mvd(MvdParams.from_config(cfg, spec.mvd_p))
-        errors = {d: 0 for d in detectors}
-        nbits = {d: 0 for d in detectors}
+        errors = np.zeros(len(detectors), dtype=np.int64)
+        hits: dict[str, list[np.ndarray]] = {}
         for trial in range(spec.trials):
-            inst = generate_instance(cfg, instance_id=trial)
-            for t in range(cfg.T_D):
-                bits_true = random_payload_bits(cfg, t, instance_id=trial)
-                slot = received_slot(inst, cfg, t, bits_true)
-                space = from_channel(inst, slot.r, t, cfg, W_STATE_REDUCED, reg)
-                backend = AmplitudeBackend(space)
-                e_min = space.min_value()
-                for di, det in enumerate(detectors):
-                    bits_hat, trace = _detect(det, spec, cfg, inst, slot, space,
-                                              backend, ymvd, trial, t, di, e_min)
-                    errors[det] += int(np.sum(bits_hat[:n_b] != bits_true))
-                    nbits[det] += n_b
-                    if trace is not None:
-                        # censored first hits enter the statistics as +inf
-                        qd_hit = (trace.reached_optimum_at[1]
-                                  if trace.reached_optimum_at is not None else math.inf)
-                        aux.setdefault((det, snr), []).append(qd_hit)
-        for det in detectors:
-            rows.append((det, float(snr), cfg.T_P, nbits[det], errors[det],
-                         errors[det] / max(1, nbits[det])))
+            bits_true, bits_hat, first_hits = _ber_trial(spec, cfg, detectors, reg, ymvd, trial)
+            errors += np.count_nonzero(bits_hat != bits_true, axis=(1, 2))
+            for det, qd in first_hits:
+                hits.setdefault(det, []).append(qd)
+        nbits = spec.trials * cfg.T_D * reg.n_b
+        for det, err in zip(detectors, errors.tolist()):
+            rows.append((det, float(snr), cfg.T_P, nbits, err, err / max(1, nbits)))
+        for det, qds in hits.items():
+            qd = np.sort(np.concatenate(qds))
+            # np.median's mean of the middle pair; np.median itself imports
+            # numpy.ma on first use, about 1.5 MiB resident
+            median = (qd[(qd.size - 1) // 2] + qd[qd.size // 2]) / 2
+            rotations.append((det, float(snr), qd.size, int(np.count_nonzero(np.isinf(qd))),
+                              float(median)))
     rows.sort(key=lambda r: (r[0], r[1]))
-    return rows, aux
+    rotations.sort(key=lambda r: (r[0], r[1]))
+    return rows, rotations
 
 
-def rotation_rows(aux: dict[tuple[str, float], list]) -> list[tuple]:
-    """run_ber's first-hit rotations per (detector, snr): detector, snr_db,
-    runs, censored, median_qd, a censored run counting as +inf."""
-    rows = []
-    for (det, snr), qds in sorted(aux.items()):
-        censored = sum(1 for q in qds if q == math.inf)
-        rows.append((det, float(snr), len(qds), censored, float(np.median(qds))))
-    return rows
+def _ber_trial(spec: ExperimentSpec, cfg: SystemConfig, detectors: list[str], reg,
+               ymvd: float, trial: int):
+    """One (snr, trial) of run_ber, over the trial's T_D slots.
 
+    The slots' value tables form one SpaceStack; the exhaustive argmins and
+    the MMSE seeds are single calls over it; every GAS detector's T_D runs
+    go through one run_gas_batch, detector d (its index in the detector
+    list) drawing from the stream (seed, GAS, trial, d); and all outputs are
+    decoded through the key-index table at once.  Each GAS run halts at its
+    first measurement of its slot's minimum; its output is fixed by then,
+    since GAS accepts only strictly lower values and none lies below the
+    minimum.
 
-def _detect(det, spec, cfg, inst, slot, space, backend, ymvd,
-            trial, t, det_index, e_min):
-    if det == "exhaustive":
-        return space.assignment(space.argmin_ordinal()), None
-    if det == "mmse":
-        return space.assignment(mmse_detect(inst, slot.r, t, cfg, space)), None
-    arm = GAS_DETECTORS[det]
-    x0 = mmse_detect(inst, slot.r, t, cfg, space) if arm.get("threshold") == "mmse" else None
-    params = _gas_params(spec, arm, inst, ymvd, None, x0)
-    rng = streams.substream(cfg.seed, streams.GAS, trial, t, det_index)
-    trace = run_gas(backend, params, rng, oracle_min=e_min, record_trace=False)
-    return trace.final_x, trace
+    Returns the payload bits (T_D, n_b), every detector's decisions
+    (detectors, T_D, n_b) and, per GAS detector, (detector, first-hit
+    rotations of its runs), +inf for a censored run.
+    """
+    slots = np.arange(cfg.T_D)
+    inst = generate_instance(cfg, instance_id=trial)
+    bits_true = np.array([random_payload_bits(cfg, t, instance_id=trial) for t in slots])
+    r = np.array([received_slot(inst, cfg, t, bits_true[t]).r for t in slots])
+    stack = channel_spaces(inst, r, slots, cfg, W_STATE_REDUCED, reg)
+    gas = [(di, det) for di, det in enumerate(detectors) if det in GAS_DETECTORS]
+    seeds_mmse = "mmse" in detectors or any(
+        GAS_DETECTORS[det].get("threshold") == "mmse" for _, det in gas)
+    x_mmse = mmse_detect(inst, r, slots, cfg, stack) if seeds_mmse else None
+    outputs = {"exhaustive": stack.e_values.argmin(axis=1), "mmse": x_mmse}
+    first_hits = []
+    if gas:
+        params, rngs = [], []
+        for di, det in gas:
+            arm = GAS_DETECTORS[det]
+            if arm.get("threshold") == "mmse":
+                params += [_gas_params(spec, arm, inst, ymvd, None, x0) for x0 in x_mmse.tolist()]
+            else:
+                params += [_gas_params(spec, arm, inst, ymvd, None, None)] * cfg.T_D
+            rngs.append((streams.substream(cfg.seed, streams.GAS, trial, di), cfg.T_D))
+        runs = np.tile(slots, len(gas))
+        batch = run_gas_batch(stack, runs, params, rngs,
+                              oracle_min=stack.e_values.min(axis=1)[runs])
+        finals = batch.final.reshape(len(gas), cfg.T_D)
+        qd_hit = np.where(batch.converged, batch.hit_qd, math.inf).reshape(len(gas), cfg.T_D)
+        for j, (di, det) in enumerate(gas):
+            outputs[di] = finals[j]
+            first_hits.append((det, qd_hit[j]))
+    ordinals = np.stack([outputs[di if det in GAS_DETECTORS else det]
+                         for di, det in enumerate(detectors)])
+    return bits_true, stack.assignment(ordinals)[..., :reg.n_b], first_hits
 
 
 def run_calibration(spec: ExperimentSpec, out_dir: Path | None = None):

@@ -83,11 +83,10 @@ class EnumeratedSpace:
     def sample_uniform(self, rng: np.random.Generator) -> int:
         return int(rng.integers(self.n_states))
 
-    def assignment(self, ordinal: int) -> np.ndarray:
-        """Decode a state ordinal to the 0/1 assignment in registry order."""
-        q = self.reg.q_k
-        idx = int(self.key_indices[ordinal])
-        return np.array([(idx >> (q - 1 - i)) & 1 for i in range(q)], dtype=np.uint8)
+    def assignment(self, ordinal) -> np.ndarray:
+        """Decode a state ordinal, or an array of them, to 0/1 assignments in
+        registry order (the last axis)."""
+        return _decode(self.reg, self.key_indices, ordinal)
 
     def value_of(self, ordinal: int) -> float:
         return float(self.e_values[ordinal])
@@ -109,79 +108,128 @@ class EnumeratedSpace:
         return ok
 
 
+@dataclass
+class SpaceStack:
+    """The value tables of several slots over one enumeration.
+
+    Row i of e_values is slot i's table.  The slots share the registry, the
+    preparation and the key index of every ordinal, so an ordinal means the
+    same assignment in every row and space(i) is slot i's EnumeratedSpace.
+    """
+
+    reg: VarRegistry
+    prep: str
+    e_values: np.ndarray      # (slots, states)
+    key_indices: np.ndarray   # big-endian key index per state ordinal, uint64
+
+    @property
+    def n_states(self) -> int:
+        return self.key_indices.size
+
+    def space(self, i: int) -> EnumeratedSpace:
+        return EnumeratedSpace(reg=self.reg, prep=self.prep, e_values=self.e_values[i],
+                               key_indices=self.key_indices)
+
+    @cached_property
+    def one_hot(self) -> np.ndarray:
+        return self.space(0).one_hot
+
+    def assignment(self, ordinal) -> np.ndarray:
+        return _decode(self.reg, self.key_indices, ordinal)
+
+
+def _decode(reg: VarRegistry, key_indices: np.ndarray, ordinal) -> np.ndarray:
+    shifts = np.arange(reg.q_k - 1, -1, -1, dtype=np.uint64)
+    return ((key_indices[ordinal][..., None] >> shifts) & np.uint64(1)).astype(np.uint8)
+
+
 def _key_weights(reg: VarRegistry) -> np.ndarray:
     q = reg.q_k
     return np.array([1 << (q - 1 - i) for i in range(q)], dtype=np.uint64)
 
 
 def _broadcast_sum(parts: list[np.ndarray]) -> np.ndarray:
-    """Sum per-user tables over the product space; last axis is preserved."""
+    """Sum per-user tables (slots, choices, *rest) over the product space
+    of the choices, giving (slots, product of the choices, *rest)."""
     acc = parts[0]
     for p in parts[1:]:
-        acc = acc[..., None, :] + p
-    return acc.reshape(-1, acc.shape[-1])
+        acc = acc[:, :, None] + p[:, None]
+        acc = acc.reshape(acc.shape[0], -1, *acc.shape[3:])
+    return acc
 
 
-def from_channel(inst: ChannelInstance, r: np.ndarray, t: int, cfg: SystemConfig,
-                 prep: str, reg: VarRegistry) -> EnumeratedSpace:
-    """Build the space directly from the matrix model (fast path).
+def channel_spaces(inst: ChannelInstance, r: np.ndarray, ts, cfg: SystemConfig,
+                   prep: str, reg: VarRegistry) -> SpaceStack:
+    """Build the spaces of slots ts, r[i] received in slot ts[i], directly
+    from the matrix model (fast path).
 
     Per user the contribution to H D s is a small table over that user's
-    local choices; the objective over the whole product space follows by
-    broadcasting.
+    local choices, built for every slot by one einsum; the objective over
+    the whole product space follows by broadcasting.  Every float operation
+    is the same per slot whatever the number of slots, so a row does not
+    depend on the slots stacked with it.
     """
     if reg.n_c:
         raise ValueError("spaces are built for the solver path (parity fixed)")
     M, taud, N = cfg.M, cfg.taud, cfg.N
     weights = _key_weights(reg)
-    phases = delay_phases(inst, t, taud)
+    phases = np.array([delay_phases(inst, t, taud) for t in ts])   # (T, M, taud)
 
     n_bbits = 1 if cfg.modulation == PSK2 else 2
     bit_combos = np.array(np.meshgrid(*([[0, 1]] * n_bbits), indexing="ij"),
                           dtype=np.uint8).reshape(n_bbits, -1).T  # (2^n_bbits, n_bbits)
-    sym = map_symbols(cfg.modulation, t, bit_combos.ravel())     # one symbol per combo
+    # one symbol per combo and slot, (T, 2^n_bbits)
+    sym = np.array([map_symbols(cfg.modulation, t, bit_combos.ravel()) for t in ts])
 
     contribs = []
     idx_parts = []
     for m in range(M):
         h = inst.H_est[:, m]
         if prep == W_STATE_REDUCED:
-            d_factors = phases[m]                                  # (taud,)
+            d_factors = phases[:, m]                               # (T, taud)
             d_idx = weights[[reg.d_position(m, k) for k in range(taud)]]
         elif prep == HADAMARD_FULL:
             masks = np.arange(1 << taud, dtype=np.uint64)
             shifts = np.arange(taud, dtype=np.uint64)
             sel = ((masks[:, None] >> shifts[None, :]) & np.uint64(1)).astype(float)
-            d_factors = sel @ phases[m]                            # (2^taud,)
+            d_factors = np.stack([sel @ ph[m] for ph in phases])  # (T, 2^taud)
             d_idx = sel.astype(np.uint64) @ weights[[reg.d_position(m, k) for k in range(taud)]]
         else:
             raise ValueError(f"unknown preparation {prep!r}")
         b_idx = bit_combos.astype(np.uint64) @ weights[[reg.b_position(m, s) for s in range(n_bbits)]]
-        local = np.einsum("b,d,n->bdn", sym, d_factors, h).reshape(-1, N)
+        local = np.einsum("tb,td,n->tbdn", sym, d_factors, h).reshape(len(phases), -1, N)
         local_idx = (b_idx[:, None] + d_idx[None, :]).reshape(-1)
         contribs.append(local)
         idx_parts.append(local_idx)
 
     n_total = 1
     for c in contribs:
-        n_total *= c.shape[0]
+        n_total *= c.shape[1]
     if n_total > MAX_ENUMERABLE:
         raise CapacityError(f"search space of {n_total} states exceeds {MAX_ENUMERABLE}")
 
-    residual = np.asarray(r)[None, :] - _broadcast_sum(contribs)
+    residual = np.asarray(r)[:, None, :] - _broadcast_sum(contribs)
     # summed column by column in antenna order: the same bits as a sum over
-    # axis 1 for N < 8, where numpy's pairwise reduction is still sequential
-    e = np.abs(residual[:, 0]) ** 2
+    # the antenna axis for N < 8, where numpy's pairwise reduction is still
+    # sequential
+    e = np.abs(residual[..., 0]) ** 2
     for n in range(1, N):
-        e += np.abs(residual[:, n]) ** 2
-    key_idx = _broadcast_sum([p[:, None] for p in idx_parts]).ravel()
-    return EnumeratedSpace(reg=reg, prep=prep, e_values=e, key_indices=key_idx)
+        e += np.abs(residual[..., n]) ** 2
+    key_idx = _broadcast_sum([p[None, :] for p in idx_parts])[0]
+    return SpaceStack(reg=reg, prep=prep, e_values=e, key_indices=key_idx)
 
 
-def channel_ordinals(space: EnumeratedSpace, b_bits: np.ndarray,
+def from_channel(inst: ChannelInstance, r: np.ndarray, t: int, cfg: SystemConfig,
+                 prep: str, reg: VarRegistry) -> EnumeratedSpace:
+    """The space of slot t, received as r: channel_spaces for one slot."""
+    return channel_spaces(inst, np.asarray(r)[None, :], [t], cfg, prep, reg).space(0)
+
+
+def channel_ordinals(space: EnumeratedSpace | SpaceStack, b_bits: np.ndarray,
                      delays: np.ndarray) -> np.ndarray:
-    """Ordinals, in a w-state-reduced from_channel space, of payload bits
-    b_bits (n, n_b) in registry order with user m at delay delays[:, m].
+    """Ordinals, in a w-state-reduced channel space or stack of them, of
+    payload bits b_bits (n, n_b) in registry order with user m at delay
+    delays[:, m].
 
     from_channel lays a user's local choices out as b_index * taud + k,
     b_index the user's bits read most significant first; user 0 is the most
@@ -229,7 +277,7 @@ def from_polynomial(poly: HuboPolynomial, reg: VarRegistry, prep: str) -> Enumer
         parts = [b_idx]
         for m in range(reg.M):
             parts.append(weights[[reg.d_position(m, k) for k in range(reg.taud)]])
-        key_idx = _broadcast_sum([p[:, None] for p in parts]).ravel()
+        key_idx = _broadcast_sum([p[None, :] for p in parts])[0]
         e = e_full[key_idx]
     else:
         raise ValueError(f"unknown preparation {prep!r}")

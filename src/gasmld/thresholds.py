@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import PSK2, ChannelInstance, SystemConfig, delay_phases, psk2_base
-from .spaces import EnumeratedSpace, channel_ordinals
+from .spaces import SpaceStack, channel_ordinals
 
 
 def mvd_rate(sigma_v2: float, tp_px: float) -> float:
@@ -89,39 +89,49 @@ def y_mvd(params: MvdParams) -> float:
     return 0.5 * (lo + hi) / params.lambda_v
 
 
-def mmse_estimates(inst: ChannelInstance, r: np.ndarray, t: int,
+def mmse_estimates(inst: ChannelInstance, r: np.ndarray, ts,
                    cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Linear MMSE symbol estimates under every delay combination.
+    """Linear MMSE symbol estimates under every delay combination, for slots
+    ts, r[i] received in slot ts[i].
 
     Returns the combinations (C, M), in itertools.product order, and the
-    estimates s_hat (C, M), solved as one stack of N x N systems.
+    estimates s_hat (T, C, M), solved as one stack of N x N systems.  Should
+    a system be exactly singular, the whole stack takes the pseudo-inverse.
     """
     M, taud = cfg.M, cfg.taud
-    phases = delay_phases(inst, t, taud)
+    phases = np.array([delay_phases(inst, t, taud) for t in ts])           # (T, M, taud)
     combos = np.array(list(itertools.product(range(taud), repeat=M)))
-    A = inst.H_est[None, :, :] * phases[np.arange(M), combos][:, None, :]   # (C, N, M)
-    A_h = A.conj().transpose(0, 2, 1)
+    # C order, as one slot's stack is: matmul's bits depend on the memory layout
+    factors = np.ascontiguousarray(phases[:, np.arange(M), combos])       # (T, C, M)
+    A = inst.H_est * factors[:, :, None, :]                                # (T, C, N, M)
+    A_h = A.conj().swapaxes(-1, -2)
     G = A @ A_h + inst.sigma_v ** 2 * np.eye(cfg.N)
+    b = np.asarray(r)[:, None, :, None]
     try:
-        s_hat = A_h @ np.linalg.solve(G, r[:, None])
+        s_hat = A_h @ np.linalg.solve(G, b)
     except np.linalg.LinAlgError:
-        s_hat = A_h @ (np.linalg.pinv(G) @ r[:, None])
+        s_hat = A_h @ (np.linalg.pinv(G) @ b)
     return combos, s_hat[..., 0]
 
 
-def mmse_detect(inst: ChannelInstance, r: np.ndarray, t: int, cfg: SystemConfig,
-                space: EnumeratedSpace) -> int:
-    """Per-delay-combination linear MMSE with constellation quantization.
+def mmse_detect(inst: ChannelInstance, r: np.ndarray, ts, cfg: SystemConfig,
+                stack: SpaceStack) -> np.ndarray:
+    """Per-delay-combination linear MMSE with constellation quantization, for
+    slots ts, r[i] received in slot ts[i] and valued by row i of stack.
 
     Each delay combination gives one candidate, its estimates quantized to
     the nearest constellation point (boundary values go to bit 0, the +1
-    symbol); the candidates are ranked by the space's values and the ordinal
-    of the first lowest is returned.
+    symbol); the candidates are ranked by the slot's table values and the
+    ordinal of the first lowest is returned, one per slot.
     """
-    combos, s_hat = mmse_estimates(inst, r, t, cfg)
+    combos, s_hat = mmse_estimates(inst, r, ts, cfg)
+    n_slots, n_combos = s_hat.shape[:2]
     if cfg.modulation == PSK2:
-        bits = np.real(np.conj(psk2_base(t)) * s_hat) < 0
+        base = np.array([psk2_base(t) for t in ts])
+        bits = np.real(np.conj(base)[:, None, None] * s_hat) < 0
     else:
-        bits = np.stack([np.real(s_hat) < 0, np.imag(s_hat) < 0], axis=2).reshape(len(combos), -1)
-    ordinals = channel_ordinals(space, bits, combos)
-    return int(ordinals[np.argmin(space.e_values[ordinals])])
+        bits = np.stack([np.real(s_hat) < 0, np.imag(s_hat) < 0], axis=3)
+    ordinals = channel_ordinals(stack, bits.reshape(n_slots * n_combos, -1),
+                                np.tile(combos, (n_slots, 1))).reshape(n_slots, n_combos)
+    values = np.take_along_axis(stack.e_values, ordinals, axis=1)
+    return ordinals[np.arange(n_slots), values.argmin(axis=1)]

@@ -11,7 +11,7 @@ import pytest
 from gasmld import cli, harness
 from gasmld.channel import generate_instance, objective_direct, random_payload_bits, received_slot
 from gasmld.errors import ConfigError
-from gasmld.gas import run_gas
+from gasmld.gas import run_gas, run_gas_batch
 from gasmld.hubo import W_STATE_REDUCED, build_registry
 from gasmld.harness import (ExperimentSpec, fmt, load_spec, run_ber, run_calibration,
                             run_gate_count, run_query_cdf, solve_single, write_csv)
@@ -70,13 +70,17 @@ class TestLoader:
                     {"snr_sweep": "10"}, {"snr_sweep": 10.0}, {"snr_sweep": [10.0, "15"]},
                     {"snr_sweep": [True]}, {"grid": {"M": 2, "tau_max": 1}},
                     {"grid": [[2, 1]]}, {"grid": [{"M": 2.0, "tau_max": 1}]},
-                    {"grid": [{"M": 2}]}, {"grid": [{"M": 2, "tau_max": 1, "q_v": 1.0}]}):
+                    {"grid": [{"M": 2}]}, {"grid": [{"M": 2, "tau_max": 1, "q_v": 1.0}]},
+                    {"name": 5}, {"output_dir": 7}, {"name": 5, "output_dir": 7},
+                    {"name": ["x"]}, {"output_dir": True}):
             with pytest.raises(ConfigError):
                 load_spec({"cfg": CFG, **bad})
 
     def test_invalid_system_values(self):
         with pytest.raises(ConfigError):
             load_spec({"cfg": {"N": 0, "M": 2, "tau_max": 1}})
+        with pytest.raises(ConfigError, match="seed"):
+            load_spec({"cfg": {**CFG, "seed": -4}})
         for bad in ({"trials": 0}, {"trials": -3},
                     {"variants": [{**W_PREP, "threshold": "MVD"}]},
                     {"variants": [{**W_PREP, "prep": "w-state"}]},
@@ -179,12 +183,16 @@ class TestBer:
             "snr_sweep": [20.0],
             "detectors": ["exhaustive", "gas-mvd"],
         })
-        rows, aux = run_ber(spec)
+        rows, rotations = run_ber(spec)
         for det, snr, tp, bits, errors, ber in rows:
             assert bits == 3 * 6 * 2
             assert 0 <= errors <= bits
             assert ber == errors / bits
             assert tp == 64
+        # one rotation row per GAS detector and SNR point, over every slot
+        [(det, snr, runs, censored, median)] = rotations
+        assert (det, snr, runs) == ("gas-mvd", 20.0, 3 * 6)
+        assert 0 <= censored <= runs and median >= 0
 
     def test_cd_qd_bookkeeping(self):
         # CD queries never exceed rotations plus zero-rotation iterations
@@ -208,12 +216,12 @@ class TestBer:
         # re-measurement of that state ties the threshold and is rejected
         runs = []
 
-        def recording(backend, params, rng, **kwargs):
-            trace = run_gas(backend, params, rng, **{**kwargs, "record_trace": True})
-            runs.append((backend.space, params, trace))
-            return trace
+        def recording(stack, rows, params, rngs, **kwargs):
+            batch = run_gas_batch(stack, rows, params, rngs, **{**kwargs, "record": True})
+            runs.extend((stack, row, p, batch, j) for j, (row, p) in enumerate(zip(rows, params)))
+            return batch
 
-        monkeypatch.setattr(harness, "run_gas", recording)
+        monkeypatch.setattr(harness, "run_gas_batch", recording)
         spec = load_spec({
             "cfg": {"N": 2, "M": 4, "tau_max": 1, "T_D": 16, "seed": 2026},
             "trials": 1,
@@ -222,23 +230,26 @@ class TestBer:
         })
         run_ber(spec)
         assert len(runs) == 48
-        for space, params, trace in runs:
-            assert trace.iterations[0].y == space.value_of(params.x0)
-            x0 = space.assignment(params.x0)
-            assert not any(it.accepted and np.array_equal(it.x, x0) for it in trace.iterations)
+        for stack, row, params, batch, j in runs:
+            iterations = [step for step in batch.steps if step["ran"][j]]
+            assert iterations[0]["y"][j] == stack.e_values[row, params.x0]
+            x0 = stack.assignment(params.x0)
+            assert not any(it["accepted"][j] and np.array_equal(stack.assignment(it["x"][j]), x0)
+                           for it in iterations)
 
     def test_halt_at_first_hit_keeps_the_detection(self, monkeypatch):
-        # each GAS detector run again from the same substream without
-        # oracle_min, to its full budget: the same output, never fewer queries
+        # each GAS detector batch run again from the same streams without
+        # oracle_min, to its full budget: the same outputs, never more queries
         runs = []
 
-        def paired(backend, params, rng, **kwargs):
-            free = run_gas(backend, params, copy.deepcopy(rng), **{**kwargs, "oracle_min": None})
-            halted = run_gas(backend, params, rng, **kwargs)
-            runs.append((halted, free))
+        def paired(stack, rows, params, rngs, **kwargs):
+            free = run_gas_batch(stack, rows, params, copy.deepcopy(rngs),
+                                 **{**kwargs, "oracle_min": None})
+            halted = run_gas_batch(stack, rows, params, rngs, **kwargs)
+            runs.extend(zip(halted.final, halted.cd_queries, free.final, free.cd_queries))
             return halted
 
-        monkeypatch.setattr(harness, "run_gas", paired)
+        monkeypatch.setattr(harness, "run_gas_batch", paired)
         spec = load_spec({
             "cfg": {"N": 2, "M": 4, "tau_max": 1, "T_D": 8, "seed": 2026},
             "trials": 1,
@@ -247,10 +258,10 @@ class TestBer:
         })
         run_ber(spec)
         assert len(runs) == 48
-        for halted, free in runs:
-            assert np.array_equal(halted.final_x, free.final_x)
-            assert halted.cd_queries <= free.cd_queries
-        assert sum(h.cd_queries for h, _ in runs) < sum(f.cd_queries for _, f in runs)
+        for halted_x, halted_cd, free_x, free_cd in runs:
+            assert halted_x == free_x
+            assert halted_cd <= free_cd
+        assert sum(r[1] for r in runs) < sum(r[3] for r in runs)
 
 
 class TestCalibrationRunner:
@@ -418,3 +429,36 @@ class TestCli:
         assert cli.main(["query-cdf", "--config", str(path), "--out", str(tmp_path)]) == 1
         assert "lambda" in capsys.readouterr().err
         assert calls == []
+
+    @pytest.mark.parametrize("where,extra,word", [
+        ("flag", ("--trials", "-3"), "--trials"),
+        ("flag", ("--trials", "0"), "--trials"),
+        ("flag", ("--seed", "-4"), "seed"),
+        ("config", (), "seed"),
+    ])
+    def test_bad_override_fails_before_work(self, tmp_path, monkeypatch, capsys,
+                                            where, extra, word):
+        # --trials and --seed are checked as the config's trials and cfg.seed
+        # are, before calibration or any output
+        config = json.loads((CONFIG_DIR / "query_cdf_lmin.json").read_text())
+        if where == "config":
+            config["cfg"]["seed"] = -4
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        calls = []
+        monkeypatch.setattr(harness, "calibrate", lambda *a, **k: calls.append(a))
+        assert cli.main(["query-cdf", "--config", str(path), *extra, "--out", str(out)]) == 1
+        assert word in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
+    def test_non_string_name_is_a_config_error(self, tmp_path, capsys):
+        # before: a TypeError traceback from Path(7), or a file named 5_gate_count.json
+        config = json.loads((CONFIG_DIR / "gate_count.json").read_text())
+        for bad in ({"name": 5, "output_dir": 7}, {"name": 5}):
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps({**config, **bad}))
+            out = tmp_path / "out"
+            assert cli.main(["gate-count", "--config", str(path), "--out", str(out)]) == 1
+            assert "must be a string" in capsys.readouterr().err
+            assert not out.exists()

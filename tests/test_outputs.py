@@ -28,7 +28,7 @@ def sha256(data: bytes) -> str:
         "threshold-comparison_ber.csv":
             "1adf35a0f67cb4913b9a179a699dc74bbc29d39e440f7e37c8cd3a5fa7000c3c",
         "threshold-comparison_ber_rotations.csv":
-            "91f6327caea69d2a520ac9512fc976eb11f8a13aa1e7477c105529349c27db37"}),
+            "7f6d833fe46eba8711af2d97d21464dd3fbc8e9430d3f3f82dfae1877f2aaeef"}),
     # the mvd threshold, restart and all three lmin arms
     ("query-cdf", "query_cdf_lmin.json", ("--trials", "10"), {
         "rotation-lower-bound_query_cdf.csv":

@@ -44,6 +44,23 @@ def enumerate_search_space(reg, prep):
             yield x
 
 
+@pytest.mark.parametrize("prep", [W_STATE_REDUCED, HADAMARD_FULL])
+@pytest.mark.parametrize("modulation,N", [(PSK2, 2), (QPSK, 2), (PSK2, 3)],
+                         ids=["psk2", "qpsk", "psk2-N3"])
+def test_stack_rows_match_from_channel(modulation, N, prep):
+    # row t of a many-slot stack has the bits of slot t's one-slot space
+    cfg, inst, _, reg = make(N=N, M=3, modulation=modulation, T_D=8)
+    slots = np.arange(cfg.T_D)
+    r = np.stack([received_slot(inst, cfg, t, random_payload_bits(cfg, t)).r for t in slots])
+    stack = spaces.channel_spaces(inst, r, slots, cfg, prep, reg)
+    assert stack.e_values.shape == (cfg.T_D, stack.n_states)
+    for t in slots:
+        space = from_channel(inst, r[t], t, cfg, prep, reg)
+        assert stack.e_values[t].tobytes() == space.e_values.tobytes()
+        assert np.array_equal(stack.key_indices, space.key_indices)
+        assert np.array_equal(stack.space(t).one_hot, space.one_hot)
+
+
 @pytest.mark.parametrize("modulation", [PSK2, QPSK])
 @pytest.mark.parametrize("prep", [W_STATE_REDUCED, HADAMARD_FULL])
 def test_space_matches_objective_direct(modulation, prep):
@@ -212,7 +229,7 @@ class TestLazyOrder:
     @pytest.mark.parametrize("prep", [W_STATE_REDUCED, HADAMARD_FULL])
     def test_values_match_axis_sum(self, N, prep, monkeypatch):
         # the per-column sum equals numpy's axis-1 reduction bit for bit on
-        # the same signal table (the first broadcast sum)
+        # the same signal table (the first broadcast sum, a stack of one slot)
         tables = []
 
         def recording(parts):
@@ -223,7 +240,7 @@ class TestLazyOrder:
         monkeypatch.setattr(spaces, "_broadcast_sum", recording)
         cfg, inst, slot, reg = make(N=N, M=3, seed=14)
         space = from_channel(inst, slot.r, 0, cfg, prep, reg)
-        expect = np.sum(np.abs(slot.r[None, :] - tables[0]) ** 2, axis=1)
+        expect = np.sum(np.abs(slot.r[None, :] - tables[0][0]) ** 2, axis=1)
         assert np.array_equal(space.e_values, expect)
 
 

@@ -7,7 +7,7 @@ from gasmld.channel import (PSK2, QPSK, SystemConfig, generate_instance, map_sym
                             noise_realization, objective_direct, random_payload_bits,
                             received_slot)
 from gasmld.hubo import W_STATE_REDUCED, build_hubo, build_registry, evaluate
-from gasmld.spaces import from_channel
+from gasmld.spaces import SpaceStack, channel_spaces, from_channel
 from gasmld.thresholds import (MvdParams, mmse_detect, mmse_estimates, mvd_rate,
                                regularized_gamma_q, y_mvd)
 
@@ -113,6 +113,12 @@ class TestEminDistribution:
         assert d <= 1.63 / math.sqrt(n)  # 99% Kolmogorov quantile
 
 
+def detect_one(inst, r, t, cfg, space):
+    """mmse_detect on one slot: a stack of one row."""
+    stack = SpaceStack(space.reg, space.prep, space.e_values[None], space.key_indices)
+    return int(mmse_detect(inst, r[None], [t], cfg, stack)[0])
+
+
 class TestMmse:
     def test_noiseless_recovery(self):
         cfg = SystemConfig(N=2, M=2, tau_max=1, T_P=0, T_D=1, snr_db=300.0, seed=7)
@@ -120,7 +126,7 @@ class TestMmse:
         bits = random_payload_bits(cfg, 0)
         slot = received_slot(inst, cfg, 0, bits)
         space = from_channel(inst, slot.r, 0, cfg, W_STATE_REDUCED, build_registry(cfg))
-        ordinal = mmse_detect(inst, slot.r, 0, cfg, space)
+        ordinal = detect_one(inst, slot.r, 0, cfg, space)
         assert space.value_of(ordinal) == pytest.approx(0.0, abs=1e-12)
         assert np.array_equal(space.assignment(ordinal)[:cfg.M], bits)
 
@@ -132,7 +138,7 @@ class TestMmse:
             bits = random_payload_bits(cfg, 0, instance_id=inst_id)
             slot = received_slot(inst, cfg, 0, bits)
             space = from_channel(inst, slot.r, 0, cfg, W_STATE_REDUCED, reg)
-            ordinal = mmse_detect(inst, slot.r, 0, cfg, space)
+            ordinal = detect_one(inst, slot.r, 0, cfg, space)
             assert space.value_of(ordinal) >= space.min_value() - 1e-12
 
     def test_matches_bruteforce_recomputation(self):
@@ -142,7 +148,7 @@ class TestMmse:
         bits = random_payload_bits(cfg, 0)
         slot = received_slot(inst, cfg, 0, bits)
         space = from_channel(inst, slot.r, 0, cfg, W_STATE_REDUCED, build_registry(cfg))
-        got = space.value_of(mmse_detect(inst, slot.r, 0, cfg, space))
+        got = space.value_of(detect_one(inst, slot.r, 0, cfg, space))
         best = math.inf
         for combo in itertools.product(range(cfg.taud), repeat=cfg.M):
             d_phase = np.array([np.exp(1j * 2 * np.pi * inst.f_est[m] * (0 - combo[m]))
@@ -171,7 +177,7 @@ class TestMmse:
             t = inst_id
             slot = received_slot(inst, cfg, t, random_payload_bits(cfg, t, instance_id=inst_id))
             space = from_channel(inst, slot.r, t, cfg, W_STATE_REDUCED, reg)
-            combos, stacked = mmse_estimates(inst, slot.r, t, cfg)
+            combos, (stacked,) = mmse_estimates(inst, slot.r[None], [t], cfg)
             candidates = []
             for i, combo in enumerate(itertools.product(range(cfg.taud), repeat=cfg.M)):
                 d_phase = np.exp(1j * 2 * np.pi * inst.f_est * (t - np.array(combo)))
@@ -191,9 +197,28 @@ class TestMmse:
                 candidates.append(int(np.flatnonzero(space.key_indices == key)[0]))
             assert len(stacked) == len(candidates)
             values = space.e_values[candidates]
-            ordinal = mmse_detect(inst, slot.r, t, cfg, space)
+            ordinal = detect_one(inst, slot.r, t, cfg, space)
             assert space.value_of(ordinal) == values.min()
             assert ordinal == candidates[int(np.argmin(values))]
+
+
+    @pytest.mark.parametrize("modulation", [PSK2, QPSK])
+    def test_stack_matches_one_slot_calls(self, modulation):
+        # a many-slot call gives each slot the estimates and ordinal of its
+        # one-slot call, bit for bit
+        cfg = SystemConfig(N=2, M=3, tau_max=1, modulation=modulation, T_D=6, snr_db=10.0,
+                           seed=11)
+        reg = build_registry(cfg)
+        inst = generate_instance(cfg)
+        slots = np.arange(cfg.T_D)
+        r = np.stack([received_slot(inst, cfg, t, random_payload_bits(cfg, t)).r for t in slots])
+        stack = channel_spaces(inst, r, slots, cfg, W_STATE_REDUCED, reg)
+        ordinals = mmse_detect(inst, r, slots, cfg, stack)
+        _, estimates = mmse_estimates(inst, r, slots, cfg)
+        for t in slots:
+            _, (one,) = mmse_estimates(inst, r[t][None], [t], cfg)
+            assert estimates[t].tobytes() == one.tobytes()
+            assert ordinals[t] == detect_one(inst, r[t], t, cfg, stack.space(t))
 
 
 class TestYRand:
