@@ -36,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="run one instance and print the trace")
     _add_common(solve)
     solve.add_argument("--dump-state", default=None,
-                       help="write the prepared statevector (circuit backend)")
+                       help="write the prepared state A_y|0> (circuit backend)")
     for name in ("query-cdf", "ber", "calibrate", "gate-count"):
         _add_common(sub.add_parser(name))
     return parser

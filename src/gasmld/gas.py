@@ -8,7 +8,9 @@ marks through the QFT value encoding of the real circuit and draws from that
 circuit's exact two-dimensional Grover law, without a statevector.  A
 backend holds only its law, measure(y, L, rng) -> (ordinal, objective value);
 run_gas reads everything else from backend.space and carries state ordinals
-until it decodes its output.
+until it decodes its output.  The value-register rules of the circuit (the
+objective bound, the register width, the integer scale and its range check)
+sit beside CircuitBackend.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import spaces, statevector
+from . import spaces
+from .errors import CapacityError
+from .hubo import HADAMARD_FULL
 
 LMIN_ZERO = "zero"
 LMIN_CONVENTIONAL_C = "conventional-c"
@@ -32,6 +36,9 @@ BACKEND_CIRCUIT = "circuit"
 STOP_OPTIMUM = "optimum"
 STOP_BUDGET_ITERATIONS = "budget_iterations"
 STOP_BUDGET_ROTATIONS = "budget_rotations"
+
+# qubits of the largest state CircuitBackend.prepared_state writes
+MAX_QUBITS = 26
 
 
 def success_probability(Ns: int, Nt: int, L: int) -> float:
@@ -143,6 +150,54 @@ class AmplitudeBackend:
         return ordinal, float(e_values[ordinal])
 
 
+def channel_bound(H_est: np.ndarray, r: np.ndarray, prep: str, taud: int) -> float:
+    """Bound on the objective over the states prep reaches,
+    sum_n (|r_n| + c sum_m |H_est[n, m]|)^2: a user's symbol times its delay
+    block has modulus at most c, one unit-modulus phase (c = 1) on one-hot
+    blocks and up to taud of them (c = taud) on the full space."""
+    c = taud if prep == HADAMARD_FULL else 1
+    row_abs = np.sum(np.abs(H_est), axis=1)
+    return float(np.sum((np.abs(np.asarray(r)) + c * row_abs) ** 2))
+
+
+def register_width(lo: float, hi: float, y: float) -> int:
+    """Smallest value-register width whose two's-complement window
+    [-2^(q_v-1), 2^(q_v-1)) holds E - y for objective values in [lo, hi]."""
+    q_v = 1
+    while not (lo - y >= -(1 << (q_v - 1)) and hi - y < (1 << (q_v - 1))):
+        q_v += 1
+        if q_v > 62:
+            raise ValueError("objective bound does not fit any sane register")
+    return q_v
+
+
+def value_scale(lo: float, hi: float, y: float, q_v: int) -> int:
+    """Largest integer factor s that keeps s (E - y) inside the window for
+    objective values in [lo, hi].
+
+    The value register resolves sign at a granularity of one unit whatever
+    its width, so a threshold closer than a unit to a spectrum level would
+    be invisible to the oracle; scaling sharpens the fractional encoding and
+    leaves the marked set (the sign of E - y) unchanged.
+    """
+    spread = max(hi - y, y - lo, 1e-12)
+    # guard band: fractional values near the window edge would leak
+    # across the two's-complement wrap and flip their sign bit
+    guard = 8.0 if q_v >= 5 else 1.0
+    room = (1 << (q_v - 1)) - guard
+    return max(1, math.floor(room / spread))
+
+
+def check_value_range(e_vec: np.ndarray, y: float, q_v: int) -> None:
+    """Two's-complement range requirement on E(x) - y."""
+    half = 1 << (q_v - 1)
+    lo, hi = float(np.min(e_vec)) - y, float(np.max(e_vec)) - y
+    if lo < -half or hi >= half:
+        raise ValueError(
+            f"E - y spans [{lo:g}, {hi:g}], outside the representable "
+            f"[-2^{q_v - 1}, 2^{q_v - 1}) window")
+
+
 class CircuitBackend:
     """Exact measurement law of the GAS circuit over an enumerated space.
 
@@ -159,8 +214,9 @@ class CircuitBackend:
     With N = 2^q_v and the scaled offset d_x = s E_x - s y, the value
     register holds the Fejer kernel F(phi) = sin^2(N phi / 2) / (N sin(phi /
     2))^2 centred on 2 pi d_x / N (Gilliam, Woerner, Gonciulea, Quantum
-    2021), so q1_x sums it over the negative half u = N/2 .. N-1.  The
-    dense statevector.GroverCircuit computes the same law the long way.
+    2021), so q1_x sums it over the negative half u = N/2 .. N-1.  The same
+    closed form gives the prepared state A_y|0> (prepared_state), so no
+    statevector is ever simulated gate by gate.
     """
 
     def __init__(self, space: spaces.EnumeratedSpace, q_v: int):
@@ -172,7 +228,7 @@ class CircuitBackend:
         self._memo: tuple[float, np.ndarray, float] | None = None
 
     def scale_for(self, y: float) -> int:
-        return statevector.value_scale(self._lo, self._hi, y, self.q_v)
+        return value_scale(self._lo, self._hi, y, self.q_v)
 
     def _sign_probabilities(self, y: float) -> tuple[np.ndarray, float]:
         """q1 per state ordinal, P(sign qubit = 1) after the value encoding,
@@ -180,7 +236,7 @@ class CircuitBackend:
         if self._memo is None or self._memo[0] != y:
             s = self.scale_for(y)
             e = s * self.space.e_values
-            statevector.check_value_range(e, s * y, self.q_v)
+            check_value_range(e, s * y, self.q_v)
             n = 1 << self.q_v
             # offset, in register units, from each negative-half basis state
             # u = n - k, wrapped into [-n/2, n/2): F has period n, and the
@@ -204,6 +260,30 @@ class CircuitBackend:
         good = math.sin(a * theta) ** 2 / p_good
         bad = math.cos(a * theta) ** 2 / (1.0 - p_good) if p_good < 1.0 else a * a
         return (good * q1 + bad * (1.0 - q1)) / self.space.n_states
+
+    def prepared_state(self, y: float) -> np.ndarray:
+        """A_y|0> as a (2^q_k, 2^q_v) amplitude matrix, rows by key index.
+
+        The preparation is uniform, 1/sqrt(Nt), on the space's keys and the
+        value Hadamards uniform on the register; the value encoding puts the
+        phase exp(j Theta_x (v - (N - 1)/2)), Theta_x = 2 pi (s E_x - s y) / N,
+        on key x and applies a QFT, so key x's row is the FFT of its phase
+        row over N sqrt(Nt), and every key outside the space is zero.
+        """
+        q_k = self.space.reg.q_k
+        if q_k + self.q_v > MAX_QUBITS:
+            raise CapacityError(f"{q_k + self.q_v} qubits exceed the state-dump guard "
+                                f"of {MAX_QUBITS}")
+        s = self.scale_for(y)
+        e = s * self.space.e_values
+        check_value_range(e, s * y, self.q_v)
+        n = 1 << self.q_v
+        theta = 2.0 * np.pi * (e - s * y) / n
+        phases = np.exp(1j * np.outer(theta, np.arange(n) - (n - 1) / 2.0))
+        state = np.zeros((1 << q_k, n), dtype=complex)
+        state[self.space.key_indices.astype(np.intp)] = (
+            np.fft.fft(phases, axis=1) / (n * math.sqrt(self.space.n_states)))
+        return state
 
     def measure(self, y: float, L: int, rng: np.random.Generator):
         p = self.distribution(y, L)

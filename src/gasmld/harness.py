@@ -21,13 +21,12 @@ from .channel import PSK2, QPSK, SystemConfig, generate_instance, objective_dire
 from .errors import ConfigError
 from .gas import (AmplitudeBackend, BACKEND_AMPLITUDE, BACKEND_CIRCUIT, CircuitBackend,
                   GasParams, GasTrace, LMIN_CONVENTIONAL_C, LMIN_PROPOSED_CPRIME, LMIN_ZERO,
-                  run_gas, run_gas_batch)
+                  channel_bound, register_width, run_gas, run_gas_batch)
 from .gates import build_report
-from .hubo import HADAMARD_FULL, W_STATE_REDUCED, build_hubo, build_registry
+from .hubo import HADAMARD_FULL, W_STATE_REDUCED, build_registry
 from .indicators import (CalibrationTable, calibrate, config_hash, indicator_c,
                          indicator_c_prime, select_lmin, select_lmin_conventional)
 from .spaces import channel_spaces, from_channel
-from .statevector import GroverCircuit, choose_qv
 from .thresholds import MvdParams, mmse_detect, y_mvd
 
 CALIBRATION_ID_OFFSET = 1_000_000
@@ -84,7 +83,9 @@ def load_spec(source) -> ExperimentSpec:
         raise ConfigError("config requires a 'cfg' object with the system parameters")
     cfg_in = _check_keys(data["cfg"], _CFG_FIELDS, "cfg")
     for key, typ in _CFG_FIELDS.items():
-        if key in cfg_in and not isinstance(cfg_in[key], typ):
+        # a JSON boolean is a Python int, but never a count or a quantity
+        if key in cfg_in and (isinstance(cfg_in[key], bool)
+                              or not isinstance(cfg_in[key], typ)):
             raise ConfigError(f"cfg.{key} has wrong type {type(cfg_in[key]).__name__}")
     for key in ("N", "M", "tau_max"):
         if key not in cfg_in:
@@ -246,16 +247,14 @@ def _gas_params(spec: ExperimentSpec, arm: dict, inst, ymvd: float,
         restart_enabled=arm.get("restart", False), enforce_one_hot=True)
 
 
-def _gas_backend(spec: ExperimentSpec, inst, r, t, cfg, space):
+def _gas_backend(spec: ExperimentSpec, inst, r, space):
+    """The configured backend over space; without a configured q_v the
+    circuit's value register is fitted to the channel's objective bound."""
     if spec.backend == BACKEND_AMPLITUDE:
         return AmplitudeBackend(space)
-    return CircuitBackend(space, spec.q_v or _fitted_qv(inst, r, t, cfg, space.prep))
-
-
-def _fitted_qv(inst, r, t, cfg, prep) -> int:
-    """Value-register width from the HUBO's objective bound."""
-    poly, _ = build_hubo(inst, r, t, cfg)
-    return choose_qv(poly, 0.0, prep)
+    q_v = spec.q_v or register_width(
+        0.0, channel_bound(inst.H_est, r, space.prep, space.reg.taud), 0.0)
+    return CircuitBackend(space, q_v)
 
 
 def run_query_cdf(spec: ExperimentSpec):
@@ -282,7 +281,7 @@ def run_query_cdf(spec: ExperimentSpec):
             prep = variant.get("prep", W_STATE_REDUCED)
             space = w_space if prep == W_STATE_REDUCED else \
                 from_channel(inst, slot.r, 0, cfg, prep, reg)
-            backend = _gas_backend(spec, inst, slot.r, 0, cfg, space)
+            backend = _gas_backend(spec, inst, slot.r, space)
             params = _gas_params(spec, variant, inst, ymvd, table, None)
             rng = streams.substream(cfg.seed, streams.TRIAL, trial, vi)
             trace = run_gas(backend, params, rng, oracle_min=oracle_min, record_trace=False)
@@ -408,7 +407,8 @@ def run_calibration(spec: ExperimentSpec, out_dir: Path | None = None):
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        table.save(out_dir / "calibration_table.csv", cfg_hash=config_hash(cfg))
+        table.save(out_dir / "calibration_table.csv",
+                   cfg_hash=config_hash(cfg, spec.calibration_samples, spec.mvd_p))
     return rows, table
 
 
@@ -428,7 +428,7 @@ def solve_single(spec: ExperimentSpec, dump_state: Path | None = None) -> GasTra
     cfg = spec.cfg
     _require_backend(spec, "solve", (BACKEND_AMPLITUDE, BACKEND_CIRCUIT))
     if dump_state is not None and spec.backend != BACKEND_CIRCUIT:
-        # the prepared statevector exists only in the circuit model
+        # the prepared state exists only in the circuit model
         raise ConfigError(f"solve does not take --dump-state on backend {spec.backend!r}")
     reg = build_registry(cfg)
     inst = generate_instance(cfg, instance_id=0)
@@ -436,10 +436,10 @@ def solve_single(spec: ExperimentSpec, dump_state: Path | None = None) -> GasTra
     slot = received_slot(inst, cfg, 0, bits)
     space = from_channel(inst, slot.r, 0, cfg, W_STATE_REDUCED, reg)
     ymvd = y_mvd(MvdParams.from_config(cfg, spec.mvd_p))
-    backend = _gas_backend(spec, inst, slot.r, 0, cfg, space)
+    backend = _gas_backend(spec, inst, slot.r, space)
     if dump_state is not None:
-        poly, _ = build_hubo(inst, slot.r, 0, cfg)
-        GroverCircuit(poly, reg, W_STATE_REDUCED, backend.q_v).prepare(ymvd).dump(dump_state)
+        # little-endian complex128 is float64 re/im interleaved
+        backend.prepared_state(ymvd).astype("<c16").tofile(dump_state)
     params = _gas_params(spec, SOLVE_ARM, inst, ymvd, None, None)
     rng = streams.substream(cfg.seed, streams.GAS, 0, 0, 0)
     return run_gas(backend, params, rng, oracle_min=space.min_value(), record_trace=True)

@@ -93,28 +93,9 @@ class HuboPolynomial:
     n_vars: int
     constant: float
     terms: dict[tuple[int, ...], float] = field(repr=False)
-    # largest attainable objective value, used to size the value register
-    bound_one_hot: float | None = None
-    bound_full: float | None = None
 
     def max_order(self) -> int:
         return max((len(k) for k in self.terms), default=0)
-
-
-def evaluate(poly: HuboPolynomial, x) -> float:
-    """Objective value at a 0/1 assignment."""
-    x = np.asarray(x)
-    if x.size != poly.n_vars:
-        raise ValueError(f"assignment has {x.size} bits, polynomial has {poly.n_vars}")
-    total = poly.constant
-    for vars_, coeff in poly.terms.items():
-        prod = 1.0
-        for i in vars_:
-            if not x[i]:
-                prod = 0.0
-                break
-        total += coeff * prod
-    return float(total)
 
 
 def _pmul(p1: dict, p2: dict) -> dict:
@@ -183,18 +164,4 @@ def build_hubo(inst: ChannelInstance, r: np.ndarray, t: int, cfg: SystemConfig,
         for s, a in total.items()
         if abs(a.real) > cutoff
     }
-
-    col_abs = np.sum(np.abs(inst.H_est), axis=1)
-    r_abs = np.abs(np.asarray(r))
-    bound_one_hot = float(np.sum((r_abs + col_abs) ** 2))
-    bound_full = float(np.sum((r_abs + taud * col_abs) ** 2))
-    poly = HuboPolynomial(n_vars=reg.q_k, constant=constant, terms=terms,
-                          bound_one_hot=bound_one_hot, bound_full=bound_full)
-    return poly, reg
-
-
-def term_counts_by_order(poly: HuboPolynomial) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for vars_ in poly.terms:
-        counts[len(vars_)] = counts.get(len(vars_), 0) + 1
-    return counts
+    return HuboPolynomial(n_vars=reg.q_k, constant=constant, terms=terms), reg

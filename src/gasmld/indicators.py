@@ -13,7 +13,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -118,27 +118,12 @@ class CalibrationTable:
             "cfg_hash": cfg_hash,
         }))
 
-    @staticmethod
-    def load(csv_path) -> "CalibrationTable":
-        path = Path(csv_path)
-        with path.open() as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != ["c_prime", "l_opt"]:
-                raise ValueError(f"unexpected calibration header {header}")
-            rows = [(float(c), int(lo)) for c, lo in reader]
-        meta = json.loads(path.with_suffix(path.suffix + ".meta.json").read_text())
-        c = np.array([r[0] for r in rows])
-        lo = np.array([r[1] for r in rows], dtype=int)
-        return CalibrationTable(c_prime=c, l_opt=lo,
-                                c_prime_max=meta["c_prime_max"], delta=meta["delta"])
 
-
-def config_hash(cfg: SystemConfig) -> str:
-    payload = json.dumps({
-        "N": cfg.N, "M": cfg.M, "tau_max": cfg.tau_max, "modulation": cfg.modulation,
-        "T_P": cfg.T_P, "T_D": cfg.T_D, "P_X": cfg.P_X, "snr_db": cfg.snr_db,
-    }, sort_keys=True)
+def config_hash(cfg: SystemConfig, n_samples: int, P: float) -> str:
+    """Digest of everything a calibration depends on: the whole system
+    config, seed included, the sample count and the MVD exceedance P."""
+    payload = json.dumps({**asdict(cfg), "samples": n_samples, "P": P},
+                         sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -206,22 +191,3 @@ def select_lmin_conventional(C: float) -> int:
     if C < 1.3:
         return 8
     return 12
-
-
-def binned_spread(values, l_values, n_bins: int = 20,
-                  lo_q: float = 10.0, hi_q: float = 90.0) -> float:
-    """Average (p90 - p10) of L_opt over equal-width indicator bins."""
-    values = np.asarray(values, dtype=float)
-    l_values = np.asarray(l_values, dtype=float)
-    edges = np.linspace(values.min(), values.max(), n_bins + 1)
-    spreads = []
-    for b in range(n_bins):
-        upper = values < edges[b + 1] if b < n_bins - 1 else values <= edges[b + 1]
-        mask = (values >= edges[b]) & upper
-        if mask.sum() < 2:
-            continue
-        sel = l_values[mask]
-        spreads.append(np.percentile(sel, hi_q) - np.percentile(sel, lo_q))
-    if not spreads:
-        raise ValueError("no populated bins")
-    return float(np.mean(spreads))

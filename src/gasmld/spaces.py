@@ -6,8 +6,8 @@ user, so the full table is assembled by broadcasting per-user contribution
 tables over the product space instead of looping over assignments.
 
 Key index convention: registry variable i maps to bit weight 2^(q_k - 1 - i),
-i.e. variable 0 is the most significant bit of the integer key index.  The
-statevector simulator uses the same convention.
+i.e. variable 0 is the most significant bit of the integer key index, the
+key register's qubit order in the circuit (gas.CircuitBackend).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import PSK2, ChannelInstance, SystemConfig, delay_phases, map_symbols
 from .errors import CapacityError
-from .hubo import HADAMARD_FULL, W_STATE_REDUCED, HuboPolynomial, VarRegistry
+from .hubo import HADAMARD_FULL, W_STATE_REDUCED, VarRegistry
 
 MAX_ENUMERABLE = 1 << 24
 
@@ -75,10 +75,6 @@ class EnumeratedSpace:
 
     def min_value(self) -> float:
         return float(self.e_values.min())
-
-    def argmin_ordinal(self) -> int:
-        """First ordinal attaining the minimum, the stable order's head."""
-        return int(np.argmin(self.e_values))
 
     def sample_uniform(self, rng: np.random.Generator) -> int:
         return int(rng.integers(self.n_states))
@@ -244,41 +240,3 @@ def channel_ordinals(space: EnumeratedSpace | SpaceStack, b_bits: np.ndarray,
     b = np.asarray(b_bits, dtype=np.int64).reshape(len(delays), reg.M, n_bbits)
     digits = (b @ (1 << np.arange(n_bbits - 1, -1, -1))) * reg.taud + delays
     return digits @ (reg.taud << n_bbits) ** np.arange(reg.M - 1, -1, -1)
-
-
-def poly_values_over_keys(poly: HuboPolynomial, q_k: int) -> np.ndarray:
-    """Evaluate the polynomial at every key index 0 .. 2^q_k - 1."""
-    n = 1 << q_k
-    if n > MAX_ENUMERABLE:
-        raise CapacityError(f"2^{q_k} key states exceed {MAX_ENUMERABLE}")
-    xs = np.arange(n, dtype=np.uint64)
-    e = np.full(n, poly.constant, dtype=float)
-    for vars_, coeff in poly.terms.items():
-        mask = np.uint64(0)
-        for i in vars_:
-            mask |= np.uint64(1 << (q_k - 1 - i))
-        e[(xs & mask) == mask] += coeff
-    return e
-
-
-def from_polynomial(poly: HuboPolynomial, reg: VarRegistry, prep: str) -> EnumeratedSpace:
-    """Build the space from polynomial values (used for generic objectives)."""
-    q = reg.q_k
-    e_full = poly_values_over_keys(poly, q)
-    if prep == HADAMARD_FULL:
-        key_idx = np.arange(1 << q, dtype=np.uint64)
-        e = e_full
-    elif prep == W_STATE_REDUCED:
-        weights = _key_weights(reg)
-        nb = reg.n_b + reg.n_c
-        b_idx = np.zeros(1, dtype=np.uint64)
-        for i in range(nb):
-            b_idx = (b_idx[:, None] + np.array([0, weights[i]], dtype=np.uint64)).ravel()
-        parts = [b_idx]
-        for m in range(reg.M):
-            parts.append(weights[[reg.d_position(m, k) for k in range(reg.taud)]])
-        key_idx = _broadcast_sum([p[None, :] for p in parts])[0]
-        e = e_full[key_idx]
-    else:
-        raise ValueError(f"unknown preparation {prep!r}")
-    return EnumeratedSpace(reg=reg, prep=prep, e_values=e, key_indices=key_idx)

@@ -1,14 +1,22 @@
-"""Dense statevector simulation of the GAS circuit at unitary-block level.
+"""Reference implementations the tests check the package against.
 
-No experiment runs it: gas.CircuitBackend samples the same circuit from its
-exact two-dimensional Grover law, this simulator is that backend's test
-oracle, and solve --dump-state writes its prepared state.  The value-register
-rules both share (value_scale, check_value_range, choose_qv) live here.
+- A dense statevector simulation of the GAS circuit at unitary-block level:
+  initial preparations (Hadamard, and per-user W states restricting delay
+  blocks to one-hot patterns), phase encoding of the objective into a
+  two's-complement value register via an inverse QFT, oracle, diffusion and
+  Grover iteration.  gas.CircuitBackend samples the same circuit from its
+  exact two-dimensional law and writes its prepared state in closed form;
+  this simulator computes both the long way.
+- Generic polynomial objectives: evaluation at an assignment, per-order
+  term counts, values over every key index, search spaces built from them,
+  and the coefficient-sum value-register width.
+- Small helpers: the first argmin ordinal, the binned L_opt spread of
+  criterion 10 and reading a saved calibration table back.
 
-Qubit layout: key register first (one qubit per registry variable, variable 0
-is the most significant bit of the key index), then the value register whose
-most significant bit is the two's-complement sign qubit targeted by the
-oracle.  The state is held as a (2^q_k, 2^q_v) matrix of amplitudes.
+Qubit layout: key register first (one qubit per registry variable, variable
+0 is the most significant bit of the key index), then the value register
+whose most significant bit is the two's-complement sign qubit targeted by
+the oracle.  The state is held as a (2^q_k, 2^q_v) matrix of amplitudes.
 
 The objective encoding applies, per monomial with coefficient a, the phase
 ladder Rz(2^{q_v-1} theta) x ... x Rz(2^0 theta) with theta = 2 pi a / 2^q_v
@@ -19,28 +27,142 @@ phase exp(j Theta(x) (v - (2^q_v - 1)/2)) with Theta(x) = 2 pi (E(x) - y) /
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .errors import CapacityError
-from .hubo import HADAMARD_FULL, W_STATE_REDUCED, HuboPolynomial, VarRegistry
-from .spaces import poly_values_over_keys
+from gasmld.errors import CapacityError
+from gasmld.gas import MAX_QUBITS, check_value_range, register_width, value_scale
+from gasmld.hubo import HADAMARD_FULL, W_STATE_REDUCED, HuboPolynomial, VarRegistry
+from gasmld.indicators import CalibrationTable
+from gasmld.spaces import MAX_ENUMERABLE, EnumeratedSpace, _broadcast_sum, _key_weights
 
-MAX_QUBITS = 26
 _SQRT_HALF = math.sqrt(0.5)
 
+
+# --- generic polynomial objectives -------------------------------------------
+
+def evaluate(poly: HuboPolynomial, x) -> float:
+    """Objective value at a 0/1 assignment."""
+    x = np.asarray(x)
+    if x.size != poly.n_vars:
+        raise ValueError(f"assignment has {x.size} bits, polynomial has {poly.n_vars}")
+    total = poly.constant
+    for vars_, coeff in poly.terms.items():
+        prod = 1.0
+        for i in vars_:
+            if not x[i]:
+                prod = 0.0
+                break
+        total += coeff * prod
+    return float(total)
+
+
+def term_counts_by_order(poly: HuboPolynomial) -> dict[int, int]:
+    counts: dict[int, int] = {}
+    for vars_ in poly.terms:
+        counts[len(vars_)] = counts.get(len(vars_), 0) + 1
+    return counts
+
+
+def poly_values_over_keys(poly: HuboPolynomial, q_k: int) -> np.ndarray:
+    """Evaluate the polynomial at every key index 0 .. 2^q_k - 1."""
+    n = 1 << q_k
+    if n > MAX_ENUMERABLE:
+        raise CapacityError(f"2^{q_k} key states exceed {MAX_ENUMERABLE}")
+    xs = np.arange(n, dtype=np.uint64)
+    e = np.full(n, poly.constant, dtype=float)
+    for vars_, coeff in poly.terms.items():
+        mask = np.uint64(0)
+        for i in vars_:
+            mask |= np.uint64(1 << (q_k - 1 - i))
+        e[(xs & mask) == mask] += coeff
+    return e
+
+
+def from_polynomial(poly: HuboPolynomial, reg: VarRegistry, prep: str) -> EnumeratedSpace:
+    """The search space of a generic polynomial objective."""
+    q = reg.q_k
+    e_full = poly_values_over_keys(poly, q)
+    if prep == HADAMARD_FULL:
+        key_idx = np.arange(1 << q, dtype=np.uint64)
+        e = e_full
+    elif prep == W_STATE_REDUCED:
+        weights = _key_weights(reg)
+        nb = reg.n_b + reg.n_c
+        b_idx = np.zeros(1, dtype=np.uint64)
+        for i in range(nb):
+            b_idx = (b_idx[:, None] + np.array([0, weights[i]], dtype=np.uint64)).ravel()
+        parts = [b_idx]
+        for m in range(reg.M):
+            parts.append(weights[[reg.d_position(m, k) for k in range(reg.taud)]])
+        key_idx = _broadcast_sum([p[None, :] for p in parts])[0]
+        e = e_full[key_idx]
+    else:
+        raise ValueError(f"unknown preparation {prep!r}")
+    return EnumeratedSpace(reg=reg, prep=prep, e_values=e, key_indices=key_idx)
+
+
+def choose_qv(poly: HuboPolynomial, y: float) -> int:
+    """Value-register width from coefficient-sum bounds on the objective."""
+    pos = sum(c for c in poly.terms.values() if c > 0)
+    neg = sum(c for c in poly.terms.values() if c < 0)
+    return register_width(poly.constant + neg, poly.constant + pos, y)
+
+
+# --- small helpers -----------------------------------------------------------
+
+def argmin_ordinal(space: EnumeratedSpace) -> int:
+    """First ordinal attaining the minimum, the stable order's head."""
+    return int(np.argmin(space.e_values))
+
+
+def binned_spread(values, l_values, n_bins: int = 20,
+                  lo_q: float = 10.0, hi_q: float = 90.0) -> float:
+    """Average (p90 - p10) of L_opt over equal-width indicator bins."""
+    values = np.asarray(values, dtype=float)
+    l_values = np.asarray(l_values, dtype=float)
+    edges = np.linspace(values.min(), values.max(), n_bins + 1)
+    spreads = []
+    for b in range(n_bins):
+        upper = values < edges[b + 1] if b < n_bins - 1 else values <= edges[b + 1]
+        mask = (values >= edges[b]) & upper
+        if mask.sum() < 2:
+            continue
+        sel = l_values[mask]
+        spreads.append(np.percentile(sel, hi_q) - np.percentile(sel, lo_q))
+    if not spreads:
+        raise ValueError("no populated bins")
+    return float(np.mean(spreads))
+
+
+def load_calibration_table(csv_path) -> CalibrationTable:
+    """Read back a table written by CalibrationTable.save."""
+    path = Path(csv_path)
+    with path.open() as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if header != ["c_prime", "l_opt"]:
+            raise ValueError(f"unexpected calibration header {header}")
+        rows = [(float(c), int(lo)) for c, lo in reader]
+    meta = json.loads(path.with_suffix(path.suffix + ".meta.json").read_text())
+    c = np.array([r[0] for r in rows])
+    lo = np.array([r[1] for r in rows], dtype=int)
+    return CalibrationTable(c_prime=c, l_opt=lo,
+                            c_prime_max=meta["c_prime_max"], delta=meta["delta"])
+
+
+# --- dense statevector simulation --------------------------------------------
 
 @dataclass
 class StateVector:
     amps: np.ndarray  # flat, length 2^(q_k + q_v)
     q_k: int
     q_v: int
-
-    @property
-    def q(self) -> int:
-        return self.q_k + self.q_v
 
     def matrix(self) -> np.ndarray:
         return self.amps.reshape(1 << self.q_k, 1 << self.q_v)
@@ -50,13 +172,6 @@ class StateVector:
 
     def key_marginal(self) -> np.ndarray:
         return np.sum(np.abs(self.matrix()) ** 2, axis=1)
-
-    def dump(self, path) -> None:
-        """Little-endian float64 interleaved re/im."""
-        inter = np.empty(2 * self.amps.size)
-        inter[0::2] = self.amps.real
-        inter[1::2] = self.amps.imag
-        inter.astype("<f8").tofile(path)
 
 
 def w_cascade_angles(n: int) -> list[float]:
@@ -81,7 +196,6 @@ def _embed(U: np.ndarray, targets: list[int], n: int) -> np.ndarray:
     """Expand a small gate matrix to the full 2^n space (n is small here)."""
     k = len(targets)
     full = np.zeros((1 << n, 1 << n), dtype=complex)
-    rest = [q for q in range(n) if q not in targets]
     for col in range(1 << n):
         tbits = sum(((col >> (n - 1 - targets[j])) & 1) << (k - 1 - j) for j in range(k))
         base = col
@@ -132,8 +246,6 @@ def _apply_block_on_key(mat: np.ndarray, U: np.ndarray, first: int, nbits: int) 
 
 
 def _value_hadamard(mat: np.ndarray, q_v: int) -> None:
-    if q_v == 0:
-        return
     k = mat.shape[0]
     for bit in range(q_v):
         view = mat.reshape(k << bit, 2, -1)
@@ -171,6 +283,12 @@ class Preparation:
         return mat
 
 
+def _check_capacity(q_k: int, q_v: int) -> None:
+    if q_k + q_v > MAX_QUBITS:
+        raise CapacityError(f"{q_k + q_v} qubits exceed the dense-simulation guard "
+                            f"of {MAX_QUBITS}")
+
+
 def prepare_initial(prep: str, reg: VarRegistry, q_v: int) -> StateVector:
     """A_y's state preparation applied to |0...0>."""
     _check_capacity(reg.q_k, q_v)
@@ -178,12 +296,6 @@ def prepare_initial(prep: str, reg: VarRegistry, q_v: int) -> StateVector:
     mat[0, 0] = 1.0
     mat = Preparation(prep, reg).apply(mat, q_v)
     return StateVector(mat.reshape(-1), reg.q_k, q_v)
-
-
-def _check_capacity(q_k: int, q_v: int) -> None:
-    if q_k + q_v > MAX_QUBITS:
-        raise CapacityError(f"{q_k + q_v} qubits exceed the dense-simulation guard "
-                            f"of {MAX_QUBITS}")
 
 
 def _phase_table(e_vec: np.ndarray, y: float, q_v: int) -> np.ndarray:
@@ -203,28 +315,6 @@ def _apply_encoding_dagger(mat: np.ndarray, e_vec: np.ndarray, y: float, q_v: in
     return mat
 
 
-def check_value_range(e_vec: np.ndarray, y: float, q_v: int, support=None) -> None:
-    """Two's-complement range requirement on E(x) - y over the support."""
-    vals = e_vec if support is None else e_vec[support]
-    half = 1 << (q_v - 1)
-    lo, hi = float(np.min(vals)) - y, float(np.max(vals)) - y
-    if lo < -half or hi >= half:
-        raise ValueError(
-            f"E - y spans [{lo:g}, {hi:g}], outside the representable "
-            f"[-2^{q_v - 1}, 2^{q_v - 1}) window")
-
-
-def value_scale(lo: float, hi: float, y: float, q_v: int) -> int:
-    """Largest integer factor s that keeps s (E - y) inside the window for
-    objective values in [lo, hi]."""
-    spread = max(hi - y, y - lo, 1e-12)
-    # guard band: fractional values near the window edge would leak
-    # across the two's-complement wrap and flip their sign bit
-    guard = 8.0 if q_v >= 5 else 1.0
-    room = (1 << (q_v - 1)) - guard
-    return max(1, math.floor(room / spread))
-
-
 def oracle_flip(mat: np.ndarray, q_v: int) -> None:
     """Pauli-Z on the sign qubit: negate amplitudes whose value MSB is 1."""
     half = 1 << (q_v - 1)
@@ -241,13 +331,8 @@ def reflect_about_zero(mat: np.ndarray) -> None:
 class GroverCircuit:
     """A_y and G = A_y D A_y^H O for a fixed polynomial and preparation.
 
-    The value register resolves sign at a granularity of one coefficient
-    unit, independent of its width, so thresholds closer than a unit to a
-    spectrum level would be invisible to the oracle.  So the objective and
-    threshold are multiplied by the largest integer factor that still fits
-    the two's-complement window, sharpening the fractional encoding without
-    spoiling exact integer arithmetic; the marked set (sign of E - y) is
-    unchanged.
+    The objective and threshold are multiplied by gas.value_scale's integer
+    factor for the preparation's support, as CircuitBackend does.
     """
 
     def __init__(self, poly: HuboPolynomial, reg: VarRegistry, prep: str, q_v: int):
@@ -267,7 +352,7 @@ class GroverCircuit:
 
     def prepare(self, y: float) -> StateVector:
         s = self.scale_for(y)
-        check_value_range(s * self.e_vec, s * y, self.q_v, support=self.support)
+        check_value_range(s * self.e_vec[self.support], s * y, self.q_v)
         mat = np.zeros((1 << self.reg.q_k, 1 << self.q_v), dtype=complex)
         mat[0, 0] = 1.0
         mat = self.prep.apply(mat, self.q_v)
@@ -291,29 +376,3 @@ class GroverCircuit:
         for _ in range(L):
             sv = self.grover_iterate(sv, y)
         return sv
-
-
-def choose_qv(poly: HuboPolynomial, y: float, prep: str) -> int:
-    """Smallest value-register width whose two's-complement window holds E - y.
-
-    Channel-built polynomials carry an analytic objective bound: with one-hot
-    delay blocks |D_m| <= 1, on the full space |D_m| can reach tau_max + 1.
-    Generic polynomials fall back to coefficient-sum bounds.
-    """
-    if prep == W_STATE_REDUCED and poly.bound_one_hot is not None:
-        hi = poly.bound_one_hot
-        lo = 0.0
-    elif prep == HADAMARD_FULL and poly.bound_full is not None:
-        hi = poly.bound_full
-        lo = 0.0
-    else:
-        pos = sum(c for c in poly.terms.values() if c > 0)
-        neg = sum(c for c in poly.terms.values() if c < 0)
-        hi = poly.constant + pos
-        lo = poly.constant + neg
-    q_v = 1
-    while not (lo - y >= -(1 << (q_v - 1)) and hi - y < (1 << (q_v - 1))):
-        q_v += 1
-        if q_v > 62:
-            raise ValueError("objective bound does not fit any sane register")
-    return q_v

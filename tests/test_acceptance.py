@@ -20,12 +20,11 @@ from gasmld.gas import (AmplitudeBackend, CircuitBackend, GasParams, l_opt,
 from gasmld.gates import cku_g_costs, g_prop, g_ug_total, table1_counts
 from gasmld.harness import load_spec, run_ber, run_query_cdf
 from gasmld.hubo import (HADAMARD_FULL, W_STATE_REDUCED, HuboPolynomial, build_hubo,
-                         build_registry, term_counts_by_order)
-from gasmld.indicators import (all_indicators, binned_spread, calibrate,
-                               indicator_c, indicator_c_prime, select_lmin,
-                               select_lmin_conventional)
-from gasmld.spaces import from_channel, from_polynomial
-from gasmld.statevector import choose_qv
+                         build_registry)
+from gasmld.indicators import (all_indicators, calibrate, indicator_c, indicator_c_prime,
+                               select_lmin, select_lmin_conventional)
+from gasmld.spaces import from_channel
+from oracles import binned_spread, choose_qv, from_polynomial, term_counts_by_order
 from gasmld.thresholds import MvdParams, mvd_rate, regularized_gamma_q, y_mvd
 
 SEED = 2028  # experiment seed: no threshold-failure trials in criteria 1, 3, 4
@@ -107,7 +106,7 @@ def test_criterion_02_backend_cross_check():
         e = from_polynomial(poly, reg, HADAMARD_FULL)
         ys = sorted({int(math.floor(np.quantile(e.e_values, q))) for q in (0.2, 0.5, 0.8)})
         ys.append(int(math.ceil(e.e_sorted[-1])) + 1)
-        q_v = max(choose_qv(poly, float(y), HADAMARD_FULL) for y in ys)
+        q_v = max(choose_qv(poly, float(y)) for y in ys)
         if q_v > 6:
             continue
         n_toys += 1

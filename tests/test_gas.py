@@ -8,12 +8,13 @@ from gasmld.channel import (PSK2, QPSK, SystemConfig, generate_instance, random_
 from gasmld import harness, streams
 from gasmld.gas import (STOP_BUDGET_ITERATIONS, STOP_BUDGET_ROTATIONS, STOP_OPTIMUM,
                         AmplitudeBackend, CircuitBackend, GasIteration, GasParams, GasTrace, l_opt,
-                        restart_iterations, run_gas, run_gas_batch, success_probability)
+                        channel_bound, register_width, restart_iterations, run_gas,
+                        run_gas_batch, success_probability)
 from gasmld.hubo import (HADAMARD_FULL, W_STATE_REDUCED, HuboPolynomial, build_hubo,
-                         build_registry, evaluate)
-from gasmld.spaces import SpaceStack, channel_spaces, from_channel, from_polynomial
+                         build_registry)
+from gasmld.spaces import SpaceStack, channel_spaces, from_channel
 from gasmld.thresholds import MvdParams, mmse_detect, y_mvd
-from gasmld.statevector import GroverCircuit, choose_qv
+from oracles import GroverCircuit, argmin_ordinal, evaluate, from_polynomial
 
 FIG2_TERMS = {(0,): 1.0, (1, 2): -3.0, (0, 1, 2): 1.0}
 
@@ -198,7 +199,7 @@ class TestDenseOracle:
         slot = received_slot(inst, cfg, 0, random_payload_bits(cfg, 0))
         poly, reg = build_hubo(inst, slot.r, 0, cfg)
         space = from_channel(inst, slot.r, 0, cfg, prep, reg)
-        q_v = choose_qv(poly, 0.0, prep)
+        q_v = register_width(0.0, channel_bound(inst.H_est, slot.r, prep, reg.taud), 0.0)
         circ = CircuitBackend(space, q_v)
         es = np.sort(space.e_values)
         # none marked, mid-gap, on a spectrum level, an integer, all marked
@@ -208,6 +209,22 @@ class TestDenseOracle:
         for ordinal in range(space.n_states):
             assert evaluate(poly, space.assignment(ordinal)) == pytest.approx(
                 space.value_of(ordinal), rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("prep", [W_STATE_REDUCED, HADAMARD_FULL])
+    def test_prepared_state(self, prep):
+        # the closed-form A_y|0> on fitted registers, 20 instances per preparation
+        for seed in range(20):
+            cfg = SystemConfig(N=2, M=2, tau_max=1 + seed % 2, seed=300 + seed)
+            inst = generate_instance(cfg)
+            slot = received_slot(inst, cfg, 0, random_payload_bits(cfg, 0))
+            poly, reg = build_hubo(inst, slot.r, 0, cfg)
+            space = from_channel(inst, slot.r, 0, cfg, prep, reg)
+            q_v = register_width(0.0, channel_bound(inst.H_est, slot.r, prep, reg.taud), 0.0)
+            circ = CircuitBackend(space, q_v)
+            dense = GroverCircuit(poly, reg, prep, q_v)
+            for y in (float(np.median(space.e_values)), space.min_value() + 0.01):
+                state = circ.prepared_state(y)
+                assert np.abs(state.reshape(-1) - dense.prepare(y).amps).max() <= 1e-12
 
     @pytest.mark.parametrize("prep", [W_STATE_REDUCED, HADAMARD_FULL])
     def test_integer_toy(self, prep):
@@ -280,7 +297,7 @@ class TestRunGas:
     def test_final_equals_argmin_at_convergence(self):
         poly, reg, backend = toy_backend()
         space = backend.space
-        best_ord = space.argmin_ordinal()
+        best_ord = argmin_ordinal(space)
         best_bits = space.assignment(best_ord)
         for seed in range(20):
             rng = np.random.default_rng(100 + seed)

@@ -12,9 +12,11 @@ from gasmld import cli, harness
 from gasmld.channel import generate_instance, objective_direct, random_payload_bits, received_slot
 from gasmld.errors import ConfigError
 from gasmld.gas import run_gas, run_gas_batch
-from gasmld.hubo import W_STATE_REDUCED, build_registry
+from gasmld.hubo import W_STATE_REDUCED, build_hubo, build_registry
 from gasmld.harness import (ExperimentSpec, fmt, load_spec, run_ber, run_calibration,
                             run_gate_count, run_query_cdf, solve_single, write_csv)
+from gasmld.thresholds import MvdParams, y_mvd
+from oracles import GroverCircuit
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -81,6 +83,12 @@ class TestLoader:
             load_spec({"cfg": {"N": 0, "M": 2, "tau_max": 1}})
         with pytest.raises(ConfigError, match="seed"):
             load_spec({"cfg": {**CFG, "seed": -4}})
+        # a JSON boolean is no integer or number
+        for bad_cfg in ({"N": True, "M": 2, "tau_max": 1, "seed": True},
+                        {**CFG, "N": True}, {**CFG, "tau_max": False}, {**CFG, "seed": True},
+                        {**CFG, "T_D": True}, {**CFG, "P_X": True}, {**CFG, "snr_db": False}):
+            with pytest.raises(ConfigError):
+                load_spec({"cfg": bad_cfg})
         for bad in ({"trials": 0}, {"trials": -3},
                     {"variants": [{**W_PREP, "threshold": "MVD"}]},
                     {"variants": [{**W_PREP, "prep": "w-state"}]},
@@ -280,6 +288,20 @@ class TestCalibrationRunner:
         assert meta["delta"] == pytest.approx(0.01 * meta["c_prime_max"])
         assert len(meta["cfg_hash"]) == 16
 
+    def test_sidecar_hash_covers_seed_samples_and_p(self, tmp_path):
+        def sidecar_hash(seed=8, samples=20, mvd_p=1e-3):
+            spec = load_spec({"cfg": {"N": 2, "M": 2, "tau_max": 1, "T_D": 4, "seed": seed},
+                              "gas": {"mvd_p": mvd_p}, "calibration": {"samples": samples}})
+            out = tmp_path / f"{seed}-{samples}-{mvd_p}"
+            run_calibration(spec, out_dir=out)
+            return json.loads((out / "calibration_table.csv.meta.json").read_text())["cfg_hash"]
+
+        base = sidecar_hash()
+        assert sidecar_hash() == base
+        assert sidecar_hash(seed=9) != base
+        assert sidecar_hash(samples=21) != base
+        assert sidecar_hash(mvd_p=2e-3) != base
+
 
 class TestGateCountRunner:
     def test_grid(self):
@@ -314,6 +336,33 @@ class TestSolve:
         amps = raw[0::2] + 1j * raw[1::2]
         assert amps.size == 2 ** (6 + 8)
         assert np.sum(np.abs(amps) ** 2) == pytest.approx(1.0, abs=1e-9)
+
+    def test_dump_equals_the_dense_circuit(self, tmp_path):
+        # A_y|0> at y_mvd, closed form against the gate-by-gate simulation
+        spec = load_spec(CONFIG_DIR / "solve_single.json")
+        dump = tmp_path / "state.bin"
+        solve_single(spec, dump_state=dump)
+        raw = np.fromfile(dump, dtype="<f8")
+        amps = raw[0::2] + 1j * raw[1::2]
+        cfg = spec.cfg
+        inst = generate_instance(cfg, instance_id=0)
+        slot = received_slot(inst, cfg, 0, random_payload_bits(cfg, 0, instance_id=0))
+        poly, reg = build_hubo(inst, slot.r, 0, cfg)
+        ymvd = y_mvd(MvdParams.from_config(cfg, spec.mvd_p))
+        dense = GroverCircuit(poly, reg, W_STATE_REDUCED, spec.q_v).prepare(ymvd)
+        assert amps.size == dense.amps.size == 2 ** (6 + 8)
+        assert np.abs(amps - dense.amps).max() <= 1e-12
+
+    def test_dump_beyond_the_qubit_guard_exits_2(self, tmp_path, capsys):
+        # 6 key qubits + 21 value qubits = 27 > 26: refused before any state exists
+        config = json.loads((CONFIG_DIR / "solve_single.json").read_text())
+        config["gas"]["q_v"] = 21
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(config))
+        dump = tmp_path / "state.bin"
+        assert cli.main(["solve", "--config", str(path), "--dump-state", str(dump)]) == 2
+        assert "27 qubits" in capsys.readouterr().err
+        assert not dump.exists()
 
     @pytest.mark.parametrize("backend", ["amplitude", "circuit"])
     def test_trace_x_is_the_measured_assignment(self, backend):

@@ -6,8 +6,9 @@ import pytest
 from gasmld.channel import (PSK2, QPSK, SystemConfig, generate_instance,
                             objective_direct, random_payload_bits, received_slot)
 from gasmld.hubo import (HADAMARD_FULL, W_STATE_REDUCED, HuboPolynomial, build_hubo,
-                         build_registry, evaluate, term_counts_by_order)
-from gasmld.spaces import from_channel, from_polynomial
+                         build_registry)
+from gasmld.spaces import from_channel
+from oracles import evaluate, from_polynomial, term_counts_by_order
 
 
 def make_problem(N=2, M=2, tau_max=1, modulation=PSK2, seed=3, t=0, snr_db=20.0,

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from gasmld.channel import SystemConfig
-from gasmld.indicators import (CalibrationTable, all_indicators, binned_spread,
-                               calibrate, indicator_c, indicator_c_prime, select_lmin, select_lmin_conventional)
+from gasmld.indicators import (CalibrationTable, all_indicators, calibrate, config_hash,
+                               indicator_c, indicator_c_prime, select_lmin,
+                               select_lmin_conventional)
+from oracles import binned_spread, load_calibration_table
 
 SQRT2 = math.sqrt(2.0)
 
@@ -150,7 +152,7 @@ class TestCalibration:
     def test_csv_roundtrip(self, table, tmp_path):
         path = tmp_path / "table.csv"
         table.save(path, cfg_hash="abc123")
-        back = CalibrationTable.load(path)
+        back = load_calibration_table(path)
         assert np.allclose(back.c_prime, table.c_prime)
         assert np.array_equal(back.l_opt, table.l_opt)
         assert back.delta == pytest.approx(table.delta)

@@ -39,7 +39,7 @@ def sha256(data: bytes) -> str:
         "calibration_table.csv":
             "d029ea6909ac7e447b1a51c591786be5631119584de43e4db12dcde184a0e5c3",
         "calibration_table.csv.meta.json":
-            "b0af6cbf6f8204a76d370a4619c9d184589bde77e8e3701ac9313f3199daf1ad"}),
+            "6bc60fd161766cc45a5251bfe15f6cd15a0faa003bfde6cc197cb52467086441"}),
     ("gate-count", "gate_count.json", (), {
         "gate-budget_gate_count.json":
             "574ef14839c4cf4a31ae489da7e53fe8f053e3976d4ad140a1f11535d8cada5d"}),

@@ -5,12 +5,12 @@ import pytest
 
 from gasmld.channel import SystemConfig, generate_instance, random_payload_bits, received_slot
 from gasmld.errors import CapacityError
-from gasmld.gas import CircuitBackend
+from gasmld.gas import CircuitBackend, channel_bound, check_value_range, register_width
 from gasmld.hubo import (HADAMARD_FULL, W_STATE_REDUCED, HuboPolynomial, build_hubo,
                          build_registry)
-from gasmld.spaces import from_polynomial, poly_values_over_keys
-from gasmld.statevector import (GroverCircuit, _apply_encoding, check_value_range, choose_qv,
-                                prepare_initial, w_block_unitary, w_cascade_angles)
+from oracles import (GroverCircuit, _apply_encoding, _apply_encoding_dagger, choose_qv,
+                     from_polynomial, poly_values_over_keys, prepare_initial,
+                     reflect_about_zero, w_block_unitary, w_cascade_angles)
 
 FIG2_POLY = HuboPolynomial(n_vars=3, constant=2.0,
                            terms={(0,): 1.0, (1, 2): -3.0, (0, 1, 2): 1.0})
@@ -106,7 +106,7 @@ def toy_circuit(q_v=3, y=0.0, prep=HADAMARD_FULL):
 def encode(sv, poly, y, q_v):
     """Phase-encode E(x) - y of the polynomial onto the value register."""
     e_vec = poly_values_over_keys(poly, sv.q_k)
-    check_value_range(e_vec, y, q_v, support=sv.key_marginal() > 1e-24)
+    check_value_range(e_vec[sv.key_marginal() > 1e-24], y, q_v)
     return _apply_encoding(sv.matrix().copy(), e_vec, y, q_v)
 
 
@@ -175,7 +175,6 @@ class TestEncoding:
         circuit = GroverCircuit(FIG2_POLY_PAD(reg.q_k), reg, HADAMARD_FULL, 4)
         sv = circuit.prepare(1.0)
         mat = sv.matrix().copy()
-        from gasmld.statevector import _apply_encoding, _apply_encoding_dagger
         back = _apply_encoding_dagger(mat, circuit.e_vec, 1.0, 4)
         back = _apply_encoding(back, circuit.e_vec, 1.0, 4)
         assert np.allclose(back, sv.matrix(), atol=1e-9)
@@ -214,7 +213,6 @@ class TestGrover:
         assert np.allclose(sv.key_marginal(), prep.key_marginal(), atol=1e-12)
 
     def test_one_qubit_diffusion_matrix(self):
-        from gasmld.statevector import reflect_about_zero
         for basis in (0, 1):
             mat = np.zeros((2, 1), dtype=complex)
             mat[basis, 0] = 1.0
@@ -236,7 +234,8 @@ class TestGrover:
         bits = random_payload_bits(cfg, 0)
         slot = received_slot(inst, cfg, 0, bits)
         poly, reg = build_hubo(inst, slot.r, 0, cfg)
-        q_v = choose_qv(poly, 0.0, W_STATE_REDUCED)
+        q_v = register_width(0.0, channel_bound(inst.H_est, slot.r, W_STATE_REDUCED, reg.taud),
+                             0.0)
         circuit = GroverCircuit(poly, reg, W_STATE_REDUCED, q_v)
         valid = circuit.support
         y = float(np.median(circuit.e_vec[valid]))
@@ -295,12 +294,12 @@ class TestMeasurement:
 class TestChooseQv:
     def test_simple_bound(self):
         poly = HuboPolynomial(n_vars=2, constant=0.0, terms={(0,): 3.2})
-        assert choose_qv(poly, 0.0, HADAMARD_FULL) == 3
+        assert choose_qv(poly, 0.0) == 3
 
     def test_boundary_is_strict(self):
         for k in (2, 3, 4):
             poly = HuboPolynomial(n_vars=2, constant=0.0, terms={(0,): float(2 ** (k - 1))})
-            assert choose_qv(poly, 0.0, HADAMARD_FULL) == k + 1
+            assert choose_qv(poly, 0.0) == k + 1
 
     def test_bound_dominates_exhaustive_max(self):
         rng = np.random.default_rng(11)
@@ -310,8 +309,8 @@ class TestChooseQv:
             inst = generate_instance(cfg)
             bits = random_payload_bits(cfg, 0)
             slot = received_slot(inst, cfg, 0, bits)
-            poly, reg = build_hubo(inst, slot.r, 0, cfg)
-            for prep, bound in ((W_STATE_REDUCED, poly.bound_one_hot),
-                                (HADAMARD_FULL, poly.bound_full)):
+            reg = build_registry(cfg)
+            for prep in (W_STATE_REDUCED, HADAMARD_FULL):
+                bound = channel_bound(inst.H_est, slot.r, prep, reg.taud)
                 space = from_channel(inst, slot.r, 0, cfg, prep, reg)
                 assert space.e_values.max() <= bound + 1e-9

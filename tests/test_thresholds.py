@@ -6,10 +6,11 @@ import pytest
 from gasmld.channel import (PSK2, QPSK, SystemConfig, generate_instance, map_symbols,
                             noise_realization, objective_direct, random_payload_bits,
                             received_slot)
-from gasmld.hubo import W_STATE_REDUCED, build_hubo, build_registry, evaluate
+from gasmld.hubo import W_STATE_REDUCED, build_hubo, build_registry
 from gasmld.spaces import SpaceStack, channel_spaces, from_channel
 from gasmld.thresholds import (MvdParams, mmse_detect, mmse_estimates, mvd_rate,
                                regularized_gamma_q, y_mvd)
+from oracles import evaluate
 
 
 class TestGammaQ:
