@@ -1,16 +1,19 @@
 """Grover adaptive search with two interchangeable execution backends.
 
-Both backends sample state ordinals of one enumerated search space, so the
-values GAS measures and the optimum it is checked against come from one
-table.  The amplitude backend marks E(x) < y exactly and draws from the
-success probability sin^2((2L+1) arcsin sqrt(Ns/Nt)); the circuit backend
-marks through the QFT value encoding of the real circuit and draws from that
-circuit's exact two-dimensional Grover law, without a statevector.  A
-backend holds only its law, measure(y, L, rng) -> (ordinal, objective value);
-run_gas reads everything else from backend.space and carries state ordinals
-until it decodes its output.  The value-register rules of the circuit (the
-objective bound, the register width, the integer scale and its range check)
-sit beside CircuitBackend.
+Every search runs over rows of a spaces.SpaceStack, the one search-space
+type, so the values GAS measures and the optimum it is checked against come
+from one table.  The amplitude backend marks E(x) < y exactly and draws from
+the success probability sin^2((2L+1) arcsin sqrt(Ns/Nt)); the circuit
+backend marks through the QFT value encoding of the real circuit and draws
+from that circuit's exact two-dimensional Grover law, without a statevector.
+A backend searches a one-row stack and holds only its law, measure(y, L,
+rng) -> (ordinal, objective value); run_gas reads everything else from
+backend.space and carries state ordinals until it decodes its output.
+run_gas_batch runs many searches over the rows of one stack in lockstep on
+the amplitude law.  Both engines read the stack's one cached sort and take
+their budgets, restart window and k cap from run_limits.  The value-register
+rules of the circuit (the objective bound, the register width, the integer
+scale and its range check) sit beside CircuitBackend.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -86,6 +90,20 @@ class GasParams:
             raise ValueError("a seeded x0 carries its own threshold; give x0 or y0, not both")
 
 
+def run_limits(space: spaces.SpaceStack, params: GasParams) -> tuple[int, int, int, float]:
+    """A run's iteration budget, rotation budget, restart window and k cap
+    over a space of Nt states: the budgets default to ceil(10 sqrt(Nt)) and
+    ceil(50 sqrt(Nt)), the window is restart_iterations(lmin, Nt) with
+    restart enabled and 0 without, and k is capped at sqrt(2^q_k), the
+    square root of the full key space even when the preparation reaches only
+    Nt < 2^q_k states."""
+    nt = space.n_states
+    return (params.budget_iterations or int(math.ceil(10 * math.sqrt(nt))),
+            params.budget_rotations or int(math.ceil(50 * math.sqrt(nt))),
+            restart_iterations(params.lmin, nt) if params.restart_enabled else 0,
+            math.sqrt(1 << space.reg.q_k))
+
+
 @dataclass
 class GasIteration:
     i: int
@@ -128,19 +146,25 @@ class GasTrace:
 
 
 class AmplitudeBackend:
-    """Closed-form measurement sampling over an enumerated search space."""
+    """Closed-form measurement sampling over a one-row stack."""
 
-    def __init__(self, space: spaces.EnumeratedSpace):
+    def __init__(self, space: spaces.SpaceStack):
         self.space = space
+        self.e_values = space.e_values[0]
+
+    @cached_property
+    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
+        # bound at the first measurement: a run that never measures never sorts
+        return self.space.order[0], self.space.e_sorted[0]
 
     def measure(self, y: float, L: int, rng: np.random.Generator):
         # the sorted order puts the ns marked states first: a marked draw is
         # uniform over order[:ns], an unmarked one over order[ns:]; the
         # ndarray searchsorted skips np.searchsorted's Python-level dispatch
-        space = self.space
-        e_values, order = space.e_values, space.order
+        e_values = self.e_values
+        order, e_sorted = self._sorted
         nt = e_values.size
-        ns = int(space.e_sorted.searchsorted(y, side="left"))
+        ns = int(e_sorted.searchsorted(y, side="left"))
         if ns == 0:
             ordinal = int(rng.integers(nt))
         elif rng.random() < success_probability(ns, nt, L):
@@ -199,7 +223,7 @@ def check_value_range(e_vec: np.ndarray, y: float, q_v: int) -> None:
 
 
 class CircuitBackend:
-    """Exact measurement law of the GAS circuit over an enumerated space.
+    """Exact measurement law of the GAS circuit over a one-row stack.
 
     G = A_y D A_y^H O keeps the circuit in the plane span{|psi>, O|psi>}
     (Boyer, Brassard, Hoyer, Tapp, Tight bounds on quantum searching, 1998).
@@ -219,11 +243,12 @@ class CircuitBackend:
     statevector is ever simulated gate by gate.
     """
 
-    def __init__(self, space: spaces.EnumeratedSpace, q_v: int):
+    def __init__(self, space: spaces.SpaceStack, q_v: int):
         self.space = space
         self.q_v = q_v
-        self._lo = space.min_value()
-        self._hi = float(space.e_values.max())
+        self.e_values = space.e_values[0]
+        self._lo = float(self.e_values.min())
+        self._hi = float(self.e_values.max())
         # one-entry memo (y, q1, p_good): GAS measures at one y until it accepts
         self._memo: tuple[float, np.ndarray, float] | None = None
 
@@ -235,7 +260,7 @@ class CircuitBackend:
         and its mean p_good."""
         if self._memo is None or self._memo[0] != y:
             s = self.scale_for(y)
-            e = s * self.space.e_values
+            e = s * self.e_values
             check_value_range(e, s * y, self.q_v)
             n = 1 << self.q_v
             # offset, in register units, from each negative-half basis state
@@ -275,7 +300,7 @@ class CircuitBackend:
             raise CapacityError(f"{q_k + self.q_v} qubits exceed the state-dump guard "
                                 f"of {MAX_QUBITS}")
         s = self.scale_for(y)
-        e = s * self.space.e_values
+        e = s * self.e_values
         check_value_range(e, s * y, self.q_v)
         n = 1 << self.q_v
         theta = 2.0 * np.pi * (e - s * y) / n
@@ -288,7 +313,7 @@ class CircuitBackend:
     def measure(self, y: float, L: int, rng: np.random.Generator):
         p = self.distribution(y, L)
         ordinal = int(rng.choice(p.size, p=p))
-        return ordinal, self.space.value_of(ordinal)
+        return ordinal, float(self.e_values[ordinal])
 
 
 def run_gas(backend, params: GasParams, rng: np.random.Generator,
@@ -299,11 +324,10 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator,
     params.y0 with no incumbent, else from a uniform draw.  Each iteration
     samples L uniformly from {L_min, ..., L_min + ceil(k-1)}, measures,
     accepts strictly improving values (resetting k), and otherwise grows k by
-    the factor lambda up to sqrt(2^q_k), the square root of the full key
-    space even when the preparation reaches only Nt < 2^q_k states.  With
-    restart enabled, a run of restart_iterations(L_min, Nt) consecutive
-    iterations without any update since the last (re)start resamples the
-    incumbent, resets the threshold to its value and drops L_min to zero.
+    the factor lambda up to run_limits's cap.  With restart enabled, a run
+    of run_limits's window of consecutive iterations without any update
+    since the last (re)start resamples the incumbent, resets the threshold
+    to its value and drops L_min to zero.
 
     The incumbent, the best one-hot state and params.x0 are ordinals of
     backend.space, whose table supplies every value, so a re-measured
@@ -320,12 +344,10 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator,
     optimum is measured.
     """
     space = backend.space
+    e_values = space.e_values[0]
     trace = GasTrace()
     n_t = space.n_states
-    cap = math.sqrt(1 << space.reg.q_k)
-    budget_iter = params.budget_iterations or int(math.ceil(10 * math.sqrt(n_t)))
-    budget_rot = params.budget_rotations or int(math.ceil(50 * math.sqrt(n_t)))
-    restart_window = restart_iterations(params.lmin, n_t) if params.restart_enabled else 0
+    budget_iter, budget_rot, restart_window, cap = run_limits(space, params)
     one_hot = space.one_hot if params.enforce_one_hot else None
     target = -math.inf if oracle_min is None else oracle_min
 
@@ -359,11 +381,11 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator,
         return True
 
     def draw():
-        ordinal = space.sample_uniform(rng)
-        see(ordinal, space.value_of(ordinal), measured=True)
+        ordinal = int(rng.integers(n_t))
+        see(ordinal, float(e_values[ordinal]), measured=True)
 
     if params.x0 is not None:
-        see(params.x0, space.value_of(params.x0), measured=False)
+        see(params.x0, float(e_values[params.x0]), measured=False)
     elif y is None:
         draw()
 
@@ -457,9 +479,9 @@ def run_gas_batch(stack: spaces.SpaceStack, rows, params: list[GasParams], rngs,
     Run j searches row rows[j] of stack with params[j] and halts at its
     first measurement at or below oracle_min[j], when given.  Its rules are
     run_gas's: strict acceptance against table values, a seeded x0 that is
-    never a first hit, the restart window restart_iterations(lmin, Nt), k
-    capped at sqrt(2^q_k), and the best one-hot state seen as output.  Per-run
-    masks carry k-growth, restart, both budgets and the halt.
+    never a first hit, run_limits's budgets, restart window and k cap, and
+    the best one-hot state seen as output.  Per-run masks carry k-growth,
+    restart, both budgets and the halt.
 
     rngs is a list of (generator, n): the next n runs draw their uniforms
     from that generator, first one each for the initial draw, then blocks of
@@ -472,11 +494,9 @@ def run_gas_batch(stack: spaces.SpaceStack, rows, params: list[GasParams], rngs,
     rows = np.asarray(rows, dtype=np.intp)
     n = rows.size
     nt = stack.n_states
-    cap = math.sqrt(1 << stack.reg.q_k)
     # per row: ordinals by value, and rank[x] = #states strictly below E_x,
     # the marked count once E_x is the threshold
-    order = np.argsort(stack.e_values, axis=1, kind="stable")
-    e_sorted = np.take_along_axis(stack.e_values, order, axis=1)
+    order, e_sorted = stack.order, stack.e_sorted
     pos = np.broadcast_to(np.arange(nt), order.shape)
     tie = np.zeros(order.shape, dtype=bool)
     tie[:, 1:] = e_sorted[:, 1:] == e_sorted[:, :-1]
@@ -490,12 +510,8 @@ def run_gas_batch(stack: spaces.SpaceStack, rows, params: list[GasParams], rngs,
 
     lam = per_run(lambda p: p.lam, float)
     restart = per_run(lambda p: p.restart_enabled, bool)
-    window = per_run(lambda p: restart_iterations(p.lmin, nt) if p.restart_enabled else 0,
-                     np.int64)
-    budget_iter = per_run(lambda p: p.budget_iterations or int(math.ceil(10 * math.sqrt(nt))),
-                          np.int64)
-    budget_rot = per_run(lambda p: p.budget_rotations or int(math.ceil(50 * math.sqrt(nt))),
-                         np.int64)
+    budget_iter, budget_rot, window, cap = (
+        np.array(v) for v in zip(*(run_limits(stack, p) for p in params)))
     # a state is valid unless its run enforces one-hot and it is not
     lax = ~per_run(lambda p: p.enforce_one_hot, bool)
     one_hot = stack.one_hot

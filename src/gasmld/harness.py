@@ -26,7 +26,7 @@ from .gates import build_report
 from .hubo import HADAMARD_FULL, W_STATE_REDUCED, build_registry
 from .indicators import (CalibrationTable, calibrate, config_hash, indicator_c,
                          indicator_c_prime, select_lmin, select_lmin_conventional)
-from .spaces import channel_spaces, from_channel
+from .spaces import channel_spaces
 from .thresholds import MvdParams, mmse_detect, y_mvd
 
 CALIBRATION_ID_OFFSET = 1_000_000
@@ -275,12 +275,12 @@ def run_query_cdf(spec: ExperimentSpec):
         inst = generate_instance(cfg, instance_id=trial)
         bits = random_payload_bits(cfg, 0, instance_id=trial)
         slot = received_slot(inst, cfg, 0, bits)
-        w_space = from_channel(inst, slot.r, 0, cfg, W_STATE_REDUCED, reg)
-        oracle_min = w_space.min_value()
+        w_space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
+        oracle_min = float(w_space.e_values.min())
         for vi, variant in enumerate(spec.variants):
             prep = variant.get("prep", W_STATE_REDUCED)
             space = w_space if prep == W_STATE_REDUCED else \
-                from_channel(inst, slot.r, 0, cfg, prep, reg)
+                channel_spaces(inst, slot.r[None], [0], cfg, prep, reg)
             backend = _gas_backend(spec, inst, slot.r, space)
             params = _gas_params(spec, variant, inst, ymvd, table, None)
             rng = streams.substream(cfg.seed, streams.TRIAL, trial, vi)
@@ -434,7 +434,7 @@ def solve_single(spec: ExperimentSpec, dump_state: Path | None = None) -> GasTra
     inst = generate_instance(cfg, instance_id=0)
     bits = random_payload_bits(cfg, 0, instance_id=0)
     slot = received_slot(inst, cfg, 0, bits)
-    space = from_channel(inst, slot.r, 0, cfg, W_STATE_REDUCED, reg)
+    space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
     ymvd = y_mvd(MvdParams.from_config(cfg, spec.mvd_p))
     backend = _gas_backend(spec, inst, slot.r, space)
     if dump_state is not None:
@@ -442,4 +442,5 @@ def solve_single(spec: ExperimentSpec, dump_state: Path | None = None) -> GasTra
         backend.prepared_state(ymvd).astype("<c16").tofile(dump_state)
     params = _gas_params(spec, SOLVE_ARM, inst, ymvd, None, None)
     rng = streams.substream(cfg.seed, streams.GAS, 0, 0, 0)
-    return run_gas(backend, params, rng, oracle_min=space.min_value(), record_trace=True)
+    return run_gas(backend, params, rng, oracle_min=float(space.e_values.min()),
+                   record_trace=True)

@@ -50,9 +50,6 @@ class VarRegistry:
     def n_c(self) -> int:
         return sum(1 for v in self.entries if v.kind == "c")
 
-    def index(self, kind: str, m: int, sub: int = 0) -> int:
-        return self.entries.index(Var(kind, m, sub))
-
     def b_position(self, m: int, sub: int = 0) -> int:
         if self.modulation == PSK2:
             return m
@@ -93,9 +90,6 @@ class HuboPolynomial:
     n_vars: int
     constant: float
     terms: dict[tuple[int, ...], float] = field(repr=False)
-
-    def max_order(self) -> int:
-        return max((len(k) for k in self.terms), default=0)
 
 
 def _pmul(p1: dict, p2: dict) -> dict:

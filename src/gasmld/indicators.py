@@ -21,11 +21,11 @@ import numpy as np
 from .channel import SystemConfig, generate_instance, random_payload_bits, received_slot
 from .gas import l_opt
 from .hubo import W_STATE_REDUCED, build_registry
-from .spaces import from_channel
+from .spaces import channel_spaces
 from .thresholds import MvdParams, y_mvd
 
 _ALPHA_NORM = 3.0 * math.sqrt(2.0)  # CN(0,1) magnitude at the 0.995 quantile
-DEFAULT_TIE_EXPONENT = 0.2
+TIE_EXPONENT = 0.2
 
 
 def indicator_c(H_est: np.ndarray) -> float:
@@ -39,7 +39,7 @@ def _alpha(H_est: np.ndarray) -> float:
     return float(sv.min() / _ALPHA_NORM)
 
 
-def _pair_betas(H_est: np.ndarray, a: float):
+def _pair_betas(H_est: np.ndarray):
     """Minimum beta1 and beta2 over the C(M,2) user pairs.
 
     Each user's channel column enters through its norm; the pair's phase
@@ -66,23 +66,23 @@ def _pair_betas(H_est: np.ndarray, a: float):
             theta = math.fmod(float(np.angle(np.vdot(H_est[:, j], H_est[:, i]))),
                               0.5 * math.pi) % (0.5 * math.pi)
             g = abs(4.0 * theta / math.pi - 1.0)
-            beta1 = abs((1.0 / math.sqrt(2.0) - ratio) * g) ** a
-            beta2 = 1.0 - (ratio * g) ** a
+            beta1 = abs((1.0 / math.sqrt(2.0) - ratio) * g) ** TIE_EXPONENT
+            beta2 = 1.0 - (ratio * g) ** TIE_EXPONENT
             beta1_min = min(beta1_min, beta1)
             beta2_min = min(beta2_min, beta2)
     return beta1_min, beta2_min, skipped
 
 
-def indicator_c_prime(H_est: np.ndarray, a: float = DEFAULT_TIE_EXPONENT) -> float:
+def indicator_c_prime(H_est: np.ndarray) -> float:
     C = indicator_c(H_est)
-    b1, b2, _ = _pair_betas(H_est, a)
+    b1, b2, _ = _pair_betas(H_est)
     return _alpha(H_est) * b1 * b2 * C
 
 
-def all_indicators(H_est: np.ndarray, a: float = DEFAULT_TIE_EXPONENT) -> dict[str, float]:
+def all_indicators(H_est: np.ndarray) -> dict[str, float]:
     C = indicator_c(H_est)
     al = _alpha(H_est)
-    b1, b2, _ = _pair_betas(H_est, a)
+    b1, b2, _ = _pair_betas(H_est)
     return {"c": C, "c1": al * C, "c2": b1 * b2 * C, "c_prime": al * b1 * b2 * C}
 
 
@@ -128,8 +128,7 @@ def config_hash(cfg: SystemConfig, n_samples: int, P: float) -> str:
 
 
 def calibrate(cfg: SystemConfig, n_samples: int, P: float = 1e-3,
-              a: float = DEFAULT_TIE_EXPONENT, collect_all: bool = False,
-              id_offset: int = 0):
+              collect_all: bool = False, id_offset: int = 0):
     """Sample (indicator, L_opt) pairs at slot t = 0.
 
     L_opt comes from the exhaustive count of states below the MVD threshold;
@@ -147,12 +146,12 @@ def calibrate(cfg: SystemConfig, n_samples: int, P: float = 1e-3,
         inst = generate_instance(cfg, instance_id=idx)
         bits = random_payload_bits(cfg, 0, instance_id=idx)
         slot = received_slot(inst, cfg, 0, bits)
-        space = from_channel(inst, slot.r, 0, cfg, W_STATE_REDUCED, reg)
+        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
         n_t = space.n_states
-        ns = space.count_below(y)
+        ns = int(np.count_nonzero(space.e_values < y))
         if ns == 0:
             continue
-        vals = all_indicators(inst.H_est, a)
+        vals = all_indicators(inst.H_est)
         c_vals.append(vals["c_prime"])
         l_vals.append(l_opt(ns, n_t))
         if collect_all:

@@ -4,6 +4,10 @@ A search space is the set of key assignments a state preparation can reach,
 together with the objective value of every assignment.  Values factor per
 user, so the full table is assembled by broadcasting per-user contribution
 tables over the product space instead of looping over assignments.
+channel_spaces is the one builder and SpaceStack the one space type: the
+tables of many slots of one instance share one enumeration, and a single
+slot is a stack of one row.  Both GAS engines search a stack's rows through
+its one lazily built per-row sort.
 
 Key index convention: registry variable i maps to bit weight 2^(q_k - 1 - i),
 i.e. variable 0 is the most significant bit of the integer key index, the
@@ -25,36 +29,46 @@ MAX_ENUMERABLE = 1 << 24
 
 
 @dataclass
-class EnumeratedSpace:
-    """Objective values over an enumerable search space.
+class SpaceStack:
+    """The value tables of one or more slots over one enumeration, the one
+    search-space type: a single slot is a one-row stack.
 
-    The sorted order is built on first use, by sampling: counting and the
-    minimum read the value table directly, so spaces that are only counted
-    (calibration) or minimized (the exhaustive detector) are never sorted.
+    Row i of e_values is slot i's table.  The slots share the registry, the
+    preparation and the key index of every ordinal, so an ordinal means the
+    same assignment in every row.  The per-row sorted order is built on first
+    use: counting and the minimum read the value table directly, so stacks
+    that are only counted (calibration) or minimized (the exhaustive
+    detector) are never sorted.
     """
 
     reg: VarRegistry
     prep: str
-    e_values: np.ndarray      # objective per state ordinal
+    e_values: np.ndarray      # (slots, states)
     key_indices: np.ndarray   # big-endian key index per state ordinal, uint64
+
+    @property
+    def n_states(self) -> int:
+        return self.key_indices.size
 
     @cached_property
     def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ordinals sorted by objective value, ties in ordinal order, and the
-        sorted values.
+        """Per row, ordinals sorted by objective value, ties in ordinal
+        order, and the sorted values.
 
         Without ties the sorting permutation is unique, so the unstable
-        default sort gives the stable one; only tied tables pay for the
-        stable sort. hadamard-full spaces always tie and take it directly.
-        The sorted values are the same under either sort.
+        default sort gives the stable one; only tied rows pay for the stable
+        sort. hadamard-full spaces always tie and take it directly. The
+        sorted values are the same under either sort.
         """
-        if self.prep == HADAMARD_FULL:
-            order = np.argsort(self.e_values, kind="stable")
-            return order, self.e_values[order]
-        order = np.argsort(self.e_values)
-        e_sorted = self.e_values[order]
-        if not np.all(e_sorted[1:] > e_sorted[:-1]):
-            order = np.argsort(self.e_values, kind="stable")
+        e = self.e_values
+        stable = self.prep == HADAMARD_FULL
+        order = np.argsort(e, axis=1, kind="stable" if stable else None)
+        # a flat gather; np.take_along_axis takes 2-3x as long on one row
+        e_sorted = e.ravel()[order + np.arange(0, e.size, e.shape[1])[:, None]]
+        if not stable:
+            tied = ~np.all(e_sorted[:, 1:] > e_sorted[:, :-1], axis=1)
+            if tied.any():
+                order[tied] = np.argsort(e[tied], axis=1, kind="stable")
         return order, e_sorted
 
     @property
@@ -64,28 +78,6 @@ class EnumeratedSpace:
     @property
     def e_sorted(self) -> np.ndarray:
         return self._sorted[1]
-
-    @property
-    def n_states(self) -> int:
-        return self.e_values.size
-
-    def count_below(self, y: float) -> int:
-        """Number of states with E(x) - y < 0 (strict)."""
-        return int(np.count_nonzero(self.e_values < y))
-
-    def min_value(self) -> float:
-        return float(self.e_values.min())
-
-    def sample_uniform(self, rng: np.random.Generator) -> int:
-        return int(rng.integers(self.n_states))
-
-    def assignment(self, ordinal) -> np.ndarray:
-        """Decode a state ordinal, or an array of them, to 0/1 assignments in
-        registry order (the last axis)."""
-        return _decode(self.reg, self.key_indices, ordinal)
-
-    def value_of(self, ordinal: int) -> float:
-        return float(self.e_values[ordinal])
 
     @cached_property
     def one_hot(self) -> np.ndarray:
@@ -103,40 +95,11 @@ class EnumeratedSpace:
             ok &= hot == 1
         return ok
 
-
-@dataclass
-class SpaceStack:
-    """The value tables of several slots over one enumeration.
-
-    Row i of e_values is slot i's table.  The slots share the registry, the
-    preparation and the key index of every ordinal, so an ordinal means the
-    same assignment in every row and space(i) is slot i's EnumeratedSpace.
-    """
-
-    reg: VarRegistry
-    prep: str
-    e_values: np.ndarray      # (slots, states)
-    key_indices: np.ndarray   # big-endian key index per state ordinal, uint64
-
-    @property
-    def n_states(self) -> int:
-        return self.key_indices.size
-
-    def space(self, i: int) -> EnumeratedSpace:
-        return EnumeratedSpace(reg=self.reg, prep=self.prep, e_values=self.e_values[i],
-                               key_indices=self.key_indices)
-
-    @cached_property
-    def one_hot(self) -> np.ndarray:
-        return self.space(0).one_hot
-
     def assignment(self, ordinal) -> np.ndarray:
-        return _decode(self.reg, self.key_indices, ordinal)
-
-
-def _decode(reg: VarRegistry, key_indices: np.ndarray, ordinal) -> np.ndarray:
-    shifts = np.arange(reg.q_k - 1, -1, -1, dtype=np.uint64)
-    return ((key_indices[ordinal][..., None] >> shifts) & np.uint64(1)).astype(np.uint8)
+        """Decode a state ordinal, or an array of them, to 0/1 assignments in
+        registry order (the last axis)."""
+        shifts = np.arange(self.reg.q_k - 1, -1, -1, dtype=np.uint64)
+        return ((self.key_indices[ordinal][..., None] >> shifts) & np.uint64(1)).astype(np.uint8)
 
 
 def _key_weights(reg: VarRegistry) -> np.ndarray:
@@ -215,26 +178,19 @@ def channel_spaces(inst: ChannelInstance, r: np.ndarray, ts, cfg: SystemConfig,
     return SpaceStack(reg=reg, prep=prep, e_values=e, key_indices=key_idx)
 
 
-def from_channel(inst: ChannelInstance, r: np.ndarray, t: int, cfg: SystemConfig,
-                 prep: str, reg: VarRegistry) -> EnumeratedSpace:
-    """The space of slot t, received as r: channel_spaces for one slot."""
-    return channel_spaces(inst, np.asarray(r)[None, :], [t], cfg, prep, reg).space(0)
-
-
-def channel_ordinals(space: EnumeratedSpace | SpaceStack, b_bits: np.ndarray,
+def channel_ordinals(stack: SpaceStack, b_bits: np.ndarray,
                      delays: np.ndarray) -> np.ndarray:
-    """Ordinals, in a w-state-reduced channel space or stack of them, of
-    payload bits b_bits (n, n_b) in registry order with user m at delay
-    delays[:, m].
+    """Ordinals, in a w-state-reduced channel stack, of payload bits b_bits
+    (n, n_b) in registry order with user m at delay delays[:, m].
 
-    from_channel lays a user's local choices out as b_index * taud + k,
+    channel_spaces lays a user's local choices out as b_index * taud + k,
     b_index the user's bits read most significant first; user 0 is the most
     significant digit.
     """
-    reg = space.reg
-    if space.prep != W_STATE_REDUCED:
+    reg = stack.reg
+    if stack.prep != W_STATE_REDUCED:
         raise ValueError(f"ordinals by delay index need a {W_STATE_REDUCED} space, "
-                         f"not {space.prep!r}")
+                         f"not {stack.prep!r}")
     n_bbits = reg.n_b // reg.M
     delays = np.asarray(delays, dtype=np.int64)
     b = np.asarray(b_bits, dtype=np.int64).reshape(len(delays), reg.M, n_bbits)

@@ -39,7 +39,7 @@ from gasmld.errors import CapacityError
 from gasmld.gas import MAX_QUBITS, check_value_range, register_width, value_scale
 from gasmld.hubo import HADAMARD_FULL, W_STATE_REDUCED, HuboPolynomial, VarRegistry
 from gasmld.indicators import CalibrationTable
-from gasmld.spaces import MAX_ENUMERABLE, EnumeratedSpace, _broadcast_sum, _key_weights
+from gasmld.spaces import MAX_ENUMERABLE, SpaceStack, _broadcast_sum, _key_weights
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -84,8 +84,8 @@ def poly_values_over_keys(poly: HuboPolynomial, q_k: int) -> np.ndarray:
     return e
 
 
-def from_polynomial(poly: HuboPolynomial, reg: VarRegistry, prep: str) -> EnumeratedSpace:
-    """The search space of a generic polynomial objective."""
+def from_polynomial(poly: HuboPolynomial, reg: VarRegistry, prep: str) -> SpaceStack:
+    """The search space of a generic polynomial objective, a one-row stack."""
     q = reg.q_k
     e_full = poly_values_over_keys(poly, q)
     if prep == HADAMARD_FULL:
@@ -104,7 +104,7 @@ def from_polynomial(poly: HuboPolynomial, reg: VarRegistry, prep: str) -> Enumer
         e = e_full[key_idx]
     else:
         raise ValueError(f"unknown preparation {prep!r}")
-    return EnumeratedSpace(reg=reg, prep=prep, e_values=e, key_indices=key_idx)
+    return SpaceStack(reg=reg, prep=prep, e_values=e[None], key_indices=key_idx)
 
 
 def choose_qv(poly: HuboPolynomial, y: float) -> int:
@@ -116,9 +116,9 @@ def choose_qv(poly: HuboPolynomial, y: float) -> int:
 
 # --- small helpers -----------------------------------------------------------
 
-def argmin_ordinal(space: EnumeratedSpace) -> int:
+def argmin_ordinal(space: SpaceStack) -> int:
     """First ordinal attaining the minimum, the stable order's head."""
-    return int(np.argmin(space.e_values))
+    return int(np.argmin(space.e_values[0]))
 
 
 def binned_spread(values, l_values, n_bins: int = 20,

@@ -23,7 +23,7 @@ from gasmld.hubo import (HADAMARD_FULL, W_STATE_REDUCED, HuboPolynomial, build_h
                          build_registry)
 from gasmld.indicators import (all_indicators, calibrate, indicator_c, indicator_c_prime,
                                select_lmin, select_lmin_conventional)
-from gasmld.spaces import from_channel
+from gasmld.spaces import channel_spaces
 from oracles import binned_spread, choose_qv, from_polynomial, term_counts_by_order
 from gasmld.thresholds import MvdParams, mvd_rate, regularized_gamma_q, y_mvd
 
@@ -60,18 +60,18 @@ def test_criterion_01_oracle_equivalence(fig5_table):
         inst = generate_instance(cfg, instance_id=trial)
         bits = random_payload_bits(cfg, 0, instance_id=trial)
         slot = received_slot(inst, cfg, 0, bits)
-        space = from_channel(inst, slot.r, 0, cfg, W_STATE_REDUCED, reg)
+        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
         backend = AmplitudeBackend(space)
         lmin = select_lmin(fig5_table, indicator_c_prime(inst.H_est))
         params = GasParams(y0=ymvd, lmin=lmin, restart_enabled=True)
         rng = streams.substream(cfg.seed, streams.TRIAL, trial, 0)
-        trace = run_gas(backend, params, rng, oracle_min=space.min_value(),
+        trace = run_gas(backend, params, rng, oracle_min=float(space.e_values.min()),
                         record_trace=False)
         budget_rot = int(math.ceil(50 * math.sqrt(space.n_states)))
         converged += bool(trace.converged)
         within_budget += trace.qd_rotations <= budget_rot
         if trace.converged:
-            argmin_ok += trace.best_E <= space.min_value() + 1e-12
+            argmin_ok += trace.best_E <= float(space.e_values.min()) + 1e-12
     elapsed = time.time() - t0
     ok = converged == 500 and argmin_ok == 500 and within_budget == 500 and elapsed <= 300
     assert report(1, ok, f"converged {converged}/500, argmin matches {argmin_ok}/500, "
@@ -105,7 +105,7 @@ def test_criterion_02_backend_cross_check():
         poly, reg = _integer_toy(seed)
         e = from_polynomial(poly, reg, HADAMARD_FULL)
         ys = sorted({int(math.floor(np.quantile(e.e_values, q))) for q in (0.2, 0.5, 0.8)})
-        ys.append(int(math.ceil(e.e_sorted[-1])) + 1)
+        ys.append(int(math.ceil(e.e_sorted[0, -1])) + 1)
         q_v = max(choose_qv(poly, float(y)) for y in ys)
         if q_v > 6:
             continue
@@ -113,10 +113,10 @@ def test_criterion_02_backend_cross_check():
         amp = AmplitudeBackend(e)
         circ = CircuitBackend(e, q_v)
         for y in ys:
-            ns = e.count_below(y)
+            ns = int(np.count_nonzero(e.e_values < y))
             for L in (0, 1, 2, 5):
                 p_amp = success_probability(ns, e.n_states, L) if ns else 0.0
-                p_circ = float(circ.distribution(float(y), L)[circ.space.e_values < y].sum())
+                p_circ = float(circ.distribution(float(y), L)[circ.e_values < y].sum())
                 u = rng_shots.random(shots)
                 tv = abs(float(np.mean(u < p_circ)) - float(np.mean(u < p_amp)))
                 worst_int = max(worst_int, tv)
@@ -132,9 +132,9 @@ def test_criterion_02_backend_cross_check():
         bits = random_payload_bits(cfg, 0)
         slot = received_slot(inst, cfg, 0, bits)
         poly, reg = build_hubo(inst, slot.r, 0, cfg)
-        space = from_channel(inst, slot.r, 0, cfg, W_STATE_REDUCED, reg)
+        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
         circ = CircuitBackend(space, q_v=8)
-        es = space.e_sorted
+        es = space.e_sorted[0]
         half = es.size // 2
         gaps = es[1:half + 1] - es[:half]
         ys = []
@@ -147,10 +147,10 @@ def test_criterion_02_backend_cross_check():
         n_mimo += 1
         ys.append(float(es[-1]) + 1.0)
         for y in ys:
-            ns = space.count_below(y)
+            ns = int(np.count_nonzero(space.e_values < y))
             for L in (0, 1, 2, 3):
                 p_amp = success_probability(ns, space.n_states, L) if ns else 0.0
-                p_circ = float(circ.distribution(y, L)[circ.space.e_values < y].sum())
+                p_circ = float(circ.distribution(y, L)[circ.e_values < y].sum())
                 u = rng_shots.random(shots)
                 tv = abs(float(np.mean(u < p_circ)) - float(np.mean(u < p_amp)))
                 worst_real = max(worst_real, tv)
@@ -241,12 +241,12 @@ def test_criterion_04_rotation_bound_trend():
         inst = generate_instance(cfg8, instance_id=trial)
         bits = random_payload_bits(cfg8, 0, instance_id=trial)
         slot = received_slot(inst, cfg8, 0, bits)
-        space = from_channel(inst, slot.r, 0, cfg8, W_STATE_REDUCED, reg8)
+        space = channel_spaces(inst, slot.r[None], [0], cfg8, W_STATE_REDUCED, reg8)
         lmin = select_lmin_conventional(indicator_c(inst.H_est))
         params = GasParams(y0=ymvd8, lmin=lmin, restart_enabled=True)
         rng = streams.substream(cfg8.seed, streams.TRIAL, trial, 9)
         trace = run_gas(AmplitudeBackend(space), params, rng,
-                        oracle_min=space.min_value(), record_trace=False)
+                        oracle_min=float(space.e_values.min()), record_trace=False)
         big_ok += bool(trace.converged)
 
     ordering = l_prop <= l_c <= l_conv
@@ -439,9 +439,9 @@ def test_criterion_10_indicator_localization():
         inst = generate_instance(cfg, instance_id=idx)
         bits = random_payload_bits(cfg, 0, instance_id=idx)
         slot = received_slot(inst, cfg, 0, bits)
-        space = from_channel(inst, slot.r, 0, cfg, W_STATE_REDUCED, reg)
+        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
         idx += 1
-        ns = space.count_below(thr)
+        ns = int(np.count_nonzero(space.e_values < thr))
         if ns == 0:
             continue
         ind = all_indicators(inst.H_est)

@@ -12,7 +12,7 @@ from gasmld.gas import (STOP_BUDGET_ITERATIONS, STOP_BUDGET_ROTATIONS, STOP_OPTI
                         run_gas_batch, success_probability)
 from gasmld.hubo import (HADAMARD_FULL, W_STATE_REDUCED, HuboPolynomial, build_hubo,
                          build_registry)
-from gasmld.spaces import SpaceStack, channel_spaces, from_channel
+from gasmld.spaces import SpaceStack, channel_spaces
 from gasmld.thresholds import MvdParams, mmse_detect, y_mvd
 from oracles import GroverCircuit, argmin_ordinal, evaluate, from_polynomial
 
@@ -69,7 +69,7 @@ class TestAmplitudeBackend:
     def test_all_marked_returns_marked(self):
         poly, reg, backend = toy_backend()
         rng = np.random.default_rng(0)
-        y = float(backend.space.e_sorted[-1]) + 1.0
+        y = float(backend.space.e_sorted[0, -1]) + 1.0
         for L in (0, 1, 5):
             _, ex = backend.measure(y, L, rng)
             assert ex < y
@@ -77,7 +77,7 @@ class TestAmplitudeBackend:
     def test_no_marked_uniform(self):
         poly, reg, backend = toy_backend()
         rng = np.random.default_rng(1)
-        y = float(backend.space.e_sorted[0]) - 1.0
+        y = float(backend.space.e_sorted[0, 0]) - 1.0
         counts = np.zeros(8)
         n = 16000
         for _ in range(n):
@@ -91,7 +91,7 @@ class TestAmplitudeBackend:
     def test_marked_hit_rate_matches_law(self):
         poly, reg, backend = toy_backend()
         y = 2.0
-        ns = backend.space.count_below(y)
+        ns = int(np.count_nonzero(backend.space.e_values < y))
         rng = np.random.default_rng(2)
         n = 20000
         for L in (1, 2):
@@ -108,10 +108,10 @@ class TestCircuitBackend:
         poly, reg, amp = toy_backend()
         circ = CircuitBackend(from_polynomial(poly, reg, HADAMARD_FULL), q_v=4)
         for y in (-1.0, 1.0, 2.0, 4.0):
-            ns = amp.space.count_below(y)
+            ns = int(np.count_nonzero(amp.space.e_values < y))
             for L in (0, 1, 2, 4):
                 p = circ.distribution(y, L)
-                marked = circ.space.e_values < y
+                marked = circ.e_values < y
                 p_marked = float(p[marked].sum()) if ns else 0.0
                 assert p_marked == pytest.approx(success_probability(ns, 8, L), abs=1e-9)
                 # uniform within each class
@@ -128,9 +128,9 @@ class TestCircuitBackend:
         shots = 10_000
         for (y, L) in ((2.0, 1), (1.0, 2)):
             u = rng.random(shots)
-            ns = amp.space.count_below(y)
+            ns = int(np.count_nonzero(amp.space.e_values < y))
             p_amp = success_probability(ns, 8, L)
-            p_circ = float(circ.distribution(y, L)[circ.space.e_values < y].sum())
+            p_circ = float(circ.distribution(y, L)[circ.e_values < y].sum())
             tv = abs(np.mean(u < p_circ) - np.mean(u < p_amp))
             assert tv <= 0.02
 
@@ -142,10 +142,10 @@ class TestCircuitBackend:
         bits = random_payload_bits(cfg, 0)
         slot = received_slot(inst, cfg, 0, bits)
         poly, reg = build_hubo(inst, slot.r, 0, cfg)
-        space = from_channel(inst, slot.r, 0, cfg, W_STATE_REDUCED, reg)
+        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
         amp = AmplitudeBackend(space)
         circ = CircuitBackend(space, q_v=8)
-        es = space.e_sorted
+        es = space.e_sorted[0]
         half = es.size // 2
         gaps = es[1:half + 1] - es[:half]
         ys = []
@@ -157,11 +157,11 @@ class TestCircuitBackend:
         rng = np.random.default_rng(5)
         shots = 10_000
         for y in ys:
-            ns = space.count_below(y)
+            ns = int(np.count_nonzero(space.e_values < y))
             for L in (1, 3):
                 u = rng.random(shots)
                 p_amp = success_probability(ns, space.n_states, L)
-                p_circ = float(circ.distribution(y, L)[circ.space.e_values < y].sum())
+                p_circ = float(circ.distribution(y, L)[circ.e_values < y].sum())
                 tv = abs(np.mean(u < p_circ) - np.mean(u < p_amp))
                 assert tv <= 0.05
 
@@ -198,17 +198,17 @@ class TestDenseOracle:
         inst = generate_instance(cfg)
         slot = received_slot(inst, cfg, 0, random_payload_bits(cfg, 0))
         poly, reg = build_hubo(inst, slot.r, 0, cfg)
-        space = from_channel(inst, slot.r, 0, cfg, prep, reg)
+        space = channel_spaces(inst, slot.r[None], [0], cfg, prep, reg)
         q_v = register_width(0.0, channel_bound(inst.H_est, slot.r, prep, reg.taud), 0.0)
         circ = CircuitBackend(space, q_v)
-        es = np.sort(space.e_values)
+        es = np.sort(space.e_values[0])
         # none marked, mid-gap, on a spectrum level, an integer, all marked
         ys = [es[0] - 0.25, 0.5 * (es[3] + es[4]), es[es.size // 2], 2.0, es[-1] + 0.5]
         self.assert_matches(circ, GroverCircuit(poly, reg, prep, q_v), map(float, ys))
         # every ordinal decodes to the assignment whose objective it carries
         for ordinal in range(space.n_states):
             assert evaluate(poly, space.assignment(ordinal)) == pytest.approx(
-                space.value_of(ordinal), rel=1e-9, abs=1e-12)
+                space.e_values[0, ordinal], rel=1e-9, abs=1e-12)
 
     @pytest.mark.parametrize("prep", [W_STATE_REDUCED, HADAMARD_FULL])
     def test_prepared_state(self, prep):
@@ -218,11 +218,11 @@ class TestDenseOracle:
             inst = generate_instance(cfg)
             slot = received_slot(inst, cfg, 0, random_payload_bits(cfg, 0))
             poly, reg = build_hubo(inst, slot.r, 0, cfg)
-            space = from_channel(inst, slot.r, 0, cfg, prep, reg)
+            space = channel_spaces(inst, slot.r[None], [0], cfg, prep, reg)
             q_v = register_width(0.0, channel_bound(inst.H_est, slot.r, prep, reg.taud), 0.0)
             circ = CircuitBackend(space, q_v)
             dense = GroverCircuit(poly, reg, prep, q_v)
-            for y in (float(np.median(space.e_values)), space.min_value() + 0.01):
+            for y in (float(np.median(space.e_values)), float(space.e_values.min()) + 0.01):
                 state = circ.prepared_state(y)
                 assert np.abs(state.reshape(-1) - dense.prepare(y).amps).max() <= 1e-12
 
@@ -243,7 +243,7 @@ class TestRunGas:
 
     def test_toy_convergence_rate(self):
         poly, reg, backend = toy_backend()
-        best = float(backend.space.e_sorted[0])
+        best = float(backend.space.e_sorted[0, 0])
         found = 0
         for seed in range(100):
             rng = np.random.default_rng(seed)
@@ -274,7 +274,7 @@ class TestRunGas:
         poly, reg, backend = toy_backend()
         rng = np.random.default_rng(13)
         # threshold below the minimum: every iteration rejects
-        params = GasParams(y0=float(backend.space.e_sorted[0]) - 1.0,
+        params = GasParams(y0=float(backend.space.e_sorted[0, 0]) - 1.0,
                            budget_iterations=40, budget_rotations=10_000)
         trace = self.engine(backend, params, rng)
         lam = 8 / 7
@@ -284,7 +284,7 @@ class TestRunGas:
 
     def test_restart_fires_and_recovers(self):
         poly, reg, backend = toy_backend()
-        best = float(backend.space.e_sorted[0])
+        best = float(backend.space.e_sorted[0, 0])
         rng = np.random.default_rng(self.restart_seed)
         # restart window restart_iterations(2, 8) = 3
         params = GasParams(y0=best - 0.5, lmin=2, restart_enabled=True,
@@ -302,7 +302,7 @@ class TestRunGas:
         for seed in range(20):
             rng = np.random.default_rng(100 + seed)
             trace = self.engine(backend, GasParams(budget_iterations=300, budget_rotations=3000),
-                                rng, oracle_min=float(space.e_sorted[0]))
+                                rng, oracle_min=float(space.e_sorted[0, 0]))
             if trace.converged:
                 assert np.array_equal(trace.final_x, best_bits)
 
@@ -324,7 +324,7 @@ class TestRunGas:
         bits = random_payload_bits(cfg, 0)
         slot = received_slot(inst, cfg, 0, bits)
         reg = build_registry(cfg)
-        space = from_channel(inst, slot.r, 0, cfg, W_STATE_REDUCED, reg)
+        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
         backend = AmplitudeBackend(space)
         rng = np.random.default_rng(16)
         trace = self.engine(backend, GasParams(budget_iterations=60), rng)
@@ -335,7 +335,7 @@ class TestRunGas:
     def test_budget_exhaustion_not_an_error(self):
         poly, reg, backend = toy_backend()
         rng = np.random.default_rng(17)
-        params = GasParams(y0=float(backend.space.e_sorted[0]) - 1.0,
+        params = GasParams(y0=float(backend.space.e_sorted[0, 0]) - 1.0,
                            budget_iterations=10)
         trace = self.engine(backend, params, rng, oracle_min=-10.0)
         assert trace.reached_optimum_at is None
@@ -345,7 +345,7 @@ class TestRunGas:
                                         STOP_BUDGET_ROTATIONS])
     def test_stop_reason(self, reason):
         poly, reg, backend = toy_backend()
-        best = float(backend.space.e_sorted[0])
+        best = float(backend.space.e_sorted[0, 0])
         params = {
             STOP_OPTIMUM: GasParams(budget_iterations=200, budget_rotations=2000),
             # threshold below the minimum: no iteration accepts
@@ -368,7 +368,7 @@ class TestRunGas:
     def test_rotation_budget_respected(self):
         poly, reg, backend = toy_backend()
         rng = np.random.default_rng(18)
-        params = GasParams(y0=float(backend.space.e_sorted[0]) - 1.0, lmin=3,
+        params = GasParams(y0=float(backend.space.e_sorted[0, 0]) - 1.0, lmin=3,
                            budget_iterations=1000, budget_rotations=50)
         trace = self.engine(backend, params, rng)
         assert trace.qd_rotations <= 50
@@ -394,11 +394,10 @@ class TestRunGas:
 
 
 def batch_engine(backend, params, rng, oracle_min=None, record_trace=True):
-    """run_gas_batch on backend's space as a batch of one run, its outputs
-    and recorded steps read back as run_gas's GasTrace."""
+    """run_gas_batch on backend's one-row stack as a batch of one run, its
+    outputs and recorded steps read back as run_gas's GasTrace."""
     space = backend.space
-    stack = SpaceStack(space.reg, space.prep, space.e_values[None], space.key_indices)
-    out = run_gas_batch(stack, [0], [params], [(rng, 1)],
+    out = run_gas_batch(space, [0], [params], [(rng, 1)],
                         oracle_min=None if oracle_min is None else [oracle_min], record=True)
     trace = GasTrace(
         final_x=None if out.final[0] < 0 else space.assignment(out.final[0]),
@@ -458,7 +457,9 @@ class TestBatchLaw:
                 params = [harness._gas_params(spec, arm, inst, ymvd, None,
                                               int(x_mmse[t]) if seeded else None) for t in slots]
                 for t in slots:
-                    trace = run_gas(AmplitudeBackend(stack.space(t)), params[t],
+                    row = SpaceStack(reg, W_STATE_REDUCED, stack.e_values[t:t + 1],
+                                     stack.key_indices)
+                    trace = run_gas(AmplitudeBackend(row), params[t],
                                     streams.substream(cfg.seed, trial, t, di),
                                     oracle_min=minima[t], record_trace=False)
                     qd[det][0].append(trace.reached_optimum_at[1] if trace.converged else math.inf)

@@ -144,7 +144,6 @@ class TestQueryCdf:
 
     def test_converged_runs_match_exhaustive(self):
         from gasmld.channel import generate_instance, random_payload_bits, received_slot
-        from gasmld.spaces import from_channel
         from gasmld.hubo import W_STATE_REDUCED, build_registry
         spec = small_cdf_spec(trials=6, seed=9)
         rows = run_query_cdf(spec)
@@ -172,7 +171,7 @@ class TestCircuitConvergence:
             for space, oracle_min, trace in runs:
                 assert trace.converged == (trace.stop_reason == "optimum")
                 key = int("".join(map(str, trace.final_x)), 2)
-                value = space.value_of(int(np.flatnonzero(space.key_indices == key)[0]))
+                value = space.e_values[0, int(np.flatnonzero(space.key_indices == key)[0])]
                 if trace.converged:
                     assert value == pytest.approx(oracle_min, rel=1e-12, abs=1e-12)
                 elif space.prep == W_STATE_REDUCED:
@@ -207,13 +206,13 @@ class TestBer:
         from gasmld.channel import SystemConfig, generate_instance, random_payload_bits, received_slot
         from gasmld.gas import AmplitudeBackend, GasParams, run_gas
         from gasmld.hubo import W_STATE_REDUCED, build_registry
-        from gasmld.spaces import from_channel
+        from gasmld.spaces import channel_spaces
         cfg = SystemConfig(N=2, M=2, tau_max=1, T_P=64, T_D=4, snr_db=20.0, seed=6)
         reg = build_registry(cfg)
         inst = generate_instance(cfg)
         bits = random_payload_bits(cfg, 0)
         slot = received_slot(inst, cfg, 0, bits)
-        space = from_channel(inst, slot.r, 0, cfg, W_STATE_REDUCED, reg)
+        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
         trace = run_gas(AmplitudeBackend(space), GasParams(budget_iterations=60),
                         np.random.default_rng(1))
         zero_l = sum(1 for it in trace.iterations if it.L == 0)

@@ -33,6 +33,10 @@ def sha256(data: bytes) -> str:
     ("query-cdf", "query_cdf_lmin.json", ("--trials", "10"), {
         "rotation-lower-bound_query_cdf.csv":
             "f95e348c7495d586052ad3d3ef3228f791c0624f0bf1e5ff9019149a4e0fcbb2"}),
+    # the circuit law with a fitted q_v across many trials
+    ("query-cdf", "query_cdf_lmin.json", ("--trials", "10", "--backend", "circuit"), {
+        "rotation-lower-bound_query_cdf.csv":
+            "198aaf96864366ee471b80fb41caca01d19d4ce1149ac0efa003d665ecaecaaf"}),
     ("calibrate", "calibration_fig5.json", (), {
         "indicator-scatter_calibration.csv":
             "8c6043dce0eeaa02d7eb4600e4b38afbc55d8f5a611647f43b62073dc0384be1",
@@ -43,7 +47,8 @@ def sha256(data: bytes) -> str:
     ("gate-count", "gate_count.json", (), {
         "gate-budget_gate_count.json":
             "574ef14839c4cf4a31ae489da7e53fe8f053e3976d4ad140a1f11535d8cada5d"}),
-], ids=["query-cdf", "ber", "query-cdf-lmin", "calibrate", "gate-count"])
+], ids=["query-cdf", "ber", "query-cdf-lmin", "query-cdf-lmin-circuit", "calibrate",
+        "gate-count"])
 def test_written_file(tmp_path, capsys, command, config, extra, digests):
     code = cli.main([command, "--config", str(CONFIG_DIR / config), *extra,
                      "--out", str(tmp_path)])

@@ -6,10 +6,10 @@ import pytest
 from gasmld.channel import (PSK2, QPSK, SystemConfig, generate_instance,
                             objective_direct, random_payload_bits, received_slot)
 from gasmld.errors import CapacityError
-from gasmld.gas import AmplitudeBackend
+from gasmld.gas import AmplitudeBackend, GasParams, run_gas_batch
 from gasmld.hubo import HADAMARD_FULL, W_STATE_REDUCED, build_hubo, build_registry
 from gasmld import spaces
-from gasmld.spaces import EnumeratedSpace, from_channel
+from gasmld.spaces import SpaceStack, channel_spaces
 from oracles import argmin_ordinal, evaluate, from_polynomial, poly_values_over_keys
 
 
@@ -48,30 +48,30 @@ def enumerate_search_space(reg, prep):
 @pytest.mark.parametrize("modulation,N", [(PSK2, 2), (QPSK, 2), (PSK2, 3)],
                          ids=["psk2", "qpsk", "psk2-N3"])
 def test_stack_rows_match_from_channel(modulation, N, prep):
-    # row t of a many-slot stack has the bits of slot t's one-slot space
+    # row t of a many-slot stack has the bits of slot t's one-row stack
     cfg, inst, _, reg = make(N=N, M=3, modulation=modulation, T_D=8)
     slots = np.arange(cfg.T_D)
     r = np.stack([received_slot(inst, cfg, t, random_payload_bits(cfg, t)).r for t in slots])
     stack = spaces.channel_spaces(inst, r, slots, cfg, prep, reg)
     assert stack.e_values.shape == (cfg.T_D, stack.n_states)
     for t in slots:
-        space = from_channel(inst, r[t], t, cfg, prep, reg)
-        assert stack.e_values[t].tobytes() == space.e_values.tobytes()
+        space = channel_spaces(inst, r[t][None], [t], cfg, prep, reg)
+        assert stack.e_values[t].tobytes() == space.e_values[0].tobytes()
         assert np.array_equal(stack.key_indices, space.key_indices)
-        assert np.array_equal(stack.space(t).one_hot, space.one_hot)
+        assert np.array_equal(stack.one_hot, space.one_hot)
 
 
 @pytest.mark.parametrize("modulation", [PSK2, QPSK])
 @pytest.mark.parametrize("prep", [W_STATE_REDUCED, HADAMARD_FULL])
 def test_space_matches_objective_direct(modulation, prep):
     cfg, inst, slot, reg = make(modulation=modulation)
-    space = from_channel(inst, slot.r, 0, cfg, prep, reg)
+    space = channel_spaces(inst, slot.r[None], [0], cfg, prep, reg)
     seen = set()
     for ordinal in range(space.n_states):
         x = space.assignment(ordinal)
         b, c, d = reg.split_assignment(x)
         expect = objective_direct(inst, slot.r, 0, b, d)
-        assert space.value_of(ordinal) == pytest.approx(expect, rel=1e-10, abs=1e-12)
+        assert space.e_values[0, ordinal] == pytest.approx(expect, rel=1e-10, abs=1e-12)
         seen.add(int(space.key_indices[ordinal]))
     # key indices enumerate exactly the preparation-consistent assignments
     expect_keys = set()
@@ -87,17 +87,17 @@ def test_space_matches_polynomial_values(modulation, prep):
     # direct residual at each decoded assignment
     cfg, inst, slot, reg = make(modulation=modulation, seed=9)
     poly, _ = build_hubo(inst, slot.r, 0, cfg)
-    ch = from_channel(inst, slot.r, 0, cfg, prep, reg)
+    ch = channel_spaces(inst, slot.r[None], [0], cfg, prep, reg)
     po = from_polynomial(poly, reg, prep)
-    ch_map = {int(k): v for k, v in zip(ch.key_indices, ch.e_values)}
-    po_map = {int(k): v for k, v in zip(po.key_indices, po.e_values)}
+    ch_map = {int(k): v for k, v in zip(ch.key_indices, ch.e_values[0])}
+    po_map = {int(k): v for k, v in zip(po.key_indices, po.e_values[0])}
     assert set(ch_map) == set(po_map)
     for k, v in ch_map.items():
         assert v == pytest.approx(po_map[k], rel=1e-9, abs=1e-9)
     for ordinal in range(ch.n_states):
         b, _, d = reg.split_assignment(ch.assignment(ordinal))
         direct = objective_direct(inst, slot.r, 0, b, d)
-        assert ch.value_of(ordinal) == pytest.approx(direct, rel=1e-9)
+        assert ch.e_values[0, ordinal] == pytest.approx(direct, rel=1e-9)
 
 
 def test_poly_values_over_keys_matches_evaluate():
@@ -113,22 +113,19 @@ def test_poly_values_over_keys_matches_evaluate():
 
 def test_count_below_and_sampling():
     cfg, inst, slot, reg = make(seed=11)
-    space = from_channel(inst, slot.r, 0, cfg, W_STATE_REDUCED, reg)
-    y = float(np.median(space.e_values))
-    ns = space.count_below(y)
-    assert ns == int(np.sum(space.e_values < y))
+    space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
     # one rotation measures a marked state with certainty at Ns/Nt = 1/4
     # (sin^2(3 pi/6) = 1) and an unmarked one at Ns/Nt = 3/4 (sin^2(3 pi/3) = 0)
     backend = AmplitudeBackend(space)
-    e, n = np.sort(space.e_values), space.n_states
+    e, n = np.sort(space.e_values[0]), space.n_states
     y_marked = float(0.5 * (e[n // 4 - 1] + e[n // 4]))
     y_unmarked = float(0.5 * (e[3 * n // 4 - 1] + e[3 * n // 4]))
     rng = np.random.default_rng(2)
     for _ in range(50):
         ordinal, value = backend.measure(y_marked, 1, rng)
-        assert value == space.value_of(ordinal) < y_marked
+        assert value == space.e_values[0, ordinal] < y_marked
         ordinal, value = backend.measure(y_unmarked, 1, rng)
-        assert y_unmarked <= value == space.value_of(ordinal)
+        assert y_unmarked <= value == space.e_values[0, ordinal]
 
 
 def test_capacity_guard():
@@ -138,7 +135,7 @@ def test_capacity_guard():
     slot = received_slot(inst, cfg, 0, bits)
     reg = build_registry(cfg)
     with pytest.raises(CapacityError):
-        from_channel(inst, slot.r, 0, cfg, W_STATE_REDUCED, reg)
+        channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
 
 
 class TestExhaustive:
@@ -146,66 +143,75 @@ class TestExhaustive:
 
     def test_noiseless_truth(self):
         cfg, inst, slot, reg = make(T_P=0, snr_db=300.0, seed=5)
-        space = from_channel(inst, slot.r, 0, cfg, W_STATE_REDUCED, reg)
+        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
         b, _, d = reg.split_assignment(space.assignment(argmin_ordinal(space)))
         assert np.array_equal(b, slot.b_true)
-        assert space.min_value() == pytest.approx(0.0, abs=1e-15)
+        assert space.e_values.min() == pytest.approx(0.0, abs=1e-15)
         for m in range(cfg.M):
             k = int(np.flatnonzero(d.reshape(cfg.M, cfg.taud)[m])[0])
             assert k == inst.delays[m]
 
     def test_min_below_all(self):
         cfg, inst, slot, reg = make(snr_db=20.0, seed=6)
-        space = from_channel(inst, slot.r, 0, cfg, W_STATE_REDUCED, reg)
-        values = space.e_sorted
-        assert np.all(values[0] <= space.e_values + 1e-15)
+        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
+        values = space.e_sorted[0]
+        assert np.all(values[0] <= space.e_values[0] + 1e-15)
         assert np.all(np.diff(values) >= 0)
-        assert space.value_of(argmin_ordinal(space)) == values[0]
+        assert space.e_values[0, argmin_ordinal(space)] == values[0]
 
     def test_counts_from_sorted_values(self):
         cfg, inst, slot, reg = make(snr_db=20.0, seed=7)
-        space = from_channel(inst, slot.r, 0, cfg, W_STATE_REDUCED, reg)
+        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
         y = float(np.median(space.e_sorted))
-        assert int(np.searchsorted(space.e_sorted, y, side="left")) == \
+        assert int(np.searchsorted(space.e_sorted[0], y, side="left")) == \
             int(np.sum(space.e_values < y))
 
 
+def count_below(space, y) -> int:
+    """Calibration's marked-state count of a one-row stack."""
+    return int(np.count_nonzero(space.e_values < y))
+
+
 class TestLazyOrder:
-    """The sorted order is built on first sampling, never by counting or the
-    minimum, and equals the stable argsort whichever sort built it."""
+    """The per-row sorted order is built on first sampling, never by
+    counting or the minimum, and equals the stable argsort whichever sort
+    built it."""
 
     @pytest.mark.parametrize("modulation", [PSK2, QPSK])
     @pytest.mark.parametrize("prep", [W_STATE_REDUCED, HADAMARD_FULL])
     def test_order_is_stable_argsort(self, modulation, prep):
         cfg, inst, slot, reg = make(modulation=modulation, seed=12)
-        space = from_channel(inst, slot.r, 0, cfg, prep, reg)
-        expect = np.argsort(space.e_values, kind="stable")
+        space = channel_spaces(inst, slot.r[None], [0], cfg, prep, reg)
+        expect = np.argsort(space.e_values, axis=1, kind="stable")
         assert np.array_equal(space.order, expect)
-        assert np.array_equal(space.e_sorted, space.e_values[expect])
+        assert np.array_equal(space.e_sorted, np.take_along_axis(space.e_values, expect, axis=1))
 
     def test_order_with_ties(self):
-        # long enough that numpy's default sort is not an insertion sort
+        # long enough that numpy's default sort is not an insertion sort; a
+        # tied row stacked over an untied one, so only the first re-sorts
         _, _, _, reg = make()
-        e = np.repeat([3.0, 1.0, 2.0, 0.5, 2.5], 40)[np.random.default_rng(4).permutation(200)]
-        space = EnumeratedSpace(reg=reg, prep=W_STATE_REDUCED, e_values=e,
-                                key_indices=np.arange(e.size, dtype=np.uint64))
-        assert argmin_ordinal(space) == int(np.flatnonzero(e == 0.5)[0])
-        assert np.array_equal(space.order, np.argsort(e, kind="stable"))
+        rng = np.random.default_rng(4)
+        e = np.stack([np.repeat([3.0, 1.0, 2.0, 0.5, 2.5], 40)[rng.permutation(200)],
+                      rng.permutation(200) / 7.0])
+        space = SpaceStack(reg=reg, prep=W_STATE_REDUCED, e_values=e,
+                           key_indices=np.arange(e.shape[1], dtype=np.uint64))
+        assert argmin_ordinal(space) == int(np.flatnonzero(e[0] == 0.5)[0])
+        assert np.array_equal(space.order, np.argsort(e, axis=1, kind="stable"))
 
     @pytest.mark.parametrize("prep", [W_STATE_REDUCED, HADAMARD_FULL])
     def test_count_and_minimum_without_sorting(self, prep):
         cfg, inst, slot, reg = make(seed=13)
-        space = from_channel(inst, slot.r, 0, cfg, prep, reg)
+        space = channel_spaces(inst, slot.r[None], [0], cfg, prep, reg)
         distinct = np.unique(space.e_values)
         probes = np.concatenate([distinct, 0.5 * (distinct[1:] + distinct[:-1]),
                                  [distinct[0] - 1.0, distinct[-1] + 1.0]])
-        counts = [space.count_below(float(y)) for y in probes]
-        head = (space.min_value(), argmin_ordinal(space))
+        counts = [count_below(space, float(y)) for y in probes]
+        head = (float(space.e_values.min()), argmin_ordinal(space))
         assert "_sorted" not in space.__dict__
         space.order  # noqa: B018  (build the order)
-        assert counts == [space.count_below(float(y)) for y in probes]
+        assert counts == [count_below(space, float(y)) for y in probes]
         assert counts == [int(np.sum(space.e_values < y)) for y in probes]
-        assert head == (float(space.e_sorted[0]), int(space.order[0]))
+        assert head == (float(space.e_sorted[0, 0]), int(space.order[0, 0]))
 
     @pytest.mark.parametrize("prep", [W_STATE_REDUCED, HADAMARD_FULL])
     def test_one_sort_per_space(self, prep, monkeypatch):
@@ -220,10 +226,33 @@ class TestLazyOrder:
 
         monkeypatch.setattr(np, "argsort", recording)
         cfg, inst, slot, reg = make(seed=15)
-        space = from_channel(inst, slot.r, 0, cfg, prep, reg)
+        space = channel_spaces(inst, slot.r[None], [0], cfg, prep, reg)
         space.order  # noqa: B018  (build the order)
         assert kinds == (["stable"] if prep == HADAMARD_FULL else [None])
-        assert np.array_equal(space.order, argsort(space.e_values, kind="stable"))
+        assert np.array_equal(space.order, argsort(space.e_values, axis=1, kind="stable"))
+
+    @pytest.mark.parametrize("prep", [W_STATE_REDUCED, HADAMARD_FULL])
+    def test_batch_reads_the_stack_order(self, prep, monkeypatch):
+        # the lockstep engine searches through the stack's cached sort: a
+        # stack whose order was read is never sorted again
+        cfg, inst, _, reg = make(M=3, seed=17)
+        slots = np.arange(cfg.T_D)
+        r = np.stack([received_slot(inst, cfg, t, random_payload_bits(cfg, t)).r for t in slots])
+        stack = channel_spaces(inst, r, slots, cfg, prep, reg)
+        stack.order  # noqa: B018  (build the order)
+        calls = []
+        argsort = np.argsort
+
+        def recording(*args, **kwargs):
+            calls.append(kwargs.get("kind"))
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", recording)
+        batch = run_gas_batch(stack, slots, [GasParams(budget_iterations=20)] * slots.size,
+                              [(np.random.default_rng(18), slots.size)],
+                              oracle_min=stack.e_values.min(axis=1))
+        assert batch.cd_queries.min() >= 1
+        assert calls == []
 
     @pytest.mark.parametrize("N", [1, 2, 3])
     @pytest.mark.parametrize("prep", [W_STATE_REDUCED, HADAMARD_FULL])
@@ -239,9 +268,9 @@ class TestLazyOrder:
         broadcast_sum = spaces._broadcast_sum
         monkeypatch.setattr(spaces, "_broadcast_sum", recording)
         cfg, inst, slot, reg = make(N=N, M=3, seed=14)
-        space = from_channel(inst, slot.r, 0, cfg, prep, reg)
+        space = channel_spaces(inst, slot.r[None], [0], cfg, prep, reg)
         expect = np.sum(np.abs(slot.r[None, :] - tables[0][0]) ** 2, axis=1)
-        assert np.array_equal(space.e_values, expect)
+        assert np.array_equal(space.e_values[0], expect)
 
 
 class TestOrdinals:
@@ -257,18 +286,18 @@ class TestOrdinals:
     @pytest.mark.parametrize("prep", [W_STATE_REDUCED, HADAMARD_FULL])
     def test_one_hot(self, prep):
         cfg, inst, slot, reg = make(M=3, modulation=QPSK, seed=16)
-        space = from_channel(inst, slot.r, 0, cfg, prep, reg)
+        space = channel_spaces(inst, slot.r[None], [0], cfg, prep, reg)
         expect = [np.all(d.sum(axis=1) == 1) for _, _, d in self.decoded(space, reg)]
         assert np.array_equal(space.one_hot, expect)
 
     @pytest.mark.parametrize("modulation", [PSK2, QPSK])
     def test_channel_ordinals(self, modulation):
         cfg, inst, slot, reg = make(M=3, tau_max=2, modulation=modulation, seed=16)
-        space = from_channel(inst, slot.r, 0, cfg, W_STATE_REDUCED, reg)
+        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
         rows = list(self.decoded(space, reg))
         got = spaces.channel_ordinals(space, np.array([b for _, b, _ in rows]),
                                       np.array([d.argmax(axis=1) for _, _, d in rows]))
         assert np.array_equal(got, np.arange(space.n_states))
-        full = from_channel(inst, slot.r, 0, cfg, HADAMARD_FULL, reg)
+        full = channel_spaces(inst, slot.r[None], [0], cfg, HADAMARD_FULL, reg)
         with pytest.raises(ValueError):
             spaces.channel_ordinals(full, rows[0][1][None, :], [[0, 0, 0]])

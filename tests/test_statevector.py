@@ -274,7 +274,7 @@ class TestMeasurement:
         reg = build_registry(cfg)
         backend = CircuitBackend(from_polynomial(FIG2_POLY_PAD(3), reg, W_STATE_REDUCED), q_v=3)
         p = backend.distribution(3.0, 1)
-        assert p[backend.space.e_values < 3.0].sum() == pytest.approx(0.5, abs=1e-9)
+        assert p[backend.e_values < 3.0].sum() == pytest.approx(0.5, abs=1e-9)
         # the same law over key indices, where decoded assignments are counted
         p = np.bincount(backend.space.key_indices.astype(np.intp), weights=p,
                         minlength=1 << reg.q_k)
@@ -303,7 +303,7 @@ class TestChooseQv:
 
     def test_bound_dominates_exhaustive_max(self):
         rng = np.random.default_rng(11)
-        from gasmld.spaces import from_channel
+        from gasmld.spaces import channel_spaces
         for trial in range(100):
             cfg = SystemConfig(N=2, M=2, tau_max=1, seed=int(rng.integers(1 << 30)))
             inst = generate_instance(cfg)
@@ -312,5 +312,5 @@ class TestChooseQv:
             reg = build_registry(cfg)
             for prep in (W_STATE_REDUCED, HADAMARD_FULL):
                 bound = channel_bound(inst.H_est, slot.r, prep, reg.taud)
-                space = from_channel(inst, slot.r, 0, cfg, prep, reg)
+                space = channel_spaces(inst, slot.r[None], [0], cfg, prep, reg)
                 assert space.e_values.max() <= bound + 1e-9

@@ -2,7 +2,9 @@
 
 Every module-level function and class in src/gasmld is either referenced
 from the package outside its own definition or exported in
-gasmld.__all__; test-only helpers live in tests/oracles.py.
+gasmld.__all__, and every method of a package class other than a dunder is
+read as an attribute in the package outside its own body; test-only helpers
+live in tests/oracles.py.
 """
 
 import ast
@@ -13,33 +15,56 @@ import gasmld
 SRC = Path(gasmld.__file__).resolve().parent
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions_and_references():
-    """Module-level definitions per (module, name), and, per name, how often
-    it is read (a Name or an Attribute) outside its own definition."""
-    defined = []
+    """Module-level definitions per (module, name), methods per (module,
+    class, name), and how often each name is read outside its own
+    definition: as a Name or an Attribute for definitions, as an attribute
+    load for methods.  A local variable of a method's name is not a use."""
+    defined, methods = [], []
     refs: dict[str, int] = {}
+    attr_refs: dict[str, int] = {}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        own = set()
+        own, own_method = set(), set()
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.append((path.stem, node.name))
                 own.update((node.name, id(inner)) for inner in ast.walk(node))
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not _is_dunder(item.name)):
+                        methods.append((path.stem, node.name, item.name))
+                        own_method.update((item.name, id(inner)) for inner in ast.walk(item))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 name = node.id
             elif isinstance(node, ast.Attribute):
                 name = node.attr
+                if isinstance(node.ctx, ast.Load) and (name, id(node)) not in own_method:
+                    attr_refs[name] = attr_refs.get(name, 0) + 1
             else:
                 continue
             if (name, id(node)) not in own:
                 refs[name] = refs.get(name, 0) + 1
-    return defined, refs
+    return defined, methods, refs, attr_refs
 
 
 def test_every_definition_is_used_or_exported():
-    defined, refs = _definitions_and_references()
+    defined, _, refs, _ = _definitions_and_references()
     assert defined
     unused = sorted(f"{module}.{name}" for module, name in defined
                     if not refs.get(name) and name not in gasmld.__all__)
+    assert unused == []
+
+
+def test_every_method_is_used():
+    _, methods, _, attr_refs = _definitions_and_references()
+    assert methods
+    unused = sorted(f"{module}.{cls}.{name}" for module, cls, name in methods
+                    if not attr_refs.get(name))
     assert unused == []

@@ -7,7 +7,7 @@ from gasmld.channel import (PSK2, QPSK, SystemConfig, generate_instance, map_sym
                             noise_realization, objective_direct, random_payload_bits,
                             received_slot)
 from gasmld.hubo import W_STATE_REDUCED, build_hubo, build_registry
-from gasmld.spaces import SpaceStack, channel_spaces, from_channel
+from gasmld.spaces import SpaceStack, channel_spaces
 from gasmld.thresholds import (MvdParams, mmse_detect, mmse_estimates, mvd_rate,
                                regularized_gamma_q, y_mvd)
 from oracles import evaluate
@@ -116,8 +116,7 @@ class TestEminDistribution:
 
 def detect_one(inst, r, t, cfg, space):
     """mmse_detect on one slot: a stack of one row."""
-    stack = SpaceStack(space.reg, space.prep, space.e_values[None], space.key_indices)
-    return int(mmse_detect(inst, r[None], [t], cfg, stack)[0])
+    return int(mmse_detect(inst, r[None], [t], cfg, space)[0])
 
 
 class TestMmse:
@@ -126,9 +125,9 @@ class TestMmse:
         inst = generate_instance(cfg)
         bits = random_payload_bits(cfg, 0)
         slot = received_slot(inst, cfg, 0, bits)
-        space = from_channel(inst, slot.r, 0, cfg, W_STATE_REDUCED, build_registry(cfg))
+        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, build_registry(cfg))
         ordinal = detect_one(inst, slot.r, 0, cfg, space)
-        assert space.value_of(ordinal) == pytest.approx(0.0, abs=1e-12)
+        assert space.e_values[0, ordinal] == pytest.approx(0.0, abs=1e-12)
         assert np.array_equal(space.assignment(ordinal)[:cfg.M], bits)
 
     def test_never_beats_exhaustive(self):
@@ -138,9 +137,9 @@ class TestMmse:
             inst = generate_instance(cfg, instance_id=inst_id)
             bits = random_payload_bits(cfg, 0, instance_id=inst_id)
             slot = received_slot(inst, cfg, 0, bits)
-            space = from_channel(inst, slot.r, 0, cfg, W_STATE_REDUCED, reg)
+            space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
             ordinal = detect_one(inst, slot.r, 0, cfg, space)
-            assert space.value_of(ordinal) >= space.min_value() - 1e-12
+            assert space.e_values[0, ordinal] >= space.e_values.min() - 1e-12
 
     def test_matches_bruteforce_recomputation(self):
         import itertools
@@ -148,8 +147,8 @@ class TestMmse:
         inst = generate_instance(cfg)
         bits = random_payload_bits(cfg, 0)
         slot = received_slot(inst, cfg, 0, bits)
-        space = from_channel(inst, slot.r, 0, cfg, W_STATE_REDUCED, build_registry(cfg))
-        got = space.value_of(detect_one(inst, slot.r, 0, cfg, space))
+        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, build_registry(cfg))
+        got = space.e_values[0, detect_one(inst, slot.r, 0, cfg, space)]
         best = math.inf
         for combo in itertools.product(range(cfg.taud), repeat=cfg.M):
             d_phase = np.array([np.exp(1j * 2 * np.pi * inst.f_est[m] * (0 - combo[m]))
@@ -177,7 +176,7 @@ class TestMmse:
             inst = generate_instance(cfg, instance_id=inst_id)
             t = inst_id
             slot = received_slot(inst, cfg, t, random_payload_bits(cfg, t, instance_id=inst_id))
-            space = from_channel(inst, slot.r, t, cfg, W_STATE_REDUCED, reg)
+            space = channel_spaces(inst, slot.r[None], [t], cfg, W_STATE_REDUCED, reg)
             combos, (stacked,) = mmse_estimates(inst, slot.r[None], [t], cfg)
             candidates = []
             for i, combo in enumerate(itertools.product(range(cfg.taud), repeat=cfg.M)):
@@ -197,9 +196,9 @@ class TestMmse:
                 key = int("".join(map(str, np.concatenate([b, d.ravel()]).astype(int))), 2)
                 candidates.append(int(np.flatnonzero(space.key_indices == key)[0]))
             assert len(stacked) == len(candidates)
-            values = space.e_values[candidates]
+            values = space.e_values[0, candidates]
             ordinal = detect_one(inst, slot.r, t, cfg, space)
-            assert space.value_of(ordinal) == values.min()
+            assert space.e_values[0, ordinal] == values.min()
             assert ordinal == candidates[int(np.argmin(values))]
 
 
@@ -219,7 +218,8 @@ class TestMmse:
         for t in slots:
             _, (one,) = mmse_estimates(inst, r[t][None], [t], cfg)
             assert estimates[t].tobytes() == one.tobytes()
-            assert ordinals[t] == detect_one(inst, r[t], t, cfg, stack.space(t))
+            row = SpaceStack(reg, W_STATE_REDUCED, stack.e_values[t:t + 1], stack.key_indices)
+            assert ordinals[t] == detect_one(inst, r[t], t, cfg, row)
 
 
 class TestYRand:
@@ -232,13 +232,13 @@ class TestYRand:
         bits = random_payload_bits(cfg, 0)
         slot = received_slot(inst, cfg, 0, bits)
         poly, reg = build_hubo(inst, slot.r, 0, cfg)
-        space = from_channel(inst, slot.r, 0, cfg, W_STATE_REDUCED, reg)
+        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
         return poly, space
 
     @staticmethod
     def draw(space, rng):
-        ordinal = space.sample_uniform(rng)
-        return space.assignment(ordinal), space.value_of(ordinal)
+        ordinal = int(rng.integers(space.n_states))
+        return space.assignment(ordinal), float(space.e_values[0, ordinal])
 
     def test_reproducible(self):
         _, space = self._setup()
