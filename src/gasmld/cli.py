@@ -74,11 +74,15 @@ def _run(args) -> int:
     out = Path(spec.output_dir)
     if args.command == "solve":
         dump = Path(args.dump_state) if args.dump_state else None
-        trace = solve_single(spec, dump_state=dump)
-        print(trace.to_jsonl())
-        summary = {"final_y": trace.final_y, "cd_queries": trace.cd_queries,
-                   "qd_rotations": trace.qd_rotations, "converged": trace.converged,
-                   "stop_reason": trace.stop_reason}
+        space, run = solve_single(spec, dump_state=dump)
+        print("\n".join(json.dumps({
+            "i": step["i"], "y": step["y"], "L": step["L"], "k": step["k"],
+            "x": "".join(map(str, space.assignment(step["x"]))), "Ex": step["Ex"],
+            "accepted": step["accepted"], "cum_rot": step["cum_rot"],
+            "restart": step["restarted"]}) for step in run.steps))
+        summary = {"final_y": run.final_y, "cd_queries": run.cd_queries,
+                   "qd_rotations": run.qd_rotations, "converged": run.converged,
+                   "stop_reason": run.stop_reason}
         print(json.dumps(summary), file=sys.stderr)
         return 0
     if args.command == "query-cdf":

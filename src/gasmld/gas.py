@@ -8,19 +8,19 @@ backend marks through the QFT value encoding of the real circuit and draws
 from that circuit's exact two-dimensional Grover law, without a statevector.
 A backend searches a one-row stack and holds only its law, measure(y, L,
 rng) -> (ordinal, objective value); run_gas reads everything else from
-backend.space and carries state ordinals until it decodes its output.
-run_gas_batch runs many searches over the rows of one stack in lockstep on
-the amplitude law.  Both engines read the stack's one cached sort and take
-their budgets, restart window and k cap from run_limits.  The value-register
-rules of the circuit (the objective bound, the register width, the integer
-scale and its range check) sit beside CircuitBackend.
+backend.space.  run_gas_batch runs many searches over the rows of one stack
+in lockstep on the amplitude law.  Both engines take an arm, a GasParams,
+plus the per-run seed x0 and oracle_min, read the stack's one cached sort,
+take their budgets, restart window and k cap from run_limits and return a
+GasBatch of state ordinals.  The value-register rules of the circuit (the
+objective bound, the register width, the integer scale and its range check)
+sit beside CircuitBackend.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -72,9 +72,9 @@ def restart_iterations(L_min: int, Nt: int, Ns: int = 1) -> int:
 
 @dataclass
 class GasParams:
+    """One GAS arm: the settings every run of the arm shares."""
     lam: float = 8.0 / 7.0
-    y0: float | None = None            # initial threshold; None -> incumbent's value
-    x0: int | None = None              # seeded incumbent ordinal; None -> uniform draw
+    y0: float | None = None            # initial threshold; None -> the first state's value
     lmin: int = 0
     restart_enabled: bool = False
     budget_iterations: int | None = None
@@ -86,8 +86,6 @@ class GasParams:
     def __post_init__(self):
         if not 1.0 < self.lam < 4.0 / 3.0:
             raise ValueError("growth factor must satisfy 1 < lambda < 4/3")
-        if self.x0 is not None and self.y0 is not None:
-            raise ValueError("a seeded x0 carries its own threshold; give x0 or y0, not both")
 
 
 def run_limits(space: spaces.SpaceStack, params: GasParams) -> tuple[int, int, int, float]:
@@ -102,47 +100,6 @@ def run_limits(space: spaces.SpaceStack, params: GasParams) -> tuple[int, int, i
             params.budget_rotations or int(math.ceil(50 * math.sqrt(nt))),
             restart_iterations(params.lmin, nt) if params.restart_enabled else 0,
             math.sqrt(1 << space.reg.q_k))
-
-
-@dataclass
-class GasIteration:
-    i: int
-    y: float
-    L: int
-    k: float
-    x: np.ndarray      # measured assignment in registry order
-    Ex: float
-    accepted: bool
-    cum_rot: int
-    restarted: bool
-
-
-@dataclass
-class GasTrace:
-    iterations: list[GasIteration] = field(default_factory=list)
-    final_x: np.ndarray | None = None
-    final_y: float = math.inf
-    best_E: float = math.inf
-    invalid_final: bool = False
-    reached_optimum_at: tuple[int, int] | None = None  # (cd queries, qd rotations)
-    cd_queries: int = 0
-    qd_rotations: int = 0
-    stop_reason: str = ""   # one of the STOP_* constants
-
-    @property
-    def converged(self) -> bool:
-        return self.reached_optimum_at is not None
-
-    def to_jsonl(self) -> str:
-        lines = []
-        for it in self.iterations:
-            lines.append(json.dumps({
-                "i": it.i, "y": it.y, "L": it.L, "k": it.k,
-                "x": "".join(map(str, it.x)),
-                "Ex": it.Ex, "accepted": it.accepted,
-                "cum_rot": it.cum_rot, "restart": it.restarted,
-            }))
-        return "\n".join(lines)
 
 
 class AmplitudeBackend:
@@ -316,36 +273,36 @@ class CircuitBackend:
         return ordinal, float(self.e_values[ordinal])
 
 
-def run_gas(backend, params: GasParams, rng: np.random.Generator,
-            oracle_min: float | None = None, record_trace: bool = True) -> GasTrace:
+def run_gas(backend, params: GasParams, rng: np.random.Generator, x0: int | None = None,
+            oracle_min: float | None = None, record: bool = False) -> GasBatch:
     """Adaptive-threshold Grover search (baseline and improved variants).
 
-    The run starts from params.x0 at its table value, else at threshold
-    params.y0 with no incumbent, else from a uniform draw.  Each iteration
-    samples L uniformly from {L_min, ..., L_min + ceil(k-1)}, measures,
-    accepts strictly improving values (resetting k), and otherwise grows k by
-    the factor lambda up to run_limits's cap.  With restart enabled, a run
-    of run_limits's window of consecutive iterations without any update
-    since the last (re)start resamples the incumbent, resets the threshold
-    to its value and drops L_min to zero.
+    The run starts from the seed ordinal x0 at its table value, else at
+    threshold params.y0 with no incumbent, else from a uniform draw; a seed
+    carries its own threshold, so x0 with params.y0 is rejected.  Each
+    iteration samples L uniformly from {L_min, ..., L_min + ceil(k-1)},
+    measures, accepts strictly improving values (resetting k), and otherwise
+    grows k by the factor lambda up to run_limits's cap.  With restart
+    enabled, a run of run_limits's window of consecutive iterations without
+    any update since the last (re)start resamples the incumbent, resets the
+    threshold to its value and drops L_min to zero.
 
-    The incumbent, the best one-hot state and params.x0 are ordinals of
+    The incumbent, the best one-hot state and x0 are ordinals of
     backend.space, whose table supplies every value, so a re-measured
     incumbent is never an improvement.  A run given oracle_min halts at the
-    first measurement attaining it and records it as (cd, qd).  The uniform
-    draws are measurements; a seeded x0 is not, so it is never a first hit,
-    even at the optimum.  The trace's
-    stop_reason says which of that halt, the iteration budget or the
-    rotation budget ended the run.  The detection output, decoded once at
-    the end, is the best one-hot state seen, else the incumbent;
-    invalid_final says that output is not one-hot.  Halting changes no
-    output a later iteration could have set: no later value undercuts the
-    optimum, so the best one-hot state and the first hit are final once the
-    optimum is measured.
+    first measurement attaining it and records it as (hit_cd, hit_qd).  The
+    uniform draws are measurements; a seeded x0 is not, so it is never a
+    first hit, even at the optimum.  stop_reason says which of that halt,
+    the iteration budget or the rotation budget ended the run.  The output
+    is the best one-hot state seen, else the incumbent; invalid_final says
+    that output is not one-hot.  Halting changes no output a later iteration
+    could have set: no later value undercuts the optimum, so the best one-hot
+    state and the first hit are final once the optimum is measured.
     """
+    if x0 is not None and params.y0 is not None:
+        raise ValueError("a seeded x0 carries its own threshold; give x0 or y0, not both")
     space = backend.space
     e_values = space.e_values[0]
-    trace = GasTrace()
     n_t = space.n_states
     budget_iter, budget_rot, restart_window, cap = run_limits(space, params)
     one_hot = space.one_hot if params.enforce_one_hot else None
@@ -358,21 +315,21 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator,
     cum_rot = 0
     lmin = params.lmin
     y = params.y0   # None: the next state seen becomes the incumbent, whatever its value
-    inc: int | None = None
-    best: int | None = None   # best one-hot state seen
+    inc = -1
+    best = -1       # best one-hot state seen
     best_E = math.inf
-    reached = None
+    hit_cd = hit_qd = -1
 
     def see(ordinal, ex, measured: bool) -> bool:
         """Every state the run sees: the seed, a uniform draw or a Grover
         measurement.  Records the first hit and the best one-hot state, and
         makes a state below the threshold the incumbent."""
-        nonlocal cd, y, inc, best, best_E, reached
+        nonlocal cd, y, inc, best, best_E, hit_cd, hit_qd
         if measured:
             cd += 1
             # invalid assignments can undercut the one-hot minimum on the full space
             if ex <= target and is_valid(ordinal):
-                reached = (cd, cum_rot)
+                hit_cd, hit_qd = cd, cum_rot
         if ex < best_E and is_valid(ordinal):
             best, best_E = ordinal, ex
         if y is not None and ex >= y:
@@ -384,8 +341,8 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator,
         ordinal = int(rng.integers(n_t))
         see(ordinal, float(e_values[ordinal]), measured=True)
 
-    if params.x0 is not None:
-        see(params.x0, float(e_values[params.x0]), measured=False)
+    if x0 is not None:
+        see(x0, float(e_values[x0]), measured=False)
     elif y is None:
         draw()
 
@@ -393,12 +350,13 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator,
     since_restart = 0
     k = 1.0
     i = 0
+    steps = [] if record else None
 
-    while reached is None and i < budget_iter:
+    while hit_cd < 0 and i < budget_iter:
         span = math.ceil(k - 1.0)
         L = lmin + int(rng.integers(0, span + 1))
         if cum_rot + L > budget_rot:
-            trace.stop_reason = STOP_BUDGET_ROTATIONS
+            stop = STOP_BUDGET_ROTATIONS
             break
         state, ex = backend.measure(y, L, rng)
         cum_rot += L
@@ -412,7 +370,7 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator,
         restarted = False
         since_restart += 1
         if (params.restart_enabled and not updated_since_restart
-                and reached is None and since_restart >= restart_window):
+                and hit_cd < 0 and since_restart >= restart_window):
             y = None
             draw()
             lmin = 0
@@ -420,25 +378,18 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator,
             since_restart = 0
             restarted = True
 
-        if record_trace:
-            trace.iterations.append(GasIteration(
-                i=i, y=y, L=L, k=k, x=space.assignment(state), Ex=float(ex),
-                accepted=accepted, cum_rot=cum_rot, restarted=restarted))
+        if record:
+            steps.append({"i": i, "ran": True, "y": y, "L": L, "k": k, "x": state, "Ex": ex,
+                          "accepted": accepted, "cum_rot": cum_rot, "restarted": restarted})
         i += 1
     else:
-        trace.stop_reason = STOP_OPTIMUM if reached is not None else STOP_BUDGET_ITERATIONS
+        stop = STOP_OPTIMUM if hit_cd >= 0 else STOP_BUDGET_ITERATIONS
 
-    trace.cd_queries = cd
-    trace.qd_rotations = cum_rot
-    trace.final_y = y
-    trace.reached_optimum_at = reached
-    trace.best_E = min(best_E, math.inf if inc is None else y)
-
-    # detection output: the lowest-objective decodable state seen, else the incumbent
-    final = best if best is not None else inc
-    trace.invalid_final = final is not None and not is_valid(final)
-    trace.final_x = None if final is None else space.assignment(final)
-    return trace
+    final = best if best >= 0 else inc
+    return GasBatch(
+        final=final, final_y=y, best_E=min(best_E, math.inf if inc < 0 else y),
+        invalid_final=final >= 0 and not is_valid(final), hit_cd=hit_cd, hit_qd=hit_qd,
+        cd_queries=cd, qd_rotations=cum_rot, stop_reason=stop, steps=steps)
 
 
 # uniforms a lockstep step takes per run: the rotation count L, the marked
@@ -452,8 +403,9 @@ _STOP_NAMES = np.array([STOP_OPTIMUM, STOP_BUDGET_ITERATIONS, STOP_BUDGET_ROTATI
 
 @dataclass
 class GasBatch:
-    """Outputs of run_gas_batch, one entry per run, as run_gas's GasTrace
-    gives them for one run.  Ordinals index the runs' stack; -1 is none."""
+    """Outputs of GAS runs: arrays over the runs from run_gas_batch, and the
+    one run's plain Python values from run_gas, which add up and serialize
+    as numbers.  Ordinals index the runs' stack; -1 is none."""
     final: np.ndarray           # output ordinal: best one-hot state seen, else the incumbent
     final_y: np.ndarray
     best_E: np.ndarray
@@ -463,8 +415,9 @@ class GasBatch:
     cd_queries: np.ndarray
     qd_rotations: np.ndarray
     stop_reason: np.ndarray     # STOP_* names
-    # with record=True, one dict per lockstep step of arrays over runs: the
-    # GasIteration fields (x an ordinal) and "ran", the runs that measured
+    # with record=True, one dict per step, its values of the kind above: the
+    # step i, the threshold y after it, L, k, the measured ordinal x, its
+    # value Ex, accepted, cum_rot, restarted, and "ran", the runs that measured
     steps: list[dict] | None = None
 
     @property
@@ -472,20 +425,21 @@ class GasBatch:
         return self.hit_cd >= 0
 
 
-def run_gas_batch(stack: spaces.SpaceStack, rows, params: list[GasParams], rngs,
-                  oracle_min=None, record: bool = False) -> GasBatch:
+def run_gas_batch(stack: spaces.SpaceStack, rows, arms, x0=None, oracle_min=None,
+                  record: bool = False) -> GasBatch:
     """run_gas's search for many runs in lockstep, on the amplitude law.
 
-    Run j searches row rows[j] of stack with params[j] and halts at its
+    arms is a list of (GasParams, generator, n): the next n runs take that
+    arm and draw their uniforms from that generator, first one each for the
+    initial draw, then blocks of (n, STEPS_PER_BLOCK, UNIFORMS_PER_STEP), run
+    i of the n taking row i.  Run j searches row rows[j] of stack from the
+    seed ordinal x0[j] (none where it is -1, or without x0) and halts at its
     first measurement at or below oracle_min[j], when given.  Its rules are
-    run_gas's: strict acceptance against table values, a seeded x0 that is
-    never a first hit, run_limits's budgets, restart window and k cap, and
-    the best one-hot state seen as output.  Per-run masks carry k-growth,
-    restart, both budgets and the halt.
+    run_gas's: no seed with a y0, strict acceptance against table values, a
+    seed that is never a first hit, run_limits's budgets, restart window and
+    k cap, and the best one-hot state seen as output.
+    Per-run masks carry k-growth, restart, both budgets and the halt.
 
-    rngs is a list of (generator, n): the next n runs draw their uniforms
-    from that generator, first one each for the initial draw, then blocks of
-    (n, STEPS_PER_BLOCK, UNIFORMS_PER_STEP), run i of the n taking row i.
     A run's draws depend only on its generator, its place among the n and
     its step count, never on which other runs are still searching, so
     reruns are byte-identical and a halted run saw the draws an unhalted
@@ -505,22 +459,27 @@ def run_gas_batch(stack: spaces.SpaceStack, rows, params: list[GasParams], rngs,
     base = rows * nt                     # flat offset of each run's row
     e_flat, order_flat, rank_flat = stack.e_values.ravel(), order.ravel(), rank.ravel()
 
-    def per_run(get, dtype):
-        return np.array([get(p) for p in params], dtype=dtype)
-
-    lam = per_run(lambda p: p.lam, float)
-    restart = per_run(lambda p: p.restart_enabled, bool)
+    # each arm's settings, computed once and repeated over its runs
+    params = [p for p, _, _ in arms]
+    counts = [count for _, _, count in arms]
+    lam = np.repeat([p.lam for p in params], counts)
+    restart = np.repeat([p.restart_enabled for p in params], counts)
     budget_iter, budget_rot, window, cap = (
-        np.array(v) for v in zip(*(run_limits(stack, p) for p in params)))
+        np.repeat(v, counts) for v in zip(*(run_limits(stack, p) for p in params)))
     # a state is valid unless its run enforces one-hot and it is not
-    lax = ~per_run(lambda p: p.enforce_one_hot, bool)
+    lax = ~np.repeat([p.enforce_one_hot for p in params], counts)
     one_hot = stack.one_hot
     target = np.full(n, -math.inf) if oracle_min is None else np.asarray(oracle_min, float)
 
     cd = np.zeros(n, np.int64)
     cum_rot = np.zeros(n, np.int64)
-    lmin = per_run(lambda p: p.lmin, np.int64)
-    y = per_run(lambda p: math.nan if p.y0 is None else p.y0, float)   # nan: no threshold
+    lmin = np.repeat(np.array([p.lmin for p in params], np.int64), counts)
+    # nan: no threshold
+    y = np.repeat(np.array([math.nan if p.y0 is None else p.y0 for p in params], float), counts)
+    x0 = np.full(n, -1, np.intp) if x0 is None else np.asarray(x0, np.intp)
+    seeded = x0 >= 0
+    if np.any(seeded & ~np.isnan(y)):
+        raise ValueError("a seeded x0 carries its own threshold; give x0 or y0, not both")
     inc = np.full(n, -1, np.intp)
     ns = (stack.e_values[rows] < y[:, None]).sum(axis=1)
     best = np.full(n, -1, np.intp)
@@ -550,9 +509,7 @@ def run_gas_batch(stack: spaces.SpaceStack, rows, params: list[GasParams], rngs,
     def uniform_ordinals(u):
         return (u * nt).astype(np.intp)
 
-    x0 = per_run(lambda p: -1 if p.x0 is None else p.x0, np.intp)
-    u0 = np.concatenate([g.random(count) for g, count in rngs])
-    seeded = x0 >= 0
+    u0 = np.concatenate([g.random(count) for _, g, count in arms])
     start = np.where(seeded, x0, uniform_ordinals(u0))
     see(seeded, start, e_flat[base + start], measured=False)
     drawn = ~seeded & np.isnan(y)
@@ -568,7 +525,7 @@ def run_gas_batch(stack: spaces.SpaceStack, rows, params: list[GasParams], rngs,
     while active.any():
         if i % STEPS_PER_BLOCK == 0:
             block = np.concatenate([g.random((count, STEPS_PER_BLOCK, UNIFORMS_PER_STEP))
-                                    for g, count in rngs]).transpose(1, 2, 0).copy()
+                                    for _, g, count in arms]).transpose(1, 2, 0).copy()
         u_l, u_class, u_state, u_restart = block[i % STEPS_PER_BLOCK]
         L = lmin + (u_l * (np.ceil(k - 1.0) + 1.0)).astype(np.int64)
         over = active & (cum_rot + L > budget_rot)

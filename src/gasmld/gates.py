@@ -8,9 +8,7 @@ control qubits costs 4(k-1) H, 16(k-1) T, (12k-10) CX and three Rz gates
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
 
 from .channel import PSK2, QPSK
 
@@ -36,7 +34,7 @@ def table1_counts(M: int, tau_max: int, modulation: str) -> dict[int, int]:
     {3: 4P, 4: 2P} for pi/2-BPSK (each such monomial counted twice, as if
     the pair belonged to two users) and {3: 2P, 4: P} for QPSK.
 
-    The QPSK ``g_ug_total`` and ``GateCountReport.per_order_terms`` are built
+    The QPSK ``g_ug_total`` and the report's ``per_order_terms`` are built
     from this table and so inherit the published counts.
     """
     taud = tau_max + 1
@@ -87,41 +85,20 @@ def g_ug_total(M: int, tau_max: int, q_v: int, modulation: str = PSK2) -> int:
     return total * q_v
 
 
-@dataclass
-class GateCountReport:
-    M: int
-    tau_max: int
-    q_v: int
-    modulation: str
-    q_k: int
-    ancilla_max: int
-    per_order_terms: dict[int, int]
-    g_ug_cnot: int
-    g_prop_cnot: int
-    ratio: float
-    per_gate_breakdown: dict[str, int] = field(default_factory=dict)
-    g_ug_source: str = "closed-form"
-
-    def to_json(self) -> str:
-        d = dict(self.__dict__)
-        d["per_order_terms"] = {str(k): v for k, v in sorted(self.per_order_terms.items())}
-        return json.dumps(d)
-
-
-def build_report(M: int, tau_max: int, q_v: int, modulation: str = PSK2) -> GateCountReport:
+def build_report(M: int, tau_max: int, q_v: int, modulation: str = PSK2) -> dict:
+    """One gate-count grid cell as the JSON object gate-count writes."""
     counts = table1_counts(M, tau_max, modulation)
     max_order = max(counts)
     g_ug = g_ug_total(M, tau_max, q_v, modulation)
     g_pr = g_prop(M, tau_max)
-    q_k = M * (tau_max + 2) if modulation == PSK2 else M * (tau_max + 3)
-    return GateCountReport(
-        M=M, tau_max=tau_max, q_v=q_v, modulation=modulation,
-        q_k=q_k,
-        ancilla_max=max_order - 1,
-        per_order_terms=counts,
-        g_ug_cnot=g_ug,
-        g_prop_cnot=g_pr,
-        ratio=g_pr / g_ug,
-        per_gate_breakdown=cku_g_costs(max_order),
-        g_ug_source="closed-form" if modulation == PSK2 else "assembled-from-term-table",
-    )
+    return {
+        "M": M, "tau_max": tau_max, "q_v": q_v, "modulation": modulation,
+        "q_k": M * (tau_max + 2) if modulation == PSK2 else M * (tau_max + 3),
+        "ancilla_max": max_order - 1,
+        "per_order_terms": {str(k): v for k, v in sorted(counts.items())},
+        "g_ug_cnot": g_ug,
+        "g_prop_cnot": g_pr,
+        "ratio": g_pr / g_ug,
+        "per_gate_breakdown": cku_g_costs(max_order),
+        "g_ug_source": "closed-form" if modulation == PSK2 else "assembled-from-term-table",
+    }

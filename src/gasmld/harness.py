@@ -20,13 +20,13 @@ from . import streams
 from .channel import PSK2, QPSK, SystemConfig, generate_instance, objective_direct, random_payload_bits, received_slot
 from .errors import ConfigError
 from .gas import (AmplitudeBackend, BACKEND_AMPLITUDE, BACKEND_CIRCUIT, CircuitBackend,
-                  GasParams, GasTrace, LMIN_CONVENTIONAL_C, LMIN_PROPOSED_CPRIME, LMIN_ZERO,
+                  GasBatch, GasParams, LMIN_CONVENTIONAL_C, LMIN_PROPOSED_CPRIME, LMIN_ZERO,
                   channel_bound, register_width, run_gas, run_gas_batch)
 from .gates import build_report
 from .hubo import HADAMARD_FULL, W_STATE_REDUCED, build_registry
 from .indicators import (CalibrationTable, calibrate, config_hash, indicator_c,
                          indicator_c_prime, select_lmin, select_lmin_conventional)
-from .spaces import channel_spaces
+from .spaces import SpaceStack, channel_spaces
 from .thresholds import MvdParams, mmse_detect, y_mvd
 
 CALIBRATION_ID_OFFSET = 1_000_000
@@ -221,7 +221,7 @@ def write_csv(path, header: list[str], rows: list[tuple]) -> Path:
 
 def _calibration_table(cfg: SystemConfig, spec: ExperimentSpec) -> CalibrationTable:
     return calibrate(cfg, spec.calibration_samples, P=spec.mvd_p,
-                     id_offset=CALIBRATION_ID_OFFSET)
+                     id_offset=CALIBRATION_ID_OFFSET)[0]
 
 
 def _resolve_lmin(policy: str, inst, table: CalibrationTable | None) -> int:
@@ -237,12 +237,12 @@ def _resolve_lmin(policy: str, inst, table: CalibrationTable | None) -> int:
 
 
 def _gas_params(spec: ExperimentSpec, arm: dict, inst, ymvd: float,
-                table: CalibrationTable | None, x0: int | None) -> GasParams:
-    """One GAS run of a query-cdf variant or GAS_DETECTORS arm: spec.gas with
-    the arm's initial threshold (random, mvd, or mmse from the seeded
-    incumbent x0), rotation lower bound and restart."""
+                table: CalibrationTable | None) -> GasParams:
+    """A query-cdf variant or GAS_DETECTORS arm on one instance: spec.gas
+    with the arm's initial threshold (mvd, else none; an mmse arm's runs are
+    seeded with x0), rotation lower bound and restart."""
     return dataclasses.replace(
-        spec.gas, y0=ymvd if arm.get("threshold") == "mvd" else None, x0=x0,
+        spec.gas, y0=ymvd if arm.get("threshold") == "mvd" else None,
         lmin=_resolve_lmin(arm.get("lmin", LMIN_ZERO), inst, table),
         restart_enabled=arm.get("restart", False), enforce_one_hot=True)
 
@@ -282,21 +282,21 @@ def run_query_cdf(spec: ExperimentSpec):
             space = w_space if prep == W_STATE_REDUCED else \
                 channel_spaces(inst, slot.r[None], [0], cfg, prep, reg)
             backend = _gas_backend(spec, inst, slot.r, space)
-            params = _gas_params(spec, variant, inst, ymvd, table, None)
+            params = _gas_params(spec, variant, inst, ymvd, table)
             rng = streams.substream(cfg.seed, streams.TRIAL, trial, vi)
-            trace = run_gas(backend, params, rng, oracle_min=oracle_min, record_trace=False)
-            if trace.converged:
-                cd, qd = trace.reached_optimum_at
+            run = run_gas(backend, params, rng, oracle_min=oracle_min)
+            if run.converged:
+                cd, qd = run.hit_cd, run.hit_qd
                 # re-verify against the exhaustive oracle; no mismatch tolerated
-                b, _, d = reg.split_assignment(trace.final_x)
+                b, _, d = reg.split_assignment(space.assignment(run.final))
                 check = objective_direct(inst, slot.r, 0, b, d)
                 if check > oracle_min + 1e-9 * (1.0 + abs(oracle_min)):
                     raise RuntimeError(
                         f"converged run disagrees with exhaustive search: "
                         f"E={check!r} > minimum {oracle_min!r}")
             else:
-                cd, qd = trace.cd_queries, trace.qd_rotations
-            rows.append((variant["name"], trial, cd, qd, trace.converged))
+                cd, qd = run.cd_queries, run.qd_rotations
+            rows.append((variant["name"], trial, cd, qd, run.converged))
     rows.sort(key=lambda r: (r[0], r[1]))
     return rows
 
@@ -348,13 +348,13 @@ def _ber_trial(spec: ExperimentSpec, cfg: SystemConfig, detectors: list[str], re
     """One (snr, trial) of run_ber, over the trial's T_D slots.
 
     The slots' value tables form one SpaceStack; the exhaustive argmins and
-    the MMSE seeds are single calls over it; every GAS detector's T_D runs
-    go through one run_gas_batch, detector d (its index in the detector
-    list) drawing from the stream (seed, GAS, trial, d); and all outputs are
-    decoded through the key-index table at once.  Each GAS run halts at its
-    first measurement of its slot's minimum; its output is fixed by then,
-    since GAS accepts only strictly lower values and none lies below the
-    minimum.
+    the MMSE seeds are single calls over it; every GAS detector is one arm
+    of T_D runs in one run_gas_batch, detector d (its index in the detector
+    list) drawing from the stream (seed, GAS, trial, d) and gas-mmse's runs
+    seeded with the MMSE ordinals; and all outputs are decoded through the
+    key-index table at once.  Each GAS run halts at its first measurement of
+    its slot's minimum; its output is fixed by then, since GAS accepts only
+    strictly lower values and none lies below the minimum.
 
     Returns the payload bits (T_D, n_b), every detector's decisions
     (detectors, T_D, n_b) and, per GAS detector, (detector, first-hit
@@ -372,16 +372,14 @@ def _ber_trial(spec: ExperimentSpec, cfg: SystemConfig, detectors: list[str], re
     outputs = {"exhaustive": stack.e_values.argmin(axis=1), "mmse": x_mmse}
     first_hits = []
     if gas:
-        params, rngs = [], []
+        arms, x0 = [], []
         for di, det in gas:
             arm = GAS_DETECTORS[det]
-            if arm.get("threshold") == "mmse":
-                params += [_gas_params(spec, arm, inst, ymvd, None, x0) for x0 in x_mmse.tolist()]
-            else:
-                params += [_gas_params(spec, arm, inst, ymvd, None, None)] * cfg.T_D
-            rngs.append((streams.substream(cfg.seed, streams.GAS, trial, di), cfg.T_D))
+            arms.append((_gas_params(spec, arm, inst, ymvd, None),
+                         streams.substream(cfg.seed, streams.GAS, trial, di), cfg.T_D))
+            x0.append(x_mmse if arm.get("threshold") == "mmse" else np.full(cfg.T_D, -1))
         runs = np.tile(slots, len(gas))
-        batch = run_gas_batch(stack, runs, params, rngs,
+        batch = run_gas_batch(stack, runs, arms, x0=np.concatenate(x0),
                               oracle_min=stack.e_values.min(axis=1)[runs])
         finals = batch.final.reshape(len(gas), cfg.T_D)
         qd_hit = np.where(batch.converged, batch.hit_qd, math.inf).reshape(len(gas), cfg.T_D)
@@ -397,8 +395,7 @@ def run_calibration(spec: ExperimentSpec, out_dir: Path | None = None):
     """Scatter of (indicator value, L_opt) for all four indicators."""
     cfg = spec.cfg
     _require_backend(spec, "calibrate", (BACKEND_AMPLITUDE,))
-    table, scatter = calibrate(cfg, spec.calibration_samples, P=spec.mvd_p,
-                               collect_all=True)
+    table, scatter = calibrate(cfg, spec.calibration_samples, P=spec.mvd_p)
     rows = []
     for key in ("c", "c1", "c2", "c_prime"):
         for value, lo in zip(scatter[key], table.l_opt):
@@ -415,16 +412,14 @@ def run_calibration(spec: ExperimentSpec, out_dir: Path | None = None):
 def run_gate_count(spec: ExperimentSpec) -> list[dict]:
     if not spec.grid:
         raise ConfigError("gate-count requires a 'grid' list")
-    reports = []
-    for cell in spec.grid:
-        rep = build_report(cell["M"], cell["tau_max"], cell.get("q_v", 1),
-                           cell.get("modulation", PSK2))
-        reports.append(json.loads(rep.to_json()))
-    return reports
+    return [build_report(cell["M"], cell["tau_max"], cell.get("q_v", 1),
+                         cell.get("modulation", PSK2)) for cell in spec.grid]
 
 
-def solve_single(spec: ExperimentSpec, dump_state: Path | None = None) -> GasTrace:
-    """One GAS run on a fresh instance, printing a full iteration trace."""
+def solve_single(spec: ExperimentSpec,
+                 dump_state: Path | None = None) -> tuple[SpaceStack, GasBatch]:
+    """One recorded GAS run on a fresh instance, and the space its ordinals
+    index."""
     cfg = spec.cfg
     _require_backend(spec, "solve", (BACKEND_AMPLITUDE, BACKEND_CIRCUIT))
     if dump_state is not None and spec.backend != BACKEND_CIRCUIT:
@@ -440,7 +435,7 @@ def solve_single(spec: ExperimentSpec, dump_state: Path | None = None) -> GasTra
     if dump_state is not None:
         # little-endian complex128 is float64 re/im interleaved
         backend.prepared_state(ymvd).astype("<c16").tofile(dump_state)
-    params = _gas_params(spec, SOLVE_ARM, inst, ymvd, None, None)
+    params = _gas_params(spec, SOLVE_ARM, inst, ymvd, None)
     rng = streams.substream(cfg.seed, streams.GAS, 0, 0, 0)
-    return run_gas(backend, params, rng, oracle_min=float(space.e_values.min()),
-                   record_trace=True)
+    return space, run_gas(backend, params, rng, oracle_min=float(space.e_values.min()),
+                          record=True)

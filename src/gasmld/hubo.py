@@ -10,6 +10,7 @@ synthesis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -46,7 +47,7 @@ class VarRegistry:
     def n_b(self) -> int:
         return self.M if self.modulation == PSK2 else 2 * self.M
 
-    @property
+    @cached_property
     def n_c(self) -> int:
         return sum(1 for v in self.entries if v.kind == "c")
 

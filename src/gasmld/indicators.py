@@ -53,14 +53,12 @@ def _pair_betas(H_est: np.ndarray):
     radii = np.linalg.norm(H_est, axis=0)
     beta1_min = 1.0
     beta2_min = 1.0
-    skipped = 0
     for i in range(m):
         for j in range(i + 1, m):
             ri, rj = radii[i], radii[j]
             if ri > rj:
                 ri, rj = rj, ri
             if rj <= 1e-300:
-                skipped += 1
                 continue
             ratio = ri / rj
             theta = math.fmod(float(np.angle(np.vdot(H_est[:, j], H_est[:, i]))),
@@ -70,19 +68,19 @@ def _pair_betas(H_est: np.ndarray):
             beta2 = 1.0 - (ratio * g) ** TIE_EXPONENT
             beta1_min = min(beta1_min, beta1)
             beta2_min = min(beta2_min, beta2)
-    return beta1_min, beta2_min, skipped
+    return beta1_min, beta2_min
 
 
 def indicator_c_prime(H_est: np.ndarray) -> float:
     C = indicator_c(H_est)
-    b1, b2, _ = _pair_betas(H_est)
+    b1, b2 = _pair_betas(H_est)
     return _alpha(H_est) * b1 * b2 * C
 
 
 def all_indicators(H_est: np.ndarray) -> dict[str, float]:
     C = indicator_c(H_est)
     al = _alpha(H_est)
-    b1, b2, _ = _pair_betas(H_est)
+    b1, b2 = _pair_betas(H_est)
     return {"c": C, "c1": al * C, "c2": b1 * b2 * C, "c_prime": al * b1 * b2 * C}
 
 
@@ -127,40 +125,33 @@ def config_hash(cfg: SystemConfig, n_samples: int, P: float) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def calibrate(cfg: SystemConfig, n_samples: int, P: float = 1e-3,
-              collect_all: bool = False, id_offset: int = 0):
+def calibrate(cfg: SystemConfig, n_samples: int, P: float = 1e-3, id_offset: int = 0):
     """Sample (indicator, L_opt) pairs at slot t = 0.
 
     L_opt comes from the exhaustive count of states below the MVD threshold;
     samples where the threshold undercuts the true minimum carry no marked
     state and are excluded.  id_offset keeps calibration instances disjoint
-    from experiment trials drawn from the same seed.
+    from experiment trials drawn from the same seed.  Returns the C' table
+    and the scatter, each indicator's values over the kept samples.
     """
     reg = build_registry(cfg)
     params = MvdParams.from_config(cfg, P)
     y = y_mvd(params)
-    n_t = None
-    c_vals, l_vals = [], []
-    scatter = {"c": [], "c1": [], "c2": [], "c_prime": []} if collect_all else None
+    l_vals = []
+    scatter = {"c": [], "c1": [], "c2": [], "c_prime": []}
     for idx in range(id_offset, id_offset + n_samples):
         inst = generate_instance(cfg, instance_id=idx)
         bits = random_payload_bits(cfg, 0, instance_id=idx)
         slot = received_slot(inst, cfg, 0, bits)
         space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
-        n_t = space.n_states
         ns = int(np.count_nonzero(space.e_values < y))
         if ns == 0:
             continue
         vals = all_indicators(inst.H_est)
-        c_vals.append(vals["c_prime"])
-        l_vals.append(l_opt(ns, n_t))
-        if collect_all:
-            for key in scatter:
-                scatter[key].append(vals[key])
-    table = CalibrationTable.from_samples(c_vals, l_vals)
-    if collect_all:
-        return table, scatter
-    return table
+        for key in scatter:
+            scatter[key].append(vals[key])
+        l_vals.append(l_opt(ns, space.n_states))
+    return CalibrationTable.from_samples(scatter["c_prime"], l_vals), scatter
 
 
 def select_lmin(table: CalibrationTable, c_prime: float) -> int:

@@ -44,7 +44,7 @@ def base_cfg(**over):
 
 @pytest.fixture(scope="module")
 def fig5_table():
-    return calibrate(base_cfg(), 2000, P=1e-3, id_offset=1_000_000)
+    return calibrate(base_cfg(), 2000, P=1e-3, id_offset=1_000_000)[0]
 
 
 def test_criterion_01_oracle_equivalence(fig5_table):
@@ -65,8 +65,7 @@ def test_criterion_01_oracle_equivalence(fig5_table):
         lmin = select_lmin(fig5_table, indicator_c_prime(inst.H_est))
         params = GasParams(y0=ymvd, lmin=lmin, restart_enabled=True)
         rng = streams.substream(cfg.seed, streams.TRIAL, trial, 0)
-        trace = run_gas(backend, params, rng, oracle_min=float(space.e_values.min()),
-                        record_trace=False)
+        trace = run_gas(backend, params, rng, oracle_min=float(space.e_values.min()))
         budget_rot = int(math.ceil(50 * math.sqrt(space.n_states)))
         converged += bool(trace.converged)
         within_budget += trace.qd_rotations <= budget_rot
@@ -246,7 +245,7 @@ def test_criterion_04_rotation_bound_trend():
         params = GasParams(y0=ymvd8, lmin=lmin, restart_enabled=True)
         rng = streams.substream(cfg8.seed, streams.TRIAL, trial, 9)
         trace = run_gas(AmplitudeBackend(space), params, rng,
-                        oracle_min=float(space.e_values.min()), record_trace=False)
+                        oracle_min=float(space.e_values.min()))
         big_ok += bool(trace.converged)
 
     ordering = l_prop <= l_c <= l_conv

@@ -7,7 +7,7 @@ from gasmld.channel import (PSK2, QPSK, SystemConfig, generate_instance, random_
                             received_slot)
 from gasmld import harness, streams
 from gasmld.gas import (STOP_BUDGET_ITERATIONS, STOP_BUDGET_ROTATIONS, STOP_OPTIMUM,
-                        AmplitudeBackend, CircuitBackend, GasIteration, GasParams, GasTrace, l_opt,
+                        AmplitudeBackend, CircuitBackend, GasParams, l_opt,
                         channel_bound, register_width, restart_iterations, run_gas,
                         run_gas_batch, success_probability)
 from gasmld.hubo import (HADAMARD_FULL, W_STATE_REDUCED, HuboPolynomial, build_hubo,
@@ -60,9 +60,6 @@ class TestFormulas:
             GasParams(lam=1.0)
         with pytest.raises(ValueError):
             GasParams(lam=4 / 3)
-        # a seeded incumbent carries its own threshold
-        with pytest.raises(ValueError):
-            GasParams(y0=1.0, x0=0)
 
 
 class TestAmplitudeBackend:
@@ -237,6 +234,11 @@ class TestDenseOracle:
                             (-1.5, -1.0, 1.0, 2.0, 2.5, 4.0))
 
 
+def measured(run) -> list[dict]:
+    """The recorded steps in which the run measured."""
+    return [step for step in run.steps if step["ran"]]
+
+
 class TestRunGas:
     engine = staticmethod(run_gas)
     restart_seed = 14
@@ -248,15 +250,15 @@ class TestRunGas:
         for seed in range(100):
             rng = np.random.default_rng(seed)
             params = GasParams(budget_iterations=200, budget_rotations=2000)
-            trace = self.engine(backend, params, rng, oracle_min=best)
-            found += trace.converged and np.isclose(trace.best_E, best)
+            run = self.engine(backend, params, rng, oracle_min=best)
+            found += bool(run.converged and np.isclose(run.best_E, best))
         assert found >= 99
 
     def test_threshold_sequence_strictly_decreasing(self):
         poly, reg, backend = toy_backend()
         rng = np.random.default_rng(11)
-        trace = self.engine(backend, GasParams(budget_iterations=100), rng)
-        accepted = [it.Ex for it in trace.iterations if it.accepted]
+        run = self.engine(backend, GasParams(budget_iterations=100), rng, record=True)
+        accepted = [step["Ex"] for step in measured(run) if step["accepted"]]
         assert all(b < a for a, b in zip(accepted, accepted[1:]))
 
     def test_tie_is_rejected(self):
@@ -267,8 +269,8 @@ class TestRunGas:
         backend = AmplitudeBackend(from_polynomial(poly, reg, HADAMARD_FULL))
         rng = np.random.default_rng(12)
         params = GasParams(y0=1.0, budget_iterations=30)
-        trace = self.engine(backend, params, rng)
-        assert not any(it.accepted for it in trace.iterations)
+        run = self.engine(backend, params, rng, record=True)
+        assert not any(step["accepted"] for step in measured(run))
 
     def test_k_growth_law(self):
         poly, reg, backend = toy_backend()
@@ -276,11 +278,11 @@ class TestRunGas:
         # threshold below the minimum: every iteration rejects
         params = GasParams(y0=float(backend.space.e_sorted[0, 0]) - 1.0,
                            budget_iterations=40, budget_rotations=10_000)
-        trace = self.engine(backend, params, rng)
+        run = self.engine(backend, params, rng, record=True)
         lam = 8 / 7
         cap = math.sqrt(8)
-        for j, it in enumerate(trace.iterations, start=1):
-            assert it.k == pytest.approx(min(lam ** j, cap), rel=1e-12)
+        for j, step in enumerate(measured(run), start=1):
+            assert step["k"] == pytest.approx(min(lam ** j, cap), rel=1e-12)
 
     def test_restart_fires_and_recovers(self):
         poly, reg, backend = toy_backend()
@@ -289,34 +291,34 @@ class TestRunGas:
         # restart window restart_iterations(2, 8) = 3
         params = GasParams(y0=best - 0.5, lmin=2, restart_enabled=True,
                            budget_iterations=300, budget_rotations=5000)
-        trace = self.engine(backend, params, rng, oracle_min=best)
-        assert any(it.restarted for it in trace.iterations)
-        assert trace.converged
-        assert np.isclose(trace.best_E, best)
+        run = self.engine(backend, params, rng, oracle_min=best, record=True)
+        assert any(step["restarted"] for step in measured(run))
+        assert run.converged
+        assert np.isclose(run.best_E, best)
 
     def test_final_equals_argmin_at_convergence(self):
         poly, reg, backend = toy_backend()
         space = backend.space
         best_ord = argmin_ordinal(space)
-        best_bits = space.assignment(best_ord)
         for seed in range(20):
             rng = np.random.default_rng(100 + seed)
-            trace = self.engine(backend, GasParams(budget_iterations=300, budget_rotations=3000),
-                                rng, oracle_min=float(space.e_sorted[0, 0]))
-            if trace.converged:
-                assert np.array_equal(trace.final_x, best_bits)
+            run = self.engine(backend, GasParams(budget_iterations=300, budget_rotations=3000),
+                              rng, oracle_min=float(space.e_sorted[0, 0]))
+            if run.converged:
+                assert run.final == best_ord
 
     def test_invalid_incumbent_is_not_the_output(self):
         # on the full space the FIG2 minimum (0,1,1), E = -1, is not one-hot:
         # it becomes the incumbent, and the output is the best one-hot state
         poly, reg, backend = toy_backend()
         params = GasParams(budget_iterations=40, enforce_one_hot=True)
-        trace = self.engine(backend, params, np.random.default_rng(22))
-        assert trace.final_y == -1.0 and trace.best_E == -1.0
-        _, _, d = reg.split_assignment(trace.final_x)
+        run = self.engine(backend, params, np.random.default_rng(22))
+        assert run.final_y == -1.0 and run.best_E == -1.0
+        x = backend.space.assignment(run.final).reshape(-1)
+        _, _, d = reg.split_assignment(x)
         assert d.sum() == 1
-        assert evaluate(poly, trace.final_x) == 2.0
-        assert not trace.invalid_final
+        assert evaluate(poly, x) == 2.0
+        assert not run.invalid_final
 
     def test_w_prep_measurements_always_valid(self):
         cfg = SystemConfig(N=2, M=2, tau_max=2, seed=15)
@@ -327,9 +329,9 @@ class TestRunGas:
         space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
         backend = AmplitudeBackend(space)
         rng = np.random.default_rng(16)
-        trace = self.engine(backend, GasParams(budget_iterations=60), rng)
-        for it in trace.iterations:
-            _, _, d = reg.split_assignment(it.x)
+        run = self.engine(backend, GasParams(budget_iterations=60), rng, record=True)
+        for step in measured(run):
+            _, _, d = reg.split_assignment(space.assignment(step["x"]).reshape(-1))
             assert np.all(d.reshape(reg.M, reg.taud).sum(axis=1) == 1)
 
     def test_budget_exhaustion_not_an_error(self):
@@ -337,9 +339,9 @@ class TestRunGas:
         rng = np.random.default_rng(17)
         params = GasParams(y0=float(backend.space.e_sorted[0, 0]) - 1.0,
                            budget_iterations=10)
-        trace = self.engine(backend, params, rng, oracle_min=-10.0)
-        assert trace.reached_optimum_at is None
-        assert trace.cd_queries <= 11
+        run = self.engine(backend, params, rng, oracle_min=-10.0)
+        assert not run.converged and run.hit_qd == -1
+        assert run.cd_queries <= 11
 
     @pytest.mark.parametrize("reason", [STOP_OPTIMUM, STOP_BUDGET_ITERATIONS,
                                         STOP_BUDGET_ROTATIONS])
@@ -355,70 +357,53 @@ class TestRunGas:
                                              budget_rotations=50),
         }[reason]
         # a run given oracle_min halts at the optimum; the budget cases run without it
-        trace = self.engine(backend, params, np.random.default_rng(21),
-                            oracle_min=best if reason == STOP_OPTIMUM else None)
-        assert trace.stop_reason == reason
+        run = self.engine(backend, params, np.random.default_rng(21),
+                          oracle_min=best if reason == STOP_OPTIMUM else None, record=True)
+        assert run.stop_reason == reason
         if reason == STOP_OPTIMUM:
-            assert trace.converged
+            assert run.converged
         elif reason == STOP_BUDGET_ITERATIONS:
-            assert len(trace.iterations) == 10
+            assert len(measured(run)) == 10
         else:
-            assert trace.qd_rotations <= 50 and len(trace.iterations) < 1000
+            assert run.qd_rotations <= 50 and len(measured(run)) < 1000
 
     def test_rotation_budget_respected(self):
         poly, reg, backend = toy_backend()
         rng = np.random.default_rng(18)
         params = GasParams(y0=float(backend.space.e_sorted[0, 0]) - 1.0, lmin=3,
                            budget_iterations=1000, budget_rotations=50)
-        trace = self.engine(backend, params, rng)
-        assert trace.qd_rotations <= 50
+        run = self.engine(backend, params, rng)
+        assert run.qd_rotations <= 50
 
     def test_cum_rotations_consistency(self):
         poly, reg, backend = toy_backend()
         rng = np.random.default_rng(19)
-        trace = self.engine(backend, GasParams(budget_iterations=80), rng)
-        assert trace.qd_rotations == sum(it.L for it in trace.iterations)
-        zero_l = sum(1 for it in trace.iterations if it.L == 0)
-        assert len(trace.iterations) <= trace.qd_rotations + zero_l
+        run = self.engine(backend, GasParams(budget_iterations=80), rng, record=True)
+        assert run.qd_rotations == sum(step["L"] for step in measured(run))
+        zero_l = sum(1 for step in measured(run) if step["L"] == 0)
+        assert len(measured(run)) <= run.qd_rotations + zero_l
 
-    def test_trace_jsonl_schema(self):
-        import json
+    def test_steps_schema(self):
+        # both engines record one format; solve writes its lines from it
         poly, reg, backend = toy_backend()
         rng = np.random.default_rng(20)
-        trace = self.engine(backend, GasParams(budget_iterations=10), rng)
-        lines = trace.to_jsonl().splitlines()
-        assert lines
-        row = json.loads(lines[0])
-        assert set(row) == {"i", "y", "L", "k", "x", "Ex", "accepted", "cum_rot", "restart"}
-        assert len(row["x"]) == reg.q_k
+        run = self.engine(backend, GasParams(budget_iterations=10), rng, record=True)
+        assert run.steps
+        assert set(run.steps[0]) == {"i", "ran", "y", "L", "k", "x", "Ex", "accepted",
+                                     "cum_rot", "restarted"}
+        assert backend.space.assignment(run.steps[0]["x"]).shape[-1] == reg.q_k
 
-
-def batch_engine(backend, params, rng, oracle_min=None, record_trace=True):
-    """run_gas_batch on backend's one-row stack as a batch of one run, its
-    outputs and recorded steps read back as run_gas's GasTrace."""
-    space = backend.space
-    out = run_gas_batch(space, [0], [params], [(rng, 1)],
-                        oracle_min=None if oracle_min is None else [oracle_min], record=True)
-    trace = GasTrace(
-        final_x=None if out.final[0] < 0 else space.assignment(out.final[0]),
-        final_y=float(out.final_y[0]), best_E=float(out.best_E[0]),
-        invalid_final=bool(out.invalid_final[0]),
-        reached_optimum_at=(int(out.hit_cd[0]), int(out.hit_qd[0])) if out.converged[0] else None,
-        cd_queries=int(out.cd_queries[0]), qd_rotations=int(out.qd_rotations[0]),
-        stop_reason=str(out.stop_reason[0]))
-    for step in out.steps:
-        if step["ran"][0]:
-            trace.iterations.append(GasIteration(
-                i=step["i"], y=float(step["y"][0]), L=int(step["L"][0]), k=float(step["k"][0]),
-                x=space.assignment(step["x"][0]), Ex=float(step["Ex"][0]),
-                accepted=bool(step["accepted"][0]), cum_rot=int(step["cum_rot"][0]),
-                restarted=bool(step["restarted"][0])))
-    return trace
+    def test_seed_with_threshold_rejected(self):
+        # a seeded incumbent carries its own threshold
+        poly, reg, backend = toy_backend()
+        with pytest.raises(ValueError):
+            self.engine(backend, GasParams(y0=1.0), np.random.default_rng(23), x0=0)
 
 
 class TestRunGasBatch(TestRunGas):
     """Every TestRunGas rule on the lockstep engine, run as a batch of one."""
-    engine = staticmethod(batch_engine)
+    engine = staticmethod(lambda backend, params, rng, **kw:
+                          run_gas_batch(backend.space, [0], [(params, rng, 1)], **kw))
     # about a third of runs measure the optimum before the first restart can
     # fire, on either engine (0.334 and 0.343 of 2 000 seeds); seed 14 does
     # so on the lockstep draws, seed 16 restarts first
@@ -453,19 +438,19 @@ class TestBatchLaw:
             x_mmse = mmse_detect(inst, r, slots, cfg, stack)
             minima = stack.e_values.min(axis=1)
             for di, (det, arm) in enumerate(harness.GAS_DETECTORS.items()):
-                seeded = arm.get("threshold") == "mmse"
-                params = [harness._gas_params(spec, arm, inst, ymvd, None,
-                                              int(x_mmse[t]) if seeded else None) for t in slots]
+                params = harness._gas_params(spec, arm, inst, ymvd, None)
+                x0 = x_mmse if arm.get("threshold") == "mmse" else None
                 for t in slots:
                     row = SpaceStack(reg, W_STATE_REDUCED, stack.e_values[t:t + 1],
                                      stack.key_indices)
-                    trace = run_gas(AmplitudeBackend(row), params[t],
-                                    streams.substream(cfg.seed, trial, t, di),
-                                    oracle_min=minima[t], record_trace=False)
-                    qd[det][0].append(trace.reached_optimum_at[1] if trace.converged else math.inf)
-                batch = run_gas_batch(stack, slots, params,
-                                      [(streams.substream(cfg.seed + 1, trial, di), cfg.T_D)],
-                                      oracle_min=minima)
+                    run = run_gas(AmplitudeBackend(row), params,
+                                  streams.substream(cfg.seed, trial, t, di),
+                                  x0=None if x0 is None else int(x0[t]), oracle_min=minima[t])
+                    qd[det][0].append(run.hit_qd if run.converged else math.inf)
+                batch = run_gas_batch(stack, slots,
+                                      [(params, streams.substream(cfg.seed + 1, trial, di),
+                                        cfg.T_D)],
+                                      x0=x0, oracle_min=minima)
                 qd[det][1].extend(np.where(batch.converged, batch.hit_qd, math.inf))
         for det, (scalar, lockstep) in qd.items():
             n = len(scalar)

@@ -156,9 +156,9 @@ class TestCircuitConvergence:
         runs = []
 
         def recording(backend, params, rng, **kwargs):
-            trace = run_gas(backend, params, rng, **kwargs)
-            runs.append((backend.space, kwargs["oracle_min"], trace))
-            return trace
+            run = run_gas(backend, params, rng, **kwargs)
+            runs.append((backend.space, kwargs["oracle_min"], run))
+            return run
 
         monkeypatch.setattr(harness, "run_gas", recording)
         for backend in ("amplitude", "circuit"):
@@ -168,11 +168,11 @@ class TestCircuitConvergence:
             rows = run_query_cdf(spec)
             assert len(runs) == len(rows) == 16
             assert sum(t.converged for _, _, t in runs) == sum(conv for *_, conv in rows) >= 1
-            for space, oracle_min, trace in runs:
-                assert trace.converged == (trace.stop_reason == "optimum")
-                key = int("".join(map(str, trace.final_x)), 2)
+            for space, oracle_min, run in runs:
+                assert run.converged == (run.stop_reason == "optimum")
+                key = int("".join(map(str, space.assignment(run.final))), 2)
                 value = space.e_values[0, int(np.flatnonzero(space.key_indices == key)[0])]
-                if trace.converged:
+                if run.converged:
                     assert value == pytest.approx(oracle_min, rel=1e-12, abs=1e-12)
                 elif space.prep == W_STATE_REDUCED:
                     # an unconverged run never measured the argmin, not even
@@ -213,19 +213,20 @@ class TestBer:
         bits = random_payload_bits(cfg, 0)
         slot = received_slot(inst, cfg, 0, bits)
         space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
-        trace = run_gas(AmplitudeBackend(space), GasParams(budget_iterations=60),
-                        np.random.default_rng(1))
-        zero_l = sum(1 for it in trace.iterations if it.L == 0)
-        assert trace.cd_queries <= trace.qd_rotations + zero_l + 1  # +1 initial draw
+        run = run_gas(AmplitudeBackend(space), GasParams(budget_iterations=60),
+                      np.random.default_rng(1), record=True)
+        zero_l = sum(1 for step in run.steps if step["L"] == 0)
+        assert run.cd_queries <= run.qd_rotations + zero_l + 1  # +1 initial draw
 
     def test_gas_mmse_never_accepts_its_incumbent(self, monkeypatch):
         # the MMSE threshold is the table value of the MMSE ordinal, so a
         # re-measurement of that state ties the threshold and is rejected
         runs = []
 
-        def recording(stack, rows, params, rngs, **kwargs):
-            batch = run_gas_batch(stack, rows, params, rngs, **{**kwargs, "record": True})
-            runs.extend((stack, row, p, batch, j) for j, (row, p) in enumerate(zip(rows, params)))
+        def recording(stack, rows, arms, **kwargs):
+            batch = run_gas_batch(stack, rows, arms, **{**kwargs, "record": True})
+            runs.extend((stack, row, x0, batch, j)
+                        for j, (row, x0) in enumerate(zip(rows, kwargs["x0"])))
             return batch
 
         monkeypatch.setattr(harness, "run_gas_batch", recording)
@@ -237,22 +238,20 @@ class TestBer:
         })
         run_ber(spec)
         assert len(runs) == 48
-        for stack, row, params, batch, j in runs:
+        for stack, row, x0, batch, j in runs:
             iterations = [step for step in batch.steps if step["ran"][j]]
-            assert iterations[0]["y"][j] == stack.e_values[row, params.x0]
-            x0 = stack.assignment(params.x0)
-            assert not any(it["accepted"][j] and np.array_equal(stack.assignment(it["x"][j]), x0)
-                           for it in iterations)
+            assert iterations[0]["y"][j] == stack.e_values[row, x0]
+            assert not any(it["accepted"][j] and it["x"][j] == x0 for it in iterations)
 
     def test_halt_at_first_hit_keeps_the_detection(self, monkeypatch):
         # each GAS detector batch run again from the same streams without
         # oracle_min, to its full budget: the same outputs, never more queries
         runs = []
 
-        def paired(stack, rows, params, rngs, **kwargs):
-            free = run_gas_batch(stack, rows, params, copy.deepcopy(rngs),
+        def paired(stack, rows, arms, **kwargs):
+            free = run_gas_batch(stack, rows, copy.deepcopy(arms),
                                  **{**kwargs, "oracle_min": None})
-            halted = run_gas_batch(stack, rows, params, rngs, **kwargs)
+            halted = run_gas_batch(stack, rows, arms, **kwargs)
             runs.extend(zip(halted.final, halted.cd_queries, free.final, free.cd_queries))
             return halted
 
@@ -320,17 +319,17 @@ class TestSolve:
     def test_trace_converges(self):
         spec = load_spec(CONFIG_DIR / "solve_single.json")
         spec.backend = "amplitude"
-        trace = solve_single(spec)
-        assert trace.converged
-        assert trace.final_x is not None
+        _, run = solve_single(spec)
+        assert run.converged
+        assert run.final >= 0
 
     def test_circuit_backend_and_dump(self, tmp_path):
         spec = load_spec(CONFIG_DIR / "solve_single.json")
         dump = tmp_path / "state.bin"
-        trace = solve_single(spec, dump_state=dump)
-        assert trace.final_x is not None
+        _, run = solve_single(spec, dump_state=dump)
+        assert run.final >= 0
         # the optimum is read from the table the circuit measures
-        assert trace.converged and trace.stop_reason == "optimum"
+        assert run.converged and run.stop_reason == "optimum"
         raw = np.fromfile(dump, dtype="<f8")
         amps = raw[0::2] + 1j * raw[1::2]
         assert amps.size == 2 ** (6 + 8)
@@ -364,15 +363,15 @@ class TestSolve:
         assert not dump.exists()
 
     @pytest.mark.parametrize("backend", ["amplitude", "circuit"])
-    def test_trace_x_is_the_measured_assignment(self, backend):
+    def test_trace_x_is_the_measured_assignment(self, backend, capsys):
         # every trace line's "x" is a one-hot assignment whose objective is "Ex"
-        spec = load_spec(CONFIG_DIR / "solve_single.json")
-        spec.backend = backend
-        cfg = spec.cfg
+        config = CONFIG_DIR / "solve_single.json"
+        cfg = load_spec(config).cfg
         reg = build_registry(cfg)
         inst = generate_instance(cfg, instance_id=0)
         slot = received_slot(inst, cfg, 0, random_payload_bits(cfg, 0, instance_id=0))
-        rows = [json.loads(line) for line in solve_single(spec).to_jsonl().splitlines()]
+        assert cli.main(["solve", "--config", str(config), "--backend", backend]) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert rows
         for row in rows:
             x = np.array([int(c) for c in row["x"]], dtype=np.uint8)
@@ -383,8 +382,11 @@ class TestSolve:
 
 class TestCli:
     def run_cli(self, *args):
-        return subprocess.run([sys.executable, "-m", "gasmld", *args],
-                              capture_output=True, text=True)
+        # the child imports gasmld from where this process found it
+        path = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                             os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "gasmld", *args], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path})
 
     def test_gate_count_command(self, tmp_path):
         res = self.run_cli("gate-count", "--config", str(CONFIG_DIR / "gate_count.json"),

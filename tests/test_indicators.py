@@ -99,7 +99,7 @@ class TestConventionalLmin:
 @pytest.fixture(scope="module")
 def table():
     cfg = SystemConfig(N=2, M=4, tau_max=1, T_P=128, T_D=128, snr_db=20.0, seed=77)
-    return calibrate(cfg, 400, P=1e-3)
+    return calibrate(cfg, 400, P=1e-3)[0]
 
 
 class TestCalibration:

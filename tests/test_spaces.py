@@ -248,8 +248,9 @@ class TestLazyOrder:
             return argsort(*args, **kwargs)
 
         monkeypatch.setattr(np, "argsort", recording)
-        batch = run_gas_batch(stack, slots, [GasParams(budget_iterations=20)] * slots.size,
-                              [(np.random.default_rng(18), slots.size)],
+        batch = run_gas_batch(stack, slots,
+                              [(GasParams(budget_iterations=20), np.random.default_rng(18),
+                                slots.size)],
                               oracle_min=stack.e_values.min(axis=1))
         assert batch.cd_queries.min() >= 1
         assert calls == []
