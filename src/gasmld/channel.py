@@ -9,7 +9,7 @@ noise with variance sigma_v^2 / (T_P * P_X).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,13 +87,6 @@ class ChannelInstance:
     est_err_var: float
 
 
-@dataclass(frozen=True)
-class ReceivedSlot:
-    t: int
-    r: np.ndarray
-    b_true: np.ndarray = field(repr=False)
-
-
 def _cn(rng: np.random.Generator, shape) -> np.ndarray:
     """Standard complex Gaussian CN(0, 1), i.i.d. entries."""
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * _SQRT_HALF
@@ -122,66 +115,88 @@ def generate_instance(cfg: SystemConfig, instance_id: int = 0) -> ChannelInstanc
     )
 
 
-def psk2_base(t: int) -> complex:
-    """Constellation point for bit 0 in slot t: e^{j pi c / 2} (1+j)/sqrt(2)."""
-    c = t % 2
-    return np.exp(1j * np.pi * c / 2.0) * (1.0 + 1.0j) * _SQRT_HALF
+# e^{j pi c / 2} (1+j)/sqrt(2) for the parity c = 0, 1
+_PSK2_BASES = np.array([np.exp(1j * np.pi * c / 2.0) * (1.0 + 1.0j) * _SQRT_HALF for c in (0, 1)])
 
 
-def map_symbols(modulation: str, t: int, bits: np.ndarray, c_bits=None) -> np.ndarray:
-    """Bits -> symbol vector of length M.
+def psk2_base(t):
+    """Constellation point for bit 0 in slot t, the one of parity c = t mod 2.
 
+    t is a slot index or an array of them.
+    """
+    return _PSK2_BASES[t % 2]
+
+
+def map_symbols(modulation: str, t, bits: np.ndarray, c_bits=None) -> np.ndarray:
+    """Bits -> symbols, M of them on the last axis.
+
+    t is a slot index, or an array of them with one per row of bits (..., b).
     For pi/2-BPSK the parity bit defaults to t mod 2 unless c_bits overrides
     it. For QPSK bits are laid out (b_11, b_12, b_21, b_22, ...).
     """
     bits = np.asarray(bits)
     if modulation == PSK2:
         if c_bits is None:
-            phase = psk2_base(t)
-            return phase * (1.0 - 2.0 * bits.astype(float))
-        c = np.asarray(c_bits).astype(float)
-        phase = np.exp(1j * np.pi * c / 2.0) * (1.0 + 1.0j) * _SQRT_HALF
+            phase = psk2_base(t)[..., None]
+        else:
+            c = np.asarray(c_bits).astype(float)
+            phase = np.exp(1j * np.pi * c / 2.0) * (1.0 + 1.0j) * _SQRT_HALF
         return phase * (1.0 - 2.0 * bits.astype(float))
-    b = bits.reshape(-1, 2).astype(float)
-    return ((1.0 - 2.0 * b[:, 0]) + 1j * (1.0 - 2.0 * b[:, 1])) * _SQRT_HALF
+    b = bits.reshape(*bits.shape[:-1], -1, 2).astype(float)
+    return ((1.0 - 2.0 * b[..., 0]) + 1j * (1.0 - 2.0 * b[..., 1])) * _SQRT_HALF
 
 
-def noise_realization(inst: ChannelInstance, t: int):
-    """Regenerate (v, e) for slot t from the seeded streams."""
-    rng_v = streams.substream(inst.seed, streams.NOISE, inst.instance_id, t)
-    rng_e = streams.substream(inst.seed, streams.EST_ERR, inst.instance_id, t)
-    n = inst.H_true.shape[0]
-    v = _cn(rng_v, n)
-    e = np.sqrt(inst.est_err_var) * _cn(rng_e, n)
-    return v, e
+def slot_draws(cfg: SystemConfig, ts,
+               instance_id: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Payload bits (T, bits_per_slot) and unit-variance noise v and
+    estimation error e (T, N) of slots ts of one instance.
+
+    Each slot draws from its own streams (seed, purpose, instance_id, t).
+    No key holds the SNR, so one draw serves every SNR point.
+    """
+    n = len(ts)
+    bits = np.empty((n, cfg.bits_per_slot), dtype=np.uint8)
+    v = np.empty((n, cfg.N), dtype=complex)
+    e = np.empty((n, cfg.N), dtype=complex)
+    for i, t in enumerate(ts):
+        bits[i] = streams.substream(cfg.seed, streams.PAYLOAD, instance_id, t).integers(
+            0, 2, size=cfg.bits_per_slot)
+        v[i] = _cn(streams.substream(cfg.seed, streams.NOISE, instance_id, t), cfg.N)
+        e[i] = _cn(streams.substream(cfg.seed, streams.EST_ERR, instance_id, t), cfg.N)
+    return bits, v, e
 
 
-def random_payload_bits(cfg: SystemConfig, t: int, instance_id: int = 0) -> np.ndarray:
-    rng = streams.substream(cfg.seed, streams.PAYLOAD, instance_id, t)
-    return rng.integers(0, 2, size=cfg.bits_per_slot).astype(np.uint8)
+def received_slots(inst: ChannelInstance, cfg: SystemConfig, ts, bits, v, e) -> np.ndarray:
+    """Received vectors r[i] = H D s + sigma_v v[i] + sqrt(est_err_var) e[i]
+    of payload bits[i] in slot ts[i], shape (T, N); v and e are unit
+    variance (slot_draws).
 
-
-def received_slot(inst: ChannelInstance, cfg: SystemConfig, t: int, b_true) -> ReceivedSlot:
-    """Received vector r = H D s + sigma_v v + e for one payload slot."""
-    b_true = np.asarray(b_true, dtype=np.uint8)
-    if b_true.shape != (cfg.bits_per_slot,):
-        raise ValueError(f"expected {cfg.bits_per_slot} payload bits, got {b_true.shape}")
-    if t < 0:
+    The one slot model: a single slot is a one-row call.  Every float
+    operation is the same per slot whatever the number of slots (H D s is
+    one matrix-vector product per slot), so a row does not depend on the
+    slots computed with it.
+    """
+    ts = np.asarray(ts)
+    bits = np.asarray(bits, dtype=np.uint8)
+    if bits.shape != (ts.size, cfg.bits_per_slot):
+        raise ValueError(f"expected {ts.size} x {cfg.bits_per_slot} payload bits, "
+                         f"got {bits.shape}")
+    if (ts < 0).any():
         raise ValueError("slot index must be >= 0")
-    s = map_symbols(cfg.modulation, t, b_true)
-    d_phase = np.exp(1j * 2.0 * np.pi * inst.f_true * (t - inst.delays))
-    v, e = noise_realization(inst, t)
-    r = inst.H_true @ (d_phase * s) + inst.sigma_v * v + e
-    return ReceivedSlot(t=t, r=r, b_true=b_true)
+    s = map_symbols(cfg.modulation, ts, bits)
+    d_phase = np.exp(1j * 2.0 * np.pi * inst.f_true * (ts[:, None] - inst.delays))
+    hds = (inst.H_true @ (d_phase * s)[..., None])[..., 0]
+    return hds + inst.sigma_v * v + np.sqrt(inst.est_err_var) * e
 
 
-def delay_phases(inst: ChannelInstance, t: int, taud: int) -> np.ndarray:
-    """Estimated per-user phase factors e^{j 2 pi f_hat (t - k)}, shape (M, taud).
+def delay_phases(inst: ChannelInstance, t, taud: int) -> np.ndarray:
+    """Estimated per-user phase factors e^{j 2 pi f_hat (t - k)}, shape
+    (M, taud) for a slot index t and (T, M, taud) for an array of T of them.
 
     Column k is the factor multiplying the k-th delay indicator bit.
     """
     k = np.arange(taud)
-    return np.exp(1j * 2.0 * np.pi * inst.f_est[:, None] * (t - k[None, :]))
+    return np.exp(1j * 2.0 * np.pi * inst.f_est[:, None] * (np.asarray(t)[..., None, None] - k))
 
 
 def objective_direct(inst: ChannelInstance, r: np.ndarray, t: int, b, d, c=None) -> float:

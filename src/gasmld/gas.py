@@ -212,6 +212,14 @@ class CircuitBackend:
     def scale_for(self, y: float) -> int:
         return value_scale(self._lo, self._hi, y, self.q_v)
 
+    def width_needed(self, y0: float | None) -> int:
+        """Smallest q_v whose window holds E - y at scale 1 for every
+        threshold a run can reach: y0 and any table value.  A larger scale
+        only shrinks E - y within the window, so q_v >= this never fails
+        check_value_range."""
+        ys = (self._lo, self._hi) if y0 is None else (self._lo, self._hi, y0)
+        return register_width(self._lo - max(ys), self._hi - min(ys), 0.0)
+
     def _sign_probabilities(self, y: float) -> tuple[np.ndarray, float]:
         """q1 per state ordinal, P(sign qubit = 1) after the value encoding,
         and its mean p_good."""

@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import streams
-from .channel import PSK2, QPSK, SystemConfig, generate_instance, objective_direct, random_payload_bits, received_slot
+from .channel import (PSK2, QPSK, SystemConfig, generate_instance, objective_direct, received_slots,
+                      slot_draws)
 from .errors import ConfigError
 from .gas import (AmplitudeBackend, BACKEND_AMPLITUDE, BACKEND_CIRCUIT, CircuitBackend,
                   GasBatch, GasParams, LMIN_CONVENTIONAL_C, LMIN_PROPOSED_CPRIME, LMIN_ZERO,
@@ -247,14 +248,22 @@ def _gas_params(spec: ExperimentSpec, arm: dict, inst, ymvd: float,
         restart_enabled=arm.get("restart", False), enforce_one_hot=True)
 
 
-def _gas_backend(spec: ExperimentSpec, inst, r, space):
+def _gas_backend(spec: ExperimentSpec, inst, r, space, y0: float | None, where: str):
     """The configured backend over space; without a configured q_v the
-    circuit's value register is fitted to the channel's objective bound."""
+    circuit's value register is fitted to the channel's objective bound.
+    A configured q_v too narrow for a run from y0 on this space is a config
+    error, raised before the run searches."""
     if spec.backend == BACKEND_AMPLITUDE:
         return AmplitudeBackend(space)
-    q_v = spec.q_v or register_width(
-        0.0, channel_bound(inst.H_est, r, space.prep, space.reg.taud), 0.0)
-    return CircuitBackend(space, q_v)
+    if spec.q_v is None:
+        return CircuitBackend(space, register_width(
+            0.0, channel_bound(inst.H_est, r, space.prep, space.reg.taud), 0.0))
+    backend = CircuitBackend(space, spec.q_v)
+    need = backend.width_needed(y0)
+    if need > spec.q_v:
+        raise ConfigError(f"{where}: gas.q_v = {spec.q_v} cannot hold E - y over this "
+                          f"arm's objective values; it needs q_v >= {need}")
+    return backend
 
 
 def run_query_cdf(spec: ExperimentSpec):
@@ -273,23 +282,27 @@ def run_query_cdf(spec: ExperimentSpec):
     rows = []
     for trial in range(spec.trials):
         inst = generate_instance(cfg, instance_id=trial)
-        bits = random_payload_bits(cfg, 0, instance_id=trial)
-        slot = received_slot(inst, cfg, 0, bits)
-        w_space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
+        r = received_slots(inst, cfg, [0], *slot_draws(cfg, [0], trial))
+        w_space = channel_spaces(inst, r, [0], cfg, W_STATE_REDUCED, reg)
         oracle_min = float(w_space.e_values.min())
-        for vi, variant in enumerate(spec.variants):
+        # every arm's backend before any search, so that a value register
+        # too narrow for one arm fails the trial before it starts
+        arms = []
+        for variant in spec.variants:
             prep = variant.get("prep", W_STATE_REDUCED)
             space = w_space if prep == W_STATE_REDUCED else \
-                channel_spaces(inst, slot.r[None], [0], cfg, prep, reg)
-            backend = _gas_backend(spec, inst, slot.r, space)
+                channel_spaces(inst, r, [0], cfg, prep, reg)
             params = _gas_params(spec, variant, inst, ymvd, table)
+            where = f"variant {variant['name']!r}, trial {trial}"
+            arms.append((params, _gas_backend(spec, inst, r[0], space, params.y0, where)))
+        for vi, (variant, (params, backend)) in enumerate(zip(spec.variants, arms)):
             rng = streams.substream(cfg.seed, streams.TRIAL, trial, vi)
             run = run_gas(backend, params, rng, oracle_min=oracle_min)
             if run.converged:
                 cd, qd = run.hit_cd, run.hit_qd
                 # re-verify against the exhaustive oracle; no mismatch tolerated
-                b, _, d = reg.split_assignment(space.assignment(run.final))
-                check = objective_direct(inst, slot.r, 0, b, d)
+                b, _, d = reg.split_assignment(backend.space.assignment(run.final))
+                check = objective_direct(inst, r[0], 0, b, d)
                 if check > oracle_min + 1e-9 * (1.0 + abs(oracle_min)):
                     raise RuntimeError(
                         f"converged run disagrees with exhaustive search: "
@@ -309,85 +322,101 @@ def run_ber(spec: ExperimentSpec):
     ber.  Rotation rows, one per GAS detector and SNR point: detector,
     snr_db, runs, censored, median_qd, that is the GAS runs, how many ended
     without measuring the optimum, and the median rotation count to the
-    first hit, a censored run counting as +inf.  Each (snr, trial) is one
-    batch of the trial's T_D slots (_ber_trial).
+    first hit, a censored run counting as +inf.  Each trial is one batch of
+    its T_D slots at every SNR point of the sweep (_ber_trial).
     """
     cfg0 = spec.cfg
     _require_backend(spec, "ber", (BACKEND_AMPLITUDE,))
     detectors = spec.detectors or ["exhaustive", "gas-mvd"]
     snrs = spec.snr_sweep or [cfg0.snr_db]
+    cfgs = [cfg0.with_snr(snr) for snr in snrs]
+    ymvds = [y_mvd(MvdParams.from_config(cfg, spec.mvd_p)) for cfg in cfgs]
     reg = build_registry(cfg0)
-    rows, rotations = [], []
-    for snr in snrs:
-        cfg = cfg0.with_snr(snr)
-        ymvd = y_mvd(MvdParams.from_config(cfg, spec.mvd_p))
-        errors = np.zeros(len(detectors), dtype=np.int64)
-        hits: dict[str, list[np.ndarray]] = {}
-        for trial in range(spec.trials):
-            bits_true, bits_hat, first_hits = _ber_trial(spec, cfg, detectors, reg, ymvd, trial)
-            errors += np.count_nonzero(bits_hat != bits_true, axis=(1, 2))
-            for det, qd in first_hits:
-                hits.setdefault(det, []).append(qd)
-        nbits = spec.trials * cfg.T_D * reg.n_b
-        for det, err in zip(detectors, errors.tolist()):
-            rows.append((det, float(snr), cfg.T_P, nbits, err, err / max(1, nbits)))
-        for det, qds in hits.items():
-            qd = np.sort(np.concatenate(qds))
-            # np.median's mean of the middle pair; np.median itself imports
-            # numpy.ma on first use, about 1.5 MiB resident
-            median = (qd[(qd.size - 1) // 2] + qd[qd.size // 2]) / 2
-            rotations.append((det, float(snr), qd.size, int(np.count_nonzero(np.isinf(qd))),
-                              float(median)))
+    errors = np.zeros((len(snrs), len(detectors)), dtype=np.int64)
+    hits: dict[tuple[int, str], list[np.ndarray]] = {}
+    for trial in range(spec.trials):
+        bits_true, bits_hat, first_hits = _ber_trial(spec, cfgs, detectors, reg, ymvds, trial)
+        errors += np.count_nonzero(bits_hat != bits_true, axis=(2, 3))
+        for key, qd in first_hits:
+            hits.setdefault(key, []).append(qd)
+    nbits = spec.trials * cfg0.T_D * reg.n_b
+    rows = [(det, float(snr), cfg0.T_P, nbits, err, err / max(1, nbits))
+            for snr, errs in zip(snrs, errors.tolist()) for det, err in zip(detectors, errs)]
+    rotations = []
+    for (si, det), qds in hits.items():
+        qd = np.sort(np.concatenate(qds))
+        # np.median's mean of the middle pair; np.median itself imports
+        # numpy.ma on first use, about 1.5 MiB resident
+        median = (qd[(qd.size - 1) // 2] + qd[qd.size // 2]) / 2
+        rotations.append((det, float(snrs[si]), qd.size, int(np.count_nonzero(np.isinf(qd))),
+                          float(median)))
     rows.sort(key=lambda r: (r[0], r[1]))
     rotations.sort(key=lambda r: (r[0], r[1]))
     return rows, rotations
 
 
-def _ber_trial(spec: ExperimentSpec, cfg: SystemConfig, detectors: list[str], reg,
-               ymvd: float, trial: int):
-    """One (snr, trial) of run_ber, over the trial's T_D slots.
+def _ber_trial(spec: ExperimentSpec, cfgs: list[SystemConfig], detectors: list[str], reg,
+               ymvds: list[float], trial: int):
+    """One trial of run_ber: its T_D slots at the S SNR points of cfgs.
 
-    The slots' value tables form one SpaceStack; the exhaustive argmins and
-    the MMSE seeds are single calls over it; every GAS detector is one arm
-    of T_D runs in one run_gas_batch, detector d (its index in the detector
-    list) drawing from the stream (seed, GAS, trial, d) and gas-mmse's runs
-    seeded with the MMSE ordinals; and all outputs are decoded through the
-    key-index table at once.  Each GAS run halts at its first measurement of
-    its slot's minimum; its output is fixed by then, since GAS accepts only
+    The instance and each slot's payload bits and unit-variance noise are
+    drawn once: no stream key holds the SNR, so only sigma_v and
+    est_err_var change between points.  The S x T_D value tables form one
+    SpaceStack, row s T_D + t for SNR point s and slot t, and the exhaustive
+    argmins are one call over it.  The MMSE seeds take one call per SNR
+    point, whose sigma_v enters the filter.  Every GAS detector at every SNR
+    point is one arm of T_D runs in one run_gas_batch.  Detector d (its
+    index in the detector list) draws from the stream (seed, GAS, trial, d),
+    a generator of its own at each SNR point, and gas-mmse's runs are seeded
+    with the MMSE ordinals.  All outputs are decoded through the key-index
+    table at once.  Each GAS run halts at its first measurement of its
+    slot's minimum; its output is fixed by then, since GAS accepts only
     strictly lower values and none lies below the minimum.
 
     Returns the payload bits (T_D, n_b), every detector's decisions
-    (detectors, T_D, n_b) and, per GAS detector, (detector, first-hit
-    rotations of its runs), +inf for a censored run.
+    (S, detectors, T_D, n_b) and, per GAS detector and SNR point,
+    ((s, detector), first-hit rotations of its runs), +inf for a censored
+    run.
     """
-    slots = np.arange(cfg.T_D)
-    inst = generate_instance(cfg, instance_id=trial)
-    bits_true = np.array([random_payload_bits(cfg, t, instance_id=trial) for t in slots])
-    r = np.array([received_slot(inst, cfg, t, bits_true[t]).r for t in slots])
-    stack = channel_spaces(inst, r, slots, cfg, W_STATE_REDUCED, reg)
+    cfg0, n_snr, n_slots = cfgs[0], len(cfgs), cfgs[0].T_D
+    slots = np.arange(n_slots)
+    inst0 = generate_instance(cfg0, instance_id=trial)
+    insts = [dataclasses.replace(inst0, sigma_v=cfg.sigma_v, est_err_var=cfg.est_err_var)
+             for cfg in cfgs]
+    bits_true, v, e = slot_draws(cfg0, slots, trial)
+    r = np.concatenate([received_slots(inst, cfg0, slots, bits_true, v, e) for inst in insts])
+    stack = channel_spaces(inst0, r, np.tile(slots, n_snr), cfg0, W_STATE_REDUCED, reg)
+    point = [slice(si * n_slots, (si + 1) * n_slots) for si in range(n_snr)]
     gas = [(di, det) for di, det in enumerate(detectors) if det in GAS_DETECTORS]
     seeds_mmse = "mmse" in detectors or any(
         GAS_DETECTORS[det].get("threshold") == "mmse" for _, det in gas)
-    x_mmse = mmse_detect(inst, r, slots, cfg, stack) if seeds_mmse else None
+    x_mmse = np.concatenate([
+        mmse_detect(inst, r[rows], slots, cfg0,
+                    dataclasses.replace(stack, e_values=stack.e_values[rows]))
+        for inst, rows in zip(insts, point)]) if seeds_mmse else None
     outputs = {"exhaustive": stack.e_values.argmin(axis=1), "mmse": x_mmse}
     first_hits = []
     if gas:
         arms, x0 = [], []
-        for di, det in gas:
-            arm = GAS_DETECTORS[det]
-            arms.append((_gas_params(spec, arm, inst, ymvd, None),
-                         streams.substream(cfg.seed, streams.GAS, trial, di), cfg.T_D))
-            x0.append(x_mmse if arm.get("threshold") == "mmse" else np.full(cfg.T_D, -1))
-        runs = np.tile(slots, len(gas))
+        for inst, ymvd, rows in zip(insts, ymvds, point):
+            for di, det in gas:
+                arm = GAS_DETECTORS[det]
+                arms.append((_gas_params(spec, arm, inst, ymvd, None),
+                             streams.substream(cfg0.seed, streams.GAS, trial, di), n_slots))
+                x0.append(x_mmse[rows] if arm.get("threshold") == "mmse"
+                          else np.full(n_slots, -1))
+        runs = np.repeat(np.arange(n_snr * n_slots).reshape(n_snr, n_slots), len(gas),
+                         axis=0).ravel()
         batch = run_gas_batch(stack, runs, arms, x0=np.concatenate(x0),
                               oracle_min=stack.e_values.min(axis=1)[runs])
-        finals = batch.final.reshape(len(gas), cfg.T_D)
-        qd_hit = np.where(batch.converged, batch.hit_qd, math.inf).reshape(len(gas), cfg.T_D)
+        finals = batch.final.reshape(n_snr, len(gas), n_slots)
+        qd_hit = np.where(batch.converged, batch.hit_qd, math.inf).reshape(finals.shape)
         for j, (di, det) in enumerate(gas):
-            outputs[di] = finals[j]
-            first_hits.append((det, qd_hit[j]))
+            outputs[di] = finals[:, j].ravel()
+            first_hits.extend(((si, det), qd_hit[si, j]) for si in range(n_snr))
     ordinals = np.stack([outputs[di if det in GAS_DETECTORS else det]
                          for di, det in enumerate(detectors)])
+    ordinals = ordinals.reshape(len(detectors), n_snr, n_slots).swapaxes(0, 1)
     return bits_true, stack.assignment(ordinals)[..., :reg.n_b], first_hits
 
 
@@ -427,15 +456,14 @@ def solve_single(spec: ExperimentSpec,
         raise ConfigError(f"solve does not take --dump-state on backend {spec.backend!r}")
     reg = build_registry(cfg)
     inst = generate_instance(cfg, instance_id=0)
-    bits = random_payload_bits(cfg, 0, instance_id=0)
-    slot = received_slot(inst, cfg, 0, bits)
-    space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
+    r = received_slots(inst, cfg, [0], *slot_draws(cfg, [0], 0))
+    space = channel_spaces(inst, r, [0], cfg, W_STATE_REDUCED, reg)
     ymvd = y_mvd(MvdParams.from_config(cfg, spec.mvd_p))
-    backend = _gas_backend(spec, inst, slot.r, space)
+    params = _gas_params(spec, SOLVE_ARM, inst, ymvd, None)
+    backend = _gas_backend(spec, inst, r[0], space, params.y0, "solve, trial 0")
     if dump_state is not None:
         # little-endian complex128 is float64 re/im interleaved
         backend.prepared_state(ymvd).astype("<c16").tofile(dump_state)
-    params = _gas_params(spec, SOLVE_ARM, inst, ymvd, None)
     rng = streams.substream(cfg.seed, streams.GAS, 0, 0, 0)
     return space, run_gas(backend, params, rng, oracle_min=float(space.e_values.min()),
                           record=True)

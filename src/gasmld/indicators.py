@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import SystemConfig, generate_instance, random_payload_bits, received_slot
+from .channel import SystemConfig, generate_instance, received_slots, slot_draws
 from .gas import l_opt
 from .hubo import W_STATE_REDUCED, build_registry
 from .spaces import channel_spaces
@@ -141,9 +141,8 @@ def calibrate(cfg: SystemConfig, n_samples: int, P: float = 1e-3, id_offset: int
     scatter = {"c": [], "c1": [], "c2": [], "c_prime": []}
     for idx in range(id_offset, id_offset + n_samples):
         inst = generate_instance(cfg, instance_id=idx)
-        bits = random_payload_bits(cfg, 0, instance_id=idx)
-        slot = received_slot(inst, cfg, 0, bits)
-        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
+        r = received_slots(inst, cfg, [0], *slot_draws(cfg, [0], idx))
+        space = channel_spaces(inst, r, [0], cfg, W_STATE_REDUCED, reg)
         ns = int(np.count_nonzero(space.e_values < y))
         if ns == 0:
             continue

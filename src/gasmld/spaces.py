@@ -132,13 +132,14 @@ def channel_spaces(inst: ChannelInstance, r: np.ndarray, ts, cfg: SystemConfig,
         raise ValueError("spaces are built for the solver path (parity fixed)")
     M, taud, N = cfg.M, cfg.taud, cfg.N
     weights = _key_weights(reg)
-    phases = np.array([delay_phases(inst, t, taud) for t in ts])   # (T, M, taud)
+    ts = np.asarray(ts)
+    phases = delay_phases(inst, ts, taud)                           # (T, M, taud)
 
     n_bbits = 1 if cfg.modulation == PSK2 else 2
     bit_combos = np.array(np.meshgrid(*([[0, 1]] * n_bbits), indexing="ij"),
                           dtype=np.uint8).reshape(n_bbits, -1).T  # (2^n_bbits, n_bbits)
     # one symbol per combo and slot, (T, 2^n_bbits)
-    sym = np.array([map_symbols(cfg.modulation, t, bit_combos.ravel()) for t in ts])
+    sym = map_symbols(cfg.modulation, ts, bit_combos.reshape(1, -1).repeat(ts.size, axis=0))
 
     contribs = []
     idx_parts = []

@@ -99,7 +99,7 @@ def mmse_estimates(inst: ChannelInstance, r: np.ndarray, ts,
     a system be exactly singular, the whole stack takes the pseudo-inverse.
     """
     M, taud = cfg.M, cfg.taud
-    phases = np.array([delay_phases(inst, t, taud) for t in ts])           # (T, M, taud)
+    phases = delay_phases(inst, ts, taud)                                  # (T, M, taud)
     combos = np.array(list(itertools.product(range(taud), repeat=M)))
     # C order, as one slot's stack is: matmul's bits depend on the memory layout
     factors = np.ascontiguousarray(phases[:, np.arange(M), combos])       # (T, C, M)
@@ -127,7 +127,7 @@ def mmse_detect(inst: ChannelInstance, r: np.ndarray, ts, cfg: SystemConfig,
     combos, s_hat = mmse_estimates(inst, r, ts, cfg)
     n_slots, n_combos = s_hat.shape[:2]
     if cfg.modulation == PSK2:
-        base = np.array([psk2_base(t) for t in ts])
+        base = psk2_base(np.asarray(ts))
         bits = np.real(np.conj(base)[:, None, None] * s_hat) < 0
     else:
         bits = np.stack([np.real(s_hat) < 0, np.imag(s_hat) < 0], axis=3)

@@ -10,6 +10,9 @@
 - Generic polynomial objectives: evaluation at an assignment, per-order
   term counts, values over every key index, search spaces built from them,
   and the coefficient-sum value-register width.
+- The per-slot channel model: one slot's payload bits, noise and received
+  vector, drawn and computed slot by slot as channel.slot_draws and
+  channel.received_slots do for many slots at once.
 - Small helpers: the first argmin ordinal, the binned L_opt spread of
   criterion 10 and reading a saved calibration table back.
 
@@ -30,11 +33,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from gasmld import streams
+from gasmld.channel import PSK2, ChannelInstance, SystemConfig, _cn
 from gasmld.errors import CapacityError
 from gasmld.gas import MAX_QUBITS, check_value_range, register_width, value_scale
 from gasmld.hubo import HADAMARD_FULL, W_STATE_REDUCED, HuboPolynomial, VarRegistry
@@ -42,6 +47,49 @@ from gasmld.indicators import CalibrationTable
 from gasmld.spaces import MAX_ENUMERABLE, SpaceStack, _broadcast_sum, _key_weights
 
 _SQRT_HALF = math.sqrt(0.5)
+
+
+# --- the per-slot channel model ----------------------------------------------
+
+@dataclass(frozen=True)
+class ReceivedSlot:
+    t: int
+    r: np.ndarray
+    b_true: np.ndarray = field(repr=False)
+
+
+def noise_realization(inst: ChannelInstance, t: int):
+    """(v, e) of slot t, e scaled to the instance's estimation-error variance."""
+    rng_v = streams.substream(inst.seed, streams.NOISE, inst.instance_id, t)
+    rng_e = streams.substream(inst.seed, streams.EST_ERR, inst.instance_id, t)
+    n = inst.H_true.shape[0]
+    v = _cn(rng_v, n)
+    e = np.sqrt(inst.est_err_var) * _cn(rng_e, n)
+    return v, e
+
+
+def random_payload_bits(cfg: SystemConfig, t: int, instance_id: int = 0) -> np.ndarray:
+    rng = streams.substream(cfg.seed, streams.PAYLOAD, instance_id, t)
+    return rng.integers(0, 2, size=cfg.bits_per_slot).astype(np.uint8)
+
+
+def received_slot(inst: ChannelInstance, cfg: SystemConfig, t: int, b_true) -> ReceivedSlot:
+    """Received vector r = H D s + sigma_v v + e for one payload slot."""
+    b_true = np.asarray(b_true, dtype=np.uint8)
+    if b_true.shape != (cfg.bits_per_slot,):
+        raise ValueError(f"expected {cfg.bits_per_slot} payload bits, got {b_true.shape}")
+    if t < 0:
+        raise ValueError("slot index must be >= 0")
+    if cfg.modulation == PSK2:
+        phase = np.exp(1j * np.pi * (t % 2) / 2.0) * (1.0 + 1.0j) * np.sqrt(0.5)
+        s = phase * (1.0 - 2.0 * b_true.astype(float))
+    else:
+        b = b_true.reshape(-1, 2).astype(float)
+        s = ((1.0 - 2.0 * b[:, 0]) + 1j * (1.0 - 2.0 * b[:, 1])) * np.sqrt(0.5)
+    d_phase = np.exp(1j * 2.0 * np.pi * inst.f_true * (t - inst.delays))
+    v, e = noise_realization(inst, t)
+    r = inst.H_true @ (d_phase * s) + inst.sigma_v * v + e
+    return ReceivedSlot(t=t, r=r, b_true=b_true)
 
 
 # --- generic polynomial objectives -------------------------------------------

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from gasmld import streams
-from gasmld.channel import (PSK2, QPSK, SystemConfig, generate_instance,
-                            random_payload_bits, received_slot)
+from gasmld.channel import PSK2, QPSK, SystemConfig, generate_instance
 from gasmld.gas import (AmplitudeBackend, CircuitBackend, GasParams, l_opt,
                         restart_iterations, run_gas, success_probability)
 from gasmld.gates import cku_g_costs, g_prop, g_ug_total, table1_counts
@@ -24,7 +23,8 @@ from gasmld.hubo import (HADAMARD_FULL, W_STATE_REDUCED, HuboPolynomial, build_h
 from gasmld.indicators import (all_indicators, calibrate, indicator_c, indicator_c_prime,
                                select_lmin, select_lmin_conventional)
 from gasmld.spaces import channel_spaces
-from oracles import binned_spread, choose_qv, from_polynomial, term_counts_by_order
+from oracles import (binned_spread, choose_qv, from_polynomial, random_payload_bits, received_slot,
+                     term_counts_by_order)
 from gasmld.thresholds import MvdParams, mvd_rate, regularized_gamma_q, y_mvd
 
 SEED = 2028  # experiment seed: no threshold-failure trials in criteria 1, 3, 4

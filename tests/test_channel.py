@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from gasmld.channel import (PSK2, QPSK, SystemConfig, delay_phases, generate_instance,
-                            map_symbols, noise_realization, objective_direct,
-                            random_payload_bits, received_slot)
+                            map_symbols, objective_direct, received_slots, slot_draws)
+from oracles import noise_realization, random_payload_bits, received_slot
 
 
 def cfg_small(**over):
@@ -155,6 +155,33 @@ def test_objective_antenna_permutation_invariance():
         objective_direct(inst_p, slot.r[perm], 0, b, d), rel=1e-12)
 
 
+@pytest.mark.parametrize("over", [{"modulation": PSK2}, {"modulation": QPSK},
+                                  {"modulation": PSK2, "T_P": 0}],
+                         ids=["psk2", "qpsk", "tp0"])
+def test_received_slots_match_the_per_slot_reference(over):
+    # many slots in one call, bit for bit the slot-by-slot model
+    cfg = cfg_small(seed=12, tau_max=2, **over)
+    inst = generate_instance(cfg, instance_id=3)
+    ts = np.arange(9)
+    bits, v, e = slot_draws(cfg, ts, 3)
+    r = received_slots(inst, cfg, ts, bits, v, e)
+    for t in ts:
+        assert np.array_equal(bits[t], random_payload_bits(cfg, t, instance_id=3))
+        assert r[t].tobytes() == received_slot(inst, cfg, t, bits[t]).r.tobytes()
+    # and one row at a time
+    assert received_slots(inst, cfg, [5], *slot_draws(cfg, [5], 3)).tobytes() == r[5].tobytes()
+
+
+def test_received_slots_rejects_bad_input():
+    cfg = cfg_small()
+    inst = generate_instance(cfg)
+    bits, v, e = slot_draws(cfg, [0, 1], 0)
+    with pytest.raises(ValueError):
+        received_slots(inst, cfg, [0], bits, v, e)
+    with pytest.raises(ValueError):
+        received_slots(inst, cfg, [0, -1], bits, v, e)
+
+
 def test_received_slot_deterministic():
     cfg = cfg_small(seed=9)
     inst = generate_instance(cfg, instance_id=4)
@@ -183,3 +210,7 @@ def test_delay_phases_table():
     tab = delay_phases(inst, 4, cfg.taud)
     assert tab.shape == (cfg.M, 3)
     assert tab[1, 2] == pytest.approx(np.exp(1j * 2 * np.pi * inst.f_est[1] * (4 - 2)))
+    # an array of slots gives each slot's table, bit for bit
+    many = delay_phases(inst, np.arange(9), cfg.taud)
+    each = np.stack([delay_phases(inst, t, cfg.taud) for t in range(9)])
+    assert many.tobytes() == each.tobytes()

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gasmld.channel import (PSK2, QPSK, SystemConfig, generate_instance, random_payload_bits,
-                            received_slot)
+from gasmld.channel import PSK2, QPSK, SystemConfig, generate_instance
 from gasmld import harness, streams
 from gasmld.gas import (STOP_BUDGET_ITERATIONS, STOP_BUDGET_ROTATIONS, STOP_OPTIMUM,
                         AmplitudeBackend, CircuitBackend, GasParams, l_opt,
@@ -14,7 +13,8 @@ from gasmld.hubo import (HADAMARD_FULL, W_STATE_REDUCED, HuboPolynomial, build_h
                          build_registry)
 from gasmld.spaces import SpaceStack, channel_spaces
 from gasmld.thresholds import MvdParams, mmse_detect, y_mvd
-from oracles import GroverCircuit, argmin_ordinal, evaluate, from_polynomial
+from oracles import (GroverCircuit, argmin_ordinal, evaluate, from_polynomial, random_payload_bits,
+                     received_slot)
 
 FIG2_TERMS = {(0,): 1.0, (1, 2): -3.0, (0, 1, 2): 1.0}
 

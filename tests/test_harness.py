@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 
 from gasmld import cli, harness
-from gasmld.channel import generate_instance, objective_direct, random_payload_bits, received_slot
+from gasmld.channel import generate_instance, objective_direct
 from gasmld.errors import ConfigError
 from gasmld.gas import run_gas, run_gas_batch
 from gasmld.hubo import W_STATE_REDUCED, build_hubo, build_registry
 from gasmld.harness import (ExperimentSpec, fmt, load_spec, run_ber, run_calibration,
                             run_gate_count, run_query_cdf, solve_single, write_csv)
 from gasmld.thresholds import MvdParams, y_mvd
-from oracles import GroverCircuit
+from oracles import GroverCircuit, random_payload_bits, received_slot
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -143,11 +143,33 @@ class TestQueryCdf:
         assert a.read_bytes() == b.read_bytes()
 
     def test_converged_runs_match_exhaustive(self):
-        from gasmld.channel import generate_instance, random_payload_bits, received_slot
+        from gasmld.channel import generate_instance
+        from oracles import random_payload_bits, received_slot
         from gasmld.hubo import W_STATE_REDUCED, build_registry
         spec = small_cdf_spec(trials=6, seed=9)
         rows = run_query_cdf(spec)
         assert any(conv for *_, conv in rows)
+
+
+class TestFixedValueRegister:
+    def test_too_narrow_q_v_is_a_config_error_before_any_search(self, tmp_path, monkeypatch,
+                                                                capsys):
+        # the hadamard-full arm's values at trial 0 span about 144, beyond
+        # the 8-qubit window of 128; the w-state arm ahead of it never runs
+        config = {"name": "narrow", "cfg": {"N": 2, "M": 2, "tau_max": 2, "seed": 33},
+                  "trials": 3, "gas": {"backend": "circuit", "q_v": 8},
+                  "variants": [{"name": "w-mvd", "threshold": "mvd"},
+                               {"name": "full-mvd", "prep": "hadamard-full",
+                                "threshold": "mvd"}]}
+        path = tmp_path / "narrow.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        calls = []
+        monkeypatch.setattr(harness, "run_gas", lambda *a, **k: calls.append(a))
+        assert cli.main(["query-cdf", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "variant 'full-mvd', trial 0" in err and "q_v >= 9" in err
+        assert calls == [] and not out.exists()
 
 
 class TestCircuitConvergence:
@@ -201,9 +223,22 @@ class TestBer:
         assert (det, snr, runs) == ("gas-mvd", 20.0, 3 * 6)
         assert 0 <= censored <= runs and median >= 0
 
+    def test_snr_points_are_independent(self):
+        # a trial's SNR points share one batch; each row must equal the
+        # row of a run at that SNR point alone
+        config = {"cfg": {"N": 2, "M": 3, "tau_max": 1, "T_D": 6, "seed": 17},
+                  "trials": 2,
+                  "detectors": ["exhaustive", "mmse", "gas-mvd", "gas-mmse", "gas-rand"]}
+        rows, rotations = run_ber(load_spec({**config, "snr_sweep": [10.0, 15.0, 20.0]}))
+        alone = [run_ber(load_spec({**config, "snr_sweep": [snr]})) for snr in (10.0, 15.0, 20.0)]
+        assert rows == sorted((r for one, _ in alone for r in one), key=lambda r: (r[0], r[1]))
+        assert rotations == sorted((r for _, one in alone for r in one),
+                                   key=lambda r: (r[0], r[1]))
+
     def test_cd_qd_bookkeeping(self):
         # CD queries never exceed rotations plus zero-rotation iterations
-        from gasmld.channel import SystemConfig, generate_instance, random_payload_bits, received_slot
+        from gasmld.channel import SystemConfig, generate_instance
+        from oracles import random_payload_bits, received_slot
         from gasmld.gas import AmplitudeBackend, GasParams, run_gas
         from gasmld.hubo import W_STATE_REDUCED, build_registry
         from gasmld.spaces import channel_spaces

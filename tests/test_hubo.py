@@ -3,12 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from gasmld.channel import (PSK2, QPSK, SystemConfig, generate_instance,
-                            objective_direct, random_payload_bits, received_slot)
+from gasmld.channel import PSK2, QPSK, SystemConfig, generate_instance, objective_direct
 from gasmld.hubo import (HADAMARD_FULL, W_STATE_REDUCED, HuboPolynomial, Var, build_hubo,
                          build_registry)
 from gasmld.spaces import channel_spaces
-from oracles import evaluate, from_polynomial, term_counts_by_order
+from oracles import (evaluate, from_polynomial, random_payload_bits, received_slot,
+                     term_counts_by_order)
 
 
 def make_problem(N=2, M=2, tau_max=1, modulation=PSK2, seed=3, t=0, snr_db=20.0,

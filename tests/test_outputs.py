@@ -1,12 +1,13 @@
 """Pinned bytes of the fast CLI outputs.
 
 Each case runs one subcommand in-process through cli.main on a shipped
-config and compares the sha256 of what it writes.  A change that alters an
-output on purpose updates the pin here and records the old and new digests
-in CHANGES.md.
+config, or on a config written out from a dict, and compares the sha256 of
+what it writes.  A change that alters an output on purpose updates the pin
+here and records the old and new digests in CHANGES.md.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,14 @@ import pytest
 from gasmld import cli
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+# the QPSK path of ber: two SNR points in one batch per trial, every detector
+QPSK_BER = {"name": "qpsk-ber",
+            "cfg": {"N": 2, "M": 2, "tau_max": 1, "modulation": "qpsk", "T_P": 64, "T_D": 4,
+                    "seed": 2027},
+            "trials": 2, "snr_sweep": [10.0, 20.0],
+            "detectors": ["exhaustive", "mmse", "gas-mvd", "gas-mmse", "gas-rand"]}
 
 
 def sha256(data: bytes) -> str:
@@ -29,6 +38,11 @@ def sha256(data: bytes) -> str:
             "1adf35a0f67cb4913b9a179a699dc74bbc29d39e440f7e37c8cd3a5fa7000c3c",
         "threshold-comparison_ber_rotations.csv":
             "7f6d833fe46eba8711af2d97d21464dd3fbc8e9430d3f3f82dfae1877f2aaeef"}),
+    ("ber", QPSK_BER, (), {
+        "qpsk-ber_ber.csv":
+            "0a0e36eee84be5a5d8b694053e2a8bc9b841ece0b892fcfafb71adb48d951801",
+        "qpsk-ber_ber_rotations.csv":
+            "0fcdcd1c0808947f2ef15be5e7a4b6a5c3ff5bc3e9df93cb67ab18cb014d6106"}),
     # the mvd threshold, restart and all three lmin arms
     ("query-cdf", "query_cdf_lmin.json", ("--trials", "10"), {
         "rotation-lower-bound_query_cdf.csv":
@@ -47,11 +61,15 @@ def sha256(data: bytes) -> str:
     ("gate-count", "gate_count.json", (), {
         "gate-budget_gate_count.json":
             "574ef14839c4cf4a31ae489da7e53fe8f053e3976d4ad140a1f11535d8cada5d"}),
-], ids=["query-cdf", "ber", "query-cdf-lmin", "query-cdf-lmin-circuit", "calibrate",
-        "gate-count"])
+], ids=["query-cdf", "ber", "ber-qpsk", "query-cdf-lmin", "query-cdf-lmin-circuit",
+        "calibrate", "gate-count"])
 def test_written_file(tmp_path, capsys, command, config, extra, digests):
-    code = cli.main([command, "--config", str(CONFIG_DIR / config), *extra,
-                     "--out", str(tmp_path)])
+    if isinstance(config, dict):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+    else:
+        path = CONFIG_DIR / config
+    code = cli.main([command, "--config", str(path), *extra, "--out", str(tmp_path)])
     capsys.readouterr()
     assert code == 0
     assert {name: sha256((tmp_path / name).read_bytes()) for name in digests} == digests

@@ -3,14 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from gasmld.channel import (PSK2, QPSK, SystemConfig, generate_instance,
-                            objective_direct, random_payload_bits, received_slot)
+from gasmld.channel import PSK2, QPSK, SystemConfig, generate_instance, objective_direct
 from gasmld.errors import CapacityError
 from gasmld.gas import AmplitudeBackend, GasParams, run_gas_batch
 from gasmld.hubo import HADAMARD_FULL, W_STATE_REDUCED, build_hubo, build_registry
 from gasmld import spaces
 from gasmld.spaces import SpaceStack, channel_spaces
-from oracles import argmin_ordinal, evaluate, from_polynomial, poly_values_over_keys
+from oracles import (argmin_ordinal, evaluate, from_polynomial, poly_values_over_keys,
+                     random_payload_bits, received_slot)
 
 
 def make(N=2, M=2, tau_max=1, modulation=PSK2, seed=3, t=0, **over):

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from gasmld.channel import SystemConfig, generate_instance, random_payload_bits, received_slot
+from gasmld.channel import SystemConfig, generate_instance
 from gasmld.errors import CapacityError
 from gasmld.gas import CircuitBackend, channel_bound, check_value_range, register_width
 from gasmld.hubo import (HADAMARD_FULL, W_STATE_REDUCED, HuboPolynomial, build_hubo,
                          build_registry)
 from oracles import (GroverCircuit, _apply_encoding, _apply_encoding_dagger, choose_qv,
                      from_polynomial, poly_values_over_keys, prepare_initial,
-                     reflect_about_zero, w_block_unitary, w_cascade_angles)
+                     random_payload_bits, received_slot, reflect_about_zero, w_block_unitary,
+                     w_cascade_angles)
 
 FIG2_POLY = HuboPolynomial(n_vars=3, constant=2.0,
                            terms={(0,): 1.0, (1, 2): -3.0, (0, 1, 2): 1.0})

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from gasmld.channel import (PSK2, QPSK, SystemConfig, generate_instance, map_symbols,
-                            noise_realization, objective_direct, random_payload_bits,
-                            received_slot)
+                            objective_direct)
 from gasmld.hubo import W_STATE_REDUCED, build_hubo, build_registry
 from gasmld.spaces import SpaceStack, channel_spaces
 from gasmld.thresholds import (MvdParams, mmse_detect, mmse_estimates, mvd_rate,
                                regularized_gamma_q, y_mvd)
-from oracles import evaluate
+from oracles import evaluate, noise_realization, random_payload_bits, received_slot
 
 
 class TestGammaQ:
