@@ -3,11 +3,12 @@
 A search space is the set of key assignments a state preparation can reach,
 together with the objective value of every assignment.  Values factor per
 user, so the full table is assembled by broadcasting per-user contribution
-tables over the product space instead of looping over assignments.
-channel_spaces is the one builder and SpaceStack the one space type: the
-tables of many slots of one instance share one enumeration, and a single
-slot is a stack of one row.  Both GAS engines search a stack's rows through
-its one lazily built per-row sort.
+tables over the product space, the full-table passes running along its long
+axis, instead of looping over assignments.  channel_spaces is the one builder
+and SpaceStack the one space type: the tables of many slots of one instance
+share one enumeration and one read-only key-index table, and a single slot
+is a stack of one row.  Both GAS engines search a stack's rows through its
+one lazily built per-row sort.
 
 Key index convention: registry variable i maps to bit weight 2^(q_k - 1 - i),
 i.e. variable 0 is the most significant bit of the integer key index, the
@@ -17,11 +18,11 @@ key register's qubit order in the circuit (gas.CircuitBackend).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
-from .channel import PSK2, ChannelInstance, SystemConfig, delay_phases, map_symbols
+from .channel import ChannelInstance, SystemConfig, delay_phases, map_symbols
 from .errors import CapacityError
 from .hubo import HADAMARD_FULL, W_STATE_REDUCED, VarRegistry
 
@@ -108,13 +109,43 @@ def _key_weights(reg: VarRegistry) -> np.ndarray:
 
 
 def _broadcast_sum(parts: list[np.ndarray]) -> np.ndarray:
-    """Sum per-user tables (slots, choices, *rest) over the product space
-    of the choices, giving (slots, product of the choices, *rest)."""
+    """Sum per-user tables (*lead, choices) over the product space of the
+    choices, giving (*lead, product of the choices), user 0 most significant."""
     acc = parts[0]
     for p in parts[1:]:
-        acc = acc[:, :, None] + p[:, None]
-        acc = acc.reshape(acc.shape[0], -1, *acc.shape[3:])
+        acc = (acc[..., :, None] + p[..., None, :]).reshape(*acc.shape[:-1], -1)
     return acc
+
+
+def _local_choices(reg: VarRegistry, prep: str) -> tuple[np.ndarray, np.ndarray]:
+    """One user's payload bits (2^n_bbits, n_bbits), most significant first,
+    and delay choices (choices, taud), one-hot or (hadamard-full) all of them."""
+    n_bbits = reg.n_b // reg.M
+    bits = np.array(np.meshgrid(*([[0, 1]] * n_bbits), indexing="ij"),
+                    dtype=np.uint8).reshape(n_bbits, -1).T
+    if prep == W_STATE_REDUCED:
+        return bits, np.eye(reg.taud, dtype=np.uint64)
+    if prep == HADAMARD_FULL:
+        masks = np.arange(1 << reg.taud, dtype=np.uint64)
+        return bits, (masks[:, None] >> np.arange(reg.taud, dtype=np.uint64)) & np.uint64(1)
+    raise ValueError(f"unknown preparation {prep!r}")
+
+
+@cache
+def _key_table(reg: VarRegistry, prep: str) -> np.ndarray:
+    """Key index per state ordinal, read-only: it depends only on the
+    registry and the preparation, so every stack of the pair shares it."""
+    bits, sel = _local_choices(reg, prep)
+    n_total = (len(bits) * len(sel)) ** reg.M
+    if n_total > MAX_ENUMERABLE:
+        raise CapacityError(f"search space of {n_total} states exceeds {MAX_ENUMERABLE}")
+    w = _key_weights(reg)
+    key = _broadcast_sum([
+        ((bits.astype(np.uint64) @ w[[reg.b_position(m, s) for s in range(bits.shape[1])]])[:, None]
+         + sel @ w[[reg.d_position(m, k) for k in range(reg.taud)]]).reshape(-1)
+        for m in range(reg.M)])
+    key.flags.writeable = False
+    return key
 
 
 def channel_spaces(inst: ChannelInstance, r: np.ndarray, ts, cfg: SystemConfig,
@@ -122,61 +153,47 @@ def channel_spaces(inst: ChannelInstance, r: np.ndarray, ts, cfg: SystemConfig,
     """Build the spaces of slots ts, r[i] received in slot ts[i], directly
     from the matrix model (fast path).
 
-    Per user the contribution to H D s is a small table over that user's
-    local choices, built for every slot by one einsum; the objective over
-    the whole product space follows by broadcasting.  Every float operation
-    is the same per slot whatever the number of slots, so a row does not
-    depend on the slots stacked with it.
+    Per user the contribution to H D s is a small antenna-leading table
+    (N, slots, choices), one einsum for all slots.  The users but the last
+    are broadcast-summed into a prefix table; per antenna the full-table
+    passes (the last add, r - total, abs()**2, the antenna sum) run on
+    (slots, last choices, prefix), along the long prefix axis, and one
+    transpose of the real table restores the ordinal order.  Each state
+    still computes r - (((p0 + p1) + p2) + p3), its squared modulus and the
+    sum in antenna order, so only the layout differs, not the bits; and no
+    float operation depends on the number of slots, so neither does a row.
     """
     if reg.n_c:
         raise ValueError("spaces are built for the solver path (parity fixed)")
-    M, taud, N = cfg.M, cfg.taud, cfg.N
-    weights = _key_weights(reg)
+    key_idx = _key_table(reg, prep)
     ts = np.asarray(ts)
-    phases = delay_phases(inst, ts, taud)                           # (T, M, taud)
-
-    n_bbits = 1 if cfg.modulation == PSK2 else 2
-    bit_combos = np.array(np.meshgrid(*([[0, 1]] * n_bbits), indexing="ij"),
-                          dtype=np.uint8).reshape(n_bbits, -1).T  # (2^n_bbits, n_bbits)
-    # one symbol per combo and slot, (T, 2^n_bbits)
-    sym = map_symbols(cfg.modulation, ts, bit_combos.reshape(1, -1).repeat(ts.size, axis=0))
-
-    contribs = []
-    idx_parts = []
-    for m in range(M):
-        h = inst.H_est[:, m]
+    N, T = cfg.N, ts.size
+    phases = delay_phases(inst, ts, cfg.taud)                       # (T, M, taud)
+    bits, sel = _local_choices(reg, prep)
+    # one symbol per bit choice and slot, (T, 2^n_bbits)
+    sym = map_symbols(cfg.modulation, ts, bits.reshape(1, -1).repeat(T, axis=0))
+    tables = []
+    for m in range(cfg.M):
         if prep == W_STATE_REDUCED:
             d_factors = phases[:, m]                               # (T, taud)
-            d_idx = weights[[reg.d_position(m, k) for k in range(taud)]]
-        elif prep == HADAMARD_FULL:
-            masks = np.arange(1 << taud, dtype=np.uint64)
-            shifts = np.arange(taud, dtype=np.uint64)
-            sel = ((masks[:, None] >> shifts[None, :]) & np.uint64(1)).astype(float)
-            d_factors = np.stack([sel @ ph[m] for ph in phases])  # (T, 2^taud)
-            d_idx = sel.astype(np.uint64) @ weights[[reg.d_position(m, k) for k in range(taud)]]
         else:
-            raise ValueError(f"unknown preparation {prep!r}")
-        b_idx = bit_combos.astype(np.uint64) @ weights[[reg.b_position(m, s) for s in range(n_bbits)]]
-        local = np.einsum("tb,td,n->tbdn", sym, d_factors, h).reshape(len(phases), -1, N)
-        local_idx = (b_idx[:, None] + d_idx[None, :]).reshape(-1)
-        contribs.append(local)
-        idx_parts.append(local_idx)
-
-    n_total = 1
-    for c in contribs:
-        n_total *= c.shape[1]
-    if n_total > MAX_ENUMERABLE:
-        raise CapacityError(f"search space of {n_total} states exceeds {MAX_ENUMERABLE}")
-
-    residual = np.asarray(r)[:, None, :] - _broadcast_sum(contribs)
-    # summed column by column in antenna order: the same bits as a sum over
-    # the antenna axis for N < 8, where numpy's pairwise reduction is still
-    # sequential
-    e = np.abs(residual[..., 0]) ** 2
-    for n in range(1, N):
-        e += np.abs(residual[..., n]) ** 2
-    key_idx = _broadcast_sum([p[None, :] for p in idx_parts])[0]
-    return SpaceStack(reg=reg, prep=prep, e_values=e, key_indices=key_idx)
+            d_factors = np.stack([sel @ ph[m] for ph in phases])  # (T, 2^taud)
+        local = np.einsum("tb,td,n->ntbd", sym, d_factors, inst.H_est[:, m], order="C")
+        tables.append(local.reshape(N, T, -1))
+    # the sum over no users is zero: a one-choice prefix when M = 1
+    prefix = _broadcast_sum(tables[:-1]) if cfg.M > 1 else np.zeros((N, T, 1), complex)
+    r = np.asarray(r)
+    # one set of buffers for every antenna: fresh pages cost more than the sums
+    shape = (T, tables[-1].shape[-1], prefix.shape[-1])            # (T, C_last, prefix)
+    total, sq, e = np.empty(shape, complex), np.empty(shape), np.zeros(shape)
+    for n in range(N):
+        np.add(prefix[n][:, None, :], tables[-1][n][:, :, None], out=total)
+        np.subtract(r[:, n, None, None], total, out=total)
+        np.abs(total, out=sq)
+        sq **= 2
+        e += sq                                 # 0 + x is x: the sum in antenna order
+    return SpaceStack(reg=reg, prep=prep, key_indices=key_idx,
+                      e_values=e.transpose(0, 2, 1).reshape(T, key_idx.size))
 
 
 def channel_ordinals(stack: SpaceStack, b_bits: np.ndarray,

@@ -13,6 +13,9 @@
 - The per-slot channel model: one slot's payload bits, noise and received
   vector, drawn and computed slot by slot as channel.slot_draws and
   channel.received_slots do for many slots at once.
+- The reference value-table kernel: channel_spaces as it was before its
+  full-table passes ran along the long axis, laid out (slots, states,
+  antennas), which the new layout must match bit for bit.
 - Small helpers: the first argmin ordinal, the binned L_opt spread of
   criterion 10 and reading a saved calibration table back.
 
@@ -39,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from gasmld import streams
-from gasmld.channel import PSK2, ChannelInstance, SystemConfig, _cn
+from gasmld.channel import PSK2, ChannelInstance, SystemConfig, _cn, delay_phases, map_symbols
 from gasmld.errors import CapacityError
 from gasmld.gas import MAX_QUBITS, check_value_range, register_width, value_scale
 from gasmld.hubo import HADAMARD_FULL, W_STATE_REDUCED, HuboPolynomial, VarRegistry
@@ -90,6 +93,78 @@ def received_slot(inst: ChannelInstance, cfg: SystemConfig, t: int, b_true) -> R
     v, e = noise_realization(inst, t)
     r = inst.H_true @ (d_phase * s) + inst.sigma_v * v + e
     return ReceivedSlot(t=t, r=r, b_true=b_true)
+
+
+# --- the reference value-table kernel -----------------------------------------
+
+def _reference_broadcast_sum(parts: list[np.ndarray]) -> np.ndarray:
+    """Sum per-user tables (slots, choices, *rest) over the product space
+    of the choices, giving (slots, product of the choices, *rest)."""
+    acc = parts[0]
+    for p in parts[1:]:
+        acc = acc[:, :, None] + p[:, None]
+        acc = acc.reshape(acc.shape[0], -1, *acc.shape[3:])
+    return acc
+
+
+def reference_channel_values(inst: ChannelInstance, r: np.ndarray, ts, cfg: SystemConfig,
+                             prep: str, reg: VarRegistry) -> tuple[np.ndarray, np.ndarray]:
+    """(e_values, key_indices) of slots ts, r[i] received in slot ts[i], by
+    the (slots, states, antennas) kernel spaces.channel_spaces replaced.
+
+    Per user the contribution to H D s is a small table over that user's
+    local choices, built for every slot by one einsum; the objective over
+    the whole product space follows by broadcasting.
+    """
+    if reg.n_c:
+        raise ValueError("spaces are built for the solver path (parity fixed)")
+    M, taud, N = cfg.M, cfg.taud, cfg.N
+    weights = _key_weights(reg)
+    ts = np.asarray(ts)
+    phases = delay_phases(inst, ts, taud)                           # (T, M, taud)
+
+    n_bbits = 1 if cfg.modulation == PSK2 else 2
+    bit_combos = np.array(np.meshgrid(*([[0, 1]] * n_bbits), indexing="ij"),
+                          dtype=np.uint8).reshape(n_bbits, -1).T  # (2^n_bbits, n_bbits)
+    # one symbol per combo and slot, (T, 2^n_bbits)
+    sym = map_symbols(cfg.modulation, ts, bit_combos.reshape(1, -1).repeat(ts.size, axis=0))
+
+    contribs = []
+    idx_parts = []
+    for m in range(M):
+        h = inst.H_est[:, m]
+        if prep == W_STATE_REDUCED:
+            d_factors = phases[:, m]                               # (T, taud)
+            d_idx = weights[[reg.d_position(m, k) for k in range(taud)]]
+        elif prep == HADAMARD_FULL:
+            masks = np.arange(1 << taud, dtype=np.uint64)
+            shifts = np.arange(taud, dtype=np.uint64)
+            sel = ((masks[:, None] >> shifts[None, :]) & np.uint64(1)).astype(float)
+            d_factors = np.stack([sel @ ph[m] for ph in phases])  # (T, 2^taud)
+            d_idx = sel.astype(np.uint64) @ weights[[reg.d_position(m, k) for k in range(taud)]]
+        else:
+            raise ValueError(f"unknown preparation {prep!r}")
+        b_idx = bit_combos.astype(np.uint64) @ weights[[reg.b_position(m, s) for s in range(n_bbits)]]
+        local = np.einsum("tb,td,n->tbdn", sym, d_factors, h).reshape(len(phases), -1, N)
+        local_idx = (b_idx[:, None] + d_idx[None, :]).reshape(-1)
+        contribs.append(local)
+        idx_parts.append(local_idx)
+
+    n_total = 1
+    for c in contribs:
+        n_total *= c.shape[1]
+    if n_total > MAX_ENUMERABLE:
+        raise CapacityError(f"search space of {n_total} states exceeds {MAX_ENUMERABLE}")
+
+    residual = np.asarray(r)[:, None, :] - _reference_broadcast_sum(contribs)
+    # summed column by column in antenna order: the same bits as a sum over
+    # the antenna axis for N < 8, where numpy's pairwise reduction is still
+    # sequential
+    e = np.abs(residual[..., 0]) ** 2
+    for n in range(1, N):
+        e += np.abs(residual[..., n]) ** 2
+    key_idx = _reference_broadcast_sum([p[None, :] for p in idx_parts])[0]
+    return e, key_idx
 
 
 # --- generic polynomial objectives -------------------------------------------
@@ -148,7 +223,7 @@ def from_polynomial(poly: HuboPolynomial, reg: VarRegistry, prep: str) -> SpaceS
         parts = [b_idx]
         for m in range(reg.M):
             parts.append(weights[[reg.d_position(m, k) for k in range(reg.taud)]])
-        key_idx = _broadcast_sum([p[None, :] for p in parts])[0]
+        key_idx = _broadcast_sum(parts)
         e = e_full[key_idx]
     else:
         raise ValueError(f"unknown preparation {prep!r}")

@@ -10,7 +10,7 @@ from gasmld.hubo import HADAMARD_FULL, W_STATE_REDUCED, build_hubo, build_regist
 from gasmld import spaces
 from gasmld.spaces import SpaceStack, channel_spaces
 from oracles import (argmin_ordinal, evaluate, from_polynomial, poly_values_over_keys,
-                     random_payload_bits, received_slot)
+                     random_payload_bits, received_slot, reference_channel_values)
 
 
 def make(N=2, M=2, tau_max=1, modulation=PSK2, seed=3, t=0, **over):
@@ -257,21 +257,45 @@ class TestLazyOrder:
 
     @pytest.mark.parametrize("N", [1, 2, 3])
     @pytest.mark.parametrize("prep", [W_STATE_REDUCED, HADAMARD_FULL])
-    def test_values_match_axis_sum(self, N, prep, monkeypatch):
-        # the per-column sum equals numpy's axis-1 reduction bit for bit on
-        # the same signal table (the first broadcast sum, a stack of one slot)
-        tables = []
+    def test_values_match_axis_sum(self, N, prep):
+        # the value table and the key table equal, bit for bit, those of the
+        # reference kernel, which lays the full table out (slots, states,
+        # antennas) and sums the antenna axis column by column; whatever the
+        # intermediate layout, on every modulation, user count (one user has
+        # no prefix) and stack height
+        for modulation, M, rows in itertools.product([PSK2, QPSK], [1, 2, 3, 4], [1, 5]):
+            cfg, inst, _, reg = make(N=N, M=M, modulation=modulation, seed=14)
+            slots = np.arange(rows) + 1
+            r = np.stack([received_slot(inst, cfg, t, random_payload_bits(cfg, t)).r
+                          for t in slots])
+            stack = channel_spaces(inst, r, slots, cfg, prep, reg)
+            e, key_idx = reference_channel_values(inst, r, slots, cfg, prep, reg)
+            case = (modulation, M, rows)
+            assert stack.e_values.shape == e.shape, case
+            assert stack.e_values.tobytes() == e.tobytes(), case
+            assert stack.key_indices.tobytes() == key_idx.tobytes(), case
 
-        def recording(parts):
-            tables.append(broadcast_sum(parts))
-            return tables[-1]
 
-        broadcast_sum = spaces._broadcast_sum
-        monkeypatch.setattr(spaces, "_broadcast_sum", recording)
-        cfg, inst, slot, reg = make(N=N, M=3, seed=14)
-        space = channel_spaces(inst, slot.r[None], [0], cfg, prep, reg)
-        expect = np.sum(np.abs(slot.r[None, :] - tables[0][0]) ** 2, axis=1)
-        assert np.array_equal(space.e_values[0], expect)
+def test_key_table_shared_and_read_only():
+    # the key-index table depends only on (registry, preparation): calls of
+    # one pair share one array, which no caller can write
+    cfg, inst, slot, reg = make(M=3, modulation=QPSK, seed=19)
+    first = channel_spaces(inst, slot.r[None], [0], cfg, HADAMARD_FULL, reg)
+    again = channel_spaces(inst, 2.0 * slot.r[None], [1], cfg, HADAMARD_FULL, build_registry(cfg))
+    assert again.key_indices is first.key_indices
+    assert not first.key_indices.flags.writeable
+    with pytest.raises(ValueError):
+        first.key_indices[0] = 0
+    w_state = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
+    assert w_state.key_indices is not first.key_indices
+    assert not w_state.key_indices.flags.writeable
+    # the stack's decoders read the shared table
+    x = first.assignment(np.arange(first.n_states))
+    assert np.array_equal(x @ (1 << np.arange(reg.q_k - 1, -1, -1, dtype=np.uint64)),
+                          first.key_indices)
+    d = x[:, reg.d_position(0, 0):].reshape(-1, cfg.M, cfg.taud)
+    assert np.array_equal(first.one_hot, np.all(d.sum(axis=2) == 1, axis=1))
+    assert w_state.one_hot.all()
 
 
 class TestOrdinals:
