@@ -76,12 +76,17 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class ChannelInstance:
+    """One channel realization: coefficients H (N, M), frequency deviations
+    f and integer delays per user.
+
+    Transmission and detection use the same H and f: estimation error enters
+    only as the additive sqrt(est_err_var) e term of each received slot.
+    """
+
     seed: int
     instance_id: int
-    H_true: np.ndarray
-    H_est: np.ndarray
-    f_true: np.ndarray
-    f_est: np.ndarray
+    H: np.ndarray
+    f: np.ndarray
     delays: np.ndarray
     sigma_v: float
     est_err_var: float
@@ -93,11 +98,7 @@ def _cn(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def generate_instance(cfg: SystemConfig, instance_id: int = 0) -> ChannelInstance:
-    """Draw one channel realization: coefficients, delays, frequency offsets.
-
-    Detection-side knowledge carries no explicit estimate mismatch; the
-    estimation error is realized per slot through the additive e vector.
-    """
+    """Draw one channel realization: coefficients, delays, frequency offsets."""
     rng = streams.substream(cfg.seed, streams.CHANNEL, instance_id)
     H = _cn(rng, (cfg.N, cfg.M))
     delays = rng.integers(0, cfg.tau_max + 1, size=cfg.M)
@@ -105,10 +106,8 @@ def generate_instance(cfg: SystemConfig, instance_id: int = 0) -> ChannelInstanc
     return ChannelInstance(
         seed=cfg.seed,
         instance_id=instance_id,
-        H_true=H,
-        H_est=H.copy(),
-        f_true=f,
-        f_est=f.copy(),
+        H=H,
+        f=f,
         delays=delays,
         sigma_v=cfg.sigma_v,
         est_err_var=cfg.est_err_var,
@@ -127,21 +126,16 @@ def psk2_base(t):
     return _PSK2_BASES[t % 2]
 
 
-def map_symbols(modulation: str, t, bits: np.ndarray, c_bits=None) -> np.ndarray:
+def map_symbols(modulation: str, t, bits: np.ndarray) -> np.ndarray:
     """Bits -> symbols, M of them on the last axis.
 
     t is a slot index, or an array of them with one per row of bits (..., b).
-    For pi/2-BPSK the parity bit defaults to t mod 2 unless c_bits overrides
-    it. For QPSK bits are laid out (b_11, b_12, b_21, b_22, ...).
+    For pi/2-BPSK the parity bit is t mod 2. For QPSK bits are laid out
+    (b_11, b_12, b_21, b_22, ...).
     """
     bits = np.asarray(bits)
     if modulation == PSK2:
-        if c_bits is None:
-            phase = psk2_base(t)[..., None]
-        else:
-            c = np.asarray(c_bits).astype(float)
-            phase = np.exp(1j * np.pi * c / 2.0) * (1.0 + 1.0j) * _SQRT_HALF
-        return phase * (1.0 - 2.0 * bits.astype(float))
+        return psk2_base(t)[..., None] * (1.0 - 2.0 * bits.astype(float))
     b = bits.reshape(*bits.shape[:-1], -1, 2).astype(float)
     return ((1.0 - 2.0 * b[..., 0]) + 1j * (1.0 - 2.0 * b[..., 1])) * _SQRT_HALF
 
@@ -184,23 +178,23 @@ def received_slots(inst: ChannelInstance, cfg: SystemConfig, ts, bits, v, e) -> 
     if (ts < 0).any():
         raise ValueError("slot index must be >= 0")
     s = map_symbols(cfg.modulation, ts, bits)
-    d_phase = np.exp(1j * 2.0 * np.pi * inst.f_true * (ts[:, None] - inst.delays))
-    hds = (inst.H_true @ (d_phase * s)[..., None])[..., 0]
+    d_phase = np.exp(1j * 2.0 * np.pi * inst.f * (ts[:, None] - inst.delays))
+    hds = (inst.H @ (d_phase * s)[..., None])[..., 0]
     return hds + inst.sigma_v * v + np.sqrt(inst.est_err_var) * e
 
 
 def delay_phases(inst: ChannelInstance, t, taud: int) -> np.ndarray:
-    """Estimated per-user phase factors e^{j 2 pi f_hat (t - k)}, shape
+    """Per-user phase factors e^{j 2 pi f (t - k)}, shape
     (M, taud) for a slot index t and (T, M, taud) for an array of T of them.
 
     Column k is the factor multiplying the k-th delay indicator bit.
     """
     k = np.arange(taud)
-    return np.exp(1j * 2.0 * np.pi * inst.f_est[:, None] * (np.asarray(t)[..., None, None] - k))
+    return np.exp(1j * 2.0 * np.pi * inst.f[:, None] * (np.asarray(t)[..., None, None] - k))
 
 
-def objective_direct(inst: ChannelInstance, r: np.ndarray, t: int, b, d, c=None) -> float:
-    """Squared-residual objective || r - H_est D s ||_F^2.
+def objective_direct(inst: ChannelInstance, r: np.ndarray, t: int, b, d) -> float:
+    """Squared-residual objective || r - H D s ||_F^2.
 
     d is a flat (M * taud) 0/1 vector and need not be one-hot: D_m is the
     literal sum of the selected phase factors (zero when no bit is set).
@@ -208,12 +202,12 @@ def objective_direct(inst: ChannelInstance, r: np.ndarray, t: int, b, d, c=None)
     d_len = np.asarray(d).size
     b = np.asarray(b)
     d = np.asarray(d, dtype=float)
-    M = inst.H_est.shape[1]
+    M = inst.H.shape[1]
     taud = d_len // M
     if M * taud != d_len:
         raise ValueError("delay bit vector length is not a multiple of M")
     D = np.sum(delay_phases(inst, t, taud) * d.reshape(M, taud), axis=1)
     modulation = PSK2 if b.size == M else QPSK
-    s = map_symbols(modulation, t, b, c_bits=c)
-    resid = r - inst.H_est @ (D * s)
+    s = map_symbols(modulation, t, b)
+    resid = r - inst.H @ (D * s)
     return float(np.sum(np.abs(resid) ** 2))

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import spaces
 from .errors import CapacityError
-from .hubo import HADAMARD_FULL
+from .spaces import HADAMARD_FULL
 
 LMIN_ZERO = "zero"
 LMIN_CONVENTIONAL_C = "conventional-c"

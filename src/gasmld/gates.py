@@ -25,8 +25,10 @@ def cku_g_costs(k: int) -> dict[str, int]:
 def table1_counts(M: int, tau_max: int, modulation: str) -> dict[int, int]:
     """Published per-order term counts of the expanded objective (Table I).
 
-    These are the published values, not the counts of the exact expansion
-    built by ``hubo.build_hubo``.  Orders 1, 2, 5 and 6 agree.  At orders 3
+    These are the published values, not the counts of the exact expansion:
+    the HUBO reference in tests/oracles.py expands the objective with the
+    pi/2-BPSK parity as a variable, and acceptance criterion 06 reconciles
+    its counts with this table.  Orders 1, 2, 5 and 6 agree.  At orders 3
     and 4 the table also counts the monomials d_{m,k} d_{m,k'} * (payload
     monomial of user m), k != k', whose coefficients are identically zero
     because |s_m|^2 = 1 on every binary assignment.  Published minus exact,

@@ -24,10 +24,9 @@ from .gas import (AmplitudeBackend, BACKEND_AMPLITUDE, BACKEND_CIRCUIT, CircuitB
                   GasBatch, GasParams, LMIN_CONVENTIONAL_C, LMIN_PROPOSED_CPRIME, LMIN_ZERO,
                   channel_bound, register_width, run_gas, run_gas_batch)
 from .gates import build_report
-from .hubo import HADAMARD_FULL, W_STATE_REDUCED, build_registry
 from .indicators import (CalibrationTable, calibrate, config_hash, indicator_c,
                          indicator_c_prime, select_lmin, select_lmin_conventional)
-from .spaces import SpaceStack, channel_spaces
+from .spaces import HADAMARD_FULL, W_STATE_REDUCED, SpaceStack, build_registry, channel_spaces
 from .thresholds import MvdParams, mmse_detect, y_mvd
 
 CALIBRATION_ID_OFFSET = 1_000_000
@@ -229,11 +228,11 @@ def _resolve_lmin(policy: str, inst, table: CalibrationTable | None) -> int:
     if policy == LMIN_ZERO:
         return 0
     if policy == LMIN_CONVENTIONAL_C:
-        return select_lmin_conventional(indicator_c(inst.H_est))
+        return select_lmin_conventional(indicator_c(inst.H))
     if policy == LMIN_PROPOSED_CPRIME:
         if table is None:
             raise ConfigError("proposed-cprime lower bound requires a calibration table")
-        return select_lmin(table, indicator_c_prime(inst.H_est))
+        return select_lmin(table, indicator_c_prime(inst.H))
     raise ConfigError(f"unknown lmin policy {policy!r}")
 
 
@@ -257,7 +256,7 @@ def _gas_backend(spec: ExperimentSpec, inst, r, space, y0: float | None, where: 
         return AmplitudeBackend(space)
     if spec.q_v is None:
         return CircuitBackend(space, register_width(
-            0.0, channel_bound(inst.H_est, r, space.prep, space.reg.taud), 0.0))
+            0.0, channel_bound(inst.H, r, space.prep, space.reg.taud), 0.0))
     backend = CircuitBackend(space, spec.q_v)
     need = backend.width_needed(y0)
     if need > spec.q_v:
@@ -301,7 +300,7 @@ def run_query_cdf(spec: ExperimentSpec):
             if run.converged:
                 cd, qd = run.hit_cd, run.hit_qd
                 # re-verify against the exhaustive oracle; no mismatch tolerated
-                b, _, d = reg.split_assignment(backend.space.assignment(run.final))
+                b, d = reg.split_assignment(backend.space.assignment(run.final))
                 check = objective_direct(inst, r[0], 0, b, d)
                 if check > oracle_min + 1e-9 * (1.0 + abs(oracle_min)):
                     raise RuntimeError(

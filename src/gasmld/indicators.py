@@ -20,8 +20,7 @@ import numpy as np
 
 from .channel import SystemConfig, generate_instance, received_slots, slot_draws
 from .gas import l_opt
-from .hubo import W_STATE_REDUCED, build_registry
-from .spaces import channel_spaces
+from .spaces import W_STATE_REDUCED, build_registry, channel_spaces
 from .thresholds import MvdParams, y_mvd
 
 _ALPHA_NORM = 3.0 * math.sqrt(2.0)  # CN(0,1) magnitude at the 0.995 quantile
@@ -146,7 +145,7 @@ def calibrate(cfg: SystemConfig, n_samples: int, P: float = 1e-3, id_offset: int
         ns = int(np.count_nonzero(space.e_values < y))
         if ns == 0:
             continue
-        vals = all_indicators(inst.H_est)
+        vals = all_indicators(inst.H)
         for key in scatter:
             scatter[key].append(vals[key])
         l_vals.append(l_opt(ns, space.n_states))

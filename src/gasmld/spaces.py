@@ -10,9 +10,10 @@ share one enumeration and one read-only key-index table, and a single slot
 is a stack of one row.  Both GAS engines search a stack's rows through its
 one lazily built per-row sort.
 
-Key index convention: registry variable i maps to bit weight 2^(q_k - 1 - i),
-i.e. variable 0 is the most significant bit of the integer key index, the
-key register's qubit order in the circuit (gas.CircuitBackend).
+The key layout is the VarRegistry: every user's payload bits b, then every
+user's delay bits d, user-major.  Registry variable i maps to bit weight
+2^(q_k - 1 - i), i.e. variable 0 is the most significant bit of the integer
+key index, the key register's qubit order in the circuit (gas.CircuitBackend).
 """
 
 from __future__ import annotations
@@ -22,11 +23,47 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .channel import ChannelInstance, SystemConfig, delay_phases, map_symbols
+from .channel import PSK2, ChannelInstance, SystemConfig, delay_phases, map_symbols
 from .errors import CapacityError
-from .hubo import HADAMARD_FULL, W_STATE_REDUCED, VarRegistry
+
+HADAMARD_FULL = "hadamard-full"
+W_STATE_REDUCED = "w-state-reduced"
 
 MAX_ENUMERABLE = 1 << 24
+
+
+@dataclass(frozen=True)
+class VarRegistry:
+    """Key-register layout: all payload bits b, then all one-hot delay bits d."""
+
+    modulation: str
+    M: int
+    taud: int
+
+    @property
+    def n_b(self) -> int:
+        return self.M if self.modulation == PSK2 else 2 * self.M
+
+    @property
+    def q_k(self) -> int:
+        return self.n_b + self.M * self.taud
+
+    def b_position(self, m: int, sub: int = 0) -> int:
+        if self.modulation == PSK2:
+            return m
+        return 2 * m + sub
+
+    def d_position(self, m: int, k: int) -> int:
+        return self.n_b + m * self.taud + k
+
+    def split_assignment(self, x: np.ndarray):
+        """Return (b bits, d bits) views of a flat assignment."""
+        x = np.asarray(x)
+        return x[:self.n_b], x[self.n_b:]
+
+
+def build_registry(cfg: SystemConfig) -> VarRegistry:
+    return VarRegistry(cfg.modulation, cfg.M, cfg.taud)
 
 
 @dataclass
@@ -163,8 +200,6 @@ def channel_spaces(inst: ChannelInstance, r: np.ndarray, ts, cfg: SystemConfig,
     sum in antenna order, so only the layout differs, not the bits; and no
     float operation depends on the number of slots, so neither does a row.
     """
-    if reg.n_c:
-        raise ValueError("spaces are built for the solver path (parity fixed)")
     key_idx = _key_table(reg, prep)
     ts = np.asarray(ts)
     N, T = cfg.N, ts.size
@@ -178,7 +213,7 @@ def channel_spaces(inst: ChannelInstance, r: np.ndarray, ts, cfg: SystemConfig,
             d_factors = phases[:, m]                               # (T, taud)
         else:
             d_factors = np.stack([sel @ ph[m] for ph in phases])  # (T, 2^taud)
-        local = np.einsum("tb,td,n->ntbd", sym, d_factors, inst.H_est[:, m], order="C")
+        local = np.einsum("tb,td,n->ntbd", sym, d_factors, inst.H[:, m], order="C")
         tables.append(local.reshape(N, T, -1))
     # the sum over no users is zero: a one-choice prefix when M = 1
     prefix = _broadcast_sum(tables[:-1]) if cfg.M > 1 else np.zeros((N, T, 1), complex)

@@ -103,7 +103,7 @@ def mmse_estimates(inst: ChannelInstance, r: np.ndarray, ts,
     combos = np.array(list(itertools.product(range(taud), repeat=M)))
     # C order, as one slot's stack is: matmul's bits depend on the memory layout
     factors = np.ascontiguousarray(phases[:, np.arange(M), combos])       # (T, C, M)
-    A = inst.H_est * factors[:, :, None, :]                                # (T, C, N, M)
+    A = inst.H * factors[:, :, None, :]                                # (T, C, N, M)
     A_h = A.conj().swapaxes(-1, -2)
     G = A @ A_h + inst.sigma_v ** 2 * np.eye(cfg.N)
     b = np.asarray(r)[:, None, :, None]

@@ -7,6 +7,12 @@
   Grover iteration.  gas.CircuitBackend samples the same circuit from its
   exact two-dimensional law and writes its prepared state in closed form;
   this simulator computes both the long way.
+- The HUBO expansion: || r - H D s ||_F^2 expanded symbolically into a
+  multilinear binary polynomial over the payload bits b, optionally the
+  pi/2-BPSK parity bits c, and the one-hot delay bits d (ParityLayout, in
+  that order), with its parity-aware direct objective.  The value tables of
+  spaces.channel_spaces and the term counts of criterion 06 are checked
+  against it.
 - Generic polynomial objectives: evaluation at an assignment, per-order
   term counts, values over every key index, search spaces built from them,
   and the coefficient-sum value-register width.
@@ -38,16 +44,18 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from gasmld import streams
-from gasmld.channel import PSK2, ChannelInstance, SystemConfig, _cn, delay_phases, map_symbols
+from gasmld.channel import (PSK2, ChannelInstance, SystemConfig, _cn, delay_phases, map_symbols,
+                            psk2_base)
 from gasmld.errors import CapacityError
 from gasmld.gas import MAX_QUBITS, check_value_range, register_width, value_scale
-from gasmld.hubo import HADAMARD_FULL, W_STATE_REDUCED, HuboPolynomial, VarRegistry
 from gasmld.indicators import CalibrationTable
-from gasmld.spaces import MAX_ENUMERABLE, SpaceStack, _broadcast_sum, _key_weights
+from gasmld.spaces import (HADAMARD_FULL, MAX_ENUMERABLE, W_STATE_REDUCED, SpaceStack, VarRegistry,
+                           _broadcast_sum, _key_weights, build_registry)
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -65,7 +73,7 @@ def noise_realization(inst: ChannelInstance, t: int):
     """(v, e) of slot t, e scaled to the instance's estimation-error variance."""
     rng_v = streams.substream(inst.seed, streams.NOISE, inst.instance_id, t)
     rng_e = streams.substream(inst.seed, streams.EST_ERR, inst.instance_id, t)
-    n = inst.H_true.shape[0]
+    n = inst.H.shape[0]
     v = _cn(rng_v, n)
     e = np.sqrt(inst.est_err_var) * _cn(rng_e, n)
     return v, e
@@ -89,9 +97,9 @@ def received_slot(inst: ChannelInstance, cfg: SystemConfig, t: int, b_true) -> R
     else:
         b = b_true.reshape(-1, 2).astype(float)
         s = ((1.0 - 2.0 * b[:, 0]) + 1j * (1.0 - 2.0 * b[:, 1])) * np.sqrt(0.5)
-    d_phase = np.exp(1j * 2.0 * np.pi * inst.f_true * (t - inst.delays))
+    d_phase = np.exp(1j * 2.0 * np.pi * inst.f * (t - inst.delays))
     v, e = noise_realization(inst, t)
-    r = inst.H_true @ (d_phase * s) + inst.sigma_v * v + e
+    r = inst.H @ (d_phase * s) + inst.sigma_v * v + e
     return ReceivedSlot(t=t, r=r, b_true=b_true)
 
 
@@ -116,8 +124,6 @@ def reference_channel_values(inst: ChannelInstance, r: np.ndarray, ts, cfg: Syst
     local choices, built for every slot by one einsum; the objective over
     the whole product space follows by broadcasting.
     """
-    if reg.n_c:
-        raise ValueError("spaces are built for the solver path (parity fixed)")
     M, taud, N = cfg.M, cfg.taud, cfg.N
     weights = _key_weights(reg)
     ts = np.asarray(ts)
@@ -132,7 +138,7 @@ def reference_channel_values(inst: ChannelInstance, r: np.ndarray, ts, cfg: Syst
     contribs = []
     idx_parts = []
     for m in range(M):
-        h = inst.H_est[:, m]
+        h = inst.H[:, m]
         if prep == W_STATE_REDUCED:
             d_factors = phases[:, m]                               # (T, taud)
             d_idx = weights[[reg.d_position(m, k) for k in range(taud)]]
@@ -165,6 +171,151 @@ def reference_channel_values(inst: ChannelInstance, r: np.ndarray, ts, cfg: Syst
         e += np.abs(residual[..., n]) ** 2
     key_idx = _reference_broadcast_sum([p[None, :] for p in idx_parts])[0]
     return e, key_idx
+
+
+# --- the HUBO expansion -------------------------------------------------------
+
+_IMAG_TOL = 1e-9
+_PRUNE_REL = 1e-12
+
+
+class Var(NamedTuple):
+    kind: str  # "b", "c" or "d"
+    m: int     # user index, 0-based
+    sub: int   # bit index within the user: QPSK bit 0/1, or delay slot k
+
+
+@dataclass(frozen=True)
+class ParityLayout:
+    """The expansion's variable order: all b, then the pi/2-BPSK parity bits
+    c when they are variables (n_c = M), then all d.  With n_c = 0 it is the
+    package registry's key layout."""
+
+    reg: VarRegistry
+    n_c: int = 0
+
+    @property
+    def q_k(self) -> int:
+        return self.reg.q_k + self.n_c
+
+    @property
+    def entries(self) -> tuple[Var, ...]:
+        reg = self.reg
+        return (tuple(Var("b", m, s) for m in range(reg.M) for s in range(reg.n_b // reg.M))
+                + tuple(Var("c", m, 0) for m in range(self.n_c))
+                + tuple(Var("d", m, k) for m in range(reg.M) for k in range(reg.taud)))
+
+    def c_position(self, m: int) -> int:
+        return self.reg.n_b + m
+
+    def d_position(self, m: int, k: int) -> int:
+        return self.n_c + self.reg.d_position(m, k)
+
+    def split_assignment(self, x: np.ndarray):
+        """Return (b bits, c bits or None, d bits) views of a flat assignment."""
+        x = np.asarray(x)
+        nb, nc = self.reg.n_b, self.n_c
+        return x[:nb], (x[nb:nb + nc] if nc else None), x[nb + nc:]
+
+
+def parity_layout(cfg: SystemConfig, include_c_as_variable: bool = False) -> ParityLayout:
+    if include_c_as_variable and cfg.modulation != PSK2:
+        raise ValueError("parity bits exist only for pi/2-BPSK")
+    return ParityLayout(build_registry(cfg), cfg.M if include_c_as_variable else 0)
+
+
+def parity_objective(inst: ChannelInstance, r: np.ndarray, t: int, b, c, d) -> float:
+    """channel.objective_direct for pi/2-BPSK with each user's parity bit
+    c_m free instead of t mod 2: s_m = e^{j pi c_m / 2} (1 + j)/sqrt(2) (1 - 2 b_m)."""
+    M = inst.H.shape[1]
+    d = np.asarray(d, dtype=float)
+    D = np.sum(delay_phases(inst, t, d.size // M) * d.reshape(M, -1), axis=1)
+    c = np.asarray(c).astype(float)
+    s = np.exp(1j * np.pi * c / 2.0) * (1.0 + 1.0j) * _SQRT_HALF * (1.0 - 2.0 * np.asarray(b))
+    return float(np.sum(np.abs(r - inst.H @ (D * s)) ** 2))
+
+
+@dataclass(frozen=True)
+class HuboPolynomial:
+    """Real multilinear polynomial: sum over terms coeff * prod x_i + constant."""
+
+    n_vars: int
+    constant: float
+    terms: dict[tuple[int, ...], float] = field(repr=False)
+
+
+def _pmul(p1: dict, p2: dict) -> dict:
+    out: dict[frozenset, complex] = {}
+    for s1, a1 in p1.items():
+        for s2, a2 in p2.items():
+            key = s1 | s2
+            out[key] = out.get(key, 0.0) + a1 * a2
+    return out
+
+
+def _padd_scaled(acc: dict, p: dict, scale: complex) -> None:
+    for s, a in p.items():
+        acc[s] = acc.get(s, 0.0) + scale * a
+
+
+def _symbol_poly(layout: ParityLayout, m: int, t: int) -> dict:
+    """Symbol of user m as a complex polynomial in its bit variables."""
+    base = (1.0 + 1.0j) * np.sqrt(0.5)
+    if layout.reg.modulation == PSK2:
+        bkey = frozenset([layout.reg.b_position(m)])
+        if layout.n_c:
+            ckey = frozenset([layout.c_position(m)])
+            # e^{j pi c / 2} interpolates to 1 + (j - 1) c on binary c
+            p = _pmul({frozenset(): 1.0, ckey: (1j - 1.0)},
+                      {frozenset(): 1.0, bkey: -2.0})
+            return {k: v * base for k, v in p.items()}
+        phase = psk2_base(t)
+        return {frozenset(): phase, bkey: -2.0 * phase}
+    b0 = frozenset([layout.reg.b_position(m, 0)])
+    b1 = frozenset([layout.reg.b_position(m, 1)])
+    return {frozenset(): base, b0: -np.sqrt(2.0), b1: -1j * np.sqrt(2.0)}
+
+
+def build_hubo(inst: ChannelInstance, r: np.ndarray, t: int, cfg: SystemConfig,
+               include_c_as_variable: bool = False) -> tuple[HuboPolynomial, ParityLayout]:
+    """Expand || r - H D s ||_F^2 into a HUBO over the layout's variables.
+
+    Products of repeated variables reduce with x^2 = x, the imaginary parts
+    of the collected coefficients must cancel, and near-null monomials are
+    pruned.
+    """
+    layout = parity_layout(cfg, include_c_as_variable)
+    M, taud, N = cfg.M, cfg.taud, cfg.N
+
+    phases = delay_phases(inst, t, taud)
+    user_polys = []
+    for m in range(M):
+        d_poly = {frozenset([layout.d_position(m, k)]): phases[m, k] for k in range(taud)}
+        user_polys.append(_pmul(d_poly, _symbol_poly(layout, m, t)))
+
+    total: dict[frozenset, complex] = {}
+    for n in range(N):
+        resid = {frozenset(): complex(r[n])}
+        for m in range(M):
+            _padd_scaled(resid, user_polys[m], -inst.H[n, m])
+        conj = {s: np.conj(a) for s, a in resid.items()}
+        _padd_scaled(total, _pmul(conj, resid), 1.0)
+
+    max_abs = max(abs(a) for a in total.values())
+    if not np.isfinite(max_abs):
+        raise ValueError("non-finite coefficient in objective expansion")
+    imag_worst = max(abs(a.imag) for a in total.values())
+    if imag_worst > _IMAG_TOL * max(1.0, max_abs):
+        raise ValueError(f"imaginary residue {imag_worst:g} exceeds tolerance")
+
+    constant = float(total.pop(frozenset(), 0.0).real)
+    cutoff = _PRUNE_REL * max_abs
+    terms = {
+        tuple(sorted(s)): float(a.real)
+        for s, a in total.items()
+        if abs(a.real) > cutoff
+    }
+    return HuboPolynomial(n_vars=layout.q_k, constant=constant, terms=terms), layout
 
 
 # --- generic polynomial objectives -------------------------------------------
@@ -216,9 +367,8 @@ def from_polynomial(poly: HuboPolynomial, reg: VarRegistry, prep: str) -> SpaceS
         e = e_full
     elif prep == W_STATE_REDUCED:
         weights = _key_weights(reg)
-        nb = reg.n_b + reg.n_c
         b_idx = np.zeros(1, dtype=np.uint64)
-        for i in range(nb):
+        for i in range(reg.n_b):
             b_idx = (b_idx[:, None] + np.array([0, weights[i]], dtype=np.uint64)).ravel()
         parts = [b_idx]
         for m in range(reg.M):
@@ -384,8 +534,6 @@ class Preparation:
     def __init__(self, prep: str, reg: VarRegistry):
         if prep not in (HADAMARD_FULL, W_STATE_REDUCED):
             raise ValueError(f"unknown preparation {prep!r}")
-        if reg.n_c:
-            raise ValueError("parity bits are folded into coefficients, not prepared")
         self.prep = prep
         self.reg = reg
         self._w_block = w_block_unitary(reg.taud) if prep == W_STATE_REDUCED else None

@@ -18,13 +18,11 @@ from gasmld.gas import (AmplitudeBackend, CircuitBackend, GasParams, l_opt,
                         restart_iterations, run_gas, success_probability)
 from gasmld.gates import cku_g_costs, g_prop, g_ug_total, table1_counts
 from gasmld.harness import load_spec, run_ber, run_query_cdf
-from gasmld.hubo import (HADAMARD_FULL, W_STATE_REDUCED, HuboPolynomial, build_hubo,
-                         build_registry)
 from gasmld.indicators import (all_indicators, calibrate, indicator_c, indicator_c_prime,
                                select_lmin, select_lmin_conventional)
-from gasmld.spaces import channel_spaces
-from oracles import (binned_spread, choose_qv, from_polynomial, random_payload_bits, received_slot,
-                     term_counts_by_order)
+from gasmld.spaces import HADAMARD_FULL, W_STATE_REDUCED, build_registry, channel_spaces
+from oracles import (HuboPolynomial, binned_spread, build_hubo, choose_qv, from_polynomial,
+                     random_payload_bits, received_slot, term_counts_by_order)
 from gasmld.thresholds import MvdParams, mvd_rate, regularized_gamma_q, y_mvd
 
 SEED = 2028  # experiment seed: no threshold-failure trials in criteria 1, 3, 4
@@ -62,7 +60,7 @@ def test_criterion_01_oracle_equivalence(fig5_table):
         slot = received_slot(inst, cfg, 0, bits)
         space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
         backend = AmplitudeBackend(space)
-        lmin = select_lmin(fig5_table, indicator_c_prime(inst.H_est))
+        lmin = select_lmin(fig5_table, indicator_c_prime(inst.H))
         params = GasParams(y0=ymvd, lmin=lmin, restart_enabled=True)
         rng = streams.substream(cfg.seed, streams.TRIAL, trial, 0)
         trace = run_gas(backend, params, rng, oracle_min=float(space.e_values.min()))
@@ -130,7 +128,7 @@ def test_criterion_02_backend_cross_check():
         inst = generate_instance(cfg)
         bits = random_payload_bits(cfg, 0)
         slot = received_slot(inst, cfg, 0, bits)
-        poly, reg = build_hubo(inst, slot.r, 0, cfg)
+        reg = build_registry(cfg)
         space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
         circ = CircuitBackend(space, q_v=8)
         es = space.e_sorted[0]
@@ -241,7 +239,7 @@ def test_criterion_04_rotation_bound_trend():
         bits = random_payload_bits(cfg8, 0, instance_id=trial)
         slot = received_slot(inst, cfg8, 0, bits)
         space = channel_spaces(inst, slot.r[None], [0], cfg8, W_STATE_REDUCED, reg8)
-        lmin = select_lmin_conventional(indicator_c(inst.H_est))
+        lmin = select_lmin_conventional(indicator_c(inst.H))
         params = GasParams(y0=ymvd8, lmin=lmin, restart_enabled=True)
         rng = streams.substream(cfg8.seed, streams.TRIAL, trial, 9)
         trace = run_gas(AmplitudeBackend(space), params, rng,
@@ -274,7 +272,7 @@ def test_criterion_05_gate_arithmetic():
                          f"ratio={100*ratio:.4f}% (0.0764%), ladder costs k=1..6 {costs_ok}")
 
 
-def _cancelled_same_user_monomials(reg) -> set[tuple[int, ...]]:
+def _cancelled_same_user_monomials(layout) -> set[tuple[int, ...]]:
     """Monomials d_{m,k} d_{m,k'} * (payload monomial of user m), k != k'.
 
     Every delay hypothesis of user m multiplies the same symbol s_m, and
@@ -282,10 +280,10 @@ def _cancelled_same_user_monomials(reg) -> set[tuple[int, ...]]:
     monomials have coefficient zero in the unique multilinear form.
     """
     out = set()
-    for m in range(reg.M):
-        payload = [i for i, v in enumerate(reg.entries) if v.m == m and v.kind != "d"]
-        for k, k2 in itertools.combinations(range(reg.taud), 2):
-            pair = (reg.d_position(m, k), reg.d_position(m, k2))
+    for m in range(layout.reg.M):
+        payload = [i for i, v in enumerate(layout.entries) if v.m == m and v.kind != "d"]
+        for k, k2 in itertools.combinations(range(layout.reg.taud), 2):
+            pair = (layout.d_position(m, k), layout.d_position(m, k2))
             for n in range(1, len(payload) + 1):
                 for sub in itertools.combinations(payload, n):
                     out.add(tuple(sorted(pair + sub)))
@@ -327,15 +325,15 @@ def test_criterion_06_term_counts():
                     inst = generate_instance(cfg)
                     bits = random_payload_bits(cfg, 0)
                     slot = received_slot(inst, cfg, 0, bits)
-                    poly, reg = build_hubo(inst, slot.r, 0, cfg,
-                                           include_c_as_variable=modulation == PSK2)
+                    poly, layout = build_hubo(inst, slot.r, 0, cfg,
+                                              include_c_as_variable=modulation == PSK2)
                     counts = term_counts_by_order(poly)
                     for order in sorted(set(counts) | set(published)):
                         got = counts.get(order, 0)
                         diff = published.get(order, 0) - got
                         if diff != excess.get(order, 0):
                             mismatches.append((modulation, M, taud, order, got, diff))
-                    survivors = _cancelled_same_user_monomials(reg) & set(poly.terms)
+                    survivors = _cancelled_same_user_monomials(layout) & set(poly.terms)
                     if survivors:
                         mismatches.append((modulation, M, taud, "cancelled", len(survivors), 0))
     by_order = sorted({(m[0], m[3]) for m in mismatches}, key=str)
@@ -443,7 +441,7 @@ def test_criterion_10_indicator_localization():
         ns = int(np.count_nonzero(space.e_values < thr))
         if ns == 0:
             continue
-        ind = all_indicators(inst.H_est)
+        ind = all_indicators(inst.H)
         vals_c.append(ind["c"])
         vals_cp.append(ind["c_prime"])
         lopts.append(l_opt(ns, space.n_states))

@@ -43,13 +43,13 @@ def test_delays_within_range():
     cfg = cfg_small(tau_max=1, seed=3)
     inst = generate_instance(cfg)
     assert set(np.unique(inst.delays)) <= {0, 1}
-    assert np.all(np.abs(inst.f_true) <= 1.0)
+    assert np.all(np.abs(inst.f) <= 1.0)
 
 
 def test_channel_statistics():
     cfg = cfg_small(N=40, M=50, seed=5)
     inst = generate_instance(cfg)
-    power = np.mean(np.abs(inst.H_true) ** 2)
+    power = np.mean(np.abs(inst.H) ** 2)
     assert power == pytest.approx(1.0, abs=0.1)
 
 
@@ -66,10 +66,10 @@ def _force_instance(inst, H=None, f=None, delays=None):
     kw = {}
     if H is not None:
         H = np.asarray(H, dtype=complex)
-        kw.update(H_true=H, H_est=H.copy())
+        kw.update(H=H)
     if f is not None:
         f = np.asarray(f, dtype=float)
-        kw.update(f_true=f, f_est=f.copy())
+        kw.update(f=f)
     if delays is not None:
         kw.update(delays=np.asarray(delays))
     return replace(inst, **kw)
@@ -133,9 +133,9 @@ def test_objective_direct_matches_matrix_oracle():
         D = np.zeros((cfg.M, cfg.M), dtype=complex)
         for m in range(cfg.M):
             for k in range(cfg.taud):
-                D[m, m] += np.exp(1j * 2 * np.pi * inst.f_est[m] * (3 - k)) * d[m * cfg.taud + k]
+                D[m, m] += np.exp(1j * 2 * np.pi * inst.f[m] * (3 - k)) * d[m * cfg.taud + k]
         s = map_symbols(PSK2, 3, b)
-        expect = float(np.linalg.norm(slot.r - inst.H_est @ D @ s) ** 2)
+        expect = float(np.linalg.norm(slot.r - inst.H @ D @ s) ** 2)
         got = objective_direct(inst, slot.r, 3, b, d)
         assert got == pytest.approx(expect, rel=1e-10)
 
@@ -150,7 +150,7 @@ def test_objective_antenna_permutation_invariance():
     b = rng.integers(0, 2, cfg.M)
     d = rng.integers(0, 2, cfg.M * cfg.taud)
     perm = rng.permutation(cfg.N)
-    inst_p = replace(inst, H_est=inst.H_est[perm])
+    inst_p = replace(inst, H=inst.H[perm])
     assert objective_direct(inst, slot.r, 0, b, d) == pytest.approx(
         objective_direct(inst_p, slot.r[perm], 0, b, d), rel=1e-12)
 
@@ -209,7 +209,7 @@ def test_delay_phases_table():
     inst = generate_instance(cfg)
     tab = delay_phases(inst, 4, cfg.taud)
     assert tab.shape == (cfg.M, 3)
-    assert tab[1, 2] == pytest.approx(np.exp(1j * 2 * np.pi * inst.f_est[1] * (4 - 2)))
+    assert tab[1, 2] == pytest.approx(np.exp(1j * 2 * np.pi * inst.f[1] * (4 - 2)))
     # an array of slots gives each slot's table, bit for bit
     many = delay_phases(inst, np.arange(9), cfg.taud)
     each = np.stack([delay_phases(inst, t, cfg.taud) for t in range(9)])

@@ -9,12 +9,10 @@ from gasmld.gas import (STOP_BUDGET_ITERATIONS, STOP_BUDGET_ROTATIONS, STOP_OPTI
                         AmplitudeBackend, CircuitBackend, GasParams, l_opt,
                         channel_bound, register_width, restart_iterations, run_gas,
                         run_gas_batch, success_probability)
-from gasmld.hubo import (HADAMARD_FULL, W_STATE_REDUCED, HuboPolynomial, build_hubo,
-                         build_registry)
-from gasmld.spaces import SpaceStack, channel_spaces
+from gasmld.spaces import HADAMARD_FULL, W_STATE_REDUCED, SpaceStack, build_registry, channel_spaces
 from gasmld.thresholds import MvdParams, mmse_detect, y_mvd
-from oracles import (GroverCircuit, argmin_ordinal, evaluate, from_polynomial, random_payload_bits,
-                     received_slot)
+from oracles import (GroverCircuit, HuboPolynomial, argmin_ordinal, build_hubo, evaluate,
+                     from_polynomial, random_payload_bits, received_slot)
 
 FIG2_TERMS = {(0,): 1.0, (1, 2): -3.0, (0, 1, 2): 1.0}
 
@@ -138,7 +136,7 @@ class TestCircuitBackend:
         inst = generate_instance(cfg)
         bits = random_payload_bits(cfg, 0)
         slot = received_slot(inst, cfg, 0, bits)
-        poly, reg = build_hubo(inst, slot.r, 0, cfg)
+        reg = build_registry(cfg)
         space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
         amp = AmplitudeBackend(space)
         circ = CircuitBackend(space, q_v=8)
@@ -194,9 +192,10 @@ class TestDenseOracle:
         cfg = SystemConfig(N=2, M=2, tau_max=1, modulation=modulation, seed=21)
         inst = generate_instance(cfg)
         slot = received_slot(inst, cfg, 0, random_payload_bits(cfg, 0))
-        poly, reg = build_hubo(inst, slot.r, 0, cfg)
+        poly, _ = build_hubo(inst, slot.r, 0, cfg)
+        reg = build_registry(cfg)
         space = channel_spaces(inst, slot.r[None], [0], cfg, prep, reg)
-        q_v = register_width(0.0, channel_bound(inst.H_est, slot.r, prep, reg.taud), 0.0)
+        q_v = register_width(0.0, channel_bound(inst.H, slot.r, prep, reg.taud), 0.0)
         circ = CircuitBackend(space, q_v)
         es = np.sort(space.e_values[0])
         # none marked, mid-gap, on a spectrum level, an integer, all marked
@@ -214,9 +213,10 @@ class TestDenseOracle:
             cfg = SystemConfig(N=2, M=2, tau_max=1 + seed % 2, seed=300 + seed)
             inst = generate_instance(cfg)
             slot = received_slot(inst, cfg, 0, random_payload_bits(cfg, 0))
-            poly, reg = build_hubo(inst, slot.r, 0, cfg)
+            poly, _ = build_hubo(inst, slot.r, 0, cfg)
+            reg = build_registry(cfg)
             space = channel_spaces(inst, slot.r[None], [0], cfg, prep, reg)
-            q_v = register_width(0.0, channel_bound(inst.H_est, slot.r, prep, reg.taud), 0.0)
+            q_v = register_width(0.0, channel_bound(inst.H, slot.r, prep, reg.taud), 0.0)
             circ = CircuitBackend(space, q_v)
             dense = GroverCircuit(poly, reg, prep, q_v)
             for y in (float(np.median(space.e_values)), float(space.e_values.min()) + 0.01):
@@ -315,7 +315,7 @@ class TestRunGas:
         run = self.engine(backend, params, np.random.default_rng(22))
         assert run.final_y == -1.0 and run.best_E == -1.0
         x = backend.space.assignment(run.final).reshape(-1)
-        _, _, d = reg.split_assignment(x)
+        _, d = reg.split_assignment(x)
         assert d.sum() == 1
         assert evaluate(poly, x) == 2.0
         assert not run.invalid_final
@@ -331,7 +331,7 @@ class TestRunGas:
         rng = np.random.default_rng(16)
         run = self.engine(backend, GasParams(budget_iterations=60), rng, record=True)
         for step in measured(run):
-            _, _, d = reg.split_assignment(space.assignment(step["x"]).reshape(-1))
+            _, d = reg.split_assignment(space.assignment(step["x"]).reshape(-1))
             assert np.all(d.reshape(reg.M, reg.taud).sum(axis=1) == 1)
 
     def test_budget_exhaustion_not_an_error(self):

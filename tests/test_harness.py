@@ -12,11 +12,11 @@ from gasmld import cli, harness
 from gasmld.channel import generate_instance, objective_direct
 from gasmld.errors import ConfigError
 from gasmld.gas import run_gas, run_gas_batch
-from gasmld.hubo import W_STATE_REDUCED, build_hubo, build_registry
 from gasmld.harness import (ExperimentSpec, fmt, load_spec, run_ber, run_calibration,
                             run_gate_count, run_query_cdf, solve_single, write_csv)
+from gasmld.spaces import W_STATE_REDUCED, build_registry
 from gasmld.thresholds import MvdParams, y_mvd
-from oracles import GroverCircuit, random_payload_bits, received_slot
+from oracles import GroverCircuit, build_hubo, random_payload_bits, received_slot
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -145,7 +145,6 @@ class TestQueryCdf:
     def test_converged_runs_match_exhaustive(self):
         from gasmld.channel import generate_instance
         from oracles import random_payload_bits, received_slot
-        from gasmld.hubo import W_STATE_REDUCED, build_registry
         spec = small_cdf_spec(trials=6, seed=9)
         rows = run_query_cdf(spec)
         assert any(conv for *_, conv in rows)
@@ -240,7 +239,6 @@ class TestBer:
         from gasmld.channel import SystemConfig, generate_instance
         from oracles import random_payload_bits, received_slot
         from gasmld.gas import AmplitudeBackend, GasParams, run_gas
-        from gasmld.hubo import W_STATE_REDUCED, build_registry
         from gasmld.spaces import channel_spaces
         cfg = SystemConfig(N=2, M=2, tau_max=1, T_P=64, T_D=4, snr_db=20.0, seed=6)
         reg = build_registry(cfg)
@@ -380,7 +378,8 @@ class TestSolve:
         cfg = spec.cfg
         inst = generate_instance(cfg, instance_id=0)
         slot = received_slot(inst, cfg, 0, random_payload_bits(cfg, 0, instance_id=0))
-        poly, reg = build_hubo(inst, slot.r, 0, cfg)
+        poly, _ = build_hubo(inst, slot.r, 0, cfg)
+        reg = build_registry(cfg)
         ymvd = y_mvd(MvdParams.from_config(cfg, spec.mvd_p))
         dense = GroverCircuit(poly, reg, W_STATE_REDUCED, spec.q_v).prepare(ymvd)
         assert amps.size == dense.amps.size == 2 ** (6 + 8)
@@ -410,7 +409,7 @@ class TestSolve:
         assert rows
         for row in rows:
             x = np.array([int(c) for c in row["x"]], dtype=np.uint8)
-            b, _, d = reg.split_assignment(x)
+            b, d = reg.split_assignment(x)
             assert np.all(d.reshape(reg.M, reg.taud).sum(axis=1) == 1)
             assert objective_direct(inst, slot.r, 0, b, d) == pytest.approx(row["Ex"], rel=1e-12)
 

@@ -1,14 +1,15 @@
+"""The HUBO reference expansion of tests/oracles.py, its variable layouts
+and the state counts of the enumerated spaces."""
+
 import itertools
 
 import numpy as np
 import pytest
 
 from gasmld.channel import PSK2, QPSK, SystemConfig, generate_instance, objective_direct
-from gasmld.hubo import (HADAMARD_FULL, W_STATE_REDUCED, HuboPolynomial, Var, build_hubo,
-                         build_registry)
-from gasmld.spaces import channel_spaces
-from oracles import (evaluate, from_polynomial, random_payload_bits, received_slot,
-                     term_counts_by_order)
+from gasmld.spaces import HADAMARD_FULL, W_STATE_REDUCED, build_registry, channel_spaces
+from oracles import (HuboPolynomial, Var, build_hubo, evaluate, from_polynomial, parity_layout,
+                     parity_objective, random_payload_bits, received_slot, term_counts_by_order)
 
 
 def make_problem(N=2, M=2, tau_max=1, modulation=PSK2, seed=3, t=0, snr_db=20.0,
@@ -40,9 +41,8 @@ def mobius_coefficients(func, n_vars):
 class TestRegistry:
     def test_psk2_count(self):
         cfg = SystemConfig(N=2, M=4, tau_max=1, seed=0)
-        reg = build_registry(cfg)
-        assert reg.q_k == 4 * (1 + 2)
-        kinds = [v.kind for v in reg.entries]
+        assert build_registry(cfg).q_k == 4 * (1 + 2)
+        kinds = [v.kind for v in parity_layout(cfg).entries]
         assert kinds == ["b"] * 4 + ["d"] * 8
 
     def test_qpsk_count(self):
@@ -54,15 +54,15 @@ class TestRegistry:
 
     def test_c_variable_count(self):
         cfg = SystemConfig(N=1, M=2, tau_max=1, seed=0)
-        reg = build_registry(cfg, include_c_as_variable=True)
-        assert reg.q_k == 2 + 2 + 4
-        assert reg.c_position(0) == 2
+        layout = parity_layout(cfg, include_c_as_variable=True)
+        assert layout.q_k == 2 + 2 + 4
+        assert layout.c_position(0) == 2
 
     def test_qubit_indices_gapless(self):
         cfg = SystemConfig(N=2, M=3, tau_max=1, seed=0)
-        reg = build_registry(cfg)
-        assert [reg.entries.index(Var(v.kind, v.m, v.sub)) for v in reg.entries] == \
-            list(range(reg.q_k))
+        layout = parity_layout(cfg)
+        assert [layout.entries.index(Var(v.kind, v.m, v.sub)) for v in layout.entries] == \
+            list(range(build_registry(cfg).q_k))
 
 
 class TestBuild:
@@ -71,8 +71,8 @@ class TestBuild:
         from dataclasses import replace
         cfg = SystemConfig(N=1, M=1, tau_max=0, T_P=0, T_D=1, snr_db=300.0, seed=0)
         inst = generate_instance(cfg)
-        inst = replace(inst, H_true=np.array([[1.0 + 0j]]), H_est=np.array([[1.0 + 0j]]),
-                       f_true=np.zeros(1), f_est=np.zeros(1), delays=np.zeros(1, dtype=int))
+        inst = replace(inst, H=np.array([[1.0 + 0j]]), f=np.zeros(1),
+                       delays=np.zeros(1, dtype=int))
         slot = received_slot(inst, cfg, 0, [0])
         poly, reg = build_hubo(inst, slot.r, 0, cfg)
         assert reg.q_k == 2
@@ -81,13 +81,20 @@ class TestBuild:
 
     @pytest.mark.parametrize("modulation,include_c", [(PSK2, False), (PSK2, True), (QPSK, False)])
     def test_poly_matches_objective_direct(self, modulation, include_c):
+        t = 1
         cfg, inst, slot, poly, reg = make_problem(M=3, tau_max=1, modulation=modulation,
-                                                  include_c=include_c, seed=7, t=1)
+                                                  include_c=include_c, seed=7, t=t)
         rng = np.random.default_rng(5)
         for _ in range(50):
             x = rng.integers(0, 2, reg.q_k).astype(np.uint8)
             b, c, d = reg.split_assignment(x)
-            direct = objective_direct(inst, slot.r, 1, b, d, c=c)
+            if include_c:
+                direct = parity_objective(inst, slot.r, t, b, c, d)
+                # at the slot's own parity c = t mod 2 it is the package's objective
+                assert parity_objective(inst, slot.r, t, b, np.full(cfg.M, t % 2), d) == \
+                    pytest.approx(objective_direct(inst, slot.r, t, b, d), rel=1e-12)
+            else:
+                direct = objective_direct(inst, slot.r, t, b, d)
             val = evaluate(poly, x)
             assert abs(val - direct) <= 1e-9 * (1.0 + abs(val))
 
@@ -111,8 +118,8 @@ class TestBuild:
         cfg, inst, slot, poly, reg = make_problem(M=2, tau_max=1, seed=13)
 
         def func(x):
-            b, c, d = reg.split_assignment(x)
-            return objective_direct(inst, slot.r, 0, b, d, c=c)
+            b, _, d = reg.split_assignment(x)
+            return objective_direct(inst, slot.r, 0, b, d)
 
         oracle = mobius_coefficients(func, reg.q_k)
         for key, coeff in oracle.items():
@@ -231,7 +238,7 @@ class TestEnumeration:
         space = self.space(cfg, W_STATE_REDUCED)
         reg = space.reg
         for ordinal in range(space.n_states):
-            _, _, d = reg.split_assignment(space.assignment(ordinal))
+            _, d = reg.split_assignment(space.assignment(ordinal))
             assert np.all(d.reshape(2, 3).sum(axis=1) == 1)
 
     def test_qpsk_reduced_count(self):
@@ -244,5 +251,5 @@ def test_imaginary_residue_guard():
     # all collected coefficients were real; evaluate parity with direct obj
     x = np.zeros(reg.q_k, dtype=np.uint8)
     x[reg.d_position(0, 0)] = 1
-    b, c, d = reg.split_assignment(x)
+    b, _, d = reg.split_assignment(x)
     assert evaluate(poly, x) == pytest.approx(objective_direct(inst, slot.r, 0, b, d), rel=1e-9)

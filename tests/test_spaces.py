@@ -6,10 +6,10 @@ import pytest
 from gasmld.channel import PSK2, QPSK, SystemConfig, generate_instance, objective_direct
 from gasmld.errors import CapacityError
 from gasmld.gas import AmplitudeBackend, GasParams, run_gas_batch
-from gasmld.hubo import HADAMARD_FULL, W_STATE_REDUCED, build_hubo, build_registry
 from gasmld import spaces
-from gasmld.spaces import SpaceStack, channel_spaces
-from oracles import (argmin_ordinal, evaluate, from_polynomial, poly_values_over_keys,
+from gasmld.spaces import (HADAMARD_FULL, W_STATE_REDUCED, SpaceStack, build_registry,
+                           channel_spaces)
+from oracles import (argmin_ordinal, build_hubo, evaluate, from_polynomial, poly_values_over_keys,
                      random_payload_bits, received_slot, reference_channel_values)
 
 
@@ -69,7 +69,7 @@ def test_space_matches_objective_direct(modulation, prep):
     seen = set()
     for ordinal in range(space.n_states):
         x = space.assignment(ordinal)
-        b, c, d = reg.split_assignment(x)
+        b, d = reg.split_assignment(x)
         expect = objective_direct(inst, slot.r, 0, b, d)
         assert space.e_values[0, ordinal] == pytest.approx(expect, rel=1e-10, abs=1e-12)
         seen.add(int(space.key_indices[ordinal]))
@@ -95,7 +95,7 @@ def test_space_matches_polynomial_values(modulation, prep):
     for k, v in ch_map.items():
         assert v == pytest.approx(po_map[k], rel=1e-9, abs=1e-9)
     for ordinal in range(ch.n_states):
-        b, _, d = reg.split_assignment(ch.assignment(ordinal))
+        b, d = reg.split_assignment(ch.assignment(ordinal))
         direct = objective_direct(inst, slot.r, 0, b, d)
         assert ch.e_values[0, ordinal] == pytest.approx(direct, rel=1e-9)
 
@@ -144,7 +144,7 @@ class TestExhaustive:
     def test_noiseless_truth(self):
         cfg, inst, slot, reg = make(T_P=0, snr_db=300.0, seed=5)
         space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
-        b, _, d = reg.split_assignment(space.assignment(argmin_ordinal(space)))
+        b, d = reg.split_assignment(space.assignment(argmin_ordinal(space)))
         assert np.array_equal(b, slot.b_true)
         assert space.e_values.min() == pytest.approx(0.0, abs=1e-15)
         for m in range(cfg.M):
@@ -305,7 +305,7 @@ class TestOrdinals:
     @staticmethod
     def decoded(space, reg):
         for ordinal in range(space.n_states):
-            b, _, d = reg.split_assignment(space.assignment(ordinal))
+            b, d = reg.split_assignment(space.assignment(ordinal))
             yield ordinal, b, d.reshape(reg.M, reg.taud)
 
     @pytest.mark.parametrize("prep", [W_STATE_REDUCED, HADAMARD_FULL])

@@ -6,12 +6,11 @@ import pytest
 from gasmld.channel import SystemConfig, generate_instance
 from gasmld.errors import CapacityError
 from gasmld.gas import CircuitBackend, channel_bound, check_value_range, register_width
-from gasmld.hubo import (HADAMARD_FULL, W_STATE_REDUCED, HuboPolynomial, build_hubo,
-                         build_registry)
-from oracles import (GroverCircuit, _apply_encoding, _apply_encoding_dagger, choose_qv,
-                     from_polynomial, poly_values_over_keys, prepare_initial,
-                     random_payload_bits, received_slot, reflect_about_zero, w_block_unitary,
-                     w_cascade_angles)
+from gasmld.spaces import HADAMARD_FULL, W_STATE_REDUCED, build_registry
+from oracles import (GroverCircuit, HuboPolynomial, _apply_encoding, _apply_encoding_dagger,
+                     build_hubo, choose_qv, from_polynomial, poly_values_over_keys,
+                     prepare_initial, random_payload_bits, received_slot, reflect_about_zero,
+                     w_block_unitary, w_cascade_angles)
 
 FIG2_POLY = HuboPolynomial(n_vars=3, constant=2.0,
                            terms={(0,): 1.0, (1, 2): -3.0, (0, 1, 2): 1.0})
@@ -234,8 +233,9 @@ class TestGrover:
         inst = generate_instance(cfg)
         bits = random_payload_bits(cfg, 0)
         slot = received_slot(inst, cfg, 0, bits)
-        poly, reg = build_hubo(inst, slot.r, 0, cfg)
-        q_v = register_width(0.0, channel_bound(inst.H_est, slot.r, W_STATE_REDUCED, reg.taud),
+        poly, _ = build_hubo(inst, slot.r, 0, cfg)
+        reg = build_registry(cfg)
+        q_v = register_width(0.0, channel_bound(inst.H, slot.r, W_STATE_REDUCED, reg.taud),
                              0.0)
         circuit = GroverCircuit(poly, reg, W_STATE_REDUCED, q_v)
         valid = circuit.support
@@ -312,6 +312,6 @@ class TestChooseQv:
             slot = received_slot(inst, cfg, 0, bits)
             reg = build_registry(cfg)
             for prep in (W_STATE_REDUCED, HADAMARD_FULL):
-                bound = channel_bound(inst.H_est, slot.r, prep, reg.taud)
+                bound = channel_bound(inst.H, slot.r, prep, reg.taud)
                 space = channel_spaces(inst, slot.r[None], [0], cfg, prep, reg)
                 assert space.e_values.max() <= bound + 1e-9

@@ -5,11 +5,11 @@ import pytest
 
 from gasmld.channel import (PSK2, QPSK, SystemConfig, generate_instance, map_symbols,
                             objective_direct)
-from gasmld.hubo import W_STATE_REDUCED, build_hubo, build_registry
-from gasmld.spaces import SpaceStack, channel_spaces
+from gasmld.spaces import W_STATE_REDUCED, SpaceStack, build_registry, channel_spaces
 from gasmld.thresholds import (MvdParams, mmse_detect, mmse_estimates, mvd_rate,
                                regularized_gamma_q, y_mvd)
-from oracles import evaluate, noise_realization, random_payload_bits, received_slot
+from oracles import (build_hubo, evaluate, noise_realization, random_payload_bits,
+                     received_slot)
 
 
 class TestGammaQ:
@@ -150,9 +150,9 @@ class TestMmse:
         got = space.e_values[0, detect_one(inst, slot.r, 0, cfg, space)]
         best = math.inf
         for combo in itertools.product(range(cfg.taud), repeat=cfg.M):
-            d_phase = np.array([np.exp(1j * 2 * np.pi * inst.f_est[m] * (0 - combo[m]))
+            d_phase = np.array([np.exp(1j * 2 * np.pi * inst.f[m] * (0 - combo[m]))
                                 for m in range(cfg.M)])
-            A = inst.H_est * d_phase[None, :]
+            A = inst.H * d_phase[None, :]
             G = A @ A.conj().T + cfg.sigma_v2 * np.eye(cfg.N)
             s_hat = A.conj().T @ np.linalg.solve(G, slot.r)
             base = map_symbols(PSK2, 0, np.zeros(cfg.M, dtype=int))
@@ -179,8 +179,8 @@ class TestMmse:
             combos, (stacked,) = mmse_estimates(inst, slot.r[None], [t], cfg)
             candidates = []
             for i, combo in enumerate(itertools.product(range(cfg.taud), repeat=cfg.M)):
-                d_phase = np.exp(1j * 2 * np.pi * inst.f_est * (t - np.array(combo)))
-                A = inst.H_est * d_phase[None, :]
+                d_phase = np.exp(1j * 2 * np.pi * inst.f * (t - np.array(combo)))
+                A = inst.H * d_phase[None, :]
                 G = A @ A.conj().T + cfg.sigma_v2 * np.eye(cfg.N)
                 s_hat = A.conj().T @ np.linalg.solve(G, slot.r)
                 assert tuple(combos[i]) == combo
@@ -230,8 +230,8 @@ class TestYRand:
         inst = generate_instance(cfg)
         bits = random_payload_bits(cfg, 0)
         slot = received_slot(inst, cfg, 0, bits)
-        poly, reg = build_hubo(inst, slot.r, 0, cfg)
-        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
+        poly, _ = build_hubo(inst, slot.r, 0, cfg)
+        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, build_registry(cfg))
         return poly, space
 
     @staticmethod
