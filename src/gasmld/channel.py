@@ -77,19 +77,16 @@ class SystemConfig:
 @dataclass(frozen=True)
 class ChannelInstance:
     """One channel realization: coefficients H (N, M), frequency deviations
-    f and integer delays per user.
+    f and integer delays per user.  It holds no SNR, so one instance serves
+    every point of an SNR sweep.
 
     Transmission and detection use the same H and f: estimation error enters
     only as the additive sqrt(est_err_var) e term of each received slot.
     """
 
-    seed: int
-    instance_id: int
     H: np.ndarray
     f: np.ndarray
     delays: np.ndarray
-    sigma_v: float
-    est_err_var: float
 
 
 def _cn(rng: np.random.Generator, shape) -> np.ndarray:
@@ -103,15 +100,7 @@ def generate_instance(cfg: SystemConfig, instance_id: int = 0) -> ChannelInstanc
     H = _cn(rng, (cfg.N, cfg.M))
     delays = rng.integers(0, cfg.tau_max + 1, size=cfg.M)
     f = rng.uniform(-1.0, 1.0, size=cfg.M)
-    return ChannelInstance(
-        seed=cfg.seed,
-        instance_id=instance_id,
-        H=H,
-        f=f,
-        delays=delays,
-        sigma_v=cfg.sigma_v,
-        est_err_var=cfg.est_err_var,
-    )
+    return ChannelInstance(H=H, f=f, delays=delays)
 
 
 # e^{j pi c / 2} (1+j)/sqrt(2) for the parity c = 0, 1
@@ -163,7 +152,7 @@ def slot_draws(cfg: SystemConfig, ts,
 def received_slots(inst: ChannelInstance, cfg: SystemConfig, ts, bits, v, e) -> np.ndarray:
     """Received vectors r[i] = H D s + sigma_v v[i] + sqrt(est_err_var) e[i]
     of payload bits[i] in slot ts[i], shape (T, N); v and e are unit
-    variance (slot_draws).
+    variance (slot_draws) and cfg gives sigma_v and est_err_var.
 
     The one slot model: a single slot is a one-row call.  Every float
     operation is the same per slot whatever the number of slots (H D s is
@@ -180,7 +169,7 @@ def received_slots(inst: ChannelInstance, cfg: SystemConfig, ts, bits, v, e) -> 
     s = map_symbols(cfg.modulation, ts, bits)
     d_phase = np.exp(1j * 2.0 * np.pi * inst.f * (ts[:, None] - inst.delays))
     hds = (inst.H @ (d_phase * s)[..., None])[..., 0]
-    return hds + inst.sigma_v * v + np.sqrt(inst.est_err_var) * e
+    return hds + cfg.sigma_v * v + np.sqrt(cfg.est_err_var) * e
 
 
 def delay_phases(inst: ChannelInstance, t, taud: int) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 
 from .channel import PSK2, QPSK
+from .spaces import VarRegistry
 
 
 def cku_g_costs(k: int) -> dict[str, int]:
@@ -95,7 +96,7 @@ def build_report(M: int, tau_max: int, q_v: int, modulation: str = PSK2) -> dict
     g_pr = g_prop(M, tau_max)
     return {
         "M": M, "tau_max": tau_max, "q_v": q_v, "modulation": modulation,
-        "q_k": M * (tau_max + 2) if modulation == PSK2 else M * (tau_max + 3),
+        "q_k": VarRegistry(modulation, M, tau_max + 1).q_k,
         "ancilla_max": max_order - 1,
         "per_order_terms": {str(k): v for k, v in sorted(counts.items())},
         "g_ug_cnot": g_ug,

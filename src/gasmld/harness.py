@@ -26,7 +26,7 @@ from .gas import (AmplitudeBackend, BACKEND_AMPLITUDE, BACKEND_CIRCUIT, CircuitB
 from .gates import build_report
 from .indicators import (CalibrationTable, calibrate, config_hash, indicator_c,
                          indicator_c_prime, select_lmin, select_lmin_conventional)
-from .spaces import HADAMARD_FULL, W_STATE_REDUCED, SpaceStack, build_registry, channel_spaces
+from .spaces import HADAMARD_FULL, W_STATE_REDUCED, SpaceStack, channel_spaces
 from .thresholds import MvdParams, mmse_detect, y_mvd
 
 CALIBRATION_ID_OFFSET = 1_000_000
@@ -274,7 +274,6 @@ def run_query_cdf(spec: ExperimentSpec):
     _require_backend(spec, "query-cdf", (BACKEND_AMPLITUDE, BACKEND_CIRCUIT))
     if not spec.variants:
         raise ConfigError("query-cdf requires a 'variants' list")
-    reg = build_registry(cfg)
     needs_table = any(v.get("lmin") == LMIN_PROPOSED_CPRIME for v in spec.variants)
     table = _calibration_table(cfg, spec) if needs_table else None
     ymvd = y_mvd(MvdParams.from_config(cfg, spec.mvd_p))
@@ -282,7 +281,7 @@ def run_query_cdf(spec: ExperimentSpec):
     for trial in range(spec.trials):
         inst = generate_instance(cfg, instance_id=trial)
         r = received_slots(inst, cfg, [0], *slot_draws(cfg, [0], trial))
-        w_space = channel_spaces(inst, r, [0], cfg, W_STATE_REDUCED, reg)
+        w_space = channel_spaces(inst, r, [0], cfg, W_STATE_REDUCED)
         oracle_min = float(w_space.e_values.min())
         # every arm's backend before any search, so that a value register
         # too narrow for one arm fails the trial before it starts
@@ -290,7 +289,7 @@ def run_query_cdf(spec: ExperimentSpec):
         for variant in spec.variants:
             prep = variant.get("prep", W_STATE_REDUCED)
             space = w_space if prep == W_STATE_REDUCED else \
-                channel_spaces(inst, r, [0], cfg, prep, reg)
+                channel_spaces(inst, r, [0], cfg, prep)
             params = _gas_params(spec, variant, inst, ymvd, table)
             where = f"variant {variant['name']!r}, trial {trial}"
             arms.append((params, _gas_backend(spec, inst, r[0], space, params.y0, where)))
@@ -300,7 +299,7 @@ def run_query_cdf(spec: ExperimentSpec):
             if run.converged:
                 cd, qd = run.hit_cd, run.hit_qd
                 # re-verify against the exhaustive oracle; no mismatch tolerated
-                b, d = reg.split_assignment(backend.space.assignment(run.final))
+                b, d = backend.space.reg.split_assignment(backend.space.assignment(run.final))
                 check = objective_direct(inst, r[0], 0, b, d)
                 if check > oracle_min + 1e-9 * (1.0 + abs(oracle_min)):
                     raise RuntimeError(
@@ -330,15 +329,14 @@ def run_ber(spec: ExperimentSpec):
     snrs = spec.snr_sweep or [cfg0.snr_db]
     cfgs = [cfg0.with_snr(snr) for snr in snrs]
     ymvds = [y_mvd(MvdParams.from_config(cfg, spec.mvd_p)) for cfg in cfgs]
-    reg = build_registry(cfg0)
     errors = np.zeros((len(snrs), len(detectors)), dtype=np.int64)
     hits: dict[tuple[int, str], list[np.ndarray]] = {}
     for trial in range(spec.trials):
-        bits_true, bits_hat, first_hits = _ber_trial(spec, cfgs, detectors, reg, ymvds, trial)
+        bits_true, bits_hat, first_hits = _ber_trial(spec, cfgs, detectors, ymvds, trial)
         errors += np.count_nonzero(bits_hat != bits_true, axis=(2, 3))
         for key, qd in first_hits:
             hits.setdefault(key, []).append(qd)
-    nbits = spec.trials * cfg0.T_D * reg.n_b
+    nbits = spec.trials * cfg0.T_D * cfg0.bits_per_slot
     rows = [(det, float(snr), cfg0.T_P, nbits, err, err / max(1, nbits))
             for snr, errs in zip(snrs, errors.tolist()) for det, err in zip(detectors, errs)]
     rotations = []
@@ -354,23 +352,24 @@ def run_ber(spec: ExperimentSpec):
     return rows, rotations
 
 
-def _ber_trial(spec: ExperimentSpec, cfgs: list[SystemConfig], detectors: list[str], reg,
+def _ber_trial(spec: ExperimentSpec, cfgs: list[SystemConfig], detectors: list[str],
                ymvds: list[float], trial: int):
     """One trial of run_ber: its T_D slots at the S SNR points of cfgs.
 
     The instance and each slot's payload bits and unit-variance noise are
-    drawn once: no stream key holds the SNR, so only sigma_v and
-    est_err_var change between points.  The S x T_D value tables form one
-    SpaceStack, row s T_D + t for SNR point s and slot t, and the exhaustive
-    argmins are one call over it.  The MMSE seeds take one call per SNR
-    point, whose sigma_v enters the filter.  Every GAS detector at every SNR
-    point is one arm of T_D runs in one run_gas_batch.  Detector d (its
-    index in the detector list) draws from the stream (seed, GAS, trial, d),
-    a generator of its own at each SNR point, and gas-mmse's runs are seeded
-    with the MMSE ordinals.  All outputs are decoded through the key-index
-    table at once.  Each GAS run halts at its first measurement of its
-    slot's minimum; its output is fixed by then, since GAS accepts only
-    strictly lower values and none lies below the minimum.
+    drawn once: neither a stream key nor the instance holds the SNR, so
+    SNR point s differs only in cfgs[s], whose sigma_v and est_err_var
+    scale the noise.  The S x T_D value tables form one SpaceStack, row
+    s T_D + t for SNR point s and slot t, and the exhaustive argmins are
+    one call over it.  The MMSE seeds take one call per SNR point, under
+    that point's config.  Every GAS detector at every SNR point is one arm
+    of T_D runs in one run_gas_batch.  Detector d (its index in the
+    detector list) draws from the stream (seed, GAS, trial, d), a generator
+    of its own at each SNR point, and gas-mmse's runs are seeded with the
+    MMSE ordinals.  All outputs are decoded through the key-index table at
+    once.  Each GAS run halts at its first measurement of its slot's
+    minimum; its output is fixed by then, since GAS accepts only strictly
+    lower values and none lies below the minimum.
 
     Returns the payload bits (T_D, n_b), every detector's decisions
     (S, detectors, T_D, n_b) and, per GAS detector and SNR point,
@@ -379,25 +378,23 @@ def _ber_trial(spec: ExperimentSpec, cfgs: list[SystemConfig], detectors: list[s
     """
     cfg0, n_snr, n_slots = cfgs[0], len(cfgs), cfgs[0].T_D
     slots = np.arange(n_slots)
-    inst0 = generate_instance(cfg0, instance_id=trial)
-    insts = [dataclasses.replace(inst0, sigma_v=cfg.sigma_v, est_err_var=cfg.est_err_var)
-             for cfg in cfgs]
+    inst = generate_instance(cfg0, instance_id=trial)
     bits_true, v, e = slot_draws(cfg0, slots, trial)
-    r = np.concatenate([received_slots(inst, cfg0, slots, bits_true, v, e) for inst in insts])
-    stack = channel_spaces(inst0, r, np.tile(slots, n_snr), cfg0, W_STATE_REDUCED, reg)
+    r = np.concatenate([received_slots(inst, cfg, slots, bits_true, v, e) for cfg in cfgs])
+    stack = channel_spaces(inst, r, np.tile(slots, n_snr), cfg0, W_STATE_REDUCED)
     point = [slice(si * n_slots, (si + 1) * n_slots) for si in range(n_snr)]
     gas = [(di, det) for di, det in enumerate(detectors) if det in GAS_DETECTORS]
     seeds_mmse = "mmse" in detectors or any(
         GAS_DETECTORS[det].get("threshold") == "mmse" for _, det in gas)
     x_mmse = np.concatenate([
-        mmse_detect(inst, r[rows], slots, cfg0,
+        mmse_detect(inst, r[rows], slots, cfg,
                     dataclasses.replace(stack, e_values=stack.e_values[rows]))
-        for inst, rows in zip(insts, point)]) if seeds_mmse else None
+        for cfg, rows in zip(cfgs, point)]) if seeds_mmse else None
     outputs = {"exhaustive": stack.e_values.argmin(axis=1), "mmse": x_mmse}
     first_hits = []
     if gas:
         arms, x0 = [], []
-        for inst, ymvd, rows in zip(insts, ymvds, point):
+        for ymvd, rows in zip(ymvds, point):
             for di, det in gas:
                 arm = GAS_DETECTORS[det]
                 arms.append((_gas_params(spec, arm, inst, ymvd, None),
@@ -416,7 +413,7 @@ def _ber_trial(spec: ExperimentSpec, cfgs: list[SystemConfig], detectors: list[s
     ordinals = np.stack([outputs[di if det in GAS_DETECTORS else det]
                          for di, det in enumerate(detectors)])
     ordinals = ordinals.reshape(len(detectors), n_snr, n_slots).swapaxes(0, 1)
-    return bits_true, stack.assignment(ordinals)[..., :reg.n_b], first_hits
+    return bits_true, stack.assignment(ordinals)[..., :stack.reg.n_b], first_hits
 
 
 def run_calibration(spec: ExperimentSpec, out_dir: Path | None = None):
@@ -453,10 +450,9 @@ def solve_single(spec: ExperimentSpec,
     if dump_state is not None and spec.backend != BACKEND_CIRCUIT:
         # the prepared state exists only in the circuit model
         raise ConfigError(f"solve does not take --dump-state on backend {spec.backend!r}")
-    reg = build_registry(cfg)
     inst = generate_instance(cfg, instance_id=0)
     r = received_slots(inst, cfg, [0], *slot_draws(cfg, [0], 0))
-    space = channel_spaces(inst, r, [0], cfg, W_STATE_REDUCED, reg)
+    space = channel_spaces(inst, r, [0], cfg, W_STATE_REDUCED)
     ymvd = y_mvd(MvdParams.from_config(cfg, spec.mvd_p))
     params = _gas_params(spec, SOLVE_ARM, inst, ymvd, None)
     backend = _gas_backend(spec, inst, r[0], space, params.y0, "solve, trial 0")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .channel import SystemConfig, generate_instance, received_slots, slot_draws
 from .gas import l_opt
-from .spaces import W_STATE_REDUCED, build_registry, channel_spaces
+from .spaces import W_STATE_REDUCED, channel_spaces
 from .thresholds import MvdParams, y_mvd
 
 _ALPHA_NORM = 3.0 * math.sqrt(2.0)  # CN(0,1) magnitude at the 0.995 quantile
@@ -133,7 +133,6 @@ def calibrate(cfg: SystemConfig, n_samples: int, P: float = 1e-3, id_offset: int
     from experiment trials drawn from the same seed.  Returns the C' table
     and the scatter, each indicator's values over the kept samples.
     """
-    reg = build_registry(cfg)
     params = MvdParams.from_config(cfg, P)
     y = y_mvd(params)
     l_vals = []
@@ -141,7 +140,7 @@ def calibrate(cfg: SystemConfig, n_samples: int, P: float = 1e-3, id_offset: int
     for idx in range(id_offset, id_offset + n_samples):
         inst = generate_instance(cfg, instance_id=idx)
         r = received_slots(inst, cfg, [0], *slot_draws(cfg, [0], idx))
-        space = channel_spaces(inst, r, [0], cfg, W_STATE_REDUCED, reg)
+        space = channel_spaces(inst, r, [0], cfg, W_STATE_REDUCED)
         ns = int(np.count_nonzero(space.e_values < y))
         if ns == 0:
             continue

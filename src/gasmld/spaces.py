@@ -186,9 +186,9 @@ def _key_table(reg: VarRegistry, prep: str) -> np.ndarray:
 
 
 def channel_spaces(inst: ChannelInstance, r: np.ndarray, ts, cfg: SystemConfig,
-                   prep: str, reg: VarRegistry) -> SpaceStack:
+                   prep: str) -> SpaceStack:
     """Build the spaces of slots ts, r[i] received in slot ts[i], directly
-    from the matrix model (fast path).
+    from the matrix model (fast path), keyed by build_registry(cfg).
 
     Per user the contribution to H D s is a small antenna-leading table
     (N, slots, choices), one einsum for all slots.  The users but the last
@@ -200,6 +200,7 @@ def channel_spaces(inst: ChannelInstance, r: np.ndarray, ts, cfg: SystemConfig,
     sum in antenna order, so only the layout differs, not the bits; and no
     float operation depends on the number of slots, so neither does a row.
     """
+    reg = build_registry(cfg)
     key_idx = _key_table(reg, prep)
     ts = np.asarray(ts)
     N, T = cfg.N, ts.size

@@ -16,7 +16,6 @@ EST_ERR = 2
 PAYLOAD = 3
 GAS = 4
 TRIAL = 5
-CALIB = 6
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:

@@ -105,7 +105,7 @@ def mmse_estimates(inst: ChannelInstance, r: np.ndarray, ts,
     factors = np.ascontiguousarray(phases[:, np.arange(M), combos])       # (T, C, M)
     A = inst.H * factors[:, :, None, :]                                # (T, C, N, M)
     A_h = A.conj().swapaxes(-1, -2)
-    G = A @ A_h + inst.sigma_v ** 2 * np.eye(cfg.N)
+    G = A @ A_h + cfg.sigma_v ** 2 * np.eye(cfg.N)
     b = np.asarray(r)[:, None, :, None]
     try:
         s_hat = A_h @ np.linalg.solve(G, b)

@@ -69,13 +69,13 @@ class ReceivedSlot:
     b_true: np.ndarray = field(repr=False)
 
 
-def noise_realization(inst: ChannelInstance, t: int):
-    """(v, e) of slot t, e scaled to the instance's estimation-error variance."""
-    rng_v = streams.substream(inst.seed, streams.NOISE, inst.instance_id, t)
-    rng_e = streams.substream(inst.seed, streams.EST_ERR, inst.instance_id, t)
-    n = inst.H.shape[0]
-    v = _cn(rng_v, n)
-    e = np.sqrt(inst.est_err_var) * _cn(rng_e, n)
+def noise_realization(cfg: SystemConfig, t: int, *, instance_id: int):
+    """(v, e) of slot t of instance instance_id, v unit variance and e
+    scaled to cfg's estimation-error variance."""
+    rng_v = streams.substream(cfg.seed, streams.NOISE, instance_id, t)
+    rng_e = streams.substream(cfg.seed, streams.EST_ERR, instance_id, t)
+    v = _cn(rng_v, cfg.N)
+    e = np.sqrt(cfg.est_err_var) * _cn(rng_e, cfg.N)
     return v, e
 
 
@@ -84,8 +84,10 @@ def random_payload_bits(cfg: SystemConfig, t: int, instance_id: int = 0) -> np.n
     return rng.integers(0, 2, size=cfg.bits_per_slot).astype(np.uint8)
 
 
-def received_slot(inst: ChannelInstance, cfg: SystemConfig, t: int, b_true) -> ReceivedSlot:
-    """Received vector r = H D s + sigma_v v + e for one payload slot."""
+def received_slot(inst: ChannelInstance, cfg: SystemConfig, t: int, b_true, *,
+                  instance_id: int) -> ReceivedSlot:
+    """Received vector r = H D s + sigma_v v + e for one payload slot of
+    instance instance_id, sigma_v and e's variance from cfg."""
     b_true = np.asarray(b_true, dtype=np.uint8)
     if b_true.shape != (cfg.bits_per_slot,):
         raise ValueError(f"expected {cfg.bits_per_slot} payload bits, got {b_true.shape}")
@@ -98,8 +100,8 @@ def received_slot(inst: ChannelInstance, cfg: SystemConfig, t: int, b_true) -> R
         b = b_true.reshape(-1, 2).astype(float)
         s = ((1.0 - 2.0 * b[:, 0]) + 1j * (1.0 - 2.0 * b[:, 1])) * np.sqrt(0.5)
     d_phase = np.exp(1j * 2.0 * np.pi * inst.f * (t - inst.delays))
-    v, e = noise_realization(inst, t)
-    r = inst.H @ (d_phase * s) + inst.sigma_v * v + e
+    v, e = noise_realization(cfg, t, instance_id=instance_id)
+    r = inst.H @ (d_phase * s) + cfg.sigma_v * v + e
     return ReceivedSlot(t=t, r=r, b_true=b_true)
 
 

@@ -48,7 +48,6 @@ def fig5_table():
 def test_criterion_01_oracle_equivalence(fig5_table):
     """GAS with the proposed settings always lands on the exhaustive argmin."""
     cfg = base_cfg()
-    reg = build_registry(cfg)
     ymvd = y_mvd(MvdParams.from_config(cfg, 1e-3))
     t0 = time.time()
     converged = 0
@@ -57,8 +56,8 @@ def test_criterion_01_oracle_equivalence(fig5_table):
     for trial in range(500):
         inst = generate_instance(cfg, instance_id=trial)
         bits = random_payload_bits(cfg, 0, instance_id=trial)
-        slot = received_slot(inst, cfg, 0, bits)
-        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
+        slot = received_slot(inst, cfg, 0, bits, instance_id=trial)
+        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED)
         backend = AmplitudeBackend(space)
         lmin = select_lmin(fig5_table, indicator_c_prime(inst.H))
         params = GasParams(y0=ymvd, lmin=lmin, restart_enabled=True)
@@ -70,9 +69,11 @@ def test_criterion_01_oracle_equivalence(fig5_table):
         if trace.converged:
             argmin_ok += trace.best_E <= float(space.e_values.min()) + 1e-12
     elapsed = time.time() - t0
+    # the wall time on a line of its own, so the ACCEPTANCE line of two
+    # runs compares byte for byte
+    print(f"criterion 01 runtime {elapsed:.1f}s (limit 300s)")
     ok = converged == 500 and argmin_ok == 500 and within_budget == 500 and elapsed <= 300
-    assert report(1, ok, f"converged {converged}/500, argmin matches {argmin_ok}/500, "
-                         f"runtime {elapsed:.1f}s (limit 300s)")
+    assert report(1, ok, f"converged {converged}/500, argmin matches {argmin_ok}/500")
 
 
 def _integer_toy(seed):
@@ -127,9 +128,9 @@ def test_criterion_02_backend_cross_check():
                            seed=10_000 + seed)
         inst = generate_instance(cfg)
         bits = random_payload_bits(cfg, 0)
-        slot = received_slot(inst, cfg, 0, bits)
+        slot = received_slot(inst, cfg, 0, bits, instance_id=0)
         reg = build_registry(cfg)
-        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
+        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED)
         circ = CircuitBackend(space, q_v=8)
         es = space.e_sorted[0]
         half = es.size // 2
@@ -231,14 +232,13 @@ def test_criterion_04_rotation_bound_trend():
 
     # the largest case runs on the closed-form backend only
     cfg8 = base_cfg(M=8, tau_max=2, seed=SEED)
-    reg8 = build_registry(cfg8)
     ymvd8 = y_mvd(MvdParams.from_config(cfg8, 1e-3))
     big_ok = 0
     for trial in range(30):
         inst = generate_instance(cfg8, instance_id=trial)
         bits = random_payload_bits(cfg8, 0, instance_id=trial)
-        slot = received_slot(inst, cfg8, 0, bits)
-        space = channel_spaces(inst, slot.r[None], [0], cfg8, W_STATE_REDUCED, reg8)
+        slot = received_slot(inst, cfg8, 0, bits, instance_id=trial)
+        space = channel_spaces(inst, slot.r[None], [0], cfg8, W_STATE_REDUCED)
         lmin = select_lmin_conventional(indicator_c(inst.H))
         params = GasParams(y0=ymvd8, lmin=lmin, restart_enabled=True)
         rng = streams.substream(cfg8.seed, streams.TRIAL, trial, 9)
@@ -324,7 +324,7 @@ def test_criterion_06_term_counts():
                                        seed=50_000 + 997 * rep + 31 * M + taud)
                     inst = generate_instance(cfg)
                     bits = random_payload_bits(cfg, 0)
-                    slot = received_slot(inst, cfg, 0, bits)
+                    slot = received_slot(inst, cfg, 0, bits, instance_id=0)
                     poly, layout = build_hubo(inst, slot.r, 0, cfg,
                                               include_c_as_variable=modulation == PSK2)
                     counts = term_counts_by_order(poly)
@@ -428,15 +428,14 @@ def test_criterion_09_ber_optimality():
 
 def test_criterion_10_indicator_localization():
     cfg = base_cfg()
-    reg = build_registry(cfg)
     thr = y_mvd(MvdParams.from_config(cfg, 1e-3))
     vals_c, vals_cp, lopts = [], [], []
     idx = 0
     while len(lopts) < 2000:
         inst = generate_instance(cfg, instance_id=idx)
         bits = random_payload_bits(cfg, 0, instance_id=idx)
-        slot = received_slot(inst, cfg, 0, bits)
-        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
+        slot = received_slot(inst, cfg, 0, bits, instance_id=idx)
+        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED)
         idx += 1
         ns = int(np.count_nonzero(space.e_values < thr))
         if ns == 0:

@@ -78,9 +78,9 @@ def _force_instance(inst, H=None, f=None, delays=None):
 def test_received_slot_psk2_reference_points():
     cfg = _ideal_cfg()
     inst = _force_instance(generate_instance(cfg), H=[[1.0]], f=[0.0], delays=[0])
-    r0 = received_slot(inst, cfg, 0, [0]).r
+    r0 = received_slot(inst, cfg, 0, [0], instance_id=0).r
     assert r0[0] == pytest.approx((1 + 1j) / np.sqrt(2), abs=1e-12)
-    r1 = received_slot(inst, cfg, 0, [1]).r
+    r1 = received_slot(inst, cfg, 0, [1], instance_id=0).r
     assert r1[0] == pytest.approx(-(1 + 1j) / np.sqrt(2), abs=1e-12)
 
 
@@ -88,7 +88,7 @@ def test_received_slot_delay_phase_cancellation():
     # t=1, tau=1, f=0.25: phase exponent 2*pi*0.25*(1-1) = 0 so r equals s
     cfg = _ideal_cfg(tau_max=1)
     inst = _force_instance(generate_instance(cfg), H=[[1.0]], f=[0.25], delays=[1])
-    r = received_slot(inst, cfg, 1, [0]).r
+    r = received_slot(inst, cfg, 1, [0], instance_id=0).r
     s = map_symbols(PSK2, 1, np.array([0]))
     assert r[0] == pytest.approx(s[0], abs=1e-12)
 
@@ -103,7 +103,7 @@ def test_objective_direct_zero_at_truth():
     cfg = cfg_small(T_P=0, snr_db=300.0, seed=21)
     inst = generate_instance(cfg)
     bits = random_payload_bits(cfg, 0)
-    slot = received_slot(inst, cfg, 0, bits)
+    slot = received_slot(inst, cfg, 0, bits, instance_id=0)
     d = np.zeros(cfg.M * cfg.taud, dtype=np.uint8)
     for m, tau in enumerate(inst.delays):
         d[m * cfg.taud + tau] = 1
@@ -114,7 +114,7 @@ def test_objective_direct_all_zero_delay_bits():
     cfg = cfg_small(seed=22)
     inst = generate_instance(cfg)
     bits = random_payload_bits(cfg, 0)
-    slot = received_slot(inst, cfg, 0, bits)
+    slot = received_slot(inst, cfg, 0, bits, instance_id=0)
     d = np.zeros(cfg.M * cfg.taud, dtype=np.uint8)
     expect = float(np.sum(np.abs(slot.r) ** 2))
     assert objective_direct(inst, slot.r, 0, bits, d) == pytest.approx(expect, rel=1e-12)
@@ -124,7 +124,7 @@ def test_objective_direct_matches_matrix_oracle():
     cfg = cfg_small(seed=23)
     inst = generate_instance(cfg)
     bits = random_payload_bits(cfg, 3)
-    slot = received_slot(inst, cfg, 3, bits)
+    slot = received_slot(inst, cfg, 3, bits, instance_id=0)
     rng = np.random.default_rng(0)
     for _ in range(20):
         b = rng.integers(0, 2, cfg.M)
@@ -145,7 +145,7 @@ def test_objective_antenna_permutation_invariance():
     cfg = cfg_small(seed=24)
     inst = generate_instance(cfg)
     bits = random_payload_bits(cfg, 0)
-    slot = received_slot(inst, cfg, 0, bits)
+    slot = received_slot(inst, cfg, 0, bits, instance_id=0)
     rng = np.random.default_rng(1)
     b = rng.integers(0, 2, cfg.M)
     d = rng.integers(0, 2, cfg.M * cfg.taud)
@@ -167,7 +167,8 @@ def test_received_slots_match_the_per_slot_reference(over):
     r = received_slots(inst, cfg, ts, bits, v, e)
     for t in ts:
         assert np.array_equal(bits[t], random_payload_bits(cfg, t, instance_id=3))
-        assert r[t].tobytes() == received_slot(inst, cfg, t, bits[t]).r.tobytes()
+        slot = received_slot(inst, cfg, t, bits[t], instance_id=3)
+        assert r[t].tobytes() == slot.r.tobytes()
     # and one row at a time
     assert received_slots(inst, cfg, [5], *slot_draws(cfg, [5], 3)).tobytes() == r[5].tobytes()
 
@@ -186,8 +187,8 @@ def test_received_slot_deterministic():
     cfg = cfg_small(seed=9)
     inst = generate_instance(cfg, instance_id=4)
     bits = random_payload_bits(cfg, 7, instance_id=4)
-    a = received_slot(inst, cfg, 7, bits)
-    b = received_slot(inst, cfg, 7, bits)
+    a = received_slot(inst, cfg, 7, bits, instance_id=4)
+    b = received_slot(inst, cfg, 7, bits, instance_id=4)
     assert np.array_equal(a.r, b.r)
 
 
@@ -195,12 +196,12 @@ def test_e_min_equals_noise_power_at_truth():
     cfg = cfg_small(seed=31)
     inst = generate_instance(cfg)
     bits = random_payload_bits(cfg, 5)
-    slot = received_slot(inst, cfg, 5, bits)
+    slot = received_slot(inst, cfg, 5, bits, instance_id=0)
     d = np.zeros(cfg.M * cfg.taud, dtype=np.uint8)
     for m, tau in enumerate(inst.delays):
         d[m * cfg.taud + tau] = 1
-    v, e = noise_realization(inst, 5)
-    expect = float(np.sum(np.abs(inst.sigma_v * v + e) ** 2))
+    v, e = noise_realization(cfg, 5, instance_id=0)
+    expect = float(np.sum(np.abs(cfg.sigma_v * v + e) ** 2))
     assert objective_direct(inst, slot.r, 5, bits, d) == pytest.approx(expect, rel=1e-10)
 
 

@@ -135,9 +135,8 @@ class TestCircuitBackend:
         cfg = SystemConfig(N=2, M=2, tau_max=1, seed=8)
         inst = generate_instance(cfg)
         bits = random_payload_bits(cfg, 0)
-        slot = received_slot(inst, cfg, 0, bits)
-        reg = build_registry(cfg)
-        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
+        slot = received_slot(inst, cfg, 0, bits, instance_id=0)
+        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED)
         amp = AmplitudeBackend(space)
         circ = CircuitBackend(space, q_v=8)
         es = space.e_sorted[0]
@@ -191,10 +190,10 @@ class TestDenseOracle:
     def test_channel_space(self, modulation, prep):
         cfg = SystemConfig(N=2, M=2, tau_max=1, modulation=modulation, seed=21)
         inst = generate_instance(cfg)
-        slot = received_slot(inst, cfg, 0, random_payload_bits(cfg, 0))
+        slot = received_slot(inst, cfg, 0, random_payload_bits(cfg, 0), instance_id=0)
         poly, _ = build_hubo(inst, slot.r, 0, cfg)
         reg = build_registry(cfg)
-        space = channel_spaces(inst, slot.r[None], [0], cfg, prep, reg)
+        space = channel_spaces(inst, slot.r[None], [0], cfg, prep)
         q_v = register_width(0.0, channel_bound(inst.H, slot.r, prep, reg.taud), 0.0)
         circ = CircuitBackend(space, q_v)
         es = np.sort(space.e_values[0])
@@ -212,10 +211,10 @@ class TestDenseOracle:
         for seed in range(20):
             cfg = SystemConfig(N=2, M=2, tau_max=1 + seed % 2, seed=300 + seed)
             inst = generate_instance(cfg)
-            slot = received_slot(inst, cfg, 0, random_payload_bits(cfg, 0))
+            slot = received_slot(inst, cfg, 0, random_payload_bits(cfg, 0), instance_id=0)
             poly, _ = build_hubo(inst, slot.r, 0, cfg)
             reg = build_registry(cfg)
-            space = channel_spaces(inst, slot.r[None], [0], cfg, prep, reg)
+            space = channel_spaces(inst, slot.r[None], [0], cfg, prep)
             q_v = register_width(0.0, channel_bound(inst.H, slot.r, prep, reg.taud), 0.0)
             circ = CircuitBackend(space, q_v)
             dense = GroverCircuit(poly, reg, prep, q_v)
@@ -324,9 +323,9 @@ class TestRunGas:
         cfg = SystemConfig(N=2, M=2, tau_max=2, seed=15)
         inst = generate_instance(cfg)
         bits = random_payload_bits(cfg, 0)
-        slot = received_slot(inst, cfg, 0, bits)
+        slot = received_slot(inst, cfg, 0, bits, instance_id=0)
         reg = build_registry(cfg)
-        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
+        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED)
         backend = AmplitudeBackend(space)
         rng = np.random.default_rng(16)
         run = self.engine(backend, GasParams(budget_iterations=60), rng, record=True)
@@ -432,9 +431,9 @@ class TestBatchLaw:
         qd = {det: ([], []) for det in harness.GAS_DETECTORS}
         for trial in range(16):
             inst = generate_instance(cfg, instance_id=trial)
-            r = np.stack([received_slot(inst, cfg, t, random_payload_bits(cfg, t, trial)).r
-                          for t in slots])
-            stack = channel_spaces(inst, r, slots, cfg, W_STATE_REDUCED, reg)
+            r = np.stack([received_slot(inst, cfg, t, random_payload_bits(cfg, t, trial),
+                                        instance_id=trial).r for t in slots])
+            stack = channel_spaces(inst, r, slots, cfg, W_STATE_REDUCED)
             x_mmse = mmse_detect(inst, r, slots, cfg, stack)
             minima = stack.e_values.min(axis=1)
             for di, (det, arm) in enumerate(harness.GAS_DETECTORS.items()):

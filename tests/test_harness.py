@@ -241,11 +241,10 @@ class TestBer:
         from gasmld.gas import AmplitudeBackend, GasParams, run_gas
         from gasmld.spaces import channel_spaces
         cfg = SystemConfig(N=2, M=2, tau_max=1, T_P=64, T_D=4, snr_db=20.0, seed=6)
-        reg = build_registry(cfg)
         inst = generate_instance(cfg)
         bits = random_payload_bits(cfg, 0)
-        slot = received_slot(inst, cfg, 0, bits)
-        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
+        slot = received_slot(inst, cfg, 0, bits, instance_id=0)
+        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED)
         run = run_gas(AmplitudeBackend(space), GasParams(budget_iterations=60),
                       np.random.default_rng(1), record=True)
         zero_l = sum(1 for step in run.steps if step["L"] == 0)
@@ -377,7 +376,8 @@ class TestSolve:
         amps = raw[0::2] + 1j * raw[1::2]
         cfg = spec.cfg
         inst = generate_instance(cfg, instance_id=0)
-        slot = received_slot(inst, cfg, 0, random_payload_bits(cfg, 0, instance_id=0))
+        slot = received_slot(inst, cfg, 0, random_payload_bits(cfg, 0, instance_id=0),
+                             instance_id=0)
         poly, _ = build_hubo(inst, slot.r, 0, cfg)
         reg = build_registry(cfg)
         ymvd = y_mvd(MvdParams.from_config(cfg, spec.mvd_p))
@@ -403,7 +403,8 @@ class TestSolve:
         cfg = load_spec(config).cfg
         reg = build_registry(cfg)
         inst = generate_instance(cfg, instance_id=0)
-        slot = received_slot(inst, cfg, 0, random_payload_bits(cfg, 0, instance_id=0))
+        slot = received_slot(inst, cfg, 0, random_payload_bits(cfg, 0, instance_id=0),
+                             instance_id=0)
         assert cli.main(["solve", "--config", str(config), "--backend", backend]) == 0
         rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert rows

@@ -18,7 +18,7 @@ def make_problem(N=2, M=2, tau_max=1, modulation=PSK2, seed=3, t=0, snr_db=20.0,
                        T_P=128, T_D=8, P_X=1.0, snr_db=snr_db, seed=seed)
     inst = generate_instance(cfg)
     bits = random_payload_bits(cfg, t)
-    slot = received_slot(inst, cfg, t, bits)
+    slot = received_slot(inst, cfg, t, bits, instance_id=0)
     poly, reg = build_hubo(inst, slot.r, t, cfg, include_c_as_variable=include_c)
     return cfg, inst, slot, poly, reg
 
@@ -73,7 +73,7 @@ class TestBuild:
         inst = generate_instance(cfg)
         inst = replace(inst, H=np.array([[1.0 + 0j]]), f=np.zeros(1),
                        delays=np.zeros(1, dtype=int))
-        slot = received_slot(inst, cfg, 0, [0])
+        slot = received_slot(inst, cfg, 0, [0], instance_id=0)
         poly, reg = build_hubo(inst, slot.r, 0, cfg)
         assert reg.q_k == 2
         assert evaluate(poly, [0, 1]) == pytest.approx(0.0, abs=1e-12)
@@ -215,8 +215,8 @@ class TestEnumeration:
     @staticmethod
     def space(cfg, prep):
         inst = generate_instance(cfg)
-        slot = received_slot(inst, cfg, 0, random_payload_bits(cfg, 0))
-        return channel_spaces(inst, slot.r[None], [0], cfg, prep, build_registry(cfg))
+        slot = received_slot(inst, cfg, 0, random_payload_bits(cfg, 0), instance_id=0)
+        return channel_spaces(inst, slot.r[None], [0], cfg, prep)
 
     def test_reduced_count_small(self):
         cfg = SystemConfig(N=1, M=1, tau_max=2, seed=0)

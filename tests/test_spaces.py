@@ -19,7 +19,7 @@ def make(N=2, M=2, tau_max=1, modulation=PSK2, seed=3, t=0, **over):
     cfg = SystemConfig(N=N, M=M, tau_max=tau_max, modulation=modulation, seed=seed, **base)
     inst = generate_instance(cfg)
     bits = random_payload_bits(cfg, t)
-    slot = received_slot(inst, cfg, t, bits)
+    slot = received_slot(inst, cfg, t, bits, instance_id=0)
     reg = build_registry(cfg)
     return cfg, inst, slot, reg
 
@@ -49,13 +49,14 @@ def enumerate_search_space(reg, prep):
                          ids=["psk2", "qpsk", "psk2-N3"])
 def test_stack_rows_match_from_channel(modulation, N, prep):
     # row t of a many-slot stack has the bits of slot t's one-row stack
-    cfg, inst, _, reg = make(N=N, M=3, modulation=modulation, T_D=8)
+    cfg, inst, _, _ = make(N=N, M=3, modulation=modulation, T_D=8)
     slots = np.arange(cfg.T_D)
-    r = np.stack([received_slot(inst, cfg, t, random_payload_bits(cfg, t)).r for t in slots])
-    stack = spaces.channel_spaces(inst, r, slots, cfg, prep, reg)
+    r = np.stack([received_slot(inst, cfg, t, random_payload_bits(cfg, t), instance_id=0).r
+                  for t in slots])
+    stack = spaces.channel_spaces(inst, r, slots, cfg, prep)
     assert stack.e_values.shape == (cfg.T_D, stack.n_states)
     for t in slots:
-        space = channel_spaces(inst, r[t][None], [t], cfg, prep, reg)
+        space = channel_spaces(inst, r[t][None], [t], cfg, prep)
         assert stack.e_values[t].tobytes() == space.e_values[0].tobytes()
         assert np.array_equal(stack.key_indices, space.key_indices)
         assert np.array_equal(stack.one_hot, space.one_hot)
@@ -65,7 +66,7 @@ def test_stack_rows_match_from_channel(modulation, N, prep):
 @pytest.mark.parametrize("prep", [W_STATE_REDUCED, HADAMARD_FULL])
 def test_space_matches_objective_direct(modulation, prep):
     cfg, inst, slot, reg = make(modulation=modulation)
-    space = channel_spaces(inst, slot.r[None], [0], cfg, prep, reg)
+    space = channel_spaces(inst, slot.r[None], [0], cfg, prep)
     seen = set()
     for ordinal in range(space.n_states):
         x = space.assignment(ordinal)
@@ -87,7 +88,7 @@ def test_space_matches_polynomial_values(modulation, prep):
     # direct residual at each decoded assignment
     cfg, inst, slot, reg = make(modulation=modulation, seed=9)
     poly, _ = build_hubo(inst, slot.r, 0, cfg)
-    ch = channel_spaces(inst, slot.r[None], [0], cfg, prep, reg)
+    ch = channel_spaces(inst, slot.r[None], [0], cfg, prep)
     po = from_polynomial(poly, reg, prep)
     ch_map = {int(k): v for k, v in zip(ch.key_indices, ch.e_values[0])}
     po_map = {int(k): v for k, v in zip(po.key_indices, po.e_values[0])}
@@ -112,8 +113,8 @@ def test_poly_values_over_keys_matches_evaluate():
 
 
 def test_count_below_and_sampling():
-    cfg, inst, slot, reg = make(seed=11)
-    space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
+    cfg, inst, slot, _ = make(seed=11)
+    space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED)
     # one rotation measures a marked state with certainty at Ns/Nt = 1/4
     # (sin^2(3 pi/6) = 1) and an unmarked one at Ns/Nt = 3/4 (sin^2(3 pi/3) = 0)
     backend = AmplitudeBackend(space)
@@ -132,10 +133,9 @@ def test_capacity_guard():
     cfg = SystemConfig(N=2, M=16, tau_max=2, seed=0)
     inst = generate_instance(cfg)
     bits = random_payload_bits(cfg, 0)
-    slot = received_slot(inst, cfg, 0, bits)
-    reg = build_registry(cfg)
+    slot = received_slot(inst, cfg, 0, bits, instance_id=0)
     with pytest.raises(CapacityError):
-        channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
+        channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED)
 
 
 class TestExhaustive:
@@ -143,7 +143,7 @@ class TestExhaustive:
 
     def test_noiseless_truth(self):
         cfg, inst, slot, reg = make(T_P=0, snr_db=300.0, seed=5)
-        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
+        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED)
         b, d = reg.split_assignment(space.assignment(argmin_ordinal(space)))
         assert np.array_equal(b, slot.b_true)
         assert space.e_values.min() == pytest.approx(0.0, abs=1e-15)
@@ -152,16 +152,16 @@ class TestExhaustive:
             assert k == inst.delays[m]
 
     def test_min_below_all(self):
-        cfg, inst, slot, reg = make(snr_db=20.0, seed=6)
-        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
+        cfg, inst, slot, _ = make(snr_db=20.0, seed=6)
+        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED)
         values = space.e_sorted[0]
         assert np.all(values[0] <= space.e_values[0] + 1e-15)
         assert np.all(np.diff(values) >= 0)
         assert space.e_values[0, argmin_ordinal(space)] == values[0]
 
     def test_counts_from_sorted_values(self):
-        cfg, inst, slot, reg = make(snr_db=20.0, seed=7)
-        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
+        cfg, inst, slot, _ = make(snr_db=20.0, seed=7)
+        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED)
         y = float(np.median(space.e_sorted))
         assert int(np.searchsorted(space.e_sorted[0], y, side="left")) == \
             int(np.sum(space.e_values < y))
@@ -180,8 +180,8 @@ class TestLazyOrder:
     @pytest.mark.parametrize("modulation", [PSK2, QPSK])
     @pytest.mark.parametrize("prep", [W_STATE_REDUCED, HADAMARD_FULL])
     def test_order_is_stable_argsort(self, modulation, prep):
-        cfg, inst, slot, reg = make(modulation=modulation, seed=12)
-        space = channel_spaces(inst, slot.r[None], [0], cfg, prep, reg)
+        cfg, inst, slot, _ = make(modulation=modulation, seed=12)
+        space = channel_spaces(inst, slot.r[None], [0], cfg, prep)
         expect = np.argsort(space.e_values, axis=1, kind="stable")
         assert np.array_equal(space.order, expect)
         assert np.array_equal(space.e_sorted, np.take_along_axis(space.e_values, expect, axis=1))
@@ -200,8 +200,8 @@ class TestLazyOrder:
 
     @pytest.mark.parametrize("prep", [W_STATE_REDUCED, HADAMARD_FULL])
     def test_count_and_minimum_without_sorting(self, prep):
-        cfg, inst, slot, reg = make(seed=13)
-        space = channel_spaces(inst, slot.r[None], [0], cfg, prep, reg)
+        cfg, inst, slot, _ = make(seed=13)
+        space = channel_spaces(inst, slot.r[None], [0], cfg, prep)
         distinct = np.unique(space.e_values)
         probes = np.concatenate([distinct, 0.5 * (distinct[1:] + distinct[:-1]),
                                  [distinct[0] - 1.0, distinct[-1] + 1.0]])
@@ -225,8 +225,8 @@ class TestLazyOrder:
             return argsort(a, *args, **kwargs)
 
         monkeypatch.setattr(np, "argsort", recording)
-        cfg, inst, slot, reg = make(seed=15)
-        space = channel_spaces(inst, slot.r[None], [0], cfg, prep, reg)
+        cfg, inst, slot, _ = make(seed=15)
+        space = channel_spaces(inst, slot.r[None], [0], cfg, prep)
         space.order  # noqa: B018  (build the order)
         assert kinds == (["stable"] if prep == HADAMARD_FULL else [None])
         assert np.array_equal(space.order, argsort(space.e_values, axis=1, kind="stable"))
@@ -235,10 +235,11 @@ class TestLazyOrder:
     def test_batch_reads_the_stack_order(self, prep, monkeypatch):
         # the lockstep engine searches through the stack's cached sort: a
         # stack whose order was read is never sorted again
-        cfg, inst, _, reg = make(M=3, seed=17)
+        cfg, inst, _, _ = make(M=3, seed=17)
         slots = np.arange(cfg.T_D)
-        r = np.stack([received_slot(inst, cfg, t, random_payload_bits(cfg, t)).r for t in slots])
-        stack = channel_spaces(inst, r, slots, cfg, prep, reg)
+        r = np.stack([received_slot(inst, cfg, t, random_payload_bits(cfg, t), instance_id=0).r
+                      for t in slots])
+        stack = channel_spaces(inst, r, slots, cfg, prep)
         stack.order  # noqa: B018  (build the order)
         calls = []
         argsort = np.argsort
@@ -266,9 +267,9 @@ class TestLazyOrder:
         for modulation, M, rows in itertools.product([PSK2, QPSK], [1, 2, 3, 4], [1, 5]):
             cfg, inst, _, reg = make(N=N, M=M, modulation=modulation, seed=14)
             slots = np.arange(rows) + 1
-            r = np.stack([received_slot(inst, cfg, t, random_payload_bits(cfg, t)).r
+            r = np.stack([received_slot(inst, cfg, t, random_payload_bits(cfg, t), instance_id=0).r
                           for t in slots])
-            stack = channel_spaces(inst, r, slots, cfg, prep, reg)
+            stack = channel_spaces(inst, r, slots, cfg, prep)
             e, key_idx = reference_channel_values(inst, r, slots, cfg, prep, reg)
             case = (modulation, M, rows)
             assert stack.e_values.shape == e.shape, case
@@ -278,15 +279,16 @@ class TestLazyOrder:
 
 def test_key_table_shared_and_read_only():
     # the key-index table depends only on (registry, preparation): calls of
-    # one pair share one array, which no caller can write
+    # one pair share one array, which no caller can write, though each call
+    # builds its own registry from the config
     cfg, inst, slot, reg = make(M=3, modulation=QPSK, seed=19)
-    first = channel_spaces(inst, slot.r[None], [0], cfg, HADAMARD_FULL, reg)
-    again = channel_spaces(inst, 2.0 * slot.r[None], [1], cfg, HADAMARD_FULL, build_registry(cfg))
+    first = channel_spaces(inst, slot.r[None], [0], cfg, HADAMARD_FULL)
+    again = channel_spaces(inst, 2.0 * slot.r[None], [1], cfg, HADAMARD_FULL)
     assert again.key_indices is first.key_indices
     assert not first.key_indices.flags.writeable
     with pytest.raises(ValueError):
         first.key_indices[0] = 0
-    w_state = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
+    w_state = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED)
     assert w_state.key_indices is not first.key_indices
     assert not w_state.key_indices.flags.writeable
     # the stack's decoders read the shared table
@@ -311,18 +313,18 @@ class TestOrdinals:
     @pytest.mark.parametrize("prep", [W_STATE_REDUCED, HADAMARD_FULL])
     def test_one_hot(self, prep):
         cfg, inst, slot, reg = make(M=3, modulation=QPSK, seed=16)
-        space = channel_spaces(inst, slot.r[None], [0], cfg, prep, reg)
+        space = channel_spaces(inst, slot.r[None], [0], cfg, prep)
         expect = [np.all(d.sum(axis=1) == 1) for _, _, d in self.decoded(space, reg)]
         assert np.array_equal(space.one_hot, expect)
 
     @pytest.mark.parametrize("modulation", [PSK2, QPSK])
     def test_channel_ordinals(self, modulation):
         cfg, inst, slot, reg = make(M=3, tau_max=2, modulation=modulation, seed=16)
-        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
+        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED)
         rows = list(self.decoded(space, reg))
         got = spaces.channel_ordinals(space, np.array([b for _, b, _ in rows]),
                                       np.array([d.argmax(axis=1) for _, _, d in rows]))
         assert np.array_equal(got, np.arange(space.n_states))
-        full = channel_spaces(inst, slot.r[None], [0], cfg, HADAMARD_FULL, reg)
+        full = channel_spaces(inst, slot.r[None], [0], cfg, HADAMARD_FULL)
         with pytest.raises(ValueError):
             spaces.channel_ordinals(full, rows[0][1][None, :], [[0, 0, 0]])

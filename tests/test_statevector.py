@@ -232,7 +232,7 @@ class TestGrover:
         cfg = SystemConfig(N=2, M=2, tau_max=1, seed=5)
         inst = generate_instance(cfg)
         bits = random_payload_bits(cfg, 0)
-        slot = received_slot(inst, cfg, 0, bits)
+        slot = received_slot(inst, cfg, 0, bits, instance_id=0)
         poly, _ = build_hubo(inst, slot.r, 0, cfg)
         reg = build_registry(cfg)
         q_v = register_width(0.0, channel_bound(inst.H, slot.r, W_STATE_REDUCED, reg.taud),
@@ -309,9 +309,9 @@ class TestChooseQv:
             cfg = SystemConfig(N=2, M=2, tau_max=1, seed=int(rng.integers(1 << 30)))
             inst = generate_instance(cfg)
             bits = random_payload_bits(cfg, 0)
-            slot = received_slot(inst, cfg, 0, bits)
+            slot = received_slot(inst, cfg, 0, bits, instance_id=0)
             reg = build_registry(cfg)
             for prep in (W_STATE_REDUCED, HADAMARD_FULL):
                 bound = channel_bound(inst.H, slot.r, prep, reg.taud)
-                space = channel_spaces(inst, slot.r[None], [0], cfg, prep, reg)
+                space = channel_spaces(inst, slot.r[None], [0], cfg, prep)
                 assert space.e_values.max() <= bound + 1e-9

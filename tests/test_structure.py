@@ -1,10 +1,11 @@
 """The package holds no code that only tests call.
 
 Every module-level function and class in src/gasmld is referenced from the
-package outside its own definition, and every method of a package class
-other than a dunder is read as an attribute in the package outside its own
-body; test-only helpers live in tests/oracles.py.  Exporting a name does not
-count as a use, and every exported name resolves on the package.
+package outside its own definition, every module-level constant other than
+a dunder is read in the package, and every method of a package class other
+than a dunder is read as an attribute in the package outside its own body;
+test-only helpers live in tests/oracles.py.  Exporting a name does not count
+as a use, and every exported name resolves on the package.
 """
 
 import ast
@@ -59,6 +60,25 @@ def test_every_definition_is_used_or_exported():
     assert defined
     unused = sorted(f"{module}.{name}" for module, name in defined if not refs.get(name))
     assert unused == []
+
+
+def test_every_constant_is_read():
+    # a constant is a module-level assignment to a name; a read is a load of
+    # that name as a Name or an Attribute anywhere in the package
+    constants, loads = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                constants.extend((path.stem, target.id) for target in targets
+                                 if isinstance(target, ast.Name) and not _is_dunder(target.id))
+        loads.update(node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(tree)
+                     if isinstance(node, (ast.Name, ast.Attribute))
+                     and isinstance(node.ctx, ast.Load))
+    assert constants
+    assert sorted(f"{module}.{name}" for module, name in constants if name not in loads) == []
 
 
 def test_every_export_resolves():

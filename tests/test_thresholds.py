@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gasmld.channel import (PSK2, QPSK, SystemConfig, generate_instance, map_symbols,
-                            objective_direct)
+                            objective_direct, received_slots, slot_draws)
 from gasmld.spaces import W_STATE_REDUCED, SpaceStack, build_registry, channel_spaces
 from gasmld.thresholds import (MvdParams, mmse_detect, mmse_estimates, mvd_rate,
                                regularized_gamma_q, y_mvd)
@@ -101,9 +101,8 @@ class TestEminDistribution:
         lam = mvd_rate(cfg.sigma_v2, cfg.T_P * cfg.P_X)
         samples = []
         for inst_id in range(40):
-            inst = generate_instance(cfg, instance_id=inst_id)
             for t in range(cfg.T_D):
-                v, e = noise_realization(inst, t)
+                v, e = noise_realization(cfg, t, instance_id=inst_id)
                 samples.append(float(np.sum(np.abs(cfg.sigma_v * v + e) ** 2)))
         samples = np.sort(samples)
         n = samples.size
@@ -118,25 +117,50 @@ def detect_one(inst, r, t, cfg, space):
     return int(mmse_detect(inst, r[None], [t], cfg, space)[0])
 
 
+def test_one_instance_serves_every_snr_point():
+    # the instance and the slot draws hold no SNR: received slots and MMSE
+    # estimates take sigma_v and est_err_var from the config they are given
+    cfg_a = SystemConfig(N=3, M=2, tau_max=1, snr_db=5.0, seed=21)
+    cfg_b = cfg_a.with_snr(25.0)
+    inst = generate_instance(cfg_a, instance_id=2)
+    slots = np.arange(4)
+    bits, v, e = slot_draws(cfg_a, slots, 2)
+    r_a = received_slots(inst, cfg_a, slots, bits, v, e)
+    r_b = received_slots(inst, cfg_b, slots, bits, v, e)
+    expect = ((cfg_a.sigma_v - cfg_b.sigma_v) * v
+              + (np.sqrt(cfg_a.est_err_var) - np.sqrt(cfg_b.est_err_var)) * e)
+    np.testing.assert_allclose(r_a - r_b, expect, rtol=1e-9, atol=1e-12)
+    # one received vector, so only the config's noise level tells them apart
+    combos, s_a = mmse_estimates(inst, r_a, slots, cfg_a)
+    _, s_b = mmse_estimates(inst, r_a, slots, cfg_b)
+    assert not np.allclose(s_a, s_b)
+    for cfg, stacked in ((cfg_a, s_a), (cfg_b, s_b)):
+        for t in slots:
+            for combo, s_hat in zip(combos, stacked[t]):
+                A = inst.H * np.exp(1j * 2 * np.pi * inst.f * (t - combo))[None, :]
+                G = A @ A.conj().T + cfg.sigma_v ** 2 * np.eye(cfg.N)
+                np.testing.assert_allclose(s_hat, A.conj().T @ np.linalg.solve(G, r_a[t]),
+                                           rtol=1e-10)
+
+
 class TestMmse:
     def test_noiseless_recovery(self):
         cfg = SystemConfig(N=2, M=2, tau_max=1, T_P=0, T_D=1, snr_db=300.0, seed=7)
         inst = generate_instance(cfg)
         bits = random_payload_bits(cfg, 0)
-        slot = received_slot(inst, cfg, 0, bits)
-        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, build_registry(cfg))
+        slot = received_slot(inst, cfg, 0, bits, instance_id=0)
+        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED)
         ordinal = detect_one(inst, slot.r, 0, cfg, space)
         assert space.e_values[0, ordinal] == pytest.approx(0.0, abs=1e-12)
         assert np.array_equal(space.assignment(ordinal)[:cfg.M], bits)
 
     def test_never_beats_exhaustive(self):
         cfg = SystemConfig(N=2, M=3, tau_max=1, snr_db=10.0, seed=8)
-        reg = build_registry(cfg)
         for inst_id in range(10):
             inst = generate_instance(cfg, instance_id=inst_id)
             bits = random_payload_bits(cfg, 0, instance_id=inst_id)
-            slot = received_slot(inst, cfg, 0, bits)
-            space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, reg)
+            slot = received_slot(inst, cfg, 0, bits, instance_id=inst_id)
+            space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED)
             ordinal = detect_one(inst, slot.r, 0, cfg, space)
             assert space.e_values[0, ordinal] >= space.e_values.min() - 1e-12
 
@@ -145,8 +169,8 @@ class TestMmse:
         cfg = SystemConfig(N=2, M=2, tau_max=1, snr_db=15.0, seed=9)
         inst = generate_instance(cfg)
         bits = random_payload_bits(cfg, 0)
-        slot = received_slot(inst, cfg, 0, bits)
-        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, build_registry(cfg))
+        slot = received_slot(inst, cfg, 0, bits, instance_id=0)
+        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED)
         got = space.e_values[0, detect_one(inst, slot.r, 0, cfg, space)]
         best = math.inf
         for combo in itertools.product(range(cfg.taud), repeat=cfg.M):
@@ -170,12 +194,12 @@ class TestMmse:
         # the stacked estimates match one solve per delay combination
         import itertools
         cfg = SystemConfig(N=2, M=3, tau_max=2, modulation=modulation, snr_db=10.0, seed=10)
-        reg = build_registry(cfg)
         for inst_id in range(4):
             inst = generate_instance(cfg, instance_id=inst_id)
             t = inst_id
-            slot = received_slot(inst, cfg, t, random_payload_bits(cfg, t, instance_id=inst_id))
-            space = channel_spaces(inst, slot.r[None], [t], cfg, W_STATE_REDUCED, reg)
+            bits = random_payload_bits(cfg, t, instance_id=inst_id)
+            slot = received_slot(inst, cfg, t, bits, instance_id=inst_id)
+            space = channel_spaces(inst, slot.r[None], [t], cfg, W_STATE_REDUCED)
             combos, (stacked,) = mmse_estimates(inst, slot.r[None], [t], cfg)
             candidates = []
             for i, combo in enumerate(itertools.product(range(cfg.taud), repeat=cfg.M)):
@@ -210,8 +234,9 @@ class TestMmse:
         reg = build_registry(cfg)
         inst = generate_instance(cfg)
         slots = np.arange(cfg.T_D)
-        r = np.stack([received_slot(inst, cfg, t, random_payload_bits(cfg, t)).r for t in slots])
-        stack = channel_spaces(inst, r, slots, cfg, W_STATE_REDUCED, reg)
+        r = np.stack([received_slot(inst, cfg, t, random_payload_bits(cfg, t), instance_id=0).r
+                      for t in slots])
+        stack = channel_spaces(inst, r, slots, cfg, W_STATE_REDUCED)
         ordinals = mmse_detect(inst, r, slots, cfg, stack)
         _, estimates = mmse_estimates(inst, r, slots, cfg)
         for t in slots:
@@ -229,9 +254,9 @@ class TestYRand:
         cfg = SystemConfig(N=2, M=2, tau_max=1, snr_db=20.0, seed=12)
         inst = generate_instance(cfg)
         bits = random_payload_bits(cfg, 0)
-        slot = received_slot(inst, cfg, 0, bits)
+        slot = received_slot(inst, cfg, 0, bits, instance_id=0)
         poly, _ = build_hubo(inst, slot.r, 0, cfg)
-        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED, build_registry(cfg))
+        space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED)
         return poly, space
 
     @staticmethod
