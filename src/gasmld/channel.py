@@ -89,15 +89,11 @@ class ChannelInstance:
     delays: np.ndarray
 
 
-def _cn(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard complex Gaussian CN(0, 1), i.i.d. entries."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * _SQRT_HALF
-
-
 def generate_instance(cfg: SystemConfig, instance_id: int = 0) -> ChannelInstance:
     """Draw one channel realization: coefficients, delays, frequency offsets."""
     rng = streams.substream(cfg.seed, streams.CHANNEL, instance_id)
-    H = _cn(rng, (cfg.N, cfg.M))
+    shape = (cfg.N, cfg.M)  # CN(0, 1) entries, every real part drawn first
+    H = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * _SQRT_HALF
     delays = rng.integers(0, cfg.tau_max + 1, size=cfg.M)
     f = rng.uniform(-1.0, 1.0, size=cfg.M)
     return ChannelInstance(H=H, f=f, delays=delays)
@@ -129,24 +125,25 @@ def map_symbols(modulation: str, t, bits: np.ndarray) -> np.ndarray:
     return ((1.0 - 2.0 * b[..., 0]) + 1j * (1.0 - 2.0 * b[..., 1])) * _SQRT_HALF
 
 
-def slot_draws(cfg: SystemConfig, ts,
-               instance_id: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def slot_draws(cfg: SystemConfig, ts, *,
+               instance_id: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Payload bits (T, bits_per_slot) and unit-variance noise v and
     estimation error e (T, N) of slots ts of one instance.
 
-    Each slot draws from its own streams (seed, purpose, instance_id, t).
-    No key holds the SNR, so one draw serves every SNR point.
+    Each purpose draws max(ts) + 1 rows in C order from the stream (seed,
+    purpose, instance_id), a complex row as its real then imaginary parts,
+    and slot t takes row t whatever else is drawn.  No key holds the SNR,
+    so one draw serves every SNR point.
     """
-    n = len(ts)
-    bits = np.empty((n, cfg.bits_per_slot), dtype=np.uint8)
-    v = np.empty((n, cfg.N), dtype=complex)
-    e = np.empty((n, cfg.N), dtype=complex)
-    for i, t in enumerate(ts):
-        bits[i] = streams.substream(cfg.seed, streams.PAYLOAD, instance_id, t).integers(
-            0, 2, size=cfg.bits_per_slot)
-        v[i] = _cn(streams.substream(cfg.seed, streams.NOISE, instance_id, t), cfg.N)
-        e[i] = _cn(streams.substream(cfg.seed, streams.EST_ERR, instance_id, t), cfg.N)
-    return bits, v, e
+    ts = np.asarray(ts, dtype=np.intp)
+    if (ts < 0).any():
+        raise ValueError("slot index must be >= 0")
+    rows = int(ts.max(initial=-1)) + 1
+    bits = streams.substream(cfg.seed, streams.PAYLOAD, instance_id).integers(
+        0, 2, size=(rows, cfg.bits_per_slot))[ts].astype(np.uint8)
+    v, e = (streams.substream(cfg.seed, purpose, instance_id).standard_normal(
+        (rows, 2, cfg.N))[ts] for purpose in (streams.NOISE, streams.EST_ERR))
+    return bits, (v[:, 0] + 1j * v[:, 1]) * _SQRT_HALF, (e[:, 0] + 1j * e[:, 1]) * _SQRT_HALF
 
 
 def received_slots(inst: ChannelInstance, cfg: SystemConfig, ts, bits, v, e) -> np.ndarray:

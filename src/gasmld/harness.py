@@ -280,7 +280,7 @@ def run_query_cdf(spec: ExperimentSpec):
     rows = []
     for trial in range(spec.trials):
         inst = generate_instance(cfg, instance_id=trial)
-        r = received_slots(inst, cfg, [0], *slot_draws(cfg, [0], trial))
+        r = received_slots(inst, cfg, [0], *slot_draws(cfg, [0], instance_id=trial))
         w_space = channel_spaces(inst, r, [0], cfg, W_STATE_REDUCED)
         oracle_min = float(w_space.e_values.min())
         # every arm's backend before any search, so that a value register
@@ -379,7 +379,7 @@ def _ber_trial(spec: ExperimentSpec, cfgs: list[SystemConfig], detectors: list[s
     cfg0, n_snr, n_slots = cfgs[0], len(cfgs), cfgs[0].T_D
     slots = np.arange(n_slots)
     inst = generate_instance(cfg0, instance_id=trial)
-    bits_true, v, e = slot_draws(cfg0, slots, trial)
+    bits_true, v, e = slot_draws(cfg0, slots, instance_id=trial)
     r = np.concatenate([received_slots(inst, cfg, slots, bits_true, v, e) for cfg in cfgs])
     stack = channel_spaces(inst, r, np.tile(slots, n_snr), cfg0, W_STATE_REDUCED)
     point = [slice(si * n_slots, (si + 1) * n_slots) for si in range(n_snr)]
@@ -451,7 +451,7 @@ def solve_single(spec: ExperimentSpec,
         # the prepared state exists only in the circuit model
         raise ConfigError(f"solve does not take --dump-state on backend {spec.backend!r}")
     inst = generate_instance(cfg, instance_id=0)
-    r = received_slots(inst, cfg, [0], *slot_draws(cfg, [0], 0))
+    r = received_slots(inst, cfg, [0], *slot_draws(cfg, [0], instance_id=0))
     space = channel_spaces(inst, r, [0], cfg, W_STATE_REDUCED)
     ymvd = y_mvd(MvdParams.from_config(cfg, spec.mvd_p))
     params = _gas_params(spec, SOLVE_ARM, inst, ymvd, None)

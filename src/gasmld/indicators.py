@@ -139,7 +139,7 @@ def calibrate(cfg: SystemConfig, n_samples: int, P: float = 1e-3, id_offset: int
     scatter = {"c": [], "c1": [], "c2": [], "c_prime": []}
     for idx in range(id_offset, id_offset + n_samples):
         inst = generate_instance(cfg, instance_id=idx)
-        r = received_slots(inst, cfg, [0], *slot_draws(cfg, [0], idx))
+        r = received_slots(inst, cfg, [0], *slot_draws(cfg, [0], instance_id=idx))
         space = channel_spaces(inst, r, [0], cfg, W_STATE_REDUCED)
         ns = int(np.count_nonzero(space.e_values < y))
         if ns == 0:

@@ -1,8 +1,8 @@
 """Counter-based random streams.
 
-Every stochastic quantity in the workbench is drawn from a Philox generator
-keyed by (seed, purpose, ...path), so instances, noise slots and trials can be
-regenerated independently of call order and fanned out across workers.
+Every stochastic quantity is drawn from a Philox generator keyed by (seed,
+purpose, ...path), so it regenerates independently of call order; slot t of
+an instance is row t of that instance's stream (seed, purpose, instance).
 """
 
 from __future__ import annotations

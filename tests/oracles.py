@@ -17,8 +17,10 @@
   term counts, values over every key index, search spaces built from them,
   and the coefficient-sum value-register width.
 - The per-slot channel model: one slot's payload bits, noise and received
-  vector, drawn and computed slot by slot as channel.slot_draws and
-  channel.received_slots do for many slots at once.
+  vector, computed slot by slot as channel.slot_draws and
+  channel.received_slots do for many slots at once.  Slot t of an instance
+  is row t of each of its streams (seed, purpose, instance): the reference
+  draws and discards rows 0 .. t-1, then draws row t.
 - The reference value-table kernel: channel_spaces as it was before its
   full-table passes ran along the long axis, laid out (slots, states,
   antennas), which the new layout must match bit for bit.
@@ -49,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from gasmld import streams
-from gasmld.channel import (PSK2, ChannelInstance, SystemConfig, _cn, delay_phases, map_symbols,
+from gasmld.channel import (PSK2, ChannelInstance, SystemConfig, delay_phases, map_symbols,
                             psk2_base)
 from gasmld.errors import CapacityError
 from gasmld.gas import MAX_QUBITS, check_value_range, register_width, value_scale
@@ -69,18 +71,26 @@ class ReceivedSlot:
     b_true: np.ndarray = field(repr=False)
 
 
+def _cn_row(rng: np.random.Generator, t: int, N: int) -> np.ndarray:
+    """Row t of a CN(0, 1) stream drawn as rows of (real, imaginary)."""
+    rng.standard_normal((t, 2, N))  # rows 0 .. t-1, discarded
+    re, im = rng.standard_normal((2, N))
+    return (re + 1j * im) * _SQRT_HALF
+
+
 def noise_realization(cfg: SystemConfig, t: int, *, instance_id: int):
     """(v, e) of slot t of instance instance_id, v unit variance and e
-    scaled to cfg's estimation-error variance."""
-    rng_v = streams.substream(cfg.seed, streams.NOISE, instance_id, t)
-    rng_e = streams.substream(cfg.seed, streams.EST_ERR, instance_id, t)
-    v = _cn(rng_v, cfg.N)
-    e = np.sqrt(cfg.est_err_var) * _cn(rng_e, cfg.N)
-    return v, e
+    scaled to cfg's estimation-error variance: row t of the instance's
+    NOISE and EST_ERR streams."""
+    v = _cn_row(streams.substream(cfg.seed, streams.NOISE, instance_id), t, cfg.N)
+    e = _cn_row(streams.substream(cfg.seed, streams.EST_ERR, instance_id), t, cfg.N)
+    return v, np.sqrt(cfg.est_err_var) * e
 
 
-def random_payload_bits(cfg: SystemConfig, t: int, instance_id: int = 0) -> np.ndarray:
-    rng = streams.substream(cfg.seed, streams.PAYLOAD, instance_id, t)
+def random_payload_bits(cfg: SystemConfig, t: int, *, instance_id: int) -> np.ndarray:
+    """Payload bits of slot t: row t of the instance's PAYLOAD stream."""
+    rng = streams.substream(cfg.seed, streams.PAYLOAD, instance_id)
+    rng.integers(0, 2, size=(t, cfg.bits_per_slot))  # rows 0 .. t-1, discarded
     return rng.integers(0, 2, size=cfg.bits_per_slot).astype(np.uint8)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gasmld import streams
 from gasmld.channel import (PSK2, QPSK, SystemConfig, delay_phases, generate_instance,
                             map_symbols, objective_direct, received_slots, slot_draws)
 from oracles import noise_realization, random_payload_bits, received_slot
@@ -102,7 +103,7 @@ def test_qpsk_symbols():
 def test_objective_direct_zero_at_truth():
     cfg = cfg_small(T_P=0, snr_db=300.0, seed=21)
     inst = generate_instance(cfg)
-    bits = random_payload_bits(cfg, 0)
+    bits = random_payload_bits(cfg, 0, instance_id=0)
     slot = received_slot(inst, cfg, 0, bits, instance_id=0)
     d = np.zeros(cfg.M * cfg.taud, dtype=np.uint8)
     for m, tau in enumerate(inst.delays):
@@ -113,7 +114,7 @@ def test_objective_direct_zero_at_truth():
 def test_objective_direct_all_zero_delay_bits():
     cfg = cfg_small(seed=22)
     inst = generate_instance(cfg)
-    bits = random_payload_bits(cfg, 0)
+    bits = random_payload_bits(cfg, 0, instance_id=0)
     slot = received_slot(inst, cfg, 0, bits, instance_id=0)
     d = np.zeros(cfg.M * cfg.taud, dtype=np.uint8)
     expect = float(np.sum(np.abs(slot.r) ** 2))
@@ -123,7 +124,7 @@ def test_objective_direct_all_zero_delay_bits():
 def test_objective_direct_matches_matrix_oracle():
     cfg = cfg_small(seed=23)
     inst = generate_instance(cfg)
-    bits = random_payload_bits(cfg, 3)
+    bits = random_payload_bits(cfg, 3, instance_id=0)
     slot = received_slot(inst, cfg, 3, bits, instance_id=0)
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -144,7 +145,7 @@ def test_objective_antenna_permutation_invariance():
     from dataclasses import replace
     cfg = cfg_small(seed=24)
     inst = generate_instance(cfg)
-    bits = random_payload_bits(cfg, 0)
+    bits = random_payload_bits(cfg, 0, instance_id=0)
     slot = received_slot(inst, cfg, 0, bits, instance_id=0)
     rng = np.random.default_rng(1)
     b = rng.integers(0, 2, cfg.M)
@@ -163,24 +164,64 @@ def test_received_slots_match_the_per_slot_reference(over):
     cfg = cfg_small(seed=12, tau_max=2, **over)
     inst = generate_instance(cfg, instance_id=3)
     ts = np.arange(9)
-    bits, v, e = slot_draws(cfg, ts, 3)
+    bits, v, e = slot_draws(cfg, ts, instance_id=3)
     r = received_slots(inst, cfg, ts, bits, v, e)
     for t in ts:
         assert np.array_equal(bits[t], random_payload_bits(cfg, t, instance_id=3))
         slot = received_slot(inst, cfg, t, bits[t], instance_id=3)
         assert r[t].tobytes() == slot.r.tobytes()
     # and one row at a time
-    assert received_slots(inst, cfg, [5], *slot_draws(cfg, [5], 3)).tobytes() == r[5].tobytes()
+    one = received_slots(inst, cfg, [5], *slot_draws(cfg, [5], instance_id=3))
+    assert one.tobytes() == r[5].tobytes()
 
 
 def test_received_slots_rejects_bad_input():
     cfg = cfg_small()
     inst = generate_instance(cfg)
-    bits, v, e = slot_draws(cfg, [0, 1], 0)
+    bits, v, e = slot_draws(cfg, [0, 1], instance_id=0)
     with pytest.raises(ValueError):
         received_slots(inst, cfg, [0], bits, v, e)
     with pytest.raises(ValueError):
         received_slots(inst, cfg, [0, -1], bits, v, e)
+
+
+@pytest.mark.parametrize("modulation", [PSK2, QPSK])
+def test_slot_draws_row_t_is_slot_t(modulation):
+    # a row depends on its slot only, not on the other slots drawn with it:
+    # every slot alone, then shuffled and repeated slots
+    cfg = cfg_small(seed=13, modulation=modulation, T_D=16)
+    full = slot_draws(cfg, np.arange(cfg.T_D), instance_id=2)
+    for ts in [[t] for t in range(cfg.T_D)] + [[7, 2, 15, 0], [3, 3, 9, 3]]:
+        some = slot_draws(cfg, ts, instance_id=2)
+        assert [a.tobytes() for a in some] == [b[ts].tobytes() for b in full]
+
+
+@pytest.mark.parametrize("n_slots", [0, 1, 64])
+def test_slot_draws_make_one_stream_per_purpose(monkeypatch, n_slots):
+    keys = []
+    substream = streams.substream
+
+    def counted(*key):
+        keys.append(key)
+        return substream(*key)
+
+    monkeypatch.setattr(streams, "substream", counted)
+    slot_draws(cfg_small(seed=14), np.arange(n_slots), instance_id=5)
+    assert sorted(keys) == sorted((14, purpose, 5) for purpose in
+                                  (streams.PAYLOAD, streams.NOISE, streams.EST_ERR))
+
+
+def test_slot_draws_reject_a_negative_slot():
+    # numpy would read slot -1 as the last row drawn
+    with pytest.raises(ValueError):
+        slot_draws(cfg_small(), [2, -1], instance_id=0)
+
+
+def test_slot_draws_of_no_slots():
+    cfg = cfg_small()
+    bits, v, e = slot_draws(cfg, [], instance_id=0)
+    assert bits.shape == (0, cfg.bits_per_slot) and bits.dtype == np.uint8
+    assert v.shape == e.shape == (0, cfg.N) and v.dtype == e.dtype == complex
 
 
 def test_received_slot_deterministic():
@@ -195,7 +236,7 @@ def test_received_slot_deterministic():
 def test_e_min_equals_noise_power_at_truth():
     cfg = cfg_small(seed=31)
     inst = generate_instance(cfg)
-    bits = random_payload_bits(cfg, 5)
+    bits = random_payload_bits(cfg, 5, instance_id=0)
     slot = received_slot(inst, cfg, 5, bits, instance_id=0)
     d = np.zeros(cfg.M * cfg.taud, dtype=np.uint8)
     for m, tau in enumerate(inst.delays):

@@ -134,7 +134,7 @@ class TestCircuitBackend:
         # from every level: the regime where fractional marking is reliable
         cfg = SystemConfig(N=2, M=2, tau_max=1, seed=8)
         inst = generate_instance(cfg)
-        bits = random_payload_bits(cfg, 0)
+        bits = random_payload_bits(cfg, 0, instance_id=0)
         slot = received_slot(inst, cfg, 0, bits, instance_id=0)
         space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED)
         amp = AmplitudeBackend(space)
@@ -190,7 +190,8 @@ class TestDenseOracle:
     def test_channel_space(self, modulation, prep):
         cfg = SystemConfig(N=2, M=2, tau_max=1, modulation=modulation, seed=21)
         inst = generate_instance(cfg)
-        slot = received_slot(inst, cfg, 0, random_payload_bits(cfg, 0), instance_id=0)
+        slot = received_slot(inst, cfg, 0, random_payload_bits(cfg, 0, instance_id=0),
+                             instance_id=0)
         poly, _ = build_hubo(inst, slot.r, 0, cfg)
         reg = build_registry(cfg)
         space = channel_spaces(inst, slot.r[None], [0], cfg, prep)
@@ -211,7 +212,8 @@ class TestDenseOracle:
         for seed in range(20):
             cfg = SystemConfig(N=2, M=2, tau_max=1 + seed % 2, seed=300 + seed)
             inst = generate_instance(cfg)
-            slot = received_slot(inst, cfg, 0, random_payload_bits(cfg, 0), instance_id=0)
+            slot = received_slot(inst, cfg, 0, random_payload_bits(cfg, 0, instance_id=0),
+                                 instance_id=0)
             poly, _ = build_hubo(inst, slot.r, 0, cfg)
             reg = build_registry(cfg)
             space = channel_spaces(inst, slot.r[None], [0], cfg, prep)
@@ -322,7 +324,7 @@ class TestRunGas:
     def test_w_prep_measurements_always_valid(self):
         cfg = SystemConfig(N=2, M=2, tau_max=2, seed=15)
         inst = generate_instance(cfg)
-        bits = random_payload_bits(cfg, 0)
+        bits = random_payload_bits(cfg, 0, instance_id=0)
         slot = received_slot(inst, cfg, 0, bits, instance_id=0)
         reg = build_registry(cfg)
         space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED)
@@ -431,7 +433,8 @@ class TestBatchLaw:
         qd = {det: ([], []) for det in harness.GAS_DETECTORS}
         for trial in range(16):
             inst = generate_instance(cfg, instance_id=trial)
-            r = np.stack([received_slot(inst, cfg, t, random_payload_bits(cfg, t, trial),
+            r = np.stack([received_slot(inst, cfg, t,
+                                        random_payload_bits(cfg, t, instance_id=trial),
                                         instance_id=trial).r for t in slots])
             stack = channel_spaces(inst, r, slots, cfg, W_STATE_REDUCED)
             x_mmse = mmse_detect(inst, r, slots, cfg, stack)

@@ -153,10 +153,11 @@ class TestQueryCdf:
 class TestFixedValueRegister:
     def test_too_narrow_q_v_is_a_config_error_before_any_search(self, tmp_path, monkeypatch,
                                                                 capsys):
-        # the hadamard-full arm's values at trial 0 span about 144, beyond
-        # the 8-qubit window of 128; the w-state arm ahead of it never runs
+        # the hadamard-full arm's values at trial 0 span about 126, beyond
+        # the 7-qubit window of 64 that holds the w-state arm's 34; the
+        # w-state arm ahead of it never runs
         config = {"name": "narrow", "cfg": {"N": 2, "M": 2, "tau_max": 2, "seed": 33},
-                  "trials": 3, "gas": {"backend": "circuit", "q_v": 8},
+                  "trials": 3, "gas": {"backend": "circuit", "q_v": 7},
                   "variants": [{"name": "w-mvd", "threshold": "mvd"},
                                {"name": "full-mvd", "prep": "hadamard-full",
                                 "threshold": "mvd"}]}
@@ -167,7 +168,7 @@ class TestFixedValueRegister:
         monkeypatch.setattr(harness, "run_gas", lambda *a, **k: calls.append(a))
         assert cli.main(["query-cdf", "--config", str(path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "variant 'full-mvd', trial 0" in err and "q_v >= 9" in err
+        assert "variant 'full-mvd', trial 0" in err and "q_v >= 8" in err
         assert calls == [] and not out.exists()
 
 
@@ -242,7 +243,7 @@ class TestBer:
         from gasmld.spaces import channel_spaces
         cfg = SystemConfig(N=2, M=2, tau_max=1, T_P=64, T_D=4, snr_db=20.0, seed=6)
         inst = generate_instance(cfg)
-        bits = random_payload_bits(cfg, 0)
+        bits = random_payload_bits(cfg, 0, instance_id=0)
         slot = received_slot(inst, cfg, 0, bits, instance_id=0)
         space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED)
         run = run_gas(AmplitudeBackend(space), GasParams(budget_iterations=60),

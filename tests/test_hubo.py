@@ -17,7 +17,7 @@ def make_problem(N=2, M=2, tau_max=1, modulation=PSK2, seed=3, t=0, snr_db=20.0,
     cfg = SystemConfig(N=N, M=M, tau_max=tau_max, modulation=modulation,
                        T_P=128, T_D=8, P_X=1.0, snr_db=snr_db, seed=seed)
     inst = generate_instance(cfg)
-    bits = random_payload_bits(cfg, t)
+    bits = random_payload_bits(cfg, t, instance_id=0)
     slot = received_slot(inst, cfg, t, bits, instance_id=0)
     poly, reg = build_hubo(inst, slot.r, t, cfg, include_c_as_variable=include_c)
     return cfg, inst, slot, poly, reg
@@ -215,7 +215,8 @@ class TestEnumeration:
     @staticmethod
     def space(cfg, prep):
         inst = generate_instance(cfg)
-        slot = received_slot(inst, cfg, 0, random_payload_bits(cfg, 0), instance_id=0)
+        slot = received_slot(inst, cfg, 0, random_payload_bits(cfg, 0, instance_id=0),
+                             instance_id=0)
         return channel_spaces(inst, slot.r[None], [0], cfg, prep)
 
     def test_reduced_count_small(self):

@@ -32,30 +32,30 @@ def sha256(data: bytes) -> str:
 @pytest.mark.parametrize("command,config,extra,digests", [
     ("query-cdf", "query_cdf_fig3.json", ("--trials", "30"), {
         "space-reduction_query_cdf.csv":
-            "700dcbb01445dc4e841da417f5a1f0c70021a70bfadd493bbcf9857870a0a95d"}),
+            "bf120d855876f38f793d0b017bc9ce8e6ec85c486c5741fc0ca083189f699ff9"}),
     ("ber", "ber_thresholds.json", ("--trials", "2"), {
         "threshold-comparison_ber.csv":
-            "1adf35a0f67cb4913b9a179a699dc74bbc29d39e440f7e37c8cd3a5fa7000c3c",
+            "381ca1367c67fce29540ecad6bfd9cef1f36280866538aed78112b7254c48cd4",
         "threshold-comparison_ber_rotations.csv":
-            "7f6d833fe46eba8711af2d97d21464dd3fbc8e9430d3f3f82dfae1877f2aaeef"}),
+            "f17972d366bc3a2700c3d4d80261b5bed6a87e381350883b3bbf240b5169ae90"}),
     ("ber", QPSK_BER, (), {
         "qpsk-ber_ber.csv":
-            "0a0e36eee84be5a5d8b694053e2a8bc9b841ece0b892fcfafb71adb48d951801",
+            "670b7c101f63d5abf3cef8d6421cae7408628d3757c09b36e2d8ba0ff27a0044",
         "qpsk-ber_ber_rotations.csv":
-            "0fcdcd1c0808947f2ef15be5e7a4b6a5c3ff5bc3e9df93cb67ab18cb014d6106"}),
+            "24750216fea33f3edaddef29c1187ec17036ca7da300854a544088161ace0081"}),
     # the mvd threshold, restart and all three lmin arms
     ("query-cdf", "query_cdf_lmin.json", ("--trials", "10"), {
         "rotation-lower-bound_query_cdf.csv":
-            "f95e348c7495d586052ad3d3ef3228f791c0624f0bf1e5ff9019149a4e0fcbb2"}),
+            "6caafc0eeb08e3d5377e963413cc58f1dea750186f8d94c8537a52981810192a"}),
     # the circuit law with a fitted q_v across many trials
     ("query-cdf", "query_cdf_lmin.json", ("--trials", "10", "--backend", "circuit"), {
         "rotation-lower-bound_query_cdf.csv":
-            "198aaf96864366ee471b80fb41caca01d19d4ce1149ac0efa003d665ecaecaaf"}),
+            "6f7f986bd642e97b51e0901677fbdbc73cce17bb0ae1323a5ca3b8f71ad633ca"}),
     ("calibrate", "calibration_fig5.json", (), {
         "indicator-scatter_calibration.csv":
-            "8c6043dce0eeaa02d7eb4600e4b38afbc55d8f5a611647f43b62073dc0384be1",
+            "7088c70a1e5a8993156c59e23bcf3c0dc2de91f91aac764ad4e87af107682818",
         "calibration_table.csv":
-            "d029ea6909ac7e447b1a51c591786be5631119584de43e4db12dcde184a0e5c3",
+            "cd2201f29ee9deee34fd60641cafd5993834ae826f68666a982a37d79f148ea3",
         "calibration_table.csv.meta.json":
             "6bc60fd161766cc45a5251bfe15f6cd15a0faa003bfde6cc197cb52467086441"}),
     ("gate-count", "gate_count.json", (), {
@@ -76,10 +76,10 @@ def test_written_file(tmp_path, capsys, command, config, extra, digests):
 
 
 @pytest.mark.parametrize("backend,stdout_digest,stderr_digest", [
-    ("circuit", "9d3fd5fbcb59c81de8bee111b99e6b98b6f83c0c1eaacce7113832b76dda70ba",
-     "a153fdb2e3f7734edd8bec42676d57cf107609a5fc24d15dbe43f2f198dddccb"),
-    ("amplitude", "5e01410ee80f278751873d97cd99b1cd3e0906fe2b81a2e427066c93710841f4",
-     "741e7d77d122baf9c134577883644b2125c47e6ee00af8470433e85e60644f84"),
+    ("circuit", "5066da0e803a51792535b16ba872b51f231130c52b243add163423c080ce892a",
+     "64c29057506a092b8c76662e67a05c15e9e3478e0a3cd4a7c33c675bf4403e14"),
+    ("amplitude", "5d5555988e17bd525bc67a488a736c37e669e268374eef539c488814dd7466dc",
+     "fdb75a60fed79dcdcc3ec808e1b2704adefafae10bb63f94e88f3b735f944108"),
 ], ids=["circuit", "amplitude"])
 def test_solve_trace_and_summary(capsys, backend, stdout_digest, stderr_digest):
     code = cli.main(["solve", "--config", str(CONFIG_DIR / "solve_single.json"),

@@ -18,7 +18,7 @@ def make(N=2, M=2, tau_max=1, modulation=PSK2, seed=3, t=0, **over):
     base.update(over)
     cfg = SystemConfig(N=N, M=M, tau_max=tau_max, modulation=modulation, seed=seed, **base)
     inst = generate_instance(cfg)
-    bits = random_payload_bits(cfg, t)
+    bits = random_payload_bits(cfg, t, instance_id=0)
     slot = received_slot(inst, cfg, t, bits, instance_id=0)
     reg = build_registry(cfg)
     return cfg, inst, slot, reg
@@ -51,7 +51,8 @@ def test_stack_rows_match_from_channel(modulation, N, prep):
     # row t of a many-slot stack has the bits of slot t's one-row stack
     cfg, inst, _, _ = make(N=N, M=3, modulation=modulation, T_D=8)
     slots = np.arange(cfg.T_D)
-    r = np.stack([received_slot(inst, cfg, t, random_payload_bits(cfg, t), instance_id=0).r
+    r = np.stack([received_slot(inst, cfg, t, random_payload_bits(cfg, t, instance_id=0),
+                                instance_id=0).r
                   for t in slots])
     stack = spaces.channel_spaces(inst, r, slots, cfg, prep)
     assert stack.e_values.shape == (cfg.T_D, stack.n_states)
@@ -132,7 +133,7 @@ def test_count_below_and_sampling():
 def test_capacity_guard():
     cfg = SystemConfig(N=2, M=16, tau_max=2, seed=0)
     inst = generate_instance(cfg)
-    bits = random_payload_bits(cfg, 0)
+    bits = random_payload_bits(cfg, 0, instance_id=0)
     slot = received_slot(inst, cfg, 0, bits, instance_id=0)
     with pytest.raises(CapacityError):
         channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED)
@@ -237,7 +238,8 @@ class TestLazyOrder:
         # stack whose order was read is never sorted again
         cfg, inst, _, _ = make(M=3, seed=17)
         slots = np.arange(cfg.T_D)
-        r = np.stack([received_slot(inst, cfg, t, random_payload_bits(cfg, t), instance_id=0).r
+        r = np.stack([received_slot(inst, cfg, t, random_payload_bits(cfg, t, instance_id=0),
+                                    instance_id=0).r
                       for t in slots])
         stack = channel_spaces(inst, r, slots, cfg, prep)
         stack.order  # noqa: B018  (build the order)
@@ -267,7 +269,8 @@ class TestLazyOrder:
         for modulation, M, rows in itertools.product([PSK2, QPSK], [1, 2, 3, 4], [1, 5]):
             cfg, inst, _, reg = make(N=N, M=M, modulation=modulation, seed=14)
             slots = np.arange(rows) + 1
-            r = np.stack([received_slot(inst, cfg, t, random_payload_bits(cfg, t), instance_id=0).r
+            r = np.stack([received_slot(inst, cfg, t, random_payload_bits(cfg, t, instance_id=0),
+                                        instance_id=0).r
                           for t in slots])
             stack = channel_spaces(inst, r, slots, cfg, prep)
             e, key_idx = reference_channel_values(inst, r, slots, cfg, prep, reg)

@@ -231,7 +231,7 @@ class TestGrover:
     def test_w_support_preserved_under_iterations(self):
         cfg = SystemConfig(N=2, M=2, tau_max=1, seed=5)
         inst = generate_instance(cfg)
-        bits = random_payload_bits(cfg, 0)
+        bits = random_payload_bits(cfg, 0, instance_id=0)
         slot = received_slot(inst, cfg, 0, bits, instance_id=0)
         poly, _ = build_hubo(inst, slot.r, 0, cfg)
         reg = build_registry(cfg)
@@ -308,7 +308,7 @@ class TestChooseQv:
         for trial in range(100):
             cfg = SystemConfig(N=2, M=2, tau_max=1, seed=int(rng.integers(1 << 30)))
             inst = generate_instance(cfg)
-            bits = random_payload_bits(cfg, 0)
+            bits = random_payload_bits(cfg, 0, instance_id=0)
             slot = received_slot(inst, cfg, 0, bits, instance_id=0)
             reg = build_registry(cfg)
             for prep in (W_STATE_REDUCED, HADAMARD_FULL):

@@ -124,7 +124,7 @@ def test_one_instance_serves_every_snr_point():
     cfg_b = cfg_a.with_snr(25.0)
     inst = generate_instance(cfg_a, instance_id=2)
     slots = np.arange(4)
-    bits, v, e = slot_draws(cfg_a, slots, 2)
+    bits, v, e = slot_draws(cfg_a, slots, instance_id=2)
     r_a = received_slots(inst, cfg_a, slots, bits, v, e)
     r_b = received_slots(inst, cfg_b, slots, bits, v, e)
     expect = ((cfg_a.sigma_v - cfg_b.sigma_v) * v
@@ -147,7 +147,7 @@ class TestMmse:
     def test_noiseless_recovery(self):
         cfg = SystemConfig(N=2, M=2, tau_max=1, T_P=0, T_D=1, snr_db=300.0, seed=7)
         inst = generate_instance(cfg)
-        bits = random_payload_bits(cfg, 0)
+        bits = random_payload_bits(cfg, 0, instance_id=0)
         slot = received_slot(inst, cfg, 0, bits, instance_id=0)
         space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED)
         ordinal = detect_one(inst, slot.r, 0, cfg, space)
@@ -168,7 +168,7 @@ class TestMmse:
         import itertools
         cfg = SystemConfig(N=2, M=2, tau_max=1, snr_db=15.0, seed=9)
         inst = generate_instance(cfg)
-        bits = random_payload_bits(cfg, 0)
+        bits = random_payload_bits(cfg, 0, instance_id=0)
         slot = received_slot(inst, cfg, 0, bits, instance_id=0)
         space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED)
         got = space.e_values[0, detect_one(inst, slot.r, 0, cfg, space)]
@@ -234,7 +234,8 @@ class TestMmse:
         reg = build_registry(cfg)
         inst = generate_instance(cfg)
         slots = np.arange(cfg.T_D)
-        r = np.stack([received_slot(inst, cfg, t, random_payload_bits(cfg, t), instance_id=0).r
+        r = np.stack([received_slot(inst, cfg, t, random_payload_bits(cfg, t, instance_id=0),
+                                    instance_id=0).r
                       for t in slots])
         stack = channel_spaces(inst, r, slots, cfg, W_STATE_REDUCED)
         ordinals = mmse_detect(inst, r, slots, cfg, stack)
@@ -253,7 +254,7 @@ class TestYRand:
     def _setup(self):
         cfg = SystemConfig(N=2, M=2, tau_max=1, snr_db=20.0, seed=12)
         inst = generate_instance(cfg)
-        bits = random_payload_bits(cfg, 0)
+        bits = random_payload_bits(cfg, 0, instance_id=0)
         slot = received_slot(inst, cfg, 0, bits, instance_id=0)
         poly, _ = build_hubo(inst, slot.r, 0, cfg)
         space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED)
