@@ -169,14 +169,14 @@ def received_slots(inst: ChannelInstance, cfg: SystemConfig, ts, bits, v, e) -> 
     return hds + cfg.sigma_v * v + np.sqrt(cfg.est_err_var) * e
 
 
-def delay_phases(inst: ChannelInstance, t, taud: int) -> np.ndarray:
-    """Per-user phase factors e^{j 2 pi f (t - k)}, shape
-    (M, taud) for a slot index t and (T, M, taud) for an array of T of them.
+def delay_phases(f: np.ndarray, t, taud: int) -> np.ndarray:
+    """Per-user phase factors e^{j 2 pi f (t - k)}, shape (M, taud) for a
+    slot index t and (T, M, taud) for T of them, f (M,) or one row per slot.
 
     Column k is the factor multiplying the k-th delay indicator bit.
     """
-    k = np.arange(taud)
-    return np.exp(1j * 2.0 * np.pi * inst.f[:, None] * (np.asarray(t)[..., None, None] - k))
+    k, f = np.arange(taud), np.asarray(f)[..., None]
+    return np.exp(1j * 2.0 * np.pi * f * (np.asarray(t)[..., None, None] - k))
 
 
 def objective_direct(inst: ChannelInstance, r: np.ndarray, t: int, b, d) -> float:
@@ -192,7 +192,7 @@ def objective_direct(inst: ChannelInstance, r: np.ndarray, t: int, b, d) -> floa
     taud = d_len // M
     if M * taud != d_len:
         raise ValueError("delay bit vector length is not a multiple of M")
-    D = np.sum(delay_phases(inst, t, taud) * d.reshape(M, taud), axis=1)
+    D = np.sum(delay_phases(inst.f, t, taud) * d.reshape(M, taud), axis=1)
     modulation = PSK2 if b.size == M else QPSK
     s = map_symbols(modulation, t, b)
     resid = r - inst.H @ (D * s)

@@ -20,11 +20,12 @@ import numpy as np
 
 from .channel import SystemConfig, generate_instance, received_slots, slot_draws
 from .gas import l_opt
-from .spaces import W_STATE_REDUCED, channel_spaces
+from .spaces import channel_counts
 from .thresholds import MvdParams, y_mvd
 
 _ALPHA_NORM = 3.0 * math.sqrt(2.0)  # CN(0,1) magnitude at the 0.995 quantile
 TIE_EXPONENT = 0.2
+_CHUNK = 4  # samples per channel_counts call: small candidate arrays
 
 
 def indicator_c(H_est: np.ndarray) -> float:
@@ -131,23 +132,25 @@ def calibrate(cfg: SystemConfig, n_samples: int, P: float = 1e-3, id_offset: int
     samples where the threshold undercuts the true minimum carry no marked
     state and are excluded.  id_offset keeps calibration instances disjoint
     from experiment trials drawn from the same seed.  Returns the C' table
-    and the scatter, each indicator's values over the kept samples.
+    and the scatter, each indicator's values over the kept samples.  Each
+    sample draws its own instance and slot; channel_counts counts _CHUNK of
+    them at a time with the value table's own operations, so exactly.
     """
-    params = MvdParams.from_config(cfg, P)
-    y = y_mvd(params)
+    y = y_mvd(MvdParams.from_config(cfg, P))
+    n_states = 2 ** cfg.bits_per_slot * cfg.taud ** cfg.M    # of the w-state-reduced space
     l_vals = []
     scatter = {"c": [], "c1": [], "c2": [], "c_prime": []}
-    for idx in range(id_offset, id_offset + n_samples):
-        inst = generate_instance(cfg, instance_id=idx)
-        r = received_slots(inst, cfg, [0], *slot_draws(cfg, [0], instance_id=idx))
-        space = channel_spaces(inst, r, [0], cfg, W_STATE_REDUCED)
-        ns = int(np.count_nonzero(space.e_values < y))
-        if ns == 0:
-            continue
-        vals = all_indicators(inst.H)
-        for key in scatter:
-            scatter[key].append(vals[key])
-        l_vals.append(l_opt(ns, space.n_states))
+    for start in range(id_offset, id_offset + n_samples, _CHUNK):
+        chunk = range(start, min(start + _CHUNK, id_offset + n_samples))
+        insts = [generate_instance(cfg, instance_id=idx) for idx in chunk]
+        r = np.concatenate([received_slots(inst, cfg, [0], *slot_draws(cfg, [0], instance_id=i))
+                            for inst, i in zip(insts, chunk)])
+        for inst, ns in zip(insts, channel_counts(insts, r, cfg, y)):
+            if ns == 0:
+                continue
+            for key, value in all_indicators(inst.H).items():
+                scatter[key].append(value)
+            l_vals.append(l_opt(int(ns), n_states))
     return CalibrationTable.from_samples(scatter["c_prime"], l_vals), scatter
 
 

@@ -8,7 +8,7 @@ axis, instead of looping over assignments.  channel_spaces is the one builder
 and SpaceStack the one space type: the tables of many slots of one instance
 share one enumeration and one read-only key-index table, and a single slot
 is a stack of one row.  Both GAS engines search a stack's rows through its
-one lazily built per-row sort.
+one lazily built per-row sort; channel_counts counts without any table.
 
 The key layout is the VarRegistry: every user's payload bits b, then every
 user's delay bits d, user-major.  Registry variable i maps to bit weight
@@ -74,9 +74,9 @@ class SpaceStack:
     Row i of e_values is slot i's table.  The slots share the registry, the
     preparation and the key index of every ordinal, so an ordinal means the
     same assignment in every row.  The per-row sorted order is built on first
-    use: counting and the minimum read the value table directly, so stacks
-    that are only counted (calibration) or minimized (the exhaustive
-    detector) are never sorted.
+    use: the minimum reads the value table directly, so a stack that is only
+    minimized (the exhaustive detector) is never sorted, and calibration
+    counts without building a stack (channel_counts).
     """
 
     reg: VarRegistry
@@ -154,18 +154,25 @@ def _broadcast_sum(parts: list[np.ndarray]) -> np.ndarray:
     return acc
 
 
+@cache
 def _local_choices(reg: VarRegistry, prep: str) -> tuple[np.ndarray, np.ndarray]:
     """One user's payload bits (2^n_bbits, n_bbits), most significant first,
-    and delay choices (choices, taud), one-hot or (hadamard-full) all of them."""
+    and delay choices (choices, taud), one-hot or (hadamard-full) all of them,
+    read-only and shared; every table starts here, so a space above
+    MAX_ENUMERABLE fails before any work."""
     n_bbits = reg.n_b // reg.M
     bits = np.array(np.meshgrid(*([[0, 1]] * n_bbits), indexing="ij"),
                     dtype=np.uint8).reshape(n_bbits, -1).T
-    if prep == W_STATE_REDUCED:
-        return bits, np.eye(reg.taud, dtype=np.uint64)
-    if prep == HADAMARD_FULL:
-        masks = np.arange(1 << reg.taud, dtype=np.uint64)
-        return bits, (masks[:, None] >> np.arange(reg.taud, dtype=np.uint64)) & np.uint64(1)
-    raise ValueError(f"unknown preparation {prep!r}")
+    masks = np.arange(1 << reg.taud, dtype=np.uint64)
+    sel = {W_STATE_REDUCED: np.eye(reg.taud, dtype=np.uint64),
+           HADAMARD_FULL: (masks[:, None] >> np.arange(reg.taud, dtype=np.uint64)) & np.uint64(1)}
+    if prep not in sel:
+        raise ValueError(f"unknown preparation {prep!r}")
+    n_total = (len(bits) * len(sel[prep])) ** reg.M
+    if n_total > MAX_ENUMERABLE:
+        raise CapacityError(f"search space of {n_total} states exceeds {MAX_ENUMERABLE}")
+    bits.flags.writeable = sel[prep].flags.writeable = False
+    return bits, sel[prep]
 
 
 @cache
@@ -173,9 +180,6 @@ def _key_table(reg: VarRegistry, prep: str) -> np.ndarray:
     """Key index per state ordinal, read-only: it depends only on the
     registry and the preparation, so every stack of the pair shares it."""
     bits, sel = _local_choices(reg, prep)
-    n_total = (len(bits) * len(sel)) ** reg.M
-    if n_total > MAX_ENUMERABLE:
-        raise CapacityError(f"search space of {n_total} states exceeds {MAX_ENUMERABLE}")
     w = _key_weights(reg)
     key = _broadcast_sum([
         ((bits.astype(np.uint64) @ w[[reg.b_position(m, s) for s in range(bits.shape[1])]])[:, None]
@@ -185,14 +189,32 @@ def _key_table(reg: VarRegistry, prep: str) -> np.ndarray:
     return key
 
 
+def _user_tables(H, f, ts: np.ndarray, cfg: SystemConfig, prep: str) -> list[np.ndarray]:
+    """Per user, the contribution to H D s of each local choice (N, rows,
+    choices), row i with channel H[i] (N, M), deviations f[i] and slot ts[i]."""
+    bits, sel = _local_choices(build_registry(cfg), prep)
+    phases = delay_phases(f, ts, cfg.taud)                          # (T, M, taud)
+    # one symbol per bit choice and row, (T, 2^n_bbits)
+    sym = map_symbols(cfg.modulation, ts, bits.reshape(1, -1).repeat(ts.size, axis=0))
+    tables = []
+    for m in range(cfg.M):
+        if prep == W_STATE_REDUCED:
+            d_factors = phases[:, m]                               # (T, taud)
+        else:
+            d_factors = np.stack([sel @ ph[m] for ph in phases])  # (T, 2^taud)
+        local = np.einsum("tb,td,tn->ntbd", sym, d_factors, H[:, :, m], order="C")
+        tables.append(local.reshape(cfg.N, ts.size, -1))
+    return tables
+
+
 def channel_spaces(inst: ChannelInstance, r: np.ndarray, ts, cfg: SystemConfig,
                    prep: str) -> SpaceStack:
     """Build the spaces of slots ts, r[i] received in slot ts[i], directly
     from the matrix model (fast path), keyed by build_registry(cfg).
 
     Per user the contribution to H D s is a small antenna-leading table
-    (N, slots, choices), one einsum for all slots.  The users but the last
-    are broadcast-summed into a prefix table; per antenna the full-table
+    (N, slots, choices) from _user_tables.  The users but the last are
+    broadcast-summed into a prefix table; per antenna the full-table
     passes (the last add, r - total, abs()**2, the antenna sum) run on
     (slots, last choices, prefix), along the long prefix axis, and one
     transpose of the real table restores the ordinal order.  Each state
@@ -204,18 +226,7 @@ def channel_spaces(inst: ChannelInstance, r: np.ndarray, ts, cfg: SystemConfig,
     key_idx = _key_table(reg, prep)
     ts = np.asarray(ts)
     N, T = cfg.N, ts.size
-    phases = delay_phases(inst, ts, cfg.taud)                       # (T, M, taud)
-    bits, sel = _local_choices(reg, prep)
-    # one symbol per bit choice and slot, (T, 2^n_bbits)
-    sym = map_symbols(cfg.modulation, ts, bits.reshape(1, -1).repeat(T, axis=0))
-    tables = []
-    for m in range(cfg.M):
-        if prep == W_STATE_REDUCED:
-            d_factors = phases[:, m]                               # (T, taud)
-        else:
-            d_factors = np.stack([sel @ ph[m] for ph in phases])  # (T, 2^taud)
-        local = np.einsum("tb,td,n->ntbd", sym, d_factors, inst.H[:, m], order="C")
-        tables.append(local.reshape(N, T, -1))
+    tables = _user_tables(np.broadcast_to(inst.H, (T, *inst.H.shape)), inst.f, ts, cfg, prep)
     # the sum over no users is zero: a one-choice prefix when M = 1
     prefix = _broadcast_sum(tables[:-1]) if cfg.M > 1 else np.zeros((N, T, 1), complex)
     r = np.asarray(r)
@@ -230,6 +241,52 @@ def channel_spaces(inst: ChannelInstance, r: np.ndarray, ts, cfg: SystemConfig,
         e += sq                                 # 0 + x is x: the sum in antenna order
     return SpaceStack(reg=reg, prep=prep, key_indices=key_idx,
                       e_values=e.transpose(0, 2, 1).reshape(T, key_idx.size))
+
+
+def channel_counts(insts, r: np.ndarray, cfg: SystemConfig, y: float) -> np.ndarray:
+    """Per instance, how many states of its w-state-reduced space at slot 0
+    (r[i] received by insts[i]) have a channel_spaces value below y, counted
+    by a meet in the middle: users 0 .. M//2 - 1 sum to A (channel_spaces'
+    prefix adds), the others to B.  A pair (a, b) is a candidate only if each
+    component of r - A[a] - B[b] lies within R = sqrt(y) + margin, antenna
+    0's real part found by a sorted search over B.  Candidates are evaluated
+    with channel_spaces' operations in its order, so the counts are exact.
+
+    Rounding: with u = 2^-53 and S = max over antennas of |r_n| plus the sum
+    over users of max |table|, either grouping's component lies within about
+    M u S of the exact one, and E < y gives |component| < sqrt(y) (1 + 3u) +
+    2^-537 (hypot is faithful, the antenna sum monotone, squares may be
+    subnormal).  margin = 8 (M + 2) u (S + sqrt(y)) + 2^-536 covers both.
+    """
+    K, N, M, h = len(insts), cfg.N, cfg.M, cfg.M // 2
+    tables = _user_tables(np.stack([i.H for i in insts]), np.stack([i.f for i in insts]),
+                          np.zeros(K, dtype=int), cfg, W_STATE_REDUCED)
+    A = _broadcast_sum(tables[:h]) if h else np.zeros((N, K, 1), complex)
+    B = _broadcast_sum(tables[h:])
+    n_a, n_b, r = A.shape[2], B.shape[2], np.asarray(r)
+    scale = (np.abs(r).T + sum(np.abs(t).max(axis=2) for t in tables)).max(axis=0)
+    root = np.sqrt(max(y, 0.0))
+    radius = root + 4 * (M + 2) * np.finfo(float).eps * (scale + root) + 2.0 ** -536
+    # re/im of r - A[a] and of B[b], (N, 2, K n_a) and (N, 2, K n_b)
+    rest, parts_b = (np.stack([x.real, x.imag], axis=1)
+                     for x in ((r.T[:, :, None] - A).reshape(N, -1), B.reshape(N, -1)))
+    order = np.argsort(B[0].real, axis=1) + n_b * np.arange(K)[:, None]   # k n_b + b
+    v, u = parts_b[0, 0][order], rest[0, 0].reshape(K, n_a)
+    lo = np.concatenate([np.searchsorted(v[k], u[k] - radius[k]) + k * n_b for k in range(K)])
+    width = np.concatenate([np.searchsorted(v[k], u[k] + radius[k], "right") + k * n_b
+                            for k in range(K)]) - lo
+    flat = np.repeat(np.arange(K * n_a), width)                     # k n_a + a
+    fb = order.ravel()[np.arange(flat.size) - np.repeat(np.cumsum(width) - width - lo, width)]
+    for n, part in list(np.ndindex(N, 2))[1:]:
+        keep = np.abs(rest[n, part][flat] - parts_b[n, part][fb]) <= radius[flat // n_a]
+        flat, fb = flat[keep], fb[keep]
+    row, a, b, C, e = flat // n_a, flat % n_a, fb % n_b, tables[0].shape[2], 0.0
+    for n in range(N):
+        total = A[n, row, a]
+        for m in range(h, M):
+            total = total + tables[m][n, row, b // C ** (M - 1 - m) % C]
+        e = e + np.abs(r[row, n] - total) ** 2
+    return np.bincount(row[e < y], minlength=K)
 
 
 def channel_ordinals(stack: SpaceStack, b_bits: np.ndarray,

@@ -99,7 +99,7 @@ def mmse_estimates(inst: ChannelInstance, r: np.ndarray, ts,
     a system be exactly singular, the whole stack takes the pseudo-inverse.
     """
     M, taud = cfg.M, cfg.taud
-    phases = delay_phases(inst, ts, taud)                                  # (T, M, taud)
+    phases = delay_phases(inst.f, ts, taud)                                # (T, M, taud)
     combos = np.array(list(itertools.product(range(taud), repeat=M)))
     # C order, as one slot's stack is: matmul's bits depend on the memory layout
     factors = np.ascontiguousarray(phases[:, np.arange(M), combos])       # (T, C, M)

@@ -24,6 +24,9 @@
 - The reference value-table kernel: channel_spaces as it was before its
   full-table passes ran along the long axis, laid out (slots, states,
   antennas), which the new layout must match bit for bit.
+- The reference calibration: indicators.calibrate sample by sample, each
+  sample's marked states counted over its whole value table, as before
+  spaces.channel_counts counted them without it.
 - Small helpers: the first argmin ordinal, the binned L_opt spread of
   criterion 10 and reading a saved calibration table back.
 
@@ -51,13 +54,14 @@ from typing import NamedTuple
 import numpy as np
 
 from gasmld import streams
-from gasmld.channel import (PSK2, ChannelInstance, SystemConfig, delay_phases, map_symbols,
-                            psk2_base)
+from gasmld.channel import (PSK2, ChannelInstance, SystemConfig, delay_phases,
+                            generate_instance, map_symbols, psk2_base, received_slots, slot_draws)
 from gasmld.errors import CapacityError
-from gasmld.gas import MAX_QUBITS, check_value_range, register_width, value_scale
-from gasmld.indicators import CalibrationTable
+from gasmld.gas import MAX_QUBITS, check_value_range, l_opt, register_width, value_scale
+from gasmld.indicators import CalibrationTable, all_indicators
 from gasmld.spaces import (HADAMARD_FULL, MAX_ENUMERABLE, W_STATE_REDUCED, SpaceStack, VarRegistry,
-                           _broadcast_sum, _key_weights, build_registry)
+                           _broadcast_sum, _key_weights, build_registry, channel_spaces)
+from gasmld.thresholds import MvdParams, y_mvd
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -139,7 +143,7 @@ def reference_channel_values(inst: ChannelInstance, r: np.ndarray, ts, cfg: Syst
     M, taud, N = cfg.M, cfg.taud, cfg.N
     weights = _key_weights(reg)
     ts = np.asarray(ts)
-    phases = delay_phases(inst, ts, taud)                           # (T, M, taud)
+    phases = delay_phases(inst.f, ts, taud)                         # (T, M, taud)
 
     n_bbits = 1 if cfg.modulation == PSK2 else 2
     bit_combos = np.array(np.meshgrid(*([[0, 1]] * n_bbits), indexing="ij"),
@@ -241,7 +245,7 @@ def parity_objective(inst: ChannelInstance, r: np.ndarray, t: int, b, c, d) -> f
     c_m free instead of t mod 2: s_m = e^{j pi c_m / 2} (1 + j)/sqrt(2) (1 - 2 b_m)."""
     M = inst.H.shape[1]
     d = np.asarray(d, dtype=float)
-    D = np.sum(delay_phases(inst, t, d.size // M) * d.reshape(M, -1), axis=1)
+    D = np.sum(delay_phases(inst.f, t, d.size // M) * d.reshape(M, -1), axis=1)
     c = np.asarray(c).astype(float)
     s = np.exp(1j * np.pi * c / 2.0) * (1.0 + 1.0j) * _SQRT_HALF * (1.0 - 2.0 * np.asarray(b))
     return float(np.sum(np.abs(r - inst.H @ (D * s)) ** 2))
@@ -299,7 +303,7 @@ def build_hubo(inst: ChannelInstance, r: np.ndarray, t: int, cfg: SystemConfig,
     layout = parity_layout(cfg, include_c_as_variable)
     M, taud, N = cfg.M, cfg.taud, cfg.N
 
-    phases = delay_phases(inst, t, taud)
+    phases = delay_phases(inst.f, t, taud)
     user_polys = []
     for m in range(M):
         d_poly = {frozenset([layout.d_position(m, k)]): phases[m, k] for k in range(taud)}
@@ -439,6 +443,29 @@ def load_calibration_table(csv_path) -> CalibrationTable:
     lo = np.array([r[1] for r in rows], dtype=int)
     return CalibrationTable(c_prime=c, l_opt=lo,
                             c_prime_max=meta["c_prime_max"], delta=meta["delta"])
+
+
+# --- the reference calibration ------------------------------------------------
+
+def reference_calibrate(cfg: SystemConfig, n_samples: int, P: float = 1e-3,
+                        id_offset: int = 0):
+    """indicators.calibrate sample by sample, counting each sample's marked
+    states over its whole value table."""
+    y = y_mvd(MvdParams.from_config(cfg, P))
+    l_vals = []
+    scatter = {"c": [], "c1": [], "c2": [], "c_prime": []}
+    for idx in range(id_offset, id_offset + n_samples):
+        inst = generate_instance(cfg, instance_id=idx)
+        r = received_slots(inst, cfg, [0], *slot_draws(cfg, [0], instance_id=idx))
+        space = channel_spaces(inst, r, [0], cfg, W_STATE_REDUCED)
+        ns = int(np.count_nonzero(space.e_values < y))
+        if ns == 0:
+            continue
+        vals = all_indicators(inst.H)
+        for key in scatter:
+            scatter[key].append(vals[key])
+        l_vals.append(l_opt(ns, space.n_states))
+    return CalibrationTable.from_samples(scatter["c_prime"], l_vals), scatter
 
 
 # --- dense statevector simulation --------------------------------------------

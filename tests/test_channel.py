@@ -249,10 +249,10 @@ def test_e_min_equals_noise_power_at_truth():
 def test_delay_phases_table():
     cfg = cfg_small(seed=51, tau_max=2)
     inst = generate_instance(cfg)
-    tab = delay_phases(inst, 4, cfg.taud)
+    tab = delay_phases(inst.f, 4, cfg.taud)
     assert tab.shape == (cfg.M, 3)
     assert tab[1, 2] == pytest.approx(np.exp(1j * 2 * np.pi * inst.f[1] * (4 - 2)))
     # an array of slots gives each slot's table, bit for bit
-    many = delay_phases(inst, np.arange(9), cfg.taud)
-    each = np.stack([delay_phases(inst, t, cfg.taud) for t in range(9)])
+    many = delay_phases(inst.f, np.arange(9), cfg.taud)
+    each = np.stack([delay_phases(inst.f, t, cfg.taud) for t in range(9)])
     assert many.tobytes() == each.tobytes()

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from gasmld.channel import SystemConfig
+from gasmld.channel import PSK2, QPSK, SystemConfig
 from gasmld.indicators import (CalibrationTable, all_indicators, calibrate, config_hash,
                                indicator_c, indicator_c_prime, select_lmin,
                                select_lmin_conventional)
-from oracles import binned_spread, load_calibration_table
+from oracles import binned_spread, load_calibration_table, reference_calibrate
 
 SQRT2 = math.sqrt(2.0)
 
@@ -156,6 +156,26 @@ class TestCalibration:
         assert np.allclose(back.c_prime, table.c_prime)
         assert np.array_equal(back.l_opt, table.l_opt)
         assert back.delta == pytest.approx(table.delta)
+
+
+@pytest.mark.parametrize("tau_max", [1, 2, 5])
+@pytest.mark.parametrize("modulation", [PSK2, QPSK])
+def test_calibrate_matches_reference(modulation, tau_max):
+    # chunked counting without value tables gives the per-sample reference's
+    # table and scatter, bit for bit; 42 samples end on a partial chunk, and
+    # at P = 0.5 the threshold undercuts about half the minima, so chunks mix
+    # kept and excluded samples
+    M = 3 if (modulation, tau_max) == (QPSK, 5) else 4
+    cfg = SystemConfig(N=2, M=M, tau_max=tau_max, modulation=modulation, seed=31 + tau_max)
+    for P in (1e-3, 0.5):
+        table, scatter = calibrate(cfg, 42, P=P, id_offset=7)
+        ref, ref_scatter = reference_calibrate(cfg, 42, P=P, id_offset=7)
+        assert table.c_prime.tobytes() == ref.c_prime.tobytes()
+        assert table.l_opt.tolist() == ref.l_opt.tolist()
+        assert (table.c_prime_max, table.delta) == (ref.c_prime_max, ref.delta)
+        assert scatter == ref_scatter
+        assert set(scatter) == {"c", "c1", "c2", "c_prime"}
+    assert 0 < table.l_opt.size < 42
 
 
 def test_binned_spread_simple():

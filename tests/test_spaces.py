@@ -1,14 +1,19 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from gasmld.channel import PSK2, QPSK, SystemConfig, generate_instance, objective_direct
+from gasmld.channel import (PSK2, QPSK, SystemConfig, generate_instance, objective_direct,
+                            received_slots, slot_draws)
 from gasmld.errors import CapacityError
 from gasmld.gas import AmplitudeBackend, GasParams, run_gas_batch
 from gasmld import spaces
 from gasmld.spaces import (HADAMARD_FULL, W_STATE_REDUCED, SpaceStack, build_registry,
-                           channel_spaces)
+                           channel_counts, channel_spaces)
+from gasmld.thresholds import MvdParams, y_mvd
 from oracles import (argmin_ordinal, build_hubo, evaluate, from_polynomial, poly_values_over_keys,
                      random_payload_bits, received_slot, reference_channel_values)
 
@@ -169,7 +174,7 @@ class TestExhaustive:
 
 
 def count_below(space, y) -> int:
-    """Calibration's marked-state count of a one-row stack."""
+    """The marked-state count of a one-row stack."""
     return int(np.count_nonzero(space.e_values < y))
 
 
@@ -301,6 +306,148 @@ def test_key_table_shared_and_read_only():
     d = x[:, reg.d_position(0, 0):].reshape(-1, cfg.M, cfg.taud)
     assert np.array_equal(first.one_hot, np.all(d.sum(axis=2) == 1, axis=1))
     assert w_state.one_hot.all()
+
+
+def test_local_choices_shared_and_read_only():
+    # the per-user choice tables are cached like the key table: one pair, one
+    # pair of arrays, which no caller can write
+    _, _, _, reg = make(M=3, modulation=QPSK, seed=19)
+    for prep in (W_STATE_REDUCED, HADAMARD_FULL):
+        bits, sel = spaces._local_choices(reg, prep)
+        again = spaces._local_choices(build_registry(SystemConfig(N=1, M=3, tau_max=1,
+                                                                  modulation=QPSK)), prep)
+        assert again[0] is bits and again[1] is sel
+        for table in (bits, sel):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 1
+    assert spaces._local_choices(reg, W_STATE_REDUCED)[1] is not \
+        spaces._local_choices(reg, HADAMARD_FULL)[1]
+    with pytest.raises(ValueError):
+        spaces._local_choices(reg, "no-such-preparation")
+
+
+def count_chunk(cfg, ids):
+    """Slot 0 of instances ids as calibration draws it: the instances, their
+    received vectors (K, N) and their w-state value tables (K, states)."""
+    insts = [generate_instance(cfg, instance_id=i) for i in ids]
+    r = np.concatenate([received_slots(inst, cfg, [0], *slot_draws(cfg, [0], instance_id=i))
+                        for inst, i in zip(insts, ids)])
+    e = np.concatenate([channel_spaces(inst, r[k][None], [0], cfg, W_STATE_REDUCED).e_values
+                        for k, inst in enumerate(insts)])
+    return insts, r, e
+
+
+def probes(cfg, e):
+    """Thresholds at the edges of the counter: the MVD threshold, exact table
+    values (strictness) and their successors, zero, below the minimum and
+    above the maximum."""
+    rows = np.arange(e.shape[0])
+    picks = np.sort(e, axis=1)[:, [0, e.shape[1] // 7, e.shape[1] // 2, -1]]
+    return [y_mvd(MvdParams.from_config(cfg, 1e-3)), 0.0, float(e.min()) / 2,
+            float(e.max()) + 1.0, *map(float, picks[rows, rows % 4]),
+            *(float(np.nextafter(v, np.inf)) for v in picks[0]), float(np.median(e))]
+
+
+def assert_counts_equal(cfg, insts, r, e, ys):
+    reg = build_registry(cfg)
+    ref = np.concatenate([reference_channel_values(inst, r[k][None], [0], cfg, W_STATE_REDUCED,
+                                                   reg)[0] for k, inst in enumerate(insts)])
+    assert ref.tobytes() == e.tobytes()
+    for y in ys:
+        got = channel_counts(insts, r, cfg, y)
+        assert got.tolist() == (e < y).sum(axis=1).tolist(), (cfg, y)
+        assert got.tolist() == (ref < y).sum(axis=1).tolist(), (cfg, y)
+
+
+class TestChannelCounts:
+    """channel_counts counts the states below a threshold without the value
+    table, and equals the count over channel_spaces' table and over the
+    reference kernel's, exactly: at table values, zero and the extremes."""
+
+    @pytest.mark.parametrize("tau_max", [0, 1, 2, 5])
+    @pytest.mark.parametrize("modulation", [PSK2, QPSK])
+    def test_counts_match_tables(self, modulation, tau_max):
+        # M = 1 has an empty first half; spaces above 40 000 states are left
+        # to the property test's smaller draws
+        choices = (2 if modulation == PSK2 else 4) * (tau_max + 1)
+        for N, M in itertools.product([1, 2, 4], [1, 2, 3, 4, 5]):
+            if choices ** M > 40_000:
+                continue
+            cfg = SystemConfig(N=N, M=M, tau_max=tau_max, modulation=modulation,
+                               snr_db=10.0 + 2 * M, seed=100 + 10 * N + M)
+            insts, r, e = count_chunk(cfg, range(3, 7))
+            assert_counts_equal(cfg, insts, r, e, probes(cfg, e))
+
+    def test_low_snr_many_candidates(self):
+        # at 0 dB sqrt(y_mvd) is about 3, so the sorted search lets almost
+        # every pair through, and about a third of the states are marked
+        cfg = SystemConfig(N=2, M=4, tau_max=2, snr_db=0.0, seed=5)
+        insts, r, e = count_chunk(cfg, range(4))
+        y = y_mvd(MvdParams.from_config(cfg, 1e-3))
+        assert (e < y).mean() > 0.25
+        assert_counts_equal(cfg, insts, r, e, probes(cfg, e))
+
+    def test_zero_count_sample_in_chunk(self):
+        cfg = SystemConfig(N=2, M=4, tau_max=1, seed=6)
+        insts, r, e = count_chunk(cfg, range(10, 15))
+        y = float(e.min(axis=1).max())   # the row of the largest minimum marks nothing
+        got = channel_counts(insts, r, cfg, y)
+        assert got.min() == 0 and got.max() > 0
+        assert got.tolist() == (e < y).sum(axis=1).tolist()
+
+    def test_margin_covers_the_grouping(self):
+        # r is state x's noiseless H D s plus 0.3, so x's residual is all in
+        # antenna 0's real part and y = E(x)'s successor puts that component
+        # at sqrt(y) up to an ulp; the split's grouping rounds it differently
+        # from the table's, and only the margin keeps x a candidate
+        cfg = SystemConfig(N=1, M=4, tau_max=2, seed=8)
+        rng = np.random.default_rng(8)
+        for ids in np.arange(40).reshape(10, 4):
+            insts = [generate_instance(cfg, instance_id=int(i)) for i in ids]
+            bits = rng.integers(0, 2, size=(4, cfg.bits_per_slot))
+            delays = rng.integers(0, cfg.taud, size=(4, cfg.M))
+            r = np.concatenate([
+                received_slots(replace(inst, delays=d), cfg, [0], b[None], np.zeros((1, 1)),
+                               np.zeros((1, 1))) + 0.3 for inst, b, d in zip(insts, bits, delays)])
+            stacks = [channel_spaces(inst, r[k][None], [0], cfg, W_STATE_REDUCED)
+                      for k, inst in enumerate(insts)]
+            e = np.concatenate([stack.e_values for stack in stacks])
+            for k, stack in enumerate(stacks):
+                x = spaces.channel_ordinals(stack, bits[k][None], delays[k][None])[0]
+                y = float(np.nextafter(e[k, x], np.inf))
+                got = channel_counts(insts, r, cfg, y)
+                assert got.tolist() == (e < y).sum(axis=1).tolist()
+
+    def test_capacity_guard_before_any_work(self, monkeypatch):
+        cfg = SystemConfig(N=2, M=16, tau_max=2, seed=0)
+        insts = [generate_instance(cfg, instance_id=i) for i in range(2)]
+        r = np.zeros((2, cfg.N), complex)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("built a table over a space above MAX_ENUMERABLE")
+
+        monkeypatch.setattr(spaces, "delay_phases", no_work)
+        monkeypatch.setattr(spaces, "map_symbols", no_work)
+        with pytest.raises(CapacityError):
+            channel_counts(insts, r, cfg, 1.0)
+
+    @settings(max_examples=60, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(modulation=st.sampled_from([PSK2, QPSK]), N=st.integers(1, 3),
+           M=st.integers(1, 4), tau_max=st.integers(0, 3),
+           snr_db=st.floats(0.0, 30.0), seed=st.integers(0, 2 ** 31),
+           rows=st.integers(1, 5), q=st.floats(0.0, 1.0))
+    def test_counts_property(self, modulation, N, M, tau_max, snr_db, seed, rows, q):
+        cfg = SystemConfig(N=N, M=M, tau_max=min(tau_max, 6 // M), modulation=modulation,
+                           snr_db=snr_db, seed=seed)
+        insts, r, e = count_chunk(cfg, range(rows))
+        values = np.sort(e.ravel())
+        exact = float(values[int(q * (values.size - 1))])
+        ys = [exact, float(np.nextafter(exact, np.inf)), float(np.quantile(values, q)),
+              y_mvd(MvdParams.from_config(cfg, 1e-3))]
+        for y in ys:
+            assert channel_counts(insts, r, cfg, y).tolist() == (e < y).sum(axis=1).tolist()
 
 
 class TestOrdinals:
