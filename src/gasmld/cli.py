@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .errors import CapacityError, ConfigError
-from .harness import (ExperimentSpec, fmt, load_spec, run_ber, run_calibration,
+from .harness import (COUNT, ExperimentSpec, check, fmt, load_spec, run_ber, run_calibration,
                       run_gate_count, run_query_cdf, solve_single, write_csv)
 
 
@@ -44,7 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 # common flags a subcommand takes but has no use for
 _UNUSED_FLAGS = {"gate-count": ("seed", "trials", "backend"),
-                 "calibrate": ("trials",)}
+                 "calibrate": ("trials",),
+                 "solve": ("trials", "out")}
 
 
 def _spec_from_args(args) -> ExperimentSpec:
@@ -59,8 +60,7 @@ def _spec_from_args(args) -> ExperimentSpec:
         except ValueError as exc:
             raise ConfigError(f"--seed: {exc}") from exc
     if args.trials is not None:
-        if args.trials < 1:
-            raise ConfigError(f"--trials must be an integer >= 1, got {args.trials}")
+        check(args.trials, COUNT, "--trials")
         spec.trials = args.trials
     if args.backend is not None:
         spec.backend = args.backend

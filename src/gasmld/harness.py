@@ -31,15 +31,6 @@ from .thresholds import MvdParams, mmse_detect, y_mvd
 
 CALIBRATION_ID_OFFSET = 1_000_000
 
-_CFG_FIELDS = {"N": int, "M": int, "tau_max": int, "modulation": str, "T_P": int,
-               "T_D": int, "P_X": (int, float), "snr_db": (int, float), "seed": int}
-_TOP_LEVEL_FIELDS = {"name", "cfg", "trials", "output_dir", "gas", "calibration",
-                     "variants", "snr_sweep", "detectors", "grid"}
-_GAS_FIELDS = {"backend", "mvd_p", "lambda", "budget_iterations", "budget_rotations", "q_v"}
-_GRID_FIELDS = {"M", "tau_max", "q_v", "modulation"}
-_VARIANT_CHOICES = {"prep": (W_STATE_REDUCED, HADAMARD_FULL),
-                    "threshold": ("random", "mvd"),
-                    "lmin": (LMIN_ZERO, LMIN_CONVENTIONAL_C, LMIN_PROPOSED_CPRIME)}
 # ber's GAS detectors in the query-cdf variant vocabulary, where only ber
 # seeds the "mmse" threshold; the threshold comparison runs the plain
 # adaptive schedule (no rotation lower bound: its calibration is specific to
@@ -47,8 +38,48 @@ _VARIANT_CHOICES = {"prep": (W_STATE_REDUCED, HADAMARD_FULL),
 GAS_DETECTORS = {"gas-mvd": {"threshold": "mvd", "restart": True},
                  "gas-mmse": {"threshold": "mmse"},
                  "gas-rand": {}}
-DETECTORS = {"exhaustive", "mmse", *GAS_DETECTORS}
 SOLVE_ARM = {"threshold": "mvd", "lmin": LMIN_CONVENTIONAL_C, "restart": True}
+
+
+@dataclass(frozen=True)
+class _Required:
+    kind: object
+
+
+@dataclass(frozen=True)
+class _Nullable:
+    kind: object
+
+
+COUNT = "an integer >= 1"
+# each scalar kind: the types it takes, and its name in an error
+_SCALARS = {str: (str, "a string"), int: (int, "an integer"), float: ((int, float), "a number"),
+            bool: (bool, "true or false"), COUNT: (int, COUNT)}
+
+# The config schema.  A kind is str, int, float (any number), bool, COUNT, a
+# tuple of choices, [kind] for a list of distinct items (objects are told
+# apart by their name) or a dict for an object with those keys.  A key is
+# optional unless _Required, and not null unless _Nullable.
+_SCHEMA = {
+    "name": _Nullable(str),
+    "cfg": _Required({"N": _Required(int), "M": _Required(int), "tau_max": _Required(int),
+                      "modulation": (PSK2, QPSK), "T_P": int, "T_D": int, "P_X": float,
+                      "snr_db": float, "seed": int}),
+    "trials": COUNT,
+    "output_dir": _Nullable(str),
+    "gas": {"backend": (BACKEND_AMPLITUDE, BACKEND_CIRCUIT), "mvd_p": float, "lambda": float,
+            "budget_iterations": _Nullable(COUNT), "budget_rotations": _Nullable(COUNT),
+            "q_v": _Nullable(COUNT)},
+    "calibration": {"samples": COUNT},
+    "variants": [{"name": _Required(str), "prep": (W_STATE_REDUCED, HADAMARD_FULL),
+                  "threshold": ("random", "mvd"),
+                  "lmin": (LMIN_ZERO, LMIN_CONVENTIONAL_C, LMIN_PROPOSED_CPRIME),
+                  "restart": bool}],
+    "snr_sweep": [float],
+    "detectors": [("exhaustive", "mmse", *GAS_DETECTORS)],
+    "grid": [{"M": _Required(int), "tau_max": _Required(int), "q_v": COUNT,
+              "modulation": (PSK2, QPSK)}],
+}
 
 
 @dataclass
@@ -70,127 +101,87 @@ class ExperimentSpec:
 
 
 def load_spec(source) -> ExperimentSpec:
-    """Validate and load an experiment configuration (path or dict)."""
+    """Check and load an experiment configuration (path or dict)."""
     if isinstance(source, (str, Path)):
         try:
-            data = json.loads(Path(source).read_text())
+            source = json.loads(Path(source).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {source}: {exc}") from exc
-    else:
-        data = dict(source)
-    _check_keys(data, _TOP_LEVEL_FIELDS, "config")
-    if "cfg" not in data:
-        raise ConfigError("config requires a 'cfg' object with the system parameters")
-    cfg_in = _check_keys(data["cfg"], _CFG_FIELDS, "cfg")
-    for key, typ in _CFG_FIELDS.items():
-        # a JSON boolean is a Python int, but never a count or a quantity
-        if key in cfg_in and (isinstance(cfg_in[key], bool)
-                              or not isinstance(cfg_in[key], typ)):
-            raise ConfigError(f"cfg.{key} has wrong type {type(cfg_in[key]).__name__}")
-    for key in ("N", "M", "tau_max"):
-        if key not in cfg_in:
-            raise ConfigError(f"cfg.{key} is required")
+    check(source, _SCHEMA, "config")
+    # an absent or null key keeps its field's default
+    data = {key: value for key, value in source.items() if value is not None}
+    gas = {("lam" if key == "lambda" else key): value
+           for key, value in data.pop("gas", {}).items() if value is not None}
+    if "samples" in (calibration := data.pop("calibration", {})):
+        data["calibration_samples"] = calibration["samples"]
+    # the gas keys the spec holds; the rest make the GasParams template
+    engine = {key: gas.pop(key) for key in ("backend", "mvd_p", "q_v") if key in gas}
     try:
-        cfg = SystemConfig(**cfg_in)
+        spec = ExperimentSpec(cfg=SystemConfig(**data.pop("cfg")), gas=GasParams(**gas),
+                              **engine, **data)
+        MvdParams.from_config(spec.cfg, spec.mvd_p)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    gas = _check_keys(data.get("gas", {}), _GAS_FIELDS, "gas")
-    for key in ("mvd_p", "lambda"):
-        if key in gas and not _is_number(gas[key]):
-            raise ConfigError(f"gas.{key} must be a number, got {gas[key]!r}")
-    for key in ("budget_iterations", "budget_rotations", "q_v"):
-        if gas.get(key) is not None:
-            _check_count(f"gas.{key}", gas[key])
-    if "backend" in gas and gas["backend"] not in (BACKEND_AMPLITUDE, BACKEND_CIRCUIT):
-        raise ConfigError(f"unknown backend {gas['backend']!r}")
-    calibration = _check_keys(data.get("calibration", {}), {"samples"}, "calibration")
-    if "samples" in calibration:
-        _check_count("calibration.samples", calibration["samples"])
-    if "trials" in data:
-        _check_count("trials", data["trials"])
-    for key in ("name", "output_dir"):
-        if data.get(key) is not None and not isinstance(data[key], str):
-            raise ConfigError(f"'{key}' must be a string, got {data[key]!r}")
-    for key in ("variants", "snr_sweep", "detectors", "grid"):
-        if not isinstance(data.get(key, []), list):
-            raise ConfigError(f"'{key}' must be a list, got {data[key]!r}")
-    if not all(map(_is_number, data.get("snr_sweep", []))):
-        raise ConfigError(f"'snr_sweep' must be a list of numbers, got {data['snr_sweep']!r}")
-    for cell in data.get("grid", []):
-        _check_grid_cell(cell)
-    for variant in data.get("variants", []):
-        _check_variant(variant)
-    bad = [d for d in data.get("detectors", []) if not isinstance(d, str) or d not in DETECTORS]
-    if bad:
-        raise ConfigError(f"unknown detectors {bad}; choose from {sorted(DETECTORS)}")
-    try:
-        spec = ExperimentSpec(
-            cfg=cfg,
-            gas=GasParams(**_given(gas, ("lambda", "budget_iterations", "budget_rotations"))),
-            **_given(data, ("name", "trials", "output_dir", "variants", "snr_sweep",
-                            "detectors", "grid")),
-            **_given(gas, ("backend", "mvd_p", "q_v")),
-            **_given(calibration, ("samples",)))
-        MvdParams.from_config(cfg, spec.mvd_p)
-    except ValueError as exc:
-        raise ConfigError(f"gas: {exc}") from exc
+        raise ConfigError(f"config: {exc}") from exc
     return spec
 
 
-# config keys whose ExperimentSpec or GasParams field has another name
-_RENAMED = {"lambda": "lam", "samples": "calibration_samples"}
+def check(value, kind, name: str) -> None:
+    """Raise ConfigError unless value is of kind, naming the path from name
+    to the first value that is not."""
+    try:
+        _fit(value, kind)
+    except ConfigError as exc:
+        raise ConfigError(f"{name}{exc}") from None
 
 
-def _given(obj: dict, keys: tuple[str, ...]) -> dict:
-    """The present, non-null keys of obj as field keyword arguments; an
-    absent or null key leaves the field's default."""
-    return {_RENAMED.get(key, key): obj[key] for key in keys if obj.get(key) is not None}
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _check_count(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-
-
-def _check_keys(obj, fields, what: str) -> dict:
-    """obj must be a JSON object whose keys all come from fields."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{what} must be an object, got {obj!r}")
-    unknown = set(obj) - set(fields)
-    if unknown:
-        raise ConfigError(f"unknown {what} fields: {sorted(unknown)}")
-    return obj
-
-
-def _check_grid_cell(cell) -> None:
-    """A gate-count cell: integer M and tau_max, optional q_v and modulation."""
-    _check_keys(cell, _GRID_FIELDS, "grid cell")
-    for key in ("M", "tau_max"):
-        if key not in cell or isinstance(cell[key], bool) or not isinstance(cell[key], int):
-            raise ConfigError(f"grid cell {cell!r} needs an integer {key!r}")
-    if "q_v" in cell:
-        _check_count("grid q_v", cell["q_v"])
-    if cell.get("modulation", PSK2) not in (PSK2, QPSK):
-        raise ConfigError(f"grid cell {cell!r}: modulation must be {PSK2!r} or {QPSK!r}")
-
-
-def _check_variant(variant) -> None:
-    """A query-cdf arm: a string name plus choices from _VARIANT_CHOICES and
-    a bool restart; absent keys take _gas_params's defaults."""
-    if not isinstance(variant, dict) or not isinstance(variant.get("name"), str):
-        raise ConfigError(f"each variant needs a string 'name', got {variant!r}")
-    name = variant["name"]
-    _check_keys(variant, {"name", "restart", *_VARIANT_CHOICES}, f"variant {name!r}")
-    for key, choices in _VARIANT_CHOICES.items():
-        if key in variant and variant[key] not in choices:
-            raise ConfigError(f"variant {name!r}: {key} must be one of {list(choices)}, "
-                              f"got {variant[key]!r}")
-    if not isinstance(variant.get("restart", False), bool):
-        raise ConfigError(f"variant {name!r}: restart must be true or false")
+def _fit(value, kind) -> None:
+    """Raise ConfigError, its message the path from value to the misfit and
+    what is wrong there, unless value is of kind."""
+    if type(kind) is dict:
+        if not isinstance(value, dict):
+            raise ConfigError(f" must be an object, got {value!r}")
+        for key, item in value.items():
+            if key not in kind:
+                raise ConfigError(f".{key} is not a known key")
+            sub = kind[key]
+            if type(sub) is _Nullable:
+                if item is None:
+                    continue
+                sub = sub.kind
+            elif type(sub) is _Required:
+                sub = sub.kind
+            if type(item) is not sub:  # a value of exactly its scalar type fits
+                try:
+                    _fit(item, sub)
+                except ConfigError as exc:
+                    raise ConfigError(f".{key}{exc}") from None
+        if len(value) < len(kind):
+            for key, sub in kind.items():
+                if type(sub) is _Required and key not in value:
+                    raise ConfigError(f".{key} is required")
+    elif type(kind) is list:
+        if not isinstance(value, list):
+            raise ConfigError(f" must be a list, got {value!r}")
+        seen = []
+        for i, item in enumerate(value):
+            if type(item) is not kind[0]:
+                try:
+                    _fit(item, kind[0])
+                except ConfigError as exc:
+                    raise ConfigError(f"[{i}]{exc}") from None
+            ident = item["name"] if isinstance(item, dict) and "name" in item else item
+            if ident in seen:
+                raise ConfigError(f"[{i}] repeats {ident!r}")
+            seen.append(ident)
+    elif type(kind) is tuple:
+        if value not in kind:
+            raise ConfigError(f" must be one of {list(kind)}, got {value!r}")
+    else:
+        types, what = _SCALARS[kind]
+        # a JSON boolean is a Python int, but never a count or a quantity
+        if (not isinstance(value, types) or (isinstance(value, bool) and kind is not bool)
+                or (kind is COUNT and value < 1)):
+            raise ConfigError(f" must be {what}, got {value!r}")
 
 
 def _require_backend(spec: ExperimentSpec, command: str, supported: tuple[str, ...]) -> None:

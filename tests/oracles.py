@@ -27,6 +27,10 @@
 - The reference calibration: indicators.calibrate sample by sample, each
   sample's marked states counted over its whole value table, as before
   spaces.channel_counts counted them without it.
+- The reference config loader: harness.load_spec as it was before one
+  schema literal and one checker replaced its key tables and per-section
+  checks.  It accepts and rejects what load_spec does, except that it lets
+  a repeated list item through.
 - Small helpers: the first argmin ordinal, the binned L_opt spread of
   criterion 10 and reading a saved calibration table back.
 
@@ -54,10 +58,13 @@ from typing import NamedTuple
 import numpy as np
 
 from gasmld import streams
-from gasmld.channel import (PSK2, ChannelInstance, SystemConfig, delay_phases,
+from gasmld.channel import (PSK2, QPSK, ChannelInstance, SystemConfig, delay_phases,
                             generate_instance, map_symbols, psk2_base, received_slots, slot_draws)
-from gasmld.errors import CapacityError
-from gasmld.gas import MAX_QUBITS, check_value_range, l_opt, register_width, value_scale
+from gasmld.errors import CapacityError, ConfigError
+from gasmld.gas import (BACKEND_AMPLITUDE, BACKEND_CIRCUIT, LMIN_CONVENTIONAL_C,
+                        LMIN_PROPOSED_CPRIME, LMIN_ZERO, MAX_QUBITS, GasParams,
+                        check_value_range, l_opt, register_width, value_scale)
+from gasmld.harness import GAS_DETECTORS, ExperimentSpec
 from gasmld.indicators import CalibrationTable, all_indicators
 from gasmld.spaces import (HADAMARD_FULL, MAX_ENUMERABLE, W_STATE_REDUCED, SpaceStack, VarRegistry,
                            _broadcast_sum, _key_weights, build_registry, channel_spaces)
@@ -466,6 +473,142 @@ def reference_calibrate(cfg: SystemConfig, n_samples: int, P: float = 1e-3,
             scatter[key].append(vals[key])
         l_vals.append(l_opt(ns, space.n_states))
     return CalibrationTable.from_samples(scatter["c_prime"], l_vals), scatter
+
+
+# --- the reference config loader ---------------------------------------------
+
+_CFG_FIELDS = {"N": int, "M": int, "tau_max": int, "modulation": str, "T_P": int,
+               "T_D": int, "P_X": (int, float), "snr_db": (int, float), "seed": int}
+_TOP_LEVEL_FIELDS = {"name", "cfg", "trials", "output_dir", "gas", "calibration",
+                     "variants", "snr_sweep", "detectors", "grid"}
+_GAS_FIELDS = {"backend", "mvd_p", "lambda", "budget_iterations", "budget_rotations", "q_v"}
+_GRID_FIELDS = {"M", "tau_max", "q_v", "modulation"}
+_VARIANT_CHOICES = {"prep": (W_STATE_REDUCED, HADAMARD_FULL),
+                    "threshold": ("random", "mvd"),
+                    "lmin": (LMIN_ZERO, LMIN_CONVENTIONAL_C, LMIN_PROPOSED_CPRIME)}
+_DETECTORS = {"exhaustive", "mmse", *GAS_DETECTORS}
+# config keys whose ExperimentSpec or GasParams field has another name
+_RENAMED = {"lambda": "lam", "samples": "calibration_samples"}
+
+
+def reference_load_spec(source) -> ExperimentSpec:
+    """Validate and load an experiment configuration (path or dict)."""
+    if isinstance(source, (str, Path)):
+        try:
+            data = json.loads(Path(source).read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read config {source}: {exc}") from exc
+    else:
+        data = dict(source)
+    _check_keys(data, _TOP_LEVEL_FIELDS, "config")
+    if "cfg" not in data:
+        raise ConfigError("config requires a 'cfg' object with the system parameters")
+    cfg_in = _check_keys(data["cfg"], _CFG_FIELDS, "cfg")
+    for key, typ in _CFG_FIELDS.items():
+        # a JSON boolean is a Python int, but never a count or a quantity
+        if key in cfg_in and (isinstance(cfg_in[key], bool)
+                              or not isinstance(cfg_in[key], typ)):
+            raise ConfigError(f"cfg.{key} has wrong type {type(cfg_in[key]).__name__}")
+    for key in ("N", "M", "tau_max"):
+        if key not in cfg_in:
+            raise ConfigError(f"cfg.{key} is required")
+    try:
+        cfg = SystemConfig(**cfg_in)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    gas = _check_keys(data.get("gas", {}), _GAS_FIELDS, "gas")
+    for key in ("mvd_p", "lambda"):
+        if key in gas and not _is_number(gas[key]):
+            raise ConfigError(f"gas.{key} must be a number, got {gas[key]!r}")
+    for key in ("budget_iterations", "budget_rotations", "q_v"):
+        if gas.get(key) is not None:
+            _check_count(f"gas.{key}", gas[key])
+    if "backend" in gas and gas["backend"] not in (BACKEND_AMPLITUDE, BACKEND_CIRCUIT):
+        raise ConfigError(f"unknown backend {gas['backend']!r}")
+    calibration = _check_keys(data.get("calibration", {}), {"samples"}, "calibration")
+    if "samples" in calibration:
+        _check_count("calibration.samples", calibration["samples"])
+    if "trials" in data:
+        _check_count("trials", data["trials"])
+    for key in ("name", "output_dir"):
+        if data.get(key) is not None and not isinstance(data[key], str):
+            raise ConfigError(f"'{key}' must be a string, got {data[key]!r}")
+    for key in ("variants", "snr_sweep", "detectors", "grid"):
+        if not isinstance(data.get(key, []), list):
+            raise ConfigError(f"'{key}' must be a list, got {data[key]!r}")
+    if not all(map(_is_number, data.get("snr_sweep", []))):
+        raise ConfigError(f"'snr_sweep' must be a list of numbers, got {data['snr_sweep']!r}")
+    for cell in data.get("grid", []):
+        _check_grid_cell(cell)
+    for variant in data.get("variants", []):
+        _check_variant(variant)
+    bad = [d for d in data.get("detectors", []) if not isinstance(d, str) or d not in _DETECTORS]
+    if bad:
+        raise ConfigError(f"unknown detectors {bad}; choose from {sorted(_DETECTORS)}")
+    try:
+        spec = ExperimentSpec(
+            cfg=cfg,
+            gas=GasParams(**_given(gas, ("lambda", "budget_iterations", "budget_rotations"))),
+            **_given(data, ("name", "trials", "output_dir", "variants", "snr_sweep",
+                            "detectors", "grid")),
+            **_given(gas, ("backend", "mvd_p", "q_v")),
+            **_given(calibration, ("samples",)))
+        MvdParams.from_config(cfg, spec.mvd_p)
+    except ValueError as exc:
+        raise ConfigError(f"gas: {exc}") from exc
+    return spec
+
+
+def _given(obj: dict, keys: tuple[str, ...]) -> dict:
+    """The present, non-null keys of obj as field keyword arguments; an
+    absent or null key leaves the field's default."""
+    return {_RENAMED.get(key, key): obj[key] for key in keys if obj.get(key) is not None}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _check_keys(obj, fields, what: str) -> dict:
+    """obj must be a JSON object whose keys all come from fields."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be an object, got {obj!r}")
+    unknown = set(obj) - set(fields)
+    if unknown:
+        raise ConfigError(f"unknown {what} fields: {sorted(unknown)}")
+    return obj
+
+
+def _check_grid_cell(cell) -> None:
+    """A gate-count cell: integer M and tau_max, optional q_v and modulation."""
+    _check_keys(cell, _GRID_FIELDS, "grid cell")
+    for key in ("M", "tau_max"):
+        if key not in cell or isinstance(cell[key], bool) or not isinstance(cell[key], int):
+            raise ConfigError(f"grid cell {cell!r} needs an integer {key!r}")
+    if "q_v" in cell:
+        _check_count("grid q_v", cell["q_v"])
+    if cell.get("modulation", PSK2) not in (PSK2, QPSK):
+        raise ConfigError(f"grid cell {cell!r}: modulation must be {PSK2!r} or {QPSK!r}")
+
+
+def _check_variant(variant) -> None:
+    """A query-cdf arm: a string name plus choices from _VARIANT_CHOICES and
+    a bool restart."""
+    if not isinstance(variant, dict) or not isinstance(variant.get("name"), str):
+        raise ConfigError(f"each variant needs a string 'name', got {variant!r}")
+    name = variant["name"]
+    _check_keys(variant, {"name", "restart", *_VARIANT_CHOICES}, f"variant {name!r}")
+    for key, choices in _VARIANT_CHOICES.items():
+        if key in variant and variant[key] not in choices:
+            raise ConfigError(f"variant {name!r}: {key} must be one of {list(choices)}, "
+                              f"got {variant[key]!r}")
+    if not isinstance(variant.get("restart", False), bool):
+        raise ConfigError(f"variant {name!r}: restart must be true or false")
 
 
 # --- dense statevector simulation --------------------------------------------

@@ -1,24 +1,30 @@
 import copy
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gasmld import cli, harness
-from gasmld.channel import generate_instance, objective_direct
+from gasmld.channel import SystemConfig, generate_instance, objective_direct
 from gasmld.errors import ConfigError
 from gasmld.gas import run_gas, run_gas_batch
 from gasmld.harness import (ExperimentSpec, fmt, load_spec, run_ber, run_calibration,
                             run_gate_count, run_query_cdf, solve_single, write_csv)
 from gasmld.spaces import W_STATE_REDUCED, build_registry
 from gasmld.thresholds import MvdParams, y_mvd
-from oracles import GroverCircuit, build_hubo, random_payload_bits, received_slot
+from oracles import (GroverCircuit, build_hubo, random_payload_bits, received_slot,
+                     reference_load_spec)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def small_cdf_spec(trials=12, seed=5):
@@ -100,9 +106,33 @@ class TestLoader:
                     {"gas": {"mvd_p": 2.0}}, {"gas": {"mvd_p": 0.0}},
                     {"calibration": {"samples": 0}},
                     {"grid": [{"M": 2, "tau_max": 1, "q_v": 0}]},
-                    {"grid": [{"M": 2, "tau_max": 1, "modulation": "bpsk"}]}):
+                    {"grid": [{"M": 2, "tau_max": 1, "modulation": "bpsk"}]},
+                    {"variants": [W_PREP, {**W_PREP, "threshold": "mvd"}]},
+                    {"detectors": ["exhaustive", "gas-mvd", "gas-mvd"]},
+                    {"snr_sweep": [10.0, 15.0, 10]}):
             with pytest.raises(ConfigError):
                 load_spec({"cfg": CFG, **bad})
+
+    def test_errors_name_the_key_path(self):
+        for bad, path in (({"cfg": {"M": 2, "tau_max": 1}}, "cfg.N is required"),
+                          ({"cfg": CFG, "gas": {"q_v": 0}}, "gas.q_v must be an integer >= 1"),
+                          ({"cfg": CFG, "variants": [W_PREP, {**W_PREP, "name": "v", "lmin": 0}]},
+                           r"variants\[1\]\.lmin must be one of"),
+                          ({"cfg": CFG, "grid": [{"M": 2, "tau_max": 1, "qv": 8}]},
+                           r"grid\[0\]\.qv is not a known key"),
+                          ([CFG], "config must be an object"),
+                          # a repeated variant name, detector, SNR point or
+                          # grid cell would repeat or pool output rows
+                          ({"cfg": CFG, "variants": [W_PREP, {**W_PREP, "threshold": "mvd"}]},
+                           r"variants\[1\] repeats 'w'"),
+                          ({"cfg": CFG, "detectors": ["exhaustive", "gas-mvd", "gas-mvd"]},
+                           r"detectors\[2\] repeats 'gas-mvd'"),
+                          ({"cfg": CFG, "snr_sweep": [10.0, 15.0, 10]},
+                           r"snr_sweep\[2\] repeats 10"),
+                          ({"cfg": CFG, "grid": [{"M": 2, "tau_max": 1}] * 2},
+                           r"grid\[1\] repeats")):
+            with pytest.raises(ConfigError, match=path):
+                load_spec(bad)
 
     def test_sample_configs_load(self):
         for path in CONFIG_DIR.glob("*.json"):
@@ -112,6 +142,95 @@ class TestLoader:
         spec = load_spec({"cfg": CFG, "gas": {"q_v": None, "budget_iterations": None,
                                               "budget_rotations": None}})
         assert spec.q_v is None and spec.gas.budget_iterations is None
+
+
+def readme_example() -> dict:
+    """The jsonc example of README's configuration section, comments stripped."""
+    block = README.read_text().split("```jsonc\n", 1)[1].split("```", 1)[0]
+    return json.loads(re.sub(r"\s*//.*", "", block))
+
+
+def key_tree(node):
+    """The nested keys of a JSON value or a schema kind; a list's tree is
+    the merged trees of its items."""
+    node = getattr(node, "kind", node)  # a required or nullable schema key
+    if isinstance(node, dict):
+        return {key: key_tree(value) for key, value in node.items()}
+    if isinstance(node, list):
+        trees = [key_tree(item) for item in node]
+        return [{k: v for tree in trees for k, v in tree.items()}
+                if isinstance(trees[0], dict) else None]
+    return None
+
+
+class TestSchema:
+    EXAMPLES = [json.loads(path.read_text()) for path in sorted(CONFIG_DIR.glob("*.json"))]
+    EXAMPLES.append(readme_example())
+    # what a swap puts in place of a value: null, each JSON kind, 0 and -1
+    SWAPS = [None, True, False, "x", 0.5, 2.5, [], {}, 0, -1]
+
+    def test_readme_example_is_the_schema(self):
+        example = readme_example()
+        assert isinstance(load_spec(example), ExperimentSpec)
+        assert key_tree(example) == key_tree(harness._SCHEMA)
+        assert set(harness._SCHEMA["cfg"].kind) == {
+            f.name for f in dataclasses.fields(SystemConfig)}
+
+    @staticmethod
+    def nodes(tree, path=()):
+        """(path, value) of every node of a JSON tree, the root first."""
+        yield path, tree
+        if isinstance(tree, (dict, list)):
+            for key, value in (tree.items() if isinstance(tree, dict) else enumerate(tree)):
+                yield from TestSchema.nodes(value, path + (key,))
+
+    @staticmethod
+    @st.composite
+    def mutated(draw):
+        """An example config after one to three mutations, and whether one
+        of them repeated a list item."""
+        config = copy.deepcopy(draw(st.sampled_from(TestSchema.EXAMPLES)))
+        repeated = False
+        for _ in range(draw(st.integers(1, 3))):
+            path, node = draw(st.sampled_from(list(TestSchema.nodes(config))))
+            moves = ["swap"] if path else []
+            if isinstance(node, dict):
+                moves += ["add"] + (["drop"] if node else [])
+            if isinstance(node, list) and node:
+                moves.append("repeat")
+            move = draw(st.sampled_from(moves))
+            if move == "swap":
+                parent = config
+                for key in path[:-1]:
+                    parent = parent[key]
+                parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(TestSchema.SWAPS)))
+            elif move == "add":
+                node[draw(st.sampled_from(["bogus", "Name", "trial"]))] = 1
+            elif move == "drop":
+                del node[draw(st.sampled_from(sorted(node)))]
+            else:
+                node.append(copy.deepcopy(draw(st.sampled_from(node))))
+                repeated = True
+        return config, repeated
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(case=mutated())
+    def test_loader_matches_the_reference(self, case):
+        # both reject, or both load equal specs; only a repeated list item
+        # is rejected by load_spec alone
+        config, repeated = case
+        try:
+            expected = reference_load_spec(config)
+        except ConfigError:
+            expected = None
+        try:
+            got, error = load_spec(config), ""
+        except ConfigError as exc:
+            got, error = None, str(exc)
+        if expected is not None and got is None:
+            assert repeated and " repeats " in error
+        else:
+            assert got == expected
 
 
 class TestFormatting:
@@ -478,8 +597,10 @@ class TestCli:
         ("solve", "solve_single.json", "auto"),
     ])
     def test_unsupported_backend_exit_code(self, tmp_path, command, config, backend):
+        # solve writes no files and takes no --out
+        out = () if command == "solve" else ("--out", str(tmp_path))
         res = self.run_cli(command, "--config", str(CONFIG_DIR / config),
-                           "--backend", backend, "--out", str(tmp_path))
+                           "--backend", backend, *out)
         assert res.returncode == 1
         assert f"not {backend!r}" in res.stderr
         assert not any(tmp_path.iterdir())
@@ -491,10 +612,14 @@ class TestCli:
         ("calibrate", "calibration_fig5.json", ("--trials", "9"), "--trials"),
         ("solve", "solve_single.json", ("--backend", "amplitude", "--dump-state", os.devnull),
          "--dump-state"),
+        ("solve", "solve_single.json", ("--trials", "7"), "--trials"),
+        ("solve", "solve_single.json", ("--out", "DIR"), "--out"),
     ])
     def test_unused_flag_exit_code(self, tmp_path, command, config, extra, flag):
+        # solve writes no files and takes no --out; DIR stands for tmp_path
+        out = () if command == "solve" else ("--out", "DIR")
         res = self.run_cli(command, "--config", str(CONFIG_DIR / config),
-                           *extra, "--out", str(tmp_path))
+                           *[str(tmp_path) if arg == "DIR" else arg for arg in (*extra, *out)])
         assert res.returncode == 1
         assert f"does not take {flag}" in res.stderr
         assert not any(tmp_path.iterdir())
