@@ -14,8 +14,8 @@ import sys
 from pathlib import Path
 
 from .errors import CapacityError, ConfigError
-from .harness import (COUNT, ExperimentSpec, check, fmt, load_spec, run_ber, run_calibration,
-                      run_gate_count, run_query_cdf, solve_single, write_csv)
+from .harness import (COMMANDS, COUNT, ExperimentSpec, check, fmt, load_spec, run_ber,
+                      run_calibration, run_gate_count, run_query_cdf, solve_single, write_csv)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -42,19 +42,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# common flags a subcommand takes but has no use for
-_UNUSED_FLAGS = {"gate-count": ("seed", "trials", "backend"),
-                 "calibrate": ("trials",),
-                 "solve": ("trials", "out")}
+# the config key each override flag sets; a command that does not read the
+# key does not take the flag
+_FLAG_KEYS = {"seed": "cfg", "trials": "trials", "backend": "gas.backend", "out": "output_dir"}
 
 
 def _spec_from_args(args) -> ExperimentSpec:
-    for flag in _UNUSED_FLAGS.get(args.command, ()):
-        if getattr(args, flag) is not None:
+    reads = COMMANDS[args.command][0]
+    for flag, key in _FLAG_KEYS.items():
+        if getattr(args, flag) is not None and key not in reads:
             raise ConfigError(f"{args.command} does not take --{flag}")
     spec = load_spec(args.config)
     # the overrides get the checks their config values get at load
-    if args.seed is not None:
+    if args.seed is not None and spec.cfg is not None:  # else the runner reports it missing
         try:
             spec.cfg = dataclasses.replace(spec.cfg, seed=args.seed)
         except ValueError as exc:
@@ -84,31 +84,21 @@ def _run(args) -> int:
                    "qd_rotations": run.qd_rotations, "converged": run.converged,
                    "stop_reason": run.stop_reason}
         print(json.dumps(summary), file=sys.stderr)
-        return 0
-    if args.command == "query-cdf":
-        rows = run_query_cdf(spec)
-        path = write_csv(out / f"{spec.name}_query_cdf.csv",
-                         ["variant", "trial", "cd_queries", "qd_rotations", "converged"],
-                         rows)
-        print(path)
-        return 0
-    if args.command == "ber":
+    elif args.command == "query-cdf":
+        print(write_csv(out / f"{spec.name}_query_cdf.csv",
+                        ["variant", "trial", "cd_queries", "qd_rotations", "converged"],
+                        run_query_cdf(spec)))
+    elif args.command == "ber":
         rows, rotations = run_ber(spec)
-        path = write_csv(out / f"{spec.name}_ber.csv",
-                         ["detector", "snr_db", "t_p", "bits", "errors", "ber"],
-                         rows)
-        print(path)
+        print(write_csv(out / f"{spec.name}_ber.csv",
+                        ["detector", "snr_db", "t_p", "bits", "errors", "ber"], rows))
         print(write_csv(out / f"{spec.name}_ber_rotations.csv",
-                        ["detector", "snr_db", "runs", "censored", "median_qd"],
-                        rotations))
-        return 0
-    if args.command == "calibrate":
+                        ["detector", "snr_db", "runs", "censored", "median_qd"], rotations))
+    elif args.command == "calibrate":
         rows, _ = run_calibration(spec, out_dir=out)
-        path = write_csv(out / f"{spec.name}_calibration.csv",
-                         ["indicator", "value", "l_opt"], rows)
-        print(path)
-        return 0
-    if args.command == "gate-count":
+        print(write_csv(out / f"{spec.name}_calibration.csv",
+                        ["indicator", "value", "l_opt"], rows))
+    else:
         reports = run_gate_count(spec)
         out.mkdir(parents=True, exist_ok=True)
         path = out / f"{spec.name}_gate_count.json"
@@ -118,8 +108,7 @@ def _run(args) -> int:
                   f"{rep['modulation']}: q_k={rep['q_k']} G_UG={rep['g_ug_cnot']} "
                   f"G_prop={rep['g_prop_cnot']} ratio={fmt(rep['ratio'])}")
         print(path)
-        return 0
-    raise ConfigError(f"unknown command {args.command!r}")
+    return 0
 
 
 def main(argv=None) -> int:

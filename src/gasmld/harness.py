@@ -62,9 +62,9 @@ _SCALARS = {str: (str, "a string"), int: (int, "an integer"), float: ((int, floa
 # optional unless _Required, and not null unless _Nullable.
 _SCHEMA = {
     "name": _Nullable(str),
-    "cfg": _Required({"N": _Required(int), "M": _Required(int), "tau_max": _Required(int),
-                      "modulation": (PSK2, QPSK), "T_P": int, "T_D": int, "P_X": float,
-                      "snr_db": float, "seed": int}),
+    "cfg": {"N": _Required(int), "M": _Required(int), "tau_max": _Required(int),
+            "modulation": (PSK2, QPSK), "T_P": int, "T_D": int, "P_X": float,
+            "snr_db": float, "seed": int},
     "trials": COUNT,
     "output_dir": _Nullable(str),
     "gas": {"backend": (BACKEND_AMPLITUDE, BACKEND_CIRCUIT), "mvd_p": float, "lambda": float,
@@ -81,11 +81,26 @@ _SCHEMA = {
               "modulation": (PSK2, QPSK)}],
 }
 
+_GAS_KEYS = {f"gas.{key}" for key in _SCHEMA["gas"]}
+_BOTH = (BACKEND_AMPLITUDE, BACKEND_CIRCUIT)
+# Per command, the config keys it reads (a gas key as gas.<key>), those of
+# them it requires and the backends it runs on (none: gate-count runs no search)
+COMMANDS = {
+    "solve": ({"cfg", *_GAS_KEYS}, ("cfg",), _BOTH),
+    "query-cdf": ({"cfg", "variants", "name", "trials", "output_dir", *_GAS_KEYS, "calibration"},
+                  ("cfg", "variants"), _BOTH),
+    "ber": ({"cfg", "name", "trials", "output_dir", *_GAS_KEYS - {"gas.q_v"}, "snr_sweep",
+             "detectors"}, ("cfg",), (BACKEND_AMPLITUDE,)),
+    "calibrate": ({"cfg", "name", "output_dir", "gas.backend", "gas.mvd_p", "calibration"},
+                  ("cfg",), (BACKEND_AMPLITUDE,)),
+    "gate-count": ({"grid", "name", "output_dir"}, ("grid",), ()),
+}
+
 
 @dataclass
 class ExperimentSpec:
     """A loaded config; the one place its defaults are stated."""
-    cfg: SystemConfig
+    cfg: SystemConfig | None = None
     name: str = "experiment"
     trials: int = 100
     output_dir: str = "out"
@@ -98,6 +113,7 @@ class ExperimentSpec:
     detectors: list[str] = field(default_factory=list)
     grid: list[dict] = field(default_factory=list)
     q_v: int | None = None
+    given: tuple[str, ...] = field(default=(), compare=False)  # config keys, null ones too
 
 
 def load_spec(source) -> ExperimentSpec:
@@ -108,6 +124,7 @@ def load_spec(source) -> ExperimentSpec:
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {source}: {exc}") from exc
     check(source, _SCHEMA, "config")
+    given = (*[k for k in source if k != "gas"], *[f"gas.{k}" for k in source.get("gas", ())])
     # an absent or null key keeps its field's default
     data = {key: value for key, value in source.items() if value is not None}
     gas = {("lam" if key == "lambda" else key): value
@@ -117,9 +134,11 @@ def load_spec(source) -> ExperimentSpec:
     # the gas keys the spec holds; the rest make the GasParams template
     engine = {key: gas.pop(key) for key in ("backend", "mvd_p", "q_v") if key in gas}
     try:
-        spec = ExperimentSpec(cfg=SystemConfig(**data.pop("cfg")), gas=GasParams(**gas),
-                              **engine, **data)
-        MvdParams.from_config(spec.cfg, spec.mvd_p)
+        if "cfg" in data:
+            data["cfg"] = SystemConfig(**data["cfg"])
+        spec = ExperimentSpec(gas=GasParams(**gas), given=given, **engine, **data)
+        if spec.cfg is not None:
+            MvdParams.from_config(spec.cfg, spec.mvd_p)
     except ValueError as exc:
         raise ConfigError(f"config: {exc}") from exc
     return spec
@@ -162,6 +181,8 @@ def _fit(value, kind) -> None:
     elif type(kind) is list:
         if not isinstance(value, list):
             raise ConfigError(f" must be a list, got {value!r}")
+        if not value:
+            raise ConfigError(" is empty")
         seen = []
         for i, item in enumerate(value):
             if type(item) is not kind[0]:
@@ -184,9 +205,18 @@ def _fit(value, kind) -> None:
             raise ConfigError(f" must be {what}, got {value!r}")
 
 
-def _require_backend(spec: ExperimentSpec, command: str, supported: tuple[str, ...]) -> None:
-    if spec.backend not in supported:
-        raise ConfigError(f"{command} runs on backend {' or '.join(supported)}, "
+def check_command(spec: ExperimentSpec, command: str) -> None:
+    """Raise ConfigError unless spec gives only keys command reads and every
+    key it requires, and names a backend it runs on."""
+    reads, requires, backends = COMMANDS[command]
+    for key in spec.given:
+        if key not in reads:
+            raise ConfigError(f"{command} does not read config.{key}")
+    for key in requires:
+        if key not in spec.given:
+            raise ConfigError(f"{command} requires config.{key}")
+    if backends and spec.backend not in backends:
+        raise ConfigError(f"{command} runs on backend {' or '.join(backends)}, "
                           f"not {spec.backend!r}")
 
 
@@ -262,9 +292,7 @@ def run_query_cdf(spec: ExperimentSpec):
     Row schema: variant, trial, cd_queries, qd_rotations, converged.
     """
     cfg = spec.cfg
-    _require_backend(spec, "query-cdf", (BACKEND_AMPLITUDE, BACKEND_CIRCUIT))
-    if not spec.variants:
-        raise ConfigError("query-cdf requires a 'variants' list")
+    check_command(spec, "query-cdf")
     needs_table = any(v.get("lmin") == LMIN_PROPOSED_CPRIME for v in spec.variants)
     table = _calibration_table(cfg, spec) if needs_table else None
     ymvd = y_mvd(MvdParams.from_config(cfg, spec.mvd_p))
@@ -315,7 +343,7 @@ def run_ber(spec: ExperimentSpec):
     its T_D slots at every SNR point of the sweep (_ber_trial).
     """
     cfg0 = spec.cfg
-    _require_backend(spec, "ber", (BACKEND_AMPLITUDE,))
+    check_command(spec, "ber")
     detectors = spec.detectors or ["exhaustive", "gas-mvd"]
     snrs = spec.snr_sweep or [cfg0.snr_db]
     cfgs = [cfg0.with_snr(snr) for snr in snrs]
@@ -410,7 +438,7 @@ def _ber_trial(spec: ExperimentSpec, cfgs: list[SystemConfig], detectors: list[s
 def run_calibration(spec: ExperimentSpec, out_dir: Path | None = None):
     """Scatter of (indicator value, L_opt) for all four indicators."""
     cfg = spec.cfg
-    _require_backend(spec, "calibrate", (BACKEND_AMPLITUDE,))
+    check_command(spec, "calibrate")
     table, scatter = calibrate(cfg, spec.calibration_samples, P=spec.mvd_p)
     rows = []
     for key in ("c", "c1", "c2", "c_prime"):
@@ -426,8 +454,7 @@ def run_calibration(spec: ExperimentSpec, out_dir: Path | None = None):
 
 
 def run_gate_count(spec: ExperimentSpec) -> list[dict]:
-    if not spec.grid:
-        raise ConfigError("gate-count requires a 'grid' list")
+    check_command(spec, "gate-count")
     return [build_report(cell["M"], cell["tau_max"], cell.get("q_v", 1),
                          cell.get("modulation", PSK2)) for cell in spec.grid]
 
@@ -437,7 +464,7 @@ def solve_single(spec: ExperimentSpec,
     """One recorded GAS run on a fresh instance, and the space its ordinals
     index."""
     cfg = spec.cfg
-    _require_backend(spec, "solve", (BACKEND_AMPLITUDE, BACKEND_CIRCUIT))
+    check_command(spec, "solve")
     if dump_state is not None and spec.backend != BACKEND_CIRCUIT:
         # the prepared state exists only in the circuit model
         raise ConfigError(f"solve does not take --dump-state on backend {spec.backend!r}")

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import importlib.util
 import json
 import os
 import re
@@ -46,8 +47,13 @@ W_PREP = {"name": "w", "prep": "w-state-reduced", "threshold": "random", "lmin":
 
 class TestLoader:
     def test_missing_cfg(self):
-        with pytest.raises(ConfigError):
-            load_spec({"name": "x"})
+        # the loader takes a config without cfg; every command that reads
+        # cfg requires it, and gate-count, which does not, runs without it
+        for runner, config in ((solve_single, {}), (run_query_cdf, {"variants": [W_PREP]}),
+                               (run_ber, {"name": "x"}), (run_calibration, {"name": "x"})):
+            with pytest.raises(ConfigError, match=r"requires config\.cfg$"):
+                runner(load_spec(config))
+        assert len(run_gate_count(load_spec({"grid": [{"M": 2, "tau_max": 1}]}))) == 1
 
     def test_unknown_cfg_field(self):
         with pytest.raises(ConfigError):
@@ -109,7 +115,8 @@ class TestLoader:
                     {"grid": [{"M": 2, "tau_max": 1, "modulation": "bpsk"}]},
                     {"variants": [W_PREP, {**W_PREP, "threshold": "mvd"}]},
                     {"detectors": ["exhaustive", "gas-mvd", "gas-mvd"]},
-                    {"snr_sweep": [10.0, 15.0, 10]}):
+                    {"snr_sweep": [10.0, 15.0, 10]},
+                    {"variants": []}, {"grid": []}, {"detectors": []}, {"snr_sweep": []}):
             with pytest.raises(ConfigError):
                 load_spec({"cfg": CFG, **bad})
 
@@ -130,7 +137,9 @@ class TestLoader:
                           ({"cfg": CFG, "snr_sweep": [10.0, 15.0, 10]},
                            r"snr_sweep\[2\] repeats 10"),
                           ({"cfg": CFG, "grid": [{"M": 2, "tau_max": 1}] * 2},
-                           r"grid\[1\] repeats")):
+                           r"grid\[1\] repeats"),
+                          # an empty list is no default
+                          ({"cfg": CFG, "detectors": []}, r"config\.detectors is empty")):
             with pytest.raises(ConfigError, match=path):
                 load_spec(bad)
 
@@ -173,7 +182,7 @@ class TestSchema:
         example = readme_example()
         assert isinstance(load_spec(example), ExperimentSpec)
         assert key_tree(example) == key_tree(harness._SCHEMA)
-        assert set(harness._SCHEMA["cfg"].kind) == {
+        assert set(harness._SCHEMA["cfg"]) == {
             f.name for f in dataclasses.fields(SystemConfig)}
 
     @staticmethod
@@ -185,12 +194,22 @@ class TestSchema:
                 yield from TestSchema.nodes(value, path + (key,))
 
     @staticmethod
+    def repeats(config) -> bool:
+        """Whether a list in config holds an item twice, items told apart as
+        the loader tells them: an object by its name."""
+        for _, node in TestSchema.nodes(config):
+            if isinstance(node, list):
+                idents = [item["name"] if isinstance(item, dict) and "name" in item else item
+                          for item in node]
+                if any(ident in idents[:i] for i, ident in enumerate(idents)):
+                    return True
+        return False
+
+    @staticmethod
     @st.composite
     def mutated(draw):
-        """An example config after one to three mutations, and whether one
-        of them repeated a list item."""
+        """An example config after one to three mutations."""
         config = copy.deepcopy(draw(st.sampled_from(TestSchema.EXAMPLES)))
-        repeated = False
         for _ in range(draw(st.integers(1, 3))):
             path, node = draw(st.sampled_from(list(TestSchema.nodes(config))))
             moves = ["swap"] if path else []
@@ -210,15 +229,16 @@ class TestSchema:
                 del node[draw(st.sampled_from(sorted(node)))]
             else:
                 node.append(copy.deepcopy(draw(st.sampled_from(node))))
-                repeated = True
-        return config, repeated
+        return config
 
     @settings(max_examples=400, deadline=None, database=None, derandomize=True)
-    @given(case=mutated())
-    def test_loader_matches_the_reference(self, case):
+    @given(config=mutated())
+    def test_loader_matches_the_reference(self, config):
         # both reject, or both load equal specs; only a repeated list item
-        # is rejected by load_spec alone
-        config, repeated = case
+        # or an empty list is rejected by load_spec alone.  A missing cfg is
+        # an error of the commands that read it, so both loaders get one.
+        if isinstance(config, dict) and "cfg" not in config:
+            config["cfg"] = CFG
         try:
             expected = reference_load_spec(config)
         except ConfigError:
@@ -228,9 +248,51 @@ class TestSchema:
         except ConfigError as exc:
             got, error = None, str(exc)
         if expected is not None and got is None:
-            assert repeated and " repeats " in error
+            assert (self.repeats(config) and " repeats " in error) or error.endswith(" is empty")
         else:
             assert got == expected
+
+
+def perfbench_workloads():
+    """perfbench/workloads.py, loaded by path: it imports nothing from gasmld."""
+    path = README.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestCommands:
+    CONFIG_COMMANDS = {"ber_thresholds.json": "ber", "calibration_fig5.json": "calibrate",
+                       "gate_count.json": "gate-count", "query_cdf_fig3.json": "query-cdf",
+                       "query_cdf_lmin.json": "query-cdf", "solve_single.json": "solve"}
+
+    def test_shipped_configs_pass_their_command(self):
+        assert sorted(self.CONFIG_COMMANDS) == sorted(p.name for p in CONFIG_DIR.glob("*.json"))
+        for name, command in self.CONFIG_COMMANDS.items():
+            harness.check_command(load_spec(CONFIG_DIR / name), command)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 61])
+    def test_benchmark_specs_pass_their_command(self, seed):
+        # the benchmark counts a call that raises as a failed item
+        workloads = perfbench_workloads()
+        for workload in workloads.WORKLOADS:
+            command = {"run_ber": "ber",
+                       "run_query_cdf": "query-cdf"}[workloads.RUNNERS[workload]]
+            for config in (workloads.warmup_spec(workload, seed),
+                           *(workloads.chunk_spec(workload, seed, i) for i in (0, 1, 99))):
+                harness.check_command(load_spec(config), command)
+
+    def test_readme_table_is_the_literal(self):
+        section = README.read_text().split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+        table = {}
+        for line in section.splitlines():
+            if line.startswith("| `"):
+                (command,), reads, requires, backends = (
+                    re.findall(r"`([^`]+)`", cell) for cell in line.split("|")[1:-1])
+                table[command] = (set(reads), tuple(requires), tuple(backends))
+        assert table == {command: (set(reads), requires, backends)
+                         for command, (reads, requires, backends) in harness.COMMANDS.items()}
 
 
 class TestFormatting:
@@ -462,8 +524,8 @@ class TestGateCountRunner:
         assert reports[2]["g_ug_source"] == "assembled-from-term-table"
 
     def test_missing_grid(self):
-        spec = load_spec({"cfg": {"N": 2, "M": 2, "tau_max": 1}})
-        with pytest.raises(ConfigError):
+        spec = load_spec({"name": "x"})
+        with pytest.raises(ConfigError, match=r"gate-count requires config\.grid"):
             run_gate_count(spec)
 
 
@@ -623,6 +685,40 @@ class TestCli:
         assert res.returncode == 1
         assert f"does not take {flag}" in res.stderr
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command,config,extra,key", [
+        ("ber", "ber_thresholds.json", {"variants": [W_PREP]}, "variants"),
+        ("gate-count", "gate_count.json", {"cfg": CFG}, "cfg"),
+        ("solve", "solve_single.json", {"output_dir": "out"}, "output_dir"),
+        ("solve", "solve_single.json", {"name": None}, "name"),
+        ("calibrate", "calibration_fig5.json", {"trials": 5}, "trials"),
+        ("query-cdf", "query_cdf_fig3.json", {"detectors": ["mmse"]}, "detectors"),
+        ("gate-count", "gate_count.json",
+         {"detectors": ["mmse"], "trials": 7, "variants": [{"name": "x"}]}, "detectors"),
+        ("ber", "ber_thresholds.json", {"gas": {"q_v": 8}}, "gas.q_v"),
+    ])
+    def test_unread_key_exit_code(self, tmp_path, capsys, command, config, extra, key):
+        # a config key the command does not read is an error, null or not,
+        # before any output; solve takes no --out, so its output_dir is out
+        out = tmp_path / "out"
+        config = {**json.loads((CONFIG_DIR / config).read_text()), **extra}
+        if "output_dir" in extra:
+            config["output_dir"] = str(out)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        flags = () if command == "solve" else ("--out", str(out))
+        assert cli.main([command, "--config", str(path), *flags]) == 1
+        assert f"{command} does not read config.{key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_without_cfg_exit_code(self, tmp_path, capsys):
+        # --seed overrides the seed of a cfg the config must give
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"variants": [W_PREP]}))
+        out = tmp_path / "out"
+        assert cli.main(["query-cdf", "--config", str(path), "--seed", "3", "--out", str(out)]) == 1
+        assert "query-cdf requires config.cfg" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
