@@ -7,14 +7,16 @@ the success probability sin^2((2L+1) arcsin sqrt(Ns/Nt)); the circuit
 backend marks through the QFT value encoding of the real circuit and draws
 from that circuit's exact two-dimensional Grover law, without a statevector.
 A backend searches a one-row stack and holds only its law, measure(y, L,
-rng) -> (ordinal, objective value); run_gas reads everything else from
+u_class, u_state) -> (ordinal, objective value), which turns a step's two
+measurement uniforms into a state; run_gas reads everything else from
 backend.space.  run_gas_batch runs many searches over the rows of one stack
 in lockstep on the amplitude law.  Both engines take an arm, a GasParams,
 plus the per-run seed x0 and oracle_min, read the stack's one cached sort,
-take their budgets, restart window and k cap from run_limits and return a
-GasBatch of state ordinals.  The value-register rules of the circuit (the
-objective bound, the register width, the integer scale and its range check)
-sit beside CircuitBackend.
+take their budgets, restart window and k cap from run_limits, draw one
+protocol of uniforms and return a GasBatch of state ordinals; on the
+amplitude law they agree run for run.  The value-register rules of the
+circuit (the objective bound, the register width, the integer scale and its
+range check) sit beside CircuitBackend.
 """
 
 from __future__ import annotations
@@ -43,6 +45,15 @@ STOP_BUDGET_ROTATIONS = "budget_rotations"
 
 # qubits of the largest state CircuitBackend.prepared_state writes
 MAX_QUBITS = 26
+# Generator.choice's tolerance on the sum of a distribution it samples
+_P_SUM_TOL = math.sqrt(np.finfo(np.float64).eps)
+
+# uniforms a step takes per run: the rotation count L, the marked or
+# unmarked class, the state within that class, and the restart draw
+UNIFORMS_PER_STEP = 4
+# steps per uniform block: a batch holds runs x 32 x 4 doubles of uniforms,
+# whatever the budgets
+STEPS_PER_BLOCK = 32
 
 
 def success_probability(Ns: int, Nt: int, L: int) -> float:
@@ -108,27 +119,30 @@ class AmplitudeBackend:
     def __init__(self, space: spaces.SpaceStack):
         self.space = space
         self.e_values = space.e_values[0]
+        # one-entry memo (y, ns): y changes only on acceptance or restart
+        self._memo: tuple[float, int] | None = None
 
     @cached_property
-    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
+    def _order(self) -> np.ndarray:
         # bound at the first measurement: a run that never measures never sorts
-        return self.space.order[0], self.space.e_sorted[0]
+        return self.space.order[0]
 
-    def measure(self, y: float, L: int, rng: np.random.Generator):
+    def measure(self, y: float, L: int, u_class: float, u_state: float):
         # the sorted order puts the ns marked states first: a marked draw is
-        # uniform over order[:ns], an unmarked one over order[ns:]; the
-        # ndarray searchsorted skips np.searchsorted's Python-level dispatch
+        # uniform over order[:ns], an unmarked one over order[ns:]; the index
+        # arithmetic is run_gas_batch's, so the two engines agree run for run
         e_values = self.e_values
-        order, e_sorted = self._sorted
         nt = e_values.size
-        ns = int(e_sorted.searchsorted(y, side="left"))
-        if ns == 0:
-            ordinal = int(rng.integers(nt))
-        elif rng.random() < success_probability(ns, nt, L):
-            ordinal = int(order[rng.integers(ns)])
+        if self._memo is None or self._memo[0] != y:
+            # the ndarray searchsorted skips np.searchsorted's Python-level dispatch
+            self._memo = (y, int(self.space.e_sorted[0].searchsorted(y, side="left")))
+        ns = self._memo[1]
+        if u_class < success_probability(ns, nt, L) or ns == nt:
+            idx = int(u_state * ns)
         else:
-            ordinal = int(order[rng.integers(ns, nt)])
-        return ordinal, float(e_values[ordinal])
+            idx = int(ns + u_state * (nt - ns))
+        ordinal = self._order.item(idx)
+        return ordinal, e_values.item(ordinal)
 
 
 def channel_bound(H_est: np.ndarray, r: np.ndarray, prep: str, taud: int) -> float:
@@ -275,9 +289,17 @@ class CircuitBackend:
             np.fft.fft(phases, axis=1) / (n * math.sqrt(self.space.n_states)))
         return state
 
-    def measure(self, y: float, L: int, rng: np.random.Generator):
+    def measure(self, y: float, L: int, u_class: float, u_state: float):
+        """Inverts the distribution's CDF at u_state as Generator.choice
+        does, with its checks; the class uniform is not needed."""
         p = self.distribution(y, L)
-        ordinal = int(rng.choice(p.size, p=p))
+        if not (p >= 0.0).all():
+            raise ValueError("measurement distribution has a negative or NaN entry")
+        cdf = p.cumsum()
+        if not abs(cdf[-1] - 1.0) <= _P_SUM_TOL:
+            raise ValueError(f"measurement distribution sums to {cdf[-1]!r}, not 1")
+        cdf /= cdf[-1]
+        ordinal = int(cdf.searchsorted(u_state, side="right"))
         return ordinal, float(self.e_values[ordinal])
 
 
@@ -306,6 +328,13 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator, x0: int | None
     that output is not one-hot.  Halting changes no output a later iteration
     could have set: no later value undercuts the optimum, so the best one-hot
     state and the first hit are final once the optimum is measured.
+
+    The run draws as a one-run arm of run_gas_batch: one uniform u0 for the
+    start, read only by a uniform start as ordinal floor(u0 Nt), then blocks
+    of (STEPS_PER_BLOCK, UNIFORMS_PER_STEP) from rng, one row per step:
+    u_l sets L = L_min + floor(u_l (ceil(k-1) + 1)), the backend measures
+    from (u_class, u_state), and a restart draws ordinal floor(u_restart Nt).
+    On the amplitude law the two engines agree run for run.
     """
     if x0 is not None and params.y0 is not None:
         raise ValueError("a seeded x0 carries its own threshold; give x0 or y0, not both")
@@ -345,14 +374,15 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator, x0: int | None
         inc, y = ordinal, ex
         return True
 
-    def draw():
-        ordinal = int(rng.integers(n_t))
+    def draw(u: float):
+        ordinal = int(u * n_t)
         see(ordinal, float(e_values[ordinal]), measured=True)
 
+    u0 = rng.random()
     if x0 is not None:
         see(x0, float(e_values[x0]), measured=False)
     elif y is None:
-        draw()
+        draw(u0)
 
     updated_since_restart = False
     since_restart = 0
@@ -361,12 +391,14 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator, x0: int | None
     steps = [] if record else None
 
     while hit_cd < 0 and i < budget_iter:
-        span = math.ceil(k - 1.0)
-        L = lmin + int(rng.integers(0, span + 1))
+        if i % STEPS_PER_BLOCK == 0:
+            block = rng.random((STEPS_PER_BLOCK, UNIFORMS_PER_STEP)).tolist()
+        u_l, u_class, u_state, u_restart = block[i % STEPS_PER_BLOCK]
+        L = lmin + int(u_l * (math.ceil(k - 1.0) + 1.0))
         if cum_rot + L > budget_rot:
             stop = STOP_BUDGET_ROTATIONS
             break
-        state, ex = backend.measure(y, L, rng)
+        state, ex = backend.measure(y, L, u_class, u_state)
         cum_rot += L
         accepted = see(state, ex, measured=True)
         if accepted:
@@ -380,7 +412,7 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator, x0: int | None
         if (params.restart_enabled and not updated_since_restart
                 and hit_cd < 0 and since_restart >= restart_window):
             y = None
-            draw()
+            draw(u_restart)
             lmin = 0
             k = 1.0
             since_restart = 0
@@ -400,12 +432,6 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator, x0: int | None
         cd_queries=cd, qd_rotations=cum_rot, stop_reason=stop, steps=steps)
 
 
-# uniforms a lockstep step takes per run: the rotation count L, the marked
-# or unmarked class, the state within that class, and the restart draw
-UNIFORMS_PER_STEP = 4
-# steps per uniform block: a batch holds runs x 32 x 4 doubles of uniforms,
-# whatever the budgets
-STEPS_PER_BLOCK = 32
 _STOP_NAMES = np.array([STOP_OPTIMUM, STOP_BUDGET_ITERATIONS, STOP_BUDGET_ROTATIONS])
 
 

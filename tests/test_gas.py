@@ -1,9 +1,12 @@
+import copy
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from gasmld.channel import PSK2, QPSK, SystemConfig, generate_instance
+from gasmld.channel import (PSK2, QPSK, SystemConfig, generate_instance, received_slots,
+                            slot_draws)
 from gasmld import harness, streams
 from gasmld.gas import (STOP_BUDGET_ITERATIONS, STOP_BUDGET_ROTATIONS, STOP_OPTIMUM,
                         AmplitudeBackend, CircuitBackend, GasParams, l_opt,
@@ -66,7 +69,7 @@ class TestAmplitudeBackend:
         rng = np.random.default_rng(0)
         y = float(backend.space.e_sorted[0, -1]) + 1.0
         for L in (0, 1, 5):
-            _, ex = backend.measure(y, L, rng)
+            _, ex = backend.measure(y, L, *rng.random(2))
             assert ex < y
 
     def test_no_marked_uniform(self):
@@ -76,7 +79,7 @@ class TestAmplitudeBackend:
         counts = np.zeros(8)
         n = 16000
         for _ in range(n):
-            state, _ = backend.measure(y, 3, rng)
+            state, _ = backend.measure(y, 3, *rng.random(2))
             counts[state] += 1
         # chi-square against uniform, 7 dof: 99.9% quantile ~ 24.3
         expected = n / 8
@@ -92,7 +95,7 @@ class TestAmplitudeBackend:
         for L in (1, 2):
             hits = 0
             for _ in range(n):
-                _, ex = backend.measure(y, L, rng)
+                _, ex = backend.measure(y, L, *rng.random(2))
                 hits += ex < y
             p = success_probability(ns, 8, L)
             assert hits / n == pytest.approx(p, abs=4 * math.sqrt(p * (1 - p) / n) + 1e-3)
@@ -167,10 +170,33 @@ class TestCircuitBackend:
         rng = np.random.default_rng(9)
         for backend in (amp, circ):
             for _ in range(10):
-                state, ex = backend.measure(2.0, 1, rng)
+                state, ex = backend.measure(2.0, 1, *rng.random(2))
                 x = backend.space.assignment(state)
                 assert x.shape == (3,)
                 assert evaluate(poly, x) == pytest.approx(ex, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [[0.5, 0.5, 0.25, -0.25, 0, 0, 0, 0],
+                                   [0.5, 0.5, np.nan, 0, 0, 0, 0, 0],
+                                   [0.5, 0.25, 0, 0, 0, 0, 0, 0],
+                                   [0.5, 0.5, 1e-6, 0, 0, 0, 0, 0]],
+                             ids=["negative", "nan", "short", "over"])
+    def test_measure_rejects_a_bad_distribution(self, p):
+        # Generator.choice's checks: no negative or NaN entry, a sum within
+        # sqrt(eps) of 1
+        poly, reg, _ = toy_backend()
+        circ = CircuitBackend(from_polynomial(poly, reg, HADAMARD_FULL), q_v=4)
+        circ.distribution = lambda y, L: np.array(p, float)
+        with pytest.raises(ValueError):
+            circ.measure(2.0, 1, 0.5, 0.5)
+
+    def test_measure_inverts_the_cdf(self):
+        # u_state in [cdf[j-1], cdf[j]) measures ordinal j; zero entries are never drawn
+        poly, reg, _ = toy_backend()
+        circ = CircuitBackend(from_polynomial(poly, reg, HADAMARD_FULL), q_v=4)
+        circ.distribution = lambda y, L: np.array([0.25, 0, 0.5, 0, 0, 0, 0.25, 0])
+        for u, ordinal in ((0.0, 0), (0.2499, 0), (0.25, 2), (0.7499, 2), (0.75, 6),
+                           (0.9999, 6)):
+            assert circ.measure(2.0, 1, 0.5, u)[0] == ordinal
 
 
 class TestDenseOracle:
@@ -242,7 +268,9 @@ def measured(run) -> list[dict]:
 
 class TestRunGas:
     engine = staticmethod(run_gas)
-    restart_seed = 14
+    # about a third of runs measure the optimum before the first restart can
+    # fire; seed 16 restarts first
+    restart_seed = 16
 
     def test_toy_convergence_rate(self):
         poly, reg, backend = toy_backend()
@@ -401,14 +429,87 @@ class TestRunGas:
             self.engine(backend, GasParams(y0=1.0), np.random.default_rng(23), x0=0)
 
 
+# the outputs the two engines must agree on, run for run
+AGREED = ("final", "final_y", "best_E", "invalid_final", "hit_cd", "hit_qd", "cd_queries",
+          "qd_rotations", "stop_reason")
+
+
+def assert_runs_agree(runs, batch):
+    """Run j of run_gas equals run j of the batch in every AGREED output and,
+    when recorded, in each measurement's L, state and restart."""
+    assert len(runs) == batch.final.size
+    for j, run in enumerate(runs):
+        assert [getattr(run, f) for f in AGREED] == [getattr(batch, f)[j] for f in AGREED], j
+        if run.steps is not None:
+            assert [(s["L"], s["x"], s["restarted"]) for s in run.steps] == [
+                (s["L"][j], s["x"][j], s["restarted"][j]) for s in batch.steps if s["ran"][j]], j
+
+
 class TestRunGasBatch(TestRunGas):
-    """Every TestRunGas rule on the lockstep engine, run as a batch of one."""
-    engine = staticmethod(lambda backend, params, rng, **kw:
-                          run_gas_batch(backend.space, [0], [(params, rng, 1)], **kw))
-    # about a third of runs measure the optimum before the first restart can
-    # fire, on either engine (0.334 and 0.343 of 2 000 seeds); seed 14 does
-    # so on the lockstep draws, seed 16 restarts first
-    restart_seed = 16
+    """Every TestRunGas rule on the lockstep engine, run as a batch of one
+    that agrees run for run with run_gas on the same generator's draws."""
+
+    @staticmethod
+    def engine(backend, params, rng, **kw):
+        twin = copy.deepcopy(rng)
+        batch = run_gas_batch(backend.space, [0], [(params, rng, 1)], **kw)
+        assert_runs_agree([run_gas(backend, params, twin, **kw)], batch)
+        return batch
+
+
+class TestEnginesAgree:
+    """run_gas and run_gas_batch, each run its own one-run arm, on the same
+    generators' draws give the same runs."""
+
+    def test_toy_full_space(self):
+        # tied values, one-hot enforcement and restarts on the full space, whose
+        # minimum is not one-hot; one batch holds every run, each its own arm
+        poly, reg, backend = toy_backend()
+        one_hot_min = float(backend.space.e_values[0][backend.space.one_hot].min())
+        arms = [GasParams(enforce_one_hot=True, restart_enabled=restart, lmin=lmin,
+                          budget_iterations=60, budget_rotations=300)
+                for restart in (False, True) for lmin in (0, 2)] * 30
+        targets = [one_hot_min if j % 3 else None for j in range(len(arms))]
+        runs = [run_gas(backend, params, np.random.default_rng(j), oracle_min=target,
+                        record=True) for j, (params, target) in enumerate(zip(arms, targets))]
+        batch = run_gas_batch(backend.space, np.zeros(len(arms), int),
+                              [(params, np.random.default_rng(j), 1)
+                               for j, params in enumerate(arms)],
+                              oracle_min=[-math.inf if t is None else t for t in targets],
+                              record=True)
+        assert_runs_agree(runs, batch)
+        assert 0 < batch.converged.sum() < len(arms)
+
+    def test_query_cdf_shape(self):
+        # query-cdf's 20 736-state W-state spaces: the mvd threshold with
+        # restart at two lmin, a uniform start, and mmse-seeded x0; an lmin of
+        # 20-30 makes the restart window (38-85 steps) shorter than the budget
+        cfg = SystemConfig(N=2, M=4, tau_max=5, T_D=128, snr_db=20.0, seed=2029)
+        inst = generate_instance(cfg)
+        slots = np.arange(4)
+        r = received_slots(inst, cfg, slots, *slot_draws(cfg, slots, instance_id=0))
+        stack = channel_spaces(inst, r, slots, cfg, W_STATE_REDUCED)
+        ymvd = y_mvd(MvdParams.from_config(cfg, 1e-3))
+        x_mmse = mmse_detect(inst, r, slots, cfg, stack)
+        minima = stack.e_values.min(axis=1)
+        arms = [(GasParams(y0=ymvd, lmin=lmin, restart_enabled=True, enforce_one_hot=True),
+                 False) for lmin in (0, 30)]
+        arms += [(GasParams(lmin=20, restart_enabled=True), False),
+                 (GasParams(lmin=25, restart_enabled=True), True)]
+        rows, x0, runs, batch_arms = [], [], [], []
+        for j, ((params, seeded), t) in enumerate(itertools.product(arms * 3, slots)):
+            row = SpaceStack(stack.reg, W_STATE_REDUCED, stack.e_values[t:t + 1],
+                             stack.key_indices)
+            start = int(x_mmse[t]) if seeded else None
+            runs.append(run_gas(AmplitudeBackend(row), params, np.random.default_rng([7, j]),
+                                x0=start, oracle_min=float(minima[t]), record=True))
+            rows.append(t)
+            x0.append(-1 if start is None else start)
+            batch_arms.append((params, np.random.default_rng([7, j]), 1))
+        batch = run_gas_batch(stack, rows, batch_arms, x0=x0, oracle_min=minima[rows],
+                              record=True)
+        assert_runs_agree(runs, batch)
+        assert batch.converged.any()
 
 
 def ks_statistic(a, b) -> float:

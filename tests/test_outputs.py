@@ -32,7 +32,7 @@ def sha256(data: bytes) -> str:
 @pytest.mark.parametrize("command,config,extra,digests", [
     ("query-cdf", "query_cdf_fig3.json", ("--trials", "30"), {
         "space-reduction_query_cdf.csv":
-            "bf120d855876f38f793d0b017bc9ce8e6ec85c486c5741fc0ca083189f699ff9"}),
+            "78063eea702f9b4950c2dc354e9ec864a74c563f526e0cf51425079afce46534"}),
     ("ber", "ber_thresholds.json", ("--trials", "2"), {
         "threshold-comparison_ber.csv":
             "381ca1367c67fce29540ecad6bfd9cef1f36280866538aed78112b7254c48cd4",
@@ -46,11 +46,11 @@ def sha256(data: bytes) -> str:
     # the mvd threshold, restart and all three lmin arms
     ("query-cdf", "query_cdf_lmin.json", ("--trials", "10"), {
         "rotation-lower-bound_query_cdf.csv":
-            "6caafc0eeb08e3d5377e963413cc58f1dea750186f8d94c8537a52981810192a"}),
+            "c113f9bbd56bfddf9183c3bb68ecb87a10feb5a88aa403dff879ae0f476a2e8c"}),
     # the circuit law with a fitted q_v across many trials
     ("query-cdf", "query_cdf_lmin.json", ("--trials", "10", "--backend", "circuit"), {
         "rotation-lower-bound_query_cdf.csv":
-            "6f7f986bd642e97b51e0901677fbdbc73cce17bb0ae1323a5ca3b8f71ad633ca"}),
+            "fc2107b83193b583e63e7dc990d66221556c9a60d72ccfc1594f486f71c2d00b"}),
     ("calibrate", "calibration_fig5.json", (), {
         "indicator-scatter_calibration.csv":
             "7088c70a1e5a8993156c59e23bcf3c0dc2de91f91aac764ad4e87af107682818",
@@ -76,10 +76,10 @@ def test_written_file(tmp_path, capsys, command, config, extra, digests):
 
 
 @pytest.mark.parametrize("backend,stdout_digest,stderr_digest", [
-    ("circuit", "5066da0e803a51792535b16ba872b51f231130c52b243add163423c080ce892a",
-     "64c29057506a092b8c76662e67a05c15e9e3478e0a3cd4a7c33c675bf4403e14"),
-    ("amplitude", "5d5555988e17bd525bc67a488a736c37e669e268374eef539c488814dd7466dc",
-     "fdb75a60fed79dcdcc3ec808e1b2704adefafae10bb63f94e88f3b735f944108"),
+    ("circuit", "43b27e24e4bea72bd7b84ea60a247c80fb1ee00ed35433b25faf7257053e9b56",
+     "0bacb5fe1df3a41dfaa72a15322e4687ea1c4d63209502137605c80ba81d330e"),
+    ("amplitude", "2d3b759ce84699cbb8a5773bc34de3ae9cff7d1c54f37318fe4839f1cb2c9340",
+     "fd97adbdf4cbc122df5e3183e3523d3581d1322c79db9853e4be38d65b8a136f"),
 ], ids=["circuit", "amplitude"])
 def test_solve_trace_and_summary(capsys, backend, stdout_digest, stderr_digest):
     code = cli.main(["solve", "--config", str(CONFIG_DIR / "solve_single.json"),

@@ -129,9 +129,9 @@ def test_count_below_and_sampling():
     y_unmarked = float(0.5 * (e[3 * n // 4 - 1] + e[3 * n // 4]))
     rng = np.random.default_rng(2)
     for _ in range(50):
-        ordinal, value = backend.measure(y_marked, 1, rng)
+        ordinal, value = backend.measure(y_marked, 1, *rng.random(2))
         assert value == space.e_values[0, ordinal] < y_marked
-        ordinal, value = backend.measure(y_unmarked, 1, rng)
+        ordinal, value = backend.measure(y_unmarked, 1, *rng.random(2))
         assert y_unmarked <= value == space.e_values[0, ordinal]
 
 
