@@ -28,60 +28,54 @@ TIE_EXPONENT = 0.2
 _CHUNK = 4  # samples per channel_counts call: small candidate arrays
 
 
-def indicator_c(H_est: np.ndarray) -> float:
-    n, m = H_est.shape
-    return float(np.sum(np.abs(H_est) ** 2) / (n * m))
+def indicator_c(H: np.ndarray):
+    """Mean squared entry over the last two axes: a float for one channel,
+    an array for a (k, N, M) stack."""
+    n, m = H.shape[-2:]
+    c = np.sum(np.abs(H) ** 2, axis=(-2, -1)) / (n * m)
+    return float(c) if c.ndim == 0 else c
 
 
-def _alpha(H_est: np.ndarray) -> float:
-    sv = np.linalg.svd(H_est, compute_uv=False)
-    sv = sv[sv > 1e-12]
-    return float(sv.min() / _ALPHA_NORM)
+def channel_indicators(H: np.ndarray) -> dict[str, np.ndarray]:
+    """C, C1 = alpha C, C2 = beta1 beta2 C and C' = alpha beta1 beta2 C for
+    each channel of a (k, N, M) stack, as arrays of length k.
 
-
-def _pair_betas(H_est: np.ndarray):
-    """Minimum beta1 and beta2 over the C(M,2) user pairs.
-
-    Each user's channel column enters through its norm; the pair's phase
-    difference is the argument of the column inner product, folded into
-    [0, pi/2) by the constellation's rotational symmetry.  For a single
-    antenna this is exactly the scalar norm-ratio / phase-difference pair.
-    The beta1 base can be negative for norm ratios above 1/sqrt(2), so its
-    absolute value is taken before the fractional power.
+    alpha is the smallest singular value above 1e-12 over _ALPHA_NORM.
+    beta1 and beta2 are minima over the C(M,2) user pairs (1 for one user).
+    A pair enters through its column norm ratio and the argument of its
+    column inner product, folded into [0, pi/2) by the constellation's
+    rotational symmetry; for one antenna, the scalar norm ratio and phase
+    difference.  The beta1 base can be negative for norm ratios above
+    1/sqrt(2), so its absolute value takes the fractional power.  A pair of
+    two zero columns is skipped.  Each pair's inner product is its own
+    (1, N) @ (N, 1) product, equal to np.vdot where a Gram matmul is not.
     """
-    m = H_est.shape[1]
-    radii = np.linalg.norm(H_est, axis=0)
-    beta1_min = 1.0
-    beta2_min = 1.0
-    for i in range(m):
-        for j in range(i + 1, m):
-            ri, rj = radii[i], radii[j]
-            if ri > rj:
-                ri, rj = rj, ri
-            if rj <= 1e-300:
-                continue
-            ratio = ri / rj
-            theta = math.fmod(float(np.angle(np.vdot(H_est[:, j], H_est[:, i]))),
-                              0.5 * math.pi) % (0.5 * math.pi)
-            g = abs(4.0 * theta / math.pi - 1.0)
-            beta1 = abs((1.0 / math.sqrt(2.0) - ratio) * g) ** TIE_EXPONENT
-            beta2 = 1.0 - (ratio * g) ** TIE_EXPONENT
-            beta1_min = min(beta1_min, beta1)
-            beta2_min = min(beta2_min, beta2)
-    return beta1_min, beta2_min
+    C = indicator_c(H)
+    sv = np.linalg.svd(H, compute_uv=False)
+    sv_min = np.where(sv > 1e-12, sv, np.inf).min(axis=1)
+    if (bad := np.flatnonzero(sv_min == np.inf)).size:
+        raise ValueError(f"channel {bad[0]} has no singular value above 1e-12: alpha is undefined")
+    alpha = sv_min / _ALPHA_NORM
+    m = H.shape[2]
+    i, j = np.nonzero(np.arange(m)[:, None] < np.arange(m))    # the pairs i < j
+    radii = np.linalg.norm(H, axis=1)
+    hi = np.maximum(radii[:, i], radii[:, j])
+    used = hi > 1e-300
+    ratio = np.minimum(radii[:, i], radii[:, j]) / np.where(used, hi, 1.0)
+    cols = H.swapaxes(1, 2)
+    inner = (np.conj(cols[:, j])[:, :, None, :] @ cols[:, i, :, None])[..., 0, 0]
+    theta = np.fmod(np.angle(inner), 0.5 * math.pi) % (0.5 * math.pi)
+    g = np.abs(4.0 * theta / math.pi - 1.0)
+    bases = np.stack([np.abs((1.0 / math.sqrt(2.0) - ratio) * g), ratio * g])
+    # Python float ** is libm pow, as numpy scalars take it; numpy's
+    # vectorized ** differs from it in the last bit on some channels
+    powers = np.array([b ** TIE_EXPONENT for b in bases.ravel().tolist()]).reshape(bases.shape)
+    b1, b2 = np.where(used, [powers[0], 1.0 - powers[1]], 1.0).min(axis=2, initial=1.0)
+    return {"c": C, "c1": alpha * C, "c2": b1 * b2 * C, "c_prime": alpha * b1 * b2 * C}
 
 
-def indicator_c_prime(H_est: np.ndarray) -> float:
-    C = indicator_c(H_est)
-    b1, b2 = _pair_betas(H_est)
-    return _alpha(H_est) * b1 * b2 * C
-
-
-def all_indicators(H_est: np.ndarray) -> dict[str, float]:
-    C = indicator_c(H_est)
-    al = _alpha(H_est)
-    b1, b2 = _pair_betas(H_est)
-    return {"c": C, "c1": al * C, "c2": b1 * b2 * C, "c_prime": al * b1 * b2 * C}
+def indicator_c_prime(H: np.ndarray) -> float:
+    return float(channel_indicators(H[None])["c_prime"][0])
 
 
 @dataclass
@@ -132,25 +126,24 @@ def calibrate(cfg: SystemConfig, n_samples: int, P: float = 1e-3, id_offset: int
     samples where the threshold undercuts the true minimum carry no marked
     state and are excluded.  id_offset keeps calibration instances disjoint
     from experiment trials drawn from the same seed.  Returns the C' table
-    and the scatter, each indicator's values over the kept samples.  Each
-    sample draws its own instance and slot; channel_counts counts _CHUNK of
-    them at a time with the value table's own operations, so exactly.
+    and the scatter, each indicator's values over the kept samples as an
+    array.  Each sample draws its own instance and slot; channel_counts
+    counts _CHUNK of them at a time with the value table's own operations,
+    so exactly, and one channel_indicators call takes the kept channels.
     """
     y = y_mvd(MvdParams.from_config(cfg, P))
     n_states = 2 ** cfg.bits_per_slot * cfg.taud ** cfg.M    # of the w-state-reduced space
-    l_vals = []
-    scatter = {"c": [], "c1": [], "c2": [], "c_prime": []}
+    kept, l_vals = [], []
     for start in range(id_offset, id_offset + n_samples, _CHUNK):
         chunk = range(start, min(start + _CHUNK, id_offset + n_samples))
         insts = [generate_instance(cfg, instance_id=idx) for idx in chunk]
         r = np.concatenate([received_slots(inst, cfg, [0], *slot_draws(cfg, [0], instance_id=i))
                             for inst, i in zip(insts, chunk)])
         for inst, ns in zip(insts, channel_counts(insts, r, cfg, y)):
-            if ns == 0:
-                continue
-            for key, value in all_indicators(inst.H).items():
-                scatter[key].append(value)
-            l_vals.append(l_opt(int(ns), n_states))
+            if ns:
+                kept.append(inst.H)
+                l_vals.append(l_opt(int(ns), n_states))
+    scatter = channel_indicators(np.array(kept).reshape(-1, cfg.N, cfg.M))
     return CalibrationTable.from_samples(scatter["c_prime"], l_vals), scatter
 
 

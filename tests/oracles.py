@@ -24,6 +24,9 @@
 - The reference value-table kernel: channel_spaces as it was before its
   full-table passes ran along the long axis, laid out (slots, states,
   antennas), which the new layout must match bit for bit.
+- The reference indicators: C, C1, C2 and C' of one channel, pair by pair
+  with np.vdot and scalar powers, as before indicators.channel_indicators
+  took a whole channel stack at once.
 - The reference calibration: indicators.calibrate sample by sample, each
   sample's marked states counted over its whole value table, as before
   spaces.channel_counts counted them without it.
@@ -65,7 +68,7 @@ from gasmld.gas import (BACKEND_AMPLITUDE, BACKEND_CIRCUIT, LMIN_CONVENTIONAL_C,
                         LMIN_PROPOSED_CPRIME, LMIN_ZERO, MAX_QUBITS, GasParams,
                         check_value_range, l_opt, register_width, value_scale)
 from gasmld.harness import GAS_DETECTORS, ExperimentSpec
-from gasmld.indicators import CalibrationTable, all_indicators
+from gasmld.indicators import _ALPHA_NORM, TIE_EXPONENT, CalibrationTable, indicator_c
 from gasmld.spaces import (HADAMARD_FULL, MAX_ENUMERABLE, W_STATE_REDUCED, SpaceStack, VarRegistry,
                            _broadcast_sum, _key_weights, build_registry, channel_spaces)
 from gasmld.thresholds import MvdParams, y_mvd
@@ -452,6 +455,53 @@ def load_calibration_table(csv_path) -> CalibrationTable:
                             c_prime_max=meta["c_prime_max"], delta=meta["delta"])
 
 
+# --- the reference indicators -------------------------------------------------
+
+def _alpha(H_est: np.ndarray) -> float:
+    sv = np.linalg.svd(H_est, compute_uv=False)
+    sv = sv[sv > 1e-12]
+    return float(sv.min() / _ALPHA_NORM)
+
+
+def _pair_betas(H_est: np.ndarray):
+    """Minimum beta1 and beta2 over the C(M,2) user pairs.
+
+    Each user's channel column enters through its norm; the pair's phase
+    difference is the argument of the column inner product, folded into
+    [0, pi/2) by the constellation's rotational symmetry.  For a single
+    antenna this is exactly the scalar norm-ratio / phase-difference pair.
+    The beta1 base can be negative for norm ratios above 1/sqrt(2), so its
+    absolute value is taken before the fractional power.
+    """
+    m = H_est.shape[1]
+    radii = np.linalg.norm(H_est, axis=0)
+    beta1_min = 1.0
+    beta2_min = 1.0
+    for i in range(m):
+        for j in range(i + 1, m):
+            ri, rj = radii[i], radii[j]
+            if ri > rj:
+                ri, rj = rj, ri
+            if rj <= 1e-300:
+                continue
+            ratio = ri / rj
+            theta = math.fmod(float(np.angle(np.vdot(H_est[:, j], H_est[:, i]))),
+                              0.5 * math.pi) % (0.5 * math.pi)
+            g = abs(4.0 * theta / math.pi - 1.0)
+            beta1 = abs((1.0 / math.sqrt(2.0) - ratio) * g) ** TIE_EXPONENT
+            beta2 = 1.0 - (ratio * g) ** TIE_EXPONENT
+            beta1_min = min(beta1_min, beta1)
+            beta2_min = min(beta2_min, beta2)
+    return beta1_min, beta2_min
+
+
+def reference_indicators(H_est: np.ndarray) -> dict[str, float]:
+    C = indicator_c(H_est)
+    al = _alpha(H_est)
+    b1, b2 = _pair_betas(H_est)
+    return {"c": C, "c1": al * C, "c2": b1 * b2 * C, "c_prime": al * b1 * b2 * C}
+
+
 # --- the reference calibration ------------------------------------------------
 
 def reference_calibrate(cfg: SystemConfig, n_samples: int, P: float = 1e-3,
@@ -468,7 +518,7 @@ def reference_calibrate(cfg: SystemConfig, n_samples: int, P: float = 1e-3,
         ns = int(np.count_nonzero(space.e_values < y))
         if ns == 0:
             continue
-        vals = all_indicators(inst.H)
+        vals = reference_indicators(inst.H)
         for key in scatter:
             scatter[key].append(vals[key])
         l_vals.append(l_opt(ns, space.n_states))

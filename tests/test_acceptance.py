@@ -18,7 +18,7 @@ from gasmld.gas import (AmplitudeBackend, CircuitBackend, GasParams, l_opt,
                         restart_iterations, run_gas, success_probability)
 from gasmld.gates import cku_g_costs, g_prop, g_ug_total, table1_counts
 from gasmld.harness import load_spec, run_ber, run_query_cdf
-from gasmld.indicators import (all_indicators, calibrate, indicator_c, indicator_c_prime,
+from gasmld.indicators import (calibrate, channel_indicators, indicator_c, indicator_c_prime,
                                select_lmin, select_lmin_conventional)
 from gasmld.spaces import HADAMARD_FULL, W_STATE_REDUCED, build_registry, channel_spaces
 from oracles import (HuboPolynomial, binned_spread, build_hubo, choose_qv, from_polynomial,
@@ -432,7 +432,7 @@ def test_criterion_09_ber_optimality():
 def test_criterion_10_indicator_localization():
     cfg = base_cfg()
     thr = y_mvd(MvdParams.from_config(cfg, 1e-3))
-    vals_c, vals_cp, lopts = [], [], []
+    channels, lopts = [], []
     idx = 0
     while len(lopts) < 2000:
         inst = generate_instance(cfg, instance_id=idx)
@@ -443,12 +443,11 @@ def test_criterion_10_indicator_localization():
         ns = int(np.count_nonzero(space.e_values < thr))
         if ns == 0:
             continue
-        ind = all_indicators(inst.H)
-        vals_c.append(ind["c"])
-        vals_cp.append(ind["c_prime"])
+        channels.append(inst.H)
         lopts.append(l_opt(ns, space.n_states))
-    spread_c = binned_spread(np.array(vals_c), np.array(lopts), n_bins=20)
-    spread_cp = binned_spread(np.array(vals_cp), np.array(lopts), n_bins=20)
+    ind = channel_indicators(np.array(channels))
+    spread_c = binned_spread(ind["c"], np.array(lopts), n_bins=20)
+    spread_cp = binned_spread(ind["c_prime"], np.array(lopts), n_bins=20)
     ok = spread_cp < spread_c
     assert report(10, ok, f"mean p90-p10 spread over 20 bins: C'={spread_cp:.3f} "
                           f"< C={spread_c:.3f} on {len(lopts)} samples")

@@ -4,12 +4,34 @@ import numpy as np
 import pytest
 
 from gasmld.channel import PSK2, QPSK, SystemConfig
-from gasmld.indicators import (CalibrationTable, all_indicators, calibrate, config_hash,
+from gasmld.indicators import (CalibrationTable, calibrate, channel_indicators, config_hash,
                                indicator_c, indicator_c_prime, select_lmin,
                                select_lmin_conventional)
-from oracles import binned_spread, load_calibration_table, reference_calibrate
+from oracles import (binned_spread, load_calibration_table, reference_calibrate,
+                     reference_indicators)
 
 SQRT2 = math.sqrt(2.0)
+
+
+def one_channel(H):
+    """The four indicators of one channel, as a one-row stack call."""
+    return {key: float(v[0]) for key, v in channel_indicators(H[None]).items()}
+
+
+def cn_stack(rng, k, N, M):
+    return (rng.standard_normal((k, N, M)) + 1j * rng.standard_normal((k, N, M))) * math.sqrt(0.5)
+
+
+def assert_stack_matches_reference(H):
+    got = channel_indicators(H)
+    refs = [reference_indicators(h) for h in H]
+    assert set(got) == {"c", "c1", "c2", "c_prime"}
+    for key, values in got.items():
+        assert values.shape == (len(H),)
+        assert values.tobytes() == np.array([ref[key] for ref in refs]).tobytes(), key
+    rows = [channel_indicators(h[None]) for h in H]
+    for key, values in got.items():
+        assert values.tobytes() == np.concatenate([row[key] for row in rows]).tobytes(), key
 
 
 class TestIndicatorC:
@@ -30,11 +52,11 @@ class TestIndicatorC1:
     def test_alpha_unity_when_sigma_min_matches(self):
         H = 3 * SQRT2 * np.eye(2, dtype=complex)
         C = indicator_c(H)
-        assert all_indicators(H)["c1"] == pytest.approx(C)
+        assert one_channel(H)["c1"] == pytest.approx(C)
 
     def test_diagonal_embedding(self):
         H = np.eye(2, dtype=complex)
-        assert all_indicators(H)["c1"] == pytest.approx(0.5 / (3 * SQRT2))
+        assert one_channel(H)["c1"] == pytest.approx(0.5 / (3 * SQRT2))
 
     def test_sigma_min_matches_characteristic_polynomial(self):
         rng = np.random.default_rng(1)
@@ -45,17 +67,17 @@ class TestIndicatorC1:
         det = float(np.real(G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]))
         lam_min = (tr - math.sqrt(tr ** 2 - 4 * det)) / 2
         expect = math.sqrt(lam_min) / (3 * SQRT2) * indicator_c(H)
-        assert all_indicators(H)["c1"] == pytest.approx(expect, rel=1e-9)
+        assert one_channel(H)["c1"] == pytest.approx(expect, rel=1e-9)
 
 
 class TestIndicatorC2:
     def test_tie_at_norm_ratio_and_quarter_pi(self):
         H = np.array([[1.0, SQRT2 * np.exp(1j * math.pi / 4)]])
-        assert all_indicators(H)["c2"] == pytest.approx(0.0, abs=1e-12)
+        assert one_channel(H)["c2"] == pytest.approx(0.0, abs=1e-12)
 
     def test_tie_at_equal_norms_zero_phase(self):
         H = np.array([[1.0 + 0j, 1.0 + 0j]])
-        assert all_indicators(H)["c2"] == pytest.approx(0.0, abs=1e-12)
+        assert one_channel(H)["c2"] == pytest.approx(0.0, abs=1e-12)
 
     def test_scalar_pair_recomputation(self):
         H = np.array([[1.0, 2.0 * np.exp(1j * math.pi / 8)]])
@@ -64,13 +86,13 @@ class TestIndicatorC2:
         b1 = abs((1 / SQRT2 - ratio) * g) ** 0.2
         b2 = 1 - (ratio * g) ** 0.2
         assert 0 < b1 < 1 and 0 < b2 < 1
-        assert all_indicators(H)["c2"] == pytest.approx(b1 * b2 * indicator_c(H), rel=1e-12)
+        assert one_channel(H)["c2"] == pytest.approx(b1 * b2 * indicator_c(H), rel=1e-12)
 
     def test_beta_bounds_random(self):
         rng = np.random.default_rng(2)
         for _ in range(2000):
             H = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
-            vals = all_indicators(H)
+            vals = one_channel(H)
             assert 0.0 <= vals["c2"] <= vals["c"] + 1e-12
             assert vals["c_prime"] <= vals["c1"] + 1e-12
 
@@ -83,11 +105,45 @@ class TestIndicatorCPrime:
     def test_composition(self):
         rng = np.random.default_rng(3)
         H = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
-        vals = all_indicators(H)
+        vals = one_channel(H)
         alpha = vals["c1"] / vals["c"]
         betas = vals["c2"] / vals["c"]
         assert indicator_c_prime(H) == pytest.approx(alpha * betas * vals["c"], rel=1e-9)
 
+
+class TestChannelIndicators:
+    # the stack equals the per-channel reference bit for bit (a whole Gram
+    # matmul and numpy's vectorized ** both differ in the last bit on some
+    # channels); M = 1 has no user pairs
+    @pytest.mark.parametrize("M", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_random_stack_matches_reference(self, N, M):
+        assert_stack_matches_reference(cn_stack(np.random.default_rng(10 * N + M), 400, N, M))
+
+    @pytest.mark.parametrize("H", [
+        np.array([[1.0, SQRT2 * np.exp(1j * math.pi / 4)]]),
+        np.array([[1.0 + 0j, 1.0 + 0j]]),
+        np.array([[1.0, 2.0 * np.exp(1j * math.pi / 8)]]),
+        np.array([[1.0 + 0j, 1.0 + 0j, 0.3 + 0.1j]]),
+    ], ids=["tie-ratio-quarter-pi", "tie-equal-norms", "scalar-pair", "tie-among-three"])
+    def test_tie_geometries_match_reference(self, H):
+        assert_stack_matches_reference(np.stack([H, 2.0 * H, H.conj()]))
+
+    def test_zero_columns(self):
+        # columns 1 and 2 of the first channel are zero, so that pair is
+        # skipped; a zero column against a live one has norm ratio 0
+        H = cn_stack(np.random.default_rng(4), 3, 2, 3)
+        H[0, :, 1:] = 0.0
+        H[1, :, 2] = 0.0
+        assert_stack_matches_reference(H)
+
+    def test_channel_without_singular_value_raises(self):
+        H = cn_stack(np.random.default_rng(6), 3, 2, 4)
+        H[1] = 1e-14
+        with pytest.raises(ValueError, match="channel 1 has no singular value above 1e-12"):
+            channel_indicators(H)
+        with pytest.raises(ValueError, match="no singular value"):
+            indicator_c_prime(np.zeros((2, 4), dtype=complex))
 
 class TestConventionalLmin:
     @pytest.mark.parametrize("c,expect", [
@@ -161,10 +217,11 @@ class TestCalibration:
 @pytest.mark.parametrize("tau_max", [1, 2, 5])
 @pytest.mark.parametrize("modulation", [PSK2, QPSK])
 def test_calibrate_matches_reference(modulation, tau_max):
-    # chunked counting without value tables gives the per-sample reference's
-    # table and scatter, bit for bit; 42 samples end on a partial chunk, and
-    # at P = 0.5 the threshold undercuts about half the minima, so chunks mix
-    # kept and excluded samples
+    # chunked counting without value tables and one stacked indicator call
+    # give the per-sample reference's table and scatter, bit for bit (the
+    # QPSK M = 3 case is one where a whole Gram matmul would differ); 42
+    # samples end on a partial chunk, and at P = 0.5 the threshold undercuts
+    # about half the minima, so chunks mix kept and excluded samples
     M = 3 if (modulation, tau_max) == (QPSK, 5) else 4
     cfg = SystemConfig(N=2, M=M, tau_max=tau_max, modulation=modulation, seed=31 + tau_max)
     for P in (1e-3, 0.5):
@@ -173,8 +230,9 @@ def test_calibrate_matches_reference(modulation, tau_max):
         assert table.c_prime.tobytes() == ref.c_prime.tobytes()
         assert table.l_opt.tolist() == ref.l_opt.tolist()
         assert (table.c_prime_max, table.delta) == (ref.c_prime_max, ref.delta)
-        assert scatter == ref_scatter
-        assert set(scatter) == {"c", "c1", "c2", "c_prime"}
+        assert set(scatter) == set(ref_scatter) == {"c", "c1", "c2", "c_prime"}
+        for key, values in scatter.items():
+            assert values.tobytes() == np.array(ref_scatter[key]).tobytes(), key
     assert 0 < table.l_opt.size < 42
 
 

@@ -6,11 +6,14 @@ the benchmark is neither imported nor changed.  A target the tracer finds
 today must keep resolving, and run_gas must keep returning plain Python
 values: CHANGES.md's FOUND line on `_observe_gas` records that a traced
 worker dies in its final json.dumps when run_gas's fields are arrays.
+`_observe_calibrate` reads calibrate's `n_samples` argument, by keyword or
+as the second positional one, and the size of the returned table's c_prime.
 """
 
 import ast
 import dataclasses
 import importlib
+import inspect
 import json
 from pathlib import Path
 
@@ -19,6 +22,7 @@ import pytest
 
 from gasmld.channel import SystemConfig
 from gasmld.gas import AmplitudeBackend, CircuitBackend, GasParams, run_gas
+from gasmld.indicators import CalibrationTable
 from gasmld.spaces import HADAMARD_FULL, build_registry
 from oracles import HuboPolynomial, from_polynomial
 
@@ -42,10 +46,13 @@ RESOLVING = {
 }
 
 
+def tracing_module() -> ast.Module:
+    return ast.parse(TRACING.read_text(), filename=str(TRACING))
+
+
 def tracer_targets() -> list[tuple[str, str, str]]:
     """TARGETS from perfbench/tracing.py: (layer, module, attribute path)."""
-    tree = ast.parse(TRACING.read_text(), filename=str(TRACING))
-    for node in tree.body:
+    for node in tracing_module().body:
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)):
             return ast.literal_eval(node.value)
@@ -94,3 +101,20 @@ def test_run_gas_returns_plain_values(backend, params, halts):
         for name, value in step.items():
             assert type(value) in (int, float, bool, str), (name, type(value))
     json.dumps({**fields, "steps": run.steps})
+
+
+def test_calibrate_returns_what_the_tracer_reads():
+    observer = next(node for node in tracing_module().body
+                    if isinstance(node, ast.FunctionDef) and node.name == "_observe_calibrate")
+    strings = {n.value for n in ast.walk(observer) if isinstance(n, ast.Constant)}
+    attributes = {n.attr for n in ast.walk(observer) if isinstance(n, ast.Attribute)}
+    assert "n_samples" in strings and {"c_prime", "size"} <= attributes
+
+    calibrate = resolve("gasmld.harness", "calibrate")
+    assert list(inspect.signature(calibrate).parameters)[1] == "n_samples"
+    result = calibrate(SystemConfig(N=2, M=4, tau_max=1, seed=5), 6)
+    assert isinstance(result, tuple) and len(result) == 2
+    table, scatter = result
+    assert isinstance(table, CalibrationTable) and isinstance(table.c_prime, np.ndarray)
+    assert set(scatter) == {"c", "c1", "c2", "c_prime"}
+    assert 0 < table.c_prime.size <= 6
