@@ -77,8 +77,9 @@ class SystemConfig:
 @dataclass(frozen=True)
 class ChannelInstance:
     """One channel realization: coefficients H (N, M), frequency deviations
-    f and integer delays per user.  It holds no SNR, so one instance serves
-    every point of an SNR sweep.
+    f and integer delays per user (M,), or a stack of K of them with a
+    leading instance axis, H (K, N, M), f and delays (K, M).  It holds no
+    SNR, so one instance serves every point of an SNR sweep.
 
     Transmission and detection use the same H and f: estimation error enters
     only as the additive sqrt(est_err_var) e term of each received slot.
@@ -88,15 +89,29 @@ class ChannelInstance:
     f: np.ndarray
     delays: np.ndarray
 
+    def __getitem__(self, index) -> "ChannelInstance":
+        """Row index of a stack: an instance for an int, a stack for a slice."""
+        return ChannelInstance(H=self.H[index], f=self.f[index], delays=self.delays[index])
 
-def generate_instance(cfg: SystemConfig, instance_id: int = 0) -> ChannelInstance:
-    """Draw one channel realization: coefficients, delays, frequency offsets."""
-    rng = streams.substream(cfg.seed, streams.CHANNEL, instance_id)
-    shape = (cfg.N, cfg.M)  # CN(0, 1) entries, every real part drawn first
-    H = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * _SQRT_HALF
-    delays = rng.integers(0, cfg.tau_max + 1, size=cfg.M)
-    f = rng.uniform(-1.0, 1.0, size=cfg.M)
-    return ChannelInstance(H=H, f=f, delays=delays)
+
+def generate_instance(cfg: SystemConfig, instance_id=0) -> ChannelInstance:
+    """Draw one channel realization: coefficients, delays, frequency offsets.
+
+    A sequence of ids draws their stack, row k bit for bit the instance of
+    ids[k]: each id has its own stream (seed, CHANNEL, id).
+    """
+    ids = np.asarray(instance_id)
+    shape = (cfg.N, cfg.M)
+    parts, delays, f = [], [], []
+    for i in ids.ravel().tolist():
+        rng = streams.substream(cfg.seed, streams.CHANNEL, i)
+        parts.append(rng.standard_normal((2, *shape)))  # every real part drawn first
+        delays.append(rng.integers(0, cfg.tau_max + 1, size=cfg.M))
+        f.append(rng.uniform(-1.0, 1.0, size=cfg.M))
+    parts = np.array(parts).reshape(*ids.shape, 2, *shape)
+    H = (parts[..., 0, :, :] + 1j * parts[..., 1, :, :]) * _SQRT_HALF   # CN(0, 1) entries
+    return ChannelInstance(H=H, f=np.array(f).reshape(*ids.shape, cfg.M),
+                           delays=np.array(delays, dtype=np.int64).reshape(*ids.shape, cfg.M))
 
 
 # e^{j pi c / 2} (1+j)/sqrt(2) for the parity c = 0, 1
@@ -126,35 +141,53 @@ def map_symbols(modulation: str, t, bits: np.ndarray) -> np.ndarray:
 
 
 def slot_draws(cfg: SystemConfig, ts, *,
-               instance_id: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+               instance_id) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Payload bits (T, bits_per_slot) and unit-variance noise v and
-    estimation error e (T, N) of slots ts of one instance.
+    estimation error e (T, N) of slots ts of one instance, or, for a
+    sequence of ids, slot ts[i] of instance instance_id[i] in row i.
 
-    Each purpose draws max(ts) + 1 rows in C order from the stream (seed,
-    purpose, instance_id), a complex row as its real then imaginary parts,
-    and slot t takes row t whatever else is drawn.  No key holds the SNR,
-    so one draw serves every SNR point.
+    Each purpose draws rows 0 .. max(ts) of an instance (0 .. ts[i] for
+    row i of a sequence) in C order from the stream (seed, purpose,
+    instance), a complex row as its real then imaginary parts, and slot t
+    takes row t whatever else is drawn.  No key holds the SNR, so one draw
+    serves every SNR point.
     """
     ts = np.asarray(ts, dtype=np.intp)
     if (ts < 0).any():
         raise ValueError("slot index must be >= 0")
-    rows = int(ts.max(initial=-1)) + 1
-    bits = streams.substream(cfg.seed, streams.PAYLOAD, instance_id).integers(
-        0, 2, size=(rows, cfg.bits_per_slot))[ts].astype(np.uint8)
-    v, e = (streams.substream(cfg.seed, purpose, instance_id).standard_normal(
-        (rows, 2, cfg.N))[ts] for purpose in (streams.NOISE, streams.EST_ERR))
-    return bits, (v[:, 0] + 1j * v[:, 1]) * _SQRT_HALF, (e[:, 0] + 1j * e[:, 1]) * _SQRT_HALF
+    ids = np.asarray(instance_id)
+    if ids.ndim == 0:
+        groups = [(int(ids), int(ts.max(initial=-1)) + 1, ts)]
+    elif ids.shape == ts.shape:
+        # each row draws its own instance's rows 0 .. ts[i] and keeps the last;
+        # no rows: zero rows of any instance give the arrays their shapes
+        groups = [(i, t + 1, slice(t, t + 1))
+                  for i, t in zip(ids.tolist(), ts.tolist())] or [(0, 0, ts)]
+    else:
+        raise ValueError(f"expected one instance id per slot, got {ids.shape} for {ts.shape}")
+    bits, v, e = [], [], []
+    for i, rows, pick in groups:
+        bits.append(streams.substream(cfg.seed, streams.PAYLOAD, i).integers(
+            0, 2, size=(rows, cfg.bits_per_slot))[pick])
+        for out, purpose in ((v, streams.NOISE), (e, streams.EST_ERR)):
+            out.append(streams.substream(cfg.seed, purpose, i).standard_normal(
+                (rows, 2, cfg.N))[pick])
+    bits, v, e = (np.concatenate(draws) for draws in (bits, v, e))
+    return (bits.astype(np.uint8), (v[:, 0] + 1j * v[:, 1]) * _SQRT_HALF,
+            (e[:, 0] + 1j * e[:, 1]) * _SQRT_HALF)
 
 
 def received_slots(inst: ChannelInstance, cfg: SystemConfig, ts, bits, v, e) -> np.ndarray:
     """Received vectors r[i] = H D s + sigma_v v[i] + sqrt(est_err_var) e[i]
     of payload bits[i] in slot ts[i], shape (T, N); v and e are unit
-    variance (slot_draws) and cfg gives sigma_v and est_err_var.
+    variance (slot_draws) and cfg gives sigma_v and est_err_var.  inst is
+    one instance for every row, or a stack of T with row i under instance
+    row i.
 
     The one slot model: a single slot is a one-row call.  Every float
     operation is the same per slot whatever the number of slots (H D s is
     one matrix-vector product per slot), so a row does not depend on the
-    slots computed with it.
+    slots or instances computed with it.
     """
     ts = np.asarray(ts)
     bits = np.asarray(bits, dtype=np.uint8)

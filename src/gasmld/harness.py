@@ -245,24 +245,24 @@ def _calibration_table(cfg: SystemConfig, spec: ExperimentSpec) -> CalibrationTa
                      id_offset=CALIBRATION_ID_OFFSET)[0]
 
 
-def _resolve_lmin(policy: str, inst, table: CalibrationTable | None) -> int:
+def _lmins(policy: str, H: np.ndarray, table: CalibrationTable | None) -> list[int]:
+    """The rotation lower bound under policy of each channel of a (k, N, M)
+    stack, its indicator taken for the whole stack in one call."""
     if policy == LMIN_ZERO:
-        return 0
+        return [0] * len(H)
     if policy == LMIN_CONVENTIONAL_C:
-        return select_lmin_conventional(indicator_c(inst.H))
+        return [select_lmin_conventional(c) for c in indicator_c(H).tolist()]
     # the schema admits three policies, and run_query_cdf builds the table
     # whenever a variant takes proposed-cprime
-    return select_lmin(table, indicator_c_prime(inst.H))
+    return [select_lmin(table, c) for c in indicator_c_prime(H).tolist()]
 
 
-def _gas_params(spec: ExperimentSpec, arm: dict, inst, ymvd: float,
-                table: CalibrationTable | None) -> GasParams:
-    """A query-cdf variant or GAS_DETECTORS arm on one instance: spec.gas
-    with the arm's initial threshold (mvd, else none; an mmse arm's runs are
-    seeded with x0), rotation lower bound and restart."""
+def _gas_params(spec: ExperimentSpec, arm: dict, ymvd: float, lmin: int) -> GasParams:
+    """A query-cdf variant or GAS_DETECTORS arm: spec.gas with the arm's
+    initial threshold (mvd, else none; an mmse arm's runs are seeded with
+    x0) and restart, and the rotation lower bound lmin (_lmins)."""
     return dataclasses.replace(
-        spec.gas, y0=ymvd if arm.get("threshold") == "mvd" else None,
-        lmin=_resolve_lmin(arm.get("lmin", LMIN_ZERO), inst, table),
+        spec.gas, y0=ymvd if arm.get("threshold") == "mvd" else None, lmin=lmin,
         restart_enabled=arm.get("restart", False), enforce_one_hot=True)
 
 
@@ -294,34 +294,44 @@ def run_query_cdf(spec: ExperimentSpec):
     needs_table = any(v.get("lmin") == LMIN_PROPOSED_CPRIME for v in spec.variants)
     table = _calibration_table(cfg, spec) if needs_table else None
     ymvd = y_mvd(MvdParams.from_config(cfg, spec.mvd_p))
+    # every trial's instance and slot 0 in one stack, and each variant's
+    # rotation lower bounds in one indicator call over it
+    trials, ts = range(spec.trials), np.zeros(spec.trials, dtype=np.intp)
+    insts = generate_instance(cfg, trials)
+    r_all = received_slots(insts, cfg, ts, *slot_draws(cfg, ts, instance_id=trials))
+    lmins = [_lmins(v.get("lmin", LMIN_ZERO), insts.H, table) for v in spec.variants]
     rows = []
-    for trial in range(spec.trials):
-        inst = generate_instance(cfg, instance_id=trial)
-        r = received_slots(inst, cfg, [0], *slot_draws(cfg, [0], instance_id=trial))
-        w_space = channel_spaces(inst, r, [0], cfg, W_STATE_REDUCED)
-        oracle_min = float(w_space.e_values.min())
+    for trial in trials:
+        inst, r = insts[trial], r_all[trial:trial + 1]
+        spaces = {W_STATE_REDUCED: channel_spaces(inst, r, [0], cfg, W_STATE_REDUCED)}
+        oracle_min = float(spaces[W_STATE_REDUCED].e_values.min())
         # every arm's backend before any search, so that a value register
         # too narrow for one arm fails the trial before it starts
         arms = []
-        for variant in spec.variants:
+        for variant, lmin in zip(spec.variants, lmins):
             prep = variant.get("prep", W_STATE_REDUCED)
-            space = w_space if prep == W_STATE_REDUCED else \
-                channel_spaces(inst, r, [0], cfg, prep)
-            params = _gas_params(spec, variant, inst, ymvd, table)
+            if prep not in spaces:
+                spaces[prep] = channel_spaces(inst, r, [0], cfg, prep)
+            params = _gas_params(spec, variant, ymvd, lmin[trial])
             where = f"variant {variant['name']!r}, trial {trial}"
-            arms.append((params, _gas_backend(spec, inst, r[0], space, params.y0, where)))
+            arms.append((params, _gas_backend(spec, inst, r[0], spaces[prep], params.y0, where)))
+        checked = set()
         for vi, (variant, (params, backend)) in enumerate(zip(spec.variants, arms)):
             rng = streams.substream(cfg.seed, streams.TRIAL, trial, vi)
             run = run_gas(backend, params, rng, oracle_min=oracle_min)
             if run.converged:
                 cd, qd = run.hit_cd, run.hit_qd
-                # re-verify against the exhaustive oracle; no mismatch tolerated
-                b, d = backend.space.reg.split_assignment(backend.space.assignment(run.final))
-                check = objective_direct(inst, r[0], 0, b, d)
-                if check > oracle_min + 1e-9 * (1.0 + abs(oracle_min)):
-                    raise RuntimeError(
-                        f"converged run disagrees with exhaustive search: "
-                        f"E={check!r} > minimum {oracle_min!r}")
+                # re-verify against the exhaustive oracle, once per space and
+                # output; no mismatch tolerated
+                if (backend.space.prep, run.final) not in checked:
+                    checked.add((backend.space.prep, run.final))
+                    b, d = backend.space.reg.split_assignment(
+                        backend.space.assignment(run.final))
+                    check = objective_direct(inst, r[0], 0, b, d)
+                    if check > oracle_min + 1e-9 * (1.0 + abs(oracle_min)):
+                        raise RuntimeError(
+                            f"converged run disagrees with exhaustive search: "
+                            f"E={check!r} > minimum {oracle_min!r}")
             else:
                 cd, qd = run.cd_queries, run.qd_rotations
             rows.append((variant["name"], trial, cd, qd, run.converged))
@@ -414,7 +424,7 @@ def _ber_trial(spec: ExperimentSpec, cfgs: list[SystemConfig], detectors: list[s
         for ymvd, rows in zip(ymvds, point):
             for di, det in gas:
                 arm = GAS_DETECTORS[det]
-                arms.append((_gas_params(spec, arm, inst, ymvd, None),
+                arms.append((_gas_params(spec, arm, ymvd, 0),
                              streams.substream(cfg0.seed, streams.GAS, trial, di), n_slots))
                 x0.append(x_mmse[rows] if arm.get("threshold") == "mmse"
                           else np.full(n_slots, -1))
@@ -470,7 +480,8 @@ def solve_single(spec: ExperimentSpec,
     r = received_slots(inst, cfg, [0], *slot_draws(cfg, [0], instance_id=0))
     space = channel_spaces(inst, r, [0], cfg, W_STATE_REDUCED)
     ymvd = y_mvd(MvdParams.from_config(cfg, spec.mvd_p))
-    params = _gas_params(spec, SOLVE_ARM, inst, ymvd, None)
+    params = _gas_params(spec, SOLVE_ARM, ymvd,
+                         _lmins(SOLVE_ARM["lmin"], inst.H[None], None)[0])
     backend = _gas_backend(spec, inst, r[0], space, params.y0, "solve, trial 0")
     if dump_state is not None:
         # little-endian complex128 is float64 re/im interleaved

@@ -74,8 +74,11 @@ def channel_indicators(H: np.ndarray) -> dict[str, np.ndarray]:
     return {"c": C, "c1": alpha * C, "c2": b1 * b2 * C, "c_prime": alpha * b1 * b2 * C}
 
 
-def indicator_c_prime(H: np.ndarray) -> float:
-    return float(channel_indicators(H[None])["c_prime"][0])
+def indicator_c_prime(H: np.ndarray):
+    """C' of channel_indicators: a float for one channel, an array for a
+    (k, N, M) stack."""
+    c = channel_indicators(H.reshape(-1, *H.shape[-2:]))["c_prime"]
+    return float(c[0]) if H.ndim == 2 else c
 
 
 @dataclass
@@ -127,23 +130,22 @@ def calibrate(cfg: SystemConfig, n_samples: int, P: float = 1e-3, id_offset: int
     state and are excluded.  id_offset keeps calibration instances disjoint
     from experiment trials drawn from the same seed.  Returns the C' table
     and the scatter, each indicator's values over the kept samples as an
-    array.  Each sample draws its own instance and slot; channel_counts
-    counts _CHUNK of them at a time with the value table's own operations,
-    so exactly, and one channel_indicators call takes the kept channels.
+    array.  The samples' instances and slots are drawn as one stack, row k
+    sample id_offset + k; channel_counts counts _CHUNK rows at a time with
+    the value table's own operations, so exactly, and one
+    channel_indicators call takes the kept channels.
     """
     y = y_mvd(MvdParams.from_config(cfg, P))
     n_states = 2 ** cfg.bits_per_slot * cfg.taud ** cfg.M    # of the w-state-reduced space
-    kept, l_vals = [], []
-    for start in range(id_offset, id_offset + n_samples, _CHUNK):
-        chunk = range(start, min(start + _CHUNK, id_offset + n_samples))
-        insts = [generate_instance(cfg, instance_id=idx) for idx in chunk]
-        r = np.concatenate([received_slots(inst, cfg, [0], *slot_draws(cfg, [0], instance_id=i))
-                            for inst, i in zip(insts, chunk)])
-        for inst, ns in zip(insts, channel_counts(insts, r, cfg, y)):
-            if ns:
-                kept.append(inst.H)
-                l_vals.append(l_opt(int(ns), n_states))
-    scatter = channel_indicators(np.array(kept).reshape(-1, cfg.N, cfg.M))
+    ids, ts = range(id_offset, id_offset + n_samples), np.zeros(n_samples, dtype=np.intp)
+    insts = generate_instance(cfg, ids)
+    r = received_slots(insts, cfg, ts, *slot_draws(cfg, ts, instance_id=ids))
+    ns = np.zeros(n_samples, dtype=np.int64)
+    for k in range(0, n_samples, _CHUNK):
+        ns[k:k + _CHUNK] = channel_counts(insts[k:k + _CHUNK], r[k:k + _CHUNK], cfg, y)
+    kept = np.flatnonzero(ns)
+    scatter = channel_indicators(insts.H[kept])
+    l_vals = [l_opt(int(n), n_states) for n in ns[kept].tolist()]
     return CalibrationTable.from_samples(scatter["c_prime"], l_vals), scatter
 
 

@@ -243,9 +243,11 @@ def channel_spaces(inst: ChannelInstance, r: np.ndarray, ts, cfg: SystemConfig,
                       e_values=e.transpose(0, 2, 1).reshape(T, key_idx.size))
 
 
-def channel_counts(insts, r: np.ndarray, cfg: SystemConfig, y: float) -> np.ndarray:
-    """Per instance, how many states of its w-state-reduced space at slot 0
-    (r[i] received by insts[i]) have a channel_spaces value below y, counted
+def channel_counts(insts: ChannelInstance, r: np.ndarray, cfg: SystemConfig,
+                   y: float) -> np.ndarray:
+    """Per row of the instance stack insts, how many states of its
+    w-state-reduced space at slot 0 (r[i] received by row i) have a
+    channel_spaces value below y, counted
     by a meet in the middle: users 0 .. M//2 - 1 sum to A (channel_spaces'
     prefix adds), the others to B.  A pair (a, b) is a candidate only if each
     component of r - A[a] - B[b] lies within R = sqrt(y) + margin, antenna
@@ -258,9 +260,8 @@ def channel_counts(insts, r: np.ndarray, cfg: SystemConfig, y: float) -> np.ndar
     2^-537 (hypot is faithful, the antenna sum monotone, squares may be
     subnormal).  margin = 8 (M + 2) u (S + sqrt(y)) + 2^-536 covers both.
     """
-    K, N, M, h = len(insts), cfg.N, cfg.M, cfg.M // 2
-    tables = _user_tables(np.stack([i.H for i in insts]), np.stack([i.f for i in insts]),
-                          np.zeros(K, dtype=int), cfg, W_STATE_REDUCED)
+    K, N, M, h = len(insts.H), cfg.N, cfg.M, cfg.M // 2
+    tables = _user_tables(insts.H, insts.f, np.zeros(K, dtype=int), cfg, W_STATE_REDUCED)
     A = _broadcast_sum(tables[:h]) if h else np.zeros((N, K, 1), complex)
     B = _broadcast_sum(tables[h:])
     n_a, n_b, r = A.shape[2], B.shape[2], np.asarray(r)

@@ -4,6 +4,7 @@ import pytest
 from gasmld import streams
 from gasmld.channel import (PSK2, QPSK, SystemConfig, delay_phases, generate_instance,
                             map_symbols, objective_direct, received_slots, slot_draws)
+from gasmld.harness import CALIBRATION_ID_OFFSET
 from oracles import noise_realization, random_payload_bits, received_slot
 
 
@@ -219,9 +220,46 @@ def test_slot_draws_reject_a_negative_slot():
 
 def test_slot_draws_of_no_slots():
     cfg = cfg_small()
-    bits, v, e = slot_draws(cfg, [], instance_id=0)
-    assert bits.shape == (0, cfg.bits_per_slot) and bits.dtype == np.uint8
-    assert v.shape == e.shape == (0, cfg.N) and v.dtype == e.dtype == complex
+    for instance_id in (0, []):
+        bits, v, e = slot_draws(cfg, [], instance_id=instance_id)
+        assert bits.shape == (0, cfg.bits_per_slot) and bits.dtype == np.uint8
+        assert v.shape == e.shape == (0, cfg.N) and v.dtype == e.dtype == complex
+
+
+@pytest.mark.parametrize("ids", [range(CALIBRATION_ID_OFFSET, CALIBRATION_ID_OFFSET + 6),
+                                 [9, 2, 40, 3, CALIBRATION_ID_OFFSET + 17]],
+                         ids=["calibration", "scattered"])
+@pytest.mark.parametrize("N,M", [(1, 1), (1, 4), (2, 1), (2, 4)])
+@pytest.mark.parametrize("modulation", [PSK2, QPSK])
+def test_stacked_draws_equal_the_one_id_calls(modulation, N, M, ids):
+    # one instance stack and one slot-0 draw for many ids, as calibration
+    # and query-cdf take them: row k is instance ids[k], bit for bit
+    cfg = cfg_small(seed=15, N=N, M=M, tau_max=2, modulation=modulation)
+    ts = np.zeros(len(ids), dtype=int)
+    stack = generate_instance(cfg, ids)
+    draws = slot_draws(cfg, ts, instance_id=ids)
+    r = received_slots(stack, cfg, ts, *draws)
+    assert stack.H.shape == (len(ids), N, M) and stack.f.shape == stack.delays.shape == (len(ids), M)
+    for k, i in enumerate(ids):
+        one = generate_instance(cfg, instance_id=i)
+        for got in (stack[k], generate_instance(cfg, [i])[0]):
+            assert [got.H.tobytes(), got.f.tobytes(), got.delays.tobytes()] == \
+                [one.H.tobytes(), one.f.tobytes(), one.delays.tobytes()]
+        one_draws = slot_draws(cfg, [0], instance_id=i)
+        assert [a[k].tobytes() for a in draws] == [a[0].tobytes() for a in one_draws]
+        assert r[k].tobytes() == received_slots(one, cfg, [0], *one_draws)[0].tobytes()
+
+
+def test_slot_draws_take_one_id_per_row():
+    # every row is its slot of its instance, repeated ids and slots too
+    cfg = cfg_small(seed=16, modulation=QPSK)
+    ids, ts = [4, 2, 4, 7, 4], [3, 0, 1, 5, 3]
+    draws = slot_draws(cfg, ts, instance_id=ids)
+    for k, (i, t) in enumerate(zip(ids, ts)):
+        assert [a[k].tobytes() for a in draws] == \
+            [a[0].tobytes() for a in slot_draws(cfg, [t], instance_id=i)]
+    with pytest.raises(ValueError, match="one instance id per slot"):
+        slot_draws(cfg, [0, 1], instance_id=[4, 2, 7])
 
 
 def test_received_slot_deterministic():

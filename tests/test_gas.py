@@ -541,7 +541,7 @@ class TestBatchLaw:
             x_mmse = mmse_detect(inst, r, slots, cfg, stack)
             minima = stack.e_values.min(axis=1)
             for di, (det, arm) in enumerate(harness.GAS_DETECTORS.items()):
-                params = harness._gas_params(spec, arm, inst, ymvd, None)
+                params = harness._gas_params(spec, arm, ymvd, 0)
                 x0 = x_mmse if arm.get("threshold") == "mmse" else None
                 for t in slots:
                     row = SpaceStack(reg, W_STATE_REDUCED, stack.e_values[t:t + 1],

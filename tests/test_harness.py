@@ -19,7 +19,7 @@ from gasmld.errors import ConfigError
 from gasmld.gas import run_gas, run_gas_batch
 from gasmld.harness import (ExperimentSpec, fmt, load_spec, run_ber, run_calibration,
                             run_gate_count, run_query_cdf, solve_single, write_csv)
-from gasmld.spaces import W_STATE_REDUCED, build_registry
+from gasmld.spaces import HADAMARD_FULL, W_STATE_REDUCED, build_registry, channel_spaces
 from gasmld.thresholds import MvdParams, y_mvd
 from oracles import (GroverCircuit, build_hubo, random_payload_bits, received_slot,
                      reference_load_spec)
@@ -329,6 +329,66 @@ class TestQueryCdf:
         spec = small_cdf_spec(trials=6, seed=9)
         rows = run_query_cdf(spec)
         assert any(conv for *_, conv in rows)
+
+
+    def test_each_preparation_is_enumerated_once_per_trial(self, monkeypatch):
+        # two hadamard-full variants share one full table per trial
+        spec = small_cdf_spec(trials=3, seed=9)
+        spec.variants.append({**spec.variants[1], "name": "hadamard-again"})
+        preps = []
+
+        def counted(inst, r, ts, cfg, prep):
+            preps.append(prep)
+            return channel_spaces(inst, r, ts, cfg, prep)
+
+        monkeypatch.setattr(harness, "channel_spaces", counted)
+        rows = run_query_cdf(spec)
+        assert preps == [W_STATE_REDUCED, HADAMARD_FULL] * 3
+        # the shared table gives a variant the rows its own table gives:
+        # with a w-state variant in the first one's place, the third builds
+        # the trial's full table itself
+        monkeypatch.undo()
+        spec.variants[1] = {**spec.variants[0], "name": "w-instead"}
+        assert [row[1:] for row in rows if row[0] == "hadamard-again"] == \
+            [row[1:] for row in run_query_cdf(spec) if row[0] == "hadamard-again"]
+
+    def test_each_converged_output_is_checked_once(self, monkeypatch):
+        # variants that converge to the same state of the same space share
+        # one objective_direct check per trial; every other converged
+        # output is checked
+        spec = small_cdf_spec(trials=6, seed=9)
+        spec.variants.append({**spec.variants[0], "name": "w-prep-again"})
+        runs, checks = [], []
+
+        def recording(backend, params, rng, **kwargs):
+            run = run_gas(backend, params, rng, **kwargs)
+            runs.append((backend.space.prep, run))
+            return run
+
+        def counted(*args):
+            checks.append(args)
+            return objective_direct(*args)
+
+        monkeypatch.setattr(harness, "run_gas", recording)
+        monkeypatch.setattr(harness, "objective_direct", counted)
+        run_query_cdf(spec)
+        per_trial = [runs[k:k + 3] for k in range(0, len(runs), 3)]
+        outputs = [{(prep, run.final) for prep, run in trial if run.converged}
+                   for trial in per_trial]
+        assert len(checks) == sum(map(len, outputs))
+        assert any(len(trial_outputs) < sum(run.converged for _, run in trial)
+                   for trial_outputs, trial in zip(outputs, per_trial))
+
+    @pytest.mark.parametrize("backend", ["amplitude", "circuit"])
+    def test_a_disagreeing_check_stops_the_run(self, monkeypatch, backend):
+        # a converged output that re-evaluates above the oracle minimum is an
+        # error, not a row
+        spec = small_cdf_spec(trials=8, seed=31)
+        spec.backend, spec.q_v = backend, 8
+        monkeypatch.setattr(harness, "objective_direct",
+                            lambda *args: objective_direct(*args) + 1.0)
+        with pytest.raises(RuntimeError, match="converged run disagrees with exhaustive search"):
+            run_query_cdf(spec)
 
 
 class TestFixedValueRegister:

@@ -111,6 +111,19 @@ class TestIndicatorCPrime:
         assert indicator_c_prime(H) == pytest.approx(alpha * betas * vals["c"], rel=1e-9)
 
 
+    @pytest.mark.parametrize("N,M", [(1, 1), (1, 4), (2, 1), (2, 4), (2, 8)])
+    def test_stack_equals_its_one_row_calls(self, N, M):
+        # run_query_cdf takes every trial's C (conventional-c) and C'
+        # (proposed-cprime) in one call over the trials' channel stack
+        H = cn_stack(np.random.default_rng(30 + 10 * N + M), 40, N, M)
+        for indicator in (indicator_c_prime, indicator_c):
+            stacked = indicator(H)
+            rows = [indicator(h) for h in H]
+            assert isinstance(stacked, np.ndarray) and stacked.shape == (len(H),)
+            assert all(type(value) is float for value in rows)
+            assert stacked.tobytes() == np.array(rows).tobytes()
+
+
 class TestChannelIndicators:
     # the stack equals the per-channel reference bit for bit (a whole Gram
     # matmul and numpy's vectorized ** both differ in the last bit on some

@@ -328,13 +328,13 @@ def test_local_choices_shared_and_read_only():
 
 
 def count_chunk(cfg, ids):
-    """Slot 0 of instances ids as calibration draws it: the instances, their
-    received vectors (K, N) and their w-state value tables (K, states)."""
-    insts = [generate_instance(cfg, instance_id=i) for i in ids]
-    r = np.concatenate([received_slots(inst, cfg, [0], *slot_draws(cfg, [0], instance_id=i))
-                        for inst, i in zip(insts, ids)])
-    e = np.concatenate([channel_spaces(inst, r[k][None], [0], cfg, W_STATE_REDUCED).e_values
-                        for k, inst in enumerate(insts)])
+    """Slot 0 of instances ids as calibration draws it: the instance stack,
+    its received vectors (K, N) and its w-state value tables (K, states)."""
+    insts = generate_instance(cfg, ids)
+    ts = np.zeros(len(ids), dtype=int)
+    r = received_slots(insts, cfg, ts, *slot_draws(cfg, ts, instance_id=ids))
+    e = np.concatenate([channel_spaces(insts[k], r[k][None], [0], cfg, W_STATE_REDUCED).e_values
+                        for k in range(len(ids))])
     return insts, r, e
 
 
@@ -351,8 +351,9 @@ def probes(cfg, e):
 
 def assert_counts_equal(cfg, insts, r, e, ys):
     reg = build_registry(cfg)
-    ref = np.concatenate([reference_channel_values(inst, r[k][None], [0], cfg, W_STATE_REDUCED,
-                                                   reg)[0] for k, inst in enumerate(insts)])
+    ref = np.concatenate([reference_channel_values(insts[k], r[k][None], [0], cfg,
+                                                   W_STATE_REDUCED, reg)[0]
+                          for k in range(len(r))])
     assert ref.tobytes() == e.tobytes()
     for y in ys:
         got = channel_counts(insts, r, cfg, y)
@@ -404,14 +405,13 @@ class TestChannelCounts:
         cfg = SystemConfig(N=1, M=4, tau_max=2, seed=8)
         rng = np.random.default_rng(8)
         for ids in np.arange(40).reshape(10, 4):
-            insts = [generate_instance(cfg, instance_id=int(i)) for i in ids]
+            insts = generate_instance(cfg, ids)
             bits = rng.integers(0, 2, size=(4, cfg.bits_per_slot))
             delays = rng.integers(0, cfg.taud, size=(4, cfg.M))
-            r = np.concatenate([
-                received_slots(replace(inst, delays=d), cfg, [0], b[None], np.zeros((1, 1)),
-                               np.zeros((1, 1))) + 0.3 for inst, b, d in zip(insts, bits, delays)])
-            stacks = [channel_spaces(inst, r[k][None], [0], cfg, W_STATE_REDUCED)
-                      for k, inst in enumerate(insts)]
+            r = received_slots(replace(insts, delays=delays), cfg, np.zeros(4, dtype=int), bits,
+                               np.zeros((4, 1)), np.zeros((4, 1))) + 0.3
+            stacks = [channel_spaces(insts[k], r[k][None], [0], cfg, W_STATE_REDUCED)
+                      for k in range(4)]
             e = np.concatenate([stack.e_values for stack in stacks])
             for k, stack in enumerate(stacks):
                 x = spaces.channel_ordinals(stack, bits[k][None], delays[k][None])[0]
@@ -421,7 +421,7 @@ class TestChannelCounts:
 
     def test_capacity_guard_before_any_work(self, monkeypatch):
         cfg = SystemConfig(N=2, M=16, tau_max=2, seed=0)
-        insts = [generate_instance(cfg, instance_id=i) for i in range(2)]
+        insts = generate_instance(cfg, range(2))
         r = np.zeros((2, cfg.N), complex)
 
         def no_work(*args, **kwargs):
