@@ -103,8 +103,7 @@ def generate_instance(cfg: SystemConfig, instance_id=0) -> ChannelInstance:
     ids = np.asarray(instance_id)
     shape = (cfg.N, cfg.M)
     parts, delays, f = [], [], []
-    for i in ids.ravel().tolist():
-        rng = streams.substream(cfg.seed, streams.CHANNEL, i)
+    for rng in streams.substreams(cfg.seed, [(streams.CHANNEL, i) for i in ids.ravel().tolist()]):
         parts.append(rng.standard_normal((2, *shape)))  # every real part drawn first
         delays.append(rng.integers(0, cfg.tau_max + 1, size=cfg.M))
         f.append(rng.uniform(-1.0, 1.0, size=cfg.M))
@@ -165,13 +164,14 @@ def slot_draws(cfg: SystemConfig, ts, *,
                   for i, t in zip(ids.tolist(), ts.tolist())] or [(0, 0, ts)]
     else:
         raise ValueError(f"expected one instance id per slot, got {ids.shape} for {ts.shape}")
+    purposes = (streams.PAYLOAD, streams.NOISE, streams.EST_ERR)
+    rngs = streams.substreams(cfg.seed, [(purpose, i) for i, _, _ in groups
+                                         for purpose in purposes])
     bits, v, e = [], [], []
-    for i, rows, pick in groups:
-        bits.append(streams.substream(cfg.seed, streams.PAYLOAD, i).integers(
-            0, 2, size=(rows, cfg.bits_per_slot))[pick])
-        for out, purpose in ((v, streams.NOISE), (e, streams.EST_ERR)):
-            out.append(streams.substream(cfg.seed, purpose, i).standard_normal(
-                (rows, 2, cfg.N))[pick])
+    for _, rows, pick in groups:
+        bits.append(next(rngs).integers(0, 2, size=(rows, cfg.bits_per_slot))[pick])
+        for out in (v, e):
+            out.append(next(rngs).standard_normal((rows, 2, cfg.N))[pick])
     bits, v, e = (np.concatenate(draws) for draws in (bits, v, e))
     return (bits.astype(np.uint8), (v[:, 0] + 1j * v[:, 1]) * _SQRT_HALF,
             (e[:, 0] + 1j * e[:, 1]) * _SQRT_HALF)

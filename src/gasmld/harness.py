@@ -300,6 +300,8 @@ def run_query_cdf(spec: ExperimentSpec):
     insts = generate_instance(cfg, trials)
     r_all = received_slots(insts, cfg, ts, *slot_draws(cfg, ts, instance_id=trials))
     lmins = [_lmins(v.get("lmin", LMIN_ZERO), insts.H, table) for v in spec.variants]
+    rngs = streams.substreams(cfg.seed, [(streams.TRIAL, trial, vi) for trial in trials
+                                         for vi in range(len(spec.variants))])
     rows = []
     for trial in trials:
         inst, r = insts[trial], r_all[trial:trial + 1]
@@ -316,9 +318,8 @@ def run_query_cdf(spec: ExperimentSpec):
             where = f"variant {variant['name']!r}, trial {trial}"
             arms.append((params, _gas_backend(spec, inst, r[0], spaces[prep], params.y0, where)))
         checked = set()
-        for vi, (variant, (params, backend)) in enumerate(zip(spec.variants, arms)):
-            rng = streams.substream(cfg.seed, streams.TRIAL, trial, vi)
-            run = run_gas(backend, params, rng, oracle_min=oracle_min)
+        for variant, (params, backend) in zip(spec.variants, arms):
+            run = run_gas(backend, params, next(rngs), oracle_min=oracle_min)
             if run.converged:
                 cd, qd = run.hit_cd, run.hit_qd
                 # re-verify against the exhaustive oracle, once per space and
@@ -421,11 +422,11 @@ def _ber_trial(spec: ExperimentSpec, cfgs: list[SystemConfig], detectors: list[s
     first_hits = []
     if gas:
         arms, x0 = [], []
+        rngs = streams.substreams(cfg0.seed, [(streams.GAS, trial, di) for di, _ in gas] * n_snr)
         for ymvd, rows in zip(ymvds, point):
             for di, det in gas:
                 arm = GAS_DETECTORS[det]
-                arms.append((_gas_params(spec, arm, ymvd, 0),
-                             streams.substream(cfg0.seed, streams.GAS, trial, di), n_slots))
+                arms.append((_gas_params(spec, arm, ymvd, 0), next(rngs), n_slots))
                 x0.append(x_mmse[rows] if arm.get("threshold") == "mmse"
                           else np.full(n_slots, -1))
         runs = np.repeat(np.arange(n_snr * n_slots).reshape(n_snr, n_slots), len(gas),

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -69,8 +70,13 @@ def regularized_gamma_q(N: int, x: float) -> float:
     return math.exp(-x) * total
 
 
+@lru_cache(maxsize=64)
 def y_mvd(params: MvdParams) -> float:
-    """Threshold with exceedance probability P: (1/lambda) Q^{-1}(N, P)."""
+    """Threshold with exceedance probability P: (1/lambda) Q^{-1}(N, P).
+
+    Memoized on params: an experiment asks for the same few thresholds once
+    per call or SNR point, and each costs a bisection.
+    """
     if params.N == 1:
         return -math.log(params.P) / params.lambda_v
     lo, hi = 0.0, 1.0

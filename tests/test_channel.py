@@ -200,13 +200,14 @@ def test_slot_draws_row_t_is_slot_t(modulation):
 @pytest.mark.parametrize("n_slots", [0, 1, 64])
 def test_slot_draws_make_one_stream_per_purpose(monkeypatch, n_slots):
     keys = []
-    substream = streams.substream
+    substreams = streams.substreams
 
-    def counted(*key):
-        keys.append(key)
-        return substream(*key)
+    def counted(seed, paths):
+        paths = list(paths)
+        keys.extend((seed, *path) for path in paths)
+        return substreams(seed, paths)
 
-    monkeypatch.setattr(streams, "substream", counted)
+    monkeypatch.setattr(streams, "substreams", counted)
     slot_draws(cfg_small(seed=14), np.arange(n_slots), instance_id=5)
     assert sorted(keys) == sorted((14, purpose, 5) for purpose in
                                   (streams.PAYLOAD, streams.NOISE, streams.EST_ERR))

@@ -91,3 +91,23 @@ def test_every_method_is_used():
     unused = sorted(f"{module}.{cls}.{name}" for module, cls, name in methods
                     if not attr_refs.get(name))
     assert unused == []
+
+
+def test_only_streams_derives_keys():
+    # one key derivation: no other module names SeedSequence or Philox
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "streams":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found.extend(f"{path.stem}.{name}" for name in names
+                         if "SeedSequence" in name or "Philox" in name)
+    assert found == []

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gasmld import thresholds
 from gasmld.channel import (PSK2, QPSK, SystemConfig, generate_instance, map_symbols,
                             objective_direct, received_slots, slot_draws)
 from gasmld.spaces import W_STATE_REDUCED, SpaceStack, build_registry, channel_spaces
@@ -57,6 +58,22 @@ class TestYMvd:
         a = y_mvd(MvdParams(N=2, lambda_v=25.0, P=1e-3))
         b = y_mvd(MvdParams(N=2, lambda_v=25.0, P=1e-2))
         assert a > b
+
+    def test_repeated_call_is_memoized(self, monkeypatch):
+        first = y_mvd(MvdParams(N=4, lambda_v=3.25, P=2.5e-4))
+        calls = []
+
+        def counted(N, x):
+            calls.append(x)
+            return regularized_gamma_q(N, x)
+
+        monkeypatch.setattr(thresholds, "regularized_gamma_q", counted)
+        # equal params, another object: no evaluation
+        assert y_mvd(MvdParams(N=4, lambda_v=3.25, P=2.5e-4)) == first
+        assert calls == []
+        # the bisection itself gives the memoized value bit for bit
+        assert y_mvd.__wrapped__(MvdParams(N=4, lambda_v=3.25, P=2.5e-4)) == first
+        assert calls
 
     def test_tiny_p_rejected(self):
         with pytest.raises(ValueError):
