@@ -1,22 +1,22 @@
-"""Grover adaptive search with two interchangeable execution backends.
+"""Grover adaptive search: one measurement law, two engines.
 
 Every search runs over rows of a spaces.SpaceStack, the one search-space
 type, so the values GAS measures and the optimum it is checked against come
-from one table.  The amplitude backend marks E(x) < y exactly and draws from
-the success probability sin^2((2L+1) arcsin sqrt(Ns/Nt)); the circuit
-backend marks through the QFT value encoding of the real circuit and draws
-from that circuit's exact two-dimensional Grover law, without a statevector.
-A backend searches a one-row stack and holds only its law, measure(y, L,
-u_class, u_state) -> (ordinal, objective value), which turns a step's two
-measurement uniforms into a state; run_gas reads everything else from
+from one table.  Backend is the exact law of the GAS circuit measured after
+G^L A_y, a marked-class draw and then a state drawn by its sign-qubit
+probability q1 (or 1 - q1).  Without a value-register width q_v the sign
+qubit is ideal, q1 = 1[E < y], and the law is the amplitude law
+sin^2((2L+1) arcsin sqrt(Ns/Nt)), uniform within each class; with q_v, q1 is
+the Fejer sum of the circuit's QFT value encoding.  A backend searches a
+one-row stack and holds only its law, measure(y, L, u_class, u_state) ->
+(ordinal, objective value); run_gas reads everything else from
 backend.space.  run_gas_batch runs many searches over the rows of one stack
 in lockstep on the amplitude law.  Both engines take an arm, a GasParams,
 plus the per-run seed x0 and oracle_min, read the stack's one cached sort,
 take their budgets, restart window and k cap from run_limits, draw one
 protocol of uniforms and return a GasBatch of state ordinals; on the
 amplitude law they agree run for run.  The value-register rules of the
-circuit (the objective bound, the register width, the integer scale and its
-range check) sit beside CircuitBackend.
+circuit sit beside Backend.
 """
 
 from __future__ import annotations
@@ -43,10 +43,8 @@ STOP_OPTIMUM = "optimum"
 STOP_BUDGET_ITERATIONS = "budget_iterations"
 STOP_BUDGET_ROTATIONS = "budget_rotations"
 
-# qubits of the largest state CircuitBackend.prepared_state writes
+# qubits of the largest state prepared_state writes
 MAX_QUBITS = 26
-# Generator.choice's tolerance on the sum of a distribution it samples
-_P_SUM_TOL = math.sqrt(np.finfo(np.float64).eps)
 
 # uniforms a step takes per run: the rotation count L, the marked or
 # unmarked class, the state within that class, and the restart draw
@@ -56,7 +54,8 @@ UNIFORMS_PER_STEP = 4
 STEPS_PER_BLOCK = 32
 
 
-def success_probability(Ns: int, Nt: int, L: int) -> float:
+def success_probability(Ns: float, Nt: int, L: int) -> float:
+    """Marked-class probability after L rotations at marked weight Ns of Nt."""
     if not 0 <= Ns <= Nt:
         raise ValueError("need 0 <= Ns <= Nt")
     if Ns == 0:
@@ -113,38 +112,6 @@ def run_limits(space: spaces.SpaceStack, params: GasParams) -> tuple[int, int, i
             math.sqrt(1 << space.reg.q_k))
 
 
-class AmplitudeBackend:
-    """Closed-form measurement sampling over a one-row stack."""
-
-    def __init__(self, space: spaces.SpaceStack):
-        self.space = space
-        self.e_values = space.e_values[0]
-        # one-entry memo (y, ns): y changes only on acceptance or restart
-        self._memo: tuple[float, int] | None = None
-
-    @cached_property
-    def _order(self) -> np.ndarray:
-        # bound at the first measurement: a run that never measures never sorts
-        return self.space.order[0]
-
-    def measure(self, y: float, L: int, u_class: float, u_state: float):
-        # the sorted order puts the ns marked states first: a marked draw is
-        # uniform over order[:ns], an unmarked one over order[ns:]; the index
-        # arithmetic is run_gas_batch's, so the two engines agree run for run
-        e_values = self.e_values
-        nt = e_values.size
-        if self._memo is None or self._memo[0] != y:
-            # the ndarray searchsorted skips np.searchsorted's Python-level dispatch
-            self._memo = (y, int(self.space.e_sorted[0].searchsorted(y, side="left")))
-        ns = self._memo[1]
-        if u_class < success_probability(ns, nt, L) or ns == nt:
-            idx = int(u_state * ns)
-        else:
-            idx = int(ns + u_state * (nt - ns))
-        ordinal = self._order.item(idx)
-        return ordinal, e_values.item(ordinal)
-
-
 def channel_bound(H_est: np.ndarray, r: np.ndarray, prep: str, taud: int) -> float:
     """Bound on the objective over the states prep reaches,
     sum_n (|r_n| + c sum_m |H_est[n, m]|)^2: a user's symbol times its delay
@@ -193,114 +160,129 @@ def check_value_range(e_vec: np.ndarray, y: float, q_v: int) -> None:
             f"[-2^{q_v - 1}, 2^{q_v - 1}) window")
 
 
-class CircuitBackend:
-    """Exact measurement law of the GAS circuit over a one-row stack.
+def scale_for(space: spaces.SpaceStack, q_v: int, y: float) -> int:
+    """value_scale's factor over a one-row stack's values at threshold y."""
+    e = space.e_values[0]
+    return value_scale(float(e.min()), float(e.max()), y, q_v)
+
+
+def width_needed(space: spaces.SpaceStack, y0: float | None) -> int:
+    """Smallest q_v whose window holds E - y at scale 1 for every threshold a
+    run over a one-row stack can reach: y0 and any table value.  A larger
+    scale only shrinks E - y, so q_v >= this never fails check_value_range."""
+    e = space.e_values[0]
+    lo, hi = float(e.min()), float(e.max())
+    ys = (lo, hi) if y0 is None else (lo, hi, y0)
+    return register_width(lo - max(ys), hi - min(ys), 0.0)
+
+
+def _value_offsets(space: spaces.SpaceStack, q_v: int, y: float) -> np.ndarray:
+    """s E - s y per ordinal at scale_for's s, checked by check_value_range."""
+    s = scale_for(space, q_v, y)
+    e = s * space.e_values[0]
+    check_value_range(e, s * y, q_v)
+    return e - s * y
+
+
+def sign_probabilities(space: spaces.SpaceStack, q_v: int, y: float) -> np.ndarray:
+    """q1 per state ordinal, P(sign qubit = 1) after the value encoding.
+
+    With N = 2^q_v the value register holds the Fejer kernel F(phi) =
+    sin^2(N phi / 2) / (N sin(phi / 2))^2 centred on 2 pi d_x / N, d_x the
+    scaled offset (Gilliam, Woerner, Gonciulea, Quantum 2021), so q1_x sums
+    it over the negative half u = N/2 .. N-1.
+    """
+    n = 1 << q_v
+    # offset, in register units, from each negative-half basis state
+    # u = n - k, wrapped into [-n/2, n/2): F has period n, and the
+    # terms near its peak keep every digit of the offset
+    delta = _value_offsets(space, q_v, y)[:, None] + np.arange(1, n // 2 + 1)
+    delta[delta >= n // 2] -= n
+    den = (n * np.sin(np.pi / n * delta)) ** 2
+    f = np.divide(np.sin(np.pi * delta) ** 2, den, out=np.ones_like(den), where=den != 0.0)
+    return np.minimum(f.sum(axis=1), 1.0)
+
+
+def prepared_state(space: spaces.SpaceStack, q_v: int, y: float) -> np.ndarray:
+    """A_y|0> as a (2^q_k, 2^q_v) amplitude matrix, rows by key index.
+
+    The preparation is uniform, 1/sqrt(Nt), on the space's keys and the
+    value Hadamards uniform on the register; the value encoding puts the
+    phase exp(j Theta_x (v - (N - 1)/2)), Theta_x = 2 pi (s E_x - s y) / N,
+    on key x and applies a QFT, so key x's row is the FFT of its phase
+    row over N sqrt(Nt), and every key outside the space is zero.
+    """
+    q_k = space.reg.q_k
+    if q_k + q_v > MAX_QUBITS:
+        raise CapacityError(f"{q_k + q_v} qubits exceed the state-dump guard of {MAX_QUBITS}")
+    n = 1 << q_v
+    theta = 2.0 * np.pi * _value_offsets(space, q_v, y) / n
+    phases = np.exp(1j * np.outer(theta, np.arange(n) - (n - 1) / 2.0))
+    state = np.zeros((1 << q_k, n), dtype=complex)
+    state[space.key_indices.astype(np.intp)] = (
+        np.fft.fft(phases, axis=1) / (n * math.sqrt(space.n_states)))
+    return state
+
+
+class Backend:
+    """The measurement law of G^L A_y over a one-row stack.
 
     G = A_y D A_y^H O keeps the circuit in the plane span{|psi>, O|psi>}
     (Boyer, Brassard, Hoyer, Tapp, Tight bounds on quantum searching, 1998).
     Every preparation here is uniform on its support, so with q1_x the
-    probability that key x reads its sign qubit as 1 after the QFT value
-    encoding and p_good = mean(q1) = sin^2(theta), G^L A_y measures x with
-    probability
-
-        (1/Nt) [sin^2((2L+1) theta) / sin^2(theta) q1_x
-                + cos^2((2L+1) theta) / cos^2(theta) (1 - q1_x)].
-
-    With N = 2^q_v and the scaled offset d_x = s E_x - s y, the value
-    register holds the Fejer kernel F(phi) = sin^2(N phi / 2) / (N sin(phi /
-    2))^2 centred on 2 pi d_x / N (Gilliam, Woerner, Gonciulea, Quantum
-    2021), so q1_x sums it over the negative half u = N/2 .. N-1.  The same
-    closed form gives the prepared state A_y|0> (prepared_state), so no
-    statevector is ever simulated gate by gate.
+    probability that state x reads its sign qubit as 1 and p_good = mean(q1)
+    = sin^2(theta), G^L A_y measures the marked class with probability
+    sin^2((2L+1) theta), then x with weight q1_x, else x with weight
+    1 - q1_x.  Without q_v the sign qubit is ideal, q1 = 1[E < y]; with q_v,
+    q1 is sign_probabilities's, and no statevector is ever simulated.
     """
 
-    def __init__(self, space: spaces.SpaceStack, q_v: int):
+    def __init__(self, space: spaces.SpaceStack, q_v: int | None = None):
         self.space = space
         self.q_v = q_v
         self.e_values = space.e_values[0]
-        self._lo = float(self.e_values.min())
-        self._hi = float(self.e_values.max())
-        # one-entry memo (y, q1, p_good): GAS measures at one y until it accepts
-        self._memo: tuple[float, np.ndarray, float] | None = None
+        # one-entry memo, law(y): y changes only on acceptance or restart
+        self._memo = (None, 0, None)
 
-    def scale_for(self, y: float) -> int:
-        return value_scale(self._lo, self._hi, y, self.q_v)
+    @cached_property
+    def _order(self) -> np.ndarray:
+        # bound at the first measurement: a run that never measures never sorts
+        return self.space.order[0]
 
-    def width_needed(self, y0: float | None) -> int:
-        """Smallest q_v whose window holds E - y at scale 1 for every
-        threshold a run can reach: y0 and any table value.  A larger scale
-        only shrinks E - y within the window, so q_v >= this never fails
-        check_value_range."""
-        ys = (self._lo, self._hi) if y0 is None else (self._lo, self._hi, y0)
-        return register_width(self._lo - max(ys), self._hi - min(ys), 0.0)
-
-    def _sign_probabilities(self, y: float) -> tuple[np.ndarray, float]:
-        """q1 per state ordinal, P(sign qubit = 1) after the value encoding,
-        and its mean p_good."""
-        if self._memo is None or self._memo[0] != y:
-            s = self.scale_for(y)
-            e = s * self.e_values
-            check_value_range(e, s * y, self.q_v)
-            n = 1 << self.q_v
-            # offset, in register units, from each negative-half basis state
-            # u = n - k, wrapped into [-n/2, n/2): F has period n, and the
-            # terms near its peak keep every digit of the offset
-            delta = (e - s * y)[:, None] + np.arange(1, n // 2 + 1)
-            delta[delta >= n // 2] -= n
-            den = (n * np.sin(np.pi / n * delta)) ** 2
-            f = np.divide(np.sin(np.pi * delta) ** 2, den, out=np.ones_like(den),
-                          where=den != 0.0)
-            q1 = np.minimum(f.sum(axis=1), 1.0)
-            self._memo = (y, q1, float(q1.mean()))
-        return self._memo[1], self._memo[2]
-
-    def distribution(self, y: float, L: int) -> np.ndarray:
-        """Exact measurement distribution over ordinals after G^L A_y |0>."""
-        q1, p_good = self._sign_probabilities(y)
-        theta = math.asin(math.sqrt(p_good))
-        a = 2 * L + 1
-        # p_good > 0, every Fejer term being positive; with all states marked
-        # the unmarked ratio takes its limit a^2
-        good = math.sin(a * theta) ** 2 / p_good
-        bad = math.cos(a * theta) ** 2 / (1.0 - p_good) if p_good < 1.0 else a * a
-        return (good * q1 + bad * (1.0 - q1)) / self.space.n_states
-
-    def prepared_state(self, y: float) -> np.ndarray:
-        """A_y|0> as a (2^q_k, 2^q_v) amplitude matrix, rows by key index.
-
-        The preparation is uniform, 1/sqrt(Nt), on the space's keys and the
-        value Hadamards uniform on the register; the value encoding puts the
-        phase exp(j Theta_x (v - (N - 1)/2)), Theta_x = 2 pi (s E_x - s y) / N,
-        on key x and applies a QFT, so key x's row is the FFT of its phase
-        row over N sqrt(Nt), and every key outside the space is zero.
-        """
-        q_k = self.space.reg.q_k
-        if q_k + self.q_v > MAX_QUBITS:
-            raise CapacityError(f"{q_k + self.q_v} qubits exceed the state-dump guard "
-                                f"of {MAX_QUBITS}")
-        s = self.scale_for(y)
-        e = s * self.e_values
-        check_value_range(e, s * y, self.q_v)
-        n = 1 << self.q_v
-        theta = 2.0 * np.pi * (e - s * y) / n
-        phases = np.exp(1j * np.outer(theta, np.arange(n) - (n - 1) / 2.0))
-        state = np.zeros((1 << q_k, n), dtype=complex)
-        state[self.space.key_indices.astype(np.intp)] = (
-            np.fft.fft(phases, axis=1) / (n * math.sqrt(self.space.n_states)))
-        return state
+    def law(self, y: float):
+        """(y, the marked weight Nt p_good, the cumulative weights q1 and
+        1 - q1 over the sorted order); the ideal law's weight is the marked
+        count ns, and it needs no cumulative weights."""
+        if self.q_v is None:
+            # the ndarray searchsorted skips np.searchsorted's Python-level dispatch
+            return y, int(self.space.e_sorted[0].searchsorted(y, side="left")), None
+        q1 = sign_probabilities(self.space, self.q_v, y)
+        if not ((q1 >= 0.0) & (q1 <= 1.0)).all():
+            raise ValueError("sign-qubit probabilities must be finite and in [0, 1]")
+        q1 = q1[self._order]
+        good = q1.cumsum()
+        return y, float(good[-1]), (good, (1.0 - q1).cumsum())
 
     def measure(self, y: float, L: int, u_class: float, u_state: float):
-        """Inverts the distribution's CDF at u_state as Generator.choice
-        does, with its checks; the class uniform is not needed."""
-        p = self.distribution(y, L)
-        if not (p >= 0.0).all():
-            raise ValueError("measurement distribution has a negative or NaN entry")
-        cdf = p.cumsum()
-        if not abs(cdf[-1] - 1.0) <= _P_SUM_TOL:
-            raise ValueError(f"measurement distribution sums to {cdf[-1]!r}, not 1")
-        cdf /= cdf[-1]
-        ordinal = int(cdf.searchsorted(u_state, side="right"))
-        return ordinal, float(self.e_values[ordinal])
+        """(ordinal, objective value): u_class picks the class, u_state
+        inverts its cumulative weight."""
+        if self._memo[0] != y:
+            self._memo = self.law(y)
+        _, mass, cdfs = self._memo
+        e_values = self.e_values
+        nt = e_values.size
+        marked = u_class < success_probability(mass, nt, L) or mass == nt
+        if cdfs is None:
+            # the sorted order puts the ns marked states first; run_gas_batch's
+            # index arithmetic, so the two engines agree run for run
+            idx = int(u_state * mass) if marked else int(mass + u_state * (nt - mass))
+        else:
+            # the first state whose cumulative weight exceeds u_state's share,
+            # never a zero-weight one
+            cdf = cdfs[0] if marked else cdfs[1]
+            idx = min(int(cdf.searchsorted(u_state * cdf[-1], side="right")), nt - 1)
+        ordinal = self._order.item(idx)
+        return ordinal, e_values.item(ordinal)
 
 
 def run_gas(backend, params: GasParams, rng: np.random.Generator, x0: int | None = None,

@@ -20,9 +20,9 @@ from . import streams
 from .channel import (PSK2, QPSK, SystemConfig, generate_instance, objective_direct, received_slots,
                       slot_draws)
 from .errors import ConfigError
-from .gas import (AmplitudeBackend, BACKEND_AMPLITUDE, BACKEND_CIRCUIT, CircuitBackend,
-                  GasBatch, GasParams, LMIN_CONVENTIONAL_C, LMIN_PROPOSED_CPRIME, LMIN_ZERO,
-                  channel_bound, register_width, run_gas, run_gas_batch)
+from .gas import (BACKEND_AMPLITUDE, BACKEND_CIRCUIT, Backend, GasBatch, GasParams,
+                  LMIN_CONVENTIONAL_C, LMIN_PROPOSED_CPRIME, LMIN_ZERO, channel_bound,
+                  prepared_state, register_width, run_gas, run_gas_batch, width_needed)
 from .gates import build_report
 from .indicators import (CalibrationTable, calibrate, config_hash, indicator_c,
                          indicator_c_prime, select_lmin, select_lmin_conventional)
@@ -272,16 +272,15 @@ def _gas_backend(spec: ExperimentSpec, inst, r, space, y0: float | None, where: 
     A configured q_v too narrow for a run from y0 on this space is a config
     error, raised before the run searches."""
     if spec.backend == BACKEND_AMPLITUDE:
-        return AmplitudeBackend(space)
+        return Backend(space)
     if spec.q_v is None:
-        return CircuitBackend(space, register_width(
+        return Backend(space, register_width(
             0.0, channel_bound(inst.H, r, space.prep, space.reg.taud), 0.0))
-    backend = CircuitBackend(space, spec.q_v)
-    need = backend.width_needed(y0)
+    need = width_needed(space, y0)
     if need > spec.q_v:
         raise ConfigError(f"{where}: gas.q_v = {spec.q_v} cannot hold E - y over this "
                           f"arm's objective values; it needs q_v >= {need}")
-    return backend
+    return Backend(space, spec.q_v)
 
 
 def run_query_cdf(spec: ExperimentSpec):
@@ -486,7 +485,7 @@ def solve_single(spec: ExperimentSpec,
     backend = _gas_backend(spec, inst, r[0], space, params.y0, "solve, trial 0")
     if dump_state is not None:
         # little-endian complex128 is float64 re/im interleaved
-        backend.prepared_state(ymvd).astype("<c16").tofile(dump_state)
+        prepared_state(space, backend.q_v, ymvd).astype("<c16").tofile(dump_state)
     rng = streams.substream(cfg.seed, streams.GAS, 0, 0, 0)
     return space, run_gas(backend, params, rng, oracle_min=float(space.e_values.min()),
                           record=True)

@@ -13,7 +13,7 @@ one lazily built per-row sort; channel_counts counts without any table.
 The key layout is the VarRegistry: every user's payload bits b, then every
 user's delay bits d, user-major.  Registry variable i maps to bit weight
 2^(q_k - 1 - i), i.e. variable 0 is the most significant bit of the integer
-key index, the key register's qubit order in the circuit (gas.CircuitBackend).
+key index, the key register's qubit order in the circuit (gas.prepared_state).
 """
 
 from __future__ import annotations

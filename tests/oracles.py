@@ -4,9 +4,9 @@
   initial preparations (Hadamard, and per-user W states restricting delay
   blocks to one-hot patterns), phase encoding of the objective into a
   two's-complement value register via an inverse QFT, oracle, diffusion and
-  Grover iteration.  gas.CircuitBackend samples the same circuit from its
-  exact two-dimensional law and writes its prepared state in closed form;
-  this simulator computes both the long way.
+  Grover iteration.  gas.Backend samples the same circuit from its exact
+  two-dimensional law, which distribution states over ordinals, and
+  gas.prepared_state writes A_y|0> in closed form.
 - The HUBO expansion: || r - H D s ||_F^2 expanded symbolically into a
   multilinear binary polynomial over the payload bits b, optionally the
   pi/2-BPSK parity bits c, and the one-hot delay bits d (ParityLayout, in
@@ -65,8 +65,9 @@ from gasmld.channel import (PSK2, QPSK, ChannelInstance, SystemConfig, delay_pha
                             generate_instance, map_symbols, psk2_base, received_slots, slot_draws)
 from gasmld.errors import CapacityError, ConfigError
 from gasmld.gas import (BACKEND_AMPLITUDE, BACKEND_CIRCUIT, LMIN_CONVENTIONAL_C,
-                        LMIN_PROPOSED_CPRIME, LMIN_ZERO, MAX_QUBITS, GasParams,
-                        check_value_range, l_opt, register_width, value_scale)
+                        LMIN_PROPOSED_CPRIME, LMIN_ZERO, MAX_QUBITS, Backend, GasParams,
+                        check_value_range, l_opt, register_width, sign_probabilities,
+                        value_scale)
 from gasmld.harness import GAS_DETECTORS, ExperimentSpec
 from gasmld.indicators import _ALPHA_NORM, TIE_EXPONENT, CalibrationTable, indicator_c
 from gasmld.spaces import (HADAMARD_FULL, MAX_ENUMERABLE, W_STATE_REDUCED, SpaceStack, VarRegistry,
@@ -760,6 +761,19 @@ def _value_hadamard(mat: np.ndarray, q_v: int) -> None:
         view[:, 1, :] = (a - b) * _SQRT_HALF
 
 
+def distribution(backend: Backend, y: float, L: int) -> np.ndarray:
+    """The law a q_v backend's measure samples, over ordinals after G^L A_y|0>."""
+    q1 = sign_probabilities(backend.space, backend.q_v, y)
+    p_good = float(q1.mean())
+    theta = math.asin(math.sqrt(p_good))
+    a = 2 * L + 1
+    # p_good > 0, every Fejer term being positive; with all states marked
+    # the unmarked ratio takes its limit a^2
+    good = math.sin(a * theta) ** 2 / p_good
+    bad = math.cos(a * theta) ** 2 / (1.0 - p_good) if p_good < 1.0 else a * a
+    return (good * q1 + bad * (1.0 - q1)) / backend.space.n_states
+
+
 class Preparation:
     """Initial-state operator on the key register plus value Hadamards."""
 
@@ -835,7 +849,7 @@ class GroverCircuit:
     """A_y and G = A_y D A_y^H O for a fixed polynomial and preparation.
 
     The objective and threshold are multiplied by gas.value_scale's integer
-    factor for the preparation's support, as CircuitBackend does.
+    factor for the preparation's support, as gas.scale_for does.
     """
 
     def __init__(self, poly: HuboPolynomial, reg: VarRegistry, prep: str, q_v: int):

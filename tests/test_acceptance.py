@@ -14,15 +14,15 @@ import pytest
 
 from gasmld import streams
 from gasmld.channel import PSK2, QPSK, SystemConfig, generate_instance
-from gasmld.gas import (AmplitudeBackend, CircuitBackend, GasParams, l_opt,
-                        restart_iterations, run_gas, success_probability)
+from gasmld.gas import (Backend, GasParams, l_opt, restart_iterations, run_gas, scale_for,
+                        success_probability)
 from gasmld.gates import cku_g_costs, g_prop, g_ug_total, table1_counts
 from gasmld.harness import load_spec, run_ber, run_query_cdf
 from gasmld.indicators import (calibrate, channel_indicators, indicator_c, indicator_c_prime,
                                select_lmin, select_lmin_conventional)
 from gasmld.spaces import HADAMARD_FULL, W_STATE_REDUCED, build_registry, channel_spaces
-from oracles import (HuboPolynomial, binned_spread, build_hubo, choose_qv, from_polynomial,
-                     random_payload_bits, received_slot, term_counts_by_order)
+from oracles import (HuboPolynomial, binned_spread, build_hubo, choose_qv, distribution,
+                     from_polynomial, random_payload_bits, received_slot, term_counts_by_order)
 from gasmld.thresholds import MvdParams, mvd_rate, regularized_gamma_q, y_mvd
 
 # experiment seed.  Trial 79 is a threshold-failure trial (its slot-0
@@ -61,7 +61,7 @@ def test_criterion_01_oracle_equivalence(fig5_table):
         bits = random_payload_bits(cfg, 0, instance_id=trial)
         slot = received_slot(inst, cfg, 0, bits, instance_id=trial)
         space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED)
-        backend = AmplitudeBackend(space)
+        backend = Backend(space)
         lmin = select_lmin(fig5_table, indicator_c_prime(inst.H))
         params = GasParams(y0=ymvd, lmin=lmin, restart_enabled=True)
         rng = streams.substream(cfg.seed, streams.TRIAL, trial, 0)
@@ -111,13 +111,12 @@ def test_criterion_02_backend_cross_check():
         if q_v > 6:
             continue
         n_toys += 1
-        amp = AmplitudeBackend(e)
-        circ = CircuitBackend(e, q_v)
+        circ = Backend(e, q_v)
         for y in ys:
             ns = int(np.count_nonzero(e.e_values < y))
             for L in (0, 1, 2, 5):
                 p_amp = success_probability(ns, e.n_states, L) if ns else 0.0
-                p_circ = float(circ.distribution(float(y), L)[circ.e_values < y].sum())
+                p_circ = float(distribution(circ, float(y), L)[circ.e_values < y].sum())
                 u = rng_shots.random(shots)
                 tv = abs(float(np.mean(u < p_circ)) - float(np.mean(u < p_amp)))
                 worst_int = max(worst_int, tv)
@@ -134,14 +133,14 @@ def test_criterion_02_backend_cross_check():
         slot = received_slot(inst, cfg, 0, bits, instance_id=0)
         reg = build_registry(cfg)
         space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED)
-        circ = CircuitBackend(space, q_v=8)
+        circ = Backend(space, q_v=8)
         es = space.e_sorted[0]
         half = es.size // 2
         gaps = es[1:half + 1] - es[:half]
         ys = []
         for i in np.argsort(gaps)[::-1]:
             y = float(0.5 * (es[i] + es[i + 1]))
-            if gaps[i] * circ.scale_for(y) >= 20 and len(ys) < 2:
+            if gaps[i] * scale_for(circ.space, circ.q_v, y) >= 20 and len(ys) < 2:
                 ys.append(y)
         if not ys:
             continue
@@ -151,7 +150,7 @@ def test_criterion_02_backend_cross_check():
             ns = int(np.count_nonzero(space.e_values < y))
             for L in (0, 1, 2, 3):
                 p_amp = success_probability(ns, space.n_states, L) if ns else 0.0
-                p_circ = float(circ.distribution(y, L)[circ.e_values < y].sum())
+                p_circ = float(distribution(circ, y, L)[circ.e_values < y].sum())
                 u = rng_shots.random(shots)
                 tv = abs(float(np.mean(u < p_circ)) - float(np.mean(u < p_amp)))
                 worst_real = max(worst_real, tv)
@@ -245,7 +244,7 @@ def test_criterion_04_rotation_bound_trend():
         lmin = select_lmin_conventional(indicator_c(inst.H))
         params = GasParams(y0=ymvd8, lmin=lmin, restart_enabled=True)
         rng = streams.substream(cfg8.seed, streams.TRIAL, trial, 9)
-        trace = run_gas(AmplitudeBackend(space), params, rng,
+        trace = run_gas(Backend(space), params, rng,
                         oracle_min=float(space.e_values.min()))
         big_ok += bool(trace.converged)
 

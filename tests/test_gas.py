@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import math
 
@@ -7,15 +8,16 @@ import pytest
 
 from gasmld.channel import (PSK2, QPSK, SystemConfig, generate_instance, received_slots,
                             slot_draws)
-from gasmld import harness, streams
+from gasmld import gas, harness, streams
 from gasmld.gas import (STOP_BUDGET_ITERATIONS, STOP_BUDGET_ROTATIONS, STOP_OPTIMUM,
-                        AmplitudeBackend, CircuitBackend, GasParams, l_opt,
-                        channel_bound, register_width, restart_iterations, run_gas,
-                        run_gas_batch, success_probability)
+                        Backend, GasParams, l_opt, channel_bound, prepared_state,
+                        register_width, restart_iterations, run_gas, run_gas_batch, scale_for,
+                        success_probability)
+from gasmld.indicators import indicator_c, select_lmin_conventional
 from gasmld.spaces import HADAMARD_FULL, W_STATE_REDUCED, SpaceStack, build_registry, channel_spaces
 from gasmld.thresholds import MvdParams, mmse_detect, y_mvd
-from oracles import (GroverCircuit, HuboPolynomial, argmin_ordinal, build_hubo, evaluate,
-                     from_polynomial, random_payload_bits, received_slot)
+from oracles import (GroverCircuit, HuboPolynomial, argmin_ordinal, build_hubo, distribution,
+                     evaluate, from_polynomial, random_payload_bits, received_slot)
 
 FIG2_TERMS = {(0,): 1.0, (1, 2): -3.0, (0, 1, 2): 1.0}
 
@@ -29,7 +31,7 @@ def toy_backend(n_vars=3):
     reg = build_registry(cfg)
     assert reg.q_k == n_vars
     poly = toy_poly(n_vars)
-    return poly, reg, AmplitudeBackend(from_polynomial(poly, reg, HADAMARD_FULL))
+    return poly, reg, Backend(from_polynomial(poly, reg, HADAMARD_FULL))
 
 
 class TestFormulas:
@@ -104,11 +106,11 @@ class TestAmplitudeBackend:
 class TestCircuitBackend:
     def test_integer_distribution_matches_amplitude_exactly(self):
         poly, reg, amp = toy_backend()
-        circ = CircuitBackend(from_polynomial(poly, reg, HADAMARD_FULL), q_v=4)
+        circ = Backend(from_polynomial(poly, reg, HADAMARD_FULL), q_v=4)
         for y in (-1.0, 1.0, 2.0, 4.0):
             ns = int(np.count_nonzero(amp.space.e_values < y))
             for L in (0, 1, 2, 4):
-                p = circ.distribution(y, L)
+                p = distribution(circ, y, L)
                 marked = circ.e_values < y
                 p_marked = float(p[marked].sum()) if ns else 0.0
                 assert p_marked == pytest.approx(success_probability(ns, 8, L), abs=1e-9)
@@ -121,14 +123,14 @@ class TestCircuitBackend:
     def test_sampled_tv_integer(self):
         # paired uniforms: the marked-hit TV estimate carries no two-sample noise
         poly, reg, amp = toy_backend()
-        circ = CircuitBackend(from_polynomial(poly, reg, HADAMARD_FULL), q_v=4)
+        circ = Backend(from_polynomial(poly, reg, HADAMARD_FULL), q_v=4)
         rng = np.random.default_rng(3)
         shots = 10_000
         for (y, L) in ((2.0, 1), (1.0, 2)):
             u = rng.random(shots)
             ns = int(np.count_nonzero(amp.space.e_values < y))
             p_amp = success_probability(ns, 8, L)
-            p_circ = float(circ.distribution(y, L)[circ.e_values < y].sum())
+            p_circ = float(distribution(circ, y, L)[circ.e_values < y].sum())
             tv = abs(np.mean(u < p_circ) - np.mean(u < p_amp))
             assert tv <= 0.02
 
@@ -140,15 +142,15 @@ class TestCircuitBackend:
         bits = random_payload_bits(cfg, 0, instance_id=0)
         slot = received_slot(inst, cfg, 0, bits, instance_id=0)
         space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED)
-        amp = AmplitudeBackend(space)
-        circ = CircuitBackend(space, q_v=8)
+        amp = Backend(space)
+        circ = Backend(space, q_v=8)
         es = space.e_sorted[0]
         half = es.size // 2
         gaps = es[1:half + 1] - es[:half]
         ys = []
         for i in np.argsort(gaps)[::-1]:
             y = 0.5 * (es[i] + es[i + 1])
-            if gaps[i] * circ.scale_for(y) >= 20 and len(ys) < 2:
+            if gaps[i] * scale_for(circ.space, circ.q_v, y) >= 20 and len(ys) < 2:
                 ys.append(float(y))
         assert ys
         rng = np.random.default_rng(5)
@@ -158,7 +160,7 @@ class TestCircuitBackend:
             for L in (1, 3):
                 u = rng.random(shots)
                 p_amp = success_probability(ns, space.n_states, L)
-                p_circ = float(circ.distribution(y, L)[circ.e_values < y].sum())
+                p_circ = float(distribution(circ, y, L)[circ.e_values < y].sum())
                 tv = abs(np.mean(u < p_circ) - np.mean(u < p_amp))
                 assert tv <= 0.05
 
@@ -166,7 +168,7 @@ class TestCircuitBackend:
         # both backends: a measured state decodes to an assignment whose
         # objective is the value the measurement reported
         poly, reg, amp = toy_backend()
-        circ = CircuitBackend(from_polynomial(poly, reg, HADAMARD_FULL), q_v=4)
+        circ = Backend(from_polynomial(poly, reg, HADAMARD_FULL), q_v=4)
         rng = np.random.default_rng(9)
         for backend in (amp, circ):
             for _ in range(10):
@@ -175,28 +177,93 @@ class TestCircuitBackend:
                 assert x.shape == (3,)
                 assert evaluate(poly, x) == pytest.approx(ex, abs=1e-12)
 
-    @pytest.mark.parametrize("p", [[0.5, 0.5, 0.25, -0.25, 0, 0, 0, 0],
-                                   [0.5, 0.5, np.nan, 0, 0, 0, 0, 0],
-                                   [0.5, 0.25, 0, 0, 0, 0, 0, 0],
-                                   [0.5, 0.5, 1e-6, 0, 0, 0, 0, 0]],
-                             ids=["negative", "nan", "short", "over"])
-    def test_measure_rejects_a_bad_distribution(self, p):
-        # Generator.choice's checks: no negative or NaN entry, a sum within
-        # sqrt(eps) of 1
+    @staticmethod
+    def forced(monkeypatch, sign_table):
+        """A q_v backend over the toy space whose sign-qubit probabilities
+        at any threshold are sign_table(space, y), per ordinal."""
         poly, reg, _ = toy_backend()
-        circ = CircuitBackend(from_polynomial(poly, reg, HADAMARD_FULL), q_v=4)
-        circ.distribution = lambda y, L: np.array(p, float)
+        monkeypatch.setattr(gas, "sign_probabilities",
+                            lambda space, q_v, y: np.asarray(sign_table(space, y), float))
+        return Backend(from_polynomial(poly, reg, HADAMARD_FULL), q_v=4)
+
+    @pytest.mark.parametrize("q1", [[1, 1, 0.25, -0.25, 0, 0, 0, 0],
+                                    [1, 1, np.nan, 0, 0, 0, 0, 0],
+                                    [1, 1, 1 + 1e-6, 0, 0, 0, 0, 0],
+                                    [1, 1, np.inf, 0, 0, 0, 0, 0]],
+                             ids=["negative", "nan", "over", "inf"])
+    def test_measure_rejects_a_bad_distribution(self, monkeypatch, q1):
+        # a sign table that is not finite or leaves [0, 1] is no law
+        circ = self.forced(monkeypatch, lambda space, y: q1)
         with pytest.raises(ValueError):
             circ.measure(2.0, 1, 0.5, 0.5)
 
-    def test_measure_inverts_the_cdf(self):
-        # u_state in [cdf[j-1], cdf[j]) measures ordinal j; zero entries are never drawn
-        poly, reg, _ = toy_backend()
-        circ = CircuitBackend(from_polynomial(poly, reg, HADAMARD_FULL), q_v=4)
-        circ.distribution = lambda y, L: np.array([0.25, 0, 0.5, 0, 0, 0, 0.25, 0])
-        for u, ordinal in ((0.0, 0), (0.2499, 0), (0.25, 2), (0.7499, 2), (0.75, 6),
-                           (0.9999, 6)):
-            assert circ.measure(2.0, 1, 0.5, u)[0] == ordinal
+    def test_measure_inverts_the_cdf(self, monkeypatch):
+        # within a class of cumulative weights cum over the sorted order,
+        # u_state measures the j-th state with cum[j-1] <= u_state cum[-1] <
+        # cum[j]; zero-weight states are never drawn
+        q1 = np.array([0.5, 1.0, 0.0, 0.5, 1.0, 0.0, 0.0, 1.0])
+        circ = self.forced(monkeypatch, lambda space, y: q1)
+        position = np.argsort(circ.space.order[0])
+        weights = q1[circ.space.order[0]]
+        grid = np.linspace(0.0, 1.0, 1001)[:-1]
+        for u_class, w in ((0.0, weights), (np.nextafter(1.0, 0.0), 1.0 - weights)):
+            cum = np.cumsum(w)
+            edges = cum[:-1] / cum[-1]
+            for u in np.concatenate([grid, edges, np.nextafter(edges, 0.0)]).tolist():
+                if not 0.0 <= u < 1.0:
+                    continue
+                j = position[circ.measure(2.0, 1, u_class, u)[0]]
+                assert w[j] > 0.0
+                assert (cum[j - 1] if j else 0.0) <= u * cum[-1] < cum[j]
+
+    @pytest.mark.parametrize("w", [[1, 0.5, 1, 0, 0.25, 1, 0, 0], [0, 0.5, 1, 0, 0.25, 0, 0, 1]],
+                             ids=["marked-tail-empty", "unmarked-tail-empty"])
+    def test_u_state_below_one_stays_in_range(self, monkeypatch, w):
+        # the largest uniform measures the last state of its class with
+        # weight, past the zero-weight states that end the sorted order
+        w = np.array(w, float)
+        circ = self.forced(monkeypatch, lambda space, y: w[np.argsort(space.order[0])])
+        order = circ.space.order[0]
+        u = np.nextafter(1.0, 0.0)
+        for u_class, weights in ((0.0, w), (u, 1.0 - w)):
+            ordinal, _ = circ.measure(2.0, 1, u_class, u)
+            assert ordinal == order[np.flatnonzero(weights)[-1]]
+
+    @pytest.mark.parametrize("q_v", [None, 4])
+    def test_all_marked_never_draws_the_unmarked_class(self, monkeypatch, q_v):
+        # p_good = 1 leaves the unmarked class no weight: whatever u_class, up
+        # to its closed end, a draw is uniform over the whole sorted order
+        if q_v is None:
+            poly, reg, backend = toy_backend()
+        else:
+            backend = self.forced(monkeypatch, lambda space, y: np.ones(space.n_states))
+        order = backend.space.order[0]
+        y = float(backend.space.e_sorted[0, -1]) + 1.0
+        for L in range(6):
+            for u_class in (0.0, 0.5, np.nextafter(1.0, 0.0), 1.0):
+                for u_state in (0.0, 0.3, 0.6):
+                    ordinal, _ = backend.measure(y, L, u_class, u_state)
+                    assert ordinal == order[int(u_state * backend.space.n_states)]
+
+    def test_ideal_sign_table_gives_the_ideal_law(self, monkeypatch):
+        # with q1 forced to 1[E < y], the q_v path measures the ideal path's
+        # state from the same uniforms: on the toy's tied values and on a
+        # W-state channel space, below, inside and above the spectrum
+        cfg = SystemConfig(N=2, M=2, tau_max=1, seed=8)
+        inst = generate_instance(cfg)
+        r = received_slots(inst, cfg, [0], *slot_draws(cfg, [0], instance_id=0))
+        circ = self.forced(monkeypatch, lambda space, y: space.e_values[0] < y)
+        rng = np.random.default_rng(31)
+        for space in (circ.space, channel_spaces(inst, r, [0], cfg, W_STATE_REDUCED)):
+            ideal, forced = Backend(space), Backend(space, q_v=8)
+            es = space.e_sorted[0]
+            ys = [es[0] - 1.0, es[0], es[1], 0.5 * (es[2] + es[3]), es[es.size // 2],
+                  es[-1], es[-1] + 1.0]
+            for y in map(float, ys):
+                for L in (0, 1, 3, 7):
+                    for u_class, u_state in rng.random((200, 2)).tolist():
+                        assert (forced.measure(y, L, u_class, u_state)
+                                == ideal.measure(y, L, u_class, u_state))
 
 
 class TestDenseOracle:
@@ -209,7 +276,7 @@ class TestDenseOracle:
             for L in (0, 1, 3, 6):
                 p_dense = dense.run(y, L).key_marginal()
                 assert p_dense[keys].sum() == pytest.approx(1.0, abs=1e-12)
-                assert np.abs(circ.distribution(y, L) - p_dense[keys]).sum() <= 1e-12
+                assert np.abs(distribution(circ, y, L) - p_dense[keys]).sum() <= 1e-12
 
     @pytest.mark.parametrize("modulation", [PSK2, QPSK])
     @pytest.mark.parametrize("prep", [W_STATE_REDUCED, HADAMARD_FULL])
@@ -222,7 +289,7 @@ class TestDenseOracle:
         reg = build_registry(cfg)
         space = channel_spaces(inst, slot.r[None], [0], cfg, prep)
         q_v = register_width(0.0, channel_bound(inst.H, slot.r, prep, reg.taud), 0.0)
-        circ = CircuitBackend(space, q_v)
+        circ = Backend(space, q_v)
         es = np.sort(space.e_values[0])
         # none marked, mid-gap, on a spectrum level, an integer, all marked
         ys = [es[0] - 0.25, 0.5 * (es[3] + es[4]), es[es.size // 2], 2.0, es[-1] + 0.5]
@@ -244,10 +311,10 @@ class TestDenseOracle:
             reg = build_registry(cfg)
             space = channel_spaces(inst, slot.r[None], [0], cfg, prep)
             q_v = register_width(0.0, channel_bound(inst.H, slot.r, prep, reg.taud), 0.0)
-            circ = CircuitBackend(space, q_v)
+            circ = Backend(space, q_v)
             dense = GroverCircuit(poly, reg, prep, q_v)
             for y in (float(np.median(space.e_values)), float(space.e_values.min()) + 0.01):
-                state = circ.prepared_state(y)
+                state = prepared_state(circ.space, circ.q_v, y)
                 assert np.abs(state.reshape(-1) - dense.prepare(y).amps).max() <= 1e-12
 
     @pytest.mark.parametrize("prep", [W_STATE_REDUCED, HADAMARD_FULL])
@@ -256,7 +323,7 @@ class TestDenseOracle:
         cfg = SystemConfig(N=1, M=1, tau_max=1, seed=0)
         reg = build_registry(cfg)
         poly = toy_poly()
-        circ = CircuitBackend(from_polynomial(poly, reg, prep), q_v=4)
+        circ = Backend(from_polynomial(poly, reg, prep), q_v=4)
         self.assert_matches(circ, GroverCircuit(poly, reg, prep, 4),
                             (-1.5, -1.0, 1.0, 2.0, 2.5, 4.0))
 
@@ -295,7 +362,7 @@ class TestRunGas:
         cfg = SystemConfig(N=1, M=1, tau_max=0, seed=0)
         reg = build_registry(cfg)
         poly = HuboPolynomial(n_vars=2, constant=1.0, terms={})  # constant everywhere
-        backend = AmplitudeBackend(from_polynomial(poly, reg, HADAMARD_FULL))
+        backend = Backend(from_polynomial(poly, reg, HADAMARD_FULL))
         rng = np.random.default_rng(12)
         params = GasParams(y0=1.0, budget_iterations=30)
         run = self.engine(backend, params, rng, record=True)
@@ -356,7 +423,7 @@ class TestRunGas:
         slot = received_slot(inst, cfg, 0, bits, instance_id=0)
         reg = build_registry(cfg)
         space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED)
-        backend = AmplitudeBackend(space)
+        backend = Backend(space)
         rng = np.random.default_rng(16)
         run = self.engine(backend, GasParams(budget_iterations=60), rng, record=True)
         for step in measured(run):
@@ -501,7 +568,7 @@ class TestEnginesAgree:
             row = SpaceStack(stack.reg, W_STATE_REDUCED, stack.e_values[t:t + 1],
                              stack.key_indices)
             start = int(x_mmse[t]) if seeded else None
-            runs.append(run_gas(AmplitudeBackend(row), params, np.random.default_rng([7, j]),
+            runs.append(run_gas(Backend(row), params, np.random.default_rng([7, j]),
                                 x0=start, oracle_min=float(minima[t]), record=True))
             rows.append(t)
             x0.append(-1 if start is None else start)
@@ -510,6 +577,45 @@ class TestEnginesAgree:
                               record=True)
         assert_runs_agree(runs, batch)
         assert batch.converged.any()
+
+
+class TestRankInvariance:
+    """The ideal law reads a value only to compare it, so on a tie-free
+    table a run depends on its trial only through Nt, ns0 (the states below
+    y0) and lmin: over the table's ranks, with y0 = ns0 - 0.5 and oracle_min
+    = 0, every run is the same run."""
+
+    def test_rank_table_gives_identical_runs(self):
+        cfg = SystemConfig(N=2, M=4, tau_max=2, T_P=128, T_D=128, snr_db=20.0, seed=2028)
+        ymvd = y_mvd(MvdParams.from_config(cfg, 1e-3))
+        outputs = ("cd_queries", "qd_rotations", "converged", "hit_cd", "hit_qd",
+                   "stop_reason", "final")
+        converged = 0
+        for trial in range(20):
+            inst = generate_instance(cfg, instance_id=trial)
+            r = received_slots(inst, cfg, [0], *slot_draws(cfg, [0], instance_id=trial))
+            space = channel_spaces(inst, r, [0], cfg, W_STATE_REDUCED)
+            es = space.e_sorted[0]
+            assert np.all(es[1:] > es[:-1])
+            ranks = np.empty(space.n_states)
+            ranks[space.order[0]] = np.arange(space.n_states)
+            ranked = SpaceStack(space.reg, space.prep, ranks[None], space.key_indices)
+            ns0 = int(np.count_nonzero(space.e_values < ymvd))
+            lmin_c = select_lmin_conventional(indicator_c(inst.H))
+            arms = [GasParams(y0=ymvd, restart_enabled=True, enforce_one_hot=True),
+                    GasParams(y0=ymvd, lmin=lmin_c, restart_enabled=True, enforce_one_hot=True),
+                    GasParams(enforce_one_hot=True)]
+            for a, params in enumerate(arms):
+                rank_params = (params if params.y0 is None
+                               else dataclasses.replace(params, y0=ns0 - 0.5))
+                run = run_gas(Backend(space), params, np.random.default_rng([trial, a]),
+                              oracle_min=float(es[0]))
+                rank_run = run_gas(Backend(ranked), rank_params,
+                                   np.random.default_rng([trial, a]), oracle_min=0.0)
+                assert ([getattr(rank_run, f) for f in outputs]
+                        == [getattr(run, f) for f in outputs]), (trial, a)
+                converged += run.converged
+        assert converged > 0
 
 
 def ks_statistic(a, b) -> float:
@@ -546,7 +652,7 @@ class TestBatchLaw:
                 for t in slots:
                     row = SpaceStack(reg, W_STATE_REDUCED, stack.e_values[t:t + 1],
                                      stack.key_indices)
-                    run = run_gas(AmplitudeBackend(row), params,
+                    run = run_gas(Backend(row), params,
                                   streams.substream(cfg.seed, trial, t, di),
                                   x0=None if x0 is None else int(x0[t]), oracle_min=minima[t])
                     qd[det][0].append(run.hit_qd if run.converged else math.inf)

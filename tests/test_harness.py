@@ -480,14 +480,14 @@ class TestBer:
         # CD queries never exceed rotations plus zero-rotation iterations
         from gasmld.channel import SystemConfig, generate_instance
         from oracles import random_payload_bits, received_slot
-        from gasmld.gas import AmplitudeBackend, GasParams, run_gas
+        from gasmld.gas import Backend, GasParams, run_gas
         from gasmld.spaces import channel_spaces
         cfg = SystemConfig(N=2, M=2, tau_max=1, T_P=64, T_D=4, snr_db=20.0, seed=6)
         inst = generate_instance(cfg)
         bits = random_payload_bits(cfg, 0, instance_id=0)
         slot = received_slot(inst, cfg, 0, bits, instance_id=0)
         space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED)
-        run = run_gas(AmplitudeBackend(space), GasParams(budget_iterations=60),
+        run = run_gas(Backend(space), GasParams(budget_iterations=60),
                       np.random.default_rng(1), record=True)
         zero_l = sum(1 for step in run.steps if step["L"] == 0)
         assert run.cd_queries <= run.qd_rotations + zero_l + 1  # +1 initial draw

@@ -50,7 +50,7 @@ def sha256(data: bytes) -> str:
     # the circuit law with a fitted q_v across many trials
     ("query-cdf", "query_cdf_lmin.json", ("--trials", "10", "--backend", "circuit"), {
         "rotation-lower-bound_query_cdf.csv":
-            "fc2107b83193b583e63e7dc990d66221556c9a60d72ccfc1594f486f71c2d00b"}),
+            "0788b3566ee2fe3b01b38628ac881a81a2a7c5d1160d3dbbbe891e31c310b919"}),
     ("calibrate", "calibration_fig5.json", (), {
         "indicator-scatter_calibration.csv":
             "7088c70a1e5a8993156c59e23bcf3c0dc2de91f91aac764ad4e87af107682818",
@@ -76,8 +76,8 @@ def test_written_file(tmp_path, capsys, command, config, extra, digests):
 
 
 @pytest.mark.parametrize("backend,stdout_digest,stderr_digest", [
-    ("circuit", "43b27e24e4bea72bd7b84ea60a247c80fb1ee00ed35433b25faf7257053e9b56",
-     "0bacb5fe1df3a41dfaa72a15322e4687ea1c4d63209502137605c80ba81d330e"),
+    ("circuit", "365fa3d0181bbe14505f752eb2d07d86234b9343618d9e0b7e5c205fad024b27",
+     "92ca8e1336b3d34ba014d949fd9217a2e816b659e32562e2ede408a15066aa8e"),
     ("amplitude", "2d3b759ce84699cbb8a5773bc34de3ae9cff7d1c54f37318fe4839f1cb2c9340",
      "fd97adbdf4cbc122df5e3183e3523d3581d1322c79db9853e4be38d65b8a136f"),
 ], ids=["circuit", "amplitude"])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from gasmld.channel import (PSK2, QPSK, SystemConfig, generate_instance, objective_direct,
                             received_slots, slot_draws)
 from gasmld.errors import CapacityError
-from gasmld.gas import AmplitudeBackend, GasParams, run_gas_batch
+from gasmld.gas import Backend, GasParams, run_gas_batch
 from gasmld import spaces
 from gasmld.spaces import (HADAMARD_FULL, W_STATE_REDUCED, SpaceStack, build_registry,
                            channel_counts, channel_spaces)
@@ -123,7 +123,7 @@ def test_count_below_and_sampling():
     space = channel_spaces(inst, slot.r[None], [0], cfg, W_STATE_REDUCED)
     # one rotation measures a marked state with certainty at Ns/Nt = 1/4
     # (sin^2(3 pi/6) = 1) and an unmarked one at Ns/Nt = 3/4 (sin^2(3 pi/3) = 0)
-    backend = AmplitudeBackend(space)
+    backend = Backend(space)
     e, n = np.sort(space.e_values[0]), space.n_states
     y_marked = float(0.5 * (e[n // 4 - 1] + e[n // 4]))
     y_unmarked = float(0.5 * (e[3 * n // 4 - 1] + e[3 * n // 4]))

@@ -5,10 +5,10 @@ import pytest
 
 from gasmld.channel import SystemConfig, generate_instance
 from gasmld.errors import CapacityError
-from gasmld.gas import CircuitBackend, channel_bound, check_value_range, register_width
+from gasmld.gas import Backend, channel_bound, check_value_range, register_width
 from gasmld.spaces import HADAMARD_FULL, W_STATE_REDUCED, build_registry
 from oracles import (GroverCircuit, HuboPolynomial, _apply_encoding, _apply_encoding_dagger,
-                     build_hubo, choose_qv, from_polynomial, poly_values_over_keys,
+                     build_hubo, choose_qv, distribution, from_polynomial, poly_values_over_keys,
                      prepare_initial, random_payload_bits, received_slot, reflect_about_zero,
                      w_block_unitary, w_cascade_angles)
 
@@ -246,15 +246,15 @@ class TestGrover:
 
 
 class TestMeasurement:
-    """Sampling the key register through CircuitBackend.measure/assignment."""
+    """Sampling the key register through Backend.measure/assignment."""
 
     def test_point_mass(self):
         # one marked key of four at L = 1: sin^2(3 arcsin(1/2)) = 1
         cfg = SystemConfig(N=1, M=1, tau_max=0, seed=0)
         reg = build_registry(cfg)  # q_k = 2
         poly = HuboPolynomial(n_vars=2, constant=0.0, terms={(0,): -2.0, (1,): 1.0})
-        backend = CircuitBackend(from_polynomial(poly, reg, HADAMARD_FULL), q_v=3)
-        assert backend.distribution(-1.0, 1)[0b10] == pytest.approx(1.0, abs=1e-12)
+        backend = Backend(from_polynomial(poly, reg, HADAMARD_FULL), q_v=3)
+        assert distribution(backend, -1.0, 1)[0b10] == pytest.approx(1.0, abs=1e-12)
         rng = np.random.default_rng(0)
         key, ex = backend.measure(-1.0, 1, *rng.random(2))
         assert np.array_equal(backend.space.assignment(key), [1, 0])
@@ -264,7 +264,7 @@ class TestMeasurement:
         cfg = SystemConfig(N=1, M=1, tau_max=0, seed=0)
         reg = build_registry(cfg)
         poly = HuboPolynomial(n_vars=reg.q_k, constant=1.0, terms={})
-        backend = CircuitBackend(from_polynomial(poly, reg, HADAMARD_FULL), q_v=2)
+        backend = Backend(from_polynomial(poly, reg, HADAMARD_FULL), q_v=2)
         a = backend.measure(0.0, 0, *np.random.default_rng(42).random(2))
         b = backend.measure(0.0, 0, *np.random.default_rng(42).random(2))
         assert a == b
@@ -273,21 +273,16 @@ class TestMeasurement:
         # W-state support of four keys, two of them marked: p = 1/2 at L = 1
         cfg = SystemConfig(N=1, M=1, tau_max=1, seed=0)
         reg = build_registry(cfg)
-        backend = CircuitBackend(from_polynomial(FIG2_POLY_PAD(3), reg, W_STATE_REDUCED), q_v=3)
-        p = backend.distribution(3.0, 1)
+        backend = Backend(from_polynomial(FIG2_POLY_PAD(3), reg, W_STATE_REDUCED), q_v=3)
+        p = distribution(backend, 3.0, 1)
         assert p[backend.e_values < 3.0].sum() == pytest.approx(0.5, abs=1e-9)
-        # the same law over key indices, where decoded assignments are counted
-        p = np.bincount(backend.space.key_indices.astype(np.intp), weights=p,
-                        minlength=1 << reg.q_k)
         rng = np.random.default_rng(7)
         n = 100_000
-        counts = np.zeros(p.size)
-        for _ in range(n):
-            key, _ = backend.measure(3.0, 1, *rng.random(2))
-            x = backend.space.assignment(key)
-            counts[int("".join(map(str, x)), 2)] += 1
-        freq = counts / n
-        # 3-sigma multinomial bound per cell
+        # the uniforms of n successive rng.random(2) draws
+        ordinals = [backend.measure(3.0, 1, u_class, u_state)[0]
+                    for u_class, u_state in rng.random((n, 2)).tolist()]
+        freq = np.bincount(ordinals, minlength=p.size) / n
+        # 3.5-sigma multinomial bound per cell
         sigma = np.sqrt(p * (1 - p) / n)
         assert np.all(np.abs(freq - p) <= 3.5 * sigma + 1e-12)
 

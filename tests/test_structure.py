@@ -111,3 +111,11 @@ def test_only_streams_derives_keys():
             found.extend(f"{path.stem}.{name}" for name in names
                          if "SeedSequence" in name or "Philox" in name)
     assert found == []
+
+
+def test_one_measurement_law():
+    # one backend class holds the measurement law: exactly one package class
+    # defines measure
+    _, methods, _, _ = _definitions_and_references()
+    assert [(module, cls) for module, cls, name in methods if name == "measure"] == [
+        ("gas", "Backend")]

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from gasmld.channel import SystemConfig
-from gasmld.gas import AmplitudeBackend, CircuitBackend, GasParams, run_gas
+from gasmld.gas import Backend, GasParams, run_gas
 from gasmld.indicators import CalibrationTable
 from gasmld.spaces import HADAMARD_FULL, build_registry
 from oracles import HuboPolynomial, from_polynomial
@@ -36,7 +36,6 @@ RESOLVING = {
     ("gasmld.indicators", "generate_instance"),
     ("gasmld.harness", "run_gas"),
     ("gasmld.harness", "mmse_detect"),
-    ("gasmld.gas", "CircuitBackend.distribution"),
     ("gasmld.harness", "calibrate"),
     ("gasmld.harness", "indicator_c"),
     ("gasmld.harness", "indicator_c_prime"),
@@ -88,7 +87,7 @@ def toy_space(n_vars=3):
 ], ids=["optimum", "budget-iterations", "restart-one-hot"])
 def test_run_gas_returns_plain_values(backend, params, halts):
     space = toy_space()
-    engine = AmplitudeBackend(space) if backend == "amplitude" else CircuitBackend(space, 4)
+    engine = Backend(space, None if backend == "amplitude" else 4)
     run = run_gas(engine, params, np.random.default_rng(3),
                   oracle_min=float(space.e_values.min()) if halts else None, record=True)
     fields = {f.name: getattr(run, f.name) for f in dataclasses.fields(run) if f.name != "steps"}
