@@ -82,16 +82,14 @@ def restart_iterations(L_min: int, Nt: int, Ns: int = 1) -> int:
 
 @dataclass
 class GasParams:
-    """One GAS arm: the settings every run of the arm shares."""
+    """One GAS arm: the settings every run of the arm shares.  One-hot
+    validity is not a setting: every run reads it from its space."""
     lam: float = 8.0 / 7.0
     y0: float | None = None            # initial threshold; None -> the first state's value
     lmin: int = 0
     restart_enabled: bool = False
     budget_iterations: int | None = None
     budget_rotations: int | None = None
-    # detection runs on the full space must emit a decodable (one-hot) delay;
-    # generic HUBO minimization has no such constraint
-    enforce_one_hot: bool = False
 
     def __post_init__(self):
         if not 1.0 < self.lam < 4.0 / 3.0:
@@ -122,11 +120,15 @@ def channel_bound(H_est: np.ndarray, r: np.ndarray, prep: str, taud: int) -> flo
     return float(np.sum((np.abs(np.asarray(r)) + c * row_abs) ** 2))
 
 
-def register_width(lo: float, hi: float, y: float) -> int:
+def register_width(lo: float, hi: float, y0: float | None) -> int:
     """Smallest value-register width whose two's-complement window
-    [-2^(q_v-1), 2^(q_v-1)) holds E - y for objective values in [lo, hi]."""
+    [-2^(q_v-1), 2^(q_v-1)) holds E - y at scale 1 for objective values E in
+    [lo, hi] and every threshold y a run from y0 can reach: y0 and any E.  A
+    larger scale only shrinks E - y, so q_v >= this never fails
+    check_value_range."""
+    y_lo, y_hi = (lo, hi) if y0 is None else (min(lo, y0), max(hi, y0))
     q_v = 1
-    while not (lo - y >= -(1 << (q_v - 1)) and hi - y < (1 << (q_v - 1))):
+    while not (lo - y_hi >= -(1 << (q_v - 1)) and hi - y_lo < (1 << (q_v - 1))):
         q_v += 1
         if q_v > 62:
             raise ValueError("objective bound does not fit any sane register")
@@ -164,16 +166,6 @@ def scale_for(space: spaces.SpaceStack, q_v: int, y: float) -> int:
     """value_scale's factor over a one-row stack's values at threshold y."""
     e = space.e_values[0]
     return value_scale(float(e.min()), float(e.max()), y, q_v)
-
-
-def width_needed(space: spaces.SpaceStack, y0: float | None) -> int:
-    """Smallest q_v whose window holds E - y at scale 1 for every threshold a
-    run over a one-row stack can reach: y0 and any table value.  A larger
-    scale only shrinks E - y, so q_v >= this never fails check_value_range."""
-    e = space.e_values[0]
-    lo, hi = float(e.min()), float(e.max())
-    ys = (lo, hi) if y0 is None else (lo, hi, y0)
-    return register_width(lo - max(ys), hi - min(ys), 0.0)
 
 
 def _value_offsets(space: spaces.SpaceStack, q_v: int, y: float) -> np.ndarray:
@@ -274,8 +266,10 @@ class Backend:
         marked = u_class < success_probability(mass, nt, L) or mass == nt
         if cdfs is None:
             # the sorted order puts the ns marked states first; run_gas_batch's
-            # index arithmetic, so the two engines agree run for run
-            idx = int(u_state * mass) if marked else int(mass + u_state * (nt - mass))
+            # index arithmetic, so the two engines agree run for run; the
+            # unmarked sum can round up to nt when u_state is next to 1
+            idx = (int(u_state * mass) if marked
+                   else min(int(mass + u_state * (nt - mass)), nt - 1))
         else:
             # the first state whose cumulative weight exceeds u_state's share,
             # never a zero-weight one
@@ -302,14 +296,16 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator, x0: int | None
     The incumbent, the best one-hot state and x0 are ordinals of
     backend.space, whose table supplies every value, so a re-measured
     incumbent is never an improvement.  A run given oracle_min halts at the
-    first measurement attaining it and records it as (hit_cd, hit_qd).  The
-    uniform draws are measurements; a seeded x0 is not, so it is never a
-    first hit, even at the optimum.  stop_reason says which of that halt,
-    the iteration budget or the rotation budget ended the run.  The output
-    is the best one-hot state seen, else the incumbent; invalid_final says
-    that output is not one-hot.  Halting changes no output a later iteration
-    could have set: no later value undercuts the optimum, so the best one-hot
-    state and the first hit are final once the optimum is measured.
+    first measurement of a one-hot state attaining it, the first hit, so its
+    cd_queries and qd_rotations count up to that hit.  The uniform draws are
+    measurements; a seeded x0 is not, so it is never a first hit, even at
+    the optimum.  stop_reason says which of that halt, the iteration budget
+    or the rotation budget ended the run, and converged is stop_reason ==
+    STOP_OPTIMUM.  The output is the best one-hot state seen, else the
+    incumbent; invalid_final says that output is not one-hot, which happens
+    only on the full space.  Halting changes no output a later iteration
+    could have set: no later value undercuts the optimum, so the best
+    one-hot state is final once the optimum is measured.
 
     The run draws as a one-run arm of run_gas_batch: one uniform u0 for the
     start, read only by a uniform start as ordinal floor(u0 Nt), then blocks
@@ -324,11 +320,8 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator, x0: int | None
     e_values = space.e_values[0]
     n_t = space.n_states
     budget_iter, budget_rot, restart_window, cap = run_limits(space, params)
-    one_hot = space.one_hot if params.enforce_one_hot else None
+    one_hot = space.one_hot
     target = -math.inf if oracle_min is None else oracle_min
-
-    def is_valid(ordinal) -> bool:
-        return one_hot is None or bool(one_hot[ordinal])
 
     cd = 0
     cum_rot = 0
@@ -337,19 +330,19 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator, x0: int | None
     inc = -1
     best = -1       # best one-hot state seen
     best_E = math.inf
-    hit_cd = hit_qd = -1
+    halted = False
 
     def see(ordinal, ex, measured: bool) -> bool:
         """Every state the run sees: the seed, a uniform draw or a Grover
-        measurement.  Records the first hit and the best one-hot state, and
-        makes a state below the threshold the incumbent."""
-        nonlocal cd, y, inc, best, best_E, hit_cd, hit_qd
+        measurement.  Halts at the first hit, records the best one-hot
+        state, and makes a state below the threshold the incumbent."""
+        nonlocal cd, y, inc, best, best_E, halted
         if measured:
             cd += 1
             # invalid assignments can undercut the one-hot minimum on the full space
-            if ex <= target and is_valid(ordinal):
-                hit_cd, hit_qd = cd, cum_rot
-        if ex < best_E and is_valid(ordinal):
+            if ex <= target and one_hot[ordinal]:
+                halted = True
+        if ex < best_E and one_hot[ordinal]:
             best, best_E = ordinal, ex
         if y is not None and ex >= y:
             return False
@@ -372,7 +365,7 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator, x0: int | None
     i = 0
     steps = [] if record else None
 
-    while hit_cd < 0 and i < budget_iter:
+    while not halted and i < budget_iter:
         if i % STEPS_PER_BLOCK == 0:
             block = rng.random((STEPS_PER_BLOCK, UNIFORMS_PER_STEP)).tolist()
         u_l, u_class, u_state, u_restart = block[i % STEPS_PER_BLOCK]
@@ -391,8 +384,8 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator, x0: int | None
 
         restarted = False
         since_restart += 1
-        if (params.restart_enabled and not updated_since_restart
-                and hit_cd < 0 and since_restart >= restart_window):
+        # a window of 0 is no restart
+        if not (halted or updated_since_restart) and 0 < restart_window <= since_restart:
             y = None
             draw(u_restart)
             lmin = 0
@@ -405,13 +398,11 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator, x0: int | None
                           "accepted": accepted, "cum_rot": cum_rot, "restarted": restarted})
         i += 1
     else:
-        stop = STOP_OPTIMUM if hit_cd >= 0 else STOP_BUDGET_ITERATIONS
+        stop = STOP_OPTIMUM if halted else STOP_BUDGET_ITERATIONS
 
     final = best if best >= 0 else inc
-    return GasBatch(
-        final=final, final_y=y, best_E=min(best_E, math.inf if inc < 0 else y),
-        invalid_final=final >= 0 and not is_valid(final), hit_cd=hit_cd, hit_qd=hit_qd,
-        cd_queries=cd, qd_rotations=cum_rot, stop_reason=stop, steps=steps)
+    return GasBatch(final=final, final_y=y, invalid_final=final >= 0 and not one_hot[final],
+                    cd_queries=cd, qd_rotations=cum_rot, stop_reason=stop, steps=steps)
 
 
 _STOP_NAMES = np.array([STOP_OPTIMUM, STOP_BUDGET_ITERATIONS, STOP_BUDGET_ROTATIONS])
@@ -421,13 +412,12 @@ _STOP_NAMES = np.array([STOP_OPTIMUM, STOP_BUDGET_ITERATIONS, STOP_BUDGET_ROTATI
 class GasBatch:
     """Outputs of GAS runs: arrays over the runs from run_gas_batch, and the
     one run's plain Python values from run_gas, which add up and serialize
-    as numbers.  Ordinals index the runs' stack; -1 is none."""
+    as numbers.  Ordinals index the runs' stack; -1 is none.  A run halts
+    at its first hit, so a converged run's query counts are the first
+    hit's."""
     final: np.ndarray           # output ordinal: best one-hot state seen, else the incumbent
     final_y: np.ndarray
-    best_E: np.ndarray
     invalid_final: np.ndarray
-    hit_cd: np.ndarray          # first hit (cd queries, qd rotations), -1 when never reached
-    hit_qd: np.ndarray
     cd_queries: np.ndarray
     qd_rotations: np.ndarray
     stop_reason: np.ndarray     # STOP_* names
@@ -438,7 +428,9 @@ class GasBatch:
 
     @property
     def converged(self) -> np.ndarray:
-        return self.hit_cd >= 0
+        """Whether the run measured the optimum: a bool from run_gas, a bool
+        array from run_gas_batch."""
+        return self.stop_reason == STOP_OPTIMUM
 
 
 def run_gas_batch(stack: spaces.SpaceStack, rows, arms, x0=None, oracle_min=None,
@@ -450,10 +442,11 @@ def run_gas_batch(stack: spaces.SpaceStack, rows, arms, x0=None, oracle_min=None
     initial draw, then blocks of (n, STEPS_PER_BLOCK, UNIFORMS_PER_STEP), run
     i of the n taking row i.  Run j searches row rows[j] of stack from the
     seed ordinal x0[j] (none where it is -1, or without x0) and halts at its
-    first measurement at or below oracle_min[j], when given.  Its rules are
-    run_gas's: no seed with a y0, strict acceptance against table values, a
-    seed that is never a first hit, run_limits's budgets, restart window and
-    k cap, and the best one-hot state seen as output.
+    first measurement of a one-hot state at or below oracle_min[j], when
+    given.  Its rules are run_gas's: no seed with a y0, strict acceptance
+    against table values, a seed that is never a first hit, run_limits's
+    budgets, restart window and k cap, the best one-hot state seen as
+    output, and converged as stop_reason == STOP_OPTIMUM.
     Per-run masks carry k-growth, restart, both budgets and the halt.
 
     A run's draws depend only on its generator, its place among the n and
@@ -479,11 +472,8 @@ def run_gas_batch(stack: spaces.SpaceStack, rows, arms, x0=None, oracle_min=None
     params = [p for p, _, _ in arms]
     counts = [count for _, _, count in arms]
     lam = np.repeat([p.lam for p in params], counts)
-    restart = np.repeat([p.restart_enabled for p in params], counts)
     budget_iter, budget_rot, window, cap = (
         np.repeat(v, counts) for v in zip(*(run_limits(stack, p) for p in params)))
-    # a state is valid unless its run enforces one-hot and it is not
-    lax = ~np.repeat([p.enforce_one_hot for p in params], counts)
     one_hot = stack.one_hot
     target = np.full(n, -math.inf) if oracle_min is None else np.asarray(oracle_min, float)
 
@@ -500,19 +490,16 @@ def run_gas_batch(stack: spaces.SpaceStack, rows, arms, x0=None, oracle_min=None
     ns = (stack.e_values[rows] < y[:, None]).sum(axis=1)
     best = np.full(n, -1, np.intp)
     best_E = np.full(n, math.inf)
-    hit_cd = np.full(n, -1, np.int64)
-    hit_qd = np.full(n, -1, np.int64)
+    halted = np.zeros(n, bool)
 
     def see(mask, ordinal, ex, measured: bool):
-        """run_gas's see() for the runs in mask: counts a measurement,
-        records the first hit and the best one-hot state, and makes a state
+        """run_gas's see() for the runs in mask: counts a measurement, halts
+        at the first hit, records the best one-hot state, and makes a state
         below the threshold (or any state, without one) the incumbent."""
-        valid = lax | one_hot[ordinal]
+        valid = one_hot[ordinal]
         if measured:
             cd[mask] += 1
-            hit = mask & (ex <= target) & valid & (hit_cd < 0)
-            np.copyto(hit_cd, cd, where=hit)
-            np.copyto(hit_qd, cum_rot, where=hit)
+            halted[mask & (ex <= target) & valid] = True
         better = mask & valid & (ex < best_E)
         np.copyto(best, ordinal, where=better)
         np.copyto(best_E, ex, where=better)
@@ -535,7 +522,7 @@ def run_gas_batch(stack: spaces.SpaceStack, rows, arms, x0=None, oracle_min=None
     updated = np.zeros(n, bool)
     since_restart = np.zeros(n, np.int64)
     stop = np.full(n, 1, np.int8)          # index into _STOP_NAMES
-    active = (hit_cd < 0) & (budget_iter > 0)
+    active = ~halted & (budget_iter > 0)
     steps = [] if record else None
     i = 0
     while active.any():
@@ -552,6 +539,8 @@ def run_gas_batch(stack: spaces.SpaceStack, rows, arms, x0=None, oracle_min=None
         p = np.sin((2 * L + 1) * np.arcsin(np.sqrt(ns / nt))) ** 2
         marked = (u_class < p) | (ns == nt)
         idx = np.where(marked, u_state * ns, ns + u_state * (nt - ns)).astype(np.intp)
+        # the unmarked sum can round up to nt when u_state is next to 1
+        np.minimum(idx, nt - 1, out=idx)
         state = order_flat[base + idx]
         ex = e_flat[base + state]
         cum_rot += np.where(active, L, 0)
@@ -559,7 +548,8 @@ def run_gas_batch(stack: spaces.SpaceStack, rows, arms, x0=None, oracle_min=None
         np.copyto(k, np.where(accepted, 1.0, np.minimum(lam * k, cap)), where=active)
         updated |= accepted
         since_restart += active
-        restarted = active & restart & ~updated & (hit_cd < 0) & (since_restart >= window)
+        # a window of 0 is no restart
+        restarted = active & ~(updated | halted) & (0 < window) & (window <= since_restart)
         if restarted.any():
             y[restarted] = math.nan
             drawn = uniform_ordinals(u_restart)
@@ -572,12 +562,10 @@ def run_gas_batch(stack: spaces.SpaceStack, rows, arms, x0=None, oracle_min=None
                           "x": state, "Ex": ex, "accepted": accepted, "cum_rot": cum_rot.copy(),
                           "restarted": restarted})
         i += 1
-        active &= (hit_cd < 0) & (i < budget_iter)
+        active &= ~halted & (i < budget_iter)
 
-    stop[hit_cd >= 0] = 0
+    stop[halted] = 0
     final = np.where(best >= 0, best, inc)
-    invalid_final = (final >= 0) & ~(lax | one_hot[final])
-    return GasBatch(
-        final=final, final_y=y, best_E=np.minimum(best_E, np.where(inc >= 0, y, math.inf)),
-        invalid_final=invalid_final, hit_cd=hit_cd, hit_qd=hit_qd, cd_queries=cd,
-        qd_rotations=cum_rot, stop_reason=_STOP_NAMES[stop], steps=steps)
+    return GasBatch(final=final, final_y=y, invalid_final=(final >= 0) & ~one_hot[final],
+                    cd_queries=cd, qd_rotations=cum_rot, stop_reason=_STOP_NAMES[stop],
+                    steps=steps)

@@ -22,7 +22,7 @@ from .channel import (PSK2, QPSK, SystemConfig, generate_instance, objective_dir
 from .errors import ConfigError
 from .gas import (BACKEND_AMPLITUDE, BACKEND_CIRCUIT, Backend, GasBatch, GasParams,
                   LMIN_CONVENTIONAL_C, LMIN_PROPOSED_CPRIME, LMIN_ZERO, channel_bound,
-                  prepared_state, register_width, run_gas, run_gas_batch, width_needed)
+                  prepared_state, register_width, run_gas, run_gas_batch)
 from .gates import build_report
 from .indicators import (CalibrationTable, calibrate, config_hash, indicator_c,
                          indicator_c_prime, select_lmin, select_lmin_conventional)
@@ -263,20 +263,22 @@ def _gas_params(spec: ExperimentSpec, arm: dict, ymvd: float, lmin: int) -> GasP
     x0) and restart, and the rotation lower bound lmin (_lmins)."""
     return dataclasses.replace(
         spec.gas, y0=ymvd if arm.get("threshold") == "mvd" else None, lmin=lmin,
-        restart_enabled=arm.get("restart", False), enforce_one_hot=True)
+        restart_enabled=arm.get("restart", False))
 
 
 def _gas_backend(spec: ExperimentSpec, inst, r, space, y0: float | None, where: str):
-    """The configured backend over space; without a configured q_v the
-    circuit's value register is fitted to the channel's objective bound.
-    A configured q_v too narrow for a run from y0 on this space is a config
-    error, raised before the run searches."""
+    """The configured backend over space.  Without a configured q_v the
+    circuit's value register is fitted to a run from y0 over [0, the
+    channel's objective bound]; a configured q_v too narrow for a run from
+    y0 over the table's values is a config error, raised before the run
+    searches."""
     if spec.backend == BACKEND_AMPLITUDE:
         return Backend(space)
     if spec.q_v is None:
         return Backend(space, register_width(
-            0.0, channel_bound(inst.H, r, space.prep, space.reg.taud), 0.0))
-    need = width_needed(space, y0)
+            0.0, channel_bound(inst.H, r, space.prep, space.reg.taud), y0))
+    e = space.e_values[0]
+    need = register_width(float(e.min()), float(e.max()), y0)
     if need > spec.q_v:
         raise ConfigError(f"{where}: gas.q_v = {spec.q_v} cannot hold E - y over this "
                           f"arm's objective values; it needs q_v >= {need}")
@@ -320,7 +322,6 @@ def run_query_cdf(spec: ExperimentSpec):
         for variant, (params, backend) in zip(spec.variants, arms):
             run = run_gas(backend, params, next(rngs), oracle_min=oracle_min)
             if run.converged:
-                cd, qd = run.hit_cd, run.hit_qd
                 # re-verify against the exhaustive oracle, once per space and
                 # output; no mismatch tolerated
                 if (backend.space.prep, run.final) not in checked:
@@ -332,9 +333,7 @@ def run_query_cdf(spec: ExperimentSpec):
                         raise RuntimeError(
                             f"converged run disagrees with exhaustive search: "
                             f"E={check!r} > minimum {oracle_min!r}")
-            else:
-                cd, qd = run.cd_queries, run.qd_rotations
-            rows.append((variant["name"], trial, cd, qd, run.converged))
+            rows.append((variant["name"], trial, run.cd_queries, run.qd_rotations, run.converged))
     rows.sort(key=lambda r: (r[0], r[1]))
     return rows
 
@@ -433,7 +432,7 @@ def _ber_trial(spec: ExperimentSpec, cfgs: list[SystemConfig], detectors: list[s
         batch = run_gas_batch(stack, runs, arms, x0=np.concatenate(x0),
                               oracle_min=stack.e_values.min(axis=1)[runs])
         finals = batch.final.reshape(n_snr, len(gas), n_slots)
-        qd_hit = np.where(batch.converged, batch.hit_qd, math.inf).reshape(finals.shape)
+        qd_hit = np.where(batch.converged, batch.qd_rotations, math.inf).reshape(finals.shape)
         for j, (di, det) in enumerate(gas):
             outputs[di] = finals[:, j].ravel()
             first_hits.extend(((si, det), qd_hit[si, j]) for si in range(n_snr))

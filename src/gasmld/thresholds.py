@@ -1,7 +1,8 @@
 """Initial thresholds for the adaptive search: MVD and MMSE.
 
 The random threshold is the value of a uniform draw from the search space,
-taken inside run_gas.
+a run's uniform start, taken inside both GAS engines (run_gas and
+run_gas_batch).
 
 Under correct detection only noise and estimation error remain in the
 residual, so the objective minimum is gamma distributed with integer shape N.

@@ -66,8 +66,7 @@ from gasmld.channel import (PSK2, QPSK, ChannelInstance, SystemConfig, delay_pha
 from gasmld.errors import CapacityError, ConfigError
 from gasmld.gas import (BACKEND_AMPLITUDE, BACKEND_CIRCUIT, LMIN_CONVENTIONAL_C,
                         LMIN_PROPOSED_CPRIME, LMIN_ZERO, MAX_QUBITS, Backend, GasParams,
-                        check_value_range, l_opt, register_width, sign_probabilities,
-                        value_scale)
+                        check_value_range, l_opt, sign_probabilities, value_scale)
 from gasmld.harness import GAS_DETECTORS, ExperimentSpec
 from gasmld.indicators import _ALPHA_NORM, TIE_EXPONENT, CalibrationTable, indicator_c
 from gasmld.spaces import (HADAMARD_FULL, MAX_ENUMERABLE, W_STATE_REDUCED, SpaceStack, VarRegistry,
@@ -408,10 +407,16 @@ def from_polynomial(poly: HuboPolynomial, reg: VarRegistry, prep: str) -> SpaceS
 
 
 def choose_qv(poly: HuboPolynomial, y: float) -> int:
-    """Value-register width from coefficient-sum bounds on the objective."""
+    """Value-register width from coefficient-sum bounds on the objective:
+    the smallest two's-complement window holding E - y at the one threshold
+    y (gas.register_width also holds every threshold a run reaches)."""
     pos = sum(c for c in poly.terms.values() if c > 0)
     neg = sum(c for c in poly.terms.values() if c < 0)
-    return register_width(poly.constant + neg, poly.constant + pos, y)
+    lo, hi = poly.constant + neg - y, poly.constant + pos - y
+    q_v = 1
+    while not (lo >= -(1 << (q_v - 1)) and hi < (1 << (q_v - 1))):
+        q_v += 1
+    return q_v
 
 
 # --- small helpers -----------------------------------------------------------

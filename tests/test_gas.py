@@ -16,8 +16,8 @@ from gasmld.gas import (STOP_BUDGET_ITERATIONS, STOP_BUDGET_ROTATIONS, STOP_OPTI
 from gasmld.indicators import indicator_c, select_lmin_conventional
 from gasmld.spaces import HADAMARD_FULL, W_STATE_REDUCED, SpaceStack, build_registry, channel_spaces
 from gasmld.thresholds import MvdParams, mmse_detect, y_mvd
-from oracles import (GroverCircuit, HuboPolynomial, argmin_ordinal, build_hubo, distribution,
-                     evaluate, from_polynomial, random_payload_bits, received_slot)
+from oracles import (GroverCircuit, HuboPolynomial, build_hubo, distribution, evaluate,
+                     from_polynomial, random_payload_bits, received_slot)
 
 FIG2_TERMS = {(0,): 1.0, (1, 2): -3.0, (0, 1, 2): 1.0}
 
@@ -32,6 +32,22 @@ def toy_backend(n_vars=3):
     assert reg.q_k == n_vars
     poly = toy_poly(n_vars)
     return poly, reg, Backend(from_polynomial(poly, reg, HADAMARD_FULL))
+
+
+def one_hot_min(space) -> float:
+    """The least value of a one-hot state, the optimum a run halts at; on
+    the toy full space it lies above the table's minimum."""
+    return float(space.e_values[0][space.one_hot].min())
+
+
+class FixedUniforms:
+    """A generator stub whose every uniform is u."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self, shape=None):
+        return self.u if shape is None else np.full(shape, self.u)
 
 
 class TestFormulas:
@@ -57,6 +73,20 @@ class TestFormulas:
         assert restart_iterations(0, 4, 2) == 10
         # P_success = 1 exactly: Ns = Nt at L = 0
         assert restart_iterations(0, 4, 4) == 1
+
+    @pytest.mark.parametrize("lo,hi,y0", [(0.0, 3.2, None), (0.0, 3.2, 0.0), (0.0, 8.0, 2.0),
+                                          (0.0, 7.9, 27.0), (-5.0, 3.0, -9.5), (1.0, 2.0, 1.5)])
+    def test_register_width_holds_every_reachable_threshold(self, lo, hi, y0):
+        # E - y for E in [lo, hi] and y at y0 or any E fits the window at
+        # the returned width and not at one qubit less
+        ys = [lo, hi] if y0 is None else [lo, hi, y0]
+        span = (lo - max(ys), hi - min(ys))
+
+        def fits(q_v):
+            return -(1 << (q_v - 1)) <= span[0] and span[1] < (1 << (q_v - 1))
+
+        q_v = register_width(lo, hi, y0)
+        assert fits(q_v) and (q_v == 1 or not fits(q_v - 1))
 
     def test_lambda_validation(self):
         with pytest.raises(ValueError):
@@ -335,19 +365,19 @@ def measured(run) -> list[dict]:
 
 class TestRunGas:
     engine = staticmethod(run_gas)
-    # about a third of runs measure the optimum before the first restart can
-    # fire; seed 16 restarts first
+    # about two fifths of runs measure the one-hot optimum before the first
+    # restart can fire; seed 16 restarts first
     restart_seed = 16
 
     def test_toy_convergence_rate(self):
         poly, reg, backend = toy_backend()
-        best = float(backend.space.e_sorted[0, 0])
+        best = one_hot_min(backend.space)
         found = 0
         for seed in range(100):
             rng = np.random.default_rng(seed)
             params = GasParams(budget_iterations=200, budget_rotations=2000)
             run = self.engine(backend, params, rng, oracle_min=best)
-            found += bool(run.converged and np.isclose(run.best_E, best))
+            found += bool(run.converged and backend.space.e_values[0, run.final] == best)
         assert found >= 99
 
     def test_threshold_sequence_strictly_decreasing(self):
@@ -382,34 +412,38 @@ class TestRunGas:
 
     def test_restart_fires_and_recovers(self):
         poly, reg, backend = toy_backend()
-        best = float(backend.space.e_sorted[0, 0])
+        best = one_hot_min(backend.space)
         rng = np.random.default_rng(self.restart_seed)
-        # restart window restart_iterations(2, 8) = 3
-        params = GasParams(y0=best - 0.5, lmin=2, restart_enabled=True,
-                           budget_iterations=300, budget_rotations=5000)
+        # restart window restart_iterations(2, 8) = 3; a threshold below
+        # every value accepts nothing until the restart
+        params = GasParams(y0=float(backend.space.e_sorted[0, 0]) - 0.5, lmin=2,
+                           restart_enabled=True, budget_iterations=300, budget_rotations=5000)
         run = self.engine(backend, params, rng, oracle_min=best, record=True)
         assert any(step["restarted"] for step in measured(run))
         assert run.converged
-        assert np.isclose(run.best_E, best)
+        assert backend.space.e_values[0, run.final] == best
 
     def test_final_equals_argmin_at_convergence(self):
+        # the toy's one-hot minimum is tied: the output is one of its states
         poly, reg, backend = toy_backend()
         space = backend.space
-        best_ord = argmin_ordinal(space)
+        best = one_hot_min(space)
+        argmins = np.flatnonzero(space.one_hot & (space.e_values[0] == best))
+        assert argmins.size == 2
         for seed in range(20):
             rng = np.random.default_rng(100 + seed)
             run = self.engine(backend, GasParams(budget_iterations=300, budget_rotations=3000),
-                              rng, oracle_min=float(space.e_sorted[0, 0]))
+                              rng, oracle_min=best)
             if run.converged:
-                assert run.final == best_ord
+                assert run.final in argmins
 
     def test_invalid_incumbent_is_not_the_output(self):
         # on the full space the FIG2 minimum (0,1,1), E = -1, is not one-hot:
         # it becomes the incumbent, and the output is the best one-hot state
         poly, reg, backend = toy_backend()
-        params = GasParams(budget_iterations=40, enforce_one_hot=True)
+        params = GasParams(budget_iterations=40)
         run = self.engine(backend, params, np.random.default_rng(22))
-        assert run.final_y == -1.0 and run.best_E == -1.0
+        assert run.final_y == -1.0
         x = backend.space.assignment(run.final).reshape(-1)
         _, d = reg.split_assignment(x)
         assert d.sum() == 1
@@ -436,25 +470,26 @@ class TestRunGas:
         params = GasParams(y0=float(backend.space.e_sorted[0, 0]) - 1.0,
                            budget_iterations=10)
         run = self.engine(backend, params, rng, oracle_min=-10.0)
-        assert not run.converged and run.hit_qd == -1
+        assert not run.converged and run.stop_reason == STOP_BUDGET_ITERATIONS
         assert run.cd_queries <= 11
 
     @pytest.mark.parametrize("reason", [STOP_OPTIMUM, STOP_BUDGET_ITERATIONS,
                                         STOP_BUDGET_ROTATIONS])
     def test_stop_reason(self, reason):
         poly, reg, backend = toy_backend()
-        best = float(backend.space.e_sorted[0, 0])
+        lowest = float(backend.space.e_sorted[0, 0])
         params = {
             STOP_OPTIMUM: GasParams(budget_iterations=200, budget_rotations=2000),
             # threshold below the minimum: no iteration accepts
-            STOP_BUDGET_ITERATIONS: GasParams(y0=best - 1.0, budget_iterations=10,
+            STOP_BUDGET_ITERATIONS: GasParams(y0=lowest - 1.0, budget_iterations=10,
                                               budget_rotations=10_000),
-            STOP_BUDGET_ROTATIONS: GasParams(y0=best - 1.0, lmin=3, budget_iterations=1000,
+            STOP_BUDGET_ROTATIONS: GasParams(y0=lowest - 1.0, lmin=3, budget_iterations=1000,
                                              budget_rotations=50),
         }[reason]
         # a run given oracle_min halts at the optimum; the budget cases run without it
-        run = self.engine(backend, params, np.random.default_rng(21),
-                          oracle_min=best if reason == STOP_OPTIMUM else None, record=True)
+        best = one_hot_min(backend.space) if reason == STOP_OPTIMUM else None
+        run = self.engine(backend, params, np.random.default_rng(21), oracle_min=best,
+                          record=True)
         assert run.stop_reason == reason
         if reason == STOP_OPTIMUM:
             assert run.converged
@@ -489,6 +524,24 @@ class TestRunGas:
                                      "cum_rot", "restarted"}
         assert backend.space.assignment(run.steps[0]["x"]).shape[-1] == reg.q_k
 
+    def test_unmarked_index_stays_below_nt(self):
+        # at y the largest of Nt tie-free values ns = Nt - 1, and the
+        # unmarked index ns + u (Nt - ns) rounds up to Nt at u = nextafter(1,
+        # 0): the draw is the last state of the sorted order, not past it
+        cfg = SystemConfig(N=2, M=4, tau_max=2, seed=2028)
+        inst = generate_instance(cfg)
+        r = received_slots(inst, cfg, [0], *slot_draws(cfg, [0], instance_id=0))
+        space = channel_spaces(inst, r, [0], cfg, W_STATE_REDUCED)
+        es, nt = space.e_sorted[0], space.n_states
+        assert np.all(es[1:] > es[:-1])
+        u = float(np.nextafter(1.0, 0.0))
+        assert int(nt - 1 + u) == nt
+        # every uniform u: L = 0, the unmarked class, its last state
+        run = self.engine(Backend(space), GasParams(y0=float(es[-1]), budget_iterations=1),
+                          FixedUniforms(u), record=True)
+        (step,) = measured(run)
+        assert step["x"] == space.order[0, -1] and not step["accepted"]
+
     def test_seed_with_threshold_rejected(self):
         # a seeded incumbent carries its own threshold
         poly, reg, backend = toy_backend()
@@ -497,8 +550,8 @@ class TestRunGas:
 
 
 # the outputs the two engines must agree on, run for run
-AGREED = ("final", "final_y", "best_E", "invalid_final", "hit_cd", "hit_qd", "cd_queries",
-          "qd_rotations", "stop_reason")
+AGREED = ("final", "final_y", "invalid_final", "cd_queries", "qd_rotations", "stop_reason",
+          "converged")
 
 
 def assert_runs_agree(runs, batch):
@@ -532,11 +585,11 @@ class TestEnginesAgree:
         # tied values, one-hot enforcement and restarts on the full space, whose
         # minimum is not one-hot; one batch holds every run, each its own arm
         poly, reg, backend = toy_backend()
-        one_hot_min = float(backend.space.e_values[0][backend.space.one_hot].min())
-        arms = [GasParams(enforce_one_hot=True, restart_enabled=restart, lmin=lmin,
-                          budget_iterations=60, budget_rotations=300)
+        best = one_hot_min(backend.space)
+        arms = [GasParams(restart_enabled=restart, lmin=lmin, budget_iterations=60,
+                          budget_rotations=300)
                 for restart in (False, True) for lmin in (0, 2)] * 30
-        targets = [one_hot_min if j % 3 else None for j in range(len(arms))]
+        targets = [best if j % 3 else None for j in range(len(arms))]
         runs = [run_gas(backend, params, np.random.default_rng(j), oracle_min=target,
                         record=True) for j, (params, target) in enumerate(zip(arms, targets))]
         batch = run_gas_batch(backend.space, np.zeros(len(arms), int),
@@ -559,8 +612,7 @@ class TestEnginesAgree:
         ymvd = y_mvd(MvdParams.from_config(cfg, 1e-3))
         x_mmse = mmse_detect(inst, r, slots, cfg, stack)
         minima = stack.e_values.min(axis=1)
-        arms = [(GasParams(y0=ymvd, lmin=lmin, restart_enabled=True, enforce_one_hot=True),
-                 False) for lmin in (0, 30)]
+        arms = [(GasParams(y0=ymvd, lmin=lmin, restart_enabled=True), False) for lmin in (0, 30)]
         arms += [(GasParams(lmin=20, restart_enabled=True), False),
                  (GasParams(lmin=25, restart_enabled=True), True)]
         rows, x0, runs, batch_arms = [], [], [], []
@@ -588,8 +640,7 @@ class TestRankInvariance:
     def test_rank_table_gives_identical_runs(self):
         cfg = SystemConfig(N=2, M=4, tau_max=2, T_P=128, T_D=128, snr_db=20.0, seed=2028)
         ymvd = y_mvd(MvdParams.from_config(cfg, 1e-3))
-        outputs = ("cd_queries", "qd_rotations", "converged", "hit_cd", "hit_qd",
-                   "stop_reason", "final")
+        outputs = ("cd_queries", "qd_rotations", "converged", "stop_reason", "final")
         converged = 0
         for trial in range(20):
             inst = generate_instance(cfg, instance_id=trial)
@@ -602,9 +653,8 @@ class TestRankInvariance:
             ranked = SpaceStack(space.reg, space.prep, ranks[None], space.key_indices)
             ns0 = int(np.count_nonzero(space.e_values < ymvd))
             lmin_c = select_lmin_conventional(indicator_c(inst.H))
-            arms = [GasParams(y0=ymvd, restart_enabled=True, enforce_one_hot=True),
-                    GasParams(y0=ymvd, lmin=lmin_c, restart_enabled=True, enforce_one_hot=True),
-                    GasParams(enforce_one_hot=True)]
+            arms = [GasParams(y0=ymvd, restart_enabled=True),
+                    GasParams(y0=ymvd, lmin=lmin_c, restart_enabled=True), GasParams()]
             for a, params in enumerate(arms):
                 rank_params = (params if params.y0 is None
                                else dataclasses.replace(params, y0=ns0 - 0.5))
@@ -655,12 +705,12 @@ class TestBatchLaw:
                     run = run_gas(Backend(row), params,
                                   streams.substream(cfg.seed, trial, t, di),
                                   x0=None if x0 is None else int(x0[t]), oracle_min=minima[t])
-                    qd[det][0].append(run.hit_qd if run.converged else math.inf)
+                    qd[det][0].append(run.qd_rotations if run.converged else math.inf)
                 batch = run_gas_batch(stack, slots,
                                       [(params, streams.substream(cfg.seed + 1, trial, di),
                                         cfg.T_D)],
                                       x0=x0, oracle_min=minima)
-                qd[det][1].extend(np.where(batch.converged, batch.hit_qd, math.inf))
+                qd[det][1].extend(np.where(batch.converged, batch.qd_rotations, math.inf))
         for det, (scalar, lockstep) in qd.items():
             n = len(scalar)
             assert n == len(lockstep) == 2048

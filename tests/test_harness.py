@@ -413,6 +413,18 @@ class TestFixedValueRegister:
         assert calls == [] and not out.exists()
 
 
+class TestFittedValueRegister:
+    def test_an_mvd_threshold_above_the_channel_bound_fits(self):
+        # at -5 dB y_mvd exceeds the objective bound of some trials, and a
+        # register fitted to the bound alone left E - y outside its window
+        # mid-run; the fitted width now holds y_mvd too
+        spec = load_spec({"cfg": {"N": 2, "M": 2, "tau_max": 2, "snr_db": -5.0, "seed": 3},
+                          "trials": 20, "gas": {"backend": "circuit"},
+                          "variants": [{"name": "mvd", "threshold": "mvd", "restart": True}]})
+        rows = run_query_cdf(spec)
+        assert len(rows) == 20 and any(converged for *_, converged in rows)
+
+
 class TestCircuitConvergence:
     def test_converged_trials_reach_the_exhaustive_minimum(self, monkeypatch):
         # converged exactly when the optimum was measured, on either backend

@@ -2,10 +2,11 @@
 
 Every module-level function and class in src/gasmld is referenced from the
 package outside its own definition, every module-level constant other than
-a dunder is read in the package, and every method of a package class other
-than a dunder is read as an attribute in the package outside its own body;
-test-only helpers live in tests/oracles.py.  Exporting a name does not count
-as a use, and every exported name resolves on the package.
+a dunder is read in the package, every method of a package class other
+than a dunder is read as an attribute in the package outside its own body,
+and every dataclass field is read as an attribute in the package or in
+perfbench/; test-only helpers live in tests/oracles.py.  Exporting a name
+does not count as a use, and every exported name resolves on the package.
 """
 
 import ast
@@ -14,6 +15,7 @@ from pathlib import Path
 import gasmld
 
 SRC = Path(gasmld.__file__).resolve().parent
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _is_dunder(name: str) -> bool:
@@ -79,6 +81,33 @@ def test_every_constant_is_read():
                      and isinstance(node.ctx, ast.Load))
     assert constants
     assert sorted(f"{module}.{name}" for module, name in constants if name not in loads) == []
+
+
+def _is_dataclass(decorator) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return (target.id if isinstance(target, ast.Name) else target.attr) == "dataclass"
+
+
+def test_every_field_is_read():
+    # a field is an annotated name in a package dataclass's body; a read is
+    # an attribute load of that name in the package or in perfbench/, whose
+    # tracer reads what the package returns.  A constructor keyword is not
+    # a read.
+    fields, loads = [], set()
+    for path in [*sorted(SRC.glob("*.py")), *sorted(PERFBENCH.glob("*.py"))]:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        loads.update(node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+        if path.parent != SRC:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+                fields.extend((path.stem, node.name, item.target.id) for item in node.body
+                              if isinstance(item, ast.AnnAssign)
+                              and isinstance(item.target, ast.Name))
+    assert len(fields) > 50
+    assert sorted(f"{module}.{cls}.{name}" for module, cls, name in fields
+                  if name not in loads) == []
 
 
 def test_every_export_resolves():

@@ -83,13 +83,16 @@ def toy_space(n_vars=3):
 @pytest.mark.parametrize("params,halts", [
     (GasParams(budget_iterations=200), True),
     (GasParams(y0=-2.0, budget_iterations=10), False),
-    (GasParams(lmin=2, restart_enabled=True, enforce_one_hot=True, budget_rotations=40), False),
+    (GasParams(lmin=2, restart_enabled=True, budget_rotations=40), False),
 ], ids=["optimum", "budget-iterations", "restart-one-hot"])
 def test_run_gas_returns_plain_values(backend, params, halts):
     space = toy_space()
     engine = Backend(space, None if backend == "amplitude" else 4)
+    # the optimum a run halts at is the least one-hot value
+    one_hot_min = float(space.e_values[0][space.one_hot].min())
     run = run_gas(engine, params, np.random.default_rng(3),
-                  oracle_min=float(space.e_values.min()) if halts else None, record=True)
+                  oracle_min=one_hot_min if halts else None, record=True)
+    assert run.converged == halts
     fields = {f.name: getattr(run, f.name) for f in dataclasses.fields(run) if f.name != "steps"}
     # the fields _observe_gas counts, converged among them
     fields["converged"] = run.converged
