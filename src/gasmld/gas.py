@@ -9,13 +9,15 @@ qubit is ideal, q1 = 1[E < y], and the law is the amplitude law
 sin^2((2L+1) arcsin sqrt(Ns/Nt)), uniform within each class; with q_v, q1 is
 the Fejer sum of the circuit's QFT value encoding.  A backend searches a
 one-row stack and holds only its law, measure(y, L, u_class, u_state) ->
-(ordinal, objective value); run_gas reads everything else from
-backend.space.  run_gas_batch runs many searches over the rows of one stack
-in lockstep on the amplitude law.  Both engines take an arm, a GasParams,
-plus the per-run seed x0 and oracle_min, read the stack's one cached sort,
-take their budgets, restart window and k cap from run_limits, draw one
-protocol of uniforms and return a GasBatch of state ordinals; on the
-amplitude law they agree run for run.  The value-register rules of the
+(ordinal, objective value), and the values a run reads by ordinal (value);
+run_gas reads everything else from backend.space.  An ideal backend can
+hold just the sorted states below a run's first threshold (a prefix).
+run_gas_batch runs many searches over the rows of one stack in lockstep on
+the amplitude law.  Both engines take an arm, a GasParams, plus the per-run
+seed x0 and oracle_min, read the stack's one cached sort, take their
+budgets, restart window and k cap from run_limits, draw one protocol of
+uniforms and return a GasBatch of state ordinals; on the amplitude law they
+agree run for run.  The value-register rules of the
 circuit sit beside Backend.
 """
 
@@ -216,6 +218,11 @@ def prepared_state(space: spaces.SpaceStack, q_v: int, y: float) -> np.ndarray:
     return state
 
 
+class OutsidePrefix(LookupError):
+    """A run on a prefix Backend read a state by its ordinal, a restart draw
+    or a uniform start, whose value only the full table holds."""
+
+
 class Backend:
     """The measurement law of G^L A_y over a one-row stack.
 
@@ -227,19 +234,42 @@ class Backend:
     sin^2((2L+1) theta), then x with weight q1_x, else x with weight
     1 - q1_x.  Without q_v the sign qubit is ideal, q1 = 1[E < y]; with q_v,
     q1 is sign_probabilities's, and no statevector is ever simulated.
+
+    An ideal backend can serve a prefix in place of the table: prefix is
+    (ordinals, values) of the states below the run's first threshold y0,
+    sorted as the table's sort puts them first, and space is a stack of no
+    rows (spaces.channel_keys).  Every later threshold lies at or below y0,
+    so a marked draw indexes the prefix.  An unmarked draw past it is a
+    state of value at least y that the run can neither accept, nor halt on,
+    nor keep as its best; it reads as (-1, inf).  Reading a value by
+    ordinal (value) raises OutsidePrefix.
     """
 
-    def __init__(self, space: spaces.SpaceStack, q_v: int | None = None):
+    def __init__(self, space: spaces.SpaceStack, q_v: int | None = None,
+                 prefix: tuple[np.ndarray, np.ndarray] | None = None):
         self.space = space
         self.q_v = q_v
-        self.e_values = space.e_values[0]
+        self.n_states = space.n_states
+        self.e_values = space.e_values[0] if prefix is None else None
+        if prefix is not None:
+            self._order, self._e_sorted = prefix
         # one-entry memo, law(y): y changes only on acceptance or restart
         self._memo = (None, 0, None)
 
+    # bound at the first measurement: a run that never measures never sorts
     @cached_property
     def _order(self) -> np.ndarray:
-        # bound at the first measurement: a run that never measures never sorts
         return self.space.order[0]
+
+    @cached_property
+    def _e_sorted(self) -> np.ndarray:
+        return self.space.e_sorted[0]
+
+    def value(self, ordinal: int) -> float:
+        """The table value of the state ordinal; a prefix backend holds none."""
+        if self.e_values is None:
+            raise OutsidePrefix(f"state {ordinal} is read by ordinal from a prefix")
+        return self.e_values.item(ordinal)
 
     def law(self, y: float):
         """(y, the marked weight Nt p_good, the cumulative weights q1 and
@@ -247,7 +277,7 @@ class Backend:
         count ns, and it needs no cumulative weights."""
         if self.q_v is None:
             # the ndarray searchsorted skips np.searchsorted's Python-level dispatch
-            return y, int(self.space.e_sorted[0].searchsorted(y, side="left")), None
+            return y, int(self._e_sorted.searchsorted(y, side="left")), None
         q1 = sign_probabilities(self.space, self.q_v, y)
         if not ((q1 >= 0.0) & (q1 <= 1.0)).all():
             raise ValueError("sign-qubit probabilities must be finite and in [0, 1]")
@@ -261,8 +291,7 @@ class Backend:
         if self._memo[0] != y:
             self._memo = self.law(y)
         _, mass, cdfs = self._memo
-        e_values = self.e_values
-        nt = e_values.size
+        nt = self.n_states
         marked = u_class < success_probability(mass, nt, L) or mass == nt
         if cdfs is None:
             # the sorted order puts the ns marked states first; run_gas_batch's
@@ -275,8 +304,10 @@ class Backend:
             # never a zero-weight one
             cdf = cdfs[0] if marked else cdfs[1]
             idx = min(int(cdf.searchsorted(u_state * cdf[-1], side="right")), nt - 1)
-        ordinal = self._order.item(idx)
-        return ordinal, e_values.item(ordinal)
+        if idx >= self._order.size:
+            # past a prefix: a state whose value is at least y
+            return -1, math.inf
+        return self._order.item(idx), self._e_sorted.item(idx)
 
 
 def run_gas(backend, params: GasParams, rng: np.random.Generator, x0: int | None = None,
@@ -295,9 +326,10 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator, x0: int | None
 
     The incumbent, the best one-hot state and x0 are ordinals of
     backend.space, whose table supplies every value, so a re-measured
-    incumbent is never an improvement.  A run given oracle_min halts at the
-    first measurement of a one-hot state attaining it, the first hit, so its
-    cd_queries and qd_rotations count up to that hit.  The uniform draws are
+    incumbent is never an improvement; on a prefix backend a seed, a
+    uniform start or a restart raises OutsidePrefix.  A run given oracle_min
+    halts at the first measurement of a one-hot state attaining it, the
+    first hit, so its cd_queries and qd_rotations count up to that hit.  The uniform draws are
     measurements; a seeded x0 is not, so it is never a first hit, even at
     the optimum.  stop_reason says which of that halt, the iteration budget
     or the rotation budget ended the run, and converged is stop_reason ==
@@ -317,7 +349,6 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator, x0: int | None
     if x0 is not None and params.y0 is not None:
         raise ValueError("a seeded x0 carries its own threshold; give x0 or y0, not both")
     space = backend.space
-    e_values = space.e_values[0]
     n_t = space.n_states
     budget_iter, budget_rot, restart_window, cap = run_limits(space, params)
     one_hot = space.one_hot
@@ -351,11 +382,11 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator, x0: int | None
 
     def draw(u: float):
         ordinal = int(u * n_t)
-        see(ordinal, float(e_values[ordinal]), measured=True)
+        see(ordinal, backend.value(ordinal), measured=True)
 
     u0 = rng.random()
     if x0 is not None:
-        see(x0, float(e_values[x0]), measured=False)
+        see(x0, backend.value(x0), measured=False)
     elif y is None:
         draw(u0)
 

@@ -9,6 +9,7 @@ rows are canonically ordered, so repeated runs write byte-identical CSVs.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -21,12 +22,13 @@ from .channel import (PSK2, QPSK, SystemConfig, generate_instance, objective_dir
                       slot_draws)
 from .errors import ConfigError
 from .gas import (BACKEND_AMPLITUDE, BACKEND_CIRCUIT, Backend, GasBatch, GasParams,
-                  LMIN_CONVENTIONAL_C, LMIN_PROPOSED_CPRIME, LMIN_ZERO, channel_bound,
-                  prepared_state, register_width, run_gas, run_gas_batch)
+                  LMIN_CONVENTIONAL_C, LMIN_PROPOSED_CPRIME, LMIN_ZERO, OutsidePrefix,
+                  channel_bound, prepared_state, register_width, run_gas, run_gas_batch)
 from .gates import build_report
 from .indicators import (CalibrationTable, calibrate, config_hash, indicator_c,
                          indicator_c_prime, select_lmin, select_lmin_conventional)
-from .spaces import HADAMARD_FULL, W_STATE_REDUCED, SpaceStack, channel_spaces
+from .spaces import (BELOW_ROWS, HADAMARD_FULL, W_STATE_REDUCED, SpaceStack, channel_below,
+                     channel_keys, channel_spaces)
 from .thresholds import MvdParams, mmse_detect, y_mvd
 
 CALIBRATION_ID_OFFSET = 1_000_000
@@ -289,6 +291,14 @@ def run_query_cdf(spec: ExperimentSpec):
     """First-hit query complexities of the configured GAS variants.
 
     Row schema: variant, trial, cd_queries, qd_rotations, converged.
+
+    When every variant starts at the MVD threshold on the w-state-reduced
+    space and the backend is amplitude, a trial first runs its arms on its
+    states below y_mvd alone (_runs_below), and builds and sorts no value
+    table.  It falls back to its full tables (_full_runs) when it has no
+    such state, an arm restarts or an arm ends unconverged, so every run is
+    field for field the full table's.  A converged output is re-verified
+    against objective_direct, once per space and output.
     """
     cfg = spec.cfg
     check_command(spec, "query-cdf")
@@ -303,39 +313,87 @@ def run_query_cdf(spec: ExperimentSpec):
     lmins = [_lmins(v.get("lmin", LMIN_ZERO), insts.H, table) for v in spec.variants]
     rngs = streams.substreams(cfg.seed, [(streams.TRIAL, trial, vi) for trial in trials
                                          for vi in range(len(spec.variants))])
+    on_prefix = spec.backend == BACKEND_AMPLITUDE and all(
+        v.get("threshold") == "mvd" and v.get("prep", W_STATE_REDUCED) == W_STATE_REDUCED
+        for v in spec.variants)
+    prefixes = _sorted_below(insts, r_all, cfg, ymvd) if on_prefix else itertools.repeat(None)
+    keys = channel_keys(cfg, W_STATE_REDUCED) if on_prefix else None
     rows = []
-    for trial in trials:
+    for trial, prefix in zip(trials, prefixes):
         inst, r = insts[trial], r_all[trial:trial + 1]
-        spaces = {W_STATE_REDUCED: channel_spaces(inst, r, [0], cfg, W_STATE_REDUCED)}
-        oracle_min = float(spaces[W_STATE_REDUCED].e_values.min())
-        # every arm's backend before any search, so that a value register
-        # too narrow for one arm fails the trial before it starts
-        arms = []
-        for variant, lmin in zip(spec.variants, lmins):
-            prep = variant.get("prep", W_STATE_REDUCED)
-            if prep not in spaces:
-                spaces[prep] = channel_spaces(inst, r, [0], cfg, prep)
-            params = _gas_params(spec, variant, ymvd, lmin[trial])
-            where = f"variant {variant['name']!r}, trial {trial}"
-            arms.append((params, _gas_backend(spec, inst, r[0], spaces[prep], params.y0, where)))
+        params = [_gas_params(spec, variant, ymvd, lmin[trial])
+                  for variant, lmin in zip(spec.variants, lmins)]
+        gens = [next(rngs) for _ in params]
+        found = None if prefix is None else _runs_below(keys, prefix, params, gens)
+        oracle_min, runs = found or _full_runs(spec, inst, r, trial, params, gens)
         checked = set()
-        for variant, (params, backend) in zip(spec.variants, arms):
-            run = run_gas(backend, params, next(rngs), oracle_min=oracle_min)
-            if run.converged:
-                # re-verify against the exhaustive oracle, once per space and
-                # output; no mismatch tolerated
-                if (backend.space.prep, run.final) not in checked:
-                    checked.add((backend.space.prep, run.final))
-                    b, d = backend.space.reg.split_assignment(
-                        backend.space.assignment(run.final))
-                    check = objective_direct(inst, r[0], 0, b, d)
-                    if check > oracle_min + 1e-9 * (1.0 + abs(oracle_min)):
-                        raise RuntimeError(
-                            f"converged run disagrees with exhaustive search: "
-                            f"E={check!r} > minimum {oracle_min!r}")
+        for variant, (space, run) in zip(spec.variants, runs):
+            # re-verify against the exhaustive oracle; no mismatch tolerated
+            if run.converged and (space.prep, run.final) not in checked:
+                checked.add((space.prep, run.final))
+                b, d = space.reg.split_assignment(space.assignment(run.final))
+                check = objective_direct(inst, r[0], 0, b, d)
+                if check > oracle_min + 1e-9 * (1.0 + abs(oracle_min)):
+                    raise RuntimeError(
+                        f"converged run disagrees with exhaustive search: "
+                        f"E={check!r} > minimum {oracle_min!r}")
             rows.append((variant["name"], trial, run.cd_queries, run.qd_rotations, run.converged))
     rows.sort(key=lambda r: (r[0], r[1]))
     return rows
+
+
+def _sorted_below(insts, r: np.ndarray, cfg: SystemConfig, y: float):
+    """Per row of an instance stack, its states below y as (ordinals,
+    values) sorted by (value, ordinal): the head of its table's sort, ties
+    in ordinal order.  One channel_below call per BELOW_ROWS rows, yielded
+    row by row, so at most that many rows' states are held at once."""
+    for k in range(0, len(r), BELOW_ROWS):
+        chunk = slice(k, k + BELOW_ROWS)
+        row, ordinal, value = channel_below(insts[chunk], r[chunk], cfg, y)
+        order = np.lexsort((ordinal, value, row))
+        ends = np.cumsum(np.bincount(row, minlength=len(r[chunk])))[:-1]
+        yield from zip(np.split(ordinal[order], ends), np.split(value[order], ends))
+
+
+def _runs_below(keys: SpaceStack, prefix, params: list[GasParams], gens):
+    """A trial's arms, each from its generator, on its states below y_mvd
+    alone: (the minimum, [(keys, run)]), one prefix Backend over the
+    stack of no rows keys serving every arm.  None, every generator back
+    in its state before the runs, when there is no such state, an arm reads
+    a state by ordinal (a restart) or an arm ends unconverged."""
+    if not prefix[0].size:
+        return None
+    saved = [g.bit_generator.state for g in gens]
+    oracle_min = float(prefix[1][0])
+    backend = Backend(keys, prefix=prefix)
+    try:
+        runs = [run_gas(backend, p, g, oracle_min=oracle_min) for p, g in zip(params, gens)]
+    except OutsidePrefix:
+        runs = []
+    if runs and all(run.converged for run in runs):
+        return oracle_min, [(keys, run) for run in runs]
+    for g, state in zip(gens, saved):
+        g.bit_generator.state = state
+    return None
+
+
+def _full_runs(spec: ExperimentSpec, inst, r: np.ndarray, trial: int,
+               params: list[GasParams], gens):
+    """A trial's arms, each from its generator, on its full tables: (the
+    minimum, [(space, run)]).  Every arm's backend is built before any
+    search, so that a value register too narrow for one arm fails the
+    trial before it starts."""
+    spaces = {W_STATE_REDUCED: channel_spaces(inst, r, [0], spec.cfg, W_STATE_REDUCED)}
+    oracle_min = float(spaces[W_STATE_REDUCED].e_values.min())
+    backends = []
+    for variant, p in zip(spec.variants, params):
+        prep = variant.get("prep", W_STATE_REDUCED)
+        if prep not in spaces:
+            spaces[prep] = channel_spaces(inst, r, [0], spec.cfg, prep)
+        where = f"variant {variant['name']!r}, trial {trial}"
+        backends.append(_gas_backend(spec, inst, r[0], spaces[prep], p.y0, where))
+    return oracle_min, [(backend.space, run_gas(backend, p, g, oracle_min=oracle_min))
+                        for backend, p, g in zip(backends, params, gens)]
 
 
 def run_ber(spec: ExperimentSpec):

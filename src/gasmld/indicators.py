@@ -20,12 +20,11 @@ import numpy as np
 
 from .channel import SystemConfig, generate_instance, received_slots, slot_draws
 from .gas import l_opt
-from .spaces import channel_counts
+from .spaces import BELOW_ROWS, channel_below
 from .thresholds import MvdParams, y_mvd
 
 _ALPHA_NORM = 3.0 * math.sqrt(2.0)  # CN(0,1) magnitude at the 0.995 quantile
 TIE_EXPONENT = 0.2
-_CHUNK = 4  # samples per channel_counts call: small candidate arrays
 
 
 def indicator_c(H: np.ndarray):
@@ -131,8 +130,9 @@ def calibrate(cfg: SystemConfig, n_samples: int, P: float = 1e-3, id_offset: int
     from experiment trials drawn from the same seed.  Returns the C' table
     and the scatter, each indicator's values over the kept samples as an
     array.  The samples' instances and slots are drawn as one stack, row k
-    sample id_offset + k; channel_counts counts _CHUNK rows at a time with
-    the value table's own operations, so exactly, and one
+    sample id_offset + k; each sample's count is an np.bincount over
+    channel_below's states below the threshold, BELOW_ROWS rows a call,
+    whose values are the table's own, so the counts are exact; one
     channel_indicators call takes the kept channels.
     """
     y = y_mvd(MvdParams.from_config(cfg, P))
@@ -141,8 +141,10 @@ def calibrate(cfg: SystemConfig, n_samples: int, P: float = 1e-3, id_offset: int
     insts = generate_instance(cfg, ids)
     r = received_slots(insts, cfg, ts, *slot_draws(cfg, ts, instance_id=ids))
     ns = np.zeros(n_samples, dtype=np.int64)
-    for k in range(0, n_samples, _CHUNK):
-        ns[k:k + _CHUNK] = channel_counts(insts[k:k + _CHUNK], r[k:k + _CHUNK], cfg, y)
+    for k in range(0, n_samples, BELOW_ROWS):
+        chunk = slice(k, k + BELOW_ROWS)
+        rows = channel_below(insts[chunk], r[chunk], cfg, y)[0]
+        ns[chunk] = np.bincount(rows, minlength=len(r[chunk]))
     kept = np.flatnonzero(ns)
     scatter = channel_indicators(insts.H[kept])
     l_vals = [l_opt(int(n), n_states) for n in ns[kept].tolist()]

@@ -8,7 +8,8 @@ axis, instead of looping over assignments.  channel_spaces is the one builder
 and SpaceStack the one space type: the tables of many slots of one instance
 share one enumeration and one read-only key-index table, and a single slot
 is a stack of one row.  Both GAS engines search a stack's rows through its
-one lazily built per-row sort; channel_counts counts without any table.
+one lazily built per-row sort; channel_below finds the states below a
+threshold without any table.
 
 The key layout is the VarRegistry: every user's payload bits b, then every
 user's delay bits d, user-major.  Registry variable i maps to bit weight
@@ -30,6 +31,8 @@ HADAMARD_FULL = "hadamard-full"
 W_STATE_REDUCED = "w-state-reduced"
 
 MAX_ENUMERABLE = 1 << 24
+# instance rows per channel_below call: candidate arrays of bounded size
+BELOW_ROWS = 4
 
 
 @dataclass(frozen=True)
@@ -75,8 +78,8 @@ class SpaceStack:
     preparation and the key index of every ordinal, so an ordinal means the
     same assignment in every row.  The per-row sorted order is built on first
     use: the minimum reads the value table directly, so a stack that is only
-    minimized (the exhaustive detector) is never sorted, and calibration
-    counts without building a stack (channel_counts).
+    minimized (the exhaustive detector) is never sorted, and the states below
+    a threshold are found without building a stack (channel_below).
     """
 
     reg: VarRegistry
@@ -120,11 +123,12 @@ class SpaceStack:
     @cached_property
     def one_hot(self) -> np.ndarray:
         """Per ordinal, True when every delay block of its assignment is
-        one-hot: always under w-state-reduced, decoded from the key index
+        one-hot: always under w-state-reduced, where every stack of Nt
+        states shares one read-only mask, and decoded from the key index
         under hadamard-full."""
-        ok = np.ones(self.n_states, dtype=bool)
         if self.prep == W_STATE_REDUCED:
-            return ok
+            return _all_one_hot(self.n_states)
+        ok = np.ones(self.n_states, dtype=bool)
         reg, q = self.reg, self.reg.q_k
         for m in range(reg.M):
             hot = np.zeros(self.n_states, dtype=np.uint64)
@@ -138,6 +142,13 @@ class SpaceStack:
         registry order (the last axis)."""
         shifts = np.arange(self.reg.q_k - 1, -1, -1, dtype=np.uint64)
         return ((self.key_indices[ordinal][..., None] >> shifts) & np.uint64(1)).astype(np.uint8)
+
+
+@cache
+def _all_one_hot(n_states: int) -> np.ndarray:
+    ok = np.ones(n_states, dtype=bool)
+    ok.flags.writeable = False
+    return ok
 
 
 def _key_weights(reg: VarRegistry) -> np.ndarray:
@@ -243,16 +254,31 @@ def channel_spaces(inst: ChannelInstance, r: np.ndarray, ts, cfg: SystemConfig,
                       e_values=e.transpose(0, 2, 1).reshape(T, key_idx.size))
 
 
-def channel_counts(insts: ChannelInstance, r: np.ndarray, cfg: SystemConfig,
-                   y: float) -> np.ndarray:
-    """Per row of the instance stack insts, how many states of its
-    w-state-reduced space at slot 0 (r[i] received by row i) have a
-    channel_spaces value below y, counted
-    by a meet in the middle: users 0 .. M//2 - 1 sum to A (channel_spaces'
-    prefix adds), the others to B.  A pair (a, b) is a candidate only if each
-    component of r - A[a] - B[b] lies within R = sqrt(y) + margin, antenna
-    0's real part found by a sorted search over B.  Candidates are evaluated
-    with channel_spaces' operations in its order, so the counts are exact.
+def channel_keys(cfg: SystemConfig, prep: str) -> SpaceStack:
+    """The stack of no rows over cfg's space under prep: its registry, key
+    table and one-hot validity without any value table, the space of a
+    search that holds only the values it reads (gas.Backend's prefix)."""
+    reg = build_registry(cfg)
+    key_idx = _key_table(reg, prep)
+    return SpaceStack(reg=reg, prep=prep, key_indices=key_idx,
+                      e_values=np.empty((0, key_idx.size)))
+
+
+def channel_below(insts: ChannelInstance, r: np.ndarray, cfg: SystemConfig,
+                  y: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The states below y of each row of the instance stack insts: their
+    rows, ordinals and values as three flat arrays, unsorted.  Row i's
+    space is its w-state-reduced space at slot 0, r[i] received.
+
+    A meet in the middle, the sphere-decoding question of Fincke and Pohst
+    (1985) over the whole space: users 0 .. M//2 - 1 sum to A
+    (channel_spaces' prefix adds), the others to B, and state (a, b) is
+    ordinal a n_B + b.  A pair is a candidate only if each component of
+    r - A[a] - B[b] lies within R = sqrt(y) + margin, antenna 0's real part
+    found by a sorted search over B.  Candidates are evaluated with
+    channel_spaces' operations in its order, so each value is the table's,
+    bit for bit.  The candidate arrays grow with the rows and with y, so
+    callers pass at most BELOW_ROWS rows a call.
 
     Rounding: with u = 2^-53 and S = max over antennas of |r_n| plus the sum
     over users of max |table|, either grouping's component lies within about
@@ -287,7 +313,8 @@ def channel_counts(insts: ChannelInstance, r: np.ndarray, cfg: SystemConfig,
         for m in range(h, M):
             total = total + tables[m][n, row, b // C ** (M - 1 - m) % C]
         e = e + np.abs(r[row, n] - total) ** 2
-    return np.bincount(row[e < y], minlength=K)
+    below = e < y
+    return row[below], a[below] * n_b + b[below], e[below]
 
 
 def channel_ordinals(stack: SpaceStack, b_bits: np.ndarray,

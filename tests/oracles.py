@@ -29,7 +29,7 @@
   took a whole channel stack at once.
 - The reference calibration: indicators.calibrate sample by sample, each
   sample's marked states counted over its whole value table, as before
-  spaces.channel_counts counted them without it.
+  spaces.channel_counts, and now spaces.channel_below, found them without it.
 - The reference config loader: harness.load_spec as it was before one
   schema literal and one checker replaced its key tables and per-section
   checks.  It accepts and rejects what load_spec does, except that it lets

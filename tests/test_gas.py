@@ -10,11 +10,12 @@ from gasmld.channel import (PSK2, QPSK, SystemConfig, generate_instance, receive
                             slot_draws)
 from gasmld import gas, harness, streams
 from gasmld.gas import (STOP_BUDGET_ITERATIONS, STOP_BUDGET_ROTATIONS, STOP_OPTIMUM,
-                        Backend, GasParams, l_opt, channel_bound, prepared_state,
+                        Backend, GasParams, OutsidePrefix, l_opt, channel_bound, prepared_state,
                         register_width, restart_iterations, run_gas, run_gas_batch, scale_for,
                         success_probability)
 from gasmld.indicators import indicator_c, select_lmin_conventional
-from gasmld.spaces import HADAMARD_FULL, W_STATE_REDUCED, SpaceStack, build_registry, channel_spaces
+from gasmld.spaces import (HADAMARD_FULL, W_STATE_REDUCED, SpaceStack, build_registry,
+                           channel_keys, channel_spaces)
 from gasmld.thresholds import MvdParams, mmse_detect, y_mvd
 from oracles import (GroverCircuit, HuboPolynomial, build_hubo, distribution, evaluate,
                      from_polynomial, random_payload_bits, received_slot)
@@ -131,6 +132,60 @@ class TestAmplitudeBackend:
                 hits += ex < y
             p = success_probability(ns, 8, L)
             assert hits / n == pytest.approx(p, abs=4 * math.sqrt(p * (1 - p) / n) + 1e-3)
+
+
+class TestPrefixBackend:
+    """A Backend over the states below y0 alone measures what the full
+    table's Backend measures, and reads no value by ordinal."""
+
+    cfg = SystemConfig(N=2, M=4, tau_max=2, T_P=128, T_D=128, snr_db=20.0, seed=2028)
+
+    def backends(self, trial):
+        """The full table's Backend of a trial, its Backend over the states
+        below y_mvd and y_mvd."""
+        cfg = self.cfg
+        inst = generate_instance(cfg, instance_id=trial)
+        r = received_slots(inst, cfg, [0], *slot_draws(cfg, [0], instance_id=trial))
+        space = channel_spaces(inst, r, [0], cfg, W_STATE_REDUCED)
+        ymvd = y_mvd(MvdParams.from_config(cfg, 1e-3))
+        ns0 = int(np.count_nonzero(space.e_values < ymvd))
+        prefix = (space.order[0, :ns0], space.e_sorted[0, :ns0])
+        return Backend(space), Backend(channel_keys(cfg, W_STATE_REDUCED), prefix=prefix), ymvd
+
+    def test_measure_matches_the_full_table(self):
+        # at every threshold a run from y_mvd can reach, a draw inside the
+        # prefix is the full table's state and value, bit for bit, and a
+        # draw past it is (-1, inf) where the full table's value is >= y_mvd
+        rng = np.random.default_rng(40)
+        past = 0
+        for trial in range(4):
+            full, prefix, ymvd = self.backends(trial)
+            es = full.space.e_sorted[0]
+            ns0 = int(np.count_nonzero(es < ymvd))
+            assert ns0 > 1
+            for y in (ymvd, float(es[ns0 - 1]), float(es[1])):
+                for L in (0, 2, 7):
+                    for u_class, u_state in rng.random((100, 2)).tolist():
+                        ordinal, value = full.measure(y, L, u_class, u_state)
+                        got = prefix.measure(y, L, u_class, u_state)
+                        assert got == ((ordinal, value) if value < ymvd else (-1, math.inf))
+                        past += value >= ymvd
+        assert past > 0
+
+    def test_a_read_by_ordinal_raises(self):
+        # a uniform start, a seed and a restart draw each need a value only
+        # the full table holds
+        _, backend, ymvd = self.backends(0)
+        with pytest.raises(OutsidePrefix):
+            run_gas(backend, GasParams(), np.random.default_rng(41))
+        with pytest.raises(OutsidePrefix):
+            run_gas(backend, GasParams(), np.random.default_rng(42), x0=0)
+        # every uniform next to 1: no draw is marked or accepted, so the
+        # run restarts after lmin 12's window of 14 steps
+        params = GasParams(y0=ymvd, lmin=12, restart_enabled=True, budget_rotations=10 ** 6)
+        assert gas.run_limits(backend.space, params)[2] == 14
+        with pytest.raises(OutsidePrefix):
+            run_gas(backend, params, FixedUniforms(float(np.nextafter(1.0, 0.0))))
 
 
 class TestCircuitBackend:

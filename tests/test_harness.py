@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gasmld import cli, harness
+from gasmld import cli, harness, streams
 from gasmld.channel import SystemConfig, generate_instance, objective_direct
 from gasmld.errors import ConfigError
-from gasmld.gas import run_gas, run_gas_batch
+from gasmld.gas import OutsidePrefix, run_gas, run_gas_batch
 from gasmld.harness import (ExperimentSpec, fmt, load_spec, run_ber, run_calibration,
                             run_gate_count, run_query_cdf, solve_single, write_csv)
 from gasmld.spaces import HADAMARD_FULL, W_STATE_REDUCED, build_registry, channel_spaces
@@ -379,16 +379,162 @@ class TestQueryCdf:
         assert any(len(trial_outputs) < sum(run.converged for _, run in trial)
                    for trial_outputs, trial in zip(outputs, per_trial))
 
-    @pytest.mark.parametrize("backend", ["amplitude", "circuit"])
-    def test_a_disagreeing_check_stops_the_run(self, monkeypatch, backend):
+    @pytest.mark.parametrize("backend,threshold", [
+        ("amplitude", "random"), ("circuit", "random"), ("amplitude", "mvd")],
+        ids=["amplitude", "circuit", "amplitude-mvd"])
+    def test_a_disagreeing_check_stops_the_run(self, monkeypatch, backend, threshold):
         # a converged output that re-evaluates above the oracle minimum is an
-        # error, not a row
+        # error, not a row; an mvd arm's output is checked on its prefix,
+        # with no value table built
         spec = small_cdf_spec(trials=8, seed=31)
         spec.backend, spec.q_v = backend, 8
+        if threshold == "mvd":
+            spec.variants = [{"name": "w-mvd", "threshold": "mvd", "restart": True}]
+            monkeypatch.setattr(harness, "channel_spaces", no_table)
         monkeypatch.setattr(harness, "objective_direct",
                             lambda *args: objective_direct(*args) + 1.0)
         with pytest.raises(RuntimeError, match="converged run disagrees with exhaustive search"):
             run_query_cdf(spec)
+
+
+def no_table(*args):
+    raise AssertionError("built a value table")
+
+
+def lmin_spec(trials, variants=("zero", "conventional-c", "proposed-cprime"), tau_max=2, **gas):
+    """query-cdf's lmin arms at (N, M) = (2, 4), each from the MVD threshold
+    with restart: the prefix path's shape."""
+    return load_spec({
+        "cfg": {"N": 2, "M": 4, "tau_max": tau_max, "T_P": 128, "T_D": 128, "snr_db": 20.0,
+                "seed": 2028},
+        "trials": trials, "gas": gas, "calibration": {"samples": 200},
+        "variants": [{"name": lmin, "threshold": "mvd", "lmin": lmin, "restart": True}
+                     for lmin in variants]})
+
+
+def record(monkeypatch, name):
+    """Every result of harness.<name>, in call order."""
+    results, fn = [], getattr(harness, name)
+
+    def recording(*args):
+        results.append(fn(*args))
+        return results[-1]
+
+    monkeypatch.setattr(harness, name, recording)
+    return results
+
+
+def on_full_tables(monkeypatch, spec):
+    """run_query_cdf's rows with every trial on its full tables, and each
+    trial's (minimum, [(space, run)])."""
+    monkeypatch.setattr(harness, "_runs_below", lambda *args: None)
+    full = record(monkeypatch, "_full_runs")
+    return run_query_cdf(spec), full
+
+
+class NoMarkedDraw:
+    """A generator whose u_class draws are next to 1, so that no draw is
+    marked, and whose other draws and state are the wrapped generator's."""
+
+    def __init__(self, rng):
+        self.rng, self.bit_generator = rng, rng.bit_generator
+
+    def random(self, shape=None):
+        u = self.rng.random(shape)
+        if shape is not None:
+            u[:, 1] = np.nextafter(1.0, 0.0)
+        return u
+
+
+class TestPrefixPath:
+    """An all-MVD w-state query-cdf on the amplitude backend runs each trial
+    on its states below y_mvd, and falls back to the full tables, its
+    generators restored, where that cannot give the full table's runs."""
+
+    @pytest.mark.parametrize("tau_max", [2, 5])
+    def test_prefix_runs_equal_the_full_table(self, monkeypatch, tau_max):
+        # each kept prefix run is, field for field, the run the trial's full
+        # table gives on the same generator, and so are the rows
+        spec = lmin_spec(100, tau_max=tau_max)
+        kept = record(monkeypatch, "_runs_below")
+        rows = run_query_cdf(spec)
+        assert len(kept) == 100 and sum(found is not None for found in kept) >= 90
+        full_rows, full = on_full_tables(monkeypatch, spec)
+        assert full_rows == rows
+        for found, (oracle_min, runs) in zip(kept, full):
+            if found is not None:
+                assert found[0] == oracle_min
+                assert [run for _, run in found[1]] == [run for _, run in runs]
+
+    def test_a_trial_on_its_prefix_builds_no_table(self, monkeypatch):
+        spec = lmin_spec(12)
+        rows = run_query_cdf(spec)
+        monkeypatch.setattr(harness, "channel_spaces", no_table)
+        assert run_query_cdf(spec) == rows
+
+    def test_a_restart_falls_back(self, monkeypatch):
+        # with no marked draw, lmin-c's runs never accept and restart after
+        # their window; the restart draw reads a state by ordinal
+        spec = lmin_spec(6, variants=["conventional-c"], budget_rotations=10 ** 6)
+        substreams = streams.substreams
+
+        def trials_without_marked_draws(seed, paths):
+            paths = list(paths)
+            return (NoMarkedDraw(rng) if path[0] == streams.TRIAL else rng
+                    for path, rng in zip(paths, substreams(seed, paths)))
+
+        monkeypatch.setattr(streams, "substreams", trials_without_marked_draws)
+        raised = []
+
+        def recording(*args, **kwargs):
+            try:
+                return run_gas(*args, **kwargs)
+            except OutsidePrefix as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(harness, "run_gas", recording)
+        kept = record(monkeypatch, "_runs_below")
+        rows = run_query_cdf(spec)
+        assert kept == [None] * 6 and len(raised) == 6
+        assert on_full_tables(monkeypatch, spec)[0] == rows
+
+    def test_no_state_below_y_mvd_falls_back(self, monkeypatch):
+        # at P = 0.9 y_mvd lies below the minimum of most trials
+        spec = lmin_spec(12, variants=["zero", "conventional-c"], mvd_p=0.9)
+        ymvd = y_mvd(MvdParams.from_config(spec.cfg, spec.mvd_p))
+        kept = record(monkeypatch, "_runs_below")
+        rows = run_query_cdf(spec)
+        full_rows, full = on_full_tables(monkeypatch, spec)
+        assert full_rows == rows
+        empty = [oracle_min >= ymvd for oracle_min, _ in full]
+        assert 0 < sum(empty) < len(empty)
+        assert all(found is None for found, none in zip(kept, empty) if none)
+
+    def test_an_unconverged_run_falls_back(self, monkeypatch):
+        # 20 rotations end some runs unconverged, and no restart window fits
+        spec = lmin_spec(12, variants=["zero", "conventional-c"], budget_rotations=20)
+        kept = record(monkeypatch, "_runs_below")
+        rows = run_query_cdf(spec)
+        full_rows, full = on_full_tables(monkeypatch, spec)
+        assert full_rows == rows
+        converged = [all(run.converged for _, run in runs) for _, runs in full]
+        assert 0 < sum(converged) < len(converged)
+        assert [found is not None for found in kept] == converged
+
+    @pytest.mark.parametrize("change", ["random", "hadamard-full", "circuit"])
+    def test_a_mixed_config_stays_on_full_tables(self, monkeypatch, change):
+        # a random arm, a hadamard-full arm or the circuit backend keeps
+        # every trial on its full tables: no search below y_mvd
+        spec = lmin_spec(4, variants=["zero", "conventional-c"])
+        if change == "circuit":
+            spec.backend = "circuit"
+        else:
+            spec.variants[1] = {**spec.variants[1], **(
+                {"threshold": "random"} if change == "random" else {"prep": change})}
+        monkeypatch.setattr(harness, "channel_below", no_table)
+        full = record(monkeypatch, "_full_runs")
+        assert len(run_query_cdf(spec)) == 8 and len(full) == 4
 
 
 class TestFixedValueRegister:

@@ -12,7 +12,7 @@ from gasmld.errors import CapacityError
 from gasmld.gas import Backend, GasParams, run_gas_batch
 from gasmld import spaces
 from gasmld.spaces import (HADAMARD_FULL, W_STATE_REDUCED, SpaceStack, build_registry,
-                           channel_counts, channel_spaces)
+                           channel_below, channel_spaces)
 from gasmld.thresholds import MvdParams, y_mvd
 from oracles import (argmin_ordinal, build_hubo, evaluate, from_polynomial, poly_values_over_keys,
                      random_payload_bits, received_slot, reference_channel_values)
@@ -349,22 +349,50 @@ def probes(cfg, e):
             *(float(np.nextafter(v, np.inf)) for v in picks[0]), float(np.median(e))]
 
 
+def counts_below(insts, r, cfg, y):
+    """Per row, the number of states channel_below finds below y."""
+    return np.bincount(channel_below(insts, r, cfg, y)[0], minlength=len(r))
+
+
+def table_stack(cfg, e):
+    """The w-state stack of the value tables e, one row per instance."""
+    reg = build_registry(cfg)
+    return SpaceStack(reg=reg, prep=W_STATE_REDUCED, e_values=e,
+                      key_indices=spaces._key_table(reg, W_STATE_REDUCED))
+
+
+def checked_counts(cfg, insts, r, stack, y):
+    """Per row, the number of states channel_below finds below y, once
+    those states, sorted by (value, ordinal), are asserted to be the head of
+    the sort of that row's table in stack, bit for bit."""
+    row, ordinal, value = channel_below(insts, r, cfg, y)
+    counts = np.bincount(row, minlength=len(r))
+    order = np.lexsort((ordinal, value, row))
+    heads = [(stack.order[k, :n], stack.e_sorted[k, :n]) for k, n in enumerate(counts)]
+    assert np.array_equal(ordinal[order], np.concatenate([o for o, _ in heads])), (cfg, y)
+    assert value[order].tobytes() == np.concatenate([v for _, v in heads]).tobytes(), (cfg, y)
+    return counts
+
+
 def assert_counts_equal(cfg, insts, r, e, ys):
     reg = build_registry(cfg)
     ref = np.concatenate([reference_channel_values(insts[k], r[k][None], [0], cfg,
                                                    W_STATE_REDUCED, reg)[0]
                           for k in range(len(r))])
     assert ref.tobytes() == e.tobytes()
+    stack = table_stack(cfg, e)
     for y in ys:
-        got = channel_counts(insts, r, cfg, y)
+        got = checked_counts(cfg, insts, r, stack, y)
         assert got.tolist() == (e < y).sum(axis=1).tolist(), (cfg, y)
         assert got.tolist() == (ref < y).sum(axis=1).tolist(), (cfg, y)
 
 
 class TestChannelCounts:
-    """channel_counts counts the states below a threshold without the value
-    table, and equals the count over channel_spaces' table and over the
-    reference kernel's, exactly: at table values, zero and the extremes."""
+    """channel_below finds the states below a threshold without the value
+    table: its count per row equals the count over channel_spaces' table and
+    over the reference kernel's, exactly, and its states sorted by (value,
+    ordinal) are the head of the table's sort, bit for bit: at table values,
+    zero and the extremes."""
 
     @pytest.mark.parametrize("tau_max", [0, 1, 2, 5])
     @pytest.mark.parametrize("modulation", [PSK2, QPSK])
@@ -393,7 +421,7 @@ class TestChannelCounts:
         cfg = SystemConfig(N=2, M=4, tau_max=1, seed=6)
         insts, r, e = count_chunk(cfg, range(10, 15))
         y = float(e.min(axis=1).max())   # the row of the largest minimum marks nothing
-        got = channel_counts(insts, r, cfg, y)
+        got = counts_below(insts, r, cfg, y)
         assert got.min() == 0 and got.max() > 0
         assert got.tolist() == (e < y).sum(axis=1).tolist()
 
@@ -413,10 +441,11 @@ class TestChannelCounts:
             stacks = [channel_spaces(insts[k], r[k][None], [0], cfg, W_STATE_REDUCED)
                       for k in range(4)]
             e = np.concatenate([stack.e_values for stack in stacks])
+            tables = table_stack(cfg, e)
             for k, stack in enumerate(stacks):
                 x = spaces.channel_ordinals(stack, bits[k][None], delays[k][None])[0]
                 y = float(np.nextafter(e[k, x], np.inf))
-                got = channel_counts(insts, r, cfg, y)
+                got = checked_counts(cfg, insts, r, tables, y)
                 assert got.tolist() == (e < y).sum(axis=1).tolist()
 
     def test_capacity_guard_before_any_work(self, monkeypatch):
@@ -430,7 +459,7 @@ class TestChannelCounts:
         monkeypatch.setattr(spaces, "delay_phases", no_work)
         monkeypatch.setattr(spaces, "map_symbols", no_work)
         with pytest.raises(CapacityError):
-            channel_counts(insts, r, cfg, 1.0)
+            counts_below(insts, r, cfg, 1.0)
 
     @settings(max_examples=60, deadline=None, database=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -446,8 +475,10 @@ class TestChannelCounts:
         exact = float(values[int(q * (values.size - 1))])
         ys = [exact, float(np.nextafter(exact, np.inf)), float(np.quantile(values, q)),
               y_mvd(MvdParams.from_config(cfg, 1e-3))]
+        stack = table_stack(cfg, e)
         for y in ys:
-            assert channel_counts(insts, r, cfg, y).tolist() == (e < y).sum(axis=1).tolist()
+            got = checked_counts(cfg, insts, r, stack, y)
+            assert got.tolist() == (e < y).sum(axis=1).tolist()
 
 
 class TestOrdinals:
