@@ -56,13 +56,12 @@ UNIFORMS_PER_STEP = 4
 STEPS_PER_BLOCK = 32
 
 
-def success_probability(Ns: float, Nt: int, L: int) -> float:
-    """Marked-class probability after L rotations at marked weight Ns of Nt."""
+def marked_angle(Ns: float, Nt: int) -> float:
+    """theta = arcsin sqrt(Ns / Nt) at marked weight Ns of Nt: after L
+    rotations the marked class has probability sin^2((2L+1) theta)."""
     if not 0 <= Ns <= Nt:
         raise ValueError("need 0 <= Ns <= Nt")
-    if Ns == 0:
-        return 0.0
-    return math.sin((2 * L + 1) * math.asin(math.sqrt(Ns / Nt))) ** 2
+    return math.asin(math.sqrt(Ns / Nt))
 
 
 def l_opt(Ns: int, Nt: int) -> int:
@@ -76,7 +75,7 @@ def restart_iterations(L_min: int, Nt: int, Ns: int = 1) -> int:
     smallest I with (1 - P_success)^I <= 1e-3 at the worst-case rotation L_min."""
     if Ns < 1:
         raise ValueError("Ns must be >= 1")
-    c = abs(math.cos((2 * L_min + 1) * math.asin(math.sqrt(Ns / Nt))))
+    c = abs(math.cos((2 * L_min + 1) * marked_angle(Ns, Nt)))
     if c == 0.0:
         return 1
     return max(1, math.ceil(-3.0 / (2.0 * math.log10(c))))
@@ -254,7 +253,7 @@ class Backend:
         if prefix is not None:
             self._order, self._e_sorted = prefix
         # one-entry memo, law(y): y changes only on acceptance or restart
-        self._memo = (None, 0, None)
+        self._memo = (None, 0, 0.0, None)
 
     # bound at the first measurement: a run that never measures never sorts
     @cached_property
@@ -272,27 +271,29 @@ class Backend:
         return self.e_values.item(ordinal)
 
     def law(self, y: float):
-        """(y, the marked weight Nt p_good, the cumulative weights q1 and
-        1 - q1 over the sorted order); the ideal law's weight is the marked
-        count ns, and it needs no cumulative weights."""
+        """(y, the marked weight Nt p_good, its marked_angle, the cumulative
+        weights q1 and 1 - q1 over the sorted order); the ideal law's weight
+        is the marked count ns, and it needs no cumulative weights."""
         if self.q_v is None:
             # the ndarray searchsorted skips np.searchsorted's Python-level dispatch
-            return y, int(self._e_sorted.searchsorted(y, side="left")), None
+            ns = int(self._e_sorted.searchsorted(y, side="left"))
+            return y, ns, marked_angle(ns, self.n_states), None
         q1 = sign_probabilities(self.space, self.q_v, y)
         if not ((q1 >= 0.0) & (q1 <= 1.0)).all():
             raise ValueError("sign-qubit probabilities must be finite and in [0, 1]")
         q1 = q1[self._order]
         good = q1.cumsum()
-        return y, float(good[-1]), (good, (1.0 - q1).cumsum())
+        mass = float(good[-1])
+        return y, mass, marked_angle(mass, self.n_states), (good, (1.0 - q1).cumsum())
 
     def measure(self, y: float, L: int, u_class: float, u_state: float):
         """(ordinal, objective value): u_class picks the class, u_state
         inverts its cumulative weight."""
         if self._memo[0] != y:
             self._memo = self.law(y)
-        _, mass, cdfs = self._memo
+        _, mass, theta, cdfs = self._memo
         nt = self.n_states
-        marked = u_class < success_probability(mass, nt, L) or mass == nt
+        marked = u_class < math.sin((2 * L + 1) * theta) ** 2 or mass == nt
         if cdfs is None:
             # the sorted order puts the ns marked states first; run_gas_batch's
             # index arithmetic, so the two engines agree run for run; the
@@ -478,7 +479,18 @@ def run_gas_batch(stack: spaces.SpaceStack, rows, arms, x0=None, oracle_min=None
     against table values, a seed that is never a first hit, run_limits's
     budgets, restart window and k cap, the best one-hot state seen as
     output, and converged as stop_reason == STOP_OPTIMUM.
-    Per-run masks carry k-growth, restart, both budgets and the halt.
+
+    The amplitude law reads a value only to compare it (the rank argument
+    of Durr and Hoyer, quant-ph/9607014), so a run holds each state it sees
+    as its position p in its row's sorted order.  Per row, below[p] counts
+    the states strictly below position p, the start of its tie group.  A
+    run's threshold is its marked count ns, Nt with none: p lies below it
+    exactly when p < ns, and accepting p sets ns = below[p].  p improves on
+    the best state b exactly when p < below[b], and it is a first hit
+    exactly when p < hit, hit the count of the row's values at or below
+    oracle_min.  Ordinals and values are read only for a seed, a uniform
+    start or a restart draw (through the inverse permutation), in
+    record=True steps and for the returned GasBatch.
 
     A run's draws depend only on its generator, its place among the n and
     its step count, never on which other runs are still searching, so
@@ -488,16 +500,23 @@ def run_gas_batch(stack: spaces.SpaceStack, rows, arms, x0=None, oracle_min=None
     rows = np.asarray(rows, dtype=np.intp)
     n = rows.size
     nt = stack.n_states
-    # per row: ordinals by value, and rank[x] = #states strictly below E_x,
-    # the marked count once E_x is the threshold
     order, e_sorted = stack.order, stack.e_sorted
-    pos = np.broadcast_to(np.arange(nt), order.shape)
+    base = rows * nt                     # flat offset of each run's row
+    offsets = np.arange(0, order.size, nt)[:, None]
+    positions = np.arange(nt)
     tie = np.zeros(order.shape, dtype=bool)
     tie[:, 1:] = e_sorted[:, 1:] == e_sorted[:, :-1]
-    rank = np.empty_like(order)
-    np.put_along_axis(rank, order, np.maximum.accumulate(np.where(tie, 0, pos), axis=1), axis=1)
-    base = rows * nt                     # flat offset of each run's row
-    e_flat, order_flat, rank_flat = stack.e_values.ravel(), order.ravel(), rank.ravel()
+    # None on tie-free rows, where below[p] = p
+    below = (np.maximum.accumulate(np.where(tie, 0, positions), axis=1).ravel()
+             if tie.any() else None)
+    # place[x]: the sorted position of ordinal x, in its row's flat block
+    place = np.empty(order.size, np.intp)
+    place[(order + offsets).ravel()] = np.tile(positions, len(order))
+    one_hot = stack.one_hot
+    # one-hot validity by sorted position, None when every state is one-hot
+    hot = None if one_hot.all() else one_hot[order].ravel()
+    # the marked angle arcsin sqrt(ns / Nt) of each marked count ns
+    theta = np.arcsin(np.sqrt(np.arange(nt + 1) / nt))
 
     # each arm's settings, computed once and repeated over its runs
     params = [p for p, _, _ in arms]
@@ -505,98 +524,142 @@ def run_gas_batch(stack: spaces.SpaceStack, rows, arms, x0=None, oracle_min=None
     lam = np.repeat([p.lam for p in params], counts)
     budget_iter, budget_rot, window, cap = (
         np.repeat(v, counts) for v in zip(*(run_limits(stack, p) for p in params)))
-    one_hot = stack.one_hot
-    target = np.full(n, -math.inf) if oracle_min is None else np.asarray(oracle_min, float)
+    lmin = np.repeat(np.array([p.lmin for p in params], np.int64), counts)
+    y0 = np.repeat(np.array([math.nan if p.y0 is None else p.y0 for p in params], float), counts)
+    x0 = np.full(n, -1, np.intp) if x0 is None else np.asarray(x0, np.intp)
+    seeded = x0 >= 0
+    unset = np.isnan(y0)
+    if np.any(seeded & ~unset):
+        raise ValueError("a seeded x0 carries its own threshold; give x0 or y0, not both")
+    # (row, value) keys: numpy orders complex numbers lexicographically, so
+    # one flat searchsorted counts each run's row values below a threshold
+    keys = np.empty(order.shape, complex)
+    keys.real = np.arange(len(order))[:, None]
+    keys.imag = e_sorted
+    query = np.empty(n, complex)
+    query.real = rows
+    query.imag = y0
+    ns = np.where(unset, nt, keys.ravel().searchsorted(query) - base)
+    hit = np.zeros(n, np.intp)
+    if oracle_min is not None:
+        query.imag = oracle_min
+        hit = keys.ravel().searchsorted(query, side="right") - base
 
     cd = np.zeros(n, np.int64)
     cum_rot = np.zeros(n, np.int64)
-    lmin = np.repeat(np.array([p.lmin for p in params], np.int64), counts)
-    # nan: no threshold
-    y = np.repeat(np.array([math.nan if p.y0 is None else p.y0 for p in params], float), counts)
-    x0 = np.full(n, -1, np.intp) if x0 is None else np.asarray(x0, np.intp)
-    seeded = x0 >= 0
-    if np.any(seeded & ~np.isnan(y)):
-        raise ValueError("a seeded x0 carries its own threshold; give x0 or y0, not both")
-    inc = np.full(n, -1, np.intp)
-    ns = (stack.e_values[rows] < y[:, None]).sum(axis=1)
-    best = np.full(n, -1, np.intp)
-    best_E = np.full(n, math.inf)
+    inc = np.full(n, -1, np.intp)          # positions, -1 none
+    best = np.full(n, -1, np.intp)         # best one-hot state seen
+    best_below = np.full(n, nt, np.intp)   # below[best], Nt with none
     halted = np.zeros(n, bool)
 
-    def see(mask, ordinal, ex, measured: bool):
-        """run_gas's see() for the runs in mask: counts a measurement, halts
-        at the first hit, records the best one-hot state, and makes a state
-        below the threshold (or any state, without one) the incumbent."""
-        valid = one_hot[ordinal]
+    def see(pos, seen, measured: bool):
+        """run_gas's see() for the runs in seen at positions pos: counts a
+        measurement and halts at the first hit, records the best one-hot
+        state, and makes a state below the threshold the incumbent.
+        Returns the accepted runs and, measured, the runs it halted."""
+        b = pos if below is None else below[base + pos]
+        valid = seen if hot is None else seen & hot[base + pos]
+        hit_now = None
         if measured:
-            cd[mask] += 1
-            halted[mask & (ex <= target) & valid] = True
-        better = mask & valid & (ex < best_E)
-        np.copyto(best, ordinal, where=better)
-        np.copyto(best_E, ex, where=better)
-        accepted = mask & ~(ex >= y)
-        np.copyto(inc, ordinal, where=accepted)
-        np.copyto(y, ex, where=accepted)
-        np.copyto(ns, rank_flat[base + ordinal], where=accepted)
-        return accepted
+            np.add(cd, seen, out=cd)
+            hit_now = valid & (pos < hit)
+            np.logical_or(halted, hit_now, out=halted)
+        better = valid & (pos < best_below)
+        np.copyto(best, pos, where=better)
+        np.copyto(best_below, b, where=better)
+        accepted = seen & (pos < ns)
+        np.copyto(inc, pos, where=accepted)
+        np.copyto(ns, b, where=accepted)
+        return accepted, hit_now
 
-    def uniform_ordinals(u):
-        return (u * nt).astype(np.intp)
+    def uniform_positions(u):
+        return place[base + (u * nt).astype(np.intp)]
 
     u0 = np.concatenate([g.random(count) for _, g, count in arms])
-    start = np.where(seeded, x0, uniform_ordinals(u0))
-    see(seeded, start, e_flat[base + start], measured=False)
-    drawn = ~seeded & np.isnan(y)
-    see(drawn, start, e_flat[base + start], measured=True)
+    start = np.where(seeded, place[base + x0], uniform_positions(u0))
+    see(start, seeded, measured=False)
+    see(start, ~seeded & unset, measured=True)
 
+    parts = [(g, slice(end - count, end)) for (_, g, count), end in zip(arms, np.cumsum(counts))]
+    draws = np.empty((n, STEPS_PER_BLOCK, UNIFORMS_PER_STEP))
+    block = np.empty((STEPS_PER_BLOCK, UNIFORMS_PER_STEP, n))
     k = np.ones(n)
     updated = np.zeros(n, bool)
-    since_restart = np.zeros(n, np.int64)
+    # a run restarts at step due, restart window steps after its last
+    # restart (at step -1 for none); never without a window
+    due = np.where(window > 0, window - 1, np.iinfo(np.int64).max)
+    next_due = due.min()
+    # a run restarts only inside its iteration budget
+    restarts = bool(np.any(due < budget_iter))
+    iter_ends = set(budget_iter.tolist())
     stop = np.full(n, 1, np.int8)          # index into _STOP_NAMES
     active = ~halted & (budget_iter > 0)
     steps = [] if record else None
     i = 0
     while active.any():
-        if i % STEPS_PER_BLOCK == 0:
-            block = np.concatenate([g.random((count, STEPS_PER_BLOCK, UNIFORMS_PER_STEP))
-                                    for _, g, count in arms]).transpose(1, 2, 0).copy()
-        u_l, u_class, u_state, u_restart = block[i % STEPS_PER_BLOCK]
+        s = i % STEPS_PER_BLOCK
+        if s == 0:
+            for g, part in parts:
+                g.random(out=draws[part])
+            np.copyto(block, draws.transpose(1, 2, 0))
+        u_l, u_class, u_state, u_restart = block[s]
         L = lmin + (u_l * (np.ceil(k - 1.0) + 1.0)).astype(np.int64)
-        over = active & (cum_rot + L > budget_rot)
+        rot = cum_rot + L
+        over = rot > budget_rot
+        over &= active
         stop[over] = 2
-        active &= ~over
-        # a marked draw is uniform over the ns lowest states, an unmarked one
-        # over the rest; all marked at ns = Nt
-        p = np.sin((2 * L + 1) * np.arcsin(np.sqrt(ns / nt))) ** 2
-        marked = (u_class < p) | (ns == nt)
-        idx = np.where(marked, u_state * ns, ns + u_state * (nt - ns)).astype(np.intp)
+        active ^= over
+        np.copyto(cum_rot, rot, where=active)
+        # a marked draw is uniform over the ns lowest positions, an
+        # unmarked one over the rest; all marked at ns = Nt
+        p = np.sin((2 * L + 1) * theta[ns]) ** 2
+        marked = u_class < p
+        if i == 0:
+            # ns = Nt only before a run's first acceptance, and an
+            # all-marked step accepts, so only the first step is all marked
+            marked |= ns == nt
+        pos = np.where(marked, u_state * ns, ns + u_state * (nt - ns)).astype(np.intp)
         # the unmarked sum can round up to nt when u_state is next to 1
-        np.minimum(idx, nt - 1, out=idx)
-        state = order_flat[base + idx]
-        ex = e_flat[base + state]
-        cum_rot += np.where(active, L, 0)
-        accepted = see(active, state, ex, measured=True)
-        np.copyto(k, np.where(accepted, 1.0, np.minimum(lam * k, cap)), where=active)
-        updated |= accepted
-        since_restart += active
-        # a window of 0 is no restart
-        restarted = active & ~(updated | halted) & (0 < window) & (window <= since_restart)
-        if restarted.any():
-            y[restarted] = math.nan
-            drawn = uniform_ordinals(u_restart)
-            see(restarted, drawn, e_flat[base + drawn], measured=True)
-            lmin[restarted] = 0
-            k[restarted] = 1.0
-            since_restart[restarted] = 0
+        np.minimum(pos, nt - 1, out=pos)
+        ran = active.copy() if record else None
+        accepted, hit_now = see(pos, active, measured=True)
+        active ^= hit_now
+        # a run that has left active never steps again, so its k is unread
+        k = np.where(accepted, 1.0, np.minimum(lam * k, cap))
+        restarted = None
+        if restarts:
+            updated |= accepted
+        if restarts and i >= next_due:
+            # halted runs have left active
+            restarted = active & ~updated & (due <= i)
+            if restarted.any():
+                ns[restarted] = nt
+                _, hit_now = see(uniform_positions(u_restart), restarted, measured=True)
+                active ^= hit_now
+                lmin[restarted] = 0
+                k[restarted] = 1.0
+                due[restarted] = i + window[restarted]
+                next_due = due.min()
         if record:
-            steps.append({"i": i, "ran": active.copy(), "y": y.copy(), "L": L, "k": k.copy(),
-                          "x": state, "Ex": ex, "accepted": accepted, "cum_rot": cum_rot.copy(),
-                          "restarted": restarted})
+            steps.append({"i": i, "ran": ran, "y": _values_at(e_sorted, base, inc, y0),
+                          "L": L, "k": k.copy(), "x": order.ravel()[base + pos],
+                          "Ex": e_sorted.ravel()[base + pos], "accepted": accepted,
+                          "cum_rot": cum_rot.copy(),
+                          "restarted": np.zeros(n, bool) if restarted is None else restarted})
         i += 1
-        active &= ~halted & (i < budget_iter)
+        if i in iter_ends:
+            active &= i < budget_iter
 
     stop[halted] = 0
-    final = np.where(best >= 0, best, inc)
-    return GasBatch(final=final, final_y=y, invalid_final=(final >= 0) & ~one_hot[final],
-                    cd_queries=cd, qd_rotations=cum_rot, stop_reason=_STOP_NAMES[stop],
-                    steps=steps)
+    final_pos = np.where(best >= 0, best, inc)
+    final = np.where(final_pos >= 0, order.ravel()[base + final_pos], -1)
+    return GasBatch(final=final, final_y=_values_at(e_sorted, base, inc, y0),
+                    invalid_final=(final >= 0) & ~one_hot[final], cd_queries=cd,
+                    qd_rotations=cum_rot, stop_reason=_STOP_NAMES[stop], steps=steps)
+
+
+def _values_at(e_sorted: np.ndarray, base: np.ndarray, pos: np.ndarray,
+               default: np.ndarray) -> np.ndarray:
+    """The sorted values at flat row offsets base and positions pos, default
+    where pos is -1."""
+    return np.where(pos >= 0, e_sorted.ravel()[base + pos], default)

@@ -445,15 +445,16 @@ def _ber_trial(spec: ExperimentSpec, cfgs: list[SystemConfig], detectors: list[s
     SNR point s differs only in cfgs[s], whose sigma_v and est_err_var
     scale the noise.  The S x T_D value tables form one SpaceStack, row
     s T_D + t for SNR point s and slot t, and the exhaustive argmins are
-    one call over it.  The MMSE seeds take one call per SNR point, under
-    that point's config.  Every GAS detector at every SNR point is one arm
-    of T_D runs in one run_gas_batch.  Detector d (its index in the
-    detector list) draws from the stream (seed, GAS, trial, d), a generator
-    of its own at each SNR point, and gas-mmse's runs are seeded with the
-    MMSE ordinals.  All outputs are decoded through the key-index table at
-    once.  Each GAS run halts at its first measurement of its slot's
-    minimum; its output is fixed by then, since GAS accepts only strictly
-    lower values and none lies below the minimum.
+    one call over it.  The MMSE seeds of every SNR point are one
+    mmse_detect call over the stack, each point under its own config.
+    Every GAS detector at every SNR point is one arm of T_D runs in one
+    run_gas_batch.  Detector d (its index in the detector list) draws from
+    the stream (seed, GAS, trial, d), a generator of its own at each SNR
+    point, and gas-mmse's runs are seeded with the MMSE ordinals.  All
+    outputs are decoded through the key-index table at once.  Each GAS run
+    halts at its first measurement of its slot's minimum; its output is
+    fixed by then, since GAS accepts only strictly lower values and none
+    lies below the minimum.
 
     Returns the payload bits (T_D, n_b), every detector's decisions
     (S, detectors, T_D, n_b) and, per GAS detector and SNR point,
@@ -466,25 +467,21 @@ def _ber_trial(spec: ExperimentSpec, cfgs: list[SystemConfig], detectors: list[s
     bits_true, v, e = slot_draws(cfg0, slots, instance_id=trial)
     r = np.concatenate([received_slots(inst, cfg, slots, bits_true, v, e) for cfg in cfgs])
     stack = channel_spaces(inst, r, np.tile(slots, n_snr), cfg0, W_STATE_REDUCED)
-    point = [slice(si * n_slots, (si + 1) * n_slots) for si in range(n_snr)]
     gas = [(di, det) for di, det in enumerate(detectors) if det in GAS_DETECTORS]
     seeds_mmse = "mmse" in detectors or any(
         GAS_DETECTORS[det].get("threshold") == "mmse" for _, det in gas)
-    x_mmse = np.concatenate([
-        mmse_detect(inst, r[rows], slots, cfg,
-                    dataclasses.replace(stack, e_values=stack.e_values[rows]))
-        for cfg, rows in zip(cfgs, point)]) if seeds_mmse else None
+    x_mmse = mmse_detect(inst, r, slots, cfgs, stack) if seeds_mmse else None
     outputs = {"exhaustive": stack.e_values.argmin(axis=1), "mmse": x_mmse}
     first_hits = []
     if gas:
         arms, x0 = [], []
         rngs = streams.substreams(cfg0.seed, [(streams.GAS, trial, di) for di, _ in gas] * n_snr)
-        for ymvd, rows in zip(ymvds, point):
+        for si, ymvd in enumerate(ymvds):
             for di, det in gas:
                 arm = GAS_DETECTORS[det]
                 arms.append((_gas_params(spec, arm, ymvd, 0), next(rngs), n_slots))
-                x0.append(x_mmse[rows] if arm.get("threshold") == "mmse"
-                          else np.full(n_slots, -1))
+                x0.append(x_mmse[si * n_slots:(si + 1) * n_slots]
+                          if arm.get("threshold") == "mmse" else np.full(n_slots, -1))
         runs = np.repeat(np.arange(n_snr * n_slots).reshape(n_snr, n_slots), len(gas),
                          axis=0).ravel()
         batch = run_gas_batch(stack, runs, arms, x0=np.concatenate(x0),

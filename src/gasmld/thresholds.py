@@ -96,49 +96,72 @@ def y_mvd(params: MvdParams) -> float:
     return 0.5 * (lo + hi) / params.lambda_v
 
 
+def _points(cfg: SystemConfig | list[SystemConfig]) -> list[SystemConfig]:
+    """The SNR points of a config argument: one config, or a list of configs
+    that differ only in their noise level."""
+    return [cfg] if isinstance(cfg, SystemConfig) else list(cfg)
+
+
 def mmse_estimates(inst: ChannelInstance, r: np.ndarray, ts,
-                   cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+                   cfg: SystemConfig | list[SystemConfig]) -> tuple[np.ndarray, np.ndarray]:
     """Linear MMSE symbol estimates under every delay combination, for slots
-    ts, r[i] received in slot ts[i].
+    ts at each SNR point of cfg, one config or a list of S that differ only
+    in noise level (_points); r[s T + i] is received in slot ts[i] at point
+    s, T = len(ts).
 
     Returns the combinations (C, M), in itertools.product order, and the
-    estimates s_hat (T, C, M), solved as one stack of N x N systems.  Should
-    a system be exactly singular, the whole stack takes the pseudo-inverse.
+    estimates s_hat (S T, C, M).  The channel products A and A A^H are
+    built once for every point, and the S T C regularized N x N systems are
+    solved as one stack.  Should a system be exactly singular, its SNR
+    point's whole stack takes the pseudo-inverse, and no other point does.
     """
-    M, taud = cfg.M, cfg.taud
+    cfgs = _points(cfg)
+    M, taud, N = cfgs[0].M, cfgs[0].taud, cfgs[0].N
     phases = delay_phases(inst.f, ts, taud)                                # (T, M, taud)
     combos = np.array(list(itertools.product(range(taud), repeat=M)))
     # C order, as one slot's stack is: matmul's bits depend on the memory layout
     factors = np.ascontiguousarray(phases[:, np.arange(M), combos])       # (T, C, M)
     A = inst.H * factors[:, :, None, :]                                # (T, C, N, M)
     A_h = A.conj().swapaxes(-1, -2)
-    G = A @ A_h + cfg.sigma_v ** 2 * np.eye(cfg.N)
-    b = np.asarray(r)[:, None, :, None]
+    noise = np.array([c.sigma_v ** 2 for c in cfgs])[:, None, None, None, None]
+    G = A @ A_h + noise * np.eye(N)                                    # (S, T, C, N, N)
+    b = np.asarray(r).reshape(len(cfgs), -1, 1, N, 1)
     try:
-        s_hat = A_h @ np.linalg.solve(G, b)
+        x = np.linalg.solve(G, b)
     except np.linalg.LinAlgError:
-        s_hat = A_h @ (np.linalg.pinv(G) @ b)
-    return combos, s_hat[..., 0]
+        x = np.stack([_solve_point(g, bs) for g, bs in zip(G, b)])
+    s_hat = A_h @ x
+    return combos, s_hat[..., 0].reshape(-1, *s_hat.shape[2:4])
 
 
-def mmse_detect(inst: ChannelInstance, r: np.ndarray, ts, cfg: SystemConfig,
-                stack: SpaceStack) -> np.ndarray:
+def _solve_point(G: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One SNR point's stack of systems, by the pseudo-inverse should any of
+    them be exactly singular."""
+    try:
+        return np.linalg.solve(G, b)
+    except np.linalg.LinAlgError:
+        return np.linalg.pinv(G) @ b
+
+
+def mmse_detect(inst: ChannelInstance, r: np.ndarray, ts,
+                cfg: SystemConfig | list[SystemConfig], stack: SpaceStack) -> np.ndarray:
     """Per-delay-combination linear MMSE with constellation quantization, for
-    slots ts, r[i] received in slot ts[i] and valued by row i of stack.
+    slots ts at each SNR point of cfg (mmse_estimates), r[i] valued by row i
+    of stack: one call serves a whole SNR sweep.
 
     Each delay combination gives one candidate, its estimates quantized to
     the nearest constellation point (boundary values go to bit 0, the +1
     symbol); the candidates are ranked by the slot's table values and the
-    ordinal of the first lowest is returned, one per slot.
+    ordinal of the first lowest is returned, one per row of r.
     """
     combos, s_hat = mmse_estimates(inst, r, ts, cfg)
-    n_slots, n_combos = s_hat.shape[:2]
-    if cfg.modulation == PSK2:
-        base = psk2_base(np.asarray(ts))
+    n_rows, n_combos = s_hat.shape[:2]
+    if _points(cfg)[0].modulation == PSK2:
+        base = np.tile(psk2_base(np.asarray(ts)), n_rows // len(ts))
         bits = np.real(np.conj(base)[:, None, None] * s_hat) < 0
     else:
         bits = np.stack([np.real(s_hat) < 0, np.imag(s_hat) < 0], axis=3)
-    ordinals = channel_ordinals(stack, bits.reshape(n_slots * n_combos, -1),
-                                np.tile(combos, (n_slots, 1))).reshape(n_slots, n_combos)
+    ordinals = channel_ordinals(stack, bits.reshape(n_rows * n_combos, -1),
+                                np.tile(combos, (n_rows, 1))).reshape(n_rows, n_combos)
     values = np.take_along_axis(stack.e_values, ordinals, axis=1)
-    return ordinals[np.arange(n_slots), values.argmin(axis=1)]
+    return ordinals[np.arange(n_rows), values.argmin(axis=1)]

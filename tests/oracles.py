@@ -34,8 +34,9 @@
   schema literal and one checker replaced its key tables and per-section
   checks.  It accepts and rejects what load_spec does, except that it lets
   a repeated list item through.
-- Small helpers: the first argmin ordinal, the binned L_opt spread of
-  criterion 10 and reading a saved calibration table back.
+- Small helpers: the amplitude law's marked-class probability, the first
+  argmin ordinal, the binned L_opt spread of criterion 10 and reading a
+  saved calibration table back.
 
 Qubit layout: key register first (one qubit per registry variable, variable
 0 is the most significant bit of the key index), then the value register
@@ -66,7 +67,8 @@ from gasmld.channel import (PSK2, QPSK, ChannelInstance, SystemConfig, delay_pha
 from gasmld.errors import CapacityError, ConfigError
 from gasmld.gas import (BACKEND_AMPLITUDE, BACKEND_CIRCUIT, LMIN_CONVENTIONAL_C,
                         LMIN_PROPOSED_CPRIME, LMIN_ZERO, MAX_QUBITS, Backend, GasParams,
-                        check_value_range, l_opt, sign_probabilities, value_scale)
+                        check_value_range, l_opt, marked_angle, sign_probabilities,
+                        value_scale)
 from gasmld.harness import GAS_DETECTORS, ExperimentSpec
 from gasmld.indicators import _ALPHA_NORM, TIE_EXPONENT, CalibrationTable, indicator_c
 from gasmld.spaces import (HADAMARD_FULL, MAX_ENUMERABLE, W_STATE_REDUCED, SpaceStack, VarRegistry,
@@ -420,6 +422,13 @@ def choose_qv(poly: HuboPolynomial, y: float) -> int:
 
 
 # --- small helpers -----------------------------------------------------------
+
+def success_probability(Ns: float, Nt: int, L: int) -> float:
+    """Marked-class probability after L rotations at marked weight Ns of Nt,
+    sin^2((2L+1) theta) at gas.marked_angle's theta, as gas.Backend.measure
+    reads it."""
+    return math.sin((2 * L + 1) * marked_angle(Ns, Nt)) ** 2
+
 
 def argmin_ordinal(space: SpaceStack) -> int:
     """First ordinal attaining the minimum, the stable order's head."""

@@ -14,15 +14,15 @@ import pytest
 
 from gasmld import streams
 from gasmld.channel import PSK2, QPSK, SystemConfig, generate_instance
-from gasmld.gas import (Backend, GasParams, l_opt, restart_iterations, run_gas, scale_for,
-                        success_probability)
+from gasmld.gas import Backend, GasParams, l_opt, restart_iterations, run_gas, scale_for
 from gasmld.gates import cku_g_costs, g_prop, g_ug_total, table1_counts
 from gasmld.harness import load_spec, run_ber, run_query_cdf
 from gasmld.indicators import (calibrate, channel_indicators, indicator_c, indicator_c_prime,
                                select_lmin, select_lmin_conventional)
 from gasmld.spaces import HADAMARD_FULL, W_STATE_REDUCED, build_registry, channel_spaces
 from oracles import (HuboPolynomial, binned_spread, build_hubo, choose_qv, distribution,
-                     from_polynomial, random_payload_bits, received_slot, term_counts_by_order)
+                     from_polynomial, random_payload_bits, received_slot, success_probability,
+                     term_counts_by_order)
 from gasmld.thresholds import MvdParams, mvd_rate, regularized_gamma_q, y_mvd
 
 # experiment seed.  Trial 79 is a threshold-failure trial (its slot-0

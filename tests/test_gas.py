@@ -11,14 +11,13 @@ from gasmld.channel import (PSK2, QPSK, SystemConfig, generate_instance, receive
 from gasmld import gas, harness, streams
 from gasmld.gas import (STOP_BUDGET_ITERATIONS, STOP_BUDGET_ROTATIONS, STOP_OPTIMUM,
                         Backend, GasParams, OutsidePrefix, l_opt, channel_bound, prepared_state,
-                        register_width, restart_iterations, run_gas, run_gas_batch, scale_for,
-                        success_probability)
+                        register_width, restart_iterations, run_gas, run_gas_batch, scale_for)
 from gasmld.indicators import indicator_c, select_lmin_conventional
 from gasmld.spaces import (HADAMARD_FULL, W_STATE_REDUCED, SpaceStack, build_registry,
                            channel_keys, channel_spaces)
 from gasmld.thresholds import MvdParams, mmse_detect, y_mvd
 from oracles import (GroverCircuit, HuboPolynomial, build_hubo, distribution, evaluate,
-                     from_polynomial, random_payload_bits, received_slot)
+                     from_polynomial, random_payload_bits, received_slot, success_probability)
 
 FIG2_TERMS = {(0,): 1.0, (1, 2): -3.0, (0, 1, 2): 1.0}
 
@@ -47,7 +46,10 @@ class FixedUniforms:
     def __init__(self, u: float):
         self.u = u
 
-    def random(self, shape=None):
+    def random(self, shape=None, out=None):
+        if out is not None:
+            out.fill(self.u)
+            return out
         return self.u if shape is None else np.full(shape, self.u)
 
 
@@ -654,6 +656,38 @@ class TestEnginesAgree:
                               record=True)
         assert_runs_agree(runs, batch)
         assert 0 < batch.converged.sum() < len(arms)
+
+    def test_tied_seeds_with_restarts(self):
+        # a fourth, free variable doubles every tie group of the toy full
+        # space; each seed is a later member of its group, one-hot or not,
+        # with and without restart and oracle_min.  A seed the run never
+        # improves on is the output as its own ordinal, not a tie-mate, and
+        # invalid when it is not one-hot
+        poly, reg, backend = toy_backend(4)
+        space = backend.space
+        es, order = space.e_sorted[0], space.order[0]
+        seeds = [int(x) for x, tied in zip(order[1:], es[1:] == es[:-1]) if tied]
+        assert space.one_hot[seeds].any() and not space.one_hot[seeds].all()
+        arms = [GasParams(restart_enabled=restart, lmin=lmin, budget_iterations=iterations,
+                          budget_rotations=300)
+                for restart in (False, True) for lmin in (0, 2) for iterations in (1, 40)]
+        cases = [(params, x, j % 2) for j, (params, x) in
+                 enumerate(itertools.product(arms * 3, seeds))]
+        best = one_hot_min(space)
+        runs = [run_gas(backend, params, np.random.default_rng([31, j]), x0=x,
+                        oracle_min=best if halts else None, record=True)
+                for j, (params, x, halts) in enumerate(cases)]
+        batch = run_gas_batch(space, np.zeros(len(cases), int),
+                              [(params, np.random.default_rng([31, j]), 1)
+                               for j, (params, _, _) in enumerate(cases)],
+                              x0=[x for _, x, _ in cases],
+                              oracle_min=[best if halts else -math.inf for *_, halts in cases],
+                              record=True)
+        assert_runs_agree(runs, batch)
+        kept = batch.final == np.array([x for _, x, _ in cases])
+        assert batch.invalid_final[kept].any() and not batch.invalid_final[kept].all()
+        assert any(step["restarted"].any() for step in batch.steps)
+        assert 0 < batch.converged.sum() < len(cases)
 
     def test_query_cdf_shape(self):
         # query-cdf's 20 736-state W-state spaces: the mvd threshold with

@@ -634,6 +634,21 @@ class TestBer:
         assert rotations == sorted((r for _, one in alone for r in one),
                                    key=lambda r: (r[0], r[1]))
 
+    def test_one_mmse_and_one_batch_call_per_trial(self, monkeypatch):
+        # a trial's MMSE seeds over the whole sweep are one mmse_detect call,
+        # and all of its GAS runs one run_gas_batch call
+        calls = {"mmse_detect": 0, "run_gas_batch": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(harness, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(harness, name, counted)
+        run_ber(load_spec({"cfg": {"N": 2, "M": 2, "tau_max": 1, "T_D": 4, "seed": 5},
+                           "trials": 3, "snr_sweep": [10.0, 15.0, 20.0],
+                           "detectors": ["exhaustive", "mmse", "gas-mvd", "gas-mmse",
+                                         "gas-rand"]}))
+        assert calls == {"mmse_detect": 3, "run_gas_batch": 3}
+
     def test_cd_qd_bookkeeping(self):
         # CD queries never exceed rotations plus zero-rotation iterations
         from gasmld.channel import SystemConfig, generate_instance

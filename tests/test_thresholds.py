@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -262,6 +263,60 @@ class TestMmse:
             assert estimates[t].tobytes() == one.tobytes()
             row = SpaceStack(reg, W_STATE_REDUCED, stack.e_values[t:t + 1], stack.key_indices)
             assert ordinals[t] == detect_one(inst, r[t], t, cfg, row)
+
+
+    @staticmethod
+    def sweep(modulation, snrs, H=None):
+        """One instance's slots at each SNR point of snrs, as run_ber draws
+        them: (instance, r of S T rows, slots, configs, stack); H replaces
+        the instance's channel."""
+        cfg = SystemConfig(N=3, M=2, tau_max=1, modulation=modulation, T_D=5, seed=13)
+        inst = generate_instance(cfg)
+        if H is not None:
+            inst = dataclasses.replace(inst, H=H(inst.H))
+        cfgs = [cfg.with_snr(snr) for snr in snrs]
+        slots = np.arange(cfg.T_D)
+        draws = slot_draws(cfg, slots, instance_id=0)
+        r = np.concatenate([received_slots(inst, c, slots, *draws) for c in cfgs])
+        stack = channel_spaces(inst, r, np.tile(slots, len(cfgs)), cfg, W_STATE_REDUCED)
+        return inst, r, slots, cfgs, stack
+
+    @staticmethod
+    def assert_points_match(inst, r, slots, cfgs, stack):
+        """A call over the whole sweep gives each SNR point the estimates
+        and ordinals of its own call, bit for bit."""
+        _, estimates = mmse_estimates(inst, r, slots, cfgs)
+        ordinals = mmse_detect(inst, r, slots, cfgs, stack)
+        n = len(slots)
+        for s, cfg in enumerate(cfgs):
+            rows = slice(s * n, (s + 1) * n)
+            _, alone = mmse_estimates(inst, r[rows], slots, cfg)
+            assert estimates[rows].tobytes() == alone.tobytes(), s
+            point = SpaceStack(stack.reg, stack.prep, stack.e_values[rows], stack.key_indices)
+            assert ordinals[rows].tobytes() == mmse_detect(inst, r[rows], slots, cfg,
+                                                           point).tobytes(), s
+
+    @pytest.mark.parametrize("modulation", [PSK2, QPSK])
+    def test_sweep_matches_per_point_calls(self, modulation):
+        self.assert_points_match(*self.sweep(modulation, (10.0, 15.0, 20.0)))
+
+    def test_a_singular_point_keeps_its_own_fallback(self, monkeypatch):
+        # a silent antenna and no noise make the middle point's systems
+        # exactly singular: that point alone takes the pseudo-inverse, and
+        # the others keep their solves
+        def silent(H):
+            H = H.copy()
+            H[0] = 0.0
+            return H
+
+        inst, r, slots, cfgs, stack = self.sweep(PSK2, (10.0, math.inf, 20.0), silent)
+        inverted = []
+        pinv = np.linalg.pinv
+        monkeypatch.setattr(np.linalg, "pinv", lambda G: inverted.append(G.shape) or pinv(G))
+        mmse_estimates(inst, r, slots, cfgs)
+        # one point's stack of (slots, delay combinations) systems
+        assert inverted == [(len(slots), 4, 3, 3)]
+        self.assert_points_match(inst, r, slots, cfgs, stack)
 
 
 class TestYRand:
