@@ -489,8 +489,11 @@ def run_gas_batch(stack: spaces.SpaceStack, rows, arms, x0=None, oracle_min=None
     the best state b exactly when p < below[b], and it is a first hit
     exactly when p < hit, hit the count of the row's values at or below
     oracle_min.  Ordinals and values are read only for a seed, a uniform
-    start or a restart draw (through the inverse permutation), in
-    record=True steps and for the returned GasBatch.
+    start or a restart draw, in record=True steps and for the returned
+    GasBatch.  On a tie-free stack an ordinal's position is its value's
+    count of smaller values in its row, one searchsorted over the (row,
+    value) keys; only a tied stack builds below and the inverse
+    permutation.
 
     A run's draws depend only on its generator, its place among the n and
     its step count, never on which other runs are still searching, so
@@ -502,16 +505,6 @@ def run_gas_batch(stack: spaces.SpaceStack, rows, arms, x0=None, oracle_min=None
     nt = stack.n_states
     order, e_sorted = stack.order, stack.e_sorted
     base = rows * nt                     # flat offset of each run's row
-    offsets = np.arange(0, order.size, nt)[:, None]
-    positions = np.arange(nt)
-    tie = np.zeros(order.shape, dtype=bool)
-    tie[:, 1:] = e_sorted[:, 1:] == e_sorted[:, :-1]
-    # None on tie-free rows, where below[p] = p
-    below = (np.maximum.accumulate(np.where(tie, 0, positions), axis=1).ravel()
-             if tie.any() else None)
-    # place[x]: the sorted position of ordinal x, in its row's flat block
-    place = np.empty(order.size, np.intp)
-    place[(order + offsets).ravel()] = np.tile(positions, len(order))
     one_hot = stack.one_hot
     # one-hot validity by sorted position, None when every state is one-hot
     hot = None if one_hot.all() else one_hot[order].ravel()
@@ -544,6 +537,24 @@ def run_gas_batch(stack: spaces.SpaceStack, rows, arms, x0=None, oracle_min=None
     if oracle_min is not None:
         query.imag = oracle_min
         hit = keys.ravel().searchsorted(query, side="right") - base
+    below = place = None
+    if stack.tied:
+        # below[p], None on tie-free stacks, where it is p
+        positions = np.arange(nt)
+        tie = np.zeros(order.shape, dtype=bool)
+        tie[:, 1:] = e_sorted[:, 1:] == e_sorted[:, :-1]
+        below = np.maximum.accumulate(np.where(tie, 0, positions), axis=1).ravel()
+        # place[x]: the sorted position of ordinal x, in its row's flat block
+        place = np.empty(order.size, np.intp)
+        place[(order + np.arange(0, order.size, nt)[:, None]).ravel()] = np.tile(positions, len(order))
+
+    def positions_of(x):
+        """The sorted positions of ordinals x in the runs' rows: on a
+        tie-free row, its value's count of smaller values in the row."""
+        if place is not None:
+            return place[base + x]
+        query.imag = stack.e_values[rows, x]
+        return keys.ravel().searchsorted(query) - base
 
     cd = np.zeros(n, np.int64)
     cum_rot = np.zeros(n, np.int64)
@@ -573,10 +584,10 @@ def run_gas_batch(stack: spaces.SpaceStack, rows, arms, x0=None, oracle_min=None
         return accepted, hit_now
 
     def uniform_positions(u):
-        return place[base + (u * nt).astype(np.intp)]
+        return positions_of((u * nt).astype(np.intp))
 
     u0 = np.concatenate([g.random(count) for _, g, count in arms])
-    start = np.where(seeded, place[base + x0], uniform_positions(u0))
+    start = np.where(seeded, positions_of(x0), uniform_positions(u0))
     see(start, seeded, measured=False)
     see(start, ~seeded & unset, measured=True)
 

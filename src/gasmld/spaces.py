@@ -9,7 +9,9 @@ and SpaceStack the one space type: the tables of many slots of one instance
 share one enumeration and one read-only key-index table, and a single slot
 is a stack of one row.  Both GAS engines search a stack's rows through its
 one lazily built per-row sort; channel_below finds the states below a
-threshold without any table.
+threshold without any table, by a sphere search over the two halves of the
+users, and reads them off the tables one row at a time only where a large
+share of the pairs would be candidates.
 
 The key layout is the VarRegistry: every user's payload bits b, then every
 user's delay bits d, user-major.  Registry variable i maps to bit weight
@@ -32,7 +34,10 @@ W_STATE_REDUCED = "w-state-reduced"
 
 MAX_ENUMERABLE = 1 << 24
 # instance rows per channel_below call: candidate arrays of bounded size
-BELOW_ROWS = 4
+BELOW_ROWS = 20
+# channel_below's crossover: first-stage windows holding more than this share
+# of the rows' states cost more than the value tables
+TABLE_SHARE = 0.4
 
 
 @dataclass(frozen=True)
@@ -92,9 +97,9 @@ class SpaceStack:
         return self.key_indices.size
 
     @cached_property
-    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
+    def _sorted(self) -> tuple[np.ndarray, np.ndarray, bool]:
         """Per row, ordinals sorted by objective value, ties in ordinal
-        order, and the sorted values.
+        order, and the sorted values; and whether any row may hold a tie.
 
         Without ties the sorting permutation is unique, so the unstable
         default sort gives the stable one; only tied rows pay for the stable
@@ -106,11 +111,12 @@ class SpaceStack:
         order = np.argsort(e, axis=1, kind="stable" if stable else None)
         # a flat gather; np.take_along_axis takes 2-3x as long on one row
         e_sorted = e.ravel()[order + np.arange(0, e.size, e.shape[1])[:, None]]
-        if not stable:
-            tied = ~np.all(e_sorted[:, 1:] > e_sorted[:, :-1], axis=1)
-            if tied.any():
-                order[tied] = np.argsort(e[tied], axis=1, kind="stable")
-        return order, e_sorted
+        if stable:
+            return order, e_sorted, True
+        tied = ~np.all(e_sorted[:, 1:] > e_sorted[:, :-1], axis=1)
+        if tied.any():
+            order[tied] = np.argsort(e[tied], axis=1, kind="stable")
+        return order, e_sorted, bool(tied.any())
 
     @property
     def order(self) -> np.ndarray:
@@ -119,6 +125,12 @@ class SpaceStack:
     @property
     def e_sorted(self) -> np.ndarray:
         return self._sorted[1]
+
+    @property
+    def tied(self) -> bool:
+        """False when no row's sorted values repeat; a hadamard-full stack
+        counts as tied without a check."""
+        return self._sorted[2]
 
     @cached_property
     def one_hot(self) -> np.ndarray:
@@ -274,38 +286,84 @@ def channel_below(insts: ChannelInstance, r: np.ndarray, cfg: SystemConfig,
     (1985) over the whole space: users 0 .. M//2 - 1 sum to A
     (channel_spaces' prefix adds), the others to B, and state (a, b) is
     ordinal a n_B + b.  A pair is a candidate only if each component of
-    r - A[a] - B[b] lies within R = sqrt(y) + margin, antenna 0's real part
-    found by a sorted search over B.  Candidates are evaluated with
-    channel_spaces' operations in its order, so each value is the table's,
-    bit for bit.  The candidate arrays grow with the rows and with y, so
-    callers pass at most BELOW_ROWS rows a call.
+    r - A[a] - B[b] lies within R = sqrt(y) + margin, one radius for all the
+    rows of the call.
 
-    Rounding: with u = 2^-53 and S = max over antennas of |r_n| plus the sum
-    over users of max |table|, either grouping's component lies within about
+    The first stage takes both of antenna 0's components.  Per row, B's
+    real parts fall in cells of width w = max(R, their spread / n_B), so a
+    B within R of a lies in a's cell or a neighbour: each B enters the
+    groups of its cell and of both neighbours, and a searches the one group
+    of its own cell, sorted by imaginary part, for the window within R of
+    its own.  The sorted float keys (row group) D + (imaginary part less the
+    row's least), D a power of two above twice every such part, keep rows
+    and groups apart, so one flat searchsorted finds every a's window.  The
+    box filter then takes the other antennas' components and antenna 0's
+    real part.  Candidates are evaluated with channel_spaces' operations in
+    its order, so each value is the table's, bit for bit.
+
+    Past TABLE_SHARE of the rows' states the windows cost more than the
+    value tables, so the rows are then read off channel_spaces' tables, one
+    row a call (a stack of tables leaves the cache).  Either path gives a
+    row the same states and values whatever rows share its call.  The
+    candidate arrays grow with the rows, so callers pass at most BELOW_ROWS
+    rows a call.
+
+    Rounding: with u = 2^-53 and S = max over rows and antennas of |r_n|
+    plus the sum over users of max |table|, either grouping's component lies within about
     M u S of the exact one, and E < y gives |component| < sqrt(y) (1 + 3u) +
     2^-537 (hypot is faithful, the antenna sum monotone, squares may be
-    subnormal).  margin = 8 (M + 2) u (S + sqrt(y)) + 2^-536 covers both.
+    subnormal).  margin = 8 (M + 2) u (S + sqrt(y)) + 2^-536 covers both
+    with a slack above 16 u (S + sqrt(y)), which also covers the first
+    stage: a cell index is off by at most u (8 S + 2 R) / w, so a state
+    below y lies in a's cell or a neighbour, and a window bound by at most
+    u (S + R).  Keys and bounds are monotone in what they round, so a
+    window holds every B between its bounds; a B just outside that a key's
+    rounding lets in is dropped by the evaluation.
     """
     K, N, M, h = len(insts.H), cfg.N, cfg.M, cfg.M // 2
     tables = _user_tables(insts.H, insts.f, np.zeros(K, dtype=int), cfg, W_STATE_REDUCED)
     A = _broadcast_sum(tables[:h]) if h else np.zeros((N, K, 1), complex)
     B = _broadcast_sum(tables[h:])
     n_a, n_b, r = A.shape[2], B.shape[2], np.asarray(r)
-    scale = (np.abs(r).T + sum(np.abs(t).max(axis=2) for t in tables)).max(axis=0)
+    scale = (np.abs(r).T + sum(np.abs(t).max(axis=2) for t in tables)).max()
     root = np.sqrt(max(y, 0.0))
-    radius = root + 4 * (M + 2) * np.finfo(float).eps * (scale + root) + 2.0 ** -536
+    R = root + 4 * (M + 2) * np.finfo(float).eps * (scale + root) + 2.0 ** -536
     # re/im of r - A[a] and of B[b], (N, 2, K n_a) and (N, 2, K n_b)
     rest, parts_b = (np.stack([x.real, x.imag], axis=1)
                      for x in ((r.T[:, :, None] - A).reshape(N, -1), B.reshape(N, -1)))
-    order = np.argsort(B[0].real, axis=1) + n_b * np.arange(K)[:, None]   # k n_b + b
-    v, u = parts_b[0, 0][order], rest[0, 0].reshape(K, n_a)
-    lo = np.concatenate([np.searchsorted(v[k], u[k] - radius[k]) + k * n_b for k in range(K)])
-    width = np.concatenate([np.searchsorted(v[k], u[k] + radius[k], "right") + k * n_b
-                            for k in range(K)]) - lo
-    flat = np.repeat(np.arange(K * n_a), width)                     # k n_a + a
-    fb = order.ravel()[np.arange(flat.size) - np.repeat(np.cumsum(width) - width - lo, width)]
-    for n, part in list(np.ndindex(N, 2))[1:]:
-        keep = np.abs(rest[n, part][flat] - parts_b[n, part][fb]) <= radius[flat // n_a]
+    re_b, im_b = parts_b[0].reshape(2, K, n_b)
+    low, im_low = re_b.min(axis=1, keepdims=True), im_b.min(axis=1, keepdims=True)
+    w = np.maximum(R, (re_b.max(axis=1, keepdims=True) - low) / n_b)   # cells 0 .. n_b
+    t_b = im_b - im_low
+    top = t_b.max(axis=1, keepdims=True)
+    # float keys, not complex (group, value) ones: numpy sorts and searches
+    # floats fast enough to make the whole search about 1.5x as fast
+    D = 2.0 ** np.ceil(np.log2(2 * top.max() + 1))
+    # cell c's B in groups c, c + 1 and c + 2 of n_b + 3 a row; the three
+    # copies of B[k n_b + b] at keys 3 (k n_b + b) + 0, 1, 2
+    start = (n_b + 3) * D * np.arange(K)[:, None]
+    groups = np.floor((re_b - low) / w) * D + start
+    keys = (groups[..., None] + [0.0, D, 2 * D] + t_b[..., None]).ravel()
+    order = np.argsort(keys)
+    keys = keys[order]
+    u, v = rest[0].reshape(2, K, n_a)
+    at = (np.clip(np.floor((u - low) / w), -1, n_b + 1) + 1) * D + start
+    first = (at + np.clip(v - R - im_low, 0, top)).ravel()
+    # searchsorted runs several times faster on sorted queries
+    by_first = np.argsort(first)                                    # k n_a + a
+    lo = keys.searchsorted(first[by_first])
+    width = keys.searchsorted((at + np.clip(v + R - im_low, 0, top)).ravel()[by_first],
+                              "right") - lo
+    if width.sum() > TABLE_SHARE * K * n_a * n_b:
+        e = np.concatenate([channel_spaces(insts[k], r[k, None], [0], cfg, W_STATE_REDUCED).e_values
+                            for k in range(K)])
+        row, ordinal = np.nonzero(e < y)
+        return row, ordinal, e[row, ordinal]
+    flat = np.repeat(by_first, width)
+    fb = order[np.arange(flat.size) - np.repeat(np.cumsum(width) - width - lo, width)] // 3
+    # the most selective components first
+    for n, part in [*list(np.ndindex(N, 2))[2:], (0, 0)]:
+        keep = np.abs(rest[n, part][flat] - parts_b[n, part][fb]) <= R
         flat, fb = flat[keep], fb[keep]
     row, a, b, C, e = flat // n_a, flat % n_a, fb % n_b, tables[0].shape[2], 0.0
     for n in range(N):

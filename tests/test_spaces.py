@@ -1,4 +1,5 @@
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -387,6 +388,57 @@ def assert_counts_equal(cfg, insts, r, e, ys):
         assert got.tolist() == (ref < y).sum(axis=1).tolist(), (cfg, y)
 
 
+def no_table(*args, **kwargs):
+    raise AssertionError("channel_below built a value table")
+
+
+def by_row(found, rows):
+    """channel_below's states per row sorted by ordinal, as (ordinal bytes,
+    value bytes)."""
+    row, ordinal, value = found
+    order = np.lexsort((ordinal, row))
+    ends = np.cumsum(np.bincount(row, minlength=rows))[:-1]
+    return [(o.tobytes(), v.tobytes())
+            for o, v in zip(np.split(ordinal[order], ends), np.split(value[order], ends))]
+
+
+def assert_margin_case(monkeypatch, residual, edge=False):
+    """Per instance, y is the successor of E(x) for a drawn state x whose
+    received vector is its noiseless H D s plus residual (one antenna):
+    channel_below, on its search path alone, finds x and the table's states
+    below y, bit for bit.  With edge, x's last M // 2 users take the choices
+    whose sum B has the row's least real part, which lies on the lower edge
+    of the first cell."""
+    monkeypatch.setattr(spaces, "TABLE_SHARE", math.inf)
+    cfg = SystemConfig(N=1, M=4, tau_max=2, seed=8)
+    h, C = cfg.M // 2, 2 * cfg.taud
+    rng = np.random.default_rng(8)
+    for ids in np.arange(40).reshape(10, 4):
+        insts = generate_instance(cfg, ids)
+        bits = rng.integers(0, 2, size=(4, cfg.bits_per_slot))
+        delays = rng.integers(0, cfg.taud, size=(4, cfg.M))
+        if edge:
+            tables = spaces._user_tables(insts.H, insts.f, np.zeros(4, dtype=int), cfg,
+                                         W_STATE_REDUCED)
+            least = spaces._broadcast_sum(tables[h:])[0].real.argmin(axis=1)
+            for m in range(h, cfg.M):
+                bits[:, m], delays[:, m] = np.divmod(least // C ** (cfg.M - 1 - m) % C, cfg.taud)
+        r = received_slots(replace(insts, delays=delays), cfg, np.zeros(4, dtype=int), bits,
+                           np.zeros((4, 1)), np.zeros((4, 1))) + residual
+        stacks = [channel_spaces(insts[k], r[k][None], [0], cfg, W_STATE_REDUCED)
+                  for k in range(4)]
+        e = np.concatenate([stack.e_values for stack in stacks])
+        tables = table_stack(cfg, e)
+        for k, stack in enumerate(stacks):
+            x = spaces.channel_ordinals(stack, bits[k][None], delays[k][None])[0]
+            if edge:
+                assert x % C ** (cfg.M - h) == least[k]
+            y = float(np.nextafter(e[k, x], np.inf))
+            got = checked_counts(cfg, insts, r, tables, y)
+            assert got.tolist() == (e < y).sum(axis=1).tolist()
+            assert got[k] >= 1
+
+
 class TestChannelCounts:
     """channel_below finds the states below a threshold without the value
     table: its count per row equals the count over channel_spaces' table and
@@ -409,13 +461,55 @@ class TestChannelCounts:
             assert_counts_equal(cfg, insts, r, e, probes(cfg, e))
 
     def test_low_snr_many_candidates(self):
-        # at 0 dB sqrt(y_mvd) is about 3, so the sorted search lets almost
-        # every pair through, and about a third of the states are marked
+        # at 0 dB sqrt(y_mvd) is about 3, so the first stage lets almost
+        # every pair through, about a third of the states are marked, and
+        # channel_below reads the rows off their tables
         cfg = SystemConfig(N=2, M=4, tau_max=2, snr_db=0.0, seed=5)
         insts, r, e = count_chunk(cfg, range(4))
         y = y_mvd(MvdParams.from_config(cfg, 1e-3))
         assert (e < y).mean() > 0.25
         assert_counts_equal(cfg, insts, r, e, probes(cfg, e))
+
+    def test_low_snr_through_the_search(self, monkeypatch):
+        # the same rows with the crossover never taken: every probe's states
+        # come from the first stage and the box filter
+        monkeypatch.setattr(spaces, "TABLE_SHARE", math.inf)
+        monkeypatch.setattr(spaces, "channel_spaces", no_table)
+        cfg = SystemConfig(N=2, M=4, tau_max=2, snr_db=0.0, seed=5)
+        insts, r, e = count_chunk(cfg, range(4))
+        assert_counts_equal(cfg, insts, r, e, probes(cfg, e))
+
+    @pytest.mark.parametrize("snr_db", [0.0, 7.0])
+    def test_crossover_reads_the_tables(self, monkeypatch, snr_db):
+        # past TABLE_SHARE each row's table is built once, and the states and
+        # values equal the search's, bit for bit, whichever path a row takes
+        cfg = SystemConfig(N=2, M=4, tau_max=3, snr_db=snr_db, seed=9)
+        insts, r, e = count_chunk(cfg, range(6))
+        y = y_mvd(MvdParams.from_config(cfg, 1e-3))
+        built = []
+        monkeypatch.setattr(spaces, "channel_spaces",
+                            lambda *args: built.append(args[0]) or channel_spaces(*args))
+        tables = by_row(channel_below(insts, r, cfg, y), len(r))
+        assert len(built) == len(r)
+        assert checked_counts(cfg, insts, r, table_stack(cfg, e), y).sum() > 0
+        monkeypatch.setattr(spaces, "TABLE_SHARE", math.inf)
+        monkeypatch.setattr(spaces, "channel_spaces", no_table)
+        assert by_row(channel_below(insts, r, cfg, y), len(r)) == tables
+
+    @pytest.mark.parametrize("snr_db", [0.0, 6.0, 20.0])
+    def test_a_row_does_not_depend_on_its_call(self, snr_db):
+        # each row's states and values, one row a call and BELOW_ROWS rows
+        # a call, byte for byte; near 6 dB a lone row and the stack can
+        # fall on either side of the crossover
+        cfg = SystemConfig(N=2, M=4, tau_max=5, snr_db=snr_db, seed=12)
+        ids = range(spaces.BELOW_ROWS)
+        insts = generate_instance(cfg, ids)
+        ts = np.zeros(len(ids), dtype=int)
+        r = received_slots(insts, cfg, ts, *slot_draws(cfg, ts, instance_id=ids))
+        y = y_mvd(MvdParams.from_config(cfg, 1e-3))
+        alone = [by_row(channel_below(insts[k:k + 1], r[k:k + 1], cfg, y), 1)[0]
+                 for k in range(len(r))]
+        assert by_row(channel_below(insts, r, cfg, y), len(r)) == alone
 
     def test_zero_count_sample_in_chunk(self):
         cfg = SystemConfig(N=2, M=4, tau_max=1, seed=6)
@@ -425,28 +519,23 @@ class TestChannelCounts:
         assert got.min() == 0 and got.max() > 0
         assert got.tolist() == (e < y).sum(axis=1).tolist()
 
-    def test_margin_covers_the_grouping(self):
+    def test_margin_covers_the_grouping(self, monkeypatch):
         # r is state x's noiseless H D s plus 0.3, so x's residual is all in
         # antenna 0's real part and y = E(x)'s successor puts that component
         # at sqrt(y) up to an ulp; the split's grouping rounds it differently
-        # from the table's, and only the margin keeps x a candidate
-        cfg = SystemConfig(N=1, M=4, tau_max=2, seed=8)
-        rng = np.random.default_rng(8)
-        for ids in np.arange(40).reshape(10, 4):
-            insts = generate_instance(cfg, ids)
-            bits = rng.integers(0, 2, size=(4, cfg.bits_per_slot))
-            delays = rng.integers(0, cfg.taud, size=(4, cfg.M))
-            r = received_slots(replace(insts, delays=delays), cfg, np.zeros(4, dtype=int), bits,
-                               np.zeros((4, 1)), np.zeros((4, 1))) + 0.3
-            stacks = [channel_spaces(insts[k], r[k][None], [0], cfg, W_STATE_REDUCED)
-                      for k in range(4)]
-            e = np.concatenate([stack.e_values for stack in stacks])
-            tables = table_stack(cfg, e)
-            for k, stack in enumerate(stacks):
-                x = spaces.channel_ordinals(stack, bits[k][None], delays[k][None])[0]
-                y = float(np.nextafter(e[k, x], np.inf))
-                got = checked_counts(cfg, insts, r, tables, y)
-                assert got.tolist() == (e < y).sum(axis=1).tolist()
+        # from the table's, and only the margin keeps x a candidate.  Cells
+        # are then about as wide as x's distance from its a, so the margin
+        # also keeps x's B in a neighbour of a's cell
+        assert_margin_case(monkeypatch, 0.3)
+
+    @pytest.mark.parametrize("edge", [False, True])
+    def test_margin_covers_the_imaginary_part(self, monkeypatch, edge):
+        # as above with the residual in antenna 0's imaginary part, which
+        # puts x's B at the edge of its a's window in a's own cell.  With
+        # edge, x's B is also on the lower edge of cell 0, and a's real part
+        # equals it up to rounding, so a may fall in cell -1: the margin
+        # argument must keep x's B in a neighbour of a's cell
+        assert_margin_case(monkeypatch, 0.3j, edge)
 
     def test_capacity_guard_before_any_work(self, monkeypatch):
         cfg = SystemConfig(N=2, M=16, tau_max=2, seed=0)
