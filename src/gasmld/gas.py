@@ -1,4 +1,4 @@
-"""Grover adaptive search: one measurement law, two engines.
+"""Grover adaptive search: one measurement law, three engines.
 
 Every search runs over rows of a spaces.SpaceStack, the one search-space
 type, so the values GAS measures and the optimum it is checked against come
@@ -10,22 +10,23 @@ sin^2((2L+1) arcsin sqrt(Ns/Nt)), uniform within each class; with q_v, q1 is
 the Fejer sum of the circuit's QFT value encoding.  A backend searches a
 one-row stack and holds only its law, measure(y, L, u_class, u_state) ->
 (ordinal, objective value), and the values a run reads by ordinal (value);
-run_gas reads everything else from backend.space.  An ideal backend can
-hold just the sorted states below a run's first threshold (a prefix).
-run_gas_batch runs many searches over the rows of one stack in lockstep on
-the amplitude law.  Both engines take an arm, a GasParams, plus the per-run
-seed x0 and oracle_min, read the stack's one cached sort, take their
-budgets, restart window and k cap from run_limits, draw one protocol of
-uniforms and return a GasBatch of state ordinals; on the amplitude law they
-agree run for run.  The value-register rules of the
-circuit sit beside Backend.
+run_gas reads everything else from backend.space.  run_gas_batch runs many
+searches over the rows of one stack in lockstep on the amplitude law.  Both
+take an arm, a GasParams, plus the per-run seed x0 and oracle_min, read the
+stack's one cached sort, take their budgets, restart window and k cap from
+run_limits, draw one protocol of uniforms and return a GasBatch of state
+ordinals; on the amplitude law they agree run for run.  run_gas_ranks runs
+searches from a threshold on the amplitude law in rank form, with no table:
+each run is a few counts of sorted positions, stepped from event to event on
+the same draws, and it stops a run at a restart, which reads a state by
+ordinal.  The value-register rules of the circuit sit beside Backend.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -44,6 +45,8 @@ BACKEND_CIRCUIT = "circuit"
 STOP_OPTIMUM = "optimum"
 STOP_BUDGET_ITERATIONS = "budget_iterations"
 STOP_BUDGET_ROTATIONS = "budget_rotations"
+# why run_gas_ranks gave a run up: its restart draw reads a state by ordinal
+STOP_RESTART = "restart"
 
 # qubits of the largest state prepared_state writes
 MAX_QUBITS = 26
@@ -217,11 +220,6 @@ def prepared_state(space: spaces.SpaceStack, q_v: int, y: float) -> np.ndarray:
     return state
 
 
-class OutsidePrefix(LookupError):
-    """A run on a prefix Backend read a state by its ordinal, a restart draw
-    or a uniform start, whose value only the full table holds."""
-
-
 class Backend:
     """The measurement law of G^L A_y over a one-row stack.
 
@@ -233,25 +231,13 @@ class Backend:
     sin^2((2L+1) theta), then x with weight q1_x, else x with weight
     1 - q1_x.  Without q_v the sign qubit is ideal, q1 = 1[E < y]; with q_v,
     q1 is sign_probabilities's, and no statevector is ever simulated.
-
-    An ideal backend can serve a prefix in place of the table: prefix is
-    (ordinals, values) of the states below the run's first threshold y0,
-    sorted as the table's sort puts them first, and space is a stack of no
-    rows (spaces.channel_keys).  Every later threshold lies at or below y0,
-    so a marked draw indexes the prefix.  An unmarked draw past it is a
-    state of value at least y that the run can neither accept, nor halt on,
-    nor keep as its best; it reads as (-1, inf).  Reading a value by
-    ordinal (value) raises OutsidePrefix.
     """
 
-    def __init__(self, space: spaces.SpaceStack, q_v: int | None = None,
-                 prefix: tuple[np.ndarray, np.ndarray] | None = None):
+    def __init__(self, space: spaces.SpaceStack, q_v: int | None = None):
         self.space = space
         self.q_v = q_v
         self.n_states = space.n_states
-        self.e_values = space.e_values[0] if prefix is None else None
-        if prefix is not None:
-            self._order, self._e_sorted = prefix
+        self.e_values = space.e_values[0]
         # one-entry memo, law(y): y changes only on acceptance or restart
         self._memo = (None, 0, 0.0, None)
 
@@ -265,9 +251,7 @@ class Backend:
         return self.space.e_sorted[0]
 
     def value(self, ordinal: int) -> float:
-        """The table value of the state ordinal; a prefix backend holds none."""
-        if self.e_values is None:
-            raise OutsidePrefix(f"state {ordinal} is read by ordinal from a prefix")
+        """The table value of the state ordinal."""
         return self.e_values.item(ordinal)
 
     def law(self, y: float):
@@ -305,9 +289,6 @@ class Backend:
             # never a zero-weight one
             cdf = cdfs[0] if marked else cdfs[1]
             idx = min(int(cdf.searchsorted(u_state * cdf[-1], side="right")), nt - 1)
-        if idx >= self._order.size:
-            # past a prefix: a state whose value is at least y
-            return -1, math.inf
         return self._order.item(idx), self._e_sorted.item(idx)
 
 
@@ -327,8 +308,7 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator, x0: int | None
 
     The incumbent, the best one-hot state and x0 are ordinals of
     backend.space, whose table supplies every value, so a re-measured
-    incumbent is never an improvement; on a prefix backend a seed, a
-    uniform start or a restart raises OutsidePrefix.  A run given oracle_min
+    incumbent is never an improvement.  A run given oracle_min
     halts at the first measurement of a one-hot state attaining it, the
     first hit, so its cd_queries and qd_rotations count up to that hit.  The uniform draws are
     measurements; a seeded x0 is not, so it is never a first hit, even at
@@ -437,7 +417,8 @@ def run_gas(backend, params: GasParams, rng: np.random.Generator, x0: int | None
                     cd_queries=cd, qd_rotations=cum_rot, stop_reason=stop, steps=steps)
 
 
-_STOP_NAMES = np.array([STOP_OPTIMUM, STOP_BUDGET_ITERATIONS, STOP_BUDGET_ROTATIONS])
+_STOP_NAMES = np.array([STOP_OPTIMUM, STOP_BUDGET_ITERATIONS, STOP_BUDGET_ROTATIONS,
+                        STOP_RESTART])
 
 
 @dataclass
@@ -667,6 +648,176 @@ def run_gas_batch(stack: spaces.SpaceStack, rows, arms, x0=None, oracle_min=None
     return GasBatch(final=final, final_y=_values_at(e_sorted, base, inc, y0),
                     invalid_final=(final >= 0) & ~one_hot[final], cd_queries=cd,
                     qd_rotations=cum_rot, stop_reason=_STOP_NAMES[stop], steps=steps)
+
+
+@dataclass
+class RankRuns:
+    """Outputs of run_gas_ranks, arrays over the runs.  A run stopped by
+    STOP_RESTART counts the steps up to its restart, not the restart draw."""
+    hit_at: np.ndarray          # position of the first hit, -1 none
+    cd_queries: np.ndarray
+    qd_rotations: np.ndarray
+    stop_reason: np.ndarray     # STOP_* names
+
+    @property
+    def converged(self) -> np.ndarray:
+        return self.stop_reason == STOP_OPTIMUM
+
+
+@lru_cache(maxsize=16)
+def _spans(lam: float, cap: float, n: int) -> np.ndarray:
+    """ceil(k - 1) + 1 after j = 0 .. n - 1 steps without an acceptance, k
+    run_gas's sequential products min(lam k, cap) from 1."""
+    spans, k = np.empty(n), 1.0
+    for j in range(n):
+        spans[j] = math.ceil(k - 1.0) + 1.0
+        if k == cap:
+            spans[j:] = spans[j]
+            break
+        k = min(lam * k, cap)
+    spans.flags.writeable = False
+    return spans
+
+
+def run_gas_ranks(space: spaces.SpaceStack, arms, ns0, hit, below=None) -> RankRuns:
+    """run_gas's search on the amplitude law for runs that start at a
+    threshold, in rank form, each run stepped from event to event.
+
+    The amplitude law reads a value only to compare it (Durr and Hoyer,
+    quant-ph/9607014), so a run from a threshold depends on its table only
+    through counts of sorted positions: ns0[j], the states below run j's
+    first threshold, and hit[j], the states at or below its oracle_min, all
+    of them one-hot (as on a w-state space).  A marked draw at position
+    p < ns is accepted and sets ns to the start of p's tie group,
+    below[j][p] (p itself where below or below[j] is None); any draw at
+    p < hit is the first hit.  space gives
+    Nt and run_limits's budgets, restart window and k cap; its rows are
+    never read.  arms holds one (GasParams, generator) per run; params.y0
+    is not read.  The draws are run_gas's: the start's uniform, then blocks
+    of (STEPS_PER_BLOCK, UNIFORMS_PER_STEP), one block buffer for all runs.
+
+    Without an acceptance k after j steps is _spans's entry j, so one round
+    takes the rest of every active run's block at once: its rotation
+    counts, their running sum and the marked test.  Each run then jumps to
+    its first event: a marked draw or a hit, a budget, the block's end, or
+    a restart coming due.  A restart draws a state by its ordinal, which
+    has no position here, so such a run stops with STOP_RESTART.  Every
+    other run is run_gas's on a table whose sort gives those counts.
+    """
+    n = len(arms)
+    if not n:
+        return RankRuns(np.zeros(0, np.intp), np.zeros(0, np.int64), np.zeros(0, np.int64),
+                        _STOP_NAMES[:0])
+    nt = space.n_states
+    limits = {}     # per distinct GasParams
+    for p, _ in arms:
+        if id(p) not in limits:
+            limits[id(p)] = (p.lam, p.lmin, *run_limits(space, p))
+    lam, lmin, budget_iter, budget_rot, window, cap = (
+        np.array(v) for v in zip(*(limits[id(p)] for p, _ in arms)))
+    # one row of spans per distinct (lam, cap), over the longest budget
+    width = max(1, int(budget_iter.max()))
+    pairs = list(zip(lam.tolist(), cap.tolist()))
+    kinds = list(dict.fromkeys(pairs))
+    span_rows = np.stack([_spans(*pair, width) for pair in kinds])
+    kind = np.array([kinds.index(pair) for pair in pairs], np.intp)
+
+    gens = [g for _, g in arms]
+    for g in gens:
+        g.random()      # the start's uniform: a run from a threshold never reads it
+    ns = np.array(ns0, np.int64).reshape(n)
+    hit = np.array(hit, np.int64).reshape(n)
+    theta = np.array([marked_angle(x, nt) for x in ns.tolist()])
+    i = np.zeros(n, np.int64)           # steps taken
+    j = np.zeros(n, np.int64)           # steps since the last acceptance
+    s = np.full(n, STEPS_PER_BLOCK)     # the run's next row in its block
+    cd = np.zeros(n, np.int64)
+    cum_rot = np.zeros(n, np.int64)
+    # the step a restart comes due at: window - 1 until the first acceptance
+    due = np.where(window > 0, window - 1, -1)
+    stop = np.full(n, 1, np.int8)       # index into _STOP_NAMES
+    hit_at = np.full(n, -1, np.intp)
+    active = budget_iter > 0
+    draws = np.empty((n, STEPS_PER_BLOCK, UNIFORMS_PER_STEP))
+    cols = np.arange(STEPS_PER_BLOCK)
+    while active.any():
+        act = np.flatnonzero(active)
+        fresh = act[s[act] == STEPS_PER_BLOCK]
+        for r in fresh.tolist():
+            gens[r].random(out=draws[r])
+        s[fresh] = 0
+        rows = np.arange(act.size)
+        blk = draws[act]
+        s_a, i_a, ns_a, hit_a = s[act], i[act], ns[act], hit[act]
+        off = cols - s_a[:, None]       # steps ahead; below 0 already taken
+        valid = off >= 0
+        spans = span_rows[kind[act, None], np.minimum(j[act, None] + off, width - 1)]
+        L = np.zeros((act.size, STEPS_PER_BLOCK + 1), np.int64)
+        steps = L[:, :STEPS_PER_BLOCK]
+        np.multiply(blk[:, :, 0], spans, out=spans)
+        steps[...] = spans
+        steps += lmin[act, None]
+        steps *= valid
+        # rotations after each step, and after the block in the last column
+        rot = L.cumsum(axis=1)
+        rot += cum_rot[act, None]
+        step = i_a[:, None] + off
+        marked = blk[:, :, 1] < np.sin((2 * steps + 1) * theta[act, None]) ** 2
+        # all marked at ns = Nt
+        marked |= (ns_a == nt)[:, None]
+        event = np.ones(L.shape, bool)
+        inner = event[:, :STEPS_PER_BLOCK]
+        np.logical_or(marked, step >= budget_iter[act, None], out=inner)
+        inner |= step == due[act, None]
+        inner |= rot[:, :STEPS_PER_BLOCK] > budget_rot[act, None]
+        unmarked_hit = None
+        if (ns_a < hit_a).any():
+            # an unmarked draw is a hit only below hit, which ns can undercut
+            upos = np.minimum((ns_a[:, None] + blk[:, :, 2] * (nt - ns_a)[:, None])
+                              .astype(np.intp), nt - 1)
+            unmarked_hit = ~marked & (upos < hit_a[:, None])
+            inner |= unmarked_hit
+        inner &= valid
+        e = event.argmax(axis=1)
+        ec = np.minimum(e, STEPS_PER_BLOCK - 1)
+        taken = e - s_a                 # steps before the event
+        rot_e, L_e = rot[rows, e], L[rows, e]
+        inside = (e < STEPS_PER_BLOCK) & (i_a + taken < budget_iter[act])
+        over = inside & (rot_e > budget_rot[act])
+        measured = inside & ~over
+        i[act] = i_a + taken + measured
+        # a measured event accepts, and sets j to 0, or ends the run
+        j[act] += taken
+        cd[act] += taken + measured
+        cum_rot[act] = np.where(measured, rot_e, rot_e - L_e)
+        s[act] = e + measured
+        marked_e = measured & marked[rows, ec]
+        pos = (blk[rows, ec, 2] * ns_a).astype(np.intp)
+        halt = marked_e & (pos < hit_a)
+        if unmarked_hit is not None:
+            hit_e = measured & ~marked_e & unmarked_hit[rows, ec]
+            pos = np.where(hit_e, upos[rows, ec], pos)
+            halt |= hit_e
+        accepted = marked_e & ~halt
+        # the remaining measured events: a restart coming due
+        restart = measured & ~marked_e & ~halt
+        stop[act[over]] = 2
+        stop[act[halt]] = 0
+        stop[act[restart]] = 3
+        hit_at[act[halt]] = pos[halt]
+        if accepted.any():
+            runs, at = act[accepted], pos[accepted]
+            if below is not None:
+                at = [p if below[r] is None else int(below[r][p])
+                      for r, p in zip(runs.tolist(), at.tolist())]
+            ns[runs] = at
+            theta[runs] = [marked_angle(x, nt) for x in ns[runs].tolist()]
+            j[runs] = 0
+            due[runs] = -1
+        active[act[over | halt | restart]] = False
+        active[act] &= i[act] < budget_iter[act]
+    return RankRuns(hit_at=hit_at, cd_queries=cd, qd_rotations=cum_rot,
+                    stop_reason=_STOP_NAMES[stop])
 
 
 def _values_at(e_sorted: np.ndarray, base: np.ndarray, pos: np.ndarray,

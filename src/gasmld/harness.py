@@ -9,7 +9,6 @@ rows are canonically ordered, so repeated runs write byte-identical CSVs.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -21,9 +20,9 @@ from . import streams
 from .channel import (PSK2, QPSK, SystemConfig, generate_instance, objective_direct, received_slots,
                       slot_draws)
 from .errors import ConfigError
-from .gas import (BACKEND_AMPLITUDE, BACKEND_CIRCUIT, Backend, GasBatch, GasParams,
-                  LMIN_CONVENTIONAL_C, LMIN_PROPOSED_CPRIME, LMIN_ZERO, OutsidePrefix,
-                  channel_bound, prepared_state, register_width, run_gas, run_gas_batch)
+from .gas import (BACKEND_AMPLITUDE, BACKEND_CIRCUIT, STOP_OPTIMUM, Backend, GasBatch, GasParams,
+                  LMIN_CONVENTIONAL_C, LMIN_PROPOSED_CPRIME, LMIN_ZERO, channel_bound,
+                  prepared_state, register_width, run_gas, run_gas_batch, run_gas_ranks)
 from .gates import build_report
 from .indicators import (CalibrationTable, calibrate, config_hash, indicator_c,
                          indicator_c_prime, select_lmin, select_lmin_conventional)
@@ -293,12 +292,13 @@ def run_query_cdf(spec: ExperimentSpec):
     Row schema: variant, trial, cd_queries, qd_rotations, converged.
 
     When every variant starts at the MVD threshold on the w-state-reduced
-    space and the backend is amplitude, a trial first runs its arms on its
-    states below y_mvd alone (_runs_below), and builds and sorts no value
-    table.  It falls back to its full tables (_full_runs) when it has no
-    such state, an arm restarts or an arm ends unconverged, so every run is
-    field for field the full table's.  A converged output is re-verified
-    against objective_direct, once per space and output.
+    space and the backend is amplitude, the trials' arms first run on their
+    states below y_mvd alone, all of them in one run_gas_ranks call
+    (_prefix_runs), and no value table is built or sorted.  A trial falls
+    back to its full tables (_full_runs) when it has no such state, an arm
+    reaches a restart or an arm ends unconverged, so every run is field for
+    field the full table's.  A converged output is re-verified against
+    objective_direct, once per space and output.
     """
     cfg = spec.cfg
     check_command(spec, "query-cdf")
@@ -311,21 +311,23 @@ def run_query_cdf(spec: ExperimentSpec):
     insts = generate_instance(cfg, trials)
     r_all = received_slots(insts, cfg, ts, *slot_draws(cfg, ts, instance_id=trials))
     lmins = [_lmins(v.get("lmin", LMIN_ZERO), insts.H, table) for v in spec.variants]
+    # each variant's GasParams once per distinct rotation lower bound
+    arms = [{lmin: _gas_params(spec, variant, ymvd, lmin) for lmin in set(ls)}
+            for variant, ls in zip(spec.variants, lmins)]
+    params = [[arm[ls[trial]] for arm, ls in zip(arms, lmins)] for trial in trials]
     rngs = streams.substreams(cfg.seed, [(streams.TRIAL, trial, vi) for trial in trials
                                          for vi in range(len(spec.variants))])
+    gens = [[next(rngs) for _ in spec.variants] for _ in trials]
     on_prefix = spec.backend == BACKEND_AMPLITUDE and all(
         v.get("threshold") == "mvd" and v.get("prep", W_STATE_REDUCED) == W_STATE_REDUCED
         for v in spec.variants)
-    prefixes = _sorted_below(insts, r_all, cfg, ymvd) if on_prefix else itertools.repeat(None)
-    keys = channel_keys(cfg, W_STATE_REDUCED) if on_prefix else None
+    found = (_prefix_runs(cfg, _prefixes(insts, r_all, cfg, ymvd), params, gens) if on_prefix
+             else [None] * spec.trials)
     rows = []
-    for trial, prefix in zip(trials, prefixes):
+    for trial in trials:
         inst, r = insts[trial], r_all[trial:trial + 1]
-        params = [_gas_params(spec, variant, ymvd, lmin[trial])
-                  for variant, lmin in zip(spec.variants, lmins)]
-        gens = [next(rngs) for _ in params]
-        found = None if prefix is None else _runs_below(keys, prefix, params, gens)
-        oracle_min, runs = found or _full_runs(spec, inst, r, trial, params, gens)
+        oracle_min, runs = found[trial] or _full_runs(spec, inst, r, trial, params[trial],
+                                                      gens[trial])
         checked = set()
         for variant, (space, run) in zip(spec.variants, runs):
             # re-verify against the exhaustive oracle; no mismatch tolerated
@@ -342,39 +344,65 @@ def run_query_cdf(spec: ExperimentSpec):
     return rows
 
 
-def _sorted_below(insts, r: np.ndarray, cfg: SystemConfig, y: float):
-    """Per row of an instance stack, its states below y as (ordinals,
-    values) sorted by (value, ordinal): the head of its table's sort, ties
-    in ordinal order.  One channel_below call per BELOW_ROWS rows, yielded
-    row by row, so at most that many rows' states are held at once."""
+def _prefixes(insts, r: np.ndarray, cfg: SystemConfig, y: float) -> list:
+    """Per row of an instance stack, what a search of its states below y
+    reads, None where there is none: (their count ns0, the least value, the
+    ordinals at it in ordinal order, and the start of each state's tie
+    group over the states sorted by (value, ordinal), None without ties).
+    That sort is the head of the table's.  One channel_below call per
+    BELOW_ROWS rows, so at most that many rows' states are held at once."""
+    found = []
     for k in range(0, len(r), BELOW_ROWS):
         chunk = slice(k, k + BELOW_ROWS)
         row, ordinal, value = channel_below(insts[chunk], r[chunk], cfg, y)
         order = np.lexsort((ordinal, value, row))
-        ends = np.cumsum(np.bincount(row, minlength=len(r[chunk])))[:-1]
-        yield from zip(np.split(ordinal[order], ends), np.split(value[order], ends))
+        row, ordinal, value = row[order], ordinal[order], value[order]
+        counts = np.bincount(row, minlength=len(r[chunk]))
+        tie = np.zeros(row.size, bool)
+        tie[1:] = (value[1:] == value[:-1]) & (row[1:] == row[:-1])
+        group = np.maximum.accumulate(np.where(tie, 0, np.arange(row.size)))
+        for start, ns0 in zip((np.cumsum(counts) - counts).tolist(), counts.tolist()):
+            if not ns0:
+                found.append(None)
+                continue
+            below = group[start:start + ns0] - start
+            hit = int(np.count_nonzero(below == 0))
+            found.append((ns0, float(value[start]), ordinal[start:start + hit],
+                          below if tie[start + 1:start + ns0].any() else None))
+    return found
 
 
-def _runs_below(keys: SpaceStack, prefix, params: list[GasParams], gens):
-    """A trial's arms, each from its generator, on its states below y_mvd
-    alone: (the minimum, [(keys, run)]), one prefix Backend over the
-    stack of no rows keys serving every arm.  None, every generator back
-    in its state before the runs, when there is no such state, an arm reads
-    a state by ordinal (a restart) or an arm ends unconverged."""
-    if not prefix[0].size:
-        return None
-    saved = [g.bit_generator.state for g in gens]
-    oracle_min = float(prefix[1][0])
-    backend = Backend(keys, prefix=prefix)
-    try:
-        runs = [run_gas(backend, p, g, oracle_min=oracle_min) for p, g in zip(params, gens)]
-    except OutsidePrefix:
-        runs = []
-    if runs and all(run.converged for run in runs):
-        return oracle_min, [(keys, run) for run in runs]
-    for g, state in zip(gens, saved):
-        g.bit_generator.state = state
-    return None
+def _prefix_runs(cfg: SystemConfig, prefixes: list, params: list[list[GasParams]],
+                 gens: list[list]) -> list:
+    """Every trial's arms, each from its generator, on its states below
+    y_mvd alone (_prefixes), in one run_gas_ranks call over the trials that
+    have such states.  Per trial (the minimum, [(keys, run)]), keys the
+    stack of no rows that decodes the runs' ordinals; None, its generators
+    back in their states before the runs, when it has no such state, an arm
+    reaches a restart or an arm ends unconverged."""
+    keys = channel_keys(cfg, W_STATE_REDUCED)
+    on = [trial for trial, prefix in enumerate(prefixes) if prefix is not None]
+    runs = [(trial, p, g) for trial in on for p, g in zip(params[trial], gens[trial])]
+    saved = [g.bit_generator.state for *_, g in runs]
+    ns0, _, heads, below = zip(*(prefixes[trial] for trial, *_ in runs)) if runs else [()] * 4
+    ranks = run_gas_ranks(keys, [(p, g) for _, p, g in runs], ns0, [h.size for h in heads],
+                          None if all(b is None for b in below) else below)
+    hit_at, cd, qd, stop = (a.tolist() for a in (ranks.hit_at, ranks.cd_queries,
+                                                 ranks.qd_rotations, ranks.stop_reason))
+    found = [None] * len(prefixes)
+    per_trial = len(params[0]) if params else 0
+    for k, trial in enumerate(on):
+        mine = range(k * per_trial, (k + 1) * per_trial)
+        if all(stop[a] == STOP_OPTIMUM for a in mine):
+            _, oracle_min, head, _ = prefixes[trial]
+            found[trial] = oracle_min, [
+                (keys, GasBatch(final=int(head[hit_at[a]]), final_y=oracle_min,
+                                invalid_final=False, cd_queries=cd[a], qd_rotations=qd[a],
+                                stop_reason=STOP_OPTIMUM)) for a in mine]
+        else:
+            for a in mine:
+                runs[a][2].bit_generator.state = saved[a]
+    return found
 
 
 def _full_runs(spec: ExperimentSpec, inst, r: np.ndarray, trial: int,

@@ -268,8 +268,9 @@ def channel_spaces(inst: ChannelInstance, r: np.ndarray, ts, cfg: SystemConfig,
 
 def channel_keys(cfg: SystemConfig, prep: str) -> SpaceStack:
     """The stack of no rows over cfg's space under prep: its registry, key
-    table and one-hot validity without any value table, the space of a
-    search that holds only the values it reads (gas.Backend's prefix)."""
+    table and one-hot validity without any value table: it gives a search
+    that holds no values (gas.run_gas_ranks) its Nt and limits, and decodes
+    its ordinals."""
     reg = build_registry(cfg)
     key_idx = _key_table(reg, prep)
     return SpaceStack(reg=reg, prep=prep, key_indices=key_idx,

@@ -9,9 +9,9 @@ import pytest
 from gasmld.channel import (PSK2, QPSK, SystemConfig, generate_instance, received_slots,
                             slot_draws)
 from gasmld import gas, harness, streams
-from gasmld.gas import (STOP_BUDGET_ITERATIONS, STOP_BUDGET_ROTATIONS, STOP_OPTIMUM,
-                        Backend, GasParams, OutsidePrefix, l_opt, channel_bound, prepared_state,
-                        register_width, restart_iterations, run_gas, run_gas_batch, scale_for)
+from gasmld.gas import (STOP_BUDGET_ITERATIONS, STOP_BUDGET_ROTATIONS, STOP_OPTIMUM, STOP_RESTART,
+                        Backend, GasParams, l_opt, channel_bound, prepared_state, register_width,
+                        restart_iterations, run_gas, run_gas_batch, run_gas_ranks, scale_for)
 from gasmld.indicators import indicator_c, select_lmin_conventional
 from gasmld.spaces import (HADAMARD_FULL, W_STATE_REDUCED, SpaceStack, build_registry,
                            channel_keys, channel_spaces)
@@ -134,60 +134,6 @@ class TestAmplitudeBackend:
                 hits += ex < y
             p = success_probability(ns, 8, L)
             assert hits / n == pytest.approx(p, abs=4 * math.sqrt(p * (1 - p) / n) + 1e-3)
-
-
-class TestPrefixBackend:
-    """A Backend over the states below y0 alone measures what the full
-    table's Backend measures, and reads no value by ordinal."""
-
-    cfg = SystemConfig(N=2, M=4, tau_max=2, T_P=128, T_D=128, snr_db=20.0, seed=2028)
-
-    def backends(self, trial):
-        """The full table's Backend of a trial, its Backend over the states
-        below y_mvd and y_mvd."""
-        cfg = self.cfg
-        inst = generate_instance(cfg, instance_id=trial)
-        r = received_slots(inst, cfg, [0], *slot_draws(cfg, [0], instance_id=trial))
-        space = channel_spaces(inst, r, [0], cfg, W_STATE_REDUCED)
-        ymvd = y_mvd(MvdParams.from_config(cfg, 1e-3))
-        ns0 = int(np.count_nonzero(space.e_values < ymvd))
-        prefix = (space.order[0, :ns0], space.e_sorted[0, :ns0])
-        return Backend(space), Backend(channel_keys(cfg, W_STATE_REDUCED), prefix=prefix), ymvd
-
-    def test_measure_matches_the_full_table(self):
-        # at every threshold a run from y_mvd can reach, a draw inside the
-        # prefix is the full table's state and value, bit for bit, and a
-        # draw past it is (-1, inf) where the full table's value is >= y_mvd
-        rng = np.random.default_rng(40)
-        past = 0
-        for trial in range(4):
-            full, prefix, ymvd = self.backends(trial)
-            es = full.space.e_sorted[0]
-            ns0 = int(np.count_nonzero(es < ymvd))
-            assert ns0 > 1
-            for y in (ymvd, float(es[ns0 - 1]), float(es[1])):
-                for L in (0, 2, 7):
-                    for u_class, u_state in rng.random((100, 2)).tolist():
-                        ordinal, value = full.measure(y, L, u_class, u_state)
-                        got = prefix.measure(y, L, u_class, u_state)
-                        assert got == ((ordinal, value) if value < ymvd else (-1, math.inf))
-                        past += value >= ymvd
-        assert past > 0
-
-    def test_a_read_by_ordinal_raises(self):
-        # a uniform start, a seed and a restart draw each need a value only
-        # the full table holds
-        _, backend, ymvd = self.backends(0)
-        with pytest.raises(OutsidePrefix):
-            run_gas(backend, GasParams(), np.random.default_rng(41))
-        with pytest.raises(OutsidePrefix):
-            run_gas(backend, GasParams(), np.random.default_rng(42), x0=0)
-        # every uniform next to 1: no draw is marked or accepted, so the
-        # run restarts after lmin 12's window of 14 steps
-        params = GasParams(y0=ymvd, lmin=12, restart_enabled=True, budget_rotations=10 ** 6)
-        assert gas.run_limits(backend.space, params)[2] == 14
-        with pytest.raises(OutsidePrefix):
-            run_gas(backend, params, FixedUniforms(float(np.nextafter(1.0, 0.0))))
 
 
 class TestCircuitBackend:
@@ -720,14 +666,79 @@ class TestEnginesAgree:
         assert batch.converged.any()
 
 
+class TestRunGasRanks:
+    """run_gas_ranks is run_gas on a table whose sort gives its counts,
+    ties included, and stops a run at a restart."""
+
+    cfg = SystemConfig(N=1, M=2, tau_max=2, seed=0)
+
+    def tied_space(self):
+        """A 36-state w-state space whose three least values tie, with a
+        tie group of four and one of two between them and y0 = 7.5, and
+        its ordinals shuffled against its values; its states below y0,
+        the states at its minimum and their tie-group starts."""
+        keys = channel_keys(self.cfg, W_STATE_REDUCED)
+        nt = keys.n_states
+        levels = np.array([0, 0, 0, 1, 2, 2, 2, 2, 3, 5, 5, 7] + list(range(8, 8 + nt - 12)), float)
+        e = np.empty(nt)
+        e[np.random.default_rng(3).permutation(nt)] = levels
+        space = SpaceStack(keys.reg, W_STATE_REDUCED, e[None], keys.key_indices)
+        es = space.e_sorted[0]
+        ns0 = int(np.count_nonzero(es < 7.5))
+        below = np.searchsorted(es, es[:ns0], side="left")
+        return space, ns0, 3, below
+
+    def test_tied_prefix_matches_run_gas(self):
+        space, ns0, hit, below = self.tied_space()
+        assert space.tied and (ns0, list(below[:4])) == (12, [0, 0, 0, 3])
+        arms = [GasParams(y0=7.5, lmin=lmin, restart_enabled=restart, budget_iterations=iters,
+                          budget_rotations=rots)
+                for lmin in (0, 2, 5) for restart in (False, True)
+                for iters, rots in ((None, None), (6, None), (None, 12))] * 12
+        runs = [run_gas(Backend(space), p, np.random.default_rng([5, j]), oracle_min=0.0,
+                        record=True) for j, p in enumerate(arms)]
+        ranks = run_gas_ranks(space, [(p, np.random.default_rng([5, j]))
+                                      for j, p in enumerate(arms)],
+                              [ns0] * len(arms), [hit] * len(arms), [below] * len(arms))
+        for j, run in enumerate(runs):
+            restarts = [step["i"] for step in run.steps if step["restarted"]]
+            if ranks.stop_reason[j] == STOP_RESTART:
+                # the counts up to the restart step, without the restart draw
+                step = run.steps[restarts[0]]
+                assert (ranks.cd_queries[j], ranks.qd_rotations[j]) == (step["i"] + 1,
+                                                                       step["cum_rot"])
+                continue
+            assert not restarts
+            assert (ranks.cd_queries[j], ranks.qd_rotations[j], ranks.stop_reason[j]) == (
+                run.cd_queries, run.qd_rotations, run.stop_reason), j
+            if run.converged:
+                assert run.final == space.order[0, ranks.hit_at[j]]
+        # every stop reason, and halts at each of the tied minima
+        assert set(ranks.stop_reason) == {STOP_OPTIMUM, STOP_BUDGET_ITERATIONS,
+                                          STOP_BUDGET_ROTATIONS, STOP_RESTART}
+        assert set(ranks.hit_at[ranks.converged]) == {0, 1, 2}
+
+    def test_a_restart_ends_the_run(self):
+        # every uniform next to 1: no draw is marked or accepted, so the
+        # run comes to its restart after lmin 12's window of 14 steps
+        keys = channel_keys(TestRankInvariance.cfg, W_STATE_REDUCED)
+        params = GasParams(y0=0.0, lmin=12, restart_enabled=True, budget_rotations=10 ** 6)
+        assert gas.run_limits(keys, params)[2] == 14
+        ranks = run_gas_ranks(keys, [(params, FixedUniforms(float(np.nextafter(1.0, 0.0))))],
+                              [5], [1])
+        assert ranks.stop_reason.tolist() == [STOP_RESTART] and ranks.cd_queries[0] == 14
+
+
 class TestRankInvariance:
     """The ideal law reads a value only to compare it, so on a tie-free
     table a run depends on its trial only through Nt, ns0 (the states below
     y0) and lmin: over the table's ranks, with y0 = ns0 - 0.5 and oracle_min
     = 0, every run is the same run."""
 
+    cfg = SystemConfig(N=2, M=4, tau_max=2, T_P=128, T_D=128, snr_db=20.0, seed=2028)
+
     def test_rank_table_gives_identical_runs(self):
-        cfg = SystemConfig(N=2, M=4, tau_max=2, T_P=128, T_D=128, snr_db=20.0, seed=2028)
+        cfg = self.cfg
         ymvd = y_mvd(MvdParams.from_config(cfg, 1e-3))
         outputs = ("cd_queries", "qd_rotations", "converged", "stop_reason", "final")
         converged = 0
@@ -756,6 +767,49 @@ class TestRankInvariance:
                 converged += run.converged
         assert converged > 0
 
+
+    def test_the_rank_engine_gives_the_batch_engine_runs(self):
+        # run_gas_ranks on random (ns0, hit, lmin, restart) at two growth
+        # factors, all runs in one call, against run_gas_batch on the rank
+        # table e = arange(Nt), y0 = ns0 - 0.5 and oracle_min = hit - 0.5,
+        # the hit least states; ns0 = 0 and hit > ns0 take unmarked hits,
+        # ns0 = Nt the all-marked step, and small budgets end runs on each
+        # budget
+        keys = channel_keys(self.cfg, W_STATE_REDUCED)
+        nt = keys.n_states
+        rng = np.random.default_rng(6)
+        cases = []
+        for _ in range(240):
+            ns0 = int(rng.choice([0, 1, 2, 5, 20, 200, nt]))
+            cases.append((ns0, int(rng.integers(0, 4)), GasParams(
+                lam=float(rng.choice([8 / 7, 1.25])), y0=ns0 - 0.5,
+                lmin=int(rng.choice([0, 3, 12, 30])),
+                restart_enabled=bool(rng.integers(2)),
+                budget_iterations=[None, 5, 40, 64][rng.integers(4)],
+                budget_rotations=[None, 30, 300][rng.integers(3)])))
+        ranks = run_gas_ranks(keys, [(p, np.random.default_rng([9, j]))
+                                     for j, (_, _, p) in enumerate(cases)],
+                              [ns0 for ns0, _, _ in cases], [hit for _, hit, _ in cases])
+        table = SpaceStack(keys.reg, W_STATE_REDUCED, np.arange(nt, dtype=float)[None],
+                           keys.key_indices)
+        batch = run_gas_batch(table, np.zeros(len(cases), int),
+                              [(p, np.random.default_rng([9, j]), 1)
+                               for j, (_, _, p) in enumerate(cases)],
+                              oracle_min=[hit - 0.5 for _, hit, _ in cases], record=True)
+        restarted = np.array([step["restarted"] for step in batch.steps])
+        for j in range(len(cases)):
+            if ranks.stop_reason[j] == STOP_RESTART:
+                first = int(np.argmax(restarted[:, j]))
+                assert restarted[first, j]
+                assert ranks.qd_rotations[j] == batch.steps[first]["cum_rot"][j]
+                continue
+            assert not restarted[:, j].any()
+            got = (ranks.cd_queries[j], ranks.qd_rotations[j], ranks.stop_reason[j])
+            assert got == (batch.cd_queries[j], batch.qd_rotations[j], batch.stop_reason[j]), j
+            if ranks.converged[j]:
+                assert ranks.hit_at[j] == batch.final[j]
+        assert set(ranks.stop_reason) == {STOP_OPTIMUM, STOP_BUDGET_ITERATIONS,
+                                          STOP_BUDGET_ROTATIONS, STOP_RESTART}
 
 def ks_statistic(a, b) -> float:
     """Two-sample Kolmogorov-Smirnov distance between the empirical CDFs."""

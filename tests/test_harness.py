@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from gasmld import cli, harness, streams
 from gasmld.channel import SystemConfig, generate_instance, objective_direct
 from gasmld.errors import ConfigError
-from gasmld.gas import OutsidePrefix, run_gas, run_gas_batch
+from gasmld.gas import STOP_RESTART, run_gas, run_gas_batch
 from gasmld.harness import (ExperimentSpec, fmt, load_spec, run_ber, run_calibration,
                             run_gate_count, run_query_cdf, solve_single, write_csv)
 from gasmld.spaces import HADAMARD_FULL, W_STATE_REDUCED, build_registry, channel_spaces
@@ -416,8 +416,8 @@ def record(monkeypatch, name):
     """Every result of harness.<name>, in call order."""
     results, fn = [], getattr(harness, name)
 
-    def recording(*args):
-        results.append(fn(*args))
+    def recording(*args, **kwargs):
+        results.append(fn(*args, **kwargs))
         return results[-1]
 
     monkeypatch.setattr(harness, name, recording)
@@ -427,9 +427,20 @@ def record(monkeypatch, name):
 def on_full_tables(monkeypatch, spec):
     """run_query_cdf's rows with every trial on its full tables, and each
     trial's (minimum, [(space, run)])."""
-    monkeypatch.setattr(harness, "_runs_below", lambda *args: None)
+    monkeypatch.setattr(harness, "_prefix_runs",
+                        lambda cfg, prefixes, *args: [None] * len(prefixes))
     full = record(monkeypatch, "_full_runs")
     return run_query_cdf(spec), full
+
+
+def on_prefixes(monkeypatch, spec):
+    """run_query_cdf's rows, the one run_gas_ranks call's outputs and
+    _prefix_runs's result, per trial (minimum, [(keys, run)]) or None for a
+    trial that fell back."""
+    ranks, found = record(monkeypatch, "run_gas_ranks"), record(monkeypatch, "_prefix_runs")
+    rows = run_query_cdf(spec)
+    assert len(ranks) == len(found) == 1
+    return rows, ranks[0], found[0]
 
 
 class NoMarkedDraw:
@@ -439,25 +450,25 @@ class NoMarkedDraw:
     def __init__(self, rng):
         self.rng, self.bit_generator = rng, rng.bit_generator
 
-    def random(self, shape=None):
-        u = self.rng.random(shape)
-        if shape is not None:
-            u[:, 1] = np.nextafter(1.0, 0.0)
+    def random(self, shape=None, out=None):
+        u = self.rng.random(shape, out=out)
+        if shape is not None or out is not None:
+            u[..., 1] = np.nextafter(1.0, 0.0)
         return u
 
 
 class TestPrefixPath:
-    """An all-MVD w-state query-cdf on the amplitude backend runs each trial
-    on its states below y_mvd, and falls back to the full tables, its
-    generators restored, where that cannot give the full table's runs."""
+    """An all-MVD w-state query-cdf on the amplitude backend runs every
+    trial's arms on its states below y_mvd in one run_gas_ranks call, and a
+    trial falls back to its full tables, its generators restored, where that
+    cannot give the full table's runs."""
 
     @pytest.mark.parametrize("tau_max", [2, 5])
     def test_prefix_runs_equal_the_full_table(self, monkeypatch, tau_max):
         # each kept prefix run is, field for field, the run the trial's full
         # table gives on the same generator, and so are the rows
         spec = lmin_spec(100, tau_max=tau_max)
-        kept = record(monkeypatch, "_runs_below")
-        rows = run_query_cdf(spec)
+        rows, _, kept = on_prefixes(monkeypatch, spec)
         assert len(kept) == 100 and sum(found is not None for found in kept) >= 90
         full_rows, full = on_full_tables(monkeypatch, spec)
         assert full_rows == rows
@@ -465,6 +476,16 @@ class TestPrefixPath:
             if found is not None:
                 assert found[0] == oracle_min
                 assert [run for _, run in found[1]] == [run for _, run in runs]
+
+    def test_one_engine_call_and_no_prefix_run_through_run_gas(self, monkeypatch):
+        # every trial has a state below y_mvd; run_gas runs only the arms
+        # of the trials whose 20 rotations leave an arm unconverged
+        spec = lmin_spec(40, budget_rotations=20)
+        runs = record(monkeypatch, "run_gas")
+        rows, ranks, kept = on_prefixes(monkeypatch, spec)
+        assert ranks.stop_reason.size == len(rows) == 120
+        assert 0 < kept.count(None) < 40
+        assert len(runs) == 3 * kept.count(None)
 
     def test_a_trial_on_its_prefix_builds_no_table(self, monkeypatch):
         spec = lmin_spec(12)
@@ -484,43 +505,36 @@ class TestPrefixPath:
                     for path, rng in zip(paths, substreams(seed, paths)))
 
         monkeypatch.setattr(streams, "substreams", trials_without_marked_draws)
-        raised = []
-
-        def recording(*args, **kwargs):
-            try:
-                return run_gas(*args, **kwargs)
-            except OutsidePrefix as exc:
-                raised.append(exc)
-                raise
-
-        monkeypatch.setattr(harness, "run_gas", recording)
-        kept = record(monkeypatch, "_runs_below")
-        rows = run_query_cdf(spec)
-        assert kept == [None] * 6 and len(raised) == 6
-        assert on_full_tables(monkeypatch, spec)[0] == rows
+        rows, ranks, kept = on_prefixes(monkeypatch, spec)
+        assert kept == [None] * 6
+        assert ranks.stop_reason.tolist() == [STOP_RESTART] * 6
+        full_rows, full = on_full_tables(monkeypatch, spec)
+        assert full_rows == rows and len(full) == 6
 
     def test_no_state_below_y_mvd_falls_back(self, monkeypatch):
         # at P = 0.9 y_mvd lies below the minimum of most trials
         spec = lmin_spec(12, variants=["zero", "conventional-c"], mvd_p=0.9)
         ymvd = y_mvd(MvdParams.from_config(spec.cfg, spec.mvd_p))
-        kept = record(monkeypatch, "_runs_below")
-        rows = run_query_cdf(spec)
+        rows, ranks, kept = on_prefixes(monkeypatch, spec)
         full_rows, full = on_full_tables(monkeypatch, spec)
         assert full_rows == rows
         empty = [oracle_min >= ymvd for oracle_min, _ in full]
         assert 0 < sum(empty) < len(empty)
+        # the engine runs only the trials with a state below y_mvd
+        assert ranks.stop_reason.size == 2 * (len(empty) - sum(empty))
         assert all(found is None for found, none in zip(kept, empty) if none)
 
     def test_an_unconverged_run_falls_back(self, monkeypatch):
         # 20 rotations end some runs unconverged, and no restart window fits
         spec = lmin_spec(12, variants=["zero", "conventional-c"], budget_rotations=20)
-        kept = record(monkeypatch, "_runs_below")
-        rows = run_query_cdf(spec)
+        rows, ranks, kept = on_prefixes(monkeypatch, spec)
         full_rows, full = on_full_tables(monkeypatch, spec)
         assert full_rows == rows
         converged = [all(run.converged for _, run in runs) for _, runs in full]
         assert 0 < sum(converged) < len(converged)
         assert [found is not None for found in kept] == converged
+        assert STOP_RESTART not in ranks.stop_reason
+        assert ranks.converged.reshape(-1, 2).all(axis=1).tolist() == converged
 
     @pytest.mark.parametrize("change", ["random", "hadamard-full", "circuit"])
     def test_a_mixed_config_stays_on_full_tables(self, monkeypatch, change):
